@@ -210,6 +210,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--format", choices=("kv", "json-like"), default="kv", help="report format"
     )
     args = ap.parse_args(argv)
+    if args.precision is not None and args.precision < 1:
+        print(f"error: --precision must be >= 1, got {args.precision}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()

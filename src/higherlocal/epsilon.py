@@ -35,6 +35,7 @@ from .errors import (
     SingularWindow,
     UnsupportedFrame,
 )
+from .linalg import WindowMatrix
 from .series import OneForm, TowerElement, TowerField
 from .tate import (
     DEFAULT_SCHEDULE,
@@ -42,6 +43,7 @@ from .tate import (
     IndexReport,
     MatrixDiffOp,
     operator_index,
+    window_columns,
 )
 
 
@@ -192,31 +194,12 @@ def epsilon_degree(
 # ---------------------------------------------------------------------------
 
 def _symmetric_window_pseudo_det(op: MatrixDiffOp, w: int) -> Fraction:
-    src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
-    index = {lab: k for k, lab in enumerate(src_labels)}
-    from .linalg import WindowMatrix
-
-    from .errors import InsufficientPrecision
-
-    columns = []
-    for comp, e in src_labels:
-        img = op.apply_to_monomial(comp, e)
-        col = [Fraction(0)] * len(src_labels)
-        for i, el in enumerate(img):
-            if not el.knows(w - 1):
-                raise InsufficientPrecision(
-                    "normalizer precision too small for the determinant window"
-                )
-            for ee, q in el.coeffs.items():
-                lab = (i, ee)
-                if lab in index:
-                    col[index[lab]] = q
-        columns.append(col)
+    win = window_columns(op, w, [(-w, w)] * op.rank, clip_below=True)
     entries = tuple(
-        tuple(columns[j][i] for j in range(len(src_labels)))
-        for i in range(len(src_labels))
+        tuple(col.get(i, Fraction(0)) for col in win.columns)
+        for i in range(len(win.tgt_labels))
     )
-    return WindowMatrix(tuple(src_labels), tuple(src_labels), entries).pseudo_determinant()
+    return WindowMatrix(win.tgt_labels, win.src_labels, entries).pseudo_determinant()
 
 
 def epsilon_det_rel(

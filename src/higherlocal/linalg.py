@@ -389,9 +389,6 @@ def rref_q(rows: List[List[Fraction]]) -> Tuple[int, List[int], List[List[Fracti
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         piv_cols.append(c)
         r += 1
-        if r == n:
-            # continue classifying columns to find all pivots
-            pass
     return r, piv_cols, work
 
 
@@ -449,10 +446,6 @@ def sparse_echelon(rows) -> dict:
                 pivots[c] = {cc: v * inv for cc, v in r.items()}
                 break
     return pivots
-
-
-def sparse_rank(rows) -> int:
-    return len(sparse_echelon(rows))
 
 
 def sparse_kernel(rows, ncols: int) -> List[dict]:
@@ -601,9 +594,7 @@ def window_matrix(
         seen = set()
         for img in images:
             for out_comp, el in enumerate(img):
-                seen.update(
-                    (out_comp, _label_exps(el, e)) for e in _support_exponents(el)
-                )
+                seen.update((out_comp, e) for e in _support_exponents(el))
                 if not el.is_exactly_zero() and not el.is_fully_exact() and strict:
                     raise WindowOverflow(
                         "image support is not exactly known; pass explicit target labels"
@@ -643,10 +634,6 @@ def _support_exponents(el: TowerElement):
         for rest in _support_exponents(inner):
             out.append((e,) + rest)
     return out
-
-
-def _label_exps(el: TowerElement, exps):
-    return exps
 
 
 def _iter_rational_coefficients(el: TowerElement):

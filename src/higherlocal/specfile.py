@@ -179,6 +179,16 @@ def _parse_bracketed(value: str, line: int, col0: int):
     return items
 
 
+def _int_value(entry: Tuple[str, int, int], key: str) -> int:
+    value, lineno, colv = entry
+    try:
+        return int(value)
+    except ValueError:
+        raise SpecSyntaxError(
+            f"{key} must be an integer, found {value!r}", lineno, colv
+        ) from None
+
+
 def parse_specfile(text: str) -> SpecFile:
     sections: Dict[str, List[Tuple[str, str, int, int]]] = {}
     current: Optional[str] = None
@@ -216,7 +226,7 @@ def parse_specfile(text: str) -> SpecFile:
             raise UnknownKey(f"unknown key {key!r} in [field]")
     if "n" not in fld:
         raise UnknownKey("missing key 'n' in [field]")
-    level = int(fld["n"][0])
+    level = _int_value(fld["n"], "n")
     if level < 1:
         raise DimensionMismatch("n must be >= 1")
     if "vars" in fld:
@@ -227,7 +237,12 @@ def parse_specfile(text: str) -> SpecFile:
         raise DimensionMismatch(
             f"{len(names)} variable names for n = {level}"
         )
-    precision = int(fld["precision"][0]) if "precision" in fld else 32
+    precision = 32
+    if "precision" in fld:
+        precision = _int_value(fld["precision"], "precision")
+        if precision < 1:
+            _, lineno, colv = fld["precision"]
+            raise SpecSyntaxError("precision must be >= 1", lineno, colv)
 
     conn = section("connection")
     for key in conn:
@@ -235,7 +250,7 @@ def parse_specfile(text: str) -> SpecFile:
             raise UnknownKey(f"unknown key {key!r} in [connection]")
     if "rank" not in conn:
         raise UnknownKey("missing key 'rank' in [connection]")
-    rank = int(conn["rank"][0])
+    rank = _int_value(conn["rank"], "rank")
     if rank < 1:
         raise DimensionMismatch("rank must be >= 1")
     raw_matrices = []
@@ -297,8 +312,8 @@ def parse_specfile(text: str) -> SpecFile:
     command = tsk["command"][0]
     if command not in _COMMANDS:
         raise UnknownKey(f"unknown command {command!r}")
-    seed = int(tsk["seed"][0]) if "seed" in tsk else 0
-    sigma = int(tsk["sigma"][0]) if "sigma" in tsk else 1
+    seed = _int_value(tsk["seed"], "seed") if "seed" in tsk else 0
+    sigma = _int_value(tsk["sigma"], "sigma") if "sigma" in tsk else 1
     if sigma not in (1, -1):
         raise DimensionMismatch("sigma must be 1 or -1")
 

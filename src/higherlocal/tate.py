@@ -36,9 +36,9 @@ from .linalg import (
     SeriesMatrix,
     kernel_q,
     rank_kernel_det,
+    rank_q,
     rref_q,
     sparse_kernel,
-    sparse_rank,
 )
 from .series import TowerElement, TowerField
 
@@ -142,21 +142,6 @@ class MatrixDiffOp:
             out = [a + b for a, b in zip(out, img)]
         return tuple(out)
 
-    def apply_to_monomial(self, comp: int, e: int) -> Tuple[TowerElement, ...]:
-        level = next(iter(self.coeffs.values())).level
-        out = [TowerElement.zero(level) for _ in range(self.rank)]
-        for d, M in self.coeffs.items():
-            f = _falling(e, d)
-            if f == 0:
-                continue
-            mono = TowerElement.monomial(level, [e - d], f)
-            for i in range(self.rank):
-                entry = M[i, comp]
-                if entry.is_exactly_zero():
-                    continue
-                out[i] = out[i] + entry * mono
-        return tuple(out)
-
     # -- displacement hulls ----------------------------------------------------
 
     def _row_entries(self, i: int):
@@ -194,6 +179,10 @@ class MatrixDiffOp:
 # Window realization and stabilized index
 # ---------------------------------------------------------------------------
 
+def _exponent_major(labels) -> List[int]:
+    return sorted(range(len(labels)), key=lambda k: (labels[k][1], labels[k][0]))
+
+
 @dataclass
 class WindowRealization:
     src_labels: Tuple
@@ -207,13 +196,79 @@ class WindowRealization:
                 rows[i][j] = q
         return rows
 
-    def rows(self) -> List[List[Fraction]]:
-        n = len(self.tgt_labels)
-        out = [[Fraction(0)] * len(self.columns) for _ in range(n)]
-        for j, col in enumerate(self.columns):
-            for i, q in col.items():
-                out[i][j] = q
-        return out
+    def kernel(self) -> List[dict]:
+        """Right-kernel basis as sparse vectors over ``src_labels`` positions.
+
+        Window matrices are banded in the exponent, so rows and columns go to
+        the eliminator exponent-major; in the component-major label order the
+        leftmost-column pivot rule fills in across all rank^2 diagonal
+        blocks.  The kernel subspace does not depend on the order, and the
+        vectors are mapped back to the component-major labels.
+        """
+        src_order = _exponent_major(self.src_labels)
+        banded_col = {j: k for k, j in enumerate(src_order)}
+        rows = self.sparse_rows()
+        banded = [
+            {banded_col[j]: q for j, q in rows[i].items()}
+            for i in _exponent_major(self.tgt_labels)
+        ]
+        return [
+            {src_order[k]: q for k, q in vec.items()}
+            for vec in sparse_kernel(banded, len(src_order))
+        ]
+
+
+def window_columns(
+    op: MatrixDiffOp, w: int, bounds: Sequence[Tuple[int, int]], clip_below: bool = False
+) -> WindowRealization:
+    """Matrix of ``op`` from the source window [-w, w) in every component.
+
+    Target component ``i`` keeps the exponents ``bounds[i] = [lo, hi)``.
+    Columns are written straight from the coefficient dicts: a coefficient
+    ``q t^m`` of ``C_d[i, comp]`` sends ``t^e`` to ``falling(e, d) q`` at
+    exponent ``e - d + m`` of component ``i``.  Exponents at or above ``hi``
+    are cut (quotient semantics); those below ``lo`` are cut too when
+    ``clip_below``, and are otherwise a broken hull.  An inexact coefficient
+    must be known up to ``hi``: its product with the monomial is known
+    below ``entry.hi + e - d``, and a sum is known below the least bound of
+    its terms.
+    """
+    src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
+    tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
+    offset = []  # target row of (i, ee) is offset[i] + ee
+    start = 0
+    for lo, hi in bounds:
+        offset.append(start - lo)
+        start += hi - lo
+    columns = []
+    for comp, e in src_labels:
+        col: dict = {}
+        for d, M in op.coeffs.items():
+            f = _falling(e, d)
+            if f == 0:
+                continue
+            shift = e - d
+            for i in range(op.rank):
+                entry = M[i, comp]
+                if entry.is_exactly_zero():
+                    continue
+                lo_i, hi_i = bounds[i]
+                if not entry.exact and entry.hi + shift < hi_i:
+                    raise InsufficientPrecision(
+                        "operator coefficients are too short for this window"
+                    )
+                for m, q in entry.coeffs.items():
+                    ee = m + shift
+                    if ee >= hi_i:
+                        continue
+                    if ee < lo_i:
+                        if clip_below:
+                            continue
+                        raise AssertionError("image fell below the certified hull")
+                    row = offset[i] + ee
+                    col[row] = col.get(row, 0) + f * q
+        columns.append({row: q for row, q in col.items() if q})
+    return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
 
 
 def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealization:
@@ -225,10 +280,9 @@ def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealiza
     displacements is what the cokernel count measures.  The ``bottom`` mode
     cuts at the hull displacement itself, the sharp image of a deep lattice,
     which guarantees that truncations of true solutions lie in the windowed
-    kernel.  Kernels are read off the bottom realization, cokernels off the
-    top one.
+    kernel.  Kernels are read off the bottom realization; cokernels off the
+    top one's extra rows together with the bottom kernel (``_top_cokernel``).
     """
-    src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
     bounds = []
     for i in range(op.rank):
         if op.is_zero_row(i):
@@ -238,28 +292,35 @@ def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealiza
             bounds.append((-w + d, w + d))
         else:
             bounds.append((-w + op.delta_bottom(i), w + op.delta_top(i)))
-    tgt_labels = [
-        (c, e) for c in range(op.rank) for e in range(bounds[c][0], bounds[c][1])
+    return window_columns(op, w, bounds)
+
+
+def _top_cokernel(
+    bottom: WindowRealization, top: WindowRealization, kernel: List[dict]
+) -> int:
+    """Cokernel dimension of the top window, read off the bottom kernel.
+
+    Component ``i`` has target exponents [-w + delta_b, w + delta_b) at the
+    bottom and [-w + delta_b, w + delta_t) at the top, with delta_t >=
+    delta_b (a minimum over a subset of the same entries), under the same
+    quotient cut.  So the bottom matrix is the top one restricted to a
+    subset of its rows, and ker(top) = {v in ker(bottom) : E v = 0} for the
+    extra top rows E.  E K is a small rational matrix; its rank is exact.
+    """
+    shared = set(bottom.tgt_labels)
+    E: Dict[int, dict] = {
+        k: {} for k, lab in enumerate(top.tgt_labels) if lab not in shared
+    }
+    for j, col in enumerate(top.columns):
+        for k, q in col.items():
+            if k in E:
+                E[k][j] = q
+    EK = [
+        [sum((q * v[j] for j, q in row.items() if j in v), Fraction(0)) for v in kernel]
+        for row in E.values()
     ]
-    index = {lab: k for k, lab in enumerate(tgt_labels)}
-    columns = []
-    for comp, e in src_labels:
-        img = op.apply_to_monomial(comp, e)
-        col: dict = {}
-        for i, el in enumerate(img):
-            lo_i, hi_i = bounds[i]
-            if not (el.exact or el.hi >= hi_i):
-                raise InsufficientPrecision(
-                    "operator coefficients are too short for this window"
-                )
-            for ee, q in el.coeffs.items():
-                if ee >= hi_i:
-                    continue  # quotient truncation at the top
-                if ee < lo_i:
-                    raise AssertionError("image fell below the certified hull")
-                col[index[(i, ee)]] = q
-        columns.append(col)
-    return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
+    ker_top = len(kernel) - rank_q(EK)
+    return len(top.tgt_labels) - (len(top.src_labels) - ker_top)
 
 
 def _kernel_vectors_to_elements(
@@ -340,13 +401,13 @@ def operator_index(
             # coefficients cannot honestly fill this window; larger windows
             # are unreachable, work with what was seen so far
             break
-        sparse = sparse_kernel(bottom.sparse_rows(), len(bottom.src_labels))
+        kernel = bottom.kernel()
         dense = [
             [vec.get(k, Fraction(0)) for k in range(len(bottom.src_labels))]
-            for vec in sparse
+            for vec in kernel
         ]
         kernels.append((w, bottom.src_labels, dense))
-        cokers.append(len(top.tgt_labels) - sparse_rank(top.sparse_rows()))
+        cokers.append(_top_cokernel(bottom, top, kernel))
         if len(kernels) < 2:
             continue
         i = len(kernels) - 2
@@ -374,7 +435,6 @@ def operator_index(
                 newton_prediction,
                 tuple(trace),
             )
-        last_persistent = persistent_vecs
     if not kernels:
         raise InsufficientPrecision(
             "operator coefficients cannot fill even the smallest window"

@@ -263,3 +263,30 @@ command = cohomology
     def test_missing_file(self):
         proc = run_cli("/nonexistent/path.hl")
         assert proc.returncode == 3
+
+    def test_non_integer_field_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.hl"
+        bad.write_text(
+            """[field]
+n = abc
+
+[connection]
+rank = 1
+A1 = [["0"]]
+
+[task]
+command = epsilon
+"""
+        )
+        proc = run_cli(bad)
+        assert proc.returncode == 3
+        assert "SpecSyntaxError" in proc.stderr
+        assert "line 2, column 5" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_precision_flag_below_one_exit_code(self):
+        proc = run_cli(GOLDEN / "eps_trivial.hl", "--precision", "0")
+        assert proc.returncode == 3
+        assert "--precision" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -1,19 +1,27 @@
 """Windowed operator indices, Calkin isomorphism checks, directional profiles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity
-from higherlocal.errors import UnsupportedFrame
-from higherlocal.linalg import SeriesMatrix
+from higherlocal.errors import InsufficientPrecision, UnsupportedFrame
+from higherlocal.linalg import (
+    SeriesMatrix,
+    rank_q,
+    rref_q,
+    sparse_echelon,
+    sparse_kernel,
+)
 from higherlocal.series import OneForm, TowerElement, TowerField
 from higherlocal.tate import (
     MatrixDiffOp,
     calkin_iso_check,
     directional_kernel_profile,
     operator_index,
+    realize_window,
 )
 
 F1 = TowerField(1)
@@ -116,6 +124,153 @@ class TestOperatorIndex:
         rep1 = operator_index(op, schedule=(8, 12, 16))
         rep2 = operator_index(op, schedule=(16, 24, 32))
         assert (rep1.ker_dim, rep1.coker_dim) == (rep2.ker_dim, rep2.coker_dim)
+
+
+def random_exact_connection(rng, rank):
+    """Laurent-polynomial entries t^-3 .. t^1, density 1/2, coefficients +-1, +-2."""
+    t = F1.gen(1)
+    rows = []
+    for _ in range(rank):
+        row = []
+        for _ in range(rank):
+            x = F1.zero()
+            for k in range(-3, 2):
+                if rng.random() < 0.5:
+                    x = x + rng.choice((-2, -1, 1, 2)) * t ** k
+            row.append(x)
+        rows.append(row)
+    return Connection(F1, [SeriesMatrix(rows)])
+
+
+def _dense(vec, n):
+    return [vec.get(k, Fraction(0)) for k in range(n)]
+
+
+def _restrict(vecs, labels, small_labels):
+    pos = {lab: k for k, lab in enumerate(labels)}
+    return [[v[pos[lab]] for lab in small_labels] for v in vecs]
+
+
+def _span_rank(vecs):
+    return rank_q(vecs) if vecs else 0
+
+
+class TestWindowCrossCheck:
+    """The windowed index against the component-major reference route.
+
+    The reference eliminates the bottom window in label order for the
+    kernel and the whole top window for the rank, as independent of the
+    banded order and of the top-from-bottom cokernel as possible.
+    """
+
+    SCHEDULE = (4, 6, 8)  # small windows keep the reference route fast
+
+    def cases(self):
+        rng = random.Random(20181807)
+        t = F1.gen(1)
+        connections = [random_exact_connection(rng, rank) for rank in (2, 3, 4)]
+        # a trivial summand gives persistent kernels to compare bases on
+        connections += [
+            random_exact_connection(rng, rank).direct_sum(Connection.trivial(F1, 1))
+            for rank in (1, 2)
+        ]
+        for C in connections:
+            for normalizer in (None, t ** -1):
+                yield MatrixDiffOp.from_connection(C, normalizer=normalizer)
+
+    def reference(self, op):
+        windows = []
+        for w in self.SCHEDULE:
+            bottom = realize_window(op, w, "bottom")
+            top = realize_window(op, w, "top")
+            n = len(bottom.src_labels)
+            kernel = [_dense(v, n) for v in sparse_kernel(bottom.sparse_rows(), n)]
+            coker = len(top.tgt_labels) - len(sparse_echelon(top.sparse_rows()))
+            windows.append((w, bottom.src_labels, kernel, coker))
+        trace = []
+        for (w, labels, kvecs, coker), (_, labels2, kvecs2, _) in zip(
+            windows, windows[1:]
+        ):
+            truncated = _restrict(kvecs2, labels2, labels)
+            a, b = _span_rank(kvecs), _span_rank(truncated)
+            both = _span_rank(kvecs + truncated)
+            trace.append(((w, a + b - both, coker), labels, kvecs, truncated))
+        return trace
+
+    def test_trace_matches_component_major_route(self):
+        checked = 0
+        for op in self.cases():
+            rep = operator_index(op, self.SCHEDULE)
+            ref = self.reference(op)
+            assert rep.trace == tuple(r[0] for r in ref[: len(rep.trace)])
+            if not rep.ker_basis:
+                continue
+            # the persistent basis is the reduced echelon form of
+            # span(kernel) cap span(truncated next kernel) in label order
+            _, labels, kvecs, truncated = ref[len(rep.trace) - 1]
+            basis = [
+                [vec[c].coeffs.get(e, Fraction(0)) for c, e in labels]
+                for vec in rep.ker_basis
+            ]
+            rank, _, red = rref_q(basis)
+            assert rank == len(basis) == rep.ker_dim
+            assert red[:rank] == basis
+            for span in (kvecs, truncated):
+                assert _span_rank(span + basis) == _span_rank(span)
+            checked += 1
+        assert checked > 0
+
+    def test_columns_match_operator_images(self):
+        rng = random.Random(7)
+        t = F1.gen(1)
+        for rank, normalizer in ((2, None), (3, t ** -1)):
+            op = MatrixDiffOp.from_connection(
+                random_exact_connection(rng, rank), normalizer=normalizer
+            )
+            for mode in ("bottom", "top"):
+                win = realize_window(op, 8, mode)
+                index = {lab: k for k, lab in enumerate(win.tgt_labels)}
+                lowest = {}
+                for c, e in win.tgt_labels:
+                    lowest.setdefault(c, e)
+                for (c, e), col in zip(win.src_labels, win.columns):
+                    vec = [
+                        TowerElement.monomial(1, [e]) if i == c else F1.zero()
+                        for i in range(rank)
+                    ]
+                    expected = {}
+                    for i, el in enumerate(op.apply(vec)):
+                        for ee, q in el.coeffs.items():
+                            assert ee >= lowest[i]
+                            if (i, ee) in index:
+                                expected[index[(i, ee)]] = q
+                    assert col == expected
+
+
+class TestWindowPrecision:
+    """An inexact coefficient must be known up to the top edge of the target."""
+
+    def op_with_known_terms(self, hi):
+        # A = (t^-2 + 1 + O(t^hi)): delta_bottom = -2 from A, delta_top = -1
+        # from the derivative, so the top window reaches one exponent higher
+        a = TowerElement(1, {-2: Fraction(1), 0: Fraction(1)}, hi, False)
+        return MatrixDiffOp(
+            1, {1: SeriesMatrix([[F1.one()]]), 0: SeriesMatrix([[a]])}
+        )
+
+    def test_top_window_needs_one_more_term(self):
+        # w = 8: the image of t^-8 is known below hi - 8; the bottom target
+        # ends at 8 - 2 and the top target at 8 - 1
+        op = self.op_with_known_terms(14)
+        realize_window(op, 8, "bottom")
+        with pytest.raises(InsufficientPrecision):
+            realize_window(op, 8, "top")
+
+    def test_bottom_window_too_short(self):
+        op = self.op_with_known_terms(13)
+        for mode in ("bottom", "top"):
+            with pytest.raises(InsufficientPrecision):
+                realize_window(op, 8, mode)
 
 
 class TestCalkinIso:
