@@ -10,6 +10,7 @@ failures; diagnostics go to the error stream.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -181,7 +182,7 @@ def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Repor
         ok, lhs, rhs = verify_duality(C, nu, sigma, seed=spec.seed)
         report.append(("check_duality", "pass" if ok else "fail"))
         report.append(("sigma", str(spec.sigma)))
-        report.append(("degree", str(epsilon_degree(C, nu, seed=spec.seed).degree)))
+        report.append(("degree", str(sigma.sign * rhs)))
         overall = mrep.squares_ok and mrep.acyclic and ok
         report.append(("result", "pass" if overall else "fail"))
         return report
@@ -197,8 +198,16 @@ def format_report(report: Report, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Rejects malformed flags with the validation exit code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="higherlocal",
         description="Exact computations for flat connections on Laurent series towers",
     )
@@ -210,9 +219,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--format", choices=("kv", "json-like"), default="kv", help="report format"
     )
     args = ap.parse_args(argv)
-    if args.precision is not None and args.precision < 1:
-        print(f"error: --precision must be >= 1, got {args.precision}", file=sys.stderr)
-        return EXIT_INVALID
+    for flag, value in (("--precision", args.precision), ("--max-window", args.max_window)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return EXIT_INVALID
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -222,30 +232,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     old_prec = None
     try:
         spec = parse_specfile(text)
-        if args.precision is not None:
-            spec = SpecFile(
-                spec.level,
-                spec.names,
-                args.precision,
-                spec.rank,
-                spec.raw_matrices,
-                spec.raw_forms,
-                spec.command,
-                spec.seed,
-                spec.sigma,
-            )
-        if args.seed is not None:
-            spec = SpecFile(
-                spec.level,
-                spec.names,
-                spec.precision,
-                spec.rank,
-                spec.raw_matrices,
-                spec.raw_forms,
-                spec.command,
-                args.seed,
-                spec.sigma,
-            )
+        overrides = {"precision": args.precision, "seed": args.seed}
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        if overrides:
+            spec = dataclasses.replace(spec, **overrides)
         old_prec = series.set_working_precision(spec.precision)
         report = run(spec.command, spec, max_window=args.max_window)
     except Unstabilized as exc:

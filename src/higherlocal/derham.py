@@ -33,7 +33,7 @@ from .errors import (
     UndeterminedPivot,
     UnsupportedFrame,
 )
-from .linalg import SeriesMatrix, inverse, rank_kernel_det
+from .linalg import SeriesMatrix, inverse, rank_kernel_det, solve_columns
 from .series import OneForm, TowerElement, TowerField
 from .tate import (
     DEFAULT_SCHEDULE,
@@ -42,8 +42,9 @@ from .tate import (
     MatrixDiffOp,
     OuterMatrixDiffOp,
     OuterReduction,
+    inner_operator,
     operator_index,
-    reduce_outer_window,
+    stabilize_outer_windows,
 )
 
 
@@ -393,10 +394,11 @@ def _direction_acyclicity(
             "frame field mixes directions; bounded-profile check unsupported",
         )
     if n == 1:
-        op = MatrixDiffOp(
-            B.rank, {1: SeriesMatrix.identity(B.field, B.rank).scale(edge.cvec[0]), 0: edge.pmat}
+        rep = operator_index(
+            MatrixDiffOp.first_order(edge.cvec[0], edge.pmat),
+            DEFAULT_SCHEDULE,
+            want_kernel=False,
         )
-        rep = operator_index(op, DEFAULT_SCHEDULE, want_kernel=False)
         return DirectionResult(
             1,
             "nabla",
@@ -407,54 +409,31 @@ def _direction_acyclicity(
             rep.trace,
         )
     if pure == n:
-        op = OuterMatrixDiffOp(
-            B.rank,
-            {
-                1: SeriesMatrix.identity(B.field, B.rank).scale(edge.cvec[n - 1]),
-                0: edge.pmat,
-            },
-        )
-        trace = []
-        prev = None
-        for w in schedule:
-            red = reduce_outer_window(op, w)
-            dims = (red.ker_dim, red.coker_dim)
-            trace.append((w, *dims))
-            if prev == dims:
-                return DirectionResult(
-                    n, "nabla", True, "bounded outer window certified", tuple(trace)
-                )
-            prev = dims
+        op = OuterMatrixDiffOp.first_order(edge.cvec[n - 1], edge.pmat)
+        _, at, trace = stabilize_outer_windows(op, schedule)
+        if at is not None:
+            return DirectionResult(n, "nabla", True, "bounded outer window certified", trace)
         return DirectionResult(
-            n, "nabla", False, "outer window dimensions kept growing", tuple(trace)
+            n, "nabla", False, "outer window dimensions kept growing", trace
         )
     # inner pure direction: fiberwise when the data is outer-free, otherwise
     # exchange the variables and use the outer machinery
     try:
-        op1 = _strip_to_inner_op(B.rank, edge)
+        op1 = inner_operator(edge.cvec[0], edge.pmat)
     except UnsupportedFrame:
         try:
-            c_sw = swap_variables(edge.cvec[0])
-            p_sw = edge.pmat.map(swap_variables)
+            op = OuterMatrixDiffOp.first_order(
+                swap_variables(edge.cvec[0]), edge.pmat.map(swap_variables)
+            )
         except UnsupportedFrame as exc:
             return DirectionResult(pure, "nabla", False, str(exc))
-        op = OuterMatrixDiffOp(
-            B.rank,
-            {1: SeriesMatrix.identity(B.field, B.rank).scale(c_sw), 0: p_sw},
-        )
-        trace = []
-        prev = None
-        for w in schedule:
-            red = reduce_outer_window(op, w)
-            dims = (red.ker_dim, red.coker_dim)
-            trace.append((w, *dims))
-            if prev == dims:
-                return DirectionResult(
-                    pure, "nabla", True, "bounded window certified after a variable swap", tuple(trace)
-                )
-            prev = dims
+        _, at, trace = stabilize_outer_windows(op, schedule)
+        if at is not None:
+            return DirectionResult(
+                pure, "nabla", True, "bounded window certified after a variable swap", trace
+            )
         return DirectionResult(
-            pure, "nabla", False, "window dimensions kept growing", tuple(trace)
+            pure, "nabla", False, "window dimensions kept growing", trace
         )
     rep = operator_index(op1, DEFAULT_SCHEDULE, want_kernel=False)
     return DirectionResult(
@@ -466,28 +445,6 @@ def _direction_acyclicity(
         else "fiberwise window dimensions kept growing",
         rep.trace,
     )
-
-
-def _strip_outer(x: TowerElement) -> TowerElement:
-    if x.is_exactly_zero():
-        return TowerElement.zero(x.level - 1)
-    if set(x.coeffs) - {0}:
-        raise UnsupportedFrame("inner-direction check needs outer-free coefficients")
-    if not x.knows(1) and not x.exact:
-        raise UnsupportedFrame("inner-direction check needs outer-free coefficients")
-    return x.coefficient(0)
-
-
-def _strip_to_inner_op(rank: int, edge: EdgeOperator) -> MatrixDiffOp:
-    c1 = _strip_outer(edge.cvec[0])
-    inner = SeriesMatrix(
-        [
-            [_strip_outer(edge.pmat[i, j]) for j in range(rank)]
-            for i in range(rank)
-        ]
-    )
-    I1 = SeriesMatrix.identity(TowerField(1), rank)
-    return MatrixDiffOp(rank, {1: I1.scale(c1), 0: inner})
 
 
 # ---------------------------------------------------------------------------
@@ -540,47 +497,6 @@ class InducedLevel:
     dim: int
     matrix: Optional[SeriesMatrix]  # dim x dim over the inner field
     window: int
-
-
-def _solve_in_columns(columns, target, level=1):
-    """One exact solution x of (columns) x = target, or None if inconsistent."""
-    if not columns:
-        return None if any(t.is_certainly_nonzero() for t in target) else []
-    nrows = len(columns[0])
-    aug = [
-        [col[r] for col in columns] + [target[r]] for r in range(nrows)
-    ]
-    ncols = len(columns)
-    pivots = {}
-    rrow = 0
-    for c in range(ncols):
-        best = None
-        for i in range(rrow, nrows):
-            cls, v = aug[i][c].classify_leading()
-            if cls == "nonzero" and (best is None or v < best[0]):
-                best = (v, i)
-        if best is None:
-            continue
-        _, i = best
-        aug[i], aug[rrow] = aug[rrow], aug[i]
-        inv = aug[rrow][c].invert()
-        aug[rrow] = [x * inv for x in aug[rrow]]
-        for i2 in range(nrows):
-            if i2 == rrow:
-                continue
-            x = aug[i2][c]
-            if x.is_exactly_zero():
-                continue
-            aug[i2] = [a - x * b for a, b in zip(aug[i2], aug[rrow])]
-        pivots[c] = rrow
-        rrow += 1
-    for i in range(rrow, nrows):
-        if aug[i][ncols].is_certainly_nonzero():
-            return None
-    x = [TowerElement.zero(level)] * ncols
-    for c, r in pivots.items():
-        x[c] = aug[r][ncols]
-    return x
 
 
 def _section_from_slots(labels, vec, rank):
@@ -649,17 +565,7 @@ def induced_inner_connections(
     variable, scaled by the inverse of ``normalizer`` when given.
     """
     op = OuterMatrixDiffOp.from_connection(C, normalizer)
-    prev = None
-    red = None
-    stabilized = None
-    for w in schedule:
-        red = reduce_outer_window(op, w)
-        dims = (red.ker_dim, red.coker_dim)
-        if prev == dims:
-            stabilized = w
-            break
-        prev = dims
-    assert red is not None
+    red, stabilized, _ = stabilize_outer_windows(op, schedule)
     w = red.window
     rank = C.rank
     # induced action on the kernel
@@ -676,7 +582,7 @@ def induced_inner_connections(
             for vec in red.kernel
         ]
         for img in columns:
-            x = _solve_in_columns(kernel_columns, img)
+            x = solve_columns(kernel_columns, img)
             if x is None:
                 raise UnsupportedFrame(
                     "induced action does not preserve the windowed kernel"
@@ -714,7 +620,7 @@ def induced_inner_connections(
             target = []
             for cc, ee in red.tgt_labels:
                 target.append(img[cc].get(ee, TowerElement.zero(1)))
-            x = _solve_in_columns(image_columns + rep_columns, target)
+            x = solve_columns(image_columns + rep_columns, target)
             if x is None:
                 raise UnsupportedFrame(
                     "induced action leaves the windowed target span"

@@ -43,6 +43,7 @@ from .tate import (
     IndexReport,
     MatrixDiffOp,
     operator_index,
+    strip_outer,
     window_columns,
 )
 
@@ -87,17 +88,6 @@ class EpsilonReport:
 
 def _single_form_normalizer(nu: FormTuple) -> TowerElement:
     return nu.frame[0, 0]
-
-
-def _strip_inner(x: TowerElement) -> TowerElement:
-    """A two-variable element constant in the outer variable, as inner element."""
-    if x.is_exactly_zero():
-        return TowerElement.zero(x.level - 1)
-    if set(x.coeffs) - {0}:
-        raise UnsupportedFrame(
-            "the inner frame component must not involve the outer variable"
-        )
-    return x.coefficient(0)
 
 
 def _exact_presentation(C: Connection) -> bool:
@@ -147,7 +137,7 @@ def epsilon_degree(
         # the outer normalizer must commute with the inner derivative for
         # the iterated reduction to be well-formed
         raise UnsupportedFrame("the outer frame component must not involve t1")
-    h1 = _strip_inner(nu.frame[0, 0])
+    h1 = strip_outer(nu.frame[0, 0])
     h0_level, h1_level, red, stabilized = induced_inner_connections(
         C, normalizer=h2, schedule=OUTER_SCHEDULE
     )

@@ -192,28 +192,31 @@ class EliminationResult:
     determinant: Optional[TowerElement]  # None for non-square input
 
 
-def _classify(x: TowerElement):
-    return x.classify_leading()
+def _forward(work: List[List[TowerElement]], ncols: int):
+    """Forward elimination on the first ``ncols`` columns of ``work``, in place.
 
-
-def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationResult:
-    """Row-reduce over the field with minimal-valuation pivoting.
-
-    Raises :class:`UndeterminedPivot` when a column has no certified-nonzero
-    candidate but carries entries that are only zero up to precision.
+    Each column takes the candidate of minimal certified valuation as its
+    pivot and is cleared below it; row operations run across the full row,
+    so augmented columns are carried along.  A column whose only candidates
+    are undetermined raises :class:`UndeterminedPivot`; a column of exact
+    zeros is skipped.  Returns the ``(row, col)`` pivots, the pivot
+    elements, their inverses and the sign of the row permutation.
     """
-    level = M.level
-    work: List[List[TowerElement]] = [list(r) for r in M.entries]
-    n, m = M.rows, M.cols
+    n = len(work)
+    width = len(work[0])
+    zero = TowerElement.zero(work[0][0].level)
     sign = 1
     pivots: List[Tuple[int, int]] = []
-    pivot_elements: List[TowerElement] = []
+    elements: List[TowerElement] = []
+    inverses: List[TowerElement] = []
     r = 0
-    for c in range(m):
+    for c in range(ncols):
+        if r == n:
+            break
         best = None
         undetermined = False
         for i in range(r, n):
-            cls, v = _classify(work[i][c])
+            cls, v = work[i][c].classify_leading()
             if cls == "nonzero":
                 if best is None or v < best[0]:
                     best = (v, i)
@@ -234,45 +237,60 @@ def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationRes
             if x.is_exactly_zero():
                 continue
             factor = x * piv_inv
-            for j in range(c, m):
+            for j in range(c, width):
                 work[i2][j] = work[i2][j] - factor * work[r][j]
-            work[i2][c] = TowerElement.zero(level)
+            work[i2][c] = zero
         pivots.append((r, c))
-        pivot_elements.append(piv)
+        elements.append(piv)
+        inverses.append(piv_inv)
         r += 1
-        if r == n:
-            # classify the remaining columns for kernel extraction only
-            break
-    rank = r
+    return pivots, elements, inverses, sign
+
+
+def _back_substitute(work: List[List[TowerElement]], pivots, inverses) -> None:
+    """Normalize the pivot rows left by :func:`_forward` and clear above them."""
+    level = work[0][0].level
+    for (pr, pc), inv in zip(reversed(pivots), reversed(inverses)):
+        work[pr] = [x * inv for x in work[pr]]
+        work[pr][pc] = TowerElement.constant(level, 1)
+        for i2 in range(pr):
+            x = work[i2][pc]
+            if x.is_exactly_zero():
+                continue
+            work[i2] = [a - x * b for a, b in zip(work[i2], work[pr])]
+            work[i2][pc] = TowerElement.zero(level)
+
+
+def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationResult:
+    """Row-reduce over the field with minimal-valuation pivoting.
+
+    Raises :class:`UndeterminedPivot` when a column has no certified-nonzero
+    candidate but carries entries that are only zero up to precision.  Rank
+    and determinant come from the forward pass alone; only the kernel needs
+    the back-substitution.
+    """
+    level = M.level
+    work: List[List[TowerElement]] = [list(r) for r in M.entries]
+    n, m = M.rows, M.cols
+    pivots, elements, inverses, sign = _forward(work, m)
+    rank = len(pivots)
     determinant: Optional[TowerElement] = None
     if n == m:
         if rank == n:
-            det = pivot_elements[0]
-            for p in pivot_elements[1:]:
+            det = elements[0]
+            for p in elements[1:]:
                 det = det * p
             determinant = det if sign == 1 else -det
         else:
             determinant = TowerElement.zero(level)
     kernel: Tuple[Tuple[TowerElement, ...], ...] = ()
     if want_kernel:
-        # back-substitute to reduced form: normalize pivots, clear above
-        for idx in range(rank - 1, -1, -1):
-            pr, pc = pivots[idx]
-            inv = work[pr][pc].invert()
-            work[pr] = [x * inv for x in work[pr]]
-            work[pr][pc] = TowerElement.constant(level, 1)
-            for i2 in range(pr):
-                x = work[i2][pc]
-                if x.is_exactly_zero():
-                    continue
-                work[i2] = [
-                    a - x * b for a, b in zip(work[i2], work[pr])
-                ]
-                work[i2][pc] = TowerElement.zero(level)
+        _back_substitute(work, pivots, inverses)
         pivot_cols = {pc: pr for pr, pc in pivots}
-        free_cols = [c for c in range(m) if c not in pivot_cols]
         vecs = []
-        for f in free_cols:
+        for f in range(m):
+            if f in pivot_cols:
+                continue
             vec = [TowerElement.zero(level)] * m
             vec[f] = TowerElement.constant(level, 1)
             for pc, pr in pivot_cols.items():
@@ -282,41 +300,23 @@ def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationRes
     return EliminationResult(rank, tuple(pivots), kernel, determinant)
 
 
+def _solve_square(M: SeriesMatrix, rhs_rows) -> List[List[TowerElement]]:
+    """Rows of X with M X = the rows ``rhs_rows``, for M of certified full rank."""
+    n = M.rows
+    work = [list(r) + list(b) for r, b in zip(M.entries, rhs_rows)]
+    pivots, _, inverses, _ = _forward(work, n)
+    if len(pivots) < n:
+        c = min(set(range(n)) - {pc for _, pc in pivots})
+        raise UndeterminedPivot(c, f"matrix is singular at column {c}")
+    _back_substitute(work, pivots, inverses)
+    return [row[n:] for row in work]
+
+
 def solve(M: SeriesMatrix, rhs: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
     """Solve M x = rhs for square M with certified full rank."""
     if M.rows != M.cols:
         raise ValueError("solve needs a square matrix")
-    n = M.rows
-    level = M.level
-    work = [list(r) + [rhs[i]] for i, r in enumerate(M.entries)]
-    for c in range(n):
-        best = None
-        undetermined = False
-        for i in range(c, n):
-            cls, v = _classify(work[i][c])
-            if cls == "nonzero":
-                if best is None or v < best[0]:
-                    best = (v, i)
-            elif cls == "undetermined":
-                undetermined = True
-        if best is None:
-            if undetermined:
-                raise UndeterminedPivot(c)
-            raise UndeterminedPivot(c, f"matrix is singular at column {c}")
-        _, i = best
-        if i != c:
-            work[i], work[c] = work[c], work[i]
-        inv = work[c][c].invert()
-        work[c] = [x * inv for x in work[c]]
-        for i2 in range(n):
-            if i2 == c:
-                continue
-            x = work[i2][c]
-            if x.is_exactly_zero():
-                continue
-            work[i2] = [a - x * b for a, b in zip(work[i2], work[c])]
-            work[i2][c] = TowerElement.zero(level)
-    return tuple(work[i][n] for i in range(n))
+    return tuple(row[0] for row in _solve_square(M, [[b] for b in rhs]))
 
 
 def inverse(M: SeriesMatrix) -> SeriesMatrix:
@@ -324,41 +324,32 @@ def inverse(M: SeriesMatrix) -> SeriesMatrix:
     if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
     n = M.rows
-    level = M.level
-    field_one = TowerElement.constant(level, 1)
-    zero = TowerElement.zero(level)
-    work = [
-        list(r) + [field_one if i == j else zero for j in range(n)]
-        for i, r in enumerate(M.entries)
-    ]
-    for c in range(n):
-        best = None
-        undetermined = False
-        for i in range(c, n):
-            cls, v = _classify(work[i][c])
-            if cls == "nonzero":
-                if best is None or v < best[0]:
-                    best = (v, i)
-            elif cls == "undetermined":
-                undetermined = True
-        if best is None:
-            if undetermined:
-                raise UndeterminedPivot(c)
-            raise UndeterminedPivot(c, f"matrix is singular at column {c}")
-        _, i = best
-        if i != c:
-            work[i], work[c] = work[c], work[i]
-        inv = work[c][c].invert()
-        work[c] = [x * inv for x in work[c]]
-        for i2 in range(n):
-            if i2 == c:
-                continue
-            x = work[i2][c]
-            if x.is_exactly_zero():
-                continue
-            work[i2] = [a - x * b for a, b in zip(work[i2], work[c])]
-            work[i2][c] = zero
-    return SeriesMatrix([row[n:] for row in work])
+    one = TowerElement.constant(M.level, 1)
+    zero = TowerElement.zero(M.level)
+    return SeriesMatrix(
+        _solve_square(M, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    )
+
+
+def solve_columns(columns, target) -> Optional[List[TowerElement]]:
+    """One solution x of sum_j x_j columns[j] = target, or None if inconsistent.
+
+    The system may be rectangular and rank-deficient; free unknowns are set
+    to zero.  It is inconsistent when a row left without a pivot has a
+    certified-nonzero right-hand side.
+    """
+    if not columns:
+        return None if any(t.is_certainly_nonzero() for t in target) else []
+    ncols = len(columns)
+    work = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
+    pivots, _, inverses, _ = _forward(work, ncols)
+    if any(row[ncols].is_certainly_nonzero() for row in work[len(pivots):]):
+        return None
+    _back_substitute(work, pivots, inverses)
+    x = [TowerElement.zero(target[0].level)] * ncols
+    for r, c in pivots:
+        x[c] = work[r][ncols]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -510,32 +501,6 @@ class WindowMatrix:
 
     def cokernel_dim(self) -> int:
         return len(self.row_labels) - self.rank()
-
-    def determinant(self) -> Fraction:
-        n, m = self.shape
-        if n != m:
-            raise ValueError("determinant needs a square window")
-        work = self.dense()
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if work[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                work[pivot_row], work[c] = work[c], work[pivot_row]
-                det = -det
-            det *= work[c][c]
-            inv = Fraction(1) / work[c][c]
-            for i in range(c + 1, n):
-                if work[i][c] != 0:
-                    f = work[i][c] * inv
-                    for j in range(c, n):
-                        work[i][j] -= f * work[c][j]
-        return det
 
     def pseudo_determinant(self) -> Fraction:
         """Product of nonzero pivots in basis order (skips defective columns)."""

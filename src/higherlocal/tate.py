@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .connection import Connection
 from .errors import (
     InsufficientPrecision,
-    UndeterminedPivot,
     UnsupportedFrame,
     Unstabilized,
 )
@@ -89,9 +88,13 @@ def _falling(e: int, d: int) -> Fraction:
 
 
 class MatrixDiffOp:
-    """sum_d C_d (d/dt)^d with square matrix coefficients over k((t))."""
+    """sum_d C_d (d/dt)^d with square matrix coefficients over k((t)).
+
+    ``t`` is the outermost variable of the coefficients' tower level.
+    """
 
     __slots__ = ("rank", "coeffs")
+    level = 1
 
     def __init__(self, rank: int, coeffs: Dict[int, SeriesMatrix]):
         self.rank = rank
@@ -105,16 +108,16 @@ class MatrixDiffOp:
         cls, C: Connection, normalizer: Optional[TowerElement] = None, prec: Optional[int] = None
     ) -> "MatrixDiffOp":
         """The operator h^(-1) (d/dt + A) for the 1-form normalizer h dt."""
-        if C.field.level != 1:
-            raise ValueError("one-variable connections only")
-        field = C.field
-        r = C.rank
-        I = SeriesMatrix.identity(field, r)
-        if normalizer is None:
-            hinv = field.one()
-        else:
-            hinv = normalizer.invert(prec)
-        return cls(r, {1: I.scale(hinv), 0: C.matrices[0].scale(hinv)})
+        if C.field.level != cls.level:
+            raise UnsupportedFrame(f"this operator needs a {cls.level}-variable connection")
+        hinv = C.field.one() if normalizer is None else normalizer.invert(prec)
+        return cls.first_order(hinv, C.matrices[-1].scale(hinv))
+
+    @classmethod
+    def first_order(cls, c: TowerElement, P: SeriesMatrix) -> "MatrixDiffOp":
+        """The operator c d/dt + P."""
+        I = SeriesMatrix.identity(TowerField(c.level), P.rows)
+        return cls(P.rows, {1: I.scale(c), 0: P})
 
     @classmethod
     def from_scalar(cls, coeffs: Sequence[TowerElement]) -> "MatrixDiffOp":
@@ -134,7 +137,7 @@ class MatrixDiffOp:
         current = list(vec)
         for d in range(0, max(self.coeffs) + 1):
             if d > 0:
-                current = [v.derive(1) for v in current]
+                current = [v.derive(level) for v in current]
             M = self.coeffs.get(d)
             if M is None:
                 continue
@@ -226,7 +229,9 @@ def window_columns(
     Target component ``i`` keeps the exponents ``bounds[i] = [lo, hi)``.
     Columns are written straight from the coefficient dicts: a coefficient
     ``q t^m`` of ``C_d[i, comp]`` sends ``t^e`` to ``falling(e, d) q`` at
-    exponent ``e - d + m`` of component ``i``.  Exponents at or above ``hi``
+    exponent ``e - d + m`` of component ``i``, where ``t`` is the outermost
+    variable and ``q`` is rational (level 1) or an inner-field element
+    (level 2, left as is in the column).  Exponents at or above ``hi``
     are cut (quotient semantics); those below ``lo`` are cut too when
     ``clip_below``, and are otherwise a broken hull.  An inexact coefficient
     must be known up to ``hi``: its product with the monomial is known
@@ -271,8 +276,8 @@ def window_columns(
     return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
 
 
-def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealization:
-    """Matrix of ``op`` on [-w, w) monomial windows.
+def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
+    """Target exponents ``[lo, hi)`` per component for the window [-w, w).
 
     Both modes extend the target down to the full displacement hull, so no
     image coefficient is lost at the bottom.  The ``top`` mode cuts the
@@ -280,19 +285,26 @@ def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealiza
     displacements is what the cokernel count measures.  The ``bottom`` mode
     cuts at the hull displacement itself, the sharp image of a deep lattice,
     which guarantees that truncations of true solutions lie in the windowed
-    kernel.  Kernels are read off the bottom realization; cokernels off the
-    top one's extra rows together with the bottom kernel (``_top_cokernel``).
+    kernel.  A zero row keeps the source window.
     """
     bounds = []
     for i in range(op.rank):
         if op.is_zero_row(i):
             bounds.append((-w, w))
-        elif mode == "bottom":
-            d = op.delta_bottom(i)
-            bounds.append((-w + d, w + d))
-        else:
-            bounds.append((-w + op.delta_bottom(i), w + op.delta_top(i)))
-    return window_columns(op, w, bounds)
+            continue
+        lo = op.delta_bottom(i)
+        hi = lo if mode == "bottom" else op.delta_top(i)
+        bounds.append((-w + lo, w + hi))
+    return bounds
+
+
+def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealization:
+    """Matrix of ``op`` on [-w, w) monomial windows, cut by :func:`window_bounds`.
+
+    Kernels are read off the bottom realization; cokernels off the top one's
+    extra rows together with the bottom kernel (``_top_cokernel``).
+    """
+    return window_columns(op, w, window_bounds(op, w, mode))
 
 
 def _top_cokernel(
@@ -469,7 +481,7 @@ def calkin_iso_check(
 # Outer-variable windows over a two-variable field
 # ---------------------------------------------------------------------------
 
-class OuterMatrixDiffOp:
+class OuterMatrixDiffOp(MatrixDiffOp):
     """sum_d C_d (d/d t_outer)^d over the two-variable field.
 
     Coefficients are square matrices of level-2 elements; the operator is
@@ -477,57 +489,13 @@ class OuterMatrixDiffOp:
     entries.
     """
 
-    __slots__ = ("rank", "coeffs", "level")
+    __slots__ = ()
+    level = 2
 
     def __init__(self, rank: int, coeffs: Dict[int, SeriesMatrix]):
-        self.rank = rank
-        self.coeffs = dict(coeffs)
-        self.level = next(iter(coeffs.values())).level
-        if self.level != 2:
+        if next(iter(coeffs.values())).level != 2:
             raise UnsupportedFrame("outer windows are implemented for two variables")
-
-    @classmethod
-    def from_connection(
-        cls, C: Connection, normalizer: Optional[TowerElement] = None, prec: Optional[int] = None
-    ) -> "OuterMatrixDiffOp":
-        field = C.field
-        n = field.level
-        I = SeriesMatrix.identity(field, C.rank)
-        if normalizer is None:
-            hinv = field.one()
-        else:
-            hinv = normalizer.invert(prec)
-        return cls(C.rank, {1: I.scale(hinv), 0: C.matrices[n - 1].scale(hinv)})
-
-    def _row_entries(self, i: int):
-        for d, M in self.coeffs.items():
-            for j in range(self.rank):
-                x = M[i, j]
-                if not x.is_exactly_zero():
-                    yield d, x
-
-    def is_zero_row(self, i: int) -> bool:
-        return next(self._row_entries(i), None) is None
-
-    def delta_bottom(self, i: int) -> int:
-        vals = []
-        for d, x in self._row_entries(i):
-            v = x.valuation_lower_bound()
-            if v is not None:
-                vals.append(v - d)
-        return min(vals) if vals else 0
-
-    def delta_top(self, i: int) -> int:
-        vals = []
-        for d, x in self._row_entries(i):
-            if d < 1:
-                continue
-            v = x.valuation_lower_bound()
-            if v is not None:
-                vals.append(v - d)
-        if vals:
-            return min(vals)
-        return self.delta_bottom(i)
+        super().__init__(rank, coeffs)
 
 
 @dataclass
@@ -540,47 +508,13 @@ class OuterRealization:
 def realize_outer_window(
     op: OuterMatrixDiffOp, w: int, mode: str = "top"
 ) -> OuterRealization:
-    src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
-    bounds = []
-    for i in range(op.rank):
-        if op.is_zero_row(i):
-            bounds.append((-w, w))
-        elif mode == "bottom":
-            d = op.delta_bottom(i)
-            bounds.append((-w + d, w + d))
-        else:
-            bounds.append((-w + op.delta_bottom(i), w + op.delta_top(i)))
-    tgt_labels = [
-        (c, e) for c in range(op.rank) for e in range(bounds[c][0], bounds[c][1])
-    ]
-    index = {lab: k for k, lab in enumerate(tgt_labels)}
-    zero1 = TowerElement.zero(1)
-    entries = [
-        [zero1 for _ in range(len(src_labels))] for _ in range(len(tgt_labels))
-    ]
-    for col_idx, (comp, e) in enumerate(src_labels):
-        for d, M in op.coeffs.items():
-            f = _falling(e, d)
-            if f == 0:
-                continue
-            for i in range(op.rank):
-                entry = M[i, comp]
-                if entry.is_exactly_zero():
-                    continue
-                lo_i, hi_i = bounds[i]
-                if not (entry.exact or entry.hi >= hi_i - (e - d)):
-                    raise InsufficientPrecision(
-                        "outer operator coefficients too short for this window"
-                    )
-                for m, inner in entry.coeffs.items():
-                    ee = e - d + m
-                    if ee >= hi_i:
-                        continue
-                    if ee < lo_i:
-                        raise AssertionError("image fell below the certified hull")
-                    k = index[(i, ee)]
-                    entries[k][col_idx] = entries[k][col_idx] + inner * f
-    return OuterRealization(tuple(src_labels), tuple(tgt_labels), SeriesMatrix(entries))
+    """Matrix of ``op`` over the inner field, cut by :func:`window_bounds`."""
+    win = window_columns(op, w, window_bounds(op, w, mode))
+    zero = TowerElement.zero(1)
+    matrix = SeriesMatrix(
+        [[col.get(k, zero) for col in win.columns] for k in range(len(win.tgt_labels))]
+    )
+    return OuterRealization(win.src_labels, win.tgt_labels, matrix)
 
 
 @dataclass
@@ -624,6 +558,46 @@ def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
         coker_slots,
         res_t.rank,
     )
+
+
+def stabilize_outer_windows(
+    op: OuterMatrixDiffOp, schedule: Sequence[int]
+) -> Tuple[OuterReduction, Optional[int], Tuple[Tuple[int, int, int], ...]]:
+    """Reduce outer windows until two consecutive (ker, coker) pairs agree.
+
+    Returns the last reduction, the window at which the pairs agreed (None
+    when they never did) and the (window, ker, coker) trace.
+    """
+    trace: List[Tuple[int, int, int]] = []
+    red = None
+    for w in schedule:
+        red = reduce_outer_window(op, w)
+        trace.append((w, red.ker_dim, red.coker_dim))
+        if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
+            return red, w, tuple(trace)
+    return red, None, tuple(trace)
+
+
+def strip_outer(x: TowerElement) -> TowerElement:
+    """A two-variable element free of the outer variable, as an inner element.
+
+    Only the outer exponent 0 may be stored, and the coefficient at 1 must
+    be known to be zero; otherwise :class:`UnsupportedFrame` is raised.
+    """
+    if x.is_exactly_zero():
+        return TowerElement.zero(x.level - 1)
+    if set(x.coeffs) - {0} or not x.knows(1):
+        raise UnsupportedFrame("coefficients must not involve the outer variable")
+    return x.coefficient(0)
+
+
+def inner_operator(c: TowerElement, P: SeriesMatrix) -> MatrixDiffOp:
+    """c d/dt1 + P for two-variable data free of the outer variable.
+
+    The computation is then the same in every outer fiber, so it runs as a
+    one-variable operator.
+    """
+    return MatrixDiffOp.first_order(strip_outer(c), P.map(strip_outer))
 
 
 @dataclass
@@ -705,50 +679,20 @@ def directional_kernel_profile(
     i = nonzero[0]
     a = vector_field[i - 1]
     if i == 2:
-        I = SeriesMatrix.identity(C.field, C.rank)
-        op = OuterMatrixDiffOp(
-            C.rank, {1: I.scale(a), 0: C.matrices[1].scale(a)}
-        )
-        trace = []
-        prev = None
-        for w in schedule:
-            red = reduce_outer_window(op, w)
-            dims = (red.ker_dim, red.coker_dim)
-            trace.append((w, *dims))
-            if prev is not None and prev[0] == dims:
-                return DirectionalProfile(
-                    2,
-                    red.ker_dim,
-                    _kernel_window(red.src_labels, red.kernel),
-                    red.coker_dim,
-                    _coker_window(red.coker_slots),
-                    w,
-                    (1,),
-                    tuple(trace),
-                )
-            prev = (dims, red)
+        op = OuterMatrixDiffOp.first_order(a, C.matrices[1].scale(a))
+        red, stabilized_at, trace = stabilize_outer_windows(op, schedule)
+        stable = stabilized_at is not None
         return DirectionalProfile(
-            2, trace[-1][1], None, trace[-1][2], None, None, (1,), tuple(trace)
+            2,
+            red.ker_dim,
+            _kernel_window(red.src_labels, red.kernel) if stable else None,
+            red.coker_dim,
+            _coker_window(red.coker_slots) if stable else None,
+            stabilized_at,
+            (1,),
+            trace,
         )
-    # direction 1: require coefficients free of the outer variable, then the
-    # computation is the same in every outer fiber
-    A1 = C.matrices[0]
-
-    def strip(x: TowerElement) -> TowerElement:
-        if x.is_exactly_zero():
-            return TowerElement.zero(1)
-        if set(x.coeffs) - {0}:
-            raise UnsupportedFrame(
-                "direction-1 profiles need outer-variable-free coefficients"
-            )
-        return x.coefficient(0)
-
-    a1 = strip(a)
-    inner_rows = [[strip(A1[i2, j]) for j in range(C.rank)] for i2 in range(C.rank)]
-    Ai = SeriesMatrix(inner_rows)
-    I1 = SeriesMatrix.identity(TowerField(1), C.rank)
-    op1 = MatrixDiffOp(C.rank, {1: I1.scale(a1), 0: Ai.scale(a1)})
-    report = operator_index(op1, DEFAULT_SCHEDULE)
+    report = operator_index(inner_operator(a, C.matrices[0].scale(a)), DEFAULT_SCHEDULE)
     ker_window = None
     if report.ker_basis:
         exps = []

@@ -290,3 +290,22 @@ command = epsilon
         assert "--precision" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_max_window_flag_below_one_exit_code(self):
+        for value in ("0", "-3"):
+            proc = run_cli(GOLDEN / "eps_exponential.hl", "--max-window", value)
+            assert proc.returncode == 3
+            assert "--max-window" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+
+    def test_malformed_flags_exit_code(self):
+        for extra in (("--precision", "abc"), ("--max-window", "x"), ("--no-such-flag",)):
+            proc = run_cli(GOLDEN / "eps_trivial.hl", *extra)
+            assert proc.returncode == 3
+            assert proc.stderr.startswith("usage: higherlocal")
+            assert "error:" in proc.stderr
+            assert proc.stdout == ""
+        proc = run_cli("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: higherlocal")

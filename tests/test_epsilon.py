@@ -21,7 +21,7 @@ from higherlocal.epsilon import (
     verify_duality,
     verify_induction,
 )
-from higherlocal.errors import DegreeMismatch
+from higherlocal.errors import DegreeMismatch, UnsupportedFrame
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
 
@@ -110,6 +110,14 @@ class TestDegreeValues:
     def test_trivial_level2(self):
         rep = epsilon_degree(Connection.trivial(F2, 1), standard_forms(F2))
         assert rep.degree == 0
+
+    def test_inner_frame_component_must_be_outer_free(self):
+        # 1/(2 t1) + O(t2): the t2^1 coefficient of nu1 is unknown
+        inner = TowerElement(1, {-1: Fraction(1, 2)}, None, True)
+        nu1 = OneForm((TowerElement(2, {0: inner}, 1, False), F2.zero()))
+        nu = FormTuple((nu1, OneForm((F2.zero(), F2.one()))))
+        with pytest.raises(UnsupportedFrame):
+            epsilon_degree(Connection.trivial(F2, 1), nu)
 
     def test_exp_in_t1_level2(self):
         t1 = F2.gen(1)

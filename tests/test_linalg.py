@@ -11,6 +11,7 @@ from higherlocal.linalg import (
     inverse,
     rank_kernel_det,
     solve,
+    solve_columns,
     window_matrix,
 )
 from higherlocal.series import TowerElement, TowerField
@@ -104,6 +105,42 @@ class TestElimination:
         Minv = inverse(M)
         prod = M @ Minv
         assert prod.agrees_with(SeriesMatrix.identity(F1, 2))
+
+
+class TestColumnSolver:
+    def test_undetermined_only_column_raises(self):
+        fuzzy = TowerElement.inexact_zero(1, 3)
+        with pytest.raises(UndeterminedPivot):
+            solve_columns([[fuzzy]], [fuzzy])
+
+    def rnd(self, rng, exps):
+        coeffs = {e: Fraction(rng.randint(-3, 3)) for e in exps}
+        return TowerElement(1, coeffs, None, True)
+
+    def test_rectangular_systems(self):
+        # series entries where every column gets a pivot; rational entries
+        # for the wide rank-deficient case, where exact elimination
+        # certifies the dependent row as zero
+        rng = random.Random(1807)
+        t = F1.gen(1)
+        for nrows, ncols, exps in ((3, 2, (-1, 0, 1)), (4, 3, (-1, 0, 1)), (3, 4, (0,))):
+            columns = [[self.rnd(rng, exps) for _ in range(nrows)] for _ in range(ncols)]
+            # the last row is the sum of the first two
+            for col in columns:
+                col[-1] = col[0] + col[1]
+            x0 = [self.rnd(rng, (-1, 0, 1)) for _ in range(ncols)]
+            b = [
+                sum((columns[j][i] * x0[j] for j in range(ncols)), F1.zero())
+                for i in range(nrows)
+            ]
+            x = solve_columns(columns, b)
+            assert x is not None
+            for i in range(nrows):
+                lhs = sum((columns[j][i] * x[j] for j in range(ncols)), F1.zero())
+                assert lhs.agrees_with(b[i])
+            # break the dependency on the right-hand side only
+            b[-1] = b[-1] + t
+            assert solve_columns(columns, b) is None
 
 
 class TestWindowMatrix:

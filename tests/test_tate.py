@@ -18,9 +18,11 @@ from higherlocal.linalg import (
 from higherlocal.series import OneForm, TowerElement, TowerField
 from higherlocal.tate import (
     MatrixDiffOp,
+    OuterMatrixDiffOp,
     calkin_iso_check,
     directional_kernel_profile,
     operator_index,
+    realize_outer_window,
     realize_window,
 )
 
@@ -247,15 +249,67 @@ class TestWindowCrossCheck:
                     assert col == expected
 
 
+def random_outer_operator(rng, rank, normalized):
+    """c d/dt2 + P with exact entries: outer exponents -2 .. 1, inner t1^-1 .. t1."""
+    rows = []
+    for _ in range(rank):
+        row = []
+        for _ in range(rank):
+            coeffs = {}
+            for k in range(-2, 2):
+                if rng.random() < 0.5:
+                    inner = {j: Fraction(rng.choice((-2, -1, 1, 2))) for j in range(-1, 2)}
+                    coeffs[k] = TowerElement(1, inner, None, True)
+            row.append(TowerElement(2, coeffs, None, True))
+        rows.append(row)
+    c = F2.gen(2) if normalized else F2.one()
+    return OuterMatrixDiffOp.first_order(c, SeriesMatrix(rows))
+
+
+class TestOuterWindowCrossCheck:
+    """Outer windows against the operator applied to each monomial."""
+
+    def test_columns_match_operator_images(self):
+        rng = random.Random(1807)
+        checked = 0
+        for rank in (1, 2):
+            for normalized in (False, True):
+                op = random_outer_operator(rng, rank, normalized)
+                for mode in ("bottom", "top"):
+                    win = realize_outer_window(op, 4, mode)
+                    index = {lab: k for k, lab in enumerate(win.tgt_labels)}
+                    lowest = {}
+                    for c, e in win.tgt_labels:
+                        lowest.setdefault(c, e)
+                    for j, (c, e) in enumerate(win.src_labels):
+                        vec = [
+                            TowerElement.monomial(2, [0, e]) if i == c else F2.zero()
+                            for i in range(rank)
+                        ]
+                        expected = {}
+                        for i, el in enumerate(op.apply(vec)):
+                            for ee, inner in el.coeffs.items():
+                                assert ee >= lowest[i]
+                                if (i, ee) in index:
+                                    expected[index[(i, ee)]] = inner
+                        for k, x in enumerate(win.matrix.column(j)):
+                            assert x == expected.get(k, F1.zero())
+                        checked += 1
+        assert checked > 0
+
+
 class TestWindowPrecision:
     """An inexact coefficient must be known up to the top edge of the target."""
 
-    def op_with_known_terms(self, hi):
+    def op_with_known_terms(self, hi, level=1):
         # A = (t^-2 + 1 + O(t^hi)): delta_bottom = -2 from A, delta_top = -1
-        # from the derivative, so the top window reaches one exponent higher
-        a = TowerElement(1, {-2: Fraction(1), 0: Fraction(1)}, hi, False)
-        return MatrixDiffOp(
-            1, {1: SeriesMatrix([[F1.one()]]), 0: SeriesMatrix([[a]])}
+        # from the derivative, so the top window reaches one exponent higher;
+        # at level 2, t is the outer variable and the coefficients are inner
+        one = Fraction(1) if level == 1 else F1.one()
+        a = TowerElement(level, {-2: one, 0: one}, hi, False)
+        cls = MatrixDiffOp if level == 1 else OuterMatrixDiffOp
+        return cls(
+            1, {1: SeriesMatrix([[TowerField(level).one()]]), 0: SeriesMatrix([[a]])}
         )
 
     def test_top_window_needs_one_more_term(self):
@@ -271,6 +325,16 @@ class TestWindowPrecision:
         for mode in ("bottom", "top"):
             with pytest.raises(InsufficientPrecision):
                 realize_window(op, 8, mode)
+
+    def test_outer_top_window_needs_one_more_term(self):
+        op = self.op_with_known_terms(14, level=2)
+        realize_outer_window(op, 8, "bottom")
+        with pytest.raises(InsufficientPrecision):
+            realize_outer_window(op, 8, "top")
+        op = self.op_with_known_terms(13, level=2)
+        for mode in ("bottom", "top"):
+            with pytest.raises(InsufficientPrecision):
+                realize_outer_window(op, 8, mode)
 
 
 class TestCalkinIso:
@@ -333,6 +397,15 @@ class TestDirectionalProfile:
         assert prof.direction == 1
         assert prof.unconstrained == (2,)
         assert prof.stabilized
+
+    def test_direction1_needs_known_outer_constant(self):
+        # 1/(2 t1) + O(t2): the t2^1 coefficient is unknown, so the vector
+        # field is not known to be free of the outer variable
+        inner = TowerElement(1, {-1: Fraction(1, 2)}, None, True)
+        a = TowerElement(2, {0: inner}, 1, False)
+        C = Connection.trivial(F2, 1)
+        with pytest.raises(UnsupportedFrame):
+            directional_kernel_profile(C, (a, F2.zero()))
 
     def test_mixed_field_rejected(self):
         C = Connection.trivial(F2, 1)
