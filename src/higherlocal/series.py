@@ -24,6 +24,7 @@ nonzeroness raise :class:`UndeterminedLeadingTerm` rather than guess.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -109,6 +110,69 @@ def _add_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None or b is None:
         return None
     return a + b
+
+
+# ---------------------------------------------------------------------------
+# Level-1 kernel: products and inverses of {exponent: Fraction} maps.
+# ---------------------------------------------------------------------------
+
+def _integer_numerators(a: dict):
+    """(d, [(e, n), ...]): the lcm d of the denominators, a[e] = n/d, sorted by e."""
+    d = lcm(*[c.denominator for c in a.values()])
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in sorted(a.items())]
+
+
+def _mul_q(a: dict, b: dict, h: Optional[int]) -> dict:
+    """The product of two level-1 coefficient maps, cut at exponent ``h``.
+
+    ``a`` and ``b`` map exponents to nonzero Fractions; ``h`` is None for no
+    cut, else pairs at exponent ``>= h`` are skipped.  A single-term factor
+    scales the other coefficientwise.  Otherwise each factor is scaled to
+    integer numerators over the lcm of its denominators, the integers are
+    convolved with no gcd per pair, and each output coefficient is one
+    Fraction over the product of the two lcms.  Fraction is canonical, so the
+    result equals the Fraction double loop's.
+    """
+    if not a or not b:
+        return {}
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        return {ea + eb: ca * cb for eb, cb in b.items() if h is None or ea + eb < h}
+    da, xs = _integer_numerators(a)
+    db, ys = _integer_numerators(b)
+    if h is None:
+        h = xs[-1][0] + ys[-1][0] + 1
+    acc: dict = {}
+    get = acc.get
+    for ea, x in xs:
+        lim = h - ea
+        for eb, y in ys:
+            if eb >= lim:
+                break
+            e = ea + eb
+            acc[e] = get(e, 0) + x * y
+    d = da * db
+    return {e: Fraction(n, d) for e, n in acc.items() if n}
+
+
+def _inverse_q(g: dict, c0inv: Fraction, width: int) -> dict:
+    """The inverse of ``g`` mod t^width, for ``g`` of valuation 0 with g[0] = 1/c0inv.
+
+    Newton iteration f <- f + f*(1 - g*f) mod t^k, doubling k up to
+    ``width``.  If f inverts g mod t^j, then 1 - g*f vanishes below t^j, so
+    the correction has valuation >= j and only adds terms to f.
+    """
+    f = {0: c0inv}
+    k = 1
+    while k < width:
+        j, k = k, min(2 * k, width)
+        gf = _mul_q({e: c for e, c in g.items() if e < k}, f, k)
+        # gf = 1 + (terms at exponents j..k-1)
+        r = {e: -c for e, c in gf.items() if e >= j}
+        f.update(_mul_q(f, r, k))
+    return f
 
 
 class TowerElement:
@@ -311,6 +375,8 @@ class TowerElement:
             return TowerElement.zero(self.level)
         va, vb = self.valuation_lower_bound(), other.valuation_lower_bound()
         h = _min_bound(_add_bound(va, other.known_hi()), _add_bound(self.known_hi(), vb))
+        if self.level == 1:
+            return TowerElement(1, _mul_q(self.coeffs, other.coeffs, h), h, h is None)
         out: dict = {}
         for ea, ca in self.coeffs.items():
             for eb, cb in other.coeffs.items():
@@ -380,6 +446,9 @@ class TowerElement:
         if width < 1:
             raise InsufficientPrecision("no terms survive inversion at this window")
         c0inv = _c_invert(lead, prec)
+        if self.level == 1:
+            inv = _inverse_q(g.coeffs, c0inv, width)
+            return TowerElement(1, inv, width, False).shift_outer(-v)
         inv: dict = {0: c0inv}
         for e in range(1, width):
             s = None

@@ -54,6 +54,11 @@ class SpecFile:
     command: str
     seed: int
     sigma: int
+    # (line, column) of each expression, matrix entries row by row and then
+    # form components, for diagnostics; None puts them all at line 1, column 1
+    positions: Optional[Tuple[Tuple[int, int], ...]] = dc_field(
+        default=None, repr=False, compare=False
+    )
     field: TowerField = dc_field(init=False)
     connection: Connection = dc_field(init=False)
     forms: Tuple[OneForm, ...] = dc_field(init=False)
@@ -61,16 +66,15 @@ class SpecFile:
     def __post_init__(self):
         self.field = TowerField(self.level, self.names)
         parser = ExpressionParser(self.field, self.precision)
-        mats = []
-        for rows in self.raw_matrices:
-            mats.append(
-                SeriesMatrix([[parser.parse(s) for s in row] for row in rows])
-            )
-        self.connection = Connection(self.field, mats)
-        forms = []
-        for comps in self.raw_forms:
-            forms.append(OneForm(tuple(parser.parse(s) for s in comps)))
-        self.forms = tuple(forms)
+        where = iter(self.positions or ())
+
+        def parse(text):
+            return parser.parse(text, *next(where, (1, 1)))
+
+        mats = [[[parse(s) for s in row] for row in rows] for rows in self.raw_matrices]
+        forms = [tuple(parse(s) for s in comps) for comps in self.raw_forms]
+        self.connection = Connection(self.field, [SeriesMatrix(m) for m in mats])
+        self.forms = tuple(OneForm(comps) for comps in forms)
 
     def structural_key(self):
         return (
@@ -254,6 +258,7 @@ def parse_specfile(text: str) -> SpecFile:
     if rank < 1:
         raise DimensionMismatch("rank must be >= 1")
     raw_matrices = []
+    positions = []
     for i in range(1, level + 1):
         key = f"A{i}"
         if key not in conn:
@@ -275,6 +280,7 @@ def parse_specfile(text: str) -> SpecFile:
                     f"{key} entries must be quoted expressions (line {lineno})"
                 )
             mat_rows.append(tuple(x.text for x in row))
+            positions.extend((x.line, x.column) for x in row)
         raw_matrices.append(tuple(mat_rows))
     extra = [
         k for k in conn if k.startswith("A") and k[1:].isdigit() and int(k[1:]) > level
@@ -302,6 +308,7 @@ def parse_specfile(text: str) -> SpecFile:
                 f"{key} needs {level} quoted components (line {lineno})"
             )
         raw_forms.append(tuple(x.text for x in comps))
+        positions.extend((x.line, x.column) for x in comps)
 
     tsk = section("task")
     for key in tsk:
@@ -317,21 +324,6 @@ def parse_specfile(text: str) -> SpecFile:
     if sigma not in (1, -1):
         raise DimensionMismatch("sigma must be 1 or -1")
 
-    # evaluate expressions with positional diagnostics
-    field_obj = TowerField(level, names)
-    parser = ExpressionParser(field_obj, precision)
-    for i, rows in enumerate(raw_matrices, start=1):
-        value, lineno, colv = conn[f"A{i}"]
-        parsed_rows = _parse_bracketed(value, lineno, colv)
-        for row in parsed_rows:
-            for q in row:
-                parser.parse(q.text, q.line, q.column)
-    for i, comps in enumerate(raw_forms, start=1):
-        value, lineno, colv = frm[f"nu{i}"]
-        parsed = _parse_bracketed(value, lineno, colv)
-        for q in parsed:
-            parser.parse(q.text, q.line, q.column)
-
     return SpecFile(
         level,
         names,
@@ -342,4 +334,5 @@ def parse_specfile(text: str) -> SpecFile:
         command,
         seed,
         sigma,
+        tuple(positions),
     )

@@ -1,11 +1,13 @@
 """Input file parsing, golden reports, rejection diagnostics, round-trips."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from higherlocal import cli, dmodule
 from higherlocal.errors import (
     DimensionMismatch,
     SpecSyntaxError,
@@ -84,6 +86,46 @@ class TestSpecFile:
             again = parse_specfile(render_specfile(spec))
             assert again.structural_key() == spec.structural_key()
             assert render_specfile(again) == render_specfile(spec)
+
+    def test_expressions_parsed_once(self, monkeypatch):
+        calls = []
+        parse = ExpressionParser.parse
+
+        def counted(self, text, *args, **kwargs):
+            calls.append(text)
+            return parse(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(ExpressionParser, "parse", counted)
+        spec = parse_specfile(GOLDEN.joinpath("eps_n2_dlog.hl").read_text())
+        expressions = [s for rows in spec.raw_matrices for row in rows for s in row]
+        expressions += [s for comps in spec.raw_forms for s in comps]
+        assert calls == expressions
+
+    def test_replace_reparses_with_positions(self):
+        # the divisor is t^3 + ... at precision 8 but O(t^3) at precision 3,
+        # so only a re-parse at the new precision raises
+        text = """[field]
+n = 1
+vars = t
+precision = 8
+
+[connection]
+rank = 1
+A1 = [["1/(1/(1-t) - 1 - t - t^2)"]]
+
+[task]
+command = epsilon
+"""
+        spec = parse_specfile(text)
+        with pytest.raises(SpecSyntaxError) as direct:
+            parse_specfile(text.replace("precision = 8", "precision = 3"))
+        with pytest.raises(SpecSyntaxError) as replaced:
+            dataclasses.replace(spec, precision=3)
+        assert direct.value.line == 8
+        assert (replaced.value.line, replaced.value.column) == (
+            direct.value.line,
+            direct.value.column,
+        )
 
     def test_rank_dimension_mismatch(self):
         text = """[field]
@@ -167,6 +209,19 @@ class TestGolden:
         assert proc.returncode == 0, proc.stderr
         expected = (GOLDEN / f"{name}.out").read_text()
         assert proc.stdout == expected
+
+    def test_cohomology_irregularity_computed_once(self, monkeypatch, capsys):
+        calls = []
+        find = dmodule.find_cyclic_vector
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(dmodule, "find_cyclic_vector", counted)
+        assert cli.main([str(GOLDEN / "coh_trivial_n1.hl")]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "coh_trivial_n1.out").read_text()
+        assert len(calls) == 1
 
     def test_determinism(self):
         a = run_cli(GOLDEN / "cyclic_rank2.hl")

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from higherlocal import series
 from higherlocal.errors import (
     InsufficientPrecision,
     LevelMismatch,
@@ -263,3 +265,160 @@ class TestRendering:
     def test_negative_rational(self):
         t = F1.gen(1)
         assert F1.render(-Fraction(3, 4) * t) == "-3/4*t1"
+
+
+# ---------------------------------------------------------------------------
+# The level-1 kernel against the Fraction loops it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_mul(a, b):
+    """Level-1 product by the Fraction double loop, with __mul__'s window."""
+    if a.is_exactly_zero() or b.is_exactly_zero():
+        return TowerElement.zero(1)
+    h = series._min_bound(
+        series._add_bound(a.valuation_lower_bound(), b.known_hi()),
+        series._add_bound(a.known_hi(), b.valuation_lower_bound()),
+    )
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            e = ea + eb
+            if h is not None and e >= h:
+                continue
+            p = ca * cb
+            out[e] = out[e] + p if e in out else p
+    return TowerElement(1, out, h, h is None)
+
+
+def oracle_invert(a, prec=None):
+    """Level-1 inverse by the term-by-term recurrence."""
+    v = a.valuation()
+    lead = a.coeffs[v]
+    if a.exact and len(a.coeffs) == 1:
+        return TowerElement(1, {-v: 1 / lead}, None, True)
+    g = a.shift_outer(-v)
+    width = g.known_hi()
+    if width is None:
+        width = prec if prec is not None else series.working_precision()
+    elif prec is not None:
+        width = min(width, prec)
+    c0inv = 1 / lead
+    inv = {0: c0inv}
+    for e in range(1, width):
+        s = None
+        for j, gj in g.coeffs.items():
+            if 1 <= j <= e and (e - j) in inv:
+                term = gj * inv[e - j]
+                s = term if s is None else s + term
+        if s is not None and s != 0:
+            inv[e] = -(c0inv * s)
+    return TowerElement(1, inv, width, False).shift_outer(-v)
+
+
+def same_element(x, y):
+    return (x.coeffs, x.hi, x.exact, x.lo) == (y.coeffs, y.hi, y.exact, y.lo)
+
+
+# small and wide exponents, so products see both dense runs and large gaps
+exponents = st.integers(-40, 40) | st.integers(-10**6, 10**6)
+rationals = st.builds(
+    Fraction,
+    st.integers(-2**40, 2**40).filter(bool),
+    st.integers(1, 199),
+)
+
+
+@st.composite
+def level1_elements(draw, max_terms=40):
+    """Exact or inexact level-1 elements, inexact zeros included."""
+    coeffs = draw(st.dictionaries(exponents, rationals, max_size=max_terms))
+    if draw(st.booleans()):
+        return TowerElement(1, coeffs, None, True)
+    top = max(coeffs) + 1 if coeffs else 0
+    # the window may cut off some of the drawn terms, or all of them
+    return TowerElement(1, coeffs, top + draw(st.integers(-5, 5)), False)
+
+
+@st.composite
+def units(draw, max_width=70):
+    """(element, prec, width): a level-1 element of shifted valuation to invert."""
+    width = draw(st.integers(1, max_width))
+    v = draw(st.integers(-8, 8))
+    small = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    tail = draw(st.dictionaries(st.integers(1, width + 5), small, max_size=12))
+    coeffs = {v + e: c for e, c in tail.items()}
+    coeffs[v] = draw(small)
+    modes = ("exact, prec", "exact, working", "inexact", "inexact, prec")
+    mode = draw(st.sampled_from(modes))
+    if mode.startswith("exact"):
+        a = TowerElement(1, coeffs, None, True)
+    else:
+        extra = 3 if mode == "inexact, prec" else 0
+        a = TowerElement(1, coeffs, v + width + extra, False)
+    prec = width if mode in ("exact, prec", "inexact, prec") else None
+    return a, prec, width
+
+
+class TestLevel1Kernel:
+    @settings(deadline=None, max_examples=150)
+    @given(level1_elements(), level1_elements())
+    def test_mul_matches_fraction_loop(self, a, b):
+        assert same_element(a * b, oracle_mul(a, b))
+        assert same_element(b * a, oracle_mul(b, a))
+
+    @settings(deadline=None, max_examples=60)
+    @given(level1_elements(max_terms=1), level1_elements())
+    def test_single_term_factor(self, a, b):
+        assert same_element(a * b, oracle_mul(a, b))
+
+    def test_product_cut_by_window(self):
+        t = F1.gen(1)
+        # 1 + t + ... + t^9 + O(t^10)
+        a = sum((t ** e for e in range(10)), F1.zero()).truncate(10)
+        b = (t ** -3 + t ** 4).truncate(-2)  # t^-3 + O(t^-2)
+        p = a * b
+        assert p.coeffs == {-3: Fraction(1)} and p.hi == -2 and not p.exact
+        assert same_element(p, oracle_mul(a, b))
+
+    def test_inexact_zero_factor(self):
+        # every pair is cut: an empty inexact factor leaves nothing
+        z = TowerElement.inexact_zero(1, 4)
+        a = F1.gen(1) ** -2 + 3
+        for x, y in ((z, a), (a, z), (z, z)):
+            p = x * y
+            assert p.coeffs == {} and not p.exact
+            assert same_element(p, oracle_mul(x, y))
+
+    @settings(deadline=None, max_examples=80)
+    @given(units())
+    def test_invert_matches_recurrence(self, case):
+        a, prec, width = case
+        old = series.set_working_precision(width)
+        try:
+            inv = a.invert(prec)
+            assert same_element(inv, oracle_invert(a, prec))
+        finally:
+            series.set_working_precision(old)
+        if not inv.exact:
+            assert inv.hi == width - a.valuation()
+        prod = a * inv
+        assert prod.knows(0) and prod.agrees_with(1)
+
+    def test_invert_every_width(self):
+        rng = random.Random(5)
+        t = F1.gen(1)
+        exact = F1.rational(Fraction(-2, 3))
+        for e in range(1, 12):
+            exact += Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * t ** e
+        exact = t ** -3 * exact
+        for width in range(1, 71):
+            # the window, or prec, leaves `width` terms of the unit part
+            cases = (
+                (exact, width),
+                (exact.truncate(width - 3), None),
+                (exact.truncate(width), width),
+            )
+            for a, prec in cases:
+                inv = a.invert(prec)
+                assert same_element(inv, oracle_invert(a, prec))
+                assert inv.hi == width + 3
