@@ -24,13 +24,15 @@ from .errors import (
     UndeterminedPivot,
     WindowOverflow,
 )
-from .series import TowerElement, TowerField
+from .series import TowerElement, TowerField, sub_mul, working_precision
 
 
 class SeriesMatrix:
     """A rectangular matrix of tower elements at a common level."""
 
-    __slots__ = ("level", "rows", "cols", "entries")
+    # _factored: the forward pass, kept by rank_kernel_det, solve and inverse
+    # (the entries never change after construction)
+    __slots__ = ("level", "rows", "cols", "entries", "_factored")
 
     def __init__(self, entries: Sequence[Sequence[TowerElement]]):
         rows = tuple(tuple(r) for r in entries)
@@ -48,6 +50,7 @@ class SeriesMatrix:
         self.rows = len(rows)
         self.cols = width
         self.level = level
+        self._factored = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -192,25 +195,73 @@ class EliminationResult:
     determinant: Optional[TowerElement]  # None for non-square input
 
 
-def _forward(work: List[List[TowerElement]], ncols: int):
-    """Forward elimination on the first ``ncols`` columns of ``work``, in place.
+@dataclass(frozen=True)
+class Factorization:
+    """The forward pass of one matrix, with the row operations it made.
+
+    ``rows`` is the echelon form, ``pivots`` its ``(row, col)`` pivots with
+    their elements and inverses, ``sign`` the sign of the row permutation.
+    ``steps[k]`` is the row swapped into pivot row ``k`` and the
+    ``(row, factor)`` updates ``row <- row - factor * (pivot row k)`` made
+    below it.  Exact pivots invert to the working precision, so the result
+    holds only at the ``precision`` it was computed at.
+    """
+
+    precision: int
+    rows: Tuple[Tuple[TowerElement, ...], ...]
+    pivots: Tuple[Tuple[int, int], ...]
+    elements: Tuple[TowerElement, ...]
+    inverses: Tuple[TowerElement, ...]
+    sign: int
+    steps: Tuple[Tuple[int, Tuple[Tuple[int, TowerElement], ...]], ...]
+
+    def push(self, rhs_rows) -> List[List[TowerElement]]:
+        """The rows of a right-hand side after the same swaps and updates."""
+        work = [list(r) for r in rhs_rows]
+        for r, (i, updates) in enumerate(self.steps):
+            if i != r:
+                work[i], work[r] = work[r], work[i]
+            prow = work[r]
+            for i2, factor in updates:
+                work[i2] = [sub_mul(a, factor, b) for a, b in zip(work[i2], prow)]
+        return work
+
+    def back_substitute(self, tail: List[List[TowerElement]]) -> None:
+        """Reduce the columns carried in ``tail`` (one row per pivot), in place.
+
+        Each pivot row is normalized and cleared from the rows above it.
+        Only the carried columns are written: a pivot column above its pivot
+        is read from the echelon form, where the later pivots' updates could
+        only subtract multiples of exact zeros.
+        """
+        for (pr, pc), inv in zip(reversed(self.pivots), reversed(self.inverses)):
+            prow = tail[pr] = [x * inv for x in tail[pr]]
+            for i2 in range(pr):
+                x = self.rows[i2][pc]
+                if x.is_exactly_zero():
+                    continue
+                tail[i2] = [sub_mul(a, x, b) for a, b in zip(tail[i2], prow)]
+
+
+def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
+    """Forward elimination of the rows ``entries`` with minimal-valuation pivots.
 
     Each column takes the candidate of minimal certified valuation as its
-    pivot and is cleared below it; row operations run across the full row,
-    so augmented columns are carried along.  A column whose only candidates
-    are undetermined raises :class:`UndeterminedPivot`; a column of exact
-    zeros is skipped.  Returns the ``(row, col)`` pivots, the pivot
-    elements, their inverses and the sign of the row permutation.
+    pivot and is cleared below it.  A column whose only candidates are
+    undetermined raises :class:`UndeterminedPivot`; a column of exact zeros
+    is skipped.
     """
-    n = len(work)
-    width = len(work[0])
+    precision = working_precision()
+    work: List[List[TowerElement]] = [list(r) for r in entries]
+    n, m = len(work), len(work[0])
     zero = TowerElement.zero(work[0][0].level)
     sign = 1
     pivots: List[Tuple[int, int]] = []
     elements: List[TowerElement] = []
     inverses: List[TowerElement] = []
+    steps = []
     r = 0
-    for c in range(ncols):
+    for c in range(m):
         if r == n:
             break
         best = None
@@ -230,35 +281,42 @@ def _forward(work: List[List[TowerElement]], ncols: int):
         if i != r:
             work[i], work[r] = work[r], work[i]
             sign = -sign
-        piv = work[r][c]
+        prow = work[r]
+        piv = prow[c]
         piv_inv = piv.invert()
+        updates = []
         for i2 in range(r + 1, n):
-            x = work[i2][c]
+            row = work[i2]
+            x = row[c]
             if x.is_exactly_zero():
                 continue
             factor = x * piv_inv
-            for j in range(c, width):
-                work[i2][j] = work[i2][j] - factor * work[r][j]
-            work[i2][c] = zero
+            for j in range(c + 1, m):
+                row[j] = sub_mul(row[j], factor, prow[j])
+            row[c] = zero
+            updates.append((i2, factor))
+        steps.append((i, tuple(updates)))
         pivots.append((r, c))
         elements.append(piv)
         inverses.append(piv_inv)
         r += 1
-    return pivots, elements, inverses, sign
+    return Factorization(
+        precision,
+        tuple(tuple(row) for row in work),
+        tuple(pivots),
+        tuple(elements),
+        tuple(inverses),
+        sign,
+        tuple(steps),
+    )
 
 
-def _back_substitute(work: List[List[TowerElement]], pivots, inverses) -> None:
-    """Normalize the pivot rows left by :func:`_forward` and clear above them."""
-    level = work[0][0].level
-    for (pr, pc), inv in zip(reversed(pivots), reversed(inverses)):
-        work[pr] = [x * inv for x in work[pr]]
-        work[pr][pc] = TowerElement.constant(level, 1)
-        for i2 in range(pr):
-            x = work[i2][pc]
-            if x.is_exactly_zero():
-                continue
-            work[i2] = [a - x * b for a, b in zip(work[i2], work[pr])]
-            work[i2][pc] = TowerElement.zero(level)
+def _factorization(M: SeriesMatrix) -> Factorization:
+    """``M``'s forward pass, reused while the working precision is unchanged."""
+    fac = M._factored
+    if fac is None or fac.precision != working_precision():
+        fac = M._factored = _forward(M.entries)
+    return fac
 
 
 def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationResult:
@@ -267,49 +325,49 @@ def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationRes
     Raises :class:`UndeterminedPivot` when a column has no certified-nonzero
     candidate but carries entries that are only zero up to precision.  Rank
     and determinant come from the forward pass alone; only the kernel needs
-    the back-substitution.
+    the back-substitution.  ``M`` keeps the forward pass for a later
+    :func:`solve` or :func:`inverse`.
     """
     level = M.level
-    work: List[List[TowerElement]] = [list(r) for r in M.entries]
+    fac = _factorization(M)
     n, m = M.rows, M.cols
-    pivots, elements, inverses, sign = _forward(work, m)
-    rank = len(pivots)
+    rank = len(fac.pivots)
     determinant: Optional[TowerElement] = None
     if n == m:
         if rank == n:
-            det = elements[0]
-            for p in elements[1:]:
+            det = fac.elements[0]
+            for p in fac.elements[1:]:
                 det = det * p
-            determinant = det if sign == 1 else -det
+            determinant = det if fac.sign == 1 else -det
         else:
             determinant = TowerElement.zero(level)
     kernel: Tuple[Tuple[TowerElement, ...], ...] = ()
     if want_kernel:
-        _back_substitute(work, pivots, inverses)
-        pivot_cols = {pc: pr for pr, pc in pivots}
+        pivot_rows = {pc: pr for pr, pc in fac.pivots}
+        free = [f for f in range(m) if f not in pivot_rows]
+        tail = [[fac.rows[pr][f] for f in free] for pr in range(rank)]
+        fac.back_substitute(tail)
         vecs = []
-        for f in range(m):
-            if f in pivot_cols:
-                continue
+        for k, f in enumerate(free):
             vec = [TowerElement.zero(level)] * m
             vec[f] = TowerElement.constant(level, 1)
-            for pc, pr in pivot_cols.items():
-                vec[pc] = -work[pr][f]
+            for pc, pr in pivot_rows.items():
+                vec[pc] = -tail[pr][k]
             vecs.append(tuple(vec))
         kernel = tuple(vecs)
-    return EliminationResult(rank, tuple(pivots), kernel, determinant)
+    return EliminationResult(rank, fac.pivots, kernel, determinant)
 
 
 def _solve_square(M: SeriesMatrix, rhs_rows) -> List[List[TowerElement]]:
     """Rows of X with M X = the rows ``rhs_rows``, for M of certified full rank."""
     n = M.rows
-    work = [list(r) + list(b) for r, b in zip(M.entries, rhs_rows)]
-    pivots, _, inverses, _ = _forward(work, n)
-    if len(pivots) < n:
-        c = min(set(range(n)) - {pc for _, pc in pivots})
+    fac = _factorization(M)
+    if len(fac.pivots) < n:
+        c = min(set(range(n)) - {pc for _, pc in fac.pivots})
         raise UndeterminedPivot(c, f"matrix is singular at column {c}")
-    _back_substitute(work, pivots, inverses)
-    return [row[n:] for row in work]
+    work = fac.push(rhs_rows)
+    fac.back_substitute(work)
+    return work
 
 
 def solve(M: SeriesMatrix, rhs: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
@@ -341,14 +399,16 @@ def solve_columns(columns, target) -> Optional[List[TowerElement]]:
     if not columns:
         return None if any(t.is_certainly_nonzero() for t in target) else []
     ncols = len(columns)
-    work = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
-    pivots, _, inverses, _ = _forward(work, ncols)
-    if any(row[ncols].is_certainly_nonzero() for row in work[len(pivots):]):
+    fac = _forward([[col[r] for col in columns] for r in range(len(target))])
+    rank = len(fac.pivots)
+    work = fac.push([[t] for t in target])
+    if any(row[0].is_certainly_nonzero() for row in work[rank:]):
         return None
-    _back_substitute(work, pivots, inverses)
+    tail = work[:rank]
+    fac.back_substitute(tail)
     x = [TowerElement.zero(target[0].level)] * ncols
-    for r, c in pivots:
-        x[c] = work[r][ncols]
+    for r, c in fac.pivots:
+        x[c] = tail[r][0]
     return x
 
 

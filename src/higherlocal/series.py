@@ -23,6 +23,7 @@ nonzeroness raise :class:`UndeterminedLeadingTerm` rather than guess.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Union
@@ -36,20 +37,24 @@ from .errors import (
 
 Coeff = Union["TowerElement", Fraction]
 
-_DEFAULT_PRECISION = 32
+# per context, so threads and asyncio tasks each keep their own width
+_PRECISION: ContextVar[int] = ContextVar("working_precision", default=32)
 
 
 def working_precision() -> int:
-    return _DEFAULT_PRECISION
+    return _PRECISION.get()
 
 
 def set_working_precision(n: int) -> int:
-    """Set the default number of terms kept per level; returns the old value."""
-    global _DEFAULT_PRECISION
+    """Set the default number of terms kept per level; returns the old value.
+
+    The setting belongs to the current context: a thread starts at the
+    default and sees only its own changes.
+    """
     if n < 1:
         raise ValueError("working precision must be >= 1")
-    old = _DEFAULT_PRECISION
-    _DEFAULT_PRECISION = int(n)
+    old = _PRECISION.get()
+    _PRECISION.set(int(n))
     return old
 
 
@@ -112,6 +117,14 @@ def _add_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return a + b
 
 
+def _product_bound(a: "TowerElement", b: "TowerElement") -> Optional[int]:
+    """The knowledge bound of ``a*b`` for ``a``, ``b`` not exactly zero."""
+    return _min_bound(
+        _add_bound(a.valuation_lower_bound(), b.known_hi()),
+        _add_bound(a.known_hi(), b.valuation_lower_bound()),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Level-1 kernel: products and inverses of {exponent: Fraction} maps.
 # ---------------------------------------------------------------------------
@@ -122,24 +135,14 @@ def _integer_numerators(a: dict):
     return d, [(e, c.numerator * (d // c.denominator)) for e, c in sorted(a.items())]
 
 
-def _mul_q(a: dict, b: dict, h: Optional[int]) -> dict:
-    """The product of two level-1 coefficient maps, cut at exponent ``h``.
+def _convolve(a: dict, b: dict, h: Optional[int]):
+    """(d, {e: n}): the product of two nonempty level-1 maps is {e: n/d}.
 
-    ``a`` and ``b`` map exponents to nonzero Fractions; ``h`` is None for no
-    cut, else pairs at exponent ``>= h`` are skipped.  A single-term factor
-    scales the other coefficientwise.  Otherwise each factor is scaled to
-    integer numerators over the lcm of its denominators, the integers are
-    convolved with no gcd per pair, and each output coefficient is one
-    Fraction over the product of the two lcms.  Fraction is canonical, so the
-    result equals the Fraction double loop's.
+    Each factor is scaled to integer numerators over the lcm of its
+    denominators and the integers are convolved with no gcd per pair; ``d``
+    is the product of the two lcms.  Pairs at exponent ``>= h`` are skipped
+    (None: no cut).  Sums that cancel are kept as 0.
     """
-    if not a or not b:
-        return {}
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        ((ea, ca),) = a.items()
-        return {ea + eb: ca * cb for eb, cb in b.items() if h is None or ea + eb < h}
     da, xs = _integer_numerators(a)
     db, ys = _integer_numerators(b)
     if h is None:
@@ -153,8 +156,47 @@ def _mul_q(a: dict, b: dict, h: Optional[int]) -> dict:
                 break
             e = ea + eb
             acc[e] = get(e, 0) + x * y
-    d = da * db
+    return da * db, acc
+
+
+def _mul_q(a: dict, b: dict, h: Optional[int]) -> dict:
+    """The product of two level-1 coefficient maps, cut at exponent ``h``.
+
+    ``a`` and ``b`` map exponents to nonzero Fractions; ``h`` is None for no
+    cut, else pairs at exponent ``>= h`` are skipped.  A single-term factor
+    scales the other coefficientwise.  Otherwise the factors go through
+    :func:`_convolve` and each output coefficient is one Fraction.  Fraction
+    is canonical, so the result equals the Fraction double loop's.
+    """
+    if not a or not b:
+        return {}
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        return {ea + eb: ca * cb for eb, cb in b.items() if h is None or ea + eb < h}
+    d, acc = _convolve(a, b, h)
     return {e: Fraction(n, d) for e, n in acc.items() if n}
+
+
+def _sub_mul_q(a: dict, f: dict, b: dict, h: Optional[int]) -> dict:
+    """``a - f*b`` for level-1 coefficient maps, every term cut at exponent ``h``.
+
+    The product goes through :func:`_convolve`; each output coefficient that
+    it touches is one Fraction, ``(p*d - n*q) / (q*d)`` for ``a[e] = p/q``.
+    """
+    out = {e: c for e, c in a.items() if h is None or e < h}
+    if not f or not b:
+        return out
+    d, acc = _convolve(f, b, h)
+    for e, n in acc.items():
+        c = out.get(e)
+        if c is None:
+            out[e] = Fraction(-n, d)
+        else:
+            q = c.denominator
+            out[e] = Fraction(c.numerator * d - n * q, q * d)
+    return out
 
 
 def _inverse_q(g: dict, c0inv: Fraction, width: int) -> dict:
@@ -373,8 +415,7 @@ class TowerElement:
         self._check_level(other)
         if self.is_exactly_zero() or other.is_exactly_zero():
             return TowerElement.zero(self.level)
-        va, vb = self.valuation_lower_bound(), other.valuation_lower_bound()
-        h = _min_bound(_add_bound(va, other.known_hi()), _add_bound(self.known_hi(), vb))
+        h = _product_bound(self, other)
         if self.level == 1:
             return TowerElement(1, _mul_q(self.coeffs, other.coeffs, h), h, h is None)
         out: dict = {}
@@ -582,6 +623,25 @@ class TowerElement:
     def __repr__(self):
         names = tuple(f"t{i+1}" for i in range(self.level))
         return f"<{self.render(names)}>"
+
+
+def sub_mul(a: TowerElement, f: TowerElement, b: TowerElement) -> TowerElement:
+    """``a - f*b``, with the coefficients, window and exactness of that expression.
+
+    Level 1, the row update of every elimination, runs through one integer
+    kernel: the product is cut at the composite's bound ``min(a.known_hi(),
+    h)``, ``h`` being the product's own bound, and no intermediate product or
+    negation is built.  Higher levels evaluate ``a - f*b``.
+    """
+    if a.level != 1:
+        return a - f * b
+    if f.level != 1 or b.level != 1:
+        raise LevelMismatch("sub_mul needs operands of one level")
+    if f.is_exactly_zero() or b.is_exactly_zero():
+        h = a.known_hi()
+    else:
+        h = _min_bound(a.known_hi(), _product_bound(f, b))
+    return TowerElement(1, _sub_mul_q(a.coeffs, f.coeffs, b.coeffs, h), h, h is None)
 
 
 class TowerField:

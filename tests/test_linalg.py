@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from higherlocal.errors import UndeterminedPivot, WindowOverflow
+from higherlocal import linalg, series
+from higherlocal.errors import HigherLocalError, UndeterminedPivot, WindowOverflow
 from higherlocal.linalg import (
     SeriesMatrix,
     inverse,
@@ -17,6 +18,7 @@ from higherlocal.linalg import (
 from higherlocal.series import TowerElement, TowerField
 
 F1 = TowerField(1)
+F2 = TowerField(2)
 
 
 def el(*pairs):
@@ -141,6 +143,279 @@ class TestColumnSolver:
             # break the dependency on the right-hand side only
             b[-1] = b[-1] + t
             assert solve_columns(columns, b) is None
+
+
+# ---------------------------------------------------------------------------
+# The in-place, full-row tower eliminator that the factorization replaced
+# ---------------------------------------------------------------------------
+
+def ref_forward(work, ncols):
+    n = len(work)
+    width = len(work[0])
+    zero = TowerElement.zero(work[0][0].level)
+    sign = 1
+    pivots, elements, inverses = [], [], []
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        best = None
+        undetermined = False
+        for i in range(r, n):
+            cls, v = work[i][c].classify_leading()
+            if cls == "nonzero":
+                if best is None or v < best[0]:
+                    best = (v, i)
+            elif cls == "undetermined":
+                undetermined = True
+        if best is None:
+            if undetermined:
+                raise UndeterminedPivot(c)
+            continue
+        _, i = best
+        if i != r:
+            work[i], work[r] = work[r], work[i]
+            sign = -sign
+        piv = work[r][c]
+        piv_inv = piv.invert()
+        for i2 in range(r + 1, n):
+            x = work[i2][c]
+            if x.is_exactly_zero():
+                continue
+            factor = x * piv_inv
+            for j in range(c, width):
+                work[i2][j] = work[i2][j] - factor * work[r][j]
+            work[i2][c] = zero
+        pivots.append((r, c))
+        elements.append(piv)
+        inverses.append(piv_inv)
+        r += 1
+    return pivots, elements, inverses, sign
+
+
+def ref_back_substitute(work, pivots, inverses):
+    level = work[0][0].level
+    for (pr, pc), inv in zip(reversed(pivots), reversed(inverses)):
+        work[pr] = [x * inv for x in work[pr]]
+        work[pr][pc] = TowerElement.constant(level, 1)
+        for i2 in range(pr):
+            x = work[i2][pc]
+            if x.is_exactly_zero():
+                continue
+            work[i2] = [a - x * b for a, b in zip(work[i2], work[pr])]
+            work[i2][pc] = TowerElement.zero(level)
+
+
+def ref_rank_kernel_det(M, want_kernel=True):
+    level = M.level
+    work = [list(r) for r in M.entries]
+    n, m = M.rows, M.cols
+    pivots, elements, inverses, sign = ref_forward(work, m)
+    rank = len(pivots)
+    determinant = None
+    if n == m:
+        if rank == n:
+            det = elements[0]
+            for p in elements[1:]:
+                det = det * p
+            determinant = det if sign == 1 else -det
+        else:
+            determinant = TowerElement.zero(level)
+    kernel = ()
+    if want_kernel:
+        ref_back_substitute(work, pivots, inverses)
+        pivot_cols = {pc: pr for pr, pc in pivots}
+        vecs = []
+        for f in range(m):
+            if f in pivot_cols:
+                continue
+            vec = [TowerElement.zero(level)] * m
+            vec[f] = TowerElement.constant(level, 1)
+            for pc, pr in pivot_cols.items():
+                vec[pc] = -work[pr][f]
+            vecs.append(tuple(vec))
+        kernel = tuple(vecs)
+    return linalg.EliminationResult(rank, tuple(pivots), kernel, determinant)
+
+
+def ref_solve_square(M, rhs_rows):
+    n = M.rows
+    work = [list(r) + list(b) for r, b in zip(M.entries, rhs_rows)]
+    pivots, _, inverses, _ = ref_forward(work, n)
+    if len(pivots) < n:
+        c = min(set(range(n)) - {pc for _, pc in pivots})
+        raise UndeterminedPivot(c, f"matrix is singular at column {c}")
+    ref_back_substitute(work, pivots, inverses)
+    return [row[n:] for row in work]
+
+
+def ref_solve(M, rhs):
+    if M.rows != M.cols:
+        raise ValueError("solve needs a square matrix")
+    return tuple(row[0] for row in ref_solve_square(M, [[b] for b in rhs]))
+
+
+def ref_inverse(M):
+    if M.rows != M.cols:
+        raise ValueError("inverse needs a square matrix")
+    n = M.rows
+    one = TowerElement.constant(M.level, 1)
+    zero = TowerElement.zero(M.level)
+    return SeriesMatrix(
+        ref_solve_square(M, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    )
+
+
+def ref_solve_columns(columns, target):
+    if not columns:
+        return None if any(t.is_certainly_nonzero() for t in target) else []
+    ncols = len(columns)
+    work = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
+    pivots, _, inverses, _ = ref_forward(work, ncols)
+    if any(row[ncols].is_certainly_nonzero() for row in work[len(pivots):]):
+        return None
+    ref_back_substitute(work, pivots, inverses)
+    x = [TowerElement.zero(target[0].level)] * ncols
+    for r, c in pivots:
+        x[c] = work[r][ncols]
+    return x
+
+
+def outcome(fn, *args):
+    """The value ``fn`` returns, or the type and arguments of what it raises."""
+    try:
+        return fn(*args)
+    except (HigherLocalError, ValueError) as exc:
+        return ("raised", type(exc), exc.args)
+
+
+@pytest.fixture
+def small_precision():
+    old = series.set_working_precision(8)
+    try:
+        yield
+    finally:
+        series.set_working_precision(old)
+
+
+def random_entry(rng, field):
+    """Exact or inexact, zero in a fifth of the draws; level 2 kept short."""
+    if rng.random() < 0.2:
+        return field.zero()
+    span = (-2, 3) if field.level == 1 else (-1, 2)
+
+    def build(level):
+        coeffs = {}
+        for e in range(*span):
+            if rng.random() < 0.6:
+                coeffs[e] = (
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if level == 1 else build(level - 1)
+                )
+        return TowerElement(level, coeffs, None, True)
+
+    x = build(field.level)
+    if rng.random() < 0.3 and x.coeffs:
+        x = x.truncate(max(x.coeffs) + rng.randint(-1, 2))
+    return x
+
+
+def random_system(rng, field, rows, cols, kind):
+    """A matrix of one ``kind``: general, rank-deficient or undetermined."""
+    M = [[random_entry(rng, field) for _ in range(cols)] for _ in range(rows)]
+    if kind == "rank-deficient" and rows >= 3:
+        # an exact combination of two exact rows, so the deficiency is certified
+        M[0] = [x if x.is_fully_exact() else field.one() for x in M[0]]
+        M[1] = [x if x.is_fully_exact() else field.gen(1) for x in M[1]]
+        c = field.rational(Fraction(rng.randint(1, 3), 2))
+        M[2] = [a + c * b for a, b in zip(M[0], M[1])]
+    elif kind == "rank-deficient":
+        M[-1] = [x * field.rational(2) for x in M[0]] if rows > 1 else [field.zero()] * cols
+    elif kind == "undetermined":
+        j = rng.randrange(cols)
+        for row in M:
+            row[j] = TowerElement.inexact_zero(field.level, rng.randint(-1, 2))
+        M[rng.randrange(rows)][j] = field.zero()
+    return SeriesMatrix(M)
+
+
+CASES = [
+    (F1, shape, kind)
+    for shape in ((1, 1), (3, 3), (4, 4), (2, 4), (4, 3))
+    for kind in ("general", "rank-deficient", "undetermined")
+] + [
+    (F2, shape, kind)
+    for shape in ((2, 2), (3, 3), (2, 3), (3, 2))
+    for kind in ("general", "rank-deficient", "undetermined")
+]
+
+
+class TestEliminationOracle:
+    """The factorization against the full-row eliminator, result for result."""
+
+    @pytest.mark.parametrize("field, shape, kind", CASES)
+    def test_matches_full_row_eliminator(self, small_precision, field, shape, kind):
+        rng = random.Random(f"{field.level} {shape} {kind}")
+        rows, cols = shape
+        trials = 12 if field.level == 1 else 3
+        for _ in range(trials):
+            M = random_system(rng, field, rows, cols, kind)
+            rhs = tuple(random_entry(rng, field) for _ in range(rows))
+            columns = [list(M.column(j)) for j in range(cols)]
+            for want_kernel in (True, False):
+                fresh = SeriesMatrix(M.entries)
+                assert outcome(rank_kernel_det, fresh, want_kernel) == outcome(
+                    ref_rank_kernel_det, M, want_kernel
+                )
+            assert outcome(solve, SeriesMatrix(M.entries), rhs) == outcome(ref_solve, M, rhs)
+            assert outcome(inverse, SeriesMatrix(M.entries)) == outcome(ref_inverse, M)
+            assert outcome(solve_columns, columns, list(rhs)) == outcome(
+                ref_solve_columns, columns, list(rhs)
+            )
+            # a consistent right-hand side, so the back-substitution runs
+            x0 = [random_entry(rng, field) for _ in range(cols)]
+            b = list(M.apply(x0))
+            assert outcome(solve_columns, columns, b) == outcome(ref_solve_columns, columns, b)
+            # one matrix through every entry point: the forward pass is reused
+            assert outcome(rank_kernel_det, M) == outcome(ref_rank_kernel_det, M)
+            assert outcome(solve, M, rhs) == outcome(ref_solve, M, rhs)
+            assert outcome(inverse, M) == outcome(ref_inverse, M)
+
+    def exact_unit_matrix(self):
+        t = F1.gen(1)
+        return [[1 + t, t ** -1, 2], [t, 3 - t ** 2, Fraction(1, 2) * t], [1, t, 1 + t ** 3]]
+
+    def test_solve_reuses_the_certified_forward_pass(self, small_precision, monkeypatch):
+        calls = []
+        forward = linalg._forward
+        monkeypatch.setattr(linalg, "_forward", lambda rows: calls.append(1) or forward(rows))
+        M = mat(self.exact_unit_matrix())
+        rhs = (F1.one(), F1.gen(1) ** -1, F1.zero())
+        assert rank_kernel_det(M, want_kernel=False).rank == 3
+        x = solve(M, rhs)
+        Minv = inverse(M)
+        assert len(calls) == 1
+        twin = mat(self.exact_unit_matrix())
+        assert twin == M and twin is not M
+        assert x == solve(twin, rhs) == ref_solve(M, rhs)
+        assert Minv == inverse(twin) == ref_inverse(M)
+        assert len(calls) == 2
+
+    def test_new_precision_recomputes_the_forward_pass(self, small_precision, monkeypatch):
+        calls = []
+        forward = linalg._forward
+        monkeypatch.setattr(linalg, "_forward", lambda rows: calls.append(1) or forward(rows))
+        M = mat(self.exact_unit_matrix())
+        rhs = (F1.one(), F1.zero(), F1.gen(1))
+        rank_kernel_det(M, want_kernel=False)
+        at_8 = solve(M, rhs)
+        series.set_working_precision(12)
+        at_12 = solve(M, rhs)
+        assert len(calls) == 2
+        assert at_12 != at_8  # the exact pivots invert to more terms
+        assert at_12 == solve(mat(self.exact_unit_matrix()), rhs) == ref_solve(M, rhs)
+        series.set_working_precision(8)
+        assert solve(M, rhs) == at_8
+        assert len(calls) == 4
 
 
 class TestWindowMatrix:

@@ -1,6 +1,8 @@
 """Tower series arithmetic: windows, inversion, derivations, residues."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -422,3 +424,118 @@ class TestLevel1Kernel:
                 inv = a.invert(prec)
                 assert same_element(inv, oracle_invert(a, prec))
                 assert inv.hi == width + 3
+
+
+@st.composite
+def update_operands(draw):
+    """Level-1 elements for ``a - f*b``, over a short exponent range so that
+    terms collide and the cuts fall inside the supports.
+
+    Each is exact, inexact with a window that may cut its own terms, an exact
+    zero or an inexact zero; ``f`` is single-term with a fair chance.
+    """
+    small = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+
+    def operand(max_terms):
+        kind = draw(st.sampled_from(("exact", "inexact", "exact zero", "inexact zero")))
+        if kind == "exact zero":
+            return TowerElement.zero(1)
+        if kind == "inexact zero":
+            return TowerElement.inexact_zero(1, draw(st.integers(-8, 8)))
+        coeffs = draw(st.dictionaries(st.integers(-8, 8), small, min_size=1, max_size=max_terms))
+        if kind == "exact":
+            return TowerElement(1, coeffs, None, True)
+        return TowerElement(1, coeffs, max(coeffs) + draw(st.integers(-3, 3)), False)
+
+    a = operand(12)
+    f = operand(draw(st.sampled_from((1, 12))))
+    b = operand(12)
+    return a, f, b
+
+
+class TestFusedUpdate:
+    """``series.sub_mul`` is the row update of elimination: ``a - f*b``."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(update_operands())
+    def test_matches_expression(self, operands):
+        a, f, b = operands
+        assert same_element(series.sub_mul(a, f, b), a - f * b)
+
+    @settings(deadline=None, max_examples=100)
+    @given(level1_elements(), level1_elements(max_terms=12), level1_elements(max_terms=12))
+    def test_matches_expression_wide(self, a, f, b):
+        # large gaps and large numerators
+        assert same_element(series.sub_mul(a, f, b), a - f * b)
+
+    def test_cut_by_the_minuend(self):
+        t = F1.gen(1)
+        f = (1 + t + t ** 2).truncate(6)  # product known below t^6
+        b = 1 - t ** 3
+        for hi in range(-1, 8):
+            # a known below t^hi: the result stops there even where the
+            # product is known
+            a = (t ** -1 + 2 * t + 3 * t ** 4).truncate(hi)
+            fused = series.sub_mul(a, f, b)
+            assert same_element(fused, a - f * b)
+            assert fused.hi == min(hi, 6) and not fused.exact
+
+    def test_zero_factors(self):
+        t = F1.gen(1)
+        a = (t ** -2 + Fraction(1, 3)).truncate(4)
+        for zero in (F1.zero(), TowerElement.inexact_zero(1, 1), TowerElement.inexact_zero(1, -5)):
+            for f, b in ((zero, 1 + t), (1 + t, zero), (zero, zero)):
+                assert same_element(series.sub_mul(a, f, b), a - f * b)
+        exact = t ** -2 + t
+        assert same_element(series.sub_mul(exact, F1.zero(), t), exact - F1.zero() * t)
+
+    def test_cancellation_to_zero(self):
+        t = F1.gen(1)
+        f, b = Fraction(1, 2) - t, 2 + t ** -1
+        assert series.sub_mul(f * b, f, b).is_exactly_zero()
+
+    def test_level2_evaluates_expression(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            a, f, b = (random_element(rng, F2, lo=-2, hi=2, inner_span=(-1, 2)) for _ in range(3))
+            assert series.sub_mul(a, f, b) == a - f * b
+        with pytest.raises(LevelMismatch):
+            series.sub_mul(F1.gen(1), F2.gen(2), F2.gen(1))
+
+
+class TestPrecisionContext:
+    def test_each_thread_keeps_its_own_precision(self):
+        widths = (5, 7, 9, 11)  # more threads than cores
+        barrier = threading.Barrier(len(widths), timeout=30)
+        inverses = {}
+        errors = []
+
+        def invert_at(width):
+            try:
+                series.set_working_precision(width)
+                barrier.wait()  # every thread has set its width
+                inverses[width] = (F1.one() - F1.gen(1)).invert()
+                barrier.wait()  # no thread resets before the others invert
+                inverses[width, "after"] = series.working_precision()
+            except Exception as exc:  # reported below; a thread cannot raise into pytest
+                errors.append(exc)
+
+        before = series.working_precision()
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=invert_at, args=(w,)) for w in widths]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        for w in widths:
+            inv = inverses[w]
+            assert inv.hi == w and not inv.exact
+            assert inv.coeffs == {e: Fraction(1) for e in range(w)}
+            assert inverses[w, "after"] == w
+        assert series.working_precision() == before
