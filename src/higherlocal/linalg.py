@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -470,53 +471,76 @@ def rank_q(rows: List[List[Fraction]]) -> int:
 
 # -- sparse variants (dict rows keyed by column index) -------------------------
 
+def _primitive(row: dict) -> dict:
+    """``row`` divided by the gcd of its integer entries (``{}`` stays ``{}``)."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
+def _cancel(r: dict, p: dict, c: int) -> dict:
+    """The primitive row ``a r - b p`` with ``a/b = p[c]/r[c]`` in lowest terms.
+
+    Column ``c`` cancels and is dropped, as are the other sums that cancel;
+    ``a`` is nonzero, so the row space of ``r`` and ``p`` is kept.
+    """
+    a, b = p[c], r[c]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    out = {cc: a * v for cc, v in r.items() if cc != c}
+    for cc, v in p.items():
+        if cc == c:
+            continue
+        nv = out.get(cc, 0) - b * v
+        if nv:
+            out[cc] = nv
+        else:
+            out.pop(cc, None)
+    return _primitive(out)
+
+
 def sparse_echelon(rows) -> dict:
     """Echelon pivots of a sparse rational matrix; returns {col: row dict}.
 
-    Rows are dicts mapping column indices to nonzero fractions; pivot rows
-    are normalized to a unit leading entry.  Banded inputs stay banded, so
+    Rows are dicts mapping column indices to rationals (zeros are
+    dropped).  The elimination is fraction-free: each row is scaled to a
+    primitive integer row, and a row is cleared at a pivot column ``c`` by
+    :func:`_cancel`.  Each pivot row returned is primitive with integer
+    entries and its leading entry at ``c``; it is a nonzero multiple of the
+    row that elimination over Q with unit pivots would give, so pivots and
+    ranks are those of the rational matrix.  Banded inputs stay banded, so
     this is much faster than dense elimination on window matrices.
     """
     pivots: dict = {}
     for raw in rows:
-        r = {c: v for c, v in raw.items() if v != 0}
+        den = lcm(*(v.denominator for v in raw.values()))
+        r = _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
         while r:
             c = min(r)
-            if c in pivots:
-                f = r.pop(c)
-                for cc, v in pivots[c].items():
-                    if cc == c:
-                        continue
-                    nv = r.get(cc, Fraction(0)) - f * v
-                    if nv:
-                        r[cc] = nv
-                    else:
-                        r.pop(cc, None)
-            else:
-                inv = Fraction(1) / r[c]
-                pivots[c] = {cc: v * inv for cc, v in r.items()}
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
                 break
+            r = _cancel(r, p, c)
     return pivots
 
 
 def sparse_kernel(rows, ncols: int) -> List[dict]:
-    """Right-kernel basis of a sparse matrix, as sparse column vectors."""
+    """Right-kernel basis of a sparse matrix, as sparse column vectors.
+
+    The integer pivot rows of :func:`sparse_echelon` are back-substituted
+    to reduced form fraction-free; the reduced echelon form is unique up to
+    scaling each row, so the kernel entry ``-p[f] / p[pc]`` of a pivot row
+    ``p`` at a free column ``f`` is the one elimination over Q gives.
+    """
     pivots = sparse_echelon(rows)
-    # back-substitute to reduced form
     for c in sorted(pivots, reverse=True):
         prow = pivots[c]
-        for c2, r2 in pivots.items():
-            if c2 == c or c not in r2:
-                continue
-            f = r2.pop(c)
-            for cc, v in prow.items():
-                if cc == c:
-                    continue
-                nv = r2.get(cc, Fraction(0)) - f * v
-                if nv:
-                    r2[cc] = nv
-                else:
-                    r2.pop(cc, None)
+        for c2, r2 in list(pivots.items()):
+            if c2 != c and c in r2:
+                pivots[c2] = _cancel(r2, prow, c)
     out = []
     for f in range(ncols):
         if f in pivots:
@@ -525,7 +549,7 @@ def sparse_kernel(rows, ncols: int) -> List[dict]:
         for pc, prow in pivots.items():
             v = prow.get(f)
             if v:
-                vec[pc] = -v
+                vec[pc] = Fraction(-v, prow[pc])
         out.append(vec)
     return out
 

@@ -23,14 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connection import Connection
-from .errors import (
-    InsufficientPrecision,
-    UnsupportedFrame,
-    Unstabilized,
-)
+from .errors import InsufficientPrecision, UnsupportedFrame
 from .linalg import (
     SeriesMatrix,
     kernel_q,
@@ -72,19 +69,6 @@ class IndexReport:
         if self.newton_prediction is None:
             return None
         return self.index == self.newton_prediction
-
-
-def require_stabilized(report: IndexReport) -> IndexReport:
-    if not report.stabilized:
-        raise Unstabilized(report)
-    return report
-
-
-def _falling(e: int, d: int) -> Fraction:
-    out = Fraction(1)
-    for k in range(d):
-        out *= e - k
-    return out
 
 
 class MatrixDiffOp:
@@ -199,6 +183,20 @@ class WindowRealization:
                 rows[i][j] = q
         return rows
 
+    def restrict(self, bounds: Sequence[Tuple[int, int]]) -> "WindowRealization":
+        """The same columns cut to target exponents ``bounds[i]`` per component.
+
+        The kept labels must all be target labels here, as the bottom
+        window's are of the top window's (see :func:`_top_cokernel`).
+        """
+        tgt_labels = tuple((c, e) for c, b in enumerate(bounds) for e in range(*b))
+        pos = {lab: k for k, lab in enumerate(tgt_labels)}
+        new_row = {k: pos[lab] for k, lab in enumerate(self.tgt_labels) if lab in pos}
+        columns = [
+            {new_row[k]: q for k, q in col.items() if k in new_row} for col in self.columns
+        ]
+        return WindowRealization(self.src_labels, tgt_labels, columns)
+
     def kernel(self) -> List[dict]:
         """Right-kernel basis as sparse vectors over ``src_labels`` positions.
 
@@ -231,12 +229,15 @@ def window_columns(
     ``q t^m`` of ``C_d[i, comp]`` sends ``t^e`` to ``falling(e, d) q`` at
     exponent ``e - d + m`` of component ``i``, where ``t`` is the outermost
     variable and ``q`` is rational (level 1) or an inner-field element
-    (level 2, left as is in the column).  Exponents at or above ``hi``
-    are cut (quotient semantics); those below ``lo`` are cut too when
-    ``clip_below``, and are otherwise a broken hull.  An inexact coefficient
-    must be known up to ``hi``: its product with the monomial is known
-    below ``entry.hi + e - d``, and a sum is known below the least bound of
-    its terms.
+    (level 2, left as is in the column).  At level 1 the coefficients of
+    target component ``i`` are scaled to integer numerators over the lcm
+    ``D_i`` of their denominators, the columns are summed in integers and
+    each nonzero entry becomes one ``Fraction(n, D_i)``.  Exponents at or
+    above ``hi`` are cut (quotient semantics); those below ``lo`` are cut
+    too when ``clip_below``, and are otherwise a broken hull.  An inexact
+    coefficient must be known up to ``hi``: its product with the monomial
+    is known below ``entry.hi + e - d``, and a sum is known below the least
+    bound of its terms.
     """
     src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
     tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
@@ -245,24 +246,51 @@ def window_columns(
     for lo, hi in bounds:
         offset.append(start - lo)
         start += hi - lo
-    columns = []
-    for comp, e in src_labels:
-        col: dict = {}
-        for d, M in op.coeffs.items():
-            f = _falling(e, d)
-            if f == 0:
-                continue
-            shift = e - d
+    integer = next(iter(op.coeffs.values())).level == 1
+    if integer:
+        dens = [
+            lcm(*(q.denominator for _, x in op._row_entries(i) for q in x.coeffs.values()))
+            for i in range(op.rank)
+        ]
+    # terms[d][comp]: (i, inexact bound or None, [(m, coefficient), ...]),
+    # with integer numerators over dens[i] at level 1
+    terms = {}
+    for d, M in op.coeffs.items():
+        per_comp = []
+        for comp in range(op.rank):
+            entries = []
             for i in range(op.rank):
                 entry = M[i, comp]
                 if entry.is_exactly_zero():
                     continue
+                if integer:
+                    D = dens[i]
+                    coeffs = [
+                        (m, q.numerator * (D // q.denominator))
+                        for m, q in entry.coeffs.items()
+                    ]
+                else:
+                    coeffs = list(entry.coeffs.items())
+                entries.append((i, None if entry.exact else entry.hi, coeffs))
+            per_comp.append(entries)
+        terms[d] = per_comp
+    columns = []
+    for comp, e in src_labels:
+        col: dict = {}
+        for d, per_comp in terms.items():
+            f = 1  # the falling factorial e (e - 1) ... (e - d + 1)
+            for k in range(d):
+                f *= e - k
+            if f == 0:
+                continue
+            shift = e - d
+            for i, entry_hi, coeffs in per_comp[comp]:
                 lo_i, hi_i = bounds[i]
-                if not entry.exact and entry.hi + shift < hi_i:
+                if entry_hi is not None and entry_hi + shift < hi_i:
                     raise InsufficientPrecision(
                         "operator coefficients are too short for this window"
                     )
-                for m, q in entry.coeffs.items():
+                for m, q in coeffs:
                     ee = m + shift
                     if ee >= hi_i:
                         continue
@@ -272,7 +300,12 @@ def window_columns(
                         raise AssertionError("image fell below the certified hull")
                     row = offset[i] + ee
                     col[row] = col.get(row, 0) + f * q
-        columns.append({row: q for row, q in col.items() if q})
+        if integer:
+            columns.append(
+                {row: Fraction(n, dens[tgt_labels[row][0]]) for row, n in col.items() if n}
+            )
+        else:
+            columns.append({row: q for row, q in col.items() if q})
     return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
 
 
@@ -303,6 +336,11 @@ def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealiza
 
     Kernels are read off the bottom realization; cokernels off the top one's
     extra rows together with the bottom kernel (``_top_cokernel``).
+    :func:`operator_index` realizes only the top window and cuts the bottom
+    one out of it with :meth:`WindowRealization.restrict`: the bottom rows
+    are a subset of the top rows with the same entries, and the top window
+    needs the longer coefficients, so it is the one that raises
+    :class:`InsufficientPrecision` first.
     """
     return window_columns(op, w, window_bounds(op, w, mode))
 
@@ -316,8 +354,10 @@ def _top_cokernel(
     bottom and [-w + delta_b, w + delta_t) at the top, with delta_t >=
     delta_b (a minimum over a subset of the same entries), under the same
     quotient cut.  So the bottom matrix is the top one restricted to a
-    subset of its rows, and ker(top) = {v in ker(bottom) : E v = 0} for the
-    extra top rows E.  E K is a small rational matrix; its rank is exact.
+    subset of its rows (:func:`operator_index` builds it that way, with
+    :meth:`WindowRealization.restrict`), and ker(top) = {v in ker(bottom) :
+    E v = 0} for the extra top rows E.  E K is a small rational matrix; its
+    rank is exact.
     """
     shared = set(bottom.tgt_labels)
     E: Dict[int, dict] = {
@@ -407,12 +447,12 @@ def operator_index(
     trace: List[Tuple[int, int, int]] = []
     for w in schedule:
         try:
-            bottom = realize_window(op, w, "bottom")
             top = realize_window(op, w, "top")
         except InsufficientPrecision:
             # coefficients cannot honestly fill this window; larger windows
             # are unreachable, work with what was seen so far
             break
+        bottom = top.restrict(window_bounds(op, w, "bottom"))
         kernel = bottom.kernel()
         dense = [
             [vec.get(k, Fraction(0)) for k in range(len(bottom.src_labels))]

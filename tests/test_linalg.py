@@ -1,9 +1,11 @@
 """Series matrices, valuation-pivoted elimination, window matrices."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from higherlocal import linalg, series
 from higherlocal.errors import HigherLocalError, UndeterminedPivot, WindowOverflow
@@ -13,6 +15,8 @@ from higherlocal.linalg import (
     rank_kernel_det,
     solve,
     solve_columns,
+    sparse_echelon,
+    sparse_kernel,
     window_matrix,
 )
 from higherlocal.series import TowerElement, TowerField
@@ -483,3 +487,118 @@ class TestWindowMatrix:
         W = window_matrix(ddt, src, tgt)
         assert W.kernel_dim() == 1  # constants
         assert W.cokernel_dim() == 1  # class of t^-1
+
+
+# -- the rational sparse eliminator, kept as the reference --------------------
+
+def ref_sparse_echelon(rows) -> dict:
+    """Elimination over Q with unit pivots: {col: normalized row dict}."""
+    pivots: dict = {}
+    for raw in rows:
+        r = {c: v for c, v in raw.items() if v != 0}
+        while r:
+            c = min(r)
+            if c in pivots:
+                f = r.pop(c)
+                for cc, v in pivots[c].items():
+                    if cc == c:
+                        continue
+                    nv = r.get(cc, Fraction(0)) - f * v
+                    if nv:
+                        r[cc] = nv
+                    else:
+                        r.pop(cc, None)
+            else:
+                inv = Fraction(1) / r[c]
+                pivots[c] = {cc: v * inv for cc, v in r.items()}
+                break
+    return pivots
+
+
+def ref_sparse_kernel(rows, ncols):
+    pivots = ref_sparse_echelon(rows)
+    for c in sorted(pivots, reverse=True):
+        prow = pivots[c]
+        for c2, r2 in pivots.items():
+            if c2 == c or c not in r2:
+                continue
+            f = r2.pop(c)
+            for cc, v in prow.items():
+                if cc == c:
+                    continue
+                nv = r2.get(cc, Fraction(0)) - f * v
+                if nv:
+                    r2[cc] = nv
+                else:
+                    r2.pop(cc, None)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for pc, prow in pivots.items():
+            v = prow.get(f)
+            if v:
+                vec[pc] = -v
+        out.append(vec)
+    return out
+
+
+# small and large numerators of both signs over small, coprime and large
+# denominators; zeros are stored entries the eliminators must drop
+sparse_values = st.builds(
+    Fraction,
+    st.integers(-3, 3) | st.integers(-2**70, 2**70),
+    st.sampled_from((1, 2, 3, 4, 6, 7, 9, 11, 30, 97, 2**31 - 1, 2**61 - 1, 3**40)),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(rows, ncols): tall and wide shapes with zero, empty and dependent rows."""
+    ncols = draw(st.integers(1, 9))
+    cols = st.integers(0, ncols - 1)
+    rows = draw(
+        st.lists(st.dictionaries(cols, sparse_values, max_size=ncols), max_size=12)
+    )
+    # duplicates, multiples and sums of drawn rows lower the rank
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        a = draw(st.sampled_from(rows))
+        b = draw(st.sampled_from(rows))
+        f = draw(sparse_values)
+        new = {c: f * v for c, v in a.items()}
+        if draw(st.booleans()):
+            for c, v in b.items():
+                new[c] = new.get(c, Fraction(0)) + v
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, ncols
+
+
+class TestSparseEliminationOracle:
+    """The fraction-free sparse eliminator against elimination over Q."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(sparse_matrices())
+    def test_kernel_matches_rational_elimination(self, case):
+        rows, ncols = case
+        assert sparse_kernel(rows, ncols) == ref_sparse_kernel(rows, ncols)
+
+    @settings(deadline=None, max_examples=100)
+    @given(sparse_matrices())
+    def test_pivot_rows_are_scaled_rational_rows(self, case):
+        rows, _ = case
+        pivots = sparse_echelon(rows)
+        ref = ref_sparse_echelon(rows)
+        assert list(pivots) == list(ref)
+        for c, row in pivots.items():
+            assert all(isinstance(v, int) and v for v in row.values())
+            assert math.gcd(*row.values()) == 1
+            assert {cc: Fraction(v, row[c]) for cc, v in row.items()} == ref[c]
+
+    def test_integer_and_empty_inputs(self):
+        assert sparse_kernel([], 2) == [{0: Fraction(1)}, {1: Fraction(1)}]
+        assert sparse_kernel([{}, {0: 0, 1: Fraction(0)}], 1) == [{0: Fraction(1)}]
+        rows = [{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}]
+        assert sparse_kernel(rows, 2) == [{1: Fraction(1), 0: Fraction(-2)}]

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity
@@ -22,8 +23,11 @@ from higherlocal.tate import (
     calkin_iso_check,
     directional_kernel_profile,
     operator_index,
+    WindowRealization,
     realize_outer_window,
     realize_window,
+    window_bounds,
+    window_columns,
 )
 
 F1 = TowerField(1)
@@ -176,6 +180,21 @@ class TestWindowCrossCheck:
             random_exact_connection(rng, rank).direct_sum(Connection.trivial(F1, 1))
             for rank in (1, 2)
         ]
+        # a persistent kernel of the bottom windows that the extra top rows
+        # cut: kernels read off the top windows would miss it
+        connections.append(
+            Connection(
+                F1,
+                [
+                    SeriesMatrix(
+                        [
+                            [-2 * t, F1.zero()],
+                            [-2 * t ** -2 + 2 * t, 2 * t ** -3 + 2 * t ** -2 + 2 + 2 * t],
+                        ]
+                    )
+                ],
+            )
+        )
         for C in connections:
             for normalizer in (None, t ** -1):
                 yield MatrixDiffOp.from_connection(C, normalizer=normalizer)
@@ -298,6 +317,109 @@ class TestOuterWindowCrossCheck:
         assert checked > 0
 
 
+def ref_window_columns(op, w, bounds, clip_below=False):
+    """The level-1 column loop over Q: one Fraction product per term."""
+    src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
+    tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
+    offset = []
+    start = 0
+    for lo, hi in bounds:
+        offset.append(start - lo)
+        start += hi - lo
+    columns = []
+    for comp, e in src_labels:
+        col = {}
+        for d, M in op.coeffs.items():
+            f = Fraction(1)
+            for k in range(d):
+                f *= e - k
+            if f == 0:
+                continue
+            shift = e - d
+            for i in range(op.rank):
+                entry = M[i, comp]
+                if entry.is_exactly_zero():
+                    continue
+                lo_i, hi_i = bounds[i]
+                if not entry.exact and entry.hi + shift < hi_i:
+                    raise InsufficientPrecision("too short")
+                for m, q in entry.coeffs.items():
+                    ee = m + shift
+                    if ee >= hi_i or (ee < lo_i and clip_below):
+                        continue
+                    assert ee >= lo_i
+                    row = offset[i] + ee
+                    col[row] = col.get(row, 0) + f * q
+        columns.append({row: q for row, q in col.items() if q})
+    return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
+
+
+def realized(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except InsufficientPrecision:
+        return "too short"
+
+
+@st.composite
+def level1_operators(draw):
+    """sum_d C_d (d/dt)^d, d <= 2, rank 1-3: exact or inexact entries whose
+    denominators differ between rows, so each row has its own lcm.
+
+    ``C_0`` may have deeper poles than the derivative terms, so the top
+    window often reaches higher than the bottom one.
+    """
+    rank = draw(st.integers(1, 3))
+    values = st.builds(
+        Fraction,
+        st.integers(-40, 40).filter(bool) | st.integers(-2**64, 2**64).filter(bool),
+        st.sampled_from((1, 2, 3, 5, 12, 35, 2**61 - 1)),
+    )
+    orders = draw(st.sets(st.integers(0, 2), min_size=1))
+    coeffs = {}
+    for d in sorted(orders):
+        rows = []
+        for _ in range(rank):
+            row = []
+            for _ in range(rank):
+                low = -3 if d == 0 else d - 1
+                terms = draw(st.dictionaries(st.integers(low, low + 4), values, max_size=4))
+                if draw(st.booleans()):
+                    row.append(TowerElement(1, terms, None, True))
+                else:
+                    top = max(terms, default=0) + 1
+                    row.append(TowerElement(1, terms, top + draw(st.integers(-1, 16)), False))
+            rows.append(row)
+        coeffs[d] = SeriesMatrix(rows)
+    return MatrixDiffOp(rank, coeffs)
+
+
+class TestIntegerWindowColumns:
+    """Level-1 columns summed over the integers against the loop over Q."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(level1_operators(), st.integers(1, 6))
+    def test_columns_match_rational_loop(self, op, w):
+        for mode in ("bottom", "top"):
+            bounds = window_bounds(op, w, mode)
+            assert realized(window_columns, op, w, bounds) == realized(
+                ref_window_columns, op, w, bounds
+            )
+        symmetric = [(-w, w)] * op.rank
+        assert realized(window_columns, op, w, symmetric, clip_below=True) == realized(
+            ref_window_columns, op, w, symmetric, clip_below=True
+        )
+
+    @settings(deadline=None, max_examples=100)
+    @given(level1_operators(), st.integers(1, 6))
+    def test_bottom_is_the_top_window_cut(self, op, w):
+        top = realized(realize_window, op, w, "top")
+        if top == "too short":
+            return
+        bottom = top.restrict(window_bounds(op, w, "bottom"))
+        assert bottom == realize_window(op, w, "bottom")
+
+
 class TestWindowPrecision:
     """An inexact coefficient must be known up to the top edge of the target."""
 
@@ -325,6 +447,20 @@ class TestWindowPrecision:
         for mode in ("bottom", "top"):
             with pytest.raises(InsufficientPrecision):
                 realize_window(op, 8, mode)
+
+    @pytest.mark.parametrize(
+        "hi, trace, stabilized_at",
+        [
+            # the w = 8 top window is too short: stop after w = 6, unsettled
+            (14, ((4, 0, 1),), None),
+            # one more term and w = 8 is realized, so w = 6 settles
+            (15, ((4, 0, 1), (6, 0, 1)), 6),
+        ],
+    )
+    def test_index_stops_where_the_top_window_is_too_short(self, hi, trace, stabilized_at):
+        rep = operator_index(self.op_with_known_terms(hi), (4, 6, 8, 12))
+        assert rep.trace == trace
+        assert rep.stabilized_at == stabilized_at
 
     def test_outer_top_window_needs_one_more_term(self):
         op = self.op_with_known_terms(14, level=2)
