@@ -11,14 +11,20 @@ determinant.
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .connection import Connection
-from .errors import SearchExhausted, UndeterminedPivot
+from .errors import (
+    InsufficientPrecision,
+    SearchExhausted,
+    UndeterminedLeadingTerm,
+    UndeterminedPivot,
+)
 from .linalg import SeriesMatrix, rank_kernel_det, solve
-from .series import TowerElement, TowerField
+from .series import TowerElement, TowerField, set_working_precision, working_precision
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +238,10 @@ def find_cyclic_vector(
         try:
             res = rank_kernel_det(M, want_kernel=False)
         except UndeterminedPivot:
+            if _BELOW_CAP.get():
+                # more terms may certify this candidate: skipping it could
+                # accept a later one than the full-precision search does
+                raise
             continue
         if res.rank == C.rank and res.determinant.is_certainly_nonzero():
             return cand, M, res.determinant
@@ -341,8 +351,53 @@ def newton_polygon(L: ScalarOperator) -> NewtonPolygon:
     return NewtonPolygon(tuple(points), tuple(vertices), tuple(slopes), irregularity)
 
 
-def connection_irregularity(C: Connection, seed: int = 0) -> int:
-    """Irregularity through a certified cyclic vector, an exact invariant."""
+# the precision ladder of connection_irregularity starts at this many terms
+_FIRST_RUNG = 8
+
+# True while a ladder rung below the working precision runs
+_BELOW_CAP: ContextVar[bool] = ContextVar("cyclic_search_below_cap", default=False)
+
+# what a rung raises when its precision is too short to certify the integer
+_TOO_SHORT = (
+    UndeterminedPivot,
+    UndeterminedLeadingTerm,
+    InsufficientPrecision,
+    SearchExhausted,
+)
+
+
+def _certified_irregularity(C: Connection, seed: int) -> int:
     s, cert, _ = find_cyclic_vector(C, seed=seed)
     L = to_scalar_operator(C, s, cert)
     return newton_polygon(L).irregularity
+
+
+def connection_irregularity(C: Connection, seed: int = 0) -> int:
+    """Irregularity through a certified cyclic vector, an exact invariant.
+
+    The route (cyclic vector, scalar operator, Newton polygon) runs on a
+    doubling ladder of precisions, 8, 16, 32, ... terms, capped at
+    ``working_precision()``: the polygon needs certified leading valuations,
+    not full series.  A rung below the cap ends at its first undetermined
+    certificate pivot, so it accepts the candidate a full-precision search
+    accepts, and it moves up a rung when a pivot, a leading term or a
+    coefficient is not certified at its precision, or when no candidate is.
+    Exactness does not depend on the precision, and every valuation the
+    polygon reads is certified, so a rung that returns gives the integer of
+    the full-precision route.  The last rung is that route, at the working
+    precision, and its result or exception is returned as is.  The precision
+    is restored after every rung.
+    """
+    cap = working_precision()
+    prec = _FIRST_RUNG
+    while prec < cap:
+        old = set_working_precision(prec)
+        below_cap = _BELOW_CAP.set(True)
+        try:
+            return _certified_irregularity(C, seed)
+        except _TOO_SHORT:
+            prec *= 2
+        finally:
+            _BELOW_CAP.reset(below_cap)
+            set_working_precision(old)
+    return _certified_irregularity(C, seed)

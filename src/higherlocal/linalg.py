@@ -15,6 +15,7 @@ determinants are reported relative to that order.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -530,26 +531,27 @@ def sparse_echelon(rows) -> dict:
 def sparse_kernel(rows, ncols: int) -> List[dict]:
     """Right-kernel basis of a sparse matrix, as sparse column vectors.
 
-    The integer pivot rows of :func:`sparse_echelon` are back-substituted
-    to reduced form fraction-free; the reduced echelon form is unique up to
-    scaling each row, so the kernel entry ``-p[f] / p[pc]`` of a pivot row
-    ``p`` at a free column ``f`` is the one elimination over Q gives.
+    For each free column ``f`` the integer pivot rows of
+    :func:`sparse_echelon` are solved from the highest pivot down, over Q,
+    with ``x_f = 1`` and the other free unknowns 0.  A pivot row reaches only
+    columns at or after its pivot, so the pivot unknowns after ``f`` stay 0
+    and are not solved.  The
+    vector is the one the reduced echelon form gives, ``-rref[pc][f]`` at
+    each pivot column ``pc``, since that basis is unique.  A matrix of full
+    column rank solves nothing.
     """
     pivots = sparse_echelon(rows)
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for c2, r2 in list(pivots.items()):
-            if c2 != c and c in r2:
-                pivots[c2] = _cancel(r2, prow, c)
+    ascending = sorted(pivots)
     out = []
     for f in range(ncols):
         if f in pivots:
             continue
         vec = {f: Fraction(1)}
-        for pc, prow in pivots.items():
-            v = prow.get(f)
-            if v:
-                vec[pc] = Fraction(-v, prow[pc])
+        for pc in reversed(ascending[: bisect(ascending, f)]):
+            prow = pivots[pc]
+            s = sum(v * vec[c] for c, v in prow.items() if c in vec)
+            if s:
+                vec[pc] = -s / prow[pc]
         out.append(vec)
     return out
 

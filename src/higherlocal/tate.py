@@ -549,7 +549,10 @@ def realize_outer_window(
     op: OuterMatrixDiffOp, w: int, mode: str = "top"
 ) -> OuterRealization:
     """Matrix of ``op`` over the inner field, cut by :func:`window_bounds`."""
-    win = window_columns(op, w, window_bounds(op, w, mode))
+    return _over_inner_field(window_columns(op, w, window_bounds(op, w, mode)))
+
+
+def _over_inner_field(win: WindowRealization) -> OuterRealization:
     zero = TowerElement.zero(1)
     matrix = SeriesMatrix(
         [[col.get(k, zero) for col in win.columns] for k in range(len(win.tgt_labels))]
@@ -580,10 +583,14 @@ class OuterReduction:
 
 def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
     # kernel from the lattice-sharp bottom realization, cokernel from the
-    # derivative-cut top realization (same split as operator_index)
-    bottom = realize_outer_window(op, w, "bottom")
+    # derivative-cut top realization (same split as operator_index); the
+    # window is realized once, and the bottom rows are cut out of the top
+    # ones as operator_index does.  The cokernel slots come from the pivots
+    # of the transposed top matrix, so both are eliminated.
+    win = window_columns(op, w, window_bounds(op, w, "top"))
+    bottom = _over_inner_field(win.restrict(window_bounds(op, w, "bottom")))
     res_b = rank_kernel_det(bottom.matrix, want_kernel=True)
-    top = realize_outer_window(op, w, "top")
+    top = _over_inner_field(win)
     res_t = rank_kernel_det(top.matrix.transpose(), want_kernel=False)
     covered = {c for _, c in res_t.pivots}
     coker_slots = tuple(

@@ -1,11 +1,14 @@
 """Wronskians, cyclic vectors, scalar operators and Newton polygons."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from higherlocal.connection import Connection, rank1_from_form
+from higherlocal import dmodule
+from higherlocal.connection import Connection, KummerCover, induct, rank1_from_form
 from higherlocal.dmodule import (
     NewtonPolygon,
     PARTIAL,
@@ -17,8 +20,16 @@ from higherlocal.dmodule import (
     to_scalar_operator,
     wronskian,
 )
+from higherlocal.errors import HigherLocalError, UndeterminedLeadingTerm
 from higherlocal.linalg import SeriesMatrix, kernel_q, rank_q
-from higherlocal.series import OneForm, TowerElement, TowerField
+from higherlocal.series import (
+    OneForm,
+    TowerElement,
+    TowerField,
+    set_working_precision,
+    working_precision,
+)
+from higherlocal.specfile import parse_specfile
 
 F1 = TowerField(1)
 
@@ -249,3 +260,267 @@ class TestSolutionBound:
             assert det.is_certainly_nonzero()
             L = to_scalar_operator(C, s, cert)
             assert L.order == r
+
+
+# -- the precision ladder of connection_irregularity -----------------------------
+
+
+@contextmanager
+def precision(n):
+    old = set_working_precision(n)
+    try:
+        yield
+    finally:
+        set_working_precision(old)
+
+
+@contextmanager
+def recorded_rungs():
+    """Record [precision, accepted vector or None] for each cyclic-vector search."""
+    rungs = []
+    find = dmodule.find_cyclic_vector
+
+    def recorded(*args, **kwargs):
+        rung = [working_precision(), None]
+        rungs.append(rung)
+        found = find(*args, **kwargs)
+        rung[1] = found[0]
+        return found
+
+    dmodule.find_cyclic_vector = recorded
+    try:
+        yield rungs
+    finally:
+        dmodule.find_cyclic_vector = find
+
+
+@contextmanager
+def counted_candidates():
+    counts = []
+    candidates = dmodule._candidate_vectors
+
+    def counted(*args, **kwargs):
+        for cand in candidates(*args, **kwargs):
+            counts.append(1)
+            yield cand
+
+    dmodule._candidate_vectors = counted
+    try:
+        yield counts
+    finally:
+        dmodule._candidate_vectors = candidates
+
+
+def full_route(C, prec, seed=0):
+    """("ok", irregularity, vector) of the route at ``prec`` terms, or the error."""
+    with precision(prec):
+        try:
+            s, cert, _ = find_cyclic_vector(C, seed=seed)
+            return ("ok", newton_polygon(to_scalar_operator(C, s, cert)).irregularity, s)
+        except HigherLocalError as exc:
+            return ("error", type(exc).__name__, str(exc))
+
+
+def ladder_route(C, prec, seed=0):
+    """The same triple through connection_irregularity, with its rungs."""
+    with precision(prec), recorded_rungs() as rungs:
+        try:
+            got = ("ok", connection_irregularity(C, seed=seed), None)
+        except HigherLocalError as exc:
+            got = ("error", type(exc).__name__, str(exc))
+        assert working_precision() == prec
+    if got[0] == "ok":
+        got = got[:2] + (rungs[-1][1],)
+    return got, rungs
+
+
+def spec_connection(rows):
+    """The connection of a one-variable epsilon spec with matrix ``rows``."""
+    matrix = ", ".join("[" + ", ".join(f'"{x}"' for x in row) + "]" for row in rows)
+    text = (
+        "[field]\nn = 1\n\n[connection]\n"
+        f"rank = {len(rows)}\nA1 = [{matrix}]\n\n[task]\ncommand = epsilon\n"
+    )
+    return parse_specfile(text).connection
+
+
+# d + d(t^-1) (+) d - d(t^-2) moved by the gauges [[1, t^-4], [0, 1]] and then
+# [[1, 0], [t^-3, 1]]: irregularity 3; 8 terms do not certify the polygon
+NEEDS_RUNG_16 = [
+    ["-2*t1^-10 - t1^-9 - 4*t1^-8 - t1^-2", "2*t1^-7 + t1^-6 + 4*t1^-5"],
+    [
+        "-2*t1^-13 - t1^-12 - 4*t1^-11 - 2*t1^-6 - t1^-5 + 3*t1^-4",
+        "2*t1^-10 + t1^-9 + 4*t1^-8 + 2*t1^-3",
+    ],
+]
+
+# the same sum under [[1, t^-8], [0, 1]] and then [[1, 0], [t^-8, 1]]:
+# 16 terms do not certify the polygon, 20 do
+NEEDS_MORE_THAN_16 = [
+    ["-2*t1^-19 - t1^-18 - 8*t1^-17 - t1^-2", "2*t1^-11 + t1^-10 + 8*t1^-9"],
+    [
+        "-2*t1^-27 - t1^-26 - 8*t1^-25 - 2*t1^-11 - t1^-10 + 8*t1^-9",
+        "2*t1^-19 + t1^-18 + 8*t1^-17 + 2*t1^-3",
+    ],
+]
+
+# a gauged rank-3 sum of irregularity 2 whose first candidate (1, t, t^2)
+# has an undetermined certificate pivot at 8 and 16 terms; the search that
+# skips it at 8 terms accepts (2 - t^2, -1, -2 - t^2) instead
+FIRST_CANDIDATE_NEEDS_RUNG_32 = [
+    ["t1^-2 - 2/3*t1^-1", "0", "0"],
+    [
+        "-t1^-1 - t1^5 + 23/3*t1^6",
+        "t1^-20 + 13/2*t1^-13 - t1^-8 - t1^-7",
+        "t1^-14 + 13/2*t1^-7 - t1^-1",
+    ],
+    [
+        "t1^-7 + t1^-1 - 23/3 - t1^5",
+        "-t1^-26 - 13/2*t1^-19 + 2*t1^-14 + t1^-13 - 11/2*t1^-7 - t1^-2",
+        "-t1^-20 - 13/2*t1^-13 + t1^-8 + t1^-7 + 1/2*t1^-1",
+    ],
+]
+
+
+def undetermined_candidates_connection():
+    """[[t^-2 + O(t^2), 0], [O(t^-1), -1/t + t]]: the certificates of the
+    first candidates stay undetermined at every precision, and the search
+    at the working precision skips them to accept (t, 1)."""
+    t = F1.gen(1)
+    A = [
+        [TowerElement(1, {-2: Fraction(1)}, 2, False), F1.zero()],
+        [TowerElement.inexact_zero(1, -1), -(t ** -1) + t],
+    ]
+    return Connection(F1, [SeriesMatrix(A)])
+
+
+def elementary_gauge(rank, factors):
+    """The product g of the factors I + c t^k E_pq, and g^-1, exactly."""
+    t = F1.gen(1)
+    ident = [[F1.one() if i == j else F1.zero() for j in range(rank)] for i in range(rank)]
+    g = g_inv = SeriesMatrix(ident)
+    for p, q, k, c in factors:
+        E = [row[:] for row in ident]
+        E_inv = [row[:] for row in ident]
+        E[p][q] = t ** k * c
+        E_inv[p][q] = t ** k * (-c)
+        g = g @ SeriesMatrix(E)
+        g_inv = SeriesMatrix(E_inv) @ g_inv
+    return g, g_inv
+
+
+@st.composite
+def exact_connections(draw):
+    rank = draw(st.integers(1, 4))
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    entry = st.dictionaries(st.integers(-4, 2), coeff, max_size=4)
+    rows = [
+        [
+            TowerElement(1, {e: Fraction(c) for e, c in draw(entry).items()}, None, True)
+            for _ in range(rank)
+        ]
+        for _ in range(rank)
+    ]
+    return Connection(F1, [SeriesMatrix(rows)])
+
+
+@st.composite
+def gauged_sums(draw):
+    """Gauged sums of d + d(a t^-m) + alpha dt/t and their Kummer inductions
+    (e = 2, 3, m prime to e), of rank at most 5, with their irregularity."""
+    t = F1.gen(1)
+    C, irr = None, 0
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.sampled_from((1, 1, 2, 3)))
+        m = draw(st.sampled_from([m for m in (1, 2, 3) if e == 1 or m % e]))
+        a = draw(st.sampled_from((-2, -1, 1, 2)))
+        alpha = draw(st.sampled_from((0, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3))))
+        piece = rank1_from_form(OneForm(((t ** -m * a).derive(1) + t ** -1 * alpha,)))
+        if e > 1:
+            piece = induct(piece, KummerCover(e))
+        if C is not None and C.rank + piece.rank > 5:
+            break
+        C = piece if C is None else C.direct_sum(piece)
+        irr += m
+    if C.rank > 1:
+        factor = st.tuples(
+            st.integers(0, C.rank - 1),
+            st.integers(0, C.rank - 1),
+            st.integers(-6, 6),
+            st.sampled_from((-1, 1)),
+        ).filter(lambda f: f[0] != f[1])
+        C = C.gauge(*elementary_gauge(C.rank, draw(st.lists(factor, max_size=4))))
+    return C, irr
+
+
+class TestPrecisionLadder:
+    """connection_irregularity on 8, 16, 32, ... terms against the full route."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(exact_connections(), st.sampled_from((32, 64)))
+    def test_exact_connections_match_full_route(self, C, prec):
+        got, _ = ladder_route(C, prec)
+        assert got == full_route(C, prec)
+
+    @settings(deadline=None, max_examples=25)
+    @given(gauged_sums(), st.sampled_from((32, 64)))
+    def test_gauged_sums_match_full_route(self, case, prec):
+        C, irr = case
+        got, _ = ladder_route(C, prec)
+        assert got == full_route(C, prec)
+        assert got[1] == irr
+
+    def test_pinned_spec_needs_rung_16(self):
+        C = spec_connection(NEEDS_RUNG_16)
+        t = F1.gen(1)
+        got, rungs = ladder_route(C, 32)
+        assert got == ("ok", 3, (F1.one(), t)) == full_route(C, 32)
+        # rung 8 accepts the same vector, then cannot certify the polygon
+        assert rungs == [[8, (F1.one(), t)], [16, (F1.one(), t)]]
+
+    def test_last_rung_is_the_working_precision(self):
+        C = spec_connection(NEEDS_MORE_THAN_16)
+        got, rungs = ladder_route(C, 20)
+        assert got == full_route(C, 20)
+        assert got[1] == 3
+        assert [p for p, _ in rungs] == [8, 16, 20]
+        got, rungs = ladder_route(C, 32)
+        assert [p for p, _ in rungs] == [8, 16, 32]
+        got, rungs = ladder_route(C, 6)
+        assert got == full_route(C, 6)
+        assert [p for p, _ in rungs] == [6]
+
+    def test_undetermined_pivot_ends_a_rung(self):
+        C = spec_connection(FIRST_CANDIDATE_NEEDS_RUNG_32)
+        t = F1.gen(1)
+        with counted_candidates() as counts:
+            got, rungs = ladder_route(C, 32)
+        assert got == ("ok", 2, (F1.one(), t, t ** 2)) == full_route(C, 32)
+        assert rungs == [[8, None], [16, None], [32, (F1.one(), t, t ** 2)]]
+        # each rung drew only the first candidate
+        assert len(counts) == 3
+
+    def test_last_rung_skips_undetermined_candidates(self):
+        C = undetermined_candidates_connection()
+        got, rungs = ladder_route(C, 32)
+        assert got == ("ok", 1, (F1.gen(1), F1.one())) == full_route(C, 32)
+        assert [p for p, _ in rungs] == [8, 16, 32]
+
+    def test_precision_restored_after_success_and_raise(self):
+        C = spec_connection(NEEDS_RUNG_16)
+        with precision(32):
+            assert connection_irregularity(C) == 3
+            assert working_precision() == 32
+        # an unknown leading term at every rung: the working precision's error
+        undetermined = Connection(F1, [SeriesMatrix([[TowerElement.inexact_zero(1, -1)]])])
+        with precision(32):
+            with pytest.raises(UndeterminedLeadingTerm) as raised:
+                connection_irregularity(undetermined)
+            assert working_precision() == 32
+        assert ("error", "UndeterminedLeadingTerm", str(raised.value)) == full_route(
+            undetermined, 32
+        )
+        # and a later search at the working precision skips undetermined pivots
+        with precision(32):
+            s, _, _ = find_cyclic_vector(undetermined_candidates_connection())
+        assert s == (F1.gen(1), F1.one())

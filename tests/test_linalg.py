@@ -576,6 +576,34 @@ def sparse_matrices(draw):
     return rows, ncols
 
 
+@st.composite
+def interleaved_free_columns(draw):
+    """(rows, ncols, free): echelon rows whose free columns lie between and
+    after the pivots, mixed by adding multiples of rows to others and shuffled."""
+    ncols = draw(st.integers(3, 12))
+    free = draw(st.sets(st.integers(0, ncols - 1), min_size=2, max_size=ncols - 1))
+    nonzero = sparse_values.filter(bool)
+    rows = []
+    for c in range(ncols):
+        if c in free:
+            continue
+        row = {c: draw(nonzero)}
+        for cc in range(c + 1, ncols):
+            if draw(st.booleans()):
+                row[cc] = draw(sparse_values)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 6))):
+        if len(rows) < 2:
+            break
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        f = draw(sparse_values)
+        mixed = dict(rows[i])
+        for cc, v in rows[j].items():
+            mixed[cc] = mixed.get(cc, Fraction(0)) + f * v
+        rows[i] = mixed
+    return draw(st.permutations(rows)), ncols, free
+
+
 class TestSparseEliminationOracle:
     """The fraction-free sparse eliminator against elimination over Q."""
 
@@ -596,6 +624,32 @@ class TestSparseEliminationOracle:
             assert all(isinstance(v, int) and v for v in row.values())
             assert math.gcd(*row.values()) == 1
             assert {cc: Fraction(v, row[c]) for cc, v in row.items()} == ref[c]
+
+    @settings(deadline=None, max_examples=150)
+    @given(interleaved_free_columns())
+    def test_interleaved_free_columns(self, case):
+        rows, ncols, free = case
+        kernel = sparse_kernel(rows, ncols)
+        assert kernel == ref_sparse_kernel(rows, ncols)
+        # one vector per free column, with 1 there and 0 at the other free ones
+        assert len(kernel) == len(free)
+        for vec, f in zip(kernel, sorted(free)):
+            assert vec[f] == 1 and set(vec) & free == {f}
+
+    def test_free_columns_between_pivots(self):
+        # pivots at columns 0, 2 and 5; columns 1, 3, 4 and 6 are free
+        rows = [
+            {0: 2, 1: 4, 2: 1, 4: 3},
+            {2: Fraction(1, 2), 3: 1, 5: 2, 6: -1},
+            {5: 3, 6: Fraction(3, 2)},
+        ]
+        assert sparse_kernel(rows, 7) == [
+            {1: Fraction(1), 0: Fraction(-2)},
+            {3: Fraction(1), 2: Fraction(-2), 0: Fraction(1)},
+            {4: Fraction(1), 0: Fraction(-3, 2)},
+            {6: Fraction(1), 5: Fraction(-1, 2), 2: Fraction(4), 0: Fraction(-2)},
+        ]
+        assert sparse_kernel(rows, 7) == ref_sparse_kernel(rows, 7)
 
     def test_integer_and_empty_inputs(self):
         assert sparse_kernel([], 2) == [{0: Fraction(1)}, {1: Fraction(1)}]

@@ -11,6 +11,7 @@ from higherlocal.dmodule import connection_irregularity
 from higherlocal.errors import InsufficientPrecision, UnsupportedFrame
 from higherlocal.linalg import (
     SeriesMatrix,
+    rank_kernel_det,
     rank_q,
     rref_q,
     sparse_echelon,
@@ -23,6 +24,7 @@ from higherlocal.tate import (
     calkin_iso_check,
     directional_kernel_profile,
     operator_index,
+    reduce_outer_window,
     WindowRealization,
     realize_outer_window,
     realize_window,
@@ -315,6 +317,53 @@ class TestOuterWindowCrossCheck:
                             assert x == expected.get(k, F1.zero())
                         checked += 1
         assert checked > 0
+
+    def test_level2_bottom_is_the_top_window_cut(self):
+        rng = random.Random(1807)
+        for rank in (1, 2):
+            for normalized in (False, True):
+                op = random_outer_operator(rng, rank, normalized)
+                for w in (2, 4, 6):
+                    top = window_columns(op, w, window_bounds(op, w, "top"))
+                    cut = top.restrict(window_bounds(op, w, "bottom"))
+                    bottom = realize_outer_window(op, w, "bottom")
+                    assert cut.src_labels == bottom.src_labels
+                    assert cut.tgt_labels == bottom.tgt_labels
+                    for j, col in enumerate(cut.columns):
+                        assert tuple(
+                            col.get(k, F1.zero()) for k in range(len(cut.tgt_labels))
+                        ) == bottom.matrix.column(j)
+
+    def test_reduction_matches_two_realizations(self):
+        rng = random.Random(2718)
+        for rank in (1, 2):
+            for normalized in (False, True):
+                op = random_outer_operator(rng, rank, normalized)
+                for w in (2, 4):
+                    red = reduce_outer_window(op, w)
+                    bottom = realize_outer_window(op, w, "bottom")
+                    top = realize_outer_window(op, w, "top")
+                    res_b = rank_kernel_det(bottom.matrix)
+                    res_t = rank_kernel_det(top.matrix.transpose(), want_kernel=False)
+                    covered = {c for _, c in res_t.pivots}
+                    assert red.kernel == res_b.kernel
+                    assert red.coker_slots == tuple(
+                        lab for k, lab in enumerate(top.tgt_labels) if k not in covered
+                    )
+                    assert (red.rank, red.matrix) == (res_t.rank, top.matrix)
+                    assert (red.src_labels, red.tgt_labels) == (top.src_labels, top.tgt_labels)
+
+    def test_short_coefficients_raise_as_the_bottom_window(self):
+        rng = random.Random(31)
+        op = random_outer_operator(rng, 2, False)
+        short = OuterMatrixDiffOp(
+            2, {d: M.map(lambda x: x.truncate(1)) for d, M in op.coeffs.items()}
+        )
+        with pytest.raises(InsufficientPrecision) as bottom:
+            realize_outer_window(short, 4, "bottom")
+        with pytest.raises(InsufficientPrecision) as reduced:
+            reduce_outer_window(short, 4)
+        assert str(reduced.value) == str(bottom.value)
 
 
 def ref_window_columns(op, w, bounds, clip_below=False):
