@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -191,7 +192,11 @@ def format_report(report: Report, fmt: str) -> str:
     if fmt == "kv":
         return "\n".join(f"{k} = {v}" for k, v in report) + "\n"
     if fmt == "json-like":
-        body = ",\n".join(f'  "{k}": "{v}"' for k, v in report)
+        # escaped as JSON strings; non-ASCII names keep their characters
+        body = ",\n".join(
+            f"  {json.dumps(str(k), ensure_ascii=False)}: {json.dumps(str(v), ensure_ascii=False)}"
+            for k, v in report
+        )
         return "{\n" + body + "\n}\n"
     raise ValueError(f"unknown format {fmt!r}")
 

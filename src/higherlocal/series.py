@@ -6,8 +6,13 @@ outermost, and so on.  An element is stored sparsely as a map
 
     outer exponent  ->  coefficient
 
-where coefficients at level n are elements of level n-1 and level-1
-coefficients are plain ``fractions.Fraction`` values (the level-0 payload).
+where coefficients at level n are elements of level n-1.  Level-1
+coefficients are rationals, stored as integer numerators over one positive
+denominator in canonical form: ``gcd(den, *numerators) == 1`` and no
+numerator is zero, so equal values have equal parts.  Level-1 arithmetic
+works on the integers and canonicalizes each result with one gcd pass; a
+``fractions.Fraction`` is built only when a caller reads a coefficient
+(``coeffs``, ``coefficient``).
 
 Every element carries a knowledge window: coefficients of the outer variable
 are guaranteed for exponents in ``[lo, hi)``; exponents below ``lo`` are
@@ -23,9 +28,10 @@ nonzeroness raise :class:`UndeterminedLeadingTerm` rather than guess.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextvars import ContextVar
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -66,42 +72,6 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-# ---------------------------------------------------------------------------
-# Coefficient helpers: a coefficient is a Fraction (level 0) or TowerElement.
-# ---------------------------------------------------------------------------
-
-def _c_zero(level: int) -> Coeff:
-    if level == 0:
-        return Fraction(0)
-    return TowerElement.zero(level)
-
-
-def _c_is_exact_zero(c: Coeff) -> bool:
-    if isinstance(c, Fraction):
-        return c == 0
-    return c.is_exactly_zero()
-
-
-def _c_is_certainly_nonzero(c: Coeff) -> bool:
-    if isinstance(c, Fraction):
-        return c != 0
-    return c.is_certainly_nonzero()
-
-
-def _c_is_fully_exact(c: Coeff) -> bool:
-    if isinstance(c, Fraction):
-        return True
-    return c.is_fully_exact()
-
-
-def _c_invert(c: Coeff, prec: Optional[int]) -> Coeff:
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise ZeroDivisionSeries("division by exact zero coefficient")
-        return Fraction(1) / c
-    return c.invert(prec)
-
-
 def _min_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
     # None stands for +infinity (exact knowledge)
     if a is None:
@@ -126,25 +96,35 @@ def _product_bound(a: "TowerElement", b: "TowerElement") -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Level-1 kernel: products and inverses of {exponent: Fraction} maps.
+# Level-1 kernel: {exponent: int} numerator maps over one denominator.
 # ---------------------------------------------------------------------------
 
-def _integer_numerators(a: dict):
-    """(d, [(e, n), ...]): the lcm d of the denominators, a[e] = n/d, sorted by e."""
-    d = lcm(*[c.denominator for c in a.values()])
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in sorted(a.items())]
+def _reduced(terms: dict, den: int):
+    """``(terms, den)`` in canonical form: zero numerators dropped, content divided out."""
+    terms = {e: n for e, n in terms.items() if n}
+    g = gcd(den, *terms.values())
+    if g != 1:
+        den //= g
+        terms = {e: n // g for e, n in terms.items()}
+    return terms, den
 
 
-def _convolve(a: dict, b: dict, h: Optional[int]):
-    """(d, {e: n}): the product of two nonempty level-1 maps is {e: n/d}.
+def _convolve(a: dict, b: dict, h: Optional[int]) -> dict:
+    """The product of two numerator maps, pairs at exponent ``>= h`` skipped.
 
-    Each factor is scaled to integer numerators over the lcm of its
-    denominators and the integers are convolved with no gcd per pair; ``d``
-    is the product of the two lcms.  Pairs at exponent ``>= h`` are skipped
-    (None: no cut).  Sums that cancel are kept as 0.
+    ``h`` is None for no cut.  A single-term factor scales the other;
+    otherwise the integers are convolved in exponent order.  Sums that
+    cancel are kept as 0.
     """
-    da, xs = _integer_numerators(a)
-    db, ys = _integer_numerators(b)
+    if not a or not b:
+        return {}
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ea, x),) = a.items()
+        return {ea + eb: x * y for eb, y in b.items() if h is None or ea + eb < h}
+    xs = sorted(a.items())
+    ys = sorted(b.items())
     if h is None:
         h = xs[-1][0] + ys[-1][0] + 1
     acc: dict = {}
@@ -156,78 +136,77 @@ def _convolve(a: dict, b: dict, h: Optional[int]):
                 break
             e = ea + eb
             acc[e] = get(e, 0) + x * y
-    return da * db, acc
+    return acc
 
 
-def _mul_q(a: dict, b: dict, h: Optional[int]) -> dict:
-    """The product of two level-1 coefficient maps, cut at exponent ``h``.
-
-    ``a`` and ``b`` map exponents to nonzero Fractions; ``h`` is None for no
-    cut, else pairs at exponent ``>= h`` are skipped.  A single-term factor
-    scales the other coefficientwise.  Otherwise the factors go through
-    :func:`_convolve` and each output coefficient is one Fraction.  Fraction
-    is canonical, so the result equals the Fraction double loop's.
-    """
-    if not a or not b:
-        return {}
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        ((ea, ca),) = a.items()
-        return {ea + eb: ca * cb for eb, cb in b.items() if h is None or ea + eb < h}
-    d, acc = _convolve(a, b, h)
-    return {e: Fraction(n, d) for e, n in acc.items() if n}
-
-
-def _sub_mul_q(a: dict, f: dict, b: dict, h: Optional[int]) -> dict:
-    """``a - f*b`` for level-1 coefficient maps, every term cut at exponent ``h``.
-
-    The product goes through :func:`_convolve`; each output coefficient that
-    it touches is one Fraction, ``(p*d - n*q) / (q*d)`` for ``a[e] = p/q``.
-    """
-    out = {e: c for e, c in a.items() if h is None or e < h}
-    if not f or not b:
-        return out
-    d, acc = _convolve(f, b, h)
-    for e, n in acc.items():
-        c = out.get(e)
-        if c is None:
-            out[e] = Fraction(-n, d)
-        else:
-            q = c.denominator
-            out[e] = Fraction(c.numerator * d - n * q, q * d)
-    return out
-
-
-def _inverse_q(g: dict, c0inv: Fraction, width: int) -> dict:
-    """The inverse of ``g`` mod t^width, for ``g`` of valuation 0 with g[0] = 1/c0inv.
+def _inverse_numerators(g: dict, dg: int, width: int):
+    """``(terms, den)`` of the inverse of ``g/dg`` mod t^width, for ``g`` of valuation 0.
 
     Newton iteration f <- f + f*(1 - g*f) mod t^k, doubling k up to
     ``width``.  If f inverts g mod t^j, then 1 - g*f vanishes below t^j, so
-    the correction has valuation >= j and only adds terms to f.
+    the correction has valuation >= j and only adds terms to f.  With
+    ``f = F/df``, ``g*f`` is ``G*F`` over ``s = dg*df`` and the new f is
+    ``F*s + F*R`` over ``df*s``, R being minus the terms of ``G*F`` at j..k-1.
     """
-    f = {0: c0inv}
+    g0 = g[0]
+    f, df = _reduced({0: dg if g0 > 0 else -dg}, abs(g0))
     k = 1
     while k < width:
         j, k = k, min(2 * k, width)
-        gf = _mul_q({e: c for e, c in g.items() if e < k}, f, k)
-        # gf = 1 + (terms at exponents j..k-1)
-        r = {e: -c for e, c in gf.items() if e >= j}
-        f.update(_mul_q(f, r, k))
-    return f
+        r = {e: -n for e, n in _convolve(g, f, k).items() if e >= j and n}
+        s = dg * df
+        out = {e: n * s for e, n in f.items()}
+        out.update(_convolve(f, r, k))
+        f, df = _reduced(out, df * s)
+    return f, df
+
+
+class _Rationals(Mapping):
+    """The read-only ``{exponent: Fraction}`` view of level-1 numerators.
+
+    Length, membership and key iteration read the integers; a Fraction is
+    built only when a coefficient is read.
+    """
+
+    __slots__ = ("_terms", "_den")
+
+    def __init__(self, terms: dict, den: int):
+        self._terms = terms
+        self._den = den
+
+    def __getitem__(self, e) -> Fraction:
+        return Fraction(self._terms[e], self._den)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __contains__(self, e) -> bool:
+        return e in self._terms
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class TowerElement:
-    """An element of the level-n tower field, truncated in the outer variable."""
+    """An element of the level-n tower field, truncated in the outer variable.
 
-    __slots__ = ("level", "lo", "hi", "exact", "coeffs")
+    ``_terms`` maps outer exponents to nonzero coefficients: integer
+    numerators over ``_den`` at level 1, inner elements (``_den == 1``)
+    above.
+    """
+
+    __slots__ = ("level", "lo", "hi", "exact", "_terms", "_den")
 
     def __init__(self, level: int, coeffs: dict, hi: Optional[int], exact: bool):
         if level < 1:
             raise ValueError("TowerElement level must be >= 1; level 0 is Fraction")
         kept = {}
         for e, c in coeffs.items():
-            if _c_is_exact_zero(c):
+            zero = c.is_exactly_zero() if isinstance(c, TowerElement) else c == 0
+            if zero:
                 continue
             if level == 1:
                 c = _as_fraction(c)
@@ -245,11 +224,11 @@ class TowerElement:
                 raise ValueError("inexact element needs a finite knowledge bound")
             hi_val = int(hi)
             kept = {e: c for e, c in kept.items() if e < hi_val}
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", kept)
-        object.__setattr__(self, "hi", hi_val)
-        object.__setattr__(self, "exact", bool(exact))
-        object.__setattr__(self, "lo", min(kept) if kept else hi_val)
+        den = 1
+        if level == 1:
+            den = lcm(*(q.denominator for q in kept.values()))
+            kept = {e: q.numerator * (den // q.denominator) for e, q in kept.items()}
+        _fill(self, level, kept, den, hi_val, bool(exact))
 
     def __setattr__(self, *a):
         raise AttributeError("TowerElement is immutable")
@@ -301,18 +280,22 @@ class TowerElement:
 
     def valuation_lower_bound(self) -> Optional[int]:
         """A certified lower bound for the outer valuation; None for exact zero."""
-        if self.coeffs:
+        if self._terms:
             return self.lo
         return None if self.exact else self.hi
 
     def is_exactly_zero(self) -> bool:
-        return self.exact and not self.coeffs
+        return self.exact and not self._terms
 
     def is_certainly_nonzero(self) -> bool:
-        return any(_c_is_certainly_nonzero(c) for c in self.coeffs.values())
+        if self.level == 1:
+            return bool(self._terms)
+        return any(c.is_certainly_nonzero() for c in self._terms.values())
 
     def is_fully_exact(self) -> bool:
-        return self.exact and all(_c_is_fully_exact(c) for c in self.coeffs.values())
+        if self.level == 1:
+            return self.exact
+        return self.exact and all(c.is_fully_exact() for c in self._terms.values())
 
     def classify_leading(self):
         """Return ("zero", None), ("nonzero", valuation) or ("undetermined", None).
@@ -320,10 +303,9 @@ class TowerElement:
         The valuation is certified: every stored coefficient below it is
         exactly zero and the coefficient at it is certainly nonzero.
         """
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if _c_is_certainly_nonzero(c):
-                return ("nonzero", e)
+        if self._terms:
+            if self.level == 1 or self._terms[self.lo].is_certainly_nonzero():
+                return ("nonzero", self.lo)
             return ("undetermined", None)
         if self.exact:
             return ("zero", None)
@@ -340,16 +322,38 @@ class TowerElement:
         )
 
     def leading_coefficient(self) -> Coeff:
-        return self.coeffs[self.valuation()]
+        return self.coefficient(self.valuation())
 
     # -- coefficient access ---------------------------------------------------
 
+    @property
+    def coeffs(self) -> Mapping:
+        """Outer exponent -> nonzero coefficient.
+
+        At level 1 a read-only mapping to Fractions, each built when read;
+        above, the inner elements.
+        """
+        if self.level == 1:
+            return _Rationals(self._terms, self._den)
+        return self._terms
+
+    def numerators(self):
+        """``(den, items)`` of a level-1 element, read-only.
+
+        Coefficient ``e`` is ``n/den`` for each ``(e, n)`` of ``items``; the
+        form is canonical: ``den > 0``, ``gcd(den, *n) == 1``, no ``n`` zero.
+        """
+        if self.level != 1:
+            raise LevelMismatch("integer numerators exist at level 1 only")
+        return self._den, self._terms.items()
+
     def coefficient(self, e: int) -> Coeff:
         """Coefficient of the outer variable at exponent ``e`` (must be known)."""
-        if e in self.coeffs:
-            return self.coeffs[e]
+        c = self._terms.get(e)
+        if c is not None:
+            return Fraction(c, self._den) if self.level == 1 else c
         if self.exact or e < self.hi:
-            return _c_zero(self.level - 1)
+            return Fraction(0) if self.level == 1 else TowerElement.zero(self.level - 1)
         raise InsufficientPrecision(
             f"coefficient at exponent {e} lies outside the window [{self.lo},{self.hi})"
         )
@@ -363,30 +367,40 @@ class TowerElement:
         if self.level != other.level:
             raise LevelMismatch(f"levels {self.level} and {other.level} differ")
 
+    def _combine(self, other: "TowerElement", sign: int) -> "TowerElement":
+        """``self + sign*other`` for ``sign`` = +-1, known below both bounds."""
+        self._check_level(other)
+        h = _min_bound(self.known_hi(), other.known_hi())
+        if self.level == 1:
+            da, db = self._den, other._den
+            g = gcd(da, db)
+            sa, sb = db // g, sign * (da // g)
+            out = {e: n * sa for e, n in self._terms.items() if h is None or e < h}
+            get = out.get
+            for e, n in other._terms.items():
+                if h is None or e < h:
+                    out[e] = get(e, 0) + n * sb
+            return _element(1, *_reduced(out, da // g * db), h)
+        if sign < 0:
+            other = -other
+        out = {e: c for e, c in self._terms.items() if h is None or e < h}
+        for e, c in other._terms.items():
+            if h is None or e < h:
+                out[e] = out[e] + c if e in out else c
+        return TowerElement(self.level, out, h, h is None)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TowerElement.constant(self.level, other)
         if not isinstance(other, TowerElement):
             return NotImplemented
-        self._check_level(other)
-        h = _min_bound(self.known_hi(), other.known_hi())
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            if h is None or e < h:
-                out[e] = c
-        for e, c in other.coeffs.items():
-            if h is None or e < h:
-                out[e] = out[e] + c if e in out else c
-        return TowerElement(self.level, out, h, h is None)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(
-            self.level,
-            {e: -c for e, c in self.coeffs.items()},
-            self.known_hi(),
-            self.exact,
+        return _element(
+            self.level, {e: -c for e, c in self._terms.items()}, self._den, self.known_hi()
         )
 
     def __sub__(self, other):
@@ -394,7 +408,7 @@ class TowerElement:
             other = TowerElement.constant(self.level, other)
         if not isinstance(other, TowerElement):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -404,9 +418,13 @@ class TowerElement:
             q = _as_fraction(other)
             if q == 0:
                 return TowerElement.zero(self.level)
+            if self.level == 1:
+                p = q.numerator
+                terms = {e: n * p for e, n in self._terms.items()}
+                return _element(1, *_reduced(terms, self._den * q.denominator), self.known_hi())
             return TowerElement(
                 self.level,
-                {e: c * q for e, c in self.coeffs.items()},
+                {e: c * q for e, c in self._terms.items()},
                 self.known_hi(),
                 self.exact,
             )
@@ -417,10 +435,11 @@ class TowerElement:
             return TowerElement.zero(self.level)
         h = _product_bound(self, other)
         if self.level == 1:
-            return TowerElement(1, _mul_q(self.coeffs, other.coeffs, h), h, h is None)
+            prod = _convolve(self._terms, other._terms, h)
+            return _element(1, *_reduced(prod, self._den * other._den), h)
         out: dict = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
+        for ea, ca in self._terms.items():
+            for eb, cb in other._terms.items():
                 e = ea + eb
                 if h is not None and e >= h:
                     continue
@@ -472,11 +491,12 @@ class TowerElement:
             raise UndeterminedLeadingTerm(
                 "cannot certify a nonzero leading term for inversion"
             )
-        lead = self.coeffs[v]
-        if self.exact and len(self.coeffs) == 1:
-            return TowerElement(
-                self.level, {-v: _c_invert(lead, prec)}, None, True
-            )
+        lead = self._terms[v]
+        if self.exact and len(self._terms) == 1:
+            if self.level == 1:
+                # lead/den is in lowest terms, so den/lead is too
+                return _element(1, {-v: self._den if lead > 0 else -self._den}, abs(lead), None)
+            return TowerElement(self.level, {-v: lead.invert(prec)}, None, True)
         # shift so the unit part starts at exponent 0
         g = self.shift_outer(-v)
         width = g.known_hi()  # None if exact
@@ -486,20 +506,20 @@ class TowerElement:
             width = min(width, prec)
         if width < 1:
             raise InsufficientPrecision("no terms survive inversion at this window")
-        c0inv = _c_invert(lead, prec)
         if self.level == 1:
-            inv = _inverse_q(g.coeffs, c0inv, width)
-            return TowerElement(1, inv, width, False).shift_outer(-v)
+            terms, den = _inverse_numerators(g._terms, g._den, width)
+            return _element(1, terms, den, width).shift_outer(-v)
+        c0inv = lead.invert(prec)
         inv: dict = {0: c0inv}
         for e in range(1, width):
             s = None
-            for j, gj in g.coeffs.items():
+            for j, gj in g._terms.items():
                 if 1 <= j <= e and (e - j) in inv:
                     term = gj * inv[e - j]
                     s = term if s is None else s + term
             if s is not None:
                 coef = -(c0inv * s)
-                if not _c_is_exact_zero(coef):
+                if not coef.is_exactly_zero():
                     inv[e] = coef
         return TowerElement(self.level, inv, width, False).shift_outer(-v)
 
@@ -507,18 +527,20 @@ class TowerElement:
         """Multiply by (outer variable)^k."""
         if k == 0:
             return self
-        return TowerElement(
+        return _element(
             self.level,
-            {e + k: c for e, c in self.coeffs.items()},
+            {e + k: c for e, c in self._terms.items()},
+            self._den,
             None if self.exact else self.hi + k,
-            self.exact,
         )
 
     def truncate(self, hi: int) -> "TowerElement":
         """Forget all outer coefficients at exponent >= hi (always inexact)."""
-        return TowerElement(
-            self.level, {e: c for e, c in self.coeffs.items() if e < hi}, hi, False
-        )
+        terms = {e: c for e, c in self._terms.items() if e < hi}
+        if self.level == 1:
+            # the cut terms may have carried the only factor coprime to den
+            return _element(1, *_reduced(terms, self._den), hi)
+        return _element(self.level, terms, 1, hi)
 
     def lift(self, level: int) -> "TowerElement":
         """Embed into a taller tower as a constant in the new outer variables."""
@@ -545,17 +567,14 @@ class TowerElement:
             raise LevelMismatch(f"variable index {i} out of range for level {self.level}")
         if i == self.level:
             h = None if self.exact else self.hi - 1
-            out = {}
-            for e, c in self.coeffs.items():
-                if e == 0:
-                    continue
-                out[e - 1] = c * Fraction(e)
+            if self.level == 1:
+                terms = {e - 1: n * e for e, n in self._terms.items() if e}
+                return _element(1, *_reduced(terms, self._den), h)
+            out = {e - 1: c * Fraction(e) for e, c in self._terms.items() if e}
             return TowerElement(self.level, out, h, self.exact)
         if self.level == 1:
             raise LevelMismatch("level-1 elements only admit variable 1")
-        return self.map_coefficients(
-            lambda c: c.derive(i) if isinstance(c, TowerElement) else Fraction(0)
-        )
+        return self.map_coefficients(lambda c: c.derive(i))
 
     def residue_full(self) -> Fraction:
         """Iterated residue: the coefficient of (t1 ... tn)^(-1), outermost first."""
@@ -579,12 +598,13 @@ class TowerElement:
             self.level == other.level
             and self.exact == other.exact
             and self.hi == other.hi
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        items = tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))
-        return hash((self.level, self.exact, self.hi, items))
+        items = tuple(sorted(self._terms.items()))
+        return hash((self.level, self.exact, self.hi, self._den, items))
 
     # -- rendering --------------------------------------------------------------
 
@@ -592,14 +612,14 @@ class TowerElement:
         """Deterministic human-readable form using the given variable names."""
         name = names[self.level - 1]
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if isinstance(c, Fraction):
-                cs = str(c)
+        for e in sorted(self._terms):
+            c = self._terms[e]
+            if self.level == 1:
+                cs = str(Fraction(c, self._den))
                 atomic = True
             else:
                 cs = c.render(names)
-                atomic = len(c.coeffs) <= 1 and not cs.startswith("-")
+                atomic = len(c._terms) <= 1 and not cs.startswith("-")
             if e == 0:
                 term = cs
             else:
@@ -625,6 +645,37 @@ class TowerElement:
         return f"<{self.render(names)}>"
 
 
+# the slot setters, which the immutable class's __setattr__ does not reach
+_set_level = TowerElement.level.__set__
+_set_lo = TowerElement.lo.__set__
+_set_hi = TowerElement.hi.__set__
+_set_exact = TowerElement.exact.__set__
+_set_terms = TowerElement._terms.__set__
+_set_den = TowerElement._den.__set__
+
+
+def _fill(x: TowerElement, level: int, terms: dict, den: int, hi: int, exact: bool) -> TowerElement:
+    _set_level(x, level)
+    _set_terms(x, terms)
+    _set_den(x, den)
+    _set_hi(x, hi)
+    _set_exact(x, exact)
+    _set_lo(x, min(terms) if terms else hi)
+    return x
+
+
+def _element(level: int, terms: dict, den: int, hi: Optional[int]) -> TowerElement:
+    """The element with ``terms`` over ``den``, known below ``hi`` (None: exact).
+
+    The parts must already be canonical, with no term at or above a finite
+    ``hi``; the per-coefficient checks of the public constructor are skipped.
+    """
+    x = object.__new__(TowerElement)
+    if hi is None:
+        return _fill(x, level, terms, den, max(terms) + 1 if terms else 0, True)
+    return _fill(x, level, terms, den, hi, False)
+
+
 def sub_mul(a: TowerElement, f: TowerElement, b: TowerElement) -> TowerElement:
     """``a - f*b``, with the coefficients, window and exactness of that expression.
 
@@ -641,7 +692,14 @@ def sub_mul(a: TowerElement, f: TowerElement, b: TowerElement) -> TowerElement:
         h = a.known_hi()
     else:
         h = _min_bound(a.known_hi(), _product_bound(f, b))
-    return TowerElement(1, _sub_mul_q(a.coeffs, f.coeffs, b.coeffs, h), h, h is None)
+    da, dp = a._den, f._den * b._den
+    g = gcd(da, dp)
+    sa, sp = dp // g, da // g
+    out = {e: n * sa for e, n in a._terms.items() if h is None or e < h}
+    get = out.get
+    for e, n in _convolve(f._terms, b._terms, h).items():
+        out[e] = get(e, 0) - n * sp
+    return _element(1, *_reduced(out, da // g * dp), h)
 
 
 class TowerField:

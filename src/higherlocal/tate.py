@@ -229,12 +229,13 @@ def window_columns(
     ``q t^m`` of ``C_d[i, comp]`` sends ``t^e`` to ``falling(e, d) q`` at
     exponent ``e - d + m`` of component ``i``, where ``t`` is the outermost
     variable and ``q`` is rational (level 1) or an inner-field element
-    (level 2, left as is in the column).  At level 1 the coefficients of
-    target component ``i`` are scaled to integer numerators over the lcm
-    ``D_i`` of their denominators, the columns are summed in integers and
-    each nonzero entry becomes one ``Fraction(n, D_i)``.  Exponents at or
-    above ``hi`` are cut (quotient semantics); those below ``lo`` are cut
-    too when ``clip_below``, and are otherwise a broken hull.  An inexact
+    (level 2, left as is in the column).  At level 1 each entry of row ``i``
+    is read as integer numerators over its own denominator and rescaled to
+    ``D_i``, the lcm of the entry denominators in that row; the columns are
+    summed in integers and each nonzero entry becomes one
+    ``Fraction(n, D_i)``.  Exponents at or above ``hi`` are cut (quotient
+    semantics); those below ``lo`` are cut too when ``clip_below``, and
+    are otherwise a broken hull.  An inexact
     coefficient must be known up to ``hi``: its product with the monomial
     is known below ``entry.hi + e - d``, and a sum is known below the least
     bound of its terms.
@@ -249,7 +250,7 @@ def window_columns(
     integer = next(iter(op.coeffs.values())).level == 1
     if integer:
         dens = [
-            lcm(*(q.denominator for _, x in op._row_entries(i) for q in x.coeffs.values()))
+            lcm(*(x.numerators()[0] for _, x in op._row_entries(i)))
             for i in range(op.rank)
         ]
     # terms[d][comp]: (i, inexact bound or None, [(m, coefficient), ...]),
@@ -264,11 +265,9 @@ def window_columns(
                 if entry.is_exactly_zero():
                     continue
                 if integer:
-                    D = dens[i]
-                    coeffs = [
-                        (m, q.numerator * (D // q.denominator))
-                        for m, q in entry.coeffs.items()
-                    ]
+                    den, numerators = entry.numerators()
+                    scale = dens[i] // den
+                    coeffs = [(m, n * scale) for m, n in numerators]
                 else:
                     coeffs = list(entry.coeffs.items())
                 entries.append((i, None if entry.exact else entry.hi, coeffs))

@@ -1,6 +1,7 @@
 """Input file parsing, golden reports, rejection diagnostics, round-trips."""
 
 import dataclasses
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +234,23 @@ class TestGolden:
         assert proc.returncode == 0
         assert proc.stdout.startswith("{\n")
         assert '"degree": "0"' in proc.stdout
+
+    @pytest.mark.parametrize("name", ['t"x', "t\\x"])
+    def test_json_like_escapes_names(self, tmp_path, name):
+        spec = tmp_path / "cyclic.hl"
+        spec.write_text(
+            (GOLDEN / "cyclic_rank2.hl").read_text().replace("vars = t", f"vars = {name}")
+        )
+        kv = run_cli(spec)
+        proc = run_cli(spec, "--format", "json-like")
+        assert kv.returncode == 0 and proc.returncode == 0
+        expected = dict(line.split(" = ", 1) for line in kv.stdout.splitlines())
+        assert expected["vector"] == f"(1, {name})"
+        assert json.loads(proc.stdout) == expected
+
+    def test_json_like_keeps_unicode(self):
+        out = cli.format_report([("vector", "(1, τ)")], "json-like")
+        assert out == '{\n  "vector": "(1, τ)"\n}\n'
 
 
 class TestRejections:

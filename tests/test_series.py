@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -539,3 +540,161 @@ class TestPrecisionContext:
             assert inv.coeffs == {e: Fraction(1) for e in range(w)}
             assert inverses[w, "after"] == w
         assert series.working_precision() == before
+
+
+# ---------------------------------------------------------------------------
+# Level-1 representation: integer numerators over one canonical denominator
+# ---------------------------------------------------------------------------
+
+def assert_canonical(x):
+    den, items = x.numerators()
+    nums = dict(items)
+    assert den > 0
+    assert 0 not in nums.values()
+    assert gcd(den, *nums.values()) == 1
+
+
+def assert_built(x, y):
+    """``x`` from arithmetic is canonical and is the public constructor's ``y``."""
+    assert_canonical(x)
+    assert same_element(x, y)
+    assert x == y and hash(x) == hash(y)
+
+
+def rationals_of(x):
+    return dict(x.coeffs.items()), x.known_hi()
+
+
+def built(coeffs, h):
+    return TowerElement(1, coeffs, h, h is None)
+
+
+def oracle_sum(a, b, sign):
+    """``a + sign*b`` on {exponent: Fraction} maps."""
+    (ca, ha), (cb, hb) = rationals_of(a), rationals_of(b)
+    h = series._min_bound(ha, hb)
+    out = {e: c for e, c in ca.items() if h is None or e < h}
+    for e, c in cb.items():
+        if h is None or e < h:
+            out[e] = out.get(e, 0) + sign * c
+    return built(out, h)
+
+
+def oracle_sub_mul(a, f, b):
+    return oracle_sum(a, oracle_mul(f, b), -1)
+
+
+# shared small denominators make sums cancel and cuts lower the content;
+# the wide ones carry numerators past 2^64
+canonical_rationals = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 2, 3, 4, 6, 12))
+) | st.builds(Fraction, st.integers(-2**70, 2**70).filter(bool), st.integers(1, 2**64))
+
+
+@st.composite
+def canonical_operands(draw):
+    """Exact, inexact, exact-zero or inexact-zero level-1 elements over a short range."""
+    kind = draw(st.sampled_from(("exact", "inexact", "exact zero", "inexact zero")))
+    if kind == "exact zero":
+        return TowerElement.zero(1)
+    if kind == "inexact zero":
+        return TowerElement.inexact_zero(1, draw(st.integers(-6, 6)))
+    coeffs = draw(
+        st.dictionaries(st.integers(-6, 6), canonical_rationals, min_size=1, max_size=8)
+    )
+    if kind == "exact":
+        return TowerElement(1, coeffs, None, True)
+    return TowerElement(1, coeffs, max(coeffs) + draw(st.integers(-3, 3)), False)
+
+
+class TestCanonicalNumerators:
+    """Every level-1 result is canonical and equals the Fraction-map oracle's."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(canonical_operands(), canonical_operands())
+    def test_sum_difference_product(self, a, b):
+        assert_built(a + b, oracle_sum(a, b, 1))
+        assert_built(a - b, oracle_sum(a, b, -1))
+        assert_built(-a, oracle_sum(TowerElement.zero(1), a, -1))
+        assert_built(a * b, oracle_mul(a, b))
+
+    @settings(deadline=None, max_examples=200)
+    @given(canonical_operands(), canonical_operands(), canonical_operands())
+    def test_sub_mul(self, a, f, b):
+        assert_built(series.sub_mul(a, f, b), oracle_sub_mul(a, f, b))
+
+    @settings(deadline=None, max_examples=100)
+    @given(canonical_operands(), canonical_rationals | st.integers(-3, 3))
+    def test_scalar_product(self, a, q):
+        coeffs, h = rationals_of(a)
+        if q == 0:
+            expected = TowerElement.zero(1)
+        else:
+            expected = built({e: c * q for e, c in coeffs.items()}, h)
+        assert_built(a * q, expected)
+        assert_built(q * a, expected)
+
+    @settings(deadline=None, max_examples=150)
+    @given(canonical_operands(), st.integers(-8, 8), st.integers(-8, 8))
+    def test_derive_shift_truncate(self, a, k, cut):
+        coeffs, h = rationals_of(a)
+        derived = {e - 1: c * e for e, c in coeffs.items() if e}
+        assert_built(a.derive(1), built(derived, None if h is None else h - 1))
+        shifted = {e + k: c for e, c in coeffs.items()}
+        assert_built(a.shift_outer(k), built(shifted, None if h is None else h + k))
+        assert_built(a.truncate(cut), built({e: c for e, c in coeffs.items() if e < cut}, cut))
+
+    @settings(deadline=None, max_examples=100)
+    @given(canonical_operands(), st.integers(1, 12))
+    def test_invert(self, a, prec):
+        if not a.is_certainly_nonzero():
+            return
+        assert_built(a.invert(prec), oracle_invert(a, prec))
+
+    def test_truncation_lowers_the_content(self):
+        # 1/2 + 1/3 t^5 is (3 + 2 t^5)/6; without t^5 it is 1/2, not 3/6
+        a = TowerElement(1, {0: Fraction(1, 2), 5: Fraction(1, 3)}, None, True)
+        assert a.numerators()[0] == 6
+        cut = a.truncate(5)
+        assert cut.numerators()[0] == 2 and dict(cut.numerators()[1]) == {0: 1}
+        assert_built(cut, TowerElement(1, {0: Fraction(1, 2)}, 5, False))
+
+    def test_negative_leading_terms_invert_to_a_positive_denominator(self):
+        t = F1.gen(1)
+        for a in (Fraction(-2, 3) * t ** 2, Fraction(-2, 3) + Fraction(5, 7) * t):
+            inv = a.invert(6)
+            assert_built(inv, oracle_invert(a, 6))
+
+    def test_cancellation_to_exact_zero(self):
+        t = F1.gen(1)
+        a = Fraction(1, 3) * t ** -1 + Fraction(-7, 2)
+        for x in (a - a, a + (-a), series.sub_mul(a, a, F1.one()), a * Fraction(1, 2) - a / 2):
+            assert x.is_exactly_zero()
+            assert_built(x, TowerElement.zero(1))
+
+    def test_hash_sees_the_denominator(self):
+        # elements that differ only in the denominator hash apart
+        elements = [
+            TowerElement(1, {0: Fraction(1, m), 3: Fraction(1, m)}, None, True)
+            for m in range(1, 40)
+        ]
+        assert len({hash(x) for x in elements}) == len(elements)
+
+    def test_coefficient_view(self, monkeypatch):
+        a = TowerElement(1, {-2: Fraction(3, 4), 5: Fraction(-1, 6)}, 9, False)
+        view = a.coeffs
+        assert view[-2] == Fraction(3, 4) and view == {-2: Fraction(3, 4), 5: Fraction(-1, 6)}
+        with pytest.raises(TypeError):
+            view[0] = Fraction(1)
+
+        def no_fractions(*args):
+            raise AssertionError("a Fraction was built")
+
+        # length, membership and keys are read from the integers
+        monkeypatch.setattr(series, "Fraction", no_fractions)
+        assert len(a.coeffs) == 2 and 5 in a.coeffs and 0 not in a.coeffs
+        assert sorted(a.coeffs) == [-2, 5]
+
+    def test_numerators_only_at_level_one(self):
+        with pytest.raises(LevelMismatch):
+            F2.gen(1).numerators()
