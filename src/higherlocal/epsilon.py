@@ -185,9 +185,10 @@ def epsilon_degree(
 
 def _symmetric_window_pseudo_det(op: MatrixDiffOp, w: int) -> Fraction:
     win = window_columns(op, w, [(-w, w)] * op.rank, clip_below=True)
+    # the pivot product needs the values, not the per-row integer numerators
     entries = tuple(
-        tuple(col.get(i, Fraction(0)) for col in win.columns)
-        for i in range(len(win.tgt_labels))
+        tuple(Fraction(col.get(i, 0), win.dens[c]) for col in win.columns)
+        for i, (c, _) in enumerate(win.tgt_labels)
     )
     return WindowMatrix(win.tgt_labels, win.src_labels, entries).pseudo_determinant()
 

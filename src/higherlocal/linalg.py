@@ -502,22 +502,39 @@ def _cancel(r: dict, p: dict, c: int) -> dict:
     return _primitive(out)
 
 
+def _integer_row(raw: dict) -> dict:
+    """The primitive integer row with the span of ``raw``, zeros dropped.
+
+    A row of nonzero ints, as level-1 windows hand over, is only divided by
+    its content; any other row is first scaled by the lcm of its
+    denominators.
+    """
+    if 0 not in raw.values():
+        try:
+            return _primitive(raw)
+        except TypeError:  # a Fraction entry
+            pass
+    den = lcm(*(v.denominator for v in raw.values()))
+    return _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
+
+
 def sparse_echelon(rows) -> dict:
     """Echelon pivots of a sparse rational matrix; returns {col: row dict}.
 
-    Rows are dicts mapping column indices to rationals (zeros are
-    dropped).  The elimination is fraction-free: each row is scaled to a
-    primitive integer row, and a row is cleared at a pivot column ``c`` by
-    :func:`_cancel`.  Each pivot row returned is primitive with integer
-    entries and its leading entry at ``c``; it is a nonzero multiple of the
-    row that elimination over Q with unit pivots would give, so pivots and
-    ranks are those of the rational matrix.  Banded inputs stay banded, so
-    this is much faster than dense elimination on window matrices.
+    Rows are dicts mapping column indices to ints or rationals (zeros are
+    dropped).  The elimination is fraction-free: each row is made a
+    primitive integer row (:func:`_integer_row`; a row of nonzero ints is
+    taken as it is, up to its content), and a row is cleared at a pivot
+    column ``c`` by :func:`_cancel`.  Each pivot row returned is primitive
+    with integer entries and its leading entry at ``c``; it is a nonzero
+    multiple of the row that elimination over Q with unit pivots would give,
+    so pivots and ranks are those of the rational matrix, and scaling an
+    input row changes neither.  Banded inputs stay banded, so this is much
+    faster than dense elimination on window matrices.
     """
     pivots: dict = {}
     for raw in rows:
-        den = lcm(*(v.denominator for v in raw.values()))
-        r = _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
+        r = _integer_row(raw)
         while r:
             c = min(r)
             p = pivots.get(c)

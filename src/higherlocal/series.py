@@ -32,6 +32,7 @@ from collections.abc import Mapping
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -216,9 +217,9 @@ class TowerElement:
                 )
             kept[int(e)] = c
         if exact:
+            # known everywhere: ``hi`` is one past the support whatever was
+            # passed, so equal exact values have equal parts
             hi_val = max(kept) + 1 if kept else 0
-            if hi is not None and hi > hi_val:
-                hi_val = hi
         else:
             if hi is None:
                 raise ValueError("inexact element needs a finite knowledge bound")
@@ -331,11 +332,11 @@ class TowerElement:
         """Outer exponent -> nonzero coefficient.
 
         At level 1 a read-only mapping to Fractions, each built when read;
-        above, the inner elements.
+        above, a read-only view of the inner elements.
         """
         if self.level == 1:
             return _Rationals(self._terms, self._den)
-        return self._terms
+        return MappingProxyType(self._terms)
 
     def numerators(self):
         """``(den, items)`` of a level-1 element, read-only.

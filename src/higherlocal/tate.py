@@ -174,7 +174,10 @@ def _exponent_major(labels) -> List[int]:
 class WindowRealization:
     src_labels: Tuple
     tgt_labels: Tuple
-    columns: List[dict]  # sparse columns: {target row index: value}
+    columns: List[dict]  # sparse columns: {target row index: entry}
+    # level 1: an entry of a component-c row is an integer numerator over
+    # dens[c]; None: the entries are the values (inner-field elements)
+    dens: Optional[Tuple[int, ...]] = None
 
     def sparse_rows(self) -> List[dict]:
         rows: List[dict] = [dict() for _ in self.tgt_labels]
@@ -195,18 +198,25 @@ class WindowRealization:
         columns = [
             {new_row[k]: q for k, q in col.items() if k in new_row} for col in self.columns
         ]
-        return WindowRealization(self.src_labels, tgt_labels, columns)
+        return WindowRealization(self.src_labels, tgt_labels, columns, self.dens)
 
     def kernel(self) -> List[dict]:
-        """Right-kernel basis as sparse vectors over ``src_labels`` positions.
+        """Right-kernel basis of a level-1 window, as sparse vectors over
+        ``src_labels`` positions.
 
-        Window matrices are banded in the exponent, so rows and columns go to
-        the eliminator exponent-major; in the component-major label order the
+        Window matrices are banded in the exponent, so they go to the
+        eliminator exponent-major; in the component-major label order the
         leftmost-column pivot rule fills in across all rank^2 diagonal
-        blocks.  The kernel subspace does not depend on the order, and the
-        vectors are mapped back to the component-major labels.
+        blocks.  The rows go in ascending order and the columns in
+        descending order, so each row pivots on its highest source term: in
+        a bottom window that is the row's lattice-sharp ``delta_bottom``
+        term, almost always still free, so few rows meet an earlier pivot.
+        Neither the order nor the rows being integer numerators (each row
+        over its own denominator) changes the kernel subspace, and every
+        caller reads only that span; the vectors are mapped back to the
+        component-major labels.
         """
-        src_order = _exponent_major(self.src_labels)
+        src_order = _exponent_major(self.src_labels)[::-1]
         banded_col = {j: k for k, j in enumerate(src_order)}
         rows = self.sparse_rows()
         banded = [
@@ -232,13 +242,14 @@ def window_columns(
     (level 2, left as is in the column).  At level 1 each entry of row ``i``
     is read as integer numerators over its own denominator and rescaled to
     ``D_i``, the lcm of the entry denominators in that row; the columns are
-    summed in integers and each nonzero entry becomes one
-    ``Fraction(n, D_i)``.  Exponents at or above ``hi`` are cut (quotient
-    semantics); those below ``lo`` are cut too when ``clip_below``, and
-    are otherwise a broken hull.  An inexact
-    coefficient must be known up to ``hi``: its product with the monomial
-    is known below ``entry.hi + e - d``, and a sum is known below the least
-    bound of its terms.
+    summed in integers and keep the integer sums: an entry ``n`` of a
+    component-``i`` row stands for ``n / D_i``, and the realization carries
+    ``D_i`` once per component in ``dens``.  Exponents at or above ``hi``
+    are cut (quotient semantics); those below ``lo`` are cut too when
+    ``clip_below``, and are otherwise a broken hull.  An inexact coefficient
+    must be known up to ``hi``: its product with the monomial is known below
+    ``entry.hi + e - d``, and a sum is known below the least bound of its
+    terms.
     """
     src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
     tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
@@ -299,13 +310,10 @@ def window_columns(
                         raise AssertionError("image fell below the certified hull")
                     row = offset[i] + ee
                     col[row] = col.get(row, 0) + f * q
-        if integer:
-            columns.append(
-                {row: Fraction(n, dens[tgt_labels[row][0]]) for row, n in col.items() if n}
-            )
-        else:
-            columns.append({row: q for row, q in col.items() if q})
-    return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
+        columns.append({row: q for row, q in col.items() if q})
+    return WindowRealization(
+        tuple(src_labels), tuple(tgt_labels), columns, tuple(dens) if integer else None
+    )
 
 
 def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
@@ -356,7 +364,8 @@ def _top_cokernel(
     subset of its rows (:func:`operator_index` builds it that way, with
     :meth:`WindowRealization.restrict`), and ker(top) = {v in ker(bottom) :
     E v = 0} for the extra top rows E.  E K is a small rational matrix; its
-    rank is exact.
+    rank is exact, and the rows of E being integer numerators (each row
+    scaled by its denominator) leaves it as it is.
     """
     shared = set(bottom.tgt_labels)
     E: Dict[int, dict] = {

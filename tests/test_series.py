@@ -698,3 +698,54 @@ class TestCanonicalNumerators:
     def test_numerators_only_at_level_one(self):
         with pytest.raises(LevelMismatch):
             F2.gen(1).numerators()
+
+
+# ---------------------------------------------------------------------------
+# Equality of exact elements, and read-only coefficients above level 1
+# ---------------------------------------------------------------------------
+
+@st.composite
+def comparable_elements(draw):
+    """Level-1 or level-2 elements over a tiny range, so that equal pairs are
+    common; an exact one may be given a ``hi`` above its support."""
+    level = draw(st.integers(1, 2))
+    small = st.sampled_from((Fraction(1), Fraction(-1, 2), Fraction(2)))
+    if level == 2:
+        small = st.builds(
+            lambda c, e: TowerElement(1, {e: c}, None, True), small, st.integers(-1, 1)
+        )
+    coeffs = draw(st.dictionaries(st.integers(-1, 1), small, max_size=2))
+    if draw(st.booleans()):
+        return TowerElement(level, coeffs, draw(st.none() | st.integers(-1, 4)), True)
+    return TowerElement(level, coeffs, draw(st.integers(-1, 4)), False)
+
+
+class TestExactEquality:
+    def test_hi_of_an_exact_element_is_its_support(self):
+        a = TowerElement(1, {0: Fraction(1)}, 5, True)
+        b = TowerElement(1, {0: Fraction(1)}, None, True)
+        assert (a - b).is_exactly_zero()
+        assert a == b and hash(a) == hash(b)
+        assert a.hi == b.hi == 1
+        assert TowerElement(2, {0: F1.one()}, 7, True) == F2.one()
+        assert TowerElement(1, {}, 3, True) == F1.zero()
+
+    @settings(deadline=None, max_examples=300)
+    @given(comparable_elements(), comparable_elements())
+    def test_equal_elements_hash_equal(self, x, y):
+        if x.level == y.level and x.exact and y.exact and (x - y).is_exactly_zero():
+            assert x == y
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+class TestReadOnlyCoefficients:
+    def test_level2_coefficients_cannot_be_written(self):
+        x = F2.gen(1) + F2.gen(2)
+        before = (repr(x), x.hi, hash(x))
+        with pytest.raises(TypeError):
+            x.coeffs[7] = F2.gen(1).coefficient(0)
+        with pytest.raises(TypeError):
+            del x.coeffs[0]
+        assert (repr(x), x.hi, hash(x)) == before
+        assert dict(x.coeffs) == {0: F1.gen(1), 1: F1.one()}
