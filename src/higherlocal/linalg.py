@@ -546,16 +546,19 @@ def sparse_echelon(rows) -> dict:
 
 
 def sparse_kernel(rows, ncols: int) -> List[dict]:
-    """Right-kernel basis of a sparse matrix, as sparse column vectors.
+    """Right-kernel basis of a sparse matrix, as primitive integer vectors.
 
     For each free column ``f`` the integer pivot rows of
-    :func:`sparse_echelon` are solved from the highest pivot down, over Q,
-    with ``x_f = 1`` and the other free unknowns 0.  A pivot row reaches only
-    columns at or after its pivot, so the pivot unknowns after ``f`` stay 0
-    and are not solved.  The
-    vector is the one the reduced echelon form gives, ``-rref[pc][f]`` at
-    each pivot column ``pc``, since that basis is unique.  A matrix of full
-    column rank solves nothing.
+    :func:`sparse_echelon` are solved from the highest pivot down, from
+    ``x_f = 1`` with the other free unknowns 0.  At pivot ``pc`` with row
+    sum ``s``, pivot entry ``p`` and ``g = gcd(s, p)``, the vector is scaled
+    by ``|p| / g``, the least scaling that keeps it integral, and ``x_pc``
+    is ``-sign(p) s / g``.  A pivot row reaches only columns at or after its
+    pivot, so the pivot unknowns after ``f`` stay 0 and are not solved.  The
+    vector is the least positive multiple of the one the reduced echelon
+    form gives (``-rref[pc][f]`` at each pivot column): primitive, with no
+    zero entry, positive at ``f`` and 0 at the other free columns.  A matrix
+    of full column rank solves nothing.
     """
     pivots = sparse_echelon(rows)
     ascending = sorted(pivots)
@@ -563,12 +566,16 @@ def sparse_kernel(rows, ncols: int) -> List[dict]:
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = {f: Fraction(1)}
+        vec = {f: 1}
         for pc in reversed(ascending[: bisect(ascending, f)]):
             prow = pivots[pc]
             s = sum(v * vec[c] for c, v in prow.items() if c in vec)
             if s:
-                vec[pc] = -s / prow[pc]
+                p = prow[pc]
+                g = gcd(s, p)
+                if abs(p) != g:
+                    vec = {c: v * (abs(p) // g) for c, v in vec.items()}
+                vec[pc] = -s // g if p > 0 else s // g
         out.append(vec)
     return out
 

@@ -32,8 +32,8 @@ from .linalg import (
     SeriesMatrix,
     kernel_q,
     rank_kernel_det,
-    rank_q,
     rref_q,
+    sparse_echelon,
     sparse_kernel,
 )
 from .series import TowerElement, TowerField
@@ -201,8 +201,8 @@ class WindowRealization:
         return WindowRealization(self.src_labels, tgt_labels, columns, self.dens)
 
     def kernel(self) -> List[dict]:
-        """Right-kernel basis of a level-1 window, as sparse vectors over
-        ``src_labels`` positions.
+        """Right-kernel basis of a level-1 window, as sparse primitive
+        integer vectors over ``src_labels`` positions (:func:`sparse_kernel`).
 
         Window matrices are banded in the exponent, so they go to the
         eliminator exponent-major; in the component-major label order the
@@ -211,10 +211,10 @@ class WindowRealization:
         descending order, so each row pivots on its highest source term: in
         a bottom window that is the row's lattice-sharp ``delta_bottom``
         term, almost always still free, so few rows meet an earlier pivot.
-        Neither the order nor the rows being integer numerators (each row
-        over its own denominator) changes the kernel subspace, and every
-        caller reads only that span; the vectors are mapped back to the
-        component-major labels.
+        Neither the order, nor the rows being integer numerators (each row
+        over its own denominator), nor the integer scaling of the vectors
+        changes the kernel subspace, and every caller reads only that span;
+        the vectors are mapped back to the component-major labels.
         """
         src_order = _exponent_major(self.src_labels)[::-1]
         banded_col = {j: k for k, j in enumerate(src_order)}
@@ -363,9 +363,12 @@ def _top_cokernel(
     quotient cut.  So the bottom matrix is the top one restricted to a
     subset of its rows (:func:`operator_index` builds it that way, with
     :meth:`WindowRealization.restrict`), and ker(top) = {v in ker(bottom) :
-    E v = 0} for the extra top rows E.  E K is a small rational matrix; its
-    rank is exact, and the rows of E being integer numerators (each row
-    scaled by its denominator) leaves it as it is.
+    E v = 0} for the extra top rows E.  E K is a small sparse matrix, one
+    row per extra top row and one column per kernel vector, summed in
+    integers from the integer rows of E and the integer kernel vectors; its
+    rank comes from :func:`sparse_echelon`.  Scaling a row of E (each is
+    its numerators over one denominator) or a kernel vector leaves that
+    rank as it is.
     """
     shared = set(bottom.tgt_labels)
     E: Dict[int, dict] = {
@@ -376,10 +379,10 @@ def _top_cokernel(
             if k in E:
                 E[k][j] = q
     EK = [
-        [sum((q * v[j] for j, q in row.items() if j in v), Fraction(0)) for v in kernel]
+        {k: sum(q * v[j] for j, q in row.items() if j in v) for k, v in enumerate(kernel)}
         for row in E.values()
     ]
-    ker_top = len(kernel) - rank_q(EK)
+    ker_top = len(kernel) - len(sparse_echelon(EK))
     return len(top.tgt_labels) - (len(top.src_labels) - ker_top)
 
 
@@ -397,18 +400,6 @@ def _kernel_vectors_to_elements(
             comps.append(TowerElement(1, coeffs, w, False))
         out.append(tuple(comps))
     return tuple(out)
-
-
-def _truncate_vectors(big_vecs, big_labels, small_labels):
-    pos = {lab: i for i, lab in enumerate(small_labels)}
-    out = []
-    for v in big_vecs:
-        row = [Fraction(0)] * len(small_labels)
-        for k, lab in enumerate(big_labels):
-            if lab in pos:
-                row[pos[lab]] = v[k]
-        out.append(row)
-    return out
 
 
 def _span_intersection(a_vecs, b_vecs):
@@ -446,12 +437,16 @@ def operator_index(
     newton_prediction: Optional[int] = None,
     want_kernel: bool = True,
 ) -> IndexReport:
-    """Stabilized window kernel/cokernel dimensions of a one-variable operator."""
-    # per window: bottom-realization kernel and top-realization cokernel;
-    # the reported kernel dimension is the persistent one, the part of the
-    # windowed kernel that extends under the next window enlargement
-    kernels: List[Tuple[int, Tuple, List[List[Fraction]]]] = []
-    cokers: List[int] = []
+    """Stabilized window kernel/cokernel dimensions of a one-variable operator.
+
+    The reported kernel dimension is the persistent one, dim(span K cap
+    span T) = rank T + |K| - rank(T u K), for ``K`` a window's bottom kernel
+    (sparse integer vectors) and ``T`` the next window's, restricted to this
+    window's labels: three ranks from :func:`sparse_echelon`.  Its basis,
+    the reduced echelon form of that subspace over Q, is built only when it
+    is returned.
+    """
+    windows: List[Tuple[int, Tuple, List[dict], int]] = []  # (w, labels, K, coker)
     trace: List[Tuple[int, int, int]] = []
     for w in schedule:
         try:
@@ -462,55 +457,35 @@ def operator_index(
             break
         bottom = top.restrict(window_bounds(op, w, "bottom"))
         kernel = bottom.kernel()
-        dense = [
-            [vec.get(k, Fraction(0)) for k in range(len(bottom.src_labels))]
-            for vec in kernel
-        ]
-        kernels.append((w, bottom.src_labels, dense))
-        cokers.append(_top_cokernel(bottom, top, kernel))
-        if len(kernels) < 2:
+        windows.append((w, bottom.src_labels, kernel, _top_cokernel(bottom, top, kernel)))
+        if len(windows) < 2:
             continue
-        i = len(kernels) - 2
-        wi, labels, kvecs = kernels[i]
-        _, labels2, kvecs2 = kernels[i + 1]
-        if not kvecs:
-            persistent_vecs: List[List[Fraction]] = []
-        else:
-            truncated = _truncate_vectors(kvecs2, labels2, labels)
-            persistent_vecs = _span_intersection(truncated, kvecs)
-        trace.append((wi, len(persistent_vecs), cokers[i]))
+        (wi, labels, K, coker), (_, labels2, _, _) = windows[-2:]
+        # T: this window's kernel restricted to the labels of the one before
+        pos = {lab: k for k, lab in enumerate(labels)}
+        moved = {k2: pos[lab] for k2, lab in enumerate(labels2) if lab in pos}
+        T = [{moved[k]: v for k, v in vec.items() if k in moved} for vec in kernel]
+        ker = 0
+        if K and T:
+            ker = len(sparse_echelon(T)) + len(K) - len(sparse_echelon(T + K))
+        trace.append((wi, ker, coker))
         if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
-            ker, coker = trace[-1][1], trace[-1][2]
             basis = ()
             if want_kernel and ker > 0:
-                basis = _kernel_vectors_to_elements(
-                    labels, persistent_vecs, op.rank, wi
-                )
+                dense = [[v.get(k, 0) for k in range(len(labels))] for v in T + K]
+                persistent = _span_intersection(dense[: len(T)], dense[len(T) :])
+                basis = _kernel_vectors_to_elements(labels, persistent, op.rank, wi)
             return IndexReport(
-                ker,
-                coker,
-                ker - coker,
-                wi,
-                basis,
-                newton_prediction,
-                tuple(trace),
+                ker, coker, ker - coker, wi, basis, newton_prediction, tuple(trace)
             )
-    if not kernels:
+    if not windows:
         raise InsufficientPrecision(
             "operator coefficients cannot fill even the smallest window"
         )
     if not trace:
         # a single window was computable; report it without persistence
-        w, labels, kvecs = kernels[0]
-        return IndexReport(
-            len(kvecs),
-            cokers[0],
-            len(kvecs) - cokers[0],
-            None,
-            (),
-            newton_prediction,
-            ((w, len(kvecs), cokers[0]),),
-        )
+        w, _, K, coker = windows[0]
+        trace = [(w, len(K), coker)]
     w, ker, coker = trace[-1]
     return IndexReport(
         ker, coker, ker - coker, None, (), newton_prediction, tuple(trace)

@@ -1,12 +1,15 @@
 """Input file parsing, golden reports, rejection diagnostics, round-trips."""
 
 import dataclasses
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from higherlocal import cli, dmodule
 from higherlocal.errors import (
@@ -382,3 +385,40 @@ command = epsilon
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: higherlocal")
+
+
+GOLDEN_TEXTS = [path.read_text() for path in sorted(GOLDEN.glob("*.hl"))]
+# the characters of the goldens, plus a few that the grammar gives meaning to
+MUTATION_CHARS = st.sampled_from(
+    sorted(set("".join(GOLDEN_TEXTS)) | set("[]=\"^*/-+.,#\n"))
+) | st.characters(blacklist_categories=("Cs",))
+
+
+@st.composite
+def mutated_goldens(draw):
+    """A golden input with one to four characters inserted or deleted."""
+    text = draw(st.sampled_from(GOLDEN_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(text)))
+        if k < len(text) and draw(st.booleans()):
+            text = text[:k] + text[k + 1 :]
+        else:
+            text = text[:k] + draw(MUTATION_CHARS) + text[k:]
+    return text
+
+
+class TestMutatedGoldens:
+    """Mutated inputs end in a documented exit code, never in a traceback."""
+
+    @settings(
+        deadline=None,
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mutated_goldens())
+    def test_exit_code_is_documented(self, tmp_path, text):
+        path = tmp_path / "mutated.hl"
+        path.write_text(text, encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main([str(path), "--max-window", "12"])
+        assert code in (0, 1, 2, 3)

@@ -604,6 +604,19 @@ def interleaved_free_columns(draw):
     return draw(st.permutations(rows)), ncols, free
 
 
+def assert_scaled_rref_kernel(kernel, rows, ncols):
+    """``kernel`` is one primitive integer vector per free column of ``rows``
+    and a multiple of the rref vector over Q, in free-column order."""
+    free = [f for f in range(ncols) if f not in ref_sparse_echelon(rows)]
+    ref = ref_sparse_kernel(rows, ncols)
+    assert len(kernel) == len(free) == len(ref)
+    for vec, f, ref_vec in zip(kernel, free, ref):
+        assert all(type(v) is int and v for v in vec.values())
+        assert math.gcd(*vec.values()) == 1
+        assert vec[f] > 0 and set(vec) & set(free) == {f}
+        assert {c: Fraction(v, vec[f]) for c, v in vec.items()} == ref_vec
+
+
 class TestSparseEliminationOracle:
     """The fraction-free sparse eliminator against elimination over Q."""
 
@@ -611,7 +624,7 @@ class TestSparseEliminationOracle:
     @given(sparse_matrices())
     def test_kernel_matches_rational_elimination(self, case):
         rows, ncols = case
-        assert sparse_kernel(rows, ncols) == ref_sparse_kernel(rows, ncols)
+        assert_scaled_rref_kernel(sparse_kernel(rows, ncols), rows, ncols)
 
     @settings(deadline=None, max_examples=100)
     @given(sparse_matrices())
@@ -630,11 +643,11 @@ class TestSparseEliminationOracle:
     def test_interleaved_free_columns(self, case):
         rows, ncols, free = case
         kernel = sparse_kernel(rows, ncols)
-        assert kernel == ref_sparse_kernel(rows, ncols)
-        # one vector per free column, with 1 there and 0 at the other free ones
+        assert_scaled_rref_kernel(kernel, rows, ncols)
+        # one vector per free column, nonzero there and 0 at the other free ones
         assert len(kernel) == len(free)
         for vec, f in zip(kernel, sorted(free)):
-            assert vec[f] == 1 and set(vec) & free == {f}
+            assert vec[f] and set(vec) & free == {f}
 
     def test_free_columns_between_pivots(self):
         # pivots at columns 0, 2 and 5; columns 1, 3, 4 and 6 are free
@@ -643,16 +656,25 @@ class TestSparseEliminationOracle:
             {2: Fraction(1, 2), 3: 1, 5: 2, 6: -1},
             {5: 3, 6: Fraction(3, 2)},
         ]
-        assert sparse_kernel(rows, 7) == [
-            {1: Fraction(1), 0: Fraction(-2)},
-            {3: Fraction(1), 2: Fraction(-2), 0: Fraction(1)},
-            {4: Fraction(1), 0: Fraction(-3, 2)},
-            {6: Fraction(1), 5: Fraction(-1, 2), 2: Fraction(4), 0: Fraction(-2)},
+        # the rref vectors {1: 1, 0: -2}, {3: 1, 2: -2, 0: 1}, {4: 1, 0: -3/2}
+        # and {6: 1, 5: -1/2, 2: 4, 0: -2}, each scaled to be primitive
+        kernel = sparse_kernel(rows, 7)
+        assert kernel == [
+            {1: 1, 0: -2},
+            {3: 1, 2: -2, 0: 1},
+            {4: 2, 0: -3},
+            {6: 2, 5: -1, 2: 8, 0: -4},
         ]
-        assert sparse_kernel(rows, 7) == ref_sparse_kernel(rows, 7)
+        assert_scaled_rref_kernel(kernel, rows, 7)
 
     def test_integer_and_empty_inputs(self):
-        assert sparse_kernel([], 2) == [{0: Fraction(1)}, {1: Fraction(1)}]
-        assert sparse_kernel([{}, {0: 0, 1: Fraction(0)}], 1) == [{0: Fraction(1)}]
-        rows = [{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}]
-        assert sparse_kernel(rows, 2) == [{1: Fraction(1), 0: Fraction(-2)}]
+        cases = [
+            ([], 2, [{0: 1}, {1: 1}]),
+            ([{}, {0: 0, 1: Fraction(0)}], 1, [{0: 1}]),
+            ([{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}], 2, [{1: 1, 0: -2}]),
+        ]
+        for rows, ncols, expected in cases:
+            kernel = sparse_kernel(rows, ncols)
+            assert kernel == expected
+            assert all(type(v) is int for vec in kernel for v in vec.values())
+            assert_scaled_rref_kernel(kernel, rows, ncols)

@@ -19,7 +19,9 @@ from higherlocal.linalg import (
     sparse_kernel,
 )
 from higherlocal.series import OneForm, TowerElement, TowerField
+from higherlocal.specfile import parse_specfile
 from higherlocal.tate import (
+    DEFAULT_SCHEDULE,
     IndexReport,
     MatrixDiffOp,
     OuterMatrixDiffOp,
@@ -153,7 +155,7 @@ def random_exact_connection(rng, rank):
 
 
 def _dense(vec, n):
-    return [vec.get(k, Fraction(0)) for k in range(n)]
+    return [Fraction(vec.get(k, 0)) for k in range(n)]
 
 
 def _restrict(vecs, labels, small_labels):
@@ -434,7 +436,8 @@ def ascending_kernel(win):
 def ref_operator_index(op, schedule):
     """:func:`operator_index` with ``want_kernel`` over Q in ascending order:
     ``Fraction`` columns, eliminated with the columns in ascending
-    exponent-major order."""
+    exponent-major order.  The cokernel is the corank of the dense top
+    window over Q, not the library's top-from-bottom ``E K`` route."""
     kernels, cokers, trace = [], [], []
     for w in schedule:
         try:
@@ -445,13 +448,14 @@ def ref_operator_index(op, schedule):
         kernel = ascending_kernel(bottom)
         dense = [_dense(vec, len(bottom.src_labels)) for vec in kernel]
         kernels.append((w, bottom.src_labels, dense))
-        cokers.append(tate._top_cokernel(bottom, top, kernel))
+        top_rows = [_dense(row, len(top.src_labels)) for row in top.sparse_rows()]
+        cokers.append(len(top.tgt_labels) - _span_rank(top_rows))
         if len(kernels) < 2:
             continue
         (wi, labels, kvecs), (_, labels2, kvecs2) = kernels[-2:]
         persistent = []
         if kvecs:
-            truncated = tate._truncate_vectors(kvecs2, labels2, labels)
+            truncated = _restrict(kvecs2, labels2, labels)
             persistent = tate._span_intersection(truncated, kvecs)
         trace.append((wi, len(persistent), cokers[-2]))
         if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
@@ -606,6 +610,58 @@ class TestDescendingOrder:
         ascending = ascending_kernel(bottom)
         assert len(descending) == len(ascending)
         assert n_descending < len(calls) / 2
+
+
+# a rank-4 presentation whose bottom windows all have a nonzero kernel
+# (window_index's r4-epsilon-1#0 in the benchmark)
+RANK4_SPEC = """\
+[field]
+n = 1
+vars = t
+
+[connection]
+rank = 4
+A1 = [["0", "-1*t^-3 - 1*t^-1 - 1", "0", "0"], \
+["0", "2*t^-3 - 2*t^-2 - 2*t", "0", "1*t^-3 + 2*t"], \
+["0", "-2*t^-3 + 1 + 1*t", "0", "-2*t^-2 + 1*t^-1 - 1*t"], \
+["1*t^-3 + 2*t^-1", "-2*t^-1 + 2 + 1*t", "-1*t^-3 + 1*t^-2 - 1*t^-1", "0"]]
+
+[forms]
+nu1 = ["1"]
+
+[task]
+command = epsilon
+"""
+
+
+class TestIntegerWindowRoute:
+    """Realization, elimination, cokernel and persistence stay on integers."""
+
+    def test_index_builds_no_fraction(self, monkeypatch):
+        op = MatrixDiffOp.from_connection(parse_specfile(RANK4_SPEC).connection)
+        for w in DEFAULT_SCHEDULE:
+            assert realize_window(op, w, "bottom").kernel()
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        if hasattr(Fraction, "_from_coprime_ints"):
+            # from Python 3.12 on, arithmetic results skip __new__
+            coprime = Fraction._from_coprime_ints
+
+            def counted_coprime(cls, *args):
+                built.append(args)
+                return coprime(*args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+        rep = operator_index(op, want_kernel=False)
+        monkeypatch.undo()
+        assert rep.stabilized
+        assert built == []
 
 
 class TestWindowPrecision:
