@@ -51,11 +51,9 @@ from .epsilon import (
 )
 from .linalg import (
     SeriesMatrix,
-    WindowMatrix,
     inverse,
     rank_kernel_det,
     solve,
-    window_matrix,
 )
 from .series import (
     OneForm,
@@ -100,7 +98,6 @@ __all__ = [
     "SpecFile",
     "TowerElement",
     "TowerField",
-    "WindowMatrix",
     "build_multicomplex",
     "calkin_iso_check",
     "check_multicomplex",
@@ -131,7 +128,6 @@ __all__ = [
     "to_scalar_operator",
     "verify_duality",
     "verify_induction",
-    "window_matrix",
     "working_precision",
     "wronskian",
 ]

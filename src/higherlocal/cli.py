@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import series
@@ -46,8 +45,6 @@ EXIT_INVALID = 3
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

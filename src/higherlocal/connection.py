@@ -66,12 +66,6 @@ class Connection:
         Av = A.apply(vec)
         return tuple(v.derive(i) + w for v, w in zip(vec, Av))
 
-    def nabla_power(self, i: int, vec, k: int):
-        out = tuple(vec)
-        for _ in range(k):
-            out = self.nabla(i, out)
-        return out
-
     # -- checks -----------------------------------------------------------------
 
     def curvature_component(self, i: int, j: int) -> SeriesMatrix:

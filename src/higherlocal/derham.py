@@ -504,10 +504,6 @@ def _section_from_slots(labels, vec, rank):
     comps = [dict() for _ in range(rank)]
     for k, (c, e) in enumerate(labels):
         x = vec[k]
-        if isinstance(x, Fraction):
-            if x == 0:
-                continue
-            x = TowerElement(1, {0: x}, None, True)
         if x.is_exactly_zero():
             continue
         comps[c][e] = x
@@ -577,12 +573,8 @@ def induced_inner_connections(
             columns.append(_slots_to_vector(red.src_labels, img))
         # express each image in the kernel span
         h0_cols = []
-        kernel_columns = [
-            [vec[k] if not isinstance(vec[k], Fraction) else TowerElement(1, {0: vec[k]}, None, True) for k in range(len(red.src_labels))]
-            for vec in red.kernel
-        ]
         for img in columns:
-            x = solve_columns(kernel_columns, img)
+            x = solve_columns(red.kernel, img)
             if x is None:
                 raise UnsupportedFrame(
                     "induced action does not preserve the windowed kernel"

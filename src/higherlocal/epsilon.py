@@ -35,7 +35,6 @@ from .errors import (
     SingularWindow,
     UnsupportedFrame,
 )
-from .linalg import WindowMatrix
 from .series import OneForm, TowerElement, TowerField
 from .tate import (
     DEFAULT_SCHEDULE,
@@ -183,14 +182,47 @@ def epsilon_degree(
 # Experimental relative determinant
 # ---------------------------------------------------------------------------
 
+def _pseudo_determinant(work) -> Fraction:
+    """Product of the nonzero pivots of the rows ``work``, reduced in place.
+
+    Each column pivots on its first nonzero row at or below the current one;
+    a column with none is skipped, and each row swap flips the sign.
+    """
+    n = len(work)
+    m = len(work[0]) if n else 0
+    det = Fraction(1)
+    r = 0
+    for c in range(m):
+        pivot_row = None
+        for i in range(r, n):
+            if work[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[pivot_row], work[r] = work[r], work[pivot_row]
+            det = -det
+        det *= work[r][c]
+        inv = Fraction(1) / work[r][c]
+        for i in range(r + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] * inv
+                for j in range(c, m):
+                    work[i][j] -= f * work[r][j]
+        r += 1
+    return det
+
+
 def _symmetric_window_pseudo_det(op: MatrixDiffOp, w: int) -> Fraction:
     win = window_columns(op, w, [(-w, w)] * op.rank, clip_below=True)
     # the pivot product needs the values, not the per-row integer numerators
-    entries = tuple(
-        tuple(Fraction(col.get(i, 0), win.dens[c]) for col in win.columns)
-        for i, (c, _) in enumerate(win.tgt_labels)
+    return _pseudo_determinant(
+        [
+            [Fraction(col.get(i, 0), win.dens[c]) for col in win.columns]
+            for i, (c, _) in enumerate(win.tgt_labels)
+        ]
     )
-    return WindowMatrix(win.tgt_labels, win.src_labels, entries).pseudo_determinant()
 
 
 def epsilon_det_rel(

@@ -35,10 +35,6 @@ class UndeterminedPivot(HigherLocalError):
         super().__init__(message or f"no certified pivot in column {column}")
 
 
-class WindowOverflow(HigherLocalError):
-    """An operator image is not known on the whole requested target window."""
-
-
 class NotFlat(HigherLocalError):
     """Curvature does not vanish (certified nonzero component)."""
 

@@ -6,11 +6,10 @@ are chosen by minimal valuation so division destroys as little window width
 as possible, and a pivot candidate that is zero up to precision but not
 exactly zero raises :class:`UndeterminedPivot` instead of guessing.
 
-``WindowMatrix`` is the finite rational matrix of a linear operator
-restricted to monomial bases of explicit exponent windows, the raw material
-of every index computation.  Row/column labels are pairs
-``(component, exponent)`` sorted component-major then exponent ascending;
-determinants are reported relative to that order.
+Over the rationals, :func:`sparse_echelon` and :func:`sparse_kernel` are the
+fraction-free eliminators of the sparse window matrices that
+:func:`higherlocal.tate.window_columns` builds; the dense :func:`rref_q` and
+:func:`kernel_q` serve small kernel-span computations.
 """
 
 from __future__ import annotations
@@ -19,13 +18,9 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import (
-    LevelMismatch,
-    UndeterminedPivot,
-    WindowOverflow,
-)
+from .errors import LevelMismatch, UndeterminedPivot
 from .series import TowerElement, TowerField, sub_mul, working_precision
 
 
@@ -65,10 +60,6 @@ class SeriesMatrix:
     def identity(cls, field: TowerField, n: int) -> "SeriesMatrix":
         one, zero = field.one(), field.zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows) -> "SeriesMatrix":
-        return cls(rows)
 
     # -- structure ------------------------------------------------------------
 
@@ -160,9 +151,6 @@ class SeriesMatrix:
             for ra, rb in zip(self.entries, other.entries)
             for a, b in zip(ra, rb)
         )
-
-    def is_zero_up_to_precision(self) -> bool:
-        return not any(x.is_certainly_nonzero() for r in self.entries for x in r)
 
     def block_diag(self, other: "SeriesMatrix") -> "SeriesMatrix":
         z1 = TowerElement.zero(self.level)
@@ -578,156 +566,3 @@ def sparse_kernel(rows, ncols: int) -> List[dict]:
                 vec[pc] = -s // g if p > 0 else s // g
         out.append(vec)
     return out
-
-
-@dataclass(frozen=True)
-class WindowMatrix:
-    """Finite rational matrix of an operator on labelled monomial windows.
-
-    Labels are ``(component, exponents)`` with exponents a tuple listed
-    outermost first; the basis order is component-major, exponents ascending
-    lexicographically.  Determinants refer to this order.
-    """
-
-    row_labels: Tuple
-    col_labels: Tuple
-    entries: Tuple[Tuple[Fraction, ...], ...]
-
-    @property
-    def shape(self):
-        return (len(self.row_labels), len(self.col_labels))
-
-    def dense(self) -> List[List[Fraction]]:
-        return [list(r) for r in self.entries]
-
-    def rank(self) -> int:
-        return rank_q(self.dense())
-
-    def kernel(self) -> List[List[Fraction]]:
-        return kernel_q(self.dense())
-
-    def kernel_dim(self) -> int:
-        return len(self.col_labels) - self.rank()
-
-    def cokernel_dim(self) -> int:
-        return len(self.row_labels) - self.rank()
-
-    def pseudo_determinant(self) -> Fraction:
-        """Product of nonzero pivots in basis order (skips defective columns)."""
-        work = self.dense()
-        n = len(work)
-        m = len(work[0]) if n else 0
-        det = Fraction(1)
-        r = 0
-        for c in range(m):
-            pivot_row = None
-            for i in range(r, n):
-                if work[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                work[pivot_row], work[r] = work[r], work[pivot_row]
-                det = -det
-            det *= work[r][c]
-            inv = Fraction(1) / work[r][c]
-            for i in range(r + 1, n):
-                if work[i][c] != 0:
-                    f = work[i][c] * inv
-                    for j in range(c, m):
-                        work[i][j] -= f * work[r][j]
-            r += 1
-        return det
-
-
-def sorted_labels(labels) -> Tuple:
-    return tuple(sorted(labels, key=lambda lab: (lab[0], lab[1])))
-
-
-def window_matrix(
-    apply_to_monomial: Callable[[int, Tuple[int, ...]], Sequence[TowerElement]],
-    src_labels,
-    tgt_labels=None,
-    *,
-    strict: bool = True,
-) -> WindowMatrix:
-    """Build the rational matrix of a linear operator on monomial windows.
-
-    ``apply_to_monomial(component, exponents)`` must return the image as a
-    vector of tower elements (one per output component).  When ``tgt_labels``
-    is None the exact support of all images is used; otherwise image
-    coefficients outside the target window are truncated away (quotient
-    semantics).  A coefficient that is *unknown* rather than merely outside
-    the window raises :class:`WindowOverflow` when ``strict``.
-    """
-    src = sorted_labels(src_labels)
-    images = []
-    for comp, exps in src:
-        images.append(tuple(apply_to_monomial(comp, exps)))
-    if tgt_labels is None:
-        seen = set()
-        for img in images:
-            for out_comp, el in enumerate(img):
-                seen.update((out_comp, e) for e in _support_exponents(el))
-                if not el.is_exactly_zero() and not el.is_fully_exact() and strict:
-                    raise WindowOverflow(
-                        "image support is not exactly known; pass explicit target labels"
-                    )
-        tgt = sorted_labels(seen)
-    else:
-        tgt = sorted_labels(tgt_labels)
-    index = {lab: i for i, lab in enumerate(tgt)}
-    cols = []
-    for img in images:
-        col = [Fraction(0)] * len(tgt)
-        for out_comp, el in enumerate(img):
-            for exps, q in _iter_rational_coefficients(el):
-                lab = (out_comp, exps)
-                if lab in index:
-                    col[index[lab]] = q
-        if strict:
-            for lab in tgt:
-                out_comp, exps = lab
-                if not _knows_exponents(img[out_comp], exps):
-                    raise WindowOverflow(
-                        f"image coefficient at {lab} is below the guaranteed precision"
-                    )
-        cols.append(col)
-    entries = tuple(
-        tuple(cols[j][i] for j in range(len(src))) for i in range(len(tgt))
-    )
-    return WindowMatrix(tgt, src, entries)
-
-
-def _support_exponents(el: TowerElement):
-    if el.level == 1:
-        return [(e,) for e in sorted(el.coeffs)]
-    out = []
-    for e in sorted(el.coeffs):
-        inner = el.coeffs[e]
-        for rest in _support_exponents(inner):
-            out.append((e,) + rest)
-    return out
-
-
-def _iter_rational_coefficients(el: TowerElement):
-    """Yield ((outer, ..., inner) exponent tuples, Fraction) over the support."""
-    if el.level == 1:
-        for e in sorted(el.coeffs):
-            yield (e,), el.coeffs[e]
-        return
-    for e in sorted(el.coeffs):
-        for rest, q in _iter_rational_coefficients(el.coeffs[e]):
-            yield (e,) + rest, q
-
-
-def _knows_exponents(el: TowerElement, exps) -> bool:
-    e = exps[0]
-    if not el.knows(e):
-        return False
-    if el.level == 1:
-        return True
-    if e in el.coeffs:
-        return _knows_exponents(el.coeffs[e], exps[1:])
-    return True  # exactly-zero coefficient is fully known

@@ -322,9 +322,6 @@ class TowerElement:
             "window too small to certify the leading term"
         )
 
-    def leading_coefficient(self) -> Coeff:
-        return self.coefficient(self.valuation())
-
     # -- coefficient access ---------------------------------------------------
 
     @property

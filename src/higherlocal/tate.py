@@ -666,10 +666,7 @@ def _kernel_window(labels, kernel) -> Optional[Tuple[int, int]]:
     exps = []
     for vec in kernel:
         for k, (comp, e) in enumerate(labels):
-            x = vec[k]
-            if isinstance(x, TowerElement) and x.is_certainly_nonzero():
-                exps.append(e)
-            elif isinstance(x, Fraction) and x != 0:
+            if vec[k].is_certainly_nonzero():
                 exps.append(e)
     if not exps:
         return None

@@ -225,6 +225,45 @@ class TestDeterminant:
             if e != 0:
                 den *= e
         assert abs(rep.trace[0]) == abs(num / den)
+        # the exact ratios, sign included, on the default schedule
+        assert rep.value is None
+        assert rep.trace == (
+            Fraction(-41409225, 134217728),
+            Fraction(-1371086188563, 4398046511104),
+            Fraction(-90324408810638025, 288230376151711744),
+            Fraction(-194982739369178378479801875, 618970019642690137449562112),
+            Fraction(
+                -839627810491391983594064608696601289,
+                2658455991569831745807614120560689152,
+            ),
+        )
+
+    def test_non_diagonal_rank2_trace_is_pinned(self):
+        # the t^-1 entry couples the components, so the window is not diagonal
+        t = F1.gen(1)
+        A = SeriesMatrix(
+            [[Fraction(1, 2) * t ** -1, t ** -1], [F1.zero(), Fraction(1, 3) * t ** -1]]
+        )
+        rep = epsilon_det_rel(
+            Connection(F1, [A]), Connection.trivial(F1, 2), dlog_form()
+        )
+        assert (rep.status, rep.value) == ("non-stabilizing", None)
+        assert rep.trace == (
+            Fraction(29870408979125, 361102068154368),
+            Fraction(10742497619405827221030175, 127338577759142414150270976),
+            Fraction(
+                9329429797794006585073035749139125,
+                109506515262207869483735826240110592,
+            ),
+            Fraction(
+                158731734834997515454322231437342712229111193558984375,
+                1844919567442051879000467394376117244829410898829377536,
+            ),
+            Fraction(
+                3482909505110294899126774711603310961396746997644073029389905767041979851445,
+                40282824725322892759452783421368013878043141392511652715397160162643985563648,
+            ),
+        )
 
     def test_scaled_form_ratio_one(self):
         C = reg1(Fraction(1, 2))

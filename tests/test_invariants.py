@@ -13,8 +13,9 @@ from higherlocal.derham import cohomology_dims
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.epsilon import epsilon_degree
 from higherlocal.derham import standard_forms
-from higherlocal.linalg import SeriesMatrix, window_matrix
+from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
+from higherlocal.tate import MatrixDiffOp, window_columns
 
 F1 = TowerField(1)
 
@@ -136,28 +137,23 @@ class TestGaugeInvariants:
 
 class TestWindowComposition:
     def test_window_matrix_of_composition(self):
-        # multiplication by t followed by d/dt, on compatible windows
-        def mul_t(comp, exps):
-            return (F1.monomial([exps[0] + 1]),)
+        # multiplication by t followed by d/dt, on compatible windows: the
+        # middle window [-4, 4) holds every image of t on [-3, 3), and the
+        # cut at t^2 drops the same terms on both sides
+        t = F1.gen(1)
+        mul_t = MatrixDiffOp.multiplication(SeriesMatrix([[t]]))
+        ddt = MatrixDiffOp.from_scalar([F1.zero(), F1.one()])
+        composed = MatrixDiffOp.first_order(t, SeriesMatrix([[F1.one()]]))  # t d/dt + 1
 
-        def ddt(comp, exps):
-            e = exps[0]
-            if e == 0:
-                return (F1.zero(),)
-            return (F1.monomial([e - 1], e),)
+        def dense(win):
+            return [
+                [Fraction(col.get(i, 0), win.dens[c]) for col in win.columns]
+                for i, (c, _) in enumerate(win.tgt_labels)
+            ]
 
-        def composed(comp, exps):
-            e = exps[0] + 1
-            return (F1.monomial([e - 1], e),)
-
-        inner = [(0, (e,)) for e in range(-3, 4)]
-        mid = [(0, (e,)) for e in range(-2, 5)]
-        outer = [(0, (e,)) for e in range(-3, 4)]
-        W1 = window_matrix(mul_t, inner, mid)
-        W2 = window_matrix(ddt, mid, outer)
-        W = window_matrix(composed, inner, outer)
-        a = [list(r) for r in W2.entries]
-        b = [list(r) for r in W1.entries]
+        b = dense(window_columns(mul_t, 3, [(-4, 4)]))
+        a = dense(window_columns(ddt, 4, [(-5, 2)]))
+        W = dense(window_columns(composed, 3, [(-5, 2)]))
         prod = [
             [
                 sum(a[i][k] * b[k][j] for k in range(len(b)))
@@ -165,4 +161,4 @@ class TestWindowComposition:
             ]
             for i in range(len(a))
         ]
-        assert [list(r) for r in W.entries] == prod
+        assert W == prod

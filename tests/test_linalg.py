@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from higherlocal import linalg, series
-from higherlocal.errors import HigherLocalError, UndeterminedPivot, WindowOverflow
+from higherlocal.errors import HigherLocalError, InsufficientPrecision, UndeterminedPivot
 from higherlocal.linalg import (
     SeriesMatrix,
     inverse,
@@ -17,9 +17,9 @@ from higherlocal.linalg import (
     solve_columns,
     sparse_echelon,
     sparse_kernel,
-    window_matrix,
 )
 from higherlocal.series import TowerElement, TowerField
+from higherlocal.tate import MatrixDiffOp, realize_window, window_columns
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -422,71 +422,58 @@ class TestEliminationOracle:
         assert len(calls) == 4
 
 
+def window_entries(win):
+    """The dense rational rows of a level-1 window realization."""
+    return [
+        [Fraction(col.get(i, 0), win.dens[c]) for col in win.columns]
+        for i, (c, _) in enumerate(win.tgt_labels)
+    ]
+
+
 class TestWindowMatrix:
+    """Windows of monomial operators, built by ``tate.window_columns``."""
+
     def test_euler_operator_diagonal(self):
-        t = F1.gen(1)
-
-        def theta(comp, exps):
-            e = exps[0]
-            return (F1.monomial([e], e),)
-
-        labels = [(0, (e,)) for e in range(-2, 2)]
-        W = window_matrix(theta, labels, labels)
-        assert W.shape == (4, 4)
-        diag = [W.entries[i][i] for i in range(4)]
+        theta = MatrixDiffOp.from_scalar([F1.zero(), F1.gen(1)])
+        W = window_entries(window_columns(theta, 2, [(-2, 2)]))
+        assert (len(W), len(W[0])) == (4, 4)
+        diag = [W[i][i] for i in range(4)]
         assert diag == [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1)]
-        assert all(
-            W.entries[i][j] == 0 for i in range(4) for j in range(4) if i != j
-        )
+        assert all(W[i][j] == 0 for i in range(4) for j in range(4) if i != j)
 
     def test_multiplication_shift(self):
-        def mul_t(comp, exps):
-            return (F1.monomial([exps[0] + 1]),)
-
-        labels = [(0, (e,)) for e in range(0, 3)]
-        W = window_matrix(mul_t, labels, labels)
+        mul_t = MatrixDiffOp.multiplication(SeriesMatrix([[F1.gen(1)]]))
+        win = window_columns(mul_t, 2, [(-2, 2)])
+        W = window_entries(win)
         # subdiagonal: image of t^e is t^(e+1); the top one leaves the window
-        assert W.entries[1][0] == 1
-        assert W.entries[2][1] == 1
-        assert all(W.entries[0][j] == 0 for j in range(3))
-        assert W.rank() == 2
+        assert all(W[i + 1][i] == 1 for i in range(3))
+        assert all(W[0][j] == 0 for j in range(4))
+        assert win.columns[3] == {}
+        assert len(sparse_echelon(win.sparse_rows())) == 3
 
     def test_derivative_image_window(self):
-        def ddt(comp, exps):
-            e = exps[0]
-            if e == 0:
-                return (F1.zero(),)
-            return (F1.monomial([e - 1], e),)
-
-        labels = [(0, (e,)) for e in range(0, 3)]
-        W = window_matrix(ddt, labels, None)
-        assert [lab[1][0] for lab in W.row_labels] == [0, 1]
-        # entries m at (m-1 <- m)
-        assert W.entries[0][1] == 1
-        assert W.entries[1][2] == 2
+        ddt = MatrixDiffOp.from_scalar([F1.zero(), F1.one()])
+        win = realize_window(ddt, 3)
+        # the target is the displacement hull of the images of t^-3 .. t^2
+        assert [e for _, e in win.tgt_labels] == list(range(-4, 2))
+        # entries m at (m-1 <- m); no image reaches t^-1
+        W = window_entries(win)
+        for j, (_, m) in enumerate(win.src_labels):
+            for i, (_, e) in enumerate(win.tgt_labels):
+                assert W[i][j] == (m if e == m - 1 else 0)
 
     def test_overflow_on_unknown_image(self):
         fuzz = F1.one().truncate(1)  # 1 + O(t)
-
-        def op(comp, exps):
-            return (fuzz,)
-
-        labels = [(0, (0,))]
-        with pytest.raises(WindowOverflow):
-            window_matrix(op, labels, [(0, (e,)) for e in range(0, 3)])
+        op = MatrixDiffOp.multiplication(SeriesMatrix([[fuzz]]))
+        with pytest.raises(InsufficientPrecision):
+            window_columns(op, 1, [(-1, 3)])
 
     def test_kernel_and_cokernel_dims(self):
-        def ddt(comp, exps):
-            e = exps[0]
-            if e == 0:
-                return (F1.zero(),)
-            return (F1.monomial([e - 1], e),)
-
-        src = [(0, (e,)) for e in range(-3, 3)]
-        tgt = [(0, (e,)) for e in range(-4, 2)]
-        W = window_matrix(ddt, src, tgt)
-        assert W.kernel_dim() == 1  # constants
-        assert W.cokernel_dim() == 1  # class of t^-1
+        ddt = MatrixDiffOp.from_scalar([F1.zero(), F1.one()])
+        win = window_columns(ddt, 3, [(-4, 2)])
+        rank = len(sparse_echelon(win.sparse_rows()))
+        assert len(win.src_labels) - rank == 1  # constants
+        assert len(win.tgt_labels) - rank == 1  # class of t^-1
 
 
 # -- the rational sparse eliminator, kept as the reference --------------------
