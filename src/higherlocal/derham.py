@@ -670,12 +670,11 @@ def cohomology_dims(
 ) -> CohomologyReport:
     """Windowed cohomology dimensions with a certified degree-one side.
 
-    The degree-zero dimension is the persistent windowed kernel, a
-    presentation-independent quantity.  The degree-one dimension is
-    normalized through the certified irregularity (the windowed Euler
-    characteristic on the standard lattice equals minus the irregularity);
-    the raw windowed cokernel is computed alongside and compared, since its
-    value is sensitive to hull-widening changes of presentation.
+    The degree-zero dimension is the windowed kernel of the lattice probes
+    (:func:`operator_index`), a presentation-independent quantity.  The
+    degree-one dimension is normalized through the certified irregularity
+    (the windowed Euler characteristic equals minus the irregularity); the
+    windowed cokernel is computed alongside and compared.
     """
     n = C.field.level
     if n == 1:

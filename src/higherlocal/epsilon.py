@@ -215,7 +215,7 @@ def _pseudo_determinant(work) -> Fraction:
 
 
 def _symmetric_window_pseudo_det(op: MatrixDiffOp, w: int) -> Fraction:
-    win = window_columns(op, w, [(-w, w)] * op.rank, clip_below=True)
+    win = window_columns(op, (-w, w), [(-w, w)] * op.rank, clip_below=True)
     # the pivot product needs the values, not the per-row integer numerators
     return _pseudo_determinant(
         [

@@ -8,8 +8,9 @@ exactly zero raises :class:`UndeterminedPivot` instead of guessing.
 
 Over the rationals, :func:`sparse_echelon` and :func:`sparse_kernel` are the
 fraction-free eliminators of the sparse window matrices that
-:func:`higherlocal.tate.window_columns` builds; the dense :func:`rref_q` and
-:func:`kernel_q` serve small kernel-span computations.
+:func:`higherlocal.tate.window_columns` builds; the dense :func:`rref_q`,
+:func:`kernel_q` and :func:`rank_q` are the plain eliminations over Q that
+the test suite checks them against.
 """
 
 from __future__ import annotations

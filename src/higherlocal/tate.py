@@ -1,28 +1,33 @@
 """Finite-window model of Tate-type operator indices.
 
-An operator on the one-variable field is realized on monomial windows: the
-source window is symmetric, the target window extends at the bottom to the
-full displacement hull of the operator (no image coefficient is dropped
-there) and is cut at the top at the displacement of the derivative term
-(quotient semantics, so deep lattice directions are truncated uniformly).
-Kernel and cokernel dimensions of the resulting rational matrices are
-tracked over a window schedule and declared stable after two consecutive
-agreements; truncation alone cannot prove stabilization, so reports carry
-the Newton-polygon prediction whenever one is available, and kernel
-elements are only reported when their windowed representatives extend under
-window enlargement.
+An operator ``T`` on ``k((t))^r`` is measured by relative dimensions of
+lattices, as in the n-Tate formalism.  With ``L = k[[t]]^r``,
+``L_x = t^x L`` and ``d(X, Y) = dim X/(X cap Y) - dim Y/(X cap Y)``, the
+relative dimension ``D(x) = d(L_x, T L_x)`` is ``r (W - x) - rank M(x, W)``
+for any cut ``W`` with ``t^W L`` inside ``T L_x``, where ``M(x, W)`` is the
+rational matrix of ``T`` from the monomials [x, W - delta) to
+[x + delta, W) and ``delta`` is the least displacement of ``T``.  Each
+schedule entry ``w`` probes ``x = -w`` and ``x = w`` with ``W = 2w``: the
+kernel is ``D(-w) - D(w)``, the solutions with valuations in [-w, w), and
+the index is ``-sum_i delta_top(i) + D(w)``, which is the lattice-invariant
+degree once ``w`` lies above every solution valuation; the cokernel is
+kernel minus index.  A report settles at two consecutive equal
+(kernel, cokernel) pairs, neither negative.  The probes cannot prove that
+they reach past every solution valuation and cokernel position, so reports
+carry the Newton-polygon prediction whenever one is available.
 
-The same construction runs one level up: an operator in the outermost
-variable of a two-variable field is realized as a finite matrix *over* the
-inner field, and its kernel/cokernel are then finite-dimensional inner-field
-spaces with explicit bounded outer windows.  That is the computational
-meaning used for the directional kernel/cokernel boundedness judgments.
+The same windows run one level up: an operator in the outermost variable of
+a two-variable field is realized as a finite matrix *over* the inner field,
+with the target cut at the hull displacement for the kernel and at the
+derivative term's displacement for the cokernel, and its kernel/cokernel
+are then finite-dimensional inner-field spaces with explicit bounded outer
+windows.  That is the computational meaning used for the directional
+kernel/cokernel boundedness judgments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,9 +35,7 @@ from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame
 from .linalg import (
     SeriesMatrix,
-    kernel_q,
     rank_kernel_det,
-    rref_q,
     sparse_echelon,
     sparse_kernel,
 )
@@ -163,7 +166,7 @@ class MatrixDiffOp:
 
 
 # ---------------------------------------------------------------------------
-# Window realization and stabilized index
+# Window realization and the lattice-probe index
 # ---------------------------------------------------------------------------
 
 def _exponent_major(labels) -> List[int]:
@@ -190,7 +193,7 @@ class WindowRealization:
         """The same columns cut to target exponents ``bounds[i]`` per component.
 
         The kept labels must all be target labels here, as the bottom
-        window's are of the top window's (see :func:`_top_cokernel`).
+        window's are of the top window's (see :func:`reduce_outer_window`).
         """
         tgt_labels = tuple((c, e) for c, b in enumerate(bounds) for e in range(*b))
         pos = {lab: k for k, lab in enumerate(tgt_labels)}
@@ -200,39 +203,50 @@ class WindowRealization:
         ]
         return WindowRealization(self.src_labels, tgt_labels, columns, self.dens)
 
-    def kernel(self) -> List[dict]:
-        """Right-kernel basis of a level-1 window, as sparse primitive
-        integer vectors over ``src_labels`` positions (:func:`sparse_kernel`).
+    def banded(self) -> Tuple[List[int], List[dict]]:
+        """The rows for the eliminator, and the label position of each column.
 
         Window matrices are banded in the exponent, so they go to the
         eliminator exponent-major; in the component-major label order the
         leftmost-column pivot rule fills in across all rank^2 diagonal
         blocks.  The rows go in ascending order and the columns in
-        descending order, so each row pivots on its highest source term: in
-        a bottom window that is the row's lattice-sharp ``delta_bottom``
-        term, almost always still free, so few rows meet an earlier pivot.
+        descending order, so each row pivots on its highest source term,
+        the row's lattice-sharp ``delta_bottom`` term, almost always still
+        free, so few rows meet an earlier pivot.  Column ``k`` of the rows
+        is the source label at position ``order[k]``.
+        """
+        order = _exponent_major(self.src_labels)[::-1]
+        by_label: List[dict] = [dict() for _ in self.tgt_labels]
+        for k, j in enumerate(order):
+            for i, q in self.columns[j].items():
+                by_label[i][k] = q
+        return order, [by_label[i] for i in _exponent_major(self.tgt_labels)]
+
+    def kernel(self) -> List[dict]:
+        """Right-kernel basis of a level-1 window, as sparse primitive
+        integer vectors over ``src_labels`` positions (:func:`sparse_kernel`
+        of the :meth:`banded` rows).
+
         Neither the order, nor the rows being integer numerators (each row
         over its own denominator), nor the integer scaling of the vectors
-        changes the kernel subspace, and every caller reads only that span;
-        the vectors are mapped back to the component-major labels.
+        changes the kernel subspace; the vectors are mapped back to the
+        component-major labels.  In the descending column order each
+        vector is 0 at the other free columns and below the exponent of
+        its own.
         """
-        src_order = _exponent_major(self.src_labels)[::-1]
-        banded_col = {j: k for k, j in enumerate(src_order)}
-        rows = self.sparse_rows()
-        banded = [
-            {banded_col[j]: q for j, q in rows[i].items()}
-            for i in _exponent_major(self.tgt_labels)
-        ]
+        order, rows = self.banded()
         return [
-            {src_order[k]: q for k, q in vec.items()}
-            for vec in sparse_kernel(banded, len(src_order))
+            {order[k]: q for k, q in vec.items()} for vec in sparse_kernel(rows, len(order))
         ]
 
 
 def window_columns(
-    op: MatrixDiffOp, w: int, bounds: Sequence[Tuple[int, int]], clip_below: bool = False
+    op: MatrixDiffOp,
+    src: Tuple[int, int],
+    bounds: Sequence[Tuple[int, int]],
+    clip_below: bool = False,
 ) -> WindowRealization:
-    """Matrix of ``op`` from the source window [-w, w) in every component.
+    """Matrix of ``op`` from the source exponents ``src = [lo, hi)`` in every component.
 
     Target component ``i`` keeps the exponents ``bounds[i] = [lo, hi)``.
     Columns are written straight from the coefficient dicts: a coefficient
@@ -251,7 +265,7 @@ def window_columns(
     ``entry.hi + e - d``, and a sum is known below the least bound of its
     terms.
     """
-    src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
+    src_labels = [(c, e) for c in range(op.rank) for e in range(*src)]
     tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
     offset = []  # target row of (i, ee) is offset[i] + ee
     start = 0
@@ -321,11 +335,11 @@ def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
 
     Both modes extend the target down to the full displacement hull, so no
     image coefficient is lost at the bottom.  The ``top`` mode cuts the
-    target at the derivative term's displacement; the gap between the two
-    displacements is what the cokernel count measures.  The ``bottom`` mode
-    cuts at the hull displacement itself, the sharp image of a deep lattice,
-    which guarantees that truncations of true solutions lie in the windowed
-    kernel.  A zero row keeps the source window.
+    target at the derivative term's displacement; the ``bottom`` mode cuts
+    at the hull displacement itself, the sharp image of a deep lattice.  A
+    zero row keeps the source window.  The outer-window reduction
+    (:func:`reduce_outer_window`) reads its kernel off the bottom cut and
+    its cokernel off the top one.
     """
     bounds = []
     for i in range(op.rank):
@@ -339,96 +353,33 @@ def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
 
 
 def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealization:
-    """Matrix of ``op`` on [-w, w) monomial windows, cut by :func:`window_bounds`.
+    """Matrix of ``op`` on [-w, w) monomial windows, cut by :func:`window_bounds`."""
+    return window_columns(op, (-w, w), window_bounds(op, w, mode))
 
-    Kernels are read off the bottom realization; cokernels off the top one's
-    extra rows together with the bottom kernel (``_top_cokernel``).
-    :func:`operator_index` realizes only the top window and cuts the bottom
-    one out of it with :meth:`WindowRealization.restrict`: the bottom rows
-    are a subset of the top rows with the same entries, and the top window
-    needs the longer coefficients, so it is the one that raises
-    :class:`InsufficientPrecision` first.
+
+def probe_window(op: MatrixDiffOp, w: int, W: int, delta: int) -> WindowRealization:
+    """``M(-w, W)``: ``op`` from exponents [-w, W - delta) to [-w + delta, W).
+
+    ``delta`` is the least ``delta_bottom`` of the rows, so ``op`` maps the
+    lattice ``t^x L`` into ``t^(x + delta) L`` and the sources at or above
+    ``W - delta`` land at or above the cut.  The columns of exponent at or
+    above ``w`` form ``M(w, W)``: their images below ``w + delta`` are 0.
     """
-    return window_columns(op, w, window_bounds(op, w, mode))
-
-
-def _top_cokernel(
-    bottom: WindowRealization, top: WindowRealization, kernel: List[dict]
-) -> int:
-    """Cokernel dimension of the top window, read off the bottom kernel.
-
-    Component ``i`` has target exponents [-w + delta_b, w + delta_b) at the
-    bottom and [-w + delta_b, w + delta_t) at the top, with delta_t >=
-    delta_b (a minimum over a subset of the same entries), under the same
-    quotient cut.  So the bottom matrix is the top one restricted to a
-    subset of its rows (:func:`operator_index` builds it that way, with
-    :meth:`WindowRealization.restrict`), and ker(top) = {v in ker(bottom) :
-    E v = 0} for the extra top rows E.  E K is a small sparse matrix, one
-    row per extra top row and one column per kernel vector, summed in
-    integers from the integer rows of E and the integer kernel vectors; its
-    rank comes from :func:`sparse_echelon`.  Scaling a row of E (each is
-    its numerators over one denominator) or a kernel vector leaves that
-    rank as it is.
-    """
-    shared = set(bottom.tgt_labels)
-    E: Dict[int, dict] = {
-        k: {} for k, lab in enumerate(top.tgt_labels) if lab not in shared
-    }
-    for j, col in enumerate(top.columns):
-        for k, q in col.items():
-            if k in E:
-                E[k][j] = q
-    EK = [
-        {k: sum(q * v[j] for j, q in row.items() if j in v) for k, v in enumerate(kernel)}
-        for row in E.values()
-    ]
-    ker_top = len(kernel) - len(sparse_echelon(EK))
-    return len(top.tgt_labels) - (len(top.src_labels) - ker_top)
+    return window_columns(op, (-w, W - delta), [(-w + delta, W)] * op.rank)
 
 
 def _kernel_vectors_to_elements(
-    labels, vecs: List[List[Fraction]], rank: int, w: int
+    labels, vecs: List[dict], rank: int, hi: int
 ) -> Tuple[Tuple[TowerElement, ...], ...]:
+    """Sparse vectors over label positions as elements known below ``t^hi``."""
     out = []
     for v in vecs:
-        comps = []
-        for c in range(rank):
-            coeffs = {}
-            for k, (comp, e) in enumerate(labels):
-                if comp == c and v[k] != 0:
-                    coeffs[e] = v[k]
-            comps.append(TowerElement(1, coeffs, w, False))
-        out.append(tuple(comps))
+        comps = [{} for _ in range(rank)]
+        for k, q in v.items():
+            c, e = labels[k]
+            comps[c][e] = q
+        out.append(tuple(TowerElement(1, coeffs, hi, False) for coeffs in comps))
     return tuple(out)
-
-
-def _span_intersection(a_vecs, b_vecs):
-    """Basis of span(a) intersect span(b), coordinates of the common space."""
-    if not a_vecs or not b_vecs:
-        return []
-    m = len(a_vecs[0])
-    # solve sum x_i a_i = sum y_i b_i: one equation per coordinate
-    rows = []
-    na, nb = len(a_vecs), len(b_vecs)
-    for j in range(m):
-        rows.append(
-            [a_vecs[i][j] for i in range(na)] + [-b_vecs[i][j] for i in range(nb)]
-        )
-    combos = kernel_q(rows)
-    out = []
-    for combo in combos:
-        vec = [Fraction(0)] * m
-        for i in range(na):
-            if combo[i] != 0:
-                for j in range(m):
-                    vec[j] += combo[i] * a_vecs[i][j]
-        if any(x != 0 for x in vec):
-            out.append(vec)
-    # reduce to an independent set
-    if not out:
-        return []
-    rank, piv, red = rref_q(out)
-    return [row for row in red[:rank]]
 
 
 def operator_index(
@@ -437,59 +388,70 @@ def operator_index(
     newton_prediction: Optional[int] = None,
     want_kernel: bool = True,
 ) -> IndexReport:
-    """Stabilized window kernel/cokernel dimensions of a one-variable operator.
+    """Kernel, cokernel and index of a one-variable operator, from lattice probes.
 
-    The reported kernel dimension is the persistent one, dim(span K cap
-    span T) = rank T + |K| - rank(T u K), for ``K`` a window's bottom kernel
-    (sparse integer vectors) and ``T`` the next window's, restricted to this
-    window's labels: three ranks from :func:`sparse_echelon`.  Its basis,
-    the reduced echelon form of that subspace over Q, is built only when it
-    is returned.
+    With ``L = k[[t]]^r``, ``L_x = t^x L`` and ``delta`` the least
+    ``delta_bottom``, the relative dimension ``D(x) = d(L_x, op L_x)`` is
+    ``r (W - x) - rank M(x, W)`` for any ``W`` with ``t^W L`` inside
+    ``op L_x``, where ``M(x, W)`` is ``op`` from exponents [x, W - delta)
+    to [x + delta, W).  At each schedule entry ``w`` the probes are
+    ``x = -w`` and ``x = w`` with ``W = 2w``; both ranks come from one
+    :func:`sparse_echelon` of :func:`probe_window`, since ``M(w, W)`` is
+    its leading column block in the descending column order.  Then
+    ``ker = D(-w) - D(w)``, ``index = -sum_i delta_top(i) + D(w)`` and
+    ``coker = ker - index``; the offset is ``r (1 + v(h))`` for
+    ``h^-1 (d/dt + A)`` and 0 for a unit multiplication.  Inexact
+    coefficients lower ``W`` to the highest exponent at which the image of
+    ``t^-w`` is known, and the schedule ends where that is no more than
+    ``w``.  The trace holds ``(w, ker, coker)`` per probe; the report
+    settles at two consecutive equal (ker, coker) pairs, neither negative,
+    and ``stabilized_at`` is the later ``w``.
+
+    With ``want_kernel`` the basis is ``ker M(-w, W)`` modulo
+    ``ker M(w, W)``, read below ``t^w``: each vector of
+    :meth:`WindowRealization.kernel` is 0 at the other free columns and
+    below the exponent of its own, so those of the free columns at or above
+    ``w`` span ``ker M(w, W)``, and the ``ker`` others, each nonzero at its
+    own free column below ``t^w``, span a complement of it.
     """
-    windows: List[Tuple[int, Tuple, List[dict], int]] = []  # (w, labels, K, coker)
+    r = op.rank
+    delta = min(op.delta_bottom(i) for i in range(r))
+    offset = -sum(op.delta_top(i) for i in range(r))
+    # an inexact entry of C_d known below t^hi knows the image of t^e below
+    # t^(hi + e - d), so the lowest source -w caps the cut at known - w
+    known = min(
+        (x.hi - d for i in range(r) for d, x in op._row_entries(i) if not x.exact),
+        default=None,
+    )
     trace: List[Tuple[int, int, int]] = []
     for w in schedule:
-        try:
-            top = realize_window(op, w, "top")
-        except InsufficientPrecision:
-            # coefficients cannot honestly fill this window; larger windows
-            # are unreachable, work with what was seen so far
+        W = 2 * w if known is None else min(2 * w, known - w)
+        if W <= w:
+            # the coefficients cannot fill this probe; larger ones are
+            # unreachable, work with what was seen so far
             break
-        bottom = top.restrict(window_bounds(op, w, "bottom"))
-        kernel = bottom.kernel()
-        windows.append((w, bottom.src_labels, kernel, _top_cokernel(bottom, top, kernel)))
-        if len(windows) < 2:
-            continue
-        (wi, labels, K, coker), (_, labels2, _, _) = windows[-2:]
-        # T: this window's kernel restricted to the labels of the one before
-        pos = {lab: k for k, lab in enumerate(labels)}
-        moved = {k2: pos[lab] for k2, lab in enumerate(labels2) if lab in pos}
-        T = [{moved[k]: v for k, v in vec.items() if k in moved} for vec in kernel]
-        ker = 0
-        if K and T:
-            ker = len(sparse_echelon(T)) + len(K) - len(sparse_echelon(T + K))
-        trace.append((wi, ker, coker))
-        if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
+        win = probe_window(op, w, W, delta)
+        pivots = sparse_echelon(win.banded()[1])
+        high = r * (W - delta - w)  # the columns of M(w, W) come first
+        d_low = r * (W + w) - len(pivots)
+        d_high = r * (W - w) - sum(1 for c in pivots if c < high)
+        ker = d_low - d_high
+        index = offset + d_high
+        coker = ker - index
+        trace.append((w, ker, coker))
+        if len(trace) >= 2 and trace[-2][1:] == (ker, coker) and min(ker, coker) >= 0:
             basis = ()
             if want_kernel and ker > 0:
-                dense = [[v.get(k, 0) for k in range(len(labels))] for v in T + K]
-                persistent = _span_intersection(dense[: len(T)], dense[len(T) :])
-                basis = _kernel_vectors_to_elements(labels, persistent, op.rank, wi)
-            return IndexReport(
-                ker, coker, ker - coker, wi, basis, newton_prediction, tuple(trace)
-            )
-    if not windows:
+                labels = win.src_labels
+                vecs = [v for v in win.kernel() if any(labels[k][1] < w for k in v)]
+                basis = _kernel_vectors_to_elements(labels, vecs, r, w)
+            return IndexReport(ker, coker, index, w, basis, newton_prediction, tuple(trace))
+    if not trace:
         raise InsufficientPrecision(
             "operator coefficients cannot fill even the smallest window"
         )
-    if not trace:
-        # a single window was computable; report it without persistence
-        w, _, K, coker = windows[0]
-        trace = [(w, len(K), coker)]
-    w, ker, coker = trace[-1]
-    return IndexReport(
-        ker, coker, ker - coker, None, (), newton_prediction, tuple(trace)
-    )
+    _, ker, coker = trace[-1]
+    return IndexReport(ker, coker, ker - coker, None, (), newton_prediction, tuple(trace))
 
 
 def calkin_iso_check(
@@ -532,7 +494,7 @@ def realize_outer_window(
     op: OuterMatrixDiffOp, w: int, mode: str = "top"
 ) -> OuterRealization:
     """Matrix of ``op`` over the inner field, cut by :func:`window_bounds`."""
-    return _over_inner_field(window_columns(op, w, window_bounds(op, w, mode)))
+    return _over_inner_field(window_columns(op, (-w, w), window_bounds(op, w, mode)))
 
 
 def _over_inner_field(win: WindowRealization) -> OuterRealization:
@@ -570,7 +532,7 @@ def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
     # window is realized once, and the bottom rows are cut out of the top
     # ones as operator_index does.  The cokernel slots come from the pivots
     # of the transposed top matrix, so both are eliminated.
-    win = window_columns(op, w, window_bounds(op, w, "top"))
+    win = window_columns(op, (-w, w), window_bounds(op, w, "top"))
     bottom = _over_inner_field(win.restrict(window_bounds(op, w, "bottom")))
     res_b = rank_kernel_det(bottom.matrix, want_kernel=True)
     top = _over_inner_field(win)

@@ -14,6 +14,7 @@ from higherlocal.connection import (
 from higherlocal.derham import FormTuple, standard_forms
 from higherlocal.epsilon import (
     SignConvention,
+    _pseudo_determinant,
     consistent_signs,
     epsilon_degree,
     epsilon_det_rel,
@@ -264,6 +265,14 @@ class TestDeterminant:
                 40282824725322892759452783421368013878043141392511652715397160162643985563648,
             ),
         )
+
+    def test_pseudo_determinant_pivots_on_the_first_nonzero_row(self):
+        # a singular window: the pivot product depends on the pivot row,
+        # 1 with the first nonzero row and -2 (a swap, then 2) with the last
+        # one, so an eliminator that picks its own pivot rows would change
+        # the ratios
+        rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
+        assert _pseudo_determinant(rows) == 1
 
     def test_scaled_form_ratio_one(self):
         C = reg1(Fraction(1, 2))

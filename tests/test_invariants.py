@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from higherlocal.connection import (
     Connection,
     KummerCover,
@@ -15,7 +17,7 @@ from higherlocal.epsilon import epsilon_degree
 from higherlocal.derham import standard_forms
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
-from higherlocal.tate import MatrixDiffOp, window_columns
+from higherlocal.tate import MatrixDiffOp, operator_index, window_columns
 
 F1 = TowerField(1)
 
@@ -135,6 +137,66 @@ class TestGaugeInvariants:
                 assert got == base, (base, got)
 
 
+def diagonal(entries):
+    r = len(entries)
+    return SeriesMatrix([[entries[i] if i == j else F1.zero() for j in range(r)] for i in range(r)])
+
+
+def elementary(r, i, j, c):
+    """The identity plus ``c`` at (i, j), i != j."""
+    rows = [[F1.one() if a == b else F1.zero() for b in range(r)] for a in range(r)]
+    rows[i][j] = F1.rational(c)
+    return SeriesMatrix(rows)
+
+
+@st.composite
+def gauged_presentations(draw):
+    """An exact presentation, a normalizer and a gauge with its inverse.
+
+    Rank 1-3, entries t^-3 .. t^1 with coefficients +-1 .. +-3 at density
+    1/2, the 1-form dt or dt/t; the gauge is a shear diag(t^a) with a in
+    {-2..2}^r, or a product of two constant elementary matrices.
+    """
+    r = draw(st.integers(1, 3))
+    t = F1.gen(1)
+    coefficient = st.sampled_from((0,) * 6 + (-3, -2, -1, 1, 2, 3))
+    A = SeriesMatrix(
+        [
+            [sum((draw(coefficient) * t ** k for k in range(-3, 2)), F1.zero()) for _ in range(r)]
+            for _ in range(r)
+        ]
+    )
+    h = draw(st.sampled_from((F1.one(), t ** -1)))
+    if r == 1 or draw(st.booleans()):
+        a = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        g = diagonal([t ** k for k in a])
+        g_inv = diagonal([t ** -k for k in a])
+    else:
+        pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+        (i, j), (k, l) = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2))
+        c, d = draw(st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=2, max_size=2))
+        g = elementary(r, i, j, c) @ elementary(r, k, l, d)
+        g_inv = elementary(r, k, l, -d) @ elementary(r, i, j, -c)
+    return Connection(F1, [A]), h, g, g_inv
+
+
+class TestWindowedGaugeInvariance:
+    """The windowed degree and h0 are invariants of the connection: a gauge
+    change moves neither.  Only the window route is read."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(gauged_presentations())
+    def test_degree_and_h0_do_not_move(self, case):
+        C, h, g, g_inv = case
+        before = operator_index(MatrixDiffOp.from_connection(C, normalizer=h), want_kernel=False)
+        after = operator_index(
+            MatrixDiffOp.from_connection(C.gauge(g, g_inv), normalizer=h), want_kernel=False
+        )
+        assert before.stabilized and after.stabilized
+        # h0 is the kernel of d/dt + A, whatever the normalizer
+        assert (after.index, after.ker_dim) == (before.index, before.ker_dim)
+
+
 class TestWindowComposition:
     def test_window_matrix_of_composition(self):
         # multiplication by t followed by d/dt, on compatible windows: the
@@ -151,9 +213,9 @@ class TestWindowComposition:
                 for i, (c, _) in enumerate(win.tgt_labels)
             ]
 
-        b = dense(window_columns(mul_t, 3, [(-4, 4)]))
-        a = dense(window_columns(ddt, 4, [(-5, 2)]))
-        W = dense(window_columns(composed, 3, [(-5, 2)]))
+        b = dense(window_columns(mul_t, (-3, 3), [(-4, 4)]))
+        a = dense(window_columns(ddt, (-4, 4), [(-5, 2)]))
+        W = dense(window_columns(composed, (-3, 3), [(-5, 2)]))
         prod = [
             [
                 sum(a[i][k] * b[k][j] for k in range(len(b)))

@@ -435,7 +435,7 @@ class TestWindowMatrix:
 
     def test_euler_operator_diagonal(self):
         theta = MatrixDiffOp.from_scalar([F1.zero(), F1.gen(1)])
-        W = window_entries(window_columns(theta, 2, [(-2, 2)]))
+        W = window_entries(window_columns(theta, (-2, 2), [(-2, 2)]))
         assert (len(W), len(W[0])) == (4, 4)
         diag = [W[i][i] for i in range(4)]
         assert diag == [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1)]
@@ -443,7 +443,7 @@ class TestWindowMatrix:
 
     def test_multiplication_shift(self):
         mul_t = MatrixDiffOp.multiplication(SeriesMatrix([[F1.gen(1)]]))
-        win = window_columns(mul_t, 2, [(-2, 2)])
+        win = window_columns(mul_t, (-2, 2), [(-2, 2)])
         W = window_entries(win)
         # subdiagonal: image of t^e is t^(e+1); the top one leaves the window
         assert all(W[i + 1][i] == 1 for i in range(3))
@@ -466,11 +466,11 @@ class TestWindowMatrix:
         fuzz = F1.one().truncate(1)  # 1 + O(t)
         op = MatrixDiffOp.multiplication(SeriesMatrix([[fuzz]]))
         with pytest.raises(InsufficientPrecision):
-            window_columns(op, 1, [(-1, 3)])
+            window_columns(op, (-1, 1), [(-1, 3)])
 
     def test_kernel_and_cokernel_dims(self):
         ddt = MatrixDiffOp.from_scalar([F1.zero(), F1.one()])
-        win = window_columns(ddt, 3, [(-4, 2)])
+        win = window_columns(ddt, (-3, 3), [(-4, 2)])
         rank = len(sparse_echelon(win.sparse_rows()))
         assert len(win.src_labels) - rank == 1  # constants
         assert len(win.tgt_labels) - rank == 1  # class of t^-1

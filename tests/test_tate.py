@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from higherlocal import linalg, tate
+from higherlocal import cli, linalg, tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.errors import InsufficientPrecision, UnsupportedFrame
 from higherlocal.linalg import (
     SeriesMatrix,
+    kernel_q,
     rank_kernel_det,
     rank_q,
     rref_q,
@@ -138,6 +139,121 @@ class TestOperatorIndex:
         assert (rep1.ker_dim, rep1.coker_dim) == (rep2.ker_dim, rep2.coker_dim)
 
 
+# -- the persistence route, kept as an oracle ------------------------------------
+#
+# Each window [-w, w) is realized with the target cut at the derivative
+# term's displacement (top) and, as a subset of its rows, at the hull
+# displacement (bottom).  The kernel is read off the bottom window, the
+# cokernel off the top one through the bottom kernel, and the reported
+# kernel is the part of a window's kernel that persists into the next
+# window's.  operator_index replaced this route with one rank per lattice
+# probe; the tests that pin this route's traces run against this copy.
+
+
+def top_cokernel(bottom, top, kernel):
+    """Cokernel dimension of the top window, read off the bottom kernel.
+
+    The bottom matrix is the top one restricted to a subset of its rows, so
+    ker(top) = {v in ker(bottom) : E v = 0} for the extra top rows E; the
+    rank of the integer matrix E K comes from ``sparse_echelon``.
+    """
+    shared = set(bottom.tgt_labels)
+    E = {k: {} for k, lab in enumerate(top.tgt_labels) if lab not in shared}
+    for j, col in enumerate(top.columns):
+        for k, q in col.items():
+            if k in E:
+                E[k][j] = q
+    EK = [
+        {k: sum(q * v[j] for j, q in row.items() if j in v) for k, v in enumerate(kernel)}
+        for row in E.values()
+    ]
+    ker_top = len(kernel) - len(sparse_echelon(EK))
+    return len(top.tgt_labels) - (len(top.src_labels) - ker_top)
+
+
+def span_intersection(a_vecs, b_vecs):
+    """Basis of span(a) intersect span(b), coordinates of the common space."""
+    if not a_vecs or not b_vecs:
+        return []
+    m = len(a_vecs[0])
+    na, nb = len(a_vecs), len(b_vecs)
+    # solve sum x_i a_i = sum y_i b_i: one equation per coordinate
+    rows = [
+        [a_vecs[i][j] for i in range(na)] + [-b_vecs[i][j] for i in range(nb)]
+        for j in range(m)
+    ]
+    out = []
+    for combo in kernel_q(rows):
+        vec = [Fraction(0)] * m
+        for i in range(na):
+            if combo[i] != 0:
+                for j in range(m):
+                    vec[j] += combo[i] * a_vecs[i][j]
+        if any(x != 0 for x in vec):
+            out.append(vec)
+    if not out:
+        return []
+    rank, _, red = rref_q(out)
+    return red[:rank]
+
+
+def dense_to_elements(labels, vecs, rank, w):
+    """Dense kernel vectors over ``labels`` as elements known below ``t^w``."""
+    out = []
+    for v in vecs:
+        comps = []
+        for c in range(rank):
+            coeffs = {e: v[k] for k, (comp, e) in enumerate(labels) if comp == c and v[k] != 0}
+            comps.append(TowerElement(1, coeffs, w, False))
+        out.append(tuple(comps))
+    return tuple(out)
+
+
+def persistence_index(op, schedule, newton_prediction=None, want_kernel=True):
+    """The windowed index through bottom kernels, top cokernels and persistence.
+
+    The persistent dimension is rank T + |K| - rank(T u K), for ``K`` a
+    window's bottom kernel and ``T`` the next window's, restricted to this
+    window's labels; the pair is settled at two consecutive equal
+    (ker, coker) entries and ``stabilized_at`` is the earlier window of the
+    last pair.
+    """
+    windows = []  # (w, labels, K, coker)
+    trace = []
+    for w in schedule:
+        try:
+            top = realize_window(op, w, "top")
+        except InsufficientPrecision:
+            break
+        bottom = top.restrict(window_bounds(op, w, "bottom"))
+        kernel = bottom.kernel()
+        windows.append((w, bottom.src_labels, kernel, top_cokernel(bottom, top, kernel)))
+        if len(windows) < 2:
+            continue
+        (wi, labels, K, coker), (_, labels2, _, _) = windows[-2:]
+        pos = {lab: k for k, lab in enumerate(labels)}
+        moved = {k2: pos[lab] for k2, lab in enumerate(labels2) if lab in pos}
+        T = [{moved[k]: v for k, v in vec.items() if k in moved} for vec in kernel]
+        ker = 0
+        if K and T:
+            ker = len(sparse_echelon(T)) + len(K) - len(sparse_echelon(T + K))
+        trace.append((wi, ker, coker))
+        if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
+            basis = ()
+            if want_kernel and ker > 0:
+                dense = [[v.get(k, 0) for k in range(len(labels))] for v in T + K]
+                persistent = span_intersection(dense[: len(T)], dense[len(T):])
+                basis = dense_to_elements(labels, persistent, op.rank, wi)
+            return IndexReport(ker, coker, ker - coker, wi, basis, newton_prediction, tuple(trace))
+    if not windows:
+        raise InsufficientPrecision("operator coefficients cannot fill even the smallest window")
+    if not trace:
+        w, _, K, coker = windows[0]
+        trace = [(w, len(K), coker)]
+    _, ker, coker = trace[-1]
+    return IndexReport(ker, coker, ker - coker, None, (), newton_prediction, tuple(trace))
+
+
 def random_exact_connection(rng, rank):
     """Laurent-polynomial entries t^-3 .. t^1, density 1/2, coefficients +-1, +-2."""
     t = F1.gen(1)
@@ -168,7 +284,8 @@ def _span_rank(vecs):
 
 
 class TestWindowCrossCheck:
-    """The windowed index against the component-major reference route.
+    """The persistence route (``persistence_index``, kept as an oracle)
+    against the component-major reference route.
 
     The reference eliminates the bottom window in label order for the
     kernel and the whole top window for the rank, as independent of the
@@ -227,7 +344,7 @@ class TestWindowCrossCheck:
     def test_trace_matches_component_major_route(self):
         checked = 0
         for op in self.cases():
-            rep = operator_index(op, self.SCHEDULE)
+            rep = persistence_index(op, self.SCHEDULE)
             ref = self.reference(op)
             assert rep.trace == tuple(r[0] for r in ref[: len(rep.trace)])
             if not rep.ker_basis:
@@ -328,7 +445,7 @@ class TestOuterWindowCrossCheck:
             for normalized in (False, True):
                 op = random_outer_operator(rng, rank, normalized)
                 for w in (2, 4, 6):
-                    top = window_columns(op, w, window_bounds(op, w, "top"))
+                    top = window_columns(op, (-w, w), window_bounds(op, w, "top"))
                     cut = top.restrict(window_bounds(op, w, "bottom"))
                     bottom = realize_outer_window(op, w, "bottom")
                     assert cut.src_labels == bottom.src_labels
@@ -370,9 +487,9 @@ class TestOuterWindowCrossCheck:
         assert str(reduced.value) == str(bottom.value)
 
 
-def ref_window_columns(op, w, bounds, clip_below=False):
+def ref_window_columns(op, src, bounds, clip_below=False):
     """The level-1 column loop over Q: one Fraction product per term."""
-    src_labels = [(c, e) for c in range(op.rank) for e in range(-w, w)]
+    src_labels = [(c, e) for c in range(op.rank) for e in range(*src)]
     tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
     offset = []
     start = 0
@@ -434,14 +551,14 @@ def ascending_kernel(win):
 
 
 def ref_operator_index(op, schedule):
-    """:func:`operator_index` with ``want_kernel`` over Q in ascending order:
+    """The persistence route with ``want_kernel`` over Q in ascending order:
     ``Fraction`` columns, eliminated with the columns in ascending
     exponent-major order.  The cokernel is the corank of the dense top
     window over Q, not the library's top-from-bottom ``E K`` route."""
     kernels, cokers, trace = [], [], []
     for w in schedule:
         try:
-            top = ref_window_columns(op, w, window_bounds(op, w, "top"))
+            top = ref_window_columns(op, (-w, w), window_bounds(op, w, "top"))
         except InsufficientPrecision:
             break
         bottom = top.restrict(window_bounds(op, w, "bottom"))
@@ -456,13 +573,13 @@ def ref_operator_index(op, schedule):
         persistent = []
         if kvecs:
             truncated = _restrict(kvecs2, labels2, labels)
-            persistent = tate._span_intersection(truncated, kvecs)
+            persistent = span_intersection(truncated, kvecs)
         trace.append((wi, len(persistent), cokers[-2]))
         if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
             ker, coker = trace[-1][1:]
             basis = ()
             if ker:
-                basis = tate._kernel_vectors_to_elements(labels, persistent, op.rank, wi)
+                basis = dense_to_elements(labels, persistent, op.rank, wi)
             return IndexReport(ker, coker, ker - coker, wi, basis, None, tuple(trace))
     if not kernels:
         raise InsufficientPrecision("too short")
@@ -522,13 +639,13 @@ class TestIntegerWindowColumns:
     def test_columns_match_rational_loop(self, op, w):
         for mode in ("bottom", "top"):
             bounds = window_bounds(op, w, mode)
-            assert realized(rational_window_columns, op, w, bounds) == realized(
-                ref_window_columns, op, w, bounds
+            assert realized(rational_window_columns, op, (-w, w), bounds) == realized(
+                ref_window_columns, op, (-w, w), bounds
             )
         symmetric = [(-w, w)] * op.rank
         assert realized(
-            rational_window_columns, op, w, symmetric, clip_below=True
-        ) == realized(ref_window_columns, op, w, symmetric, clip_below=True)
+            rational_window_columns, op, (-w, w), symmetric, clip_below=True
+        ) == realized(ref_window_columns, op, (-w, w), symmetric, clip_below=True)
 
     @settings(deadline=None, max_examples=100)
     @given(level1_operators(), st.integers(1, 6))
@@ -564,21 +681,21 @@ def exact_first_order_operators(draw):
 
 
 class TestDescendingOrder:
-    """Windows eliminated top exponent down, on integer rows, against the
-    ascending route over Q."""
+    """The persistence route's windows eliminated top exponent down, on
+    integer rows, against the ascending route over Q."""
 
     SCHEDULE = (4, 6, 8, 12)  # short windows keep the route over Q fast
 
     @settings(deadline=None, max_examples=60)
     @given(exact_first_order_operators())
     def test_index_report_matches_ascending_route(self, op):
-        assert operator_index(op, self.SCHEDULE) == ref_operator_index(op, self.SCHEDULE)
+        assert persistence_index(op, self.SCHEDULE) == ref_operator_index(op, self.SCHEDULE)
 
     @settings(deadline=None, max_examples=40)
     @given(level1_operators())
     def test_inexact_and_higher_order_operators(self, op):
         # windows may stop short, or never be realized at all
-        assert realized(operator_index, op, (2, 3, 4)) == realized(
+        assert realized(persistence_index, op, (2, 3, 4)) == realized(
             ref_operator_index, op, (2, 3, 4)
         )
 
@@ -586,7 +703,7 @@ class TestDescendingOrder:
         t = F1.gen(1)
         C = exp_connection(1).direct_sum(Connection.trivial(F1, 2))
         op = MatrixDiffOp.from_connection(C, normalizer=t ** -1)
-        rep = operator_index(op, self.SCHEDULE)
+        rep = persistence_index(op, self.SCHEDULE)
         assert rep.ker_dim == 2 and len(rep.ker_basis) == 2
         assert rep == ref_operator_index(op, self.SCHEDULE)
 
@@ -632,6 +749,177 @@ nu1 = ["1"]
 [task]
 command = epsilon
 """
+
+
+def ref_probe_report(op, schedule):
+    """:func:`operator_index` without ``want_kernel`` from dense ranks over Q.
+
+    ``M(x, W)`` is built for ``x = -w`` and ``x = w`` separately by the
+    loop over Q and ranked by dense elimination.  The cut ``W`` is the
+    largest one up to ``2w`` that the loop can fill at ``x = -w``; the
+    schedule stops where that is no more than ``w``.
+    """
+    r = op.rank
+    delta = min(op.delta_bottom(i) for i in range(r))
+    offset = -sum(op.delta_top(i) for i in range(r))
+
+    def D(x, W):
+        win = ref_window_columns(op, (x, W - delta), [(x + delta, W)] * r)
+        rows = [_dense(row, len(win.src_labels)) for row in win.sparse_rows()]
+        return r * (W - x) - _span_rank(rows)
+
+    def fits(w, W):
+        bounds = [(-w + delta, W)] * r
+        return realized(ref_window_columns, op, (-w, W - delta), bounds) != "too short"
+
+    trace = []
+    for w in schedule:
+        W = 2 * w
+        while W > w and not fits(w, W):
+            W -= 1
+        if W <= w:
+            break
+        d_high = D(w, W)
+        index = offset + d_high
+        ker = D(-w, W) - d_high
+        trace.append((w, ker, ker - index))
+        if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:] and min(trace[-1][1:]) >= 0:
+            return IndexReport(ker, ker - index, index, w, (), None, tuple(trace))
+    if not trace:
+        raise InsufficientPrecision("too short")
+    _, ker, coker = trace[-1]
+    return IndexReport(ker, coker, ker - coker, None, (), None, tuple(trace))
+
+
+class TestLatticeProbes:
+    """The index from one echelon per probe against dense ranks over Q."""
+
+    SCHEDULE = (3, 4, 6, 8)  # short probes keep the dense ranks fast
+
+    @settings(deadline=None, max_examples=40)
+    @given(exact_first_order_operators())
+    def test_report_matches_dense_ranks(self, op):
+        assert operator_index(op, self.SCHEDULE, want_kernel=False) == ref_probe_report(
+            op, self.SCHEDULE
+        )
+
+    @settings(deadline=None, max_examples=30)
+    @given(level1_operators())
+    def test_inexact_and_higher_order_operators(self, op):
+        # probes may be cut short, or never fit at all
+        assert realized(operator_index, op, (2, 3, 4), want_kernel=False) == realized(
+            ref_probe_report, op, (2, 3, 4)
+        )
+
+    @settings(deadline=None, max_examples=30)
+    @given(exact_first_order_operators())
+    def test_kernel_basis_spans_the_quotient(self, op):
+        # the basis is ker M(-w, 2w) modulo ker M(w, 2w), read below t^w;
+        # the second kernel is 0 there, so the basis spans the truncations
+        # of the first
+        rep = operator_index(op, self.SCHEDULE)
+        if not rep.stabilized:
+            return
+        assert len(rep.ker_basis) == rep.ker_dim
+        w, r = rep.stabilized_at, op.rank
+        delta = min(op.delta_bottom(i) for i in range(r))
+        win = ref_window_columns(op, (-w, 2 * w - delta), [(-w + delta, 2 * w)] * r)
+        rows = [_dense(row, len(win.src_labels)) for row in win.sparse_rows()]
+        low = [lab for lab in win.src_labels if lab[1] < w]
+        truncated = _restrict(kernel_q(rows), win.src_labels, low)
+        basis = [[vec[c].coeffs.get(e, 0) for c, e in low] for vec in rep.ker_basis]
+        assert all(x.hi == w for vec in rep.ker_basis for x in vec)
+        assert _span_rank(basis) == rep.ker_dim == _span_rank(truncated)
+        assert _span_rank(truncated + basis) == rep.ker_dim
+
+    def test_kernel_basis_leaves_out_ker_M_w(self):
+        # the solution t^6 of d - 6 dt/t lies in L_6, so at the settled
+        # probe w = 6 it spans ker M(6, 12), with its free column at t^6;
+        # the basis is the constant of the trivial summand alone
+        C = Connection.trivial(F1, 1).direct_sum(reg_connection(-6))
+        rep = operator_index(MatrixDiffOp.from_connection(C), (4, 6))
+        assert rep.stabilized_at == 6 and rep.ker_dim == 1
+        ((one, zero),) = rep.ker_basis
+        assert set(one.coeffs) == {0} and not zero.coeffs
+
+    def test_one_echelon_per_probe(self, monkeypatch):
+        calls = []
+        echelon = tate.sparse_echelon
+
+        def counted(rows):
+            calls.append(len(rows))
+            return echelon(rows)
+
+        monkeypatch.setattr(tate, "sparse_echelon", counted)
+        rep = operator_index(MatrixDiffOp.from_connection(exp_connection(2)), want_kernel=False)
+        assert len(calls) == len(rep.trace) == 2
+
+
+def run_spec(text, tmp_path, capsys):
+    """The report of ``cli.main`` on ``text``, as a dict."""
+    path = tmp_path / "task.hl"
+    path.write_text(text)
+    code = cli.main([str(path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return dict(line.split(" = ", 1) for line in out.splitlines())
+
+
+def one_variable_spec(rank, A1, command, nu1="1"):
+    return (
+        f"[field]\nn = 1\nvars = t\n\n[connection]\nrank = {rank}\nA1 = {A1}\n\n"
+        f'[forms]\nnu1 = ["{nu1}"]\n\n[task]\ncommand = {command}\n'
+    )
+
+
+class TestProbeRegressions:
+    """Inputs on which the persistence route printed a wrong integer."""
+
+    @pytest.mark.parametrize(
+        "A1",
+        [
+            # as given, then under the gauges diag(t, 1) and diag(1/t, 1):
+            # the persistence route printed -1, 0 and -2
+            '[["-2/t - 1", "2/t^2 - 2/t + t"], ["t", "0"]]',
+            '[["-3/t - 1", "2/t - 2 + t^2"], ["1", "0"]]',
+            '[["-1/t - 1", "2/t^3 - 2/t^2 + 1"], ["t^2", "0"]]',
+        ],
+    )
+    def test_readme_case_under_gauges(self, A1, tmp_path, capsys):
+        report = run_spec(one_variable_spec(2, A1, "epsilon"), tmp_path, capsys)
+        assert (report["degree"], report["window_degree"]) == ("0", "0")
+        assert report["routes_agree"] == "yes"
+
+    def test_rank4_epsilon(self, tmp_path, capsys):
+        # window_index's r4-epsilon-1#0: the persistence route printed -7
+        report = run_spec(RANK4_SPEC, tmp_path, capsys)
+        assert (report["degree"], report["window_degree"]) == ("-6", "-6")
+
+    @pytest.mark.parametrize(
+        "A1",
+        [
+            # the diag(t^-2, t^2) gauge of the second; the persistence route
+            # printed h0 = 2, h1 = 3 for it
+            '[["2*t^-1 + t", "-t^-6 + 3*t^-4"], ["-2*t^3", "-2*t^-2 - 2*t^-1"]]',
+            '[["t", "-t^-2 + 3"], ["-2*t^-1", "-2*t^-2"]]',
+        ],
+    )
+    def test_gauge_pair_cohomology(self, A1, tmp_path, capsys):
+        report = run_spec(one_variable_spec(2, A1, "cohomology"), tmp_path, capsys)
+        assert (report["h0"], report["h1"]) == ("1", "2")
+        assert (report["window_h0"], report["window_h1"]) == ("1", "2")
+
+    def test_negative_counts_do_not_settle(self, tmp_path, capsys):
+        # d - 20 dt/t, solution t^20: the probes at 12 and 16 agree on a
+        # negative cokernel, which is not a settled pair; the persistence
+        # route printed h0 = h1 = 0
+        A1 = '[["-20/t"]]'
+        report = run_spec(one_variable_spec(1, A1, "cohomology"), tmp_path, capsys)
+        assert (report["h0"], report["h1"], report["window_agrees"]) == ("1", "1", "yes")
+        C = parse_specfile(one_variable_spec(1, A1, "cohomology")).connection
+        rep = operator_index(MatrixDiffOp.from_connection(C), want_kernel=False)
+        assert rep.trace == ((8, 0, 0), (12, 0, -1), (16, 0, -1), (24, 1, 1), (32, 1, 1))
+        assert rep.stabilized_at == 32
 
 
 class TestIntegerWindowRoute:
@@ -702,9 +990,30 @@ class TestWindowPrecision:
         ],
     )
     def test_index_stops_where_the_top_window_is_too_short(self, hi, trace, stabilized_at):
+        rep = persistence_index(self.op_with_known_terms(hi), (4, 6, 8, 12))
+        assert rep.trace == trace
+        assert rep.stabilized_at == stabilized_at
+
+    @pytest.mark.parametrize(
+        "hi, trace, stabilized_at",
+        [
+            # the probe at w cuts at W = min(2w, hi - w), the highest exponent
+            # at which the image of t^-w is known; at w = 6 that is 6 <= w,
+            # so the schedule stops after w = 4, unsettled
+            (12, ((4, 0, 1),), None),
+            # one more term and W = 7 at w = 6, so w = 6 settles
+            (13, ((4, 0, 1), (6, 0, 1)), 6),
+        ],
+    )
+    def test_probes_stop_where_the_coefficients_end(self, hi, trace, stabilized_at):
         rep = operator_index(self.op_with_known_terms(hi), (4, 6, 8, 12))
         assert rep.trace == trace
         assert rep.stabilized_at == stabilized_at
+
+    def test_no_probe_fits(self):
+        # at w = 4 the image of t^-4 is known only below t^4
+        with pytest.raises(InsufficientPrecision):
+            operator_index(self.op_with_known_terms(8), (4, 6, 8, 12))
 
     def test_outer_top_window_needs_one_more_term(self):
         op = self.op_with_known_terms(14, level=2)
