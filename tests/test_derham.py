@@ -11,6 +11,7 @@ from higherlocal.derham import (
     build_multicomplex,
     check_multicomplex,
     cohomology_dims,
+    induced_inner_connections,
     standard_forms,
     swap_connection,
     swap_variables,
@@ -234,3 +235,100 @@ class TestCohomology:
         for C in catalog:
             rep = cohomology_dims(C)
             assert rep.euler_consistent, (rep.dims, rep.total_dims)
+
+
+def induced_catalog():
+    t1, t2 = F2.gen(1), F2.gen(2)
+    f = (t1 * t2) ** -1
+
+    def form(a, b):
+        return rank1_from_form(OneForm((a, b)))
+
+    half = form(Fraction(1, 2) * t1 ** -1, F2.zero())
+    coupled = form(f.derive(1), f.derive(2))
+    return {
+        "trivial rank 1": Connection.trivial(F2, 1),
+        "trivial rank 2": Connection.trivial(F2, 2),
+        "dt1/2t1": half,
+        "d(1/t2)": exp2_connection(),
+        "d(1/t1)": form((t1 ** -1).derive(1), F2.zero()),
+        "dt1/2t1 + dt2/3t2": form(Fraction(1, 2) * t1 ** -1, Fraction(1, 3) * t2 ** -1),
+        "d(1/(t1 t2))": coupled,
+        "dt1/2t1 + d(1/(t1 t2))": half.direct_sum(coupled),
+    }
+
+
+# (h0.dim, h0.matrix, h1.dim, h1.matrix, kernel, coker slots, window,
+#  stabilized) per connection and outer normalizer (None or t2^-1): matrix
+# entries are rendered in t1, each kernel vector is {(component, outer
+# exponent): entry} over its nonzero entries
+INDUCED_PINS = {
+    ("trivial rank 1", None): (1, (("0",),), 1, (("0",),), ({(0, 0): "1"},), ((0, -1),), 6, 6),
+    ("trivial rank 1", -1): (1, (("0",),), 1, (("0",),), ({(0, 0): "1"},), ((0, 0),), 6, 6),
+    ("trivial rank 2", None): (
+        2, (("0", "0"), ("0", "0")), 2, (("0", "0"), ("0", "0")),
+        ({(0, 0): "1"}, {(1, 0): "1"}), ((0, -1), (1, -1)), 6, 6,
+    ),
+    ("trivial rank 2", -1): (
+        2, (("0", "0"), ("0", "0")), 2, (("0", "0"), ("0", "0")),
+        ({(0, 0): "1"}, {(1, 0): "1"}), ((0, 0), (1, 0)), 6, 6,
+    ),
+    ("dt1/2t1", None): (
+        1, (("1/2*t1^-1",),), 1, (("1/2*t1^-1",),), ({(0, 0): "1"},), ((0, -1),), 6, 6,
+    ),
+    ("dt1/2t1", -1): (
+        1, (("1/2*t1^-1",),), 1, (("1/2*t1^-1",),), ({(0, 0): "1"},), ((0, 0),), 6, 6,
+    ),
+    ("d(1/t2)", None): (0, None, 1, (("0",),), (), ((0, 4),), 6, 6),
+    ("d(1/t2)", -1): (0, None, 1, (("0",),), (), ((0, 5),), 6, 6),
+    ("d(1/t1)", None): (
+        1, (("-t1^-2",),), 1, (("-t1^-2",),), ({(0, 0): "1"},), ((0, -1),), 6, 6,
+    ),
+    ("d(1/t1)", -1): (
+        1, (("-t1^-2",),), 1, (("-t1^-2",),), ({(0, 0): "1"},), ((0, 0),), 6, 6,
+    ),
+    ("dt1/2t1 + dt2/3t2", None): (0, None, 0, None, (), (), 6, 6),
+    ("dt1/2t1 + dt2/3t2", -1): (0, None, 0, None, (), (), 6, 6),
+    ("d(1/(t1 t2))", None): (0, None, 1, (("-5*t1^-1",),), (), ((0, 4),), 6, 6),
+    ("d(1/(t1 t2))", -1): (0, None, 1, (("-5*t1^-1",),), (), ((0, 5),), 6, 6),
+    ("dt1/2t1 + d(1/(t1 t2))", None): (
+        1, (("1/2*t1^-1",),), 2, (("1/2*t1^-1", "0"), ("0", "-5*t1^-1")),
+        ({(0, 0): "1"},), ((0, -1), (1, 4)), 6, 6,
+    ),
+    ("dt1/2t1 + d(1/(t1 t2))", -1): (
+        1, (("1/2*t1^-1",),), 2, (("1/2*t1^-1", "0"), ("0", "-5*t1^-1")),
+        ({(0, 0): "1"},), ((0, 0), (1, 5)), 6, 6,
+    ),
+}
+
+
+class TestInducedInnerConnections:
+    """The outer reduction and the induced inner action, pinned exactly."""
+
+    @pytest.mark.parametrize("name, power", sorted(INDUCED_PINS, key=str))
+    def test_pinned(self, name, power):
+        C = induced_catalog()[name]
+        normalizer = None if power is None else F2.gen(2) ** power
+        h0, h1, red, stabilized = induced_inner_connections(C, normalizer)
+
+        def rendered(M):
+            if M is None:
+                return None
+            return tuple(tuple(x.render(("t1",)) for x in row) for row in M.entries)
+
+        kernel = []
+        for vec in red.kernel:
+            assert len(vec) == len(red.src_labels)
+            kernel.append(
+                {
+                    red.src_labels[k]: x.render(("t1",))
+                    for k, x in enumerate(vec)
+                    if not x.is_exactly_zero()
+                }
+            )
+        got = (
+            h0.dim, rendered(h0.matrix), h1.dim, rendered(h1.matrix),
+            tuple(kernel), red.coker_slots, red.window, stabilized,
+        )
+        assert got == INDUCED_PINS[(name, power)]
+        assert h0.window == h1.window == red.window
