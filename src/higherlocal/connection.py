@@ -226,51 +226,28 @@ def induct(C: Connection, cover: KummerCover) -> Connection:
     field = C.field
     n = field.level
     r = C.rank
-    level = n
-    zero = field.zero()
 
-    # diagonal part: d/dt acting on s^a contributes (a/e) t^(-1) on slot a
-    tinv = TowerElement.monomial(level, [0] * (n - 1) + [-1])
-
-    def scalar_block(f: TowerElement) -> list:
-        return regular_representation(f, e)
-
-    # matrix for the outermost variable
-    s_pow = TowerElement.monomial(level, [0] * (n - 1) + [1 - e], Fraction(1, e))
-    A_out = C.matrices[n - 1]
-    big = [[zero] * (e * r) for _ in range(e * r)]
-    for c_idx in range(r):
-        for b_idx in range(r):
-            entry = A_out[c_idx, b_idx]
-            if entry.is_exactly_zero():
-                continue
-            blocks = scalar_block(s_pow * entry)
-            for a2 in range(e):
-                for a in range(e):
-                    big[a2 * r + c_idx][a * r + b_idx] = (
-                        big[a2 * r + c_idx][a * r + b_idx] + blocks[a2][a]
-                    )
-    for a in range(e):
-        coef = tinv * Fraction(a, e)
-        for b_idx in range(r):
-            big[a * r + b_idx][a * r + b_idx] = (
-                big[a * r + b_idx][a * r + b_idx] + coef
-            )
-    mats = []
-    for i in range(1, n):
-        Ai = C.matrices[i - 1]
-        big_i = [[zero] * (e * r) for _ in range(e * r)]
-        for c_idx in range(r):
-            for b_idx in range(r):
-                entry = Ai[c_idx, b_idx]
+    def expand(A: SeriesMatrix, scale: Optional[TowerElement] = None) -> list:
+        # entry (c, b) of A, times scale, as its e x e block on slots a2 * r + c, a * r + b
+        big = [[field.zero()] * (e * r) for _ in range(e * r)]
+        for c in range(r):
+            for b in range(r):
+                entry = A[c, b]
                 if entry.is_exactly_zero():
                     continue
-                blocks = scalar_block(entry)
+                blocks = regular_representation(entry if scale is None else scale * entry, e)
                 for a2 in range(e):
                     for a in range(e):
-                        big_i[a2 * r + c_idx][a * r + b_idx] = (
-                            big_i[a2 * r + c_idx][a * r + b_idx] + blocks[a2][a]
-                        )
-        mats.append(SeriesMatrix(big_i))
+                        big[a2 * r + c][a * r + b] = blocks[a2][a]
+        return big
+
+    mats = [SeriesMatrix(expand(A)) for A in C.matrices[:-1]]
+    # the outermost variable: d/dt = s^(1-e)/e d/ds, and d/dt acting on s^a
+    # contributes (a/e) t^(-1) on slot a
+    big = expand(C.matrices[-1], TowerElement.monomial(n, [0] * (n - 1) + [1 - e], Fraction(1, e)))
+    tinv = TowerElement.monomial(n, [0] * (n - 1) + [-1])
+    for a in range(1, e):
+        for b in range(r):
+            big[a * r + b][a * r + b] = big[a * r + b][a * r + b] + tinv * Fraction(a, e)
     mats.append(SeriesMatrix(big))
     return Connection(field, mats)

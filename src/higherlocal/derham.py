@@ -44,6 +44,7 @@ from .tate import (
     OuterReduction,
     inner_operator,
     operator_index,
+    pure_direction,
     stabilize_outer_windows,
 )
 
@@ -143,19 +144,6 @@ class EdgeOperator:
         if self.sign == 1:
             return tuple(out)
         return tuple(-x for x in out)
-
-    def pure_direction(self) -> Optional[int]:
-        nz = [
-            k
-            for k, c in enumerate(self.cvec, start=1)
-            if c.is_certainly_nonzero()
-        ]
-        if len(nz) == 1 and all(
-            c.is_exactly_zero() or k in nz
-            for k, c in enumerate(self.cvec, start=1)
-        ):
-            return nz[0]
-        return None
 
 
 class BinaryMultiComplex:
@@ -385,7 +373,7 @@ def _direction_acyclicity(
         return DirectionResult(
             i, "nabla", False, "covariant edge vanishes; window kernels grow"
         )
-    pure = edge.pure_direction()
+    pure = pure_direction(edge.cvec)
     if pure is None:
         return DirectionResult(
             i,
@@ -499,56 +487,6 @@ class InducedLevel:
     window: int
 
 
-def _section_from_slots(labels, vec, rank):
-    """Slot-indexed inner coefficients -> per-component {outer exp: inner elt}."""
-    comps = [dict() for _ in range(rank)]
-    for k, (c, e) in enumerate(labels):
-        x = vec[k]
-        if x.is_exactly_zero():
-            continue
-        comps[c][e] = x
-    return comps
-
-
-def _apply_inner_nabla(C: Connection, comps, window_of):
-    """Apply the inner covariant derivative to slot data.
-
-    ``window_of(i)`` gives the outer-exponent window kept for output
-    component ``i``; contributions outside it are truncated away.
-    """
-    rank = C.rank
-    A1 = C.matrices[0]
-    out = [dict() for _ in range(rank)]
-    for c in range(rank):
-        lo_c, hi_c = window_of(c)
-        for e, inner in comps[c].items():
-            if e < lo_c or e >= hi_c:
-                continue
-            d = inner.derive(1)
-            if not d.is_exactly_zero():
-                out[c][e] = out[c].get(e, TowerElement.zero(1)) + d
-    for i in range(rank):
-        lo_i, hi_i = window_of(i)
-        for j in range(rank):
-            entry = A1[i, j]  # level-2 element
-            if entry.is_exactly_zero():
-                continue
-            for m, am in entry.coeffs.items():
-                for e, inner in comps[j].items():
-                    ee = e + m
-                    if ee < lo_i or ee >= hi_i:
-                        continue
-                    out[i][ee] = out[i].get(ee, TowerElement.zero(1)) + am * inner
-    return out
-
-
-def _slots_to_vector(labels, comps):
-    vec = []
-    for c, e in labels:
-        vec.append(comps[c].get(e, TowerElement.zero(1)))
-    return vec
-
-
 def induced_inner_connections(
     C: Connection,
     normalizer: Optional[TowerElement] = None,
@@ -563,75 +501,46 @@ def induced_inner_connections(
     op = OuterMatrixDiffOp.from_connection(C, normalizer)
     red, stabilized, _ = stabilize_outer_windows(op, schedule)
     w = red.window
-    rank = C.rank
-    # induced action on the kernel
-    if red.ker_dim:
-        columns = []
-        for vec in red.kernel:
-            comps = _section_from_slots(red.src_labels, vec, rank)
-            img = _apply_inner_nabla(C, comps, lambda i: (-w, w))
-            columns.append(_slots_to_vector(red.src_labels, img))
-        # express each image in the kernel span
-        h0_cols = []
-        for img in columns:
-            x = solve_columns(red.kernel, img)
+
+    def section(labels, values) -> Tuple[TowerElement, ...]:
+        # the inner coefficient values[k] at each label (component, outer exponent)
+        comps = [dict() for _ in range(C.rank)]
+        for (c, e), x in zip(labels, values):
+            comps[c][e] = x
+        return tuple(TowerElement(2, comp, None, True) for comp in comps)
+
+    def read(labels, sec) -> List[TowerElement]:
+        return [sec[c].coefficient(e) for c, e in labels]
+
+    def action(images, span, tail, failure) -> SeriesMatrix:
+        # column j: the last ``tail`` coordinates of images[j] in ``span``
+        cols = []
+        for img in images:
+            x = solve_columns(span, img)
             if x is None:
-                raise UnsupportedFrame(
-                    "induced action does not preserve the windowed kernel"
-                )
-            h0_cols.append(x)
-        M0 = SeriesMatrix(
-            [
-                [h0_cols[j][i2] for j in range(red.ker_dim)]
-                for i2 in range(red.ker_dim)
-            ]
+                raise UnsupportedFrame(failure)
+            cols.append(x[-tail:])
+        return SeriesMatrix(cols).transpose()
+
+    h0 = InducedLevel(0, None, w)
+    if red.ker_dim:
+        images = [read(red.src_labels, C.nabla(1, section(red.src_labels, v))) for v in red.kernel]
+        M0 = action(
+            images, red.kernel, red.ker_dim, "induced action does not preserve the windowed kernel"
         )
         h0 = InducedLevel(red.ker_dim, M0, w)
-    else:
-        h0 = InducedLevel(0, None, w)
-    # induced action on the cokernel
+    h1 = InducedLevel(0, None, w)
     if red.coker_dim:
-        tgt_index = {lab: k for k, lab in enumerate(red.tgt_labels)}
-        bounds: Dict[int, Tuple[int, int]] = {}
-        for c, e in red.tgt_labels:
-            lo, hi = bounds.get(c, (e, e + 1))
-            bounds[c] = (min(lo, e), max(hi, e + 1))
-        image_columns = _matrix_columns(red.matrix)
-        rep_columns = []
-        for c, e in red.coker_slots:
-            vec = [TowerElement.zero(1)] * len(red.tgt_labels)
-            vec[tgt_index[(c, e)]] = TowerElement.constant(1, 1)
-            rep_columns.append(vec)
-        h1_cols = []
-        for c, e in red.coker_slots:
-            comps = [dict() for _ in range(rank)]
-            comps[c][e] = TowerElement.constant(1, 1)
-            img = _apply_inner_nabla(
-                C, comps, lambda i: bounds.get(i, (-w, w))
-            )
-            target = []
-            for cc, ee in red.tgt_labels:
-                target.append(img[cc].get(ee, TowerElement.zero(1)))
-            x = solve_columns(image_columns + rep_columns, target)
-            if x is None:
-                raise UnsupportedFrame(
-                    "induced action leaves the windowed target span"
-                )
-            h1_cols.append(x[len(image_columns):])
-        M1 = SeriesMatrix(
-            [
-                [h1_cols[j][i2] for j in range(red.coker_dim)]
-                for i2 in range(red.coker_dim)
-            ]
+        # the unit section at each cokernel slot, modulo the window's image
+        units = [section((slot,), (TowerElement.constant(1, 1),)) for slot in red.coker_slots]
+        span = [red.matrix.column(j) for j in range(red.matrix.cols)]
+        span += [read(red.tgt_labels, u) for u in units]
+        images = [read(red.tgt_labels, C.nabla(1, u)) for u in units]
+        M1 = action(
+            images, span, red.coker_dim, "induced action leaves the windowed target span"
         )
         h1 = InducedLevel(red.coker_dim, M1, w)
-    else:
-        h1 = InducedLevel(0, None, w)
     return h0, h1, red, stabilized
-
-
-def _matrix_columns(M: SeriesMatrix):
-    return [[M[i, j] for i in range(M.rows)] for j in range(M.cols)]
 
 
 # ---------------------------------------------------------------------------

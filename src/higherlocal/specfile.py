@@ -241,6 +241,9 @@ def parse_specfile(text: str) -> SpecFile:
         raise DimensionMismatch(
             f"{len(names)} variable names for n = {level}"
         )
+    if len(set(names)) != len(names):
+        _, lineno, colv = fld["vars"]
+        raise SpecSyntaxError("variable names must be pairwise distinct", lineno, colv)
     precision = 32
     if "precision" in fld:
         precision = _int_value(fld["precision"], "precision")

@@ -92,12 +92,12 @@ class MatrixDiffOp:
 
     @classmethod
     def from_connection(
-        cls, C: Connection, normalizer: Optional[TowerElement] = None, prec: Optional[int] = None
+        cls, C: Connection, normalizer: Optional[TowerElement] = None
     ) -> "MatrixDiffOp":
         """The operator h^(-1) (d/dt + A) for the 1-form normalizer h dt."""
         if C.field.level != cls.level:
             raise UnsupportedFrame(f"this operator needs a {cls.level}-variable connection")
-        hinv = C.field.one() if normalizer is None else normalizer.invert(prec)
+        hinv = C.field.one() if normalizer is None else normalizer.invert()
         return cls.first_order(hinv, C.matrices[-1].scale(hinv))
 
     @classmethod
@@ -188,20 +188,6 @@ class WindowRealization:
             for i, q in col.items():
                 rows[i][j] = q
         return rows
-
-    def restrict(self, bounds: Sequence[Tuple[int, int]]) -> "WindowRealization":
-        """The same columns cut to target exponents ``bounds[i]`` per component.
-
-        The kept labels must all be target labels here, as the bottom
-        window's are of the top window's (see :func:`reduce_outer_window`).
-        """
-        tgt_labels = tuple((c, e) for c, b in enumerate(bounds) for e in range(*b))
-        pos = {lab: k for k, lab in enumerate(tgt_labels)}
-        new_row = {k: pos[lab] for k, lab in enumerate(self.tgt_labels) if lab in pos}
-        columns = [
-            {new_row[k]: q for k, q in col.items() if k in new_row} for col in self.columns
-        ]
-        return WindowRealization(self.src_labels, tgt_labels, columns, self.dens)
 
     def banded(self) -> Tuple[List[int], List[dict]]:
         """The rows for the eliminator, and the label position of each column.
@@ -336,10 +322,10 @@ def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
     Both modes extend the target down to the full displacement hull, so no
     image coefficient is lost at the bottom.  The ``top`` mode cuts the
     target at the derivative term's displacement; the ``bottom`` mode cuts
-    at the hull displacement itself, the sharp image of a deep lattice.  A
-    zero row keeps the source window.  The outer-window reduction
-    (:func:`reduce_outer_window`) reads its kernel off the bottom cut and
-    its cokernel off the top one.
+    at the hull displacement itself, the sharp image of a deep lattice, so
+    the bottom rows are a subset of the top ones.  A zero row keeps the
+    source window.  The outer-window reduction (:func:`reduce_outer_window`)
+    reads its kernel off the bottom cut and its cokernel off the top one.
     """
     bounds = []
     for i in range(op.rank):
@@ -366,6 +352,11 @@ def probe_window(op: MatrixDiffOp, w: int, W: int, delta: int) -> WindowRealizat
     above ``w`` form ``M(w, W)``: their images below ``w + delta`` are 0.
     """
     return window_columns(op, (-w, W - delta), [(-w + delta, W)] * op.rank)
+
+
+def _settled(trace: Sequence[Tuple[int, int, int]]) -> bool:
+    """Two consecutive equal (ker, coker) pairs, neither of them negative."""
+    return len(trace) >= 2 and trace[-2][1:] == trace[-1][1:] and min(trace[-1][1:]) >= 0
 
 
 def _kernel_vectors_to_elements(
@@ -439,7 +430,7 @@ def operator_index(
         index = offset + d_high
         coker = ker - index
         trace.append((w, ker, coker))
-        if len(trace) >= 2 and trace[-2][1:] == (ker, coker) and min(ker, coker) >= 0:
+        if _settled(trace):
             basis = ()
             if want_kernel and ker > 0:
                 labels = win.src_labels
@@ -484,35 +475,13 @@ class OuterMatrixDiffOp(MatrixDiffOp):
 
 
 @dataclass
-class OuterRealization:
-    src_labels: Tuple  # (component, outer exponent)
-    tgt_labels: Tuple
-    matrix: SeriesMatrix  # entries over the inner field (level 1)
-
-
-def realize_outer_window(
-    op: OuterMatrixDiffOp, w: int, mode: str = "top"
-) -> OuterRealization:
-    """Matrix of ``op`` over the inner field, cut by :func:`window_bounds`."""
-    return _over_inner_field(window_columns(op, (-w, w), window_bounds(op, w, mode)))
-
-
-def _over_inner_field(win: WindowRealization) -> OuterRealization:
-    zero = TowerElement.zero(1)
-    matrix = SeriesMatrix(
-        [[col.get(k, zero) for col in win.columns] for k in range(len(win.tgt_labels))]
-    )
-    return OuterRealization(win.src_labels, win.tgt_labels, matrix)
-
-
-@dataclass
 class OuterReduction:
     """Windowed kernel/cokernel of an outer-variable operator, over the inner field."""
 
     window: int
-    src_labels: Tuple
+    src_labels: Tuple  # (component, outer exponent)
     tgt_labels: Tuple
-    matrix: SeriesMatrix
+    matrix: SeriesMatrix  # the top window, entries over the inner field
     kernel: Tuple  # tuples of inner-field elements indexed by src_labels
     coker_slots: Tuple  # tgt labels representing the cokernel
     rank: int
@@ -527,35 +496,32 @@ class OuterReduction:
 
 
 def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
-    # kernel from the lattice-sharp bottom realization, cokernel from the
-    # derivative-cut top realization (same split as operator_index); the
-    # window is realized once, and the bottom rows are cut out of the top
-    # ones as operator_index does.  The cokernel slots come from the pivots
-    # of the transposed top matrix, so both are eliminated.
+    """Kernel and cokernel slots of ``op`` on the outer window [-w, w).
+
+    The rows of the derivative-cut ("top") window are built once; the
+    lattice-sharp ("bottom") window is the subset of them below each
+    component's bottom cut.  The kernel comes from the bottom rows, the
+    cokernel slots from the pivots of the transposed top rows, so both are
+    eliminated.
+    """
     win = window_columns(op, (-w, w), window_bounds(op, w, "top"))
-    bottom = _over_inner_field(win.restrict(window_bounds(op, w, "bottom")))
-    res_b = rank_kernel_det(bottom.matrix, want_kernel=True)
-    top = _over_inner_field(win)
-    res_t = rank_kernel_det(top.matrix.transpose(), want_kernel=False)
+    zero = TowerElement.zero(1)
+    rows = [[col.get(k, zero) for col in win.columns] for k in range(len(win.tgt_labels))]
+    cut = window_bounds(op, w, "bottom")
+    bottom = [row for row, (c, e) in zip(rows, win.tgt_labels) if e < cut[c][1]]
+    res_b = rank_kernel_det(SeriesMatrix(bottom), want_kernel=True)
+    res_t = rank_kernel_det(SeriesMatrix(list(zip(*rows))), want_kernel=False)
     covered = {c for _, c in res_t.pivots}
-    coker_slots = tuple(
-        lab for k, lab in enumerate(top.tgt_labels) if k not in covered
-    )
+    coker_slots = tuple(lab for k, lab in enumerate(win.tgt_labels) if k not in covered)
     return OuterReduction(
-        w,
-        top.src_labels,
-        top.tgt_labels,
-        top.matrix,
-        res_b.kernel,
-        coker_slots,
-        res_t.rank,
+        w, win.src_labels, win.tgt_labels, SeriesMatrix(rows), res_b.kernel, coker_slots, res_t.rank
     )
 
 
 def stabilize_outer_windows(
     op: OuterMatrixDiffOp, schedule: Sequence[int]
 ) -> Tuple[OuterReduction, Optional[int], Tuple[Tuple[int, int, int], ...]]:
-    """Reduce outer windows until two consecutive (ker, coker) pairs agree.
+    """Reduce outer windows until the (ker, coker) trace settles (:func:`_settled`).
 
     Returns the last reduction, the window at which the pairs agreed (None
     when they never did) and the (window, ker, coker) trace.
@@ -565,7 +531,7 @@ def stabilize_outer_windows(
     for w in schedule:
         red = reduce_outer_window(op, w)
         trace.append((w, red.ker_dim, red.coker_dim))
-        if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
+        if _settled(trace):
             return red, w, tuple(trace)
     return red, None, tuple(trace)
 
@@ -624,6 +590,20 @@ class DirectionalProfile:
         return Lattice(2, tuple(shifts), rank)
 
 
+def pure_direction(vector_field: Sequence[TowerElement]) -> Optional[int]:
+    """The one coordinate direction ``i`` the field points along, or None.
+
+    Only the coefficient of d/dt_i may be nonzero, certainly so, and every
+    other one must be exactly zero.
+    """
+    nonzero = [i for i, a in enumerate(vector_field, start=1) if a.is_certainly_nonzero()]
+    if len(nonzero) == 1 and all(
+        a.is_exactly_zero() for i, a in enumerate(vector_field, start=1) if i != nonzero[0]
+    ):
+        return nonzero[0]
+    return None
+
+
 def _kernel_window(labels, kernel) -> Optional[Tuple[int, int]]:
     exps = []
     for vec in kernel:
@@ -655,17 +635,11 @@ def directional_kernel_profile(
     n = C.field.level
     if n != 2:
         raise UnsupportedFrame("directional profiles are implemented for n = 2")
-    nonzero = [
-        i for i, a in enumerate(vector_field, start=1) if a.is_certainly_nonzero()
-    ]
-    if len(nonzero) != 1 or any(
-        not a.is_exactly_zero() and i not in nonzero
-        for i, a in enumerate(vector_field, start=1)
-    ):
+    i = pure_direction(vector_field)
+    if i is None:
         raise UnsupportedFrame(
             "profiles need a vector field along a single coordinate direction"
         )
-    i = nonzero[0]
     a = vector_field[i - 1]
     if i == 2:
         op = OuterMatrixDiffOp.first_order(a, C.matrices[1].scale(a))

@@ -360,6 +360,29 @@ command = epsilon
         assert "line 2, column 5" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_duplicate_variable_names_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.hl"
+        bad.write_text(
+            """[field]
+n = 2
+vars = t1 t1
+
+[connection]
+rank = 1
+A1 = [["0"]]
+A2 = [["0"]]
+
+[task]
+command = cohomology
+"""
+        )
+        proc = run_cli(bad)
+        assert proc.returncode == 3
+        assert "SpecSyntaxError" in proc.stderr
+        assert "pairwise distinct" in proc.stderr
+        assert "line 3, column 8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_precision_flag_below_one_exit_code(self):
         proc = run_cli(GOLDEN / "eps_trivial.hl", "--precision", "0")
         assert proc.returncode == 3
