@@ -17,8 +17,8 @@ from typing import List, Optional, Tuple
 
 from . import series
 from .derham import (
+    BinaryMultiComplex,
     FormTuple,
-    build_multicomplex,
     check_multicomplex,
     cohomology_dims,
     standard_forms,
@@ -170,17 +170,21 @@ def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Repor
         report.append(("check_flatness", "pass"))
         nu = _forms_or_standard(spec)  # NotClosed / NotIndependent surface here
         report.append(("check_forms", "pass"))
-        B = build_multicomplex(C, nu)
-        mrep = check_multicomplex(B)
-        report.append(("check_squares", "pass" if mrep.squares_ok else "fail"))
-        report.append(("check_acyclicity", "pass" if mrep.acyclic else "fail"))
+        # the gate above has certified flatness, which build_multicomplex
+        # would check again
+        mrep = check_multicomplex(BinaryMultiComplex(C, nu))
+        squares = "pass" if mrep.squares_ok else "fail"
+        report.append(("check_squares", squares))
+        report.append(("check_acyclicity", mrep.acyclicity))
         sigma = SignConvention(spec.sigma)
-        ok, lhs, rhs = verify_duality(C, nu, sigma, seed=spec.seed)
-        report.append(("check_duality", "pass" if ok else "fail"))
+        ok, lhs, rhs = verify_duality(C, nu, sigma, seed=spec.seed, outer=mrep.outer)
+        duality = "pass" if ok else "fail"
+        report.append(("check_duality", duality))
         report.append(("sigma", str(spec.sigma)))
         report.append(("degree", str(sigma.sign * rhs)))
-        overall = mrep.squares_ok and mrep.acyclic and ok
-        report.append(("result", "pass" if overall else "fail"))
+        checks = (squares, mrep.acyclicity, duality)
+        result = next((s for s in ("fail", "unsupported") if s in checks), "pass")
+        report.append(("result", result))
         return report
     raise SpecFileError(f"unknown command {command!r}")
 

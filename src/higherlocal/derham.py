@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedFrame,
 )
 from .linalg import SeriesMatrix, inverse, rank_kernel_det, solve_columns
-from .series import OneForm, TowerElement, TowerField
+from .series import OneForm, TowerElement, TowerField, sum_of_products
 from .tate import (
     DEFAULT_SCHEDULE,
     OUTER_SCHEDULE,
@@ -42,6 +42,7 @@ from .tate import (
     MatrixDiffOp,
     OuterMatrixDiffOp,
     OuterReduction,
+    OuterStabilization,
     inner_operator,
     operator_index,
     pure_direction,
@@ -135,15 +136,17 @@ class EdgeOperator:
     pmat: SeriesMatrix  # sum c_k A_k
 
     def apply(self, section: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
-        out = list(self.pmat.apply(section))
-        for k, c in enumerate(self.cvec, start=1):
-            if c.is_exactly_zero():
-                continue
-            for idx, v in enumerate(section):
-                out[idx] = out[idx] + c * v.derive(k)
-        if self.sign == 1:
-            return tuple(out)
-        return tuple(-x for x in out)
+        # component i is sum_k pmat[i, k] v_k + sum_k c_k d_k(v_i), one fused sum
+        derivatives = [
+            (k, c) for k, c in enumerate(self.cvec, start=1) if not c.is_exactly_zero()
+        ]
+        out = []
+        for row, v in zip(self.pmat.entries, section):
+            pairs = list(zip(row, section))
+            pairs += [(c, v.derive(k)) for k, c in derivatives]
+            x = sum_of_products(self.pmat.level, pairs)
+            out.append(x if self.sign == 1 else -x)
+        return tuple(out)
 
 
 class BinaryMultiComplex:
@@ -231,6 +234,17 @@ class DirectionResult:
     ok: bool
     detail: str
     trace: Tuple = ()
+    # the check could not run on this input (``ok`` is then False)
+    unsupported: bool = False
+    # the outer reduction of the outermost covariant edge, to hand along
+    outer: Optional[OuterStabilization] = None
+
+    @property
+    def status(self) -> str:
+        """"pass", "fail" or "unsupported"."""
+        if self.ok:
+            return "pass"
+        return "unsupported" if self.unsupported else "fail"
 
 
 @dataclass
@@ -244,8 +258,25 @@ class MultiComplexReport:
         return all(d.ok for d in self.directions)
 
     @property
+    def acyclicity(self) -> str:
+        """"fail" if a direction failed, else "unsupported" if one could not
+        be checked, else "pass"."""
+        statuses = {d.status for d in self.directions}
+        return next((s for s in ("fail", "unsupported") if s in statuses), "pass")
+
+    @property
     def ok(self) -> bool:
         return self.squares_ok and self.acyclic
+
+    @property
+    def outer(self) -> Optional[OuterStabilization]:
+        """The stabilized reduction of the outermost covariant edge, if one ran.
+
+        For a diagonal frame that edge is ``nu_n``'s normalized outer
+        derivative, the operator :func:`induced_inner_connections` reduces
+        for the degree, so the reduction can be handed along to it.
+        """
+        return next((d.outer for d in self.directions if d.outer is not None), None)
 
 
 def _test_sections(field: TowerField, rank: int, count: int = 2):
@@ -288,12 +319,29 @@ def _test_sections(field: TowerField, rank: int, count: int = 2):
 def check_multicomplex(
     B: BinaryMultiComplex, schedule: Sequence[int] = OUTER_SCHEDULE
 ) -> MultiComplexReport:
+    """Check every square on the test sections, then each direction's acyclicity.
+
+    Each square ``(M, i, j)`` sums two routes per kind on each section.  The
+    first edges out of ``M`` are applied to a section once and their images
+    shared by the routes that start with them: the routes name 8 edge
+    applications per section at ``n = 2``, and 6 are made.  The outermost covariant
+    edge's stabilized reduction is kept in its :class:`DirectionResult`
+    (``MultiComplexReport.outer``).
+    """
     failures: List[SquareFailure] = []
     sections = _test_sections(B.field, B.rank)
     n = B.n
+    first: Dict[Tuple[frozenset, int, int], Tuple[TowerElement, ...]] = {}
 
     def nabla(M, i, sec):
         return B.nabla_edges[(M, i)].apply(sec)
+
+    def nabla_first(M, i, k):
+        # the edge (M, i) applied to section k, once
+        key = (M, i, k)
+        if key not in first:
+            first[key] = nabla(M, i, sections[k])
+        return first[key]
 
     def nu(M, i, sec):
         s = B.nu_edges[(M, i)]
@@ -307,37 +355,37 @@ def check_multicomplex(
             for i, j in combinations(rest, 2):
                 Mi, Mj = M | {i}, M | {j}
                 routes = {
-                    "nabla-nabla": lambda s: tuple(
+                    "nabla-nabla": lambda k: tuple(
                         a + b
                         for a, b in zip(
-                            nabla(Mi, j, nabla(M, i, s)),
-                            nabla(Mj, i, nabla(M, j, s)),
+                            nabla(Mi, j, nabla_first(M, i, k)),
+                            nabla(Mj, i, nabla_first(M, j, k)),
                         )
                     ),
-                    "wedge-wedge": lambda s: tuple(
+                    "wedge-wedge": lambda k: tuple(
                         a + b
                         for a, b in zip(
-                            nu(Mi, j, nu(M, i, s)), nu(Mj, i, nu(M, j, s))
+                            nu(Mi, j, nu(M, i, sections[k])), nu(Mj, i, nu(M, j, sections[k]))
                         )
                     ),
-                    "nabla-wedge": lambda s: tuple(
+                    "nabla-wedge": lambda k: tuple(
                         a + b
                         for a, b in zip(
-                            nu(Mi, j, nabla(M, i, s)),
-                            nabla(Mj, i, nu(M, j, s)),
+                            nu(Mi, j, nabla_first(M, i, k)),
+                            nabla(Mj, i, nu(M, j, sections[k])),
                         )
                     ),
-                    "wedge-nabla": lambda s: tuple(
+                    "wedge-nabla": lambda k: tuple(
                         a + b
                         for a, b in zip(
-                            nabla(Mi, j, nu(M, i, s)),
-                            nu(Mj, i, nabla(M, j, s)),
+                            nabla(Mi, j, nu(M, i, sections[k])),
+                            nu(Mj, i, nabla_first(M, j, k)),
                         )
                     ),
                 }
                 for kind, route in routes.items():
-                    for sec in sections:
-                        out = route(sec)
+                    for k in range(len(sections)):
+                        out = route(k)
                         if any(x.is_certainly_nonzero() for x in out):
                             failures.append(
                                 SquareFailure(
@@ -380,6 +428,7 @@ def _direction_acyclicity(
             "nabla",
             False,
             "frame field mixes directions; bounded-profile check unsupported",
+            unsupported=True,
         )
     if n == 1:
         rep = operator_index(
@@ -398,11 +447,14 @@ def _direction_acyclicity(
         )
     if pure == n:
         op = OuterMatrixDiffOp.first_order(edge.cvec[n - 1], edge.pmat)
-        _, at, trace = stabilize_outer_windows(op, schedule)
+        red, at, trace = stabilize_outer_windows(op, schedule)
+        outer = OuterStabilization(op, tuple(schedule), red, at, trace)
         if at is not None:
-            return DirectionResult(n, "nabla", True, "bounded outer window certified", trace)
+            return DirectionResult(
+                n, "nabla", True, "bounded outer window certified", trace, outer=outer
+            )
         return DirectionResult(
-            n, "nabla", False, "outer window dimensions kept growing", trace
+            n, "nabla", False, "outer window dimensions kept growing", trace, outer=outer
         )
     # inner pure direction: fiberwise when the data is outer-free, otherwise
     # exchange the variables and use the outer machinery
@@ -414,7 +466,7 @@ def _direction_acyclicity(
                 swap_variables(edge.cvec[0]), edge.pmat.map(swap_variables)
             )
         except UnsupportedFrame as exc:
-            return DirectionResult(pure, "nabla", False, str(exc))
+            return DirectionResult(pure, "nabla", False, str(exc), unsupported=True)
         _, at, trace = stabilize_outer_windows(op, schedule)
         if at is not None:
             return DirectionResult(
@@ -491,15 +543,22 @@ def induced_inner_connections(
     C: Connection,
     normalizer: Optional[TowerElement] = None,
     schedule: Sequence[int] = OUTER_SCHEDULE,
+    outer: Optional[OuterStabilization] = None,
 ) -> Tuple[InducedLevel, InducedLevel, OuterReduction, Optional[int]]:
     """Windowed outer H^0 / H^1 of a two-variable connection with inner action.
 
     Returns (H0 level, H1 level, the stabilized outer reduction, stabilized
     window).  The outer operator is the covariant derivative along the outer
-    variable, scaled by the inverse of ``normalizer`` when given.
+    variable, scaled by the inverse of ``normalizer`` when given.  When
+    ``outer`` holds the stabilization of that same operator on ``schedule``
+    (:meth:`OuterStabilization.serves`), its reduction is used and no window
+    is reduced again.
     """
     op = OuterMatrixDiffOp.from_connection(C, normalizer)
-    red, stabilized, _ = stabilize_outer_windows(op, schedule)
+    if outer is not None and outer.serves(op, schedule):
+        red, stabilized = outer.reduction, outer.stabilized_at
+    else:
+        red, stabilized, _ = stabilize_outer_windows(op, schedule)
     w = red.window
 
     def section(labels, values) -> Tuple[TowerElement, ...]:

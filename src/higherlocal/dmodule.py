@@ -24,7 +24,13 @@ from .errors import (
     UndeterminedPivot,
 )
 from .linalg import SeriesMatrix, rank_kernel_det, solve
-from .series import TowerElement, TowerField, set_working_precision, working_precision
+from .series import (
+    TowerElement,
+    TowerField,
+    set_working_precision,
+    weighted_sum,
+    working_precision,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +141,12 @@ class ScalarOperator:
             return self
         m = self.order
         s = _stirling_first(m)
-        t = TowerElement.monomial(1, [1])
-        b = [TowerElement.zero(1) for _ in range(m + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_exactly_zero():
-                continue
-            scale = a * t ** (m - i)
-            for j in range(i + 1):
-                if s[i][j]:
-                    b[j] = b[j] + scale * Fraction(s[i][j])
+        # t^m a_i d^i = (t^(m-i) a_i) sum_j s(i, j) theta^j
+        scaled = [a.shift_outer(m - i) for i, a in enumerate(self.coeffs)]
+        b = [
+            weighted_sum(1, [(s[i][j], scaled[i]) for i in range(j, m + 1)])
+            for j in range(m + 1)
+        ]
         return ScalarOperator(THETA, tuple(b))
 
     def to_partial(self) -> "ScalarOperator":
@@ -152,14 +155,11 @@ class ScalarOperator:
             return self
         m = self.order
         S = _stirling_second(m)
-        t = TowerElement.monomial(1, [1])
-        a = [TowerElement.zero(1) for _ in range(m + 1)]
-        for j, b in enumerate(self.coeffs):
-            if b.is_exactly_zero():
-                continue
-            for i in range(j + 1):
-                if S[j][i]:
-                    a[i] = a[i] + b * (t ** i) * Fraction(S[j][i])
+        # b_j theta^j = b_j sum_i S(j, i) t^i d^i
+        a = [
+            weighted_sum(1, [(S[j][i], self.coeffs[j].shift_outer(i)) for j in range(i, m + 1)])
+            for i in range(m + 1)
+        ]
         lead_inv = a[m].invert()
         return ScalarOperator(PARTIAL, tuple(x * lead_inv for x in a))
 

@@ -41,6 +41,7 @@ from .tate import (
     OUTER_SCHEDULE,
     IndexReport,
     MatrixDiffOp,
+    OuterStabilization,
     operator_index,
     strip_outer,
     window_columns,
@@ -100,6 +101,7 @@ def epsilon_degree(
     nu: FormTuple,
     schedule: Sequence[int] = DEFAULT_SCHEDULE,
     seed: int = 0,
+    outer: Optional[OuterStabilization] = None,
 ) -> EpsilonReport:
     """Degree of the graded line comparing the covariant and wedge routes.
 
@@ -108,6 +110,10 @@ def epsilon_degree(
     alongside when the presentation is exact (a Laurent-polynomial matrix);
     window values of truncated presentations are dominated by their
     truncation hulls and are skipped rather than reported as if meaningful.
+    Over two variables, ``outer`` is a stabilization of the outer operator
+    made earlier (``MultiComplexReport.outer``); it is handed to
+    :func:`induced_inner_connections`, which uses it only for that same
+    operator.
     """
     n = C.field.level
     if n == 1:
@@ -138,7 +144,7 @@ def epsilon_degree(
         raise UnsupportedFrame("the outer frame component must not involve t1")
     h1 = strip_outer(nu.frame[0, 0])
     h0_level, h1_level, red, stabilized = induced_inner_connections(
-        C, normalizer=h2, schedule=OUTER_SCHEDULE
+        C, normalizer=h2, schedule=OUTER_SCHEDULE, outer=outer
     )
     level_degrees = []
     window_reports = []
@@ -299,11 +305,22 @@ def verify_induction(
 
 
 def verify_duality(
-    C: Connection, nu: FormTuple, sigma: SignConvention = SignConvention(1), seed: int = 0
+    C: Connection,
+    nu: FormTuple,
+    sigma: SignConvention = SignConvention(1),
+    seed: int = 0,
+    outer: Optional[OuterStabilization] = None,
 ) -> Tuple[bool, int, int]:
-    """Check degree(dual, -nu) = sigma * degree(C, nu)."""
+    """Check degree(dual, -nu) = sigma * degree(C, nu).
+
+    ``outer`` goes to ``epsilon_degree(C, nu)``: ``verify`` hands along the
+    outer reduction that :func:`~higherlocal.derham.check_multicomplex` made
+    for the outermost covariant edge of ``(C, nu)``, which for a diagonal
+    frame is the operator that degree reduces, so its windows are reduced
+    once.  The dual's operator differs and is reduced on its own.
+    """
     lhs = epsilon_degree(C.dual(), -nu, seed=seed).degree
-    rhs = sigma.sign * epsilon_degree(C, nu, seed=seed).degree
+    rhs = sigma.sign * epsilon_degree(C, nu, seed=seed, outer=outer).degree
     return lhs == rhs, lhs, rhs
 
 

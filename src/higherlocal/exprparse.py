@@ -43,9 +43,9 @@ def tokenize(text: str, line: int = 1, column: int = 1) -> List[Token]:
             cur_col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("int", text[i:j], cur_line, cur_col))
             cur_col += j - i

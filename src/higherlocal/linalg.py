@@ -18,11 +18,12 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import LevelMismatch, UndeterminedPivot
-from .series import TowerElement, TowerField, sub_mul, working_precision
+from .series import TowerElement, TowerField, sub_mul, sum_of_products, working_precision
 
 
 class SeriesMatrix:
@@ -110,21 +111,13 @@ class SeriesMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_exactly_zero() or b.is_exactly_zero():
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                row.append(acc if acc is not None else TowerElement.zero(self.level))
-            out.append(row)
-        return SeriesMatrix(out)
+        columns = list(zip(*other.entries))
+        return SeriesMatrix(
+            [
+                [sum_of_products(self.level, zip(row, col)) for col in columns]
+                for row in self.entries
+            ]
+        )
 
     def scale(self, f) -> "SeriesMatrix":
         return self.map(lambda x: x * f)
@@ -132,17 +125,7 @@ class SeriesMatrix:
     def apply(self, vec: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = None
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if a.is_exactly_zero() or vec[k].is_exactly_zero():
-                    continue
-                term = a * vec[k]
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else TowerElement.zero(self.level))
-        return tuple(out)
+        return tuple(sum_of_products(self.level, zip(row, vec)) for row in self.entries)
 
     def agrees_with(self, other: "SeriesMatrix") -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -178,12 +161,42 @@ class SeriesMatrix:
         return f"SeriesMatrix({self.rows}x{self.cols}, level {self.level})"
 
 
-@dataclass
 class EliminationResult:
-    rank: int
-    pivots: Tuple[Tuple[int, int], ...]  # (row, col) in the reduced matrix
-    kernel: Tuple[Tuple[TowerElement, ...], ...]
-    determinant: Optional[TowerElement]  # None for non-square input
+    """Rank, ``(row, col)`` pivots of the reduced matrix, kernel and determinant.
+
+    ``determinant`` is None for non-square input.  It may be passed as a
+    function of no arguments, which builds it when it is first read;
+    equality reads it.
+    """
+
+    __slots__ = ("rank", "pivots", "kernel", "_determinant")
+
+    def __init__(self, rank: int, pivots, kernel, determinant):
+        self.rank = rank
+        self.pivots: Tuple[Tuple[int, int], ...] = pivots
+        self.kernel: Tuple[Tuple[TowerElement, ...], ...] = kernel
+        self._determinant = determinant
+
+    @property
+    def determinant(self) -> Optional[TowerElement]:
+        if callable(self._determinant):
+            self._determinant = self._determinant()
+        return self._determinant
+
+    def _key(self):
+        return (self.rank, self.pivots, self.kernel, self.determinant)
+
+    def __eq__(self, other):
+        if not isinstance(other, EliminationResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # compared by value, not hashable
+
+    def __repr__(self):
+        return "EliminationResult(rank={!r}, pivots={!r}, kernel={!r}, determinant={!r})".format(
+            *self._key()
+        )
 
 
 @dataclass(frozen=True)
@@ -191,20 +204,30 @@ class Factorization:
     """The forward pass of one matrix, with the row operations it made.
 
     ``rows`` is the echelon form, ``pivots`` its ``(row, col)`` pivots with
-    their elements and inverses, ``sign`` the sign of the row permutation.
-    ``steps[k]`` is the row swapped into pivot row ``k`` and the
-    ``(row, factor)`` updates ``row <- row - factor * (pivot row k)`` made
-    below it.  Exact pivots invert to the working precision, so the result
-    holds only at the ``precision`` it was computed at.
+    their elements, ``sign`` the sign of the row permutation.  ``steps[k]``
+    is the row swapped into pivot row ``k`` and the ``(row, factor)``
+    updates ``row <- row - factor * (pivot row k)`` made below it.
+    ``inverses[k]`` is the inverse of pivot ``k``, or None until a
+    back-substitution needs it (:meth:`inverse`): the forward pass inverts
+    only the pivots that clear a row below them.  Exact pivots invert to
+    the working precision, so the result holds only at the ``precision`` it
+    was computed at.
     """
 
     precision: int
     rows: Tuple[Tuple[TowerElement, ...], ...]
     pivots: Tuple[Tuple[int, int], ...]
     elements: Tuple[TowerElement, ...]
-    inverses: Tuple[TowerElement, ...]
+    inverses: List[Optional[TowerElement]]
     sign: int
     steps: Tuple[Tuple[int, Tuple[Tuple[int, TowerElement], ...]], ...]
+
+    def inverse(self, k: int) -> TowerElement:
+        """The inverse of pivot ``k``, computed when first needed."""
+        inv = self.inverses[k]
+        if inv is None:
+            inv = self.inverses[k] = self.elements[k].invert()
+        return inv
 
     def push(self, rhs_rows) -> List[List[TowerElement]]:
         """The rows of a right-hand side after the same swaps and updates."""
@@ -225,7 +248,9 @@ class Factorization:
         is read from the echelon form, where the later pivots' updates could
         only subtract multiples of exact zeros.
         """
-        for (pr, pc), inv in zip(reversed(self.pivots), reversed(self.inverses)):
+        for k in reversed(range(len(self.pivots))):
+            pr, pc = self.pivots[k]
+            inv = self.inverse(k)
             prow = tail[pr] = [x * inv for x in tail[pr]]
             for i2 in range(pr):
                 x = self.rows[i2][pc]
@@ -238,9 +263,9 @@ def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
     """Forward elimination of the rows ``entries`` with minimal-valuation pivots.
 
     Each column takes the candidate of minimal certified valuation as its
-    pivot and is cleared below it.  A column whose only candidates are
-    undetermined raises :class:`UndeterminedPivot`; a column of exact zeros
-    is skipped.
+    pivot and is cleared below it; the pivot is inverted only when a row
+    below needs clearing.  A column whose only candidates are undetermined
+    raises :class:`UndeterminedPivot`; a column of exact zeros is skipped.
     """
     precision = working_precision()
     work: List[List[TowerElement]] = [list(r) for r in entries]
@@ -249,7 +274,7 @@ def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
     sign = 1
     pivots: List[Tuple[int, int]] = []
     elements: List[TowerElement] = []
-    inverses: List[TowerElement] = []
+    inverses: List[Optional[TowerElement]] = []
     steps = []
     r = 0
     for c in range(m):
@@ -274,13 +299,15 @@ def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
             sign = -sign
         prow = work[r]
         piv = prow[c]
-        piv_inv = piv.invert()
+        piv_inv = None
         updates = []
         for i2 in range(r + 1, n):
             row = work[i2]
             x = row[c]
             if x.is_exactly_zero():
                 continue
+            if piv_inv is None:
+                piv_inv = piv.invert()
             factor = x * piv_inv
             for j in range(c + 1, m):
                 row[j] = sub_mul(row[j], factor, prow[j])
@@ -296,7 +323,7 @@ def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
         tuple(tuple(row) for row in work),
         tuple(pivots),
         tuple(elements),
-        tuple(inverses),
+        inverses,
         sign,
         tuple(steps),
     )
@@ -316,22 +343,18 @@ def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationRes
     Raises :class:`UndeterminedPivot` when a column has no certified-nonzero
     candidate but carries entries that are only zero up to precision.  Rank
     and determinant come from the forward pass alone; only the kernel needs
-    the back-substitution.  ``M`` keeps the forward pass for a later
-    :func:`solve` or :func:`inverse`.
+    the back-substitution.  The determinant of a square matrix is built
+    when the result's ``determinant`` is first read, so a caller that reads
+    only the rank, pivots or kernel multiplies no pivots.  ``M`` keeps the
+    forward pass for a later :func:`solve` or :func:`inverse`.
     """
     level = M.level
     fac = _factorization(M)
     n, m = M.rows, M.cols
     rank = len(fac.pivots)
-    determinant: Optional[TowerElement] = None
+    determinant = None
     if n == m:
-        if rank == n:
-            det = fac.elements[0]
-            for p in fac.elements[1:]:
-                det = det * p
-            determinant = det if fac.sign == 1 else -det
-        else:
-            determinant = TowerElement.zero(level)
+        determinant = partial(_determinant, fac, n, level)
     kernel: Tuple[Tuple[TowerElement, ...], ...] = ()
     if want_kernel:
         pivot_rows = {pc: pr for pr, pc in fac.pivots}
@@ -347,6 +370,16 @@ def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationRes
             vecs.append(tuple(vec))
         kernel = tuple(vecs)
     return EliminationResult(rank, fac.pivots, kernel, determinant)
+
+
+def _determinant(fac: Factorization, n: int, level: int) -> TowerElement:
+    """The determinant of the square ``n x n`` matrix factored as ``fac``."""
+    if len(fac.pivots) < n:
+        return TowerElement.zero(level)
+    det = fac.elements[0]
+    for p in fac.elements[1:]:
+        det = det * p
+    return det if fac.sign == 1 else -det
 
 
 def _solve_square(M: SeriesMatrix, rhs_rows) -> List[List[TowerElement]]:

@@ -238,7 +238,7 @@ class TowerElement:
 
     @classmethod
     def zero(cls, level: int) -> "TowerElement":
-        return cls(level, {}, None, True)
+        return _zero(level)
 
     @classmethod
     def inexact_zero(cls, level: int, hi: int) -> "TowerElement":
@@ -385,7 +385,8 @@ class TowerElement:
         for e, c in other._terms.items():
             if h is None or e < h:
                 out[e] = out[e] + c if e in out else c
-        return TowerElement(self.level, out, h, h is None)
+        out = {e: c for e, c in out.items() if not c.is_exactly_zero()}
+        return _element(self.level, out, 1, h)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -420,30 +421,18 @@ class TowerElement:
                 p = q.numerator
                 terms = {e: n * p for e, n in self._terms.items()}
                 return _element(1, *_reduced(terms, self._den * q.denominator), self.known_hi())
-            return TowerElement(
-                self.level,
-                {e: c * q for e, c in self._terms.items()},
-                self.known_hi(),
-                self.exact,
-            )
+            terms = {e: c * q for e, c in self._terms.items()}
+            return _element(self.level, terms, 1, self.known_hi())
         if not isinstance(other, TowerElement):
             return NotImplemented
         self._check_level(other)
+        if self.level != 1:
+            return sum_of_products(self.level, ((self, other),))
         if self.is_exactly_zero() or other.is_exactly_zero():
-            return TowerElement.zero(self.level)
+            return _zero(1)
         h = _product_bound(self, other)
-        if self.level == 1:
-            prod = _convolve(self._terms, other._terms, h)
-            return _element(1, *_reduced(prod, self._den * other._den), h)
-        out: dict = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                e = ea + eb
-                if h is not None and e >= h:
-                    continue
-                p = ca * cb
-                out[e] = out[e] + p if e in out else p
-        return TowerElement(self.level, out, h, h is None)
+        prod = _convolve(self._terms, other._terms, h)
+        return _element(1, *_reduced(prod, self._den * other._den), h)
 
     __rmul__ = __mul__
 
@@ -667,11 +656,140 @@ def _element(level: int, terms: dict, den: int, hi: Optional[int]) -> TowerEleme
 
     The parts must already be canonical, with no term at or above a finite
     ``hi``; the per-coefficient checks of the public constructor are skipped.
+    An exact zero is the level's shared one.
     """
-    x = object.__new__(TowerElement)
     if hi is None:
-        return _fill(x, level, terms, den, max(terms) + 1 if terms else 0, True)
-    return _fill(x, level, terms, den, hi, False)
+        if not terms:
+            return _zero(level)
+        return _fill(object.__new__(TowerElement), level, terms, den, max(terms) + 1, True)
+    return _fill(object.__new__(TowerElement), level, terms, den, hi, False)
+
+
+_ZEROS: dict = {}
+
+
+def _zero(level: int) -> TowerElement:
+    """The exact zero of ``level``, one shared instance per level."""
+    z = _ZEROS.get(level)
+    if z is None:
+        z = _ZEROS[level] = TowerElement(level, {}, None, True)
+    return z
+
+
+# ---------------------------------------------------------------------------
+# Fused sums of products
+# ---------------------------------------------------------------------------
+
+def _products_q(pairs, h: Optional[int]):
+    """``(terms, den)`` of the level-1 sum of ``a*b`` over ``pairs``, cut at ``h``.
+
+    Each product is convolved in integers (:func:`_convolve`) and brought to
+    the lcm ``D`` of the denominators ``da*db``, so every sum is an integer
+    over ``D``.
+    """
+    dens = [a._den * b._den for a, b in pairs]
+    D = lcm(*dens)
+    acc: dict = {}
+    get = acc.get
+    for (a, b), d in zip(pairs, dens):
+        s = D // d
+        for e, n in _convolve(a._terms, b._terms, h).items():
+            acc[e] = get(e, 0) + n * s
+    return _reduced(acc, D)
+
+
+def _weighted_q(terms, h: Optional[int]):
+    """``(terms, den)`` of the level-1 sum of ``c*x`` over ``terms``, cut at ``h``."""
+    dens = [x._den * c.denominator for c, x in terms]
+    D = lcm(*dens)
+    acc: dict = {}
+    get = acc.get
+    for (c, x), d in zip(terms, dens):
+        s = c.numerator * (D // d)
+        for e, n in x._terms.items():
+            if h is None or e < h:
+                acc[e] = get(e, 0) + n * s
+    return _reduced(acc, D)
+
+
+def _fused(level: int, live: list, h: Optional[int], weighted: bool) -> TowerElement:
+    """The sum of the ``live`` terms, none of them zero, known below ``h``.
+
+    ``live`` holds element pairs, or ``(weight, element)`` pairs when
+    ``weighted``.  Above level 1 the inner pairs are gathered per outer
+    exponent below ``h`` and each coefficient is fused one level down, once.
+    """
+    if level == 1:
+        terms, den = (_weighted_q if weighted else _products_q)(live, h)
+        return _element(1, terms, den, h)
+    buckets: dict = {}
+    for a, b in live:
+        if weighted:
+            for e, y in b._terms.items():
+                if h is None or e < h:
+                    buckets.setdefault(e, []).append((a, y))
+            continue
+        ys = b._terms.items()
+        for ea, x in a._terms.items():
+            for eb, y in ys:
+                e = ea + eb
+                if h is None or e < h:
+                    buckets.setdefault(e, []).append((x, y))
+    fuse = weighted_sum if weighted else sum_of_products
+    out = {}
+    for e, pairs in buckets.items():
+        c = fuse(level - 1, pairs)
+        if not c.is_exactly_zero():
+            out[e] = c
+    return _element(level, out, 1, h)
+
+
+def sum_of_products(level: int, pairs) -> TowerElement:
+    """``sum_k a_k*b_k`` over ``pairs`` ``(a_k, b_k)`` of elements of ``level``.
+
+    Equal in value, window and exactness to the chained ``a_1*b_1 +
+    a_2*b_2 + ...``, but each output coefficient is built once: a pair with
+    an exact-zero factor is skipped, the sum is known below the least
+    product bound of the others (exact when all are exact), and level-1
+    coefficients are summed in integers over one common denominator.  No
+    pair left gives the exact zero.
+    """
+    live = []
+    h: Optional[int] = None
+    for a, b in pairs:
+        if a.is_exactly_zero() or b.is_exactly_zero():
+            continue
+        if a.level != level or b.level != level:
+            raise LevelMismatch(f"levels {a.level} and {b.level} in a level-{level} sum")
+        live.append((a, b))
+        h = _min_bound(h, _product_bound(a, b))
+    if not live:
+        return _zero(level)
+    return _fused(level, live, h, False)
+
+
+def weighted_sum(level: int, terms) -> TowerElement:
+    """``sum_k c_k*x_k`` over ``terms`` ``(c_k, x_k)`` with int or Fraction weights.
+
+    Equal to the chained ``c_1*x_1 + c_2*x_2 + ...`` as
+    :func:`sum_of_products` is to its chain: zero weights and exact-zero
+    elements are skipped, and the sum is known below the least bound of the
+    other elements.
+    """
+    live = []
+    h: Optional[int] = None
+    for c, x in terms:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot interpret {c!r} as a rational")
+        if not c or x.is_exactly_zero():
+            continue
+        if x.level != level:
+            raise LevelMismatch(f"level {x.level} in a level-{level} sum")
+        live.append((c, x))
+        h = _min_bound(h, x.known_hi())
+    if not live:
+        return _zero(level)
+    return _fused(level, live, h, True)
 
 
 def sub_mul(a: TowerElement, f: TowerElement, b: TowerElement) -> TowerElement:

@@ -183,6 +183,11 @@ def _parse_bracketed(value: str, line: int, col0: int):
     return items
 
 
+def _digits(s: str) -> bool:
+    """A nonempty run of ASCII digits (``str.isdigit`` also takes ``²``)."""
+    return s.isascii() and s.isdigit()
+
+
 def _int_value(entry: Tuple[str, int, int], key: str) -> int:
     value, lineno, colv = entry
     try:
@@ -253,7 +258,7 @@ def parse_specfile(text: str) -> SpecFile:
 
     conn = section("connection")
     for key in conn:
-        if key != "rank" and not (key.startswith("A") and key[1:].isdigit()):
+        if key != "rank" and not (key.startswith("A") and _digits(key[1:])):
             raise UnknownKey(f"unknown key {key!r} in [connection]")
     if "rank" not in conn:
         raise UnknownKey("missing key 'rank' in [connection]")
@@ -286,7 +291,7 @@ def parse_specfile(text: str) -> SpecFile:
             positions.extend((x.line, x.column) for x in row)
         raw_matrices.append(tuple(mat_rows))
     extra = [
-        k for k in conn if k.startswith("A") and k[1:].isdigit() and int(k[1:]) > level
+        k for k in conn if k.startswith("A") and _digits(k[1:]) and int(k[1:]) > level
     ]
     if extra:
         raise DimensionMismatch(f"matrix {extra[0]} exceeds n = {level}")
@@ -294,7 +299,7 @@ def parse_specfile(text: str) -> SpecFile:
     frm = section("forms")
     raw_forms = []
     for key in frm:
-        if not (key.startswith("nu") and key[2:].isdigit()):
+        if not (key.startswith("nu") and _digits(key[2:])):
             raise UnknownKey(f"unknown key {key!r} in [forms]")
     # the forms block is optional but must be complete when present
     form_indices = range(1, level + 1) if frm else ()

@@ -39,7 +39,7 @@ from .linalg import (
     sparse_echelon,
     sparse_kernel,
 )
-from .series import TowerElement, TowerField
+from .series import TowerElement, TowerField, weighted_sum
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
 OUTER_SCHEDULE = (4, 6, 8, 12)
@@ -239,12 +239,16 @@ def window_columns(
     ``q t^m`` of ``C_d[i, comp]`` sends ``t^e`` to ``falling(e, d) q`` at
     exponent ``e - d + m`` of component ``i``, where ``t`` is the outermost
     variable and ``q`` is rational (level 1) or an inner-field element
-    (level 2, left as is in the column).  At level 1 each entry of row ``i``
-    is read as integer numerators over its own denominator and rescaled to
-    ``D_i``, the lcm of the entry denominators in that row; the columns are
-    summed in integers and keep the integer sums: an entry ``n`` of a
-    component-``i`` row stands for ``n / D_i``, and the realization carries
-    ``D_i`` once per component in ``dens``.  Exponents at or above ``hi``
+    (level 2).  At level 1 each entry of row ``i`` is read as integer
+    numerators over its own denominator and rescaled to ``D_i``, the lcm of
+    the entry denominators in that row; the columns are summed in integers
+    and keep the integer sums: an entry ``n`` of a component-``i`` row
+    stands for ``n / D_i``, and the realization carries ``D_i`` once per
+    component in ``dens``.  At level 2 the ``(falling(e, d), q)`` terms of
+    an entry are gathered and the entry is built once, by
+    :func:`~higherlocal.series.weighted_sum`, with the window and
+    exactness of the chained sum.  Entries that cancel exactly are dropped
+    at both levels.  Exponents at or above ``hi``
     are cut (quotient semantics); those below ``lo`` are cut too when
     ``clip_below``, and are otherwise a broken hull.  An inexact coefficient
     must be known up to ``hi``: its product with the monomial is known below
@@ -309,8 +313,15 @@ def window_columns(
                             continue
                         raise AssertionError("image fell below the certified hull")
                     row = offset[i] + ee
-                    col[row] = col.get(row, 0) + f * q
-        columns.append({row: q for row, q in col.items() if q})
+                    if integer:
+                        col[row] = col.get(row, 0) + f * q
+                    else:
+                        col.setdefault(row, []).append((f, q))
+        if integer:
+            columns.append({row: q for row, q in col.items() if q})
+        else:
+            fused = ((row, weighted_sum(1, terms)) for row, terms in col.items())
+            columns.append({row: q for row, q in fused if not q.is_exactly_zero()})
     return WindowRealization(
         tuple(src_labels), tuple(tgt_labels), columns, tuple(dens) if integer else None
     )
@@ -516,6 +527,26 @@ def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
     return OuterReduction(
         w, win.src_labels, win.tgt_labels, SeriesMatrix(rows), res_b.kernel, coker_slots, res_t.rank
     )
+
+
+@dataclass(frozen=True)
+class OuterStabilization:
+    """What :func:`stabilize_outer_windows` gave for ``op`` on ``schedule``.
+
+    A caller that has stabilized an operator hands this along, and a later
+    caller that would build the same operator on the same schedule reads
+    the reduction from it instead of reducing the windows again.
+    """
+
+    op: OuterMatrixDiffOp
+    schedule: Tuple[int, ...]
+    reduction: OuterReduction
+    stabilized_at: Optional[int]
+    trace: Tuple[Tuple[int, int, int], ...]
+
+    def serves(self, op: OuterMatrixDiffOp, schedule: Sequence[int]) -> bool:
+        """True when ``op`` on ``schedule`` is the stabilization held here."""
+        return tuple(schedule) == self.schedule and op.coeffs == self.op.coeffs
 
 
 def stabilize_outer_windows(

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from higherlocal import cli, dmodule
+from higherlocal import cli, derham, dmodule, linalg, tate
+from higherlocal.connection import Connection
 from higherlocal.errors import (
     DimensionMismatch,
     SpecSyntaxError,
@@ -227,6 +228,50 @@ class TestGolden:
         assert capsys.readouterr().out == (GOLDEN / "coh_trivial_n1.out").read_text()
         assert len(calls) == 1
 
+    def test_verify_does_its_outer_work_once(self, monkeypatch, capsys):
+        # before verify handed its results along, this input took 6 outer
+        # reductions, 2 flatness checks and 8 edge applications per section
+        calls = {"reduce": 0, "flatness": 0, "edges": 0, "determinants in reduce": 0}
+        inside = []
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        reduce = tate.reduce_outer_window
+
+        def reducing(*args):
+            calls["reduce"] += 1
+            inside.append(1)
+            try:
+                return reduce(*args)
+            finally:
+                inside.pop()
+
+        determinant = linalg._determinant
+
+        def building(*args):
+            calls["determinants in reduce"] += bool(inside)
+            return determinant(*args)
+
+        monkeypatch.setattr(tate, "reduce_outer_window", reducing)
+        monkeypatch.setattr(linalg, "_determinant", building)
+        monkeypatch.setattr(
+            Connection, "check_flatness", counted("flatness", Connection.check_flatness)
+        )
+        monkeypatch.setattr(
+            derham.EdgeOperator, "apply", counted("edges", derham.EdgeOperator.apply)
+        )
+        assert cli.main([str(GOLDEN / "eps_n2_dlog.hl")]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "eps_n2_dlog.out").read_text()
+        sections = len(derham._test_sections(TowerField(2), 1))
+        assert calls == {
+            "reduce": 4, "flatness": 1, "edges": 6 * sections, "determinants in reduce": 0,
+        }
+
     def test_determinism(self):
         a = run_cli(GOLDEN / "cyclic_rank2.hl")
         b = run_cli(GOLDEN / "cyclic_rank2.hl")
@@ -254,6 +299,32 @@ class TestGolden:
     def test_json_like_keeps_unicode(self):
         out = cli.format_report([("vector", "(1, τ)")], "json-like")
         assert out == '{\n  "vector": "(1, τ)"\n}\n'
+
+
+class TestVerifyStatus:
+    def test_unsupported_direction_is_not_a_failure(self, tmp_path, capsys):
+        # d + d(t1/(1 - t2)): the t1 direction has no supported check, since
+        # its data involve t2 and the swap needs an exact outer expansion
+        spec = tmp_path / "unsupported.hl"
+        spec.write_text(
+            """[field]
+n = 2
+
+[connection]
+rank = 1
+A1 = [["1/(1 - t2)"]]
+A2 = [["t1/(1 - t2)^2"]]
+
+[task]
+command = verify
+"""
+        )
+        assert cli.main([str(spec)]) == 0
+        lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["check_squares"] == "pass"
+        assert lines["check_acyclicity"] == "unsupported"
+        assert lines["check_duality"] == "pass"
+        assert lines["result"] == "unsupported"
 
 
 class TestRejections:
@@ -335,6 +406,20 @@ command = cohomology
         proc = run_cli(bad)
         assert proc.returncode == 3
         assert "NotFlat" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [('nu1 = ["1"]', 'nu1 = ["²1"]'), ("[connection]", '[connection]\nA² = [["1"]]')],
+    )
+    def test_non_ascii_digits_exit_code(self, tmp_path, old, new):
+        # str.isdigit accepts "²", which int() rejects
+        text = (GOLDEN / "eps_exponential.hl").read_text()
+        assert old in text
+        bad = tmp_path / "bad.hl"
+        bad.write_text(text.replace(old, new), encoding="utf-8")
+        proc = run_cli(bad)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file(self):
         proc = run_cli("/nonexistent/path.hl")

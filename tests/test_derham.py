@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from higherlocal import tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.derham import (
@@ -125,6 +126,40 @@ class TestMulticomplex:
         assert not rep.ok
         blamed = [d for d in rep.directions if d.family == "nabla" and not d.ok]
         assert blamed
+
+    def test_unsupported_direction_status(self):
+        # nu1 = dt1 + dt2, nu2 = dt2: the frame field dual to nu2 is
+        # d/dt2 - d/dt1, which mixes directions
+        nu = FormTuple((OneForm((F2.one(), F2.one())), OneForm((F2.zero(), F2.one()))))
+        B = build_multicomplex(Connection.trivial(F2, 1), nu)
+        rep = check_multicomplex(B)
+        statuses = {(d.direction, d.family): d.status for d in rep.directions}
+        assert statuses == {
+            (1, "nabla"): "pass", (1, "wedge"): "pass",
+            (2, "nabla"): "unsupported", (2, "wedge"): "pass",
+        }
+        assert rep.acyclicity == "unsupported" and not rep.acyclic
+        # a failed direction outranks an unsupported one
+        assert check_multicomplex(B.with_zero_edge(frozenset(), 1)).acyclicity == "fail"
+
+    def test_outer_reduction_handed_along(self, monkeypatch):
+        C = exp2_connection()
+        nu = dlog_forms()
+        rep = check_multicomplex(build_multicomplex(C, nu))
+        assert rep.acyclicity == "pass" and rep.outer is not None
+        h2 = nu.frame[1, 1]
+        fresh = induced_inner_connections(C, normalizer=h2)
+        calls = []
+        reduce = tate.reduce_outer_window
+        monkeypatch.setattr(tate, "reduce_outer_window", lambda *a: calls.append(1) or reduce(*a))
+        shared = induced_inner_connections(C, normalizer=h2, outer=rep.outer)
+        assert not calls and shared[2] is rep.outer.reduction
+        assert shared[1:] == fresh[1:] and shared[0] == fresh[0]
+        # another operator, or another schedule, is reduced afresh
+        other = induced_inner_connections(C, outer=rep.outer)
+        assert len(calls) == 2 and other[2].coker_slots != shared[2].coker_slots
+        induced_inner_connections(C, normalizer=h2, schedule=(4, 6, 8), outer=rep.outer)
+        assert len(calls) == 4
 
     def test_non_closed_rejected_at_build(self):
         t2 = F2.gen(2)

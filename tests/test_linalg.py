@@ -113,6 +113,40 @@ class TestElimination:
         assert prod.agrees_with(SeriesMatrix.identity(F1, 2))
 
 
+class TestDeferredWork:
+    """The determinant is built when read, a pivot inverted when needed."""
+
+    def test_determinant_built_when_read(self, monkeypatch):
+        calls = []
+        build = linalg._determinant
+        monkeypatch.setattr(linalg, "_determinant", lambda *a: calls.append(1) or build(*a))
+        t = F1.gen(1)
+        res = rank_kernel_det(mat([[1 + t, t], [t, 2]]))
+        assert res.rank == 2 and len(res.kernel) == 0 and not calls
+        assert res.determinant.agrees_with(2 + 2 * t - t * t)
+        assert res.determinant is res.determinant and len(calls) == 1
+        assert rank_kernel_det(mat([[1, t]])).determinant is None and len(calls) == 1
+
+    def test_pivots_inverted_when_needed(self, monkeypatch):
+        calls = []
+        invert = TowerElement.invert
+        monkeypatch.setattr(TowerElement, "invert", lambda x, *a: calls.append(x) or invert(x, *a))
+        t = F1.gen(1)
+        # nothing below either pivot: rank and determinant invert nothing
+        M = mat([[1 + t, t], [0, 2 + t]])
+        assert rank_kernel_det(M, want_kernel=False).rank == 2
+        assert not calls
+        # the back-substitution of a solve inverts each pivot once, for good
+        x = solve(M, (F1.one(), t))
+        assert len(calls) == 2
+        assert inverse(M) @ mat([[1], [t]]) == SeriesMatrix([[v] for v in x])
+        assert len(calls) == 2
+        # a pivot that clears a row below is inverted in the forward pass
+        calls.clear()
+        assert rank_kernel_det(mat([[1 + t, t], [t, 1]]), want_kernel=False).rank == 2
+        assert calls == [1 + t]
+
+
 class TestColumnSolver:
     def test_undetermined_only_column_raises(self):
         fuzzy = TowerElement.inexact_zero(1, 3)

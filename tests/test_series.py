@@ -16,6 +16,7 @@ from higherlocal.errors import (
     UndeterminedLeadingTerm,
     ZeroDivisionSeries,
 )
+from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import (
     OneForm,
     TowerElement,
@@ -749,3 +750,195 @@ class TestReadOnlyCoefficients:
             del x.coeffs[0]
         assert (repr(x), x.hi, hash(x)) == before
         assert dict(x.coeffs) == {0: F1.gen(1), 1: F1.one()}
+
+
+# ---------------------------------------------------------------------------
+# Fused sums of products against the chained products and sums
+# ---------------------------------------------------------------------------
+
+def oracle_mul2(a, b):
+    """Level-2 product by the term loop the fused kernel replaced: one
+    level-1 product per term pair, summed into the coefficient one by one."""
+    if a.is_exactly_zero() or b.is_exactly_zero():
+        return TowerElement(2, {}, None, True)
+    h = series._product_bound(a, b)
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            e = ea + eb
+            if h is not None and e >= h:
+                continue
+            p = oracle_mul(ca, cb)
+            out[e] = out[e] + p if e in out else p
+    return TowerElement(2, out, h, h is None)
+
+
+def oracle_add(a, b):
+    """``a + b`` through the public constructor, at either level."""
+    h = series._min_bound(a.known_hi(), b.known_hi())
+    out = {e: c for e, c in a.coeffs.items() if h is None or e < h}
+    for e, c in b.coeffs.items():
+        if h is None or e < h:
+            out[e] = out[e] + c if e in out else c
+    return TowerElement(a.level, out, h, h is None)
+
+
+def oracle_scale(c, x):
+    return TowerElement(x.level, {e: q * c for e, q in x.coeffs.items()}, x.known_hi(), x.exact)
+
+
+def chained(level, terms, product):
+    """The chain ``p_1 + p_2 + ...`` of the products of the terms that are
+    not skipped (an exact-zero factor or a zero weight)."""
+    acc = None
+    for a, b in terms:
+        skip = a.is_exactly_zero() if isinstance(a, TowerElement) else a == 0
+        if skip or b.is_exactly_zero():
+            continue
+        p = product(a, b)
+        acc = p if acc is None else oracle_add(acc, p)
+    return TowerElement(level, {}, None, True) if acc is None else acc
+
+
+def element_product(level):
+    return oracle_mul if level == 1 else oracle_mul2
+
+
+def assert_same_element(x, y):
+    """Equal in value, window, exactness and hash, with no stored exact zero."""
+    assert (x.level, x.lo, x.hi, x.exact) == (y.level, y.lo, y.hi, y.exact)
+    assert x == y and hash(x) == hash(y)
+    if x.level == 1:
+        assert_canonical(x)
+    else:
+        assert not any(c.is_exactly_zero() for c in x.coeffs.values())
+
+
+fused_rationals = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 2, 3, 4, 6))
+)
+
+
+@st.composite
+def fused_elements(draw, level):
+    """Exact, inexact, exact-zero or inexact-zero elements over a short range;
+    at level 2 the coefficients are exact, inexact or inexact zeros."""
+    kind = draw(st.sampled_from(("exact", "inexact", "exact zero", "inexact zero")))
+    if kind == "exact zero":
+        return TowerElement.zero(level)
+    if kind == "inexact zero":
+        return TowerElement.inexact_zero(level, draw(st.integers(-4, 4)))
+    inner = fused_rationals if level == 1 else fused_elements(1)
+    coeffs = draw(st.dictionaries(st.integers(-3, 3), inner, min_size=1, max_size=5))
+    if kind == "exact":
+        return TowerElement(level, coeffs, None, True)
+    return TowerElement(level, coeffs, max(coeffs) + draw(st.integers(-2, 2)), False)
+
+
+weights = st.sampled_from((0, 1, -1, 2, -3, Fraction(0))) | fused_rationals
+
+
+@st.composite
+def fused_terms(draw, weighted):
+    """(level, terms): element pairs, or (weight, element) pairs; a negated
+    copy of one term may follow, so that its contribution cancels."""
+    level = draw(st.integers(1, 2))
+    first = weights if weighted else fused_elements(level)
+    terms = draw(st.lists(st.tuples(first, fused_elements(level)), max_size=4))
+    if terms and draw(st.booleans()):
+        a, b = terms[draw(st.integers(0, len(terms) - 1))]
+        terms.append((-a, b))
+    return level, terms
+
+
+class TestFusedSums:
+    """``sum_of_products`` and ``weighted_sum`` are the chained ``*`` and ``+``."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(fused_terms(weighted=False))
+    def test_sum_of_products_matches_chain(self, case):
+        level, pairs = case
+        got = series.sum_of_products(level, pairs)
+        assert_same_element(got, chained(level, pairs, element_product(level)))
+
+    @settings(deadline=None, max_examples=400)
+    @given(fused_terms(weighted=True))
+    def test_weighted_sum_matches_chain(self, case):
+        level, terms = case
+        got = series.weighted_sum(level, terms)
+        assert_same_element(got, chained(level, terms, oracle_scale))
+
+    @settings(deadline=None, max_examples=300)
+    @given(fused_elements(2), fused_elements(2))
+    def test_level2_product_matches_term_loop(self, a, b):
+        assert_same_element(a * b, oracle_mul2(a, b))
+        assert_same_element(b * a, oracle_mul2(b, a))
+
+    def test_cancellation_to_exact_zero(self):
+        t1, t2 = F2.gen(1), F2.gen(2)
+        a = (t1 + 1) * t2 ** -1 + Fraction(1, 2) * t2
+        b = t1 ** -1 - t2
+        for level, x, y in ((2, a, b), (1, a.coefficient(-1), b.coefficient(0))):
+            got = series.sum_of_products(level, [(x, y), (-x, y)])
+            assert got is TowerElement.zero(level)
+            assert series.weighted_sum(level, [(3, x), (Fraction(-3), x)]) is got
+
+    def test_inexact_zero_survives_cancellation(self):
+        # the exact parts cancel, the inexact zero keeps its window
+        x = F1.gen(1) + 2
+        z = TowerElement.inexact_zero(1, 3)
+        got = series.sum_of_products(1, [(x, x), (-x, x), (z, x)])
+        assert got.is_exactly_zero() is False and not got.coeffs and got.hi == 3
+        assert_same_element(got, chained(1, [(x, x), (-x, x), (z, x)], oracle_mul))
+
+    def test_no_terms_and_level_checks(self):
+        assert series.sum_of_products(2, []) is TowerElement.zero(2)
+        assert series.weighted_sum(1, [(0, F1.gen(1)), (2, F1.zero())]) is F1.zero()
+        with pytest.raises(LevelMismatch):
+            series.sum_of_products(2, [(F2.gen(1), F1.gen(1))])
+        with pytest.raises(LevelMismatch):
+            series.weighted_sum(2, [(1, F1.gen(1))])
+        with pytest.raises(TypeError):
+            series.weighted_sum(1, [(0.5, F1.gen(1))])
+
+
+def oracle_apply(M, vec):
+    """``SeriesMatrix.apply`` by the chained loop the fused kernel replaced."""
+    out = []
+    for i in range(M.rows):
+        acc = None
+        for k in range(M.cols):
+            a = M.entries[i][k]
+            if a.is_exactly_zero() or vec[k].is_exactly_zero():
+                continue
+            term = element_product(M.level)(a, vec[k])
+            acc = term if acc is None else oracle_add(acc, term)
+        out.append(acc if acc is not None else TowerElement(M.level, {}, None, True))
+    return tuple(out)
+
+
+@st.composite
+def matrix_and_vectors(draw):
+    """A level-1 or level-2 matrix of up to 3 x 3 fused elements, a vector
+    for it and a second matrix to multiply it by."""
+    level = draw(st.integers(1, 2))
+    rows, cols, other = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def entries(n, m):
+        return [[draw(fused_elements(level)) for _ in range(m)] for _ in range(n)]
+
+    M, N = SeriesMatrix(entries(rows, cols)), SeriesMatrix(entries(cols, other))
+    return M, entries(1, cols)[0], N
+
+
+class TestFusedMatrixProducts:
+    @settings(deadline=None, max_examples=150)
+    @given(matrix_and_vectors())
+    def test_apply_and_matmul_match_chain(self, case):
+        M, vec, N = case
+        for got, want in zip(M.apply(vec), oracle_apply(M, vec)):
+            assert_same_element(got, want)
+        product = M @ N
+        for j in range(N.cols):
+            for got, want in zip(product.column(j), oracle_apply(M, N.column(j))):
+                assert_same_element(got, want)
