@@ -26,8 +26,6 @@ from .derham import (
     check_multicomplex,
     cohomology_dims,
     standard_forms,
-    swap_connection,
-    swap_variables,
 )
 from .dmodule import (
     NewtonPolygon,
@@ -123,8 +121,6 @@ __all__ = [
     "set_working_precision",
     "solve",
     "standard_forms",
-    "swap_connection",
-    "swap_variables",
     "to_scalar_operator",
     "verify_duality",
     "verify_induction",

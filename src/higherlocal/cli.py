@@ -85,9 +85,8 @@ def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Repor
         report.append(("euler", str(rep.euler)))
         report.append(("stabilized", _fmt(rep.stabilized)))
         if rep.level == 1:
-            irr = -rep.euler  # cohomology_dims certifies euler = -irregularity
-            report.append(("irregularity", str(irr)))
-            report.append(("euler_matches_irregularity", _fmt(rep.euler == -irr)))
+            # cohomology_dims certifies euler = -irregularity
+            report.append(("irregularity", str(-rep.euler)))
             if rep.window_dims is not None:
                 for i, d in enumerate(rep.window_dims):
                     report.append((f"window_h{i}", str(d)))
@@ -95,10 +94,6 @@ def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Repor
         if rep.e2 is not None:
             for (p, q), d in sorted(rep.e2.items()):
                 report.append((f"e2_p{p}_q{q}", str(d)))
-        if rep.total_dims is not None:
-            for i, d in enumerate(rep.total_dims):
-                report.append((f"total_h{i}", str(d)))
-            report.append(("filtrations_agree", _fmt(rep.total_dims == rep.dims)))
         if not rep.stabilized:
             raise Unstabilized(report)
         return report

@@ -13,9 +13,8 @@ kernel/cokernel windows.
 Cohomology dimensions over two variables are computed along the outer
 variable first: the windowed kernel and cokernel of the outer derivative are
 finite-dimensional inner-field spaces carrying an induced inner connection,
-whose windowed dimensions fill in the second page.  The same computation run
-with the variables swapped provides an independent total, and the report
-carries both.
+whose windowed dimensions fill in the second page.  That filtration is the
+only one: every two-variable answer is computed over ``k((t1))((t2))``.
 """
 
 from __future__ import annotations
@@ -456,25 +455,11 @@ def _direction_acyclicity(
         return DirectionResult(
             n, "nabla", False, "outer window dimensions kept growing", trace, outer=outer
         )
-    # inner pure direction: fiberwise when the data is outer-free, otherwise
-    # exchange the variables and use the outer machinery
+    # inner pure direction: fiberwise, when the data is outer-free
     try:
         op1 = inner_operator(edge.cvec[0], edge.pmat)
-    except UnsupportedFrame:
-        try:
-            op = OuterMatrixDiffOp.first_order(
-                swap_variables(edge.cvec[0]), edge.pmat.map(swap_variables)
-            )
-        except UnsupportedFrame as exc:
-            return DirectionResult(pure, "nabla", False, str(exc), unsupported=True)
-        _, at, trace = stabilize_outer_windows(op, schedule)
-        if at is not None:
-            return DirectionResult(
-                pure, "nabla", True, "bounded window certified after a variable swap", trace
-            )
-        return DirectionResult(
-            pure, "nabla", False, "window dimensions kept growing", trace
-        )
+    except UnsupportedFrame as exc:
+        return DirectionResult(pure, "nabla", False, str(exc), unsupported=True)
     rep = operator_index(op1, DEFAULT_SCHEDULE, want_kernel=False)
     return DirectionResult(
         pure,
@@ -484,45 +469,6 @@ def _direction_acyclicity(
         if rep.stabilized
         else "fiberwise window dimensions kept growing",
         rep.trace,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Variable swap for the two-variable tower
-# ---------------------------------------------------------------------------
-
-def swap_variables(f: TowerElement) -> TowerElement:
-    """Transpose a two-variable element: exchange the roles of t1 and t2."""
-    if f.level != 2:
-        raise UnsupportedFrame("swap is defined for two-variable elements")
-    inner_bounds = []
-    rows: Dict[int, Dict[int, Fraction]] = {}
-    for e, c in f.coeffs.items():
-        inner_bounds.append(None if c.exact else c.hi)
-        for a, q in c.coeffs.items():
-            rows.setdefault(a, {})[e] = q
-    if not f.exact:
-        # an unknown outer tail may hide arbitrary inner exponents
-        raise UnsupportedFrame("swap needs an exact outer expansion")
-    outer_hi = None
-    for b in inner_bounds:
-        if b is not None:
-            outer_hi = b if outer_hi is None else min(outer_hi, b)
-    inner_hi = None
-    coeffs = {}
-    for a, row in rows.items():
-        coeffs[a] = TowerElement(1, row, inner_hi, inner_hi is None)
-    return TowerElement(2, coeffs, outer_hi, outer_hi is None)
-
-
-def swap_connection(C: Connection) -> Connection:
-    """The same connection with the two variables exchanged."""
-    if C.field.level != 2:
-        raise UnsupportedFrame("swap is defined over two variables")
-    A1, A2 = C.matrices
-    return Connection(
-        C.field,
-        [A2.map(swap_variables), A1.map(swap_variables)],
     )
 
 
@@ -613,8 +559,6 @@ class CohomologyReport:
     euler: int
     stabilized: bool
     e2: Optional[Dict[Tuple[int, int], int]] = None
-    total_dims: Optional[Tuple[int, ...]] = None
-    euler_consistent: Optional[bool] = None
     index_report: Optional[IndexReport] = None
     window_dims: Optional[Tuple[int, ...]] = None
     window_agrees: Optional[bool] = None
@@ -638,11 +582,17 @@ def cohomology_dims(
 ) -> CohomologyReport:
     """Windowed cohomology dimensions with a certified degree-one side.
 
-    The degree-zero dimension is the windowed kernel of the lattice probes
-    (:func:`operator_index`), a presentation-independent quantity.  The
-    degree-one dimension is normalized through the certified irregularity
-    (the windowed Euler characteristic equals minus the irregularity); the
-    windowed cokernel is computed alongside and compared.
+    Over one variable the degree-zero dimension is the windowed kernel of the
+    lattice probes (:func:`operator_index`), a presentation-independent
+    quantity.  The degree-one dimension is normalized through the certified
+    irregularity (the windowed Euler characteristic equals minus the
+    irregularity); the windowed cokernel is computed alongside and compared.
+
+    Over two variables the outer direction goes first
+    (:func:`induced_inner_connections`).  The induced inner connection on
+    the outer ``H^q`` fills column ``q`` of the second page ``e2``: its
+    one-variable dimensions at inner degrees ``p = 0, 1``.  ``h^n`` sums the
+    entries with ``p + q = n``.
     """
     n = C.field.level
     if n == 1:
@@ -669,30 +619,16 @@ def cohomology_dims(
         )
     if n != 2:
         raise UnsupportedFrame("cohomology dimensions are implemented for n <= 2")
-    h0, h1, red, stabilized = induced_inner_connections(C, schedule=schedule)
+    h0, h1, _, stabilized = induced_inner_connections(C, schedule=schedule)
     k0, c0, s0 = _inner_connection_dims(h0)
     k1, c1, s1 = _inner_connection_dims(h1)
     e2 = {(0, 0): k0, (1, 0): c0, (0, 1): k1, (1, 1): c1}
     dims = (e2[(0, 0)], e2[(1, 0)] + e2[(0, 1)], e2[(1, 1)])
     euler = dims[0] - dims[1] + dims[2]
-    # independent total through the swapped filtration
-    total = None
-    euler_consistent = None
-    try:
-        Cs = swap_connection(C)
-        g0, g1, _, st2 = induced_inner_connections(Cs, schedule=schedule)
-        kk0, cc0, _ = _inner_connection_dims(g0)
-        kk1, cc1, _ = _inner_connection_dims(g1)
-        total = (kk0, cc0 + kk1, cc1)
-        euler_consistent = (total[0] - total[1] + total[2]) == euler
-    except UnsupportedFrame:
-        pass
     return CohomologyReport(
         2,
         dims,
         euler,
         stabilized is not None and s0 and s1,
         e2=e2,
-        total_dims=total,
-        euler_consistent=euler_consistent,
     )

@@ -192,7 +192,7 @@ def _pseudo_determinant(work) -> Fraction:
     """Product of the nonzero pivots of the rows ``work``, reduced in place.
 
     Each column pivots on its first nonzero row at or below the current one;
-    a column with none is skipped, and each row swap flips the sign.
+    a column with none is skipped, and each row exchange flips the sign.
     """
     n = len(work)
     m = len(work[0]) if n else 0

@@ -205,7 +205,7 @@ class Factorization:
 
     ``rows`` is the echelon form, ``pivots`` its ``(row, col)`` pivots with
     their elements, ``sign`` the sign of the row permutation.  ``steps[k]``
-    is the row swapped into pivot row ``k`` and the ``(row, factor)``
+    is the row exchanged into pivot row ``k`` and the ``(row, factor)``
     updates ``row <- row - factor * (pivot row k)`` made below it.
     ``inverses[k]`` is the inverse of pivot ``k``, or None until a
     back-substitution needs it (:meth:`inverse`): the forward pass inverts
@@ -230,7 +230,7 @@ class Factorization:
         return inv
 
     def push(self, rhs_rows) -> List[List[TowerElement]]:
-        """The rows of a right-hand side after the same swaps and updates."""
+        """The rows of a right-hand side after the same row exchanges and updates."""
         work = [list(r) for r in rhs_rows]
         for r, (i, updates) in enumerate(self.steps):
             if i != r:

@@ -499,13 +499,11 @@ class TowerElement:
         c0inv = lead.invert(prec)
         inv: dict = {0: c0inv}
         for e in range(1, width):
-            s = None
-            for j, gj in g._terms.items():
-                if 1 <= j <= e and (e - j) in inv:
-                    term = gj * inv[e - j]
-                    s = term if s is None else s + term
-            if s is not None:
-                coef = -(c0inv * s)
+            pairs = [
+                (gj, inv[e - j]) for j, gj in g._terms.items() if 1 <= j <= e and (e - j) in inv
+            ]
+            if pairs:
+                coef = -(c0inv * sum_of_products(self.level - 1, pairs))
                 if not coef.is_exactly_zero():
                     inv[e] = coef
         return TowerElement(self.level, inv, width, False).shift_outer(-v)

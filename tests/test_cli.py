@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from higherlocal import cli, derham, dmodule, linalg, tate
 from higherlocal.connection import Connection
@@ -304,7 +304,7 @@ class TestGolden:
 class TestVerifyStatus:
     def test_unsupported_direction_is_not_a_failure(self, tmp_path, capsys):
         # d + d(t1/(1 - t2)): the t1 direction has no supported check, since
-        # its data involve t2 and the swap needs an exact outer expansion
+        # its data involve t2 and the fiberwise check needs outer-free data
         spec = tmp_path / "unsupported.hl"
         spec.write_text(
             """[field]
@@ -524,6 +524,10 @@ class TestMutatedGoldens:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(mutated_goldens())
+    # inputs that once ended in a traceback: a digit that int() rejects, and
+    # a repeated variable name
+    @example((GOLDEN / "eps_exponential.hl").read_text().replace('nu1 = ["1"]', 'nu1 = ["²1"]'))
+    @example((GOLDEN / "coh_trivial_n2.hl").read_text().replace("2\n", "2\nvars = t1 t1\n", 1))
     def test_exit_code_is_documented(self, tmp_path, text):
         path = tmp_path / "mutated.hl"
         path.write_text(text, encoding="utf-8")

@@ -14,11 +14,8 @@ from higherlocal.derham import (
     cohomology_dims,
     induced_inner_connections,
     standard_forms,
-    swap_connection,
-    swap_variables,
 )
 from higherlocal.errors import NotClosed, NotIndependent
-from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
 
 F1 = TowerField(1)
@@ -109,7 +106,11 @@ class TestMulticomplex:
         B = build_multicomplex(C, standard_forms(F2))
         rep = check_multicomplex(B)
         assert rep.squares_ok
-        assert rep.acyclic
+        statuses = {(d.direction, d.family): d.status for d in rep.directions}
+        # direction 1's data involve t2, so no fiberwise check applies to it
+        assert statuses[(1, "nabla")] == "unsupported"
+        assert statuses[(2, "nabla")] == "pass"
+        assert rep.acyclicity == "unsupported"
 
     def test_dlog_frame(self):
         C = exp2_connection()
@@ -176,29 +177,6 @@ class TestMulticomplex:
             )
 
 
-class TestSwap:
-    def test_swap_element(self):
-        t1, t2 = F2.gen(1), F2.gen(2)
-        f = t1 ** 2 * t2 + 3 * t2 ** -1
-        g = swap_variables(f)
-        # coefficient of t2^a in g is the old t1^a row
-        assert g == t2 ** 2 * t1 + 3 * t1 ** -1
-
-    def test_swap_involutive(self):
-        t1, t2 = F2.gen(1), F2.gen(2)
-        f = t1 ** -1 * t2 ** 2 + 5 + t1 * t2
-        assert swap_variables(swap_variables(f)) == f
-
-    def test_swap_connection_flat(self):
-        t1, t2 = F2.gen(1), F2.gen(2)
-        A1 = SeriesMatrix([[t2 * t1]])
-        A2 = SeriesMatrix([[t1 ** 2 / 2]])
-        C = Connection(F2, [A1, A2])
-        assert C.is_flat()
-        Cs = swap_connection(C)
-        assert Cs.is_flat()
-
-
 class TestCohomology:
     def test_trivial_rank1_level1(self):
         rep = cohomology_dims(Connection.trivial(F1, 1))
@@ -226,8 +204,6 @@ class TestCohomology:
         rep = cohomology_dims(Connection.trivial(F2, 1))
         assert rep.dims == (1, 2, 1)
         assert rep.e2 == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
-        assert rep.total_dims == (1, 2, 1)
-        assert rep.euler_consistent
         assert rep.stabilized
 
     def test_exponential_in_t2_level2(self):
@@ -236,7 +212,6 @@ class TestCohomology:
         # a trivial inner connection
         assert rep.dims == (0, 1, 1)
         assert rep.euler == 0
-        assert rep.euler_consistent
 
     def test_regular_times_regular(self):
         t1, t2 = F2.gen(1), F2.gen(2)
@@ -245,31 +220,81 @@ class TestCohomology:
         )
         rep = cohomology_dims(C)
         assert rep.dims == (0, 0, 0)
-        assert rep.total_dims == (0, 0, 0)
 
     def test_integer_twist_level2(self):
         t1, t2 = F2.gen(1), F2.gen(2)
         C = rank1_from_form(OneForm((t1 ** -1, 2 * t2 ** -1)))
-        rep = cohomology_dims(C)
-        assert rep.euler_consistent
-        assert rep.dims == rep.total_dims
+        assert cohomology_dims(C).dims == (1, 2, 1)
 
     def test_euler_consistency_across_catalog(self):
-        # the two filtrations must produce the same Euler characteristic on
-        # every two-variable instance
+        # external products and their sums, against the Kunneth dimensions
         t1, t2 = F2.gen(1), F2.gen(2)
         catalog = [
-            Connection.trivial(F2, 1),
-            rank1_from_form(OneForm((Fraction(1, 2) * t1 ** -1, F2.zero()))),
-            rank1_from_form(OneForm((F2.zero(), (t2 ** -1).derive(2)))),
-            rank1_from_form(OneForm(((t1 ** -1).derive(1), F2.zero()))),
-            rank1_from_form(
-                OneForm((Fraction(1, 2) * t1 ** -1, Fraction(1, 3) * t2 ** -1))
-            ).direct_sum(Connection.trivial(F2, 1)),
+            (Connection.trivial(F2, 1), (1, 2, 1)),
+            (rank1_from_form(OneForm((Fraction(1, 2) * t1 ** -1, F2.zero()))), (0, 0, 0)),
+            (rank1_from_form(OneForm((F2.zero(), (t2 ** -1).derive(2)))), (0, 1, 1)),
+            (rank1_from_form(OneForm(((t1 ** -1).derive(1), F2.zero()))), (0, 1, 1)),
+            (
+                rank1_from_form(
+                    OneForm((Fraction(1, 2) * t1 ** -1, Fraction(1, 3) * t2 ** -1))
+                ).direct_sum(Connection.trivial(F2, 1)),
+                (1, 2, 1),
+            ),
         ]
-        for C in catalog:
+        for C, dims in catalog:
             rep = cohomology_dims(C)
-            assert rep.euler_consistent, (rep.dims, rep.total_dims)
+            assert rep.dims == dims
+            assert rep.euler == dims[0] - dims[1] + dims[2]
+
+    def test_coupled_exponentials_level2(self):
+        # d + d(f) for f = 1/(t1 t2) and f = 1/(t1 t2) + 1/t2, by hand
+        t1, t2 = F2.gen(1), F2.gen(2)
+        for f in ((t1 * t2) ** -1, (t1 * t2) ** -1 + t2 ** -1):
+            rep = cohomology_dims(rank1_from_form(OneForm((f.derive(1), f.derive(2)))))
+            assert rep.dims == (0, 1, 1)
+            assert rep.stabilized
+
+
+def dlog_dims(k):
+    """(h0, h1) of d + k dt/t over one variable."""
+    return (1, 1) if Fraction(k).denominator == 1 else (0, 0)
+
+
+EXP_DIMS = (0, 1)  # (h0, h1) of d + d(1/t)
+
+
+def kunneth(c1, c2):
+    """h^n = sum over p + q = n of h^p(C1) h^q(C2), for C1 in t1 and C2 in t2."""
+    return tuple(sum(c1[p] * c2[n - p] for p in (0, 1) if n - p in (0, 1)) for n in range(3))
+
+
+# ROADMAP item 1: the outer windows settle before they reach t2^-b for these
+# b, and the route prints (0, 0, 0)
+DEEP = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="outer window depth, ROADMAP item 1"
+)
+DEEP_B = [pytest.param(b, marks=DEEP) for b in (-8, -7, -6, 7, 8)]
+
+
+class TestKunneth:
+    """External products C1 (x) C2 of rank 1, against the Kunneth formula."""
+
+    A = (*range(-8, 9), Fraction(1, 2), Fraction(-1, 3))
+
+    @pytest.mark.parametrize("b", [*range(-5, 7), Fraction(1, 2), Fraction(-2, 3), *DEEP_B])
+    def test_times_dlog_in_t2(self, b):
+        t1, t2 = F2.gen(1), F2.gen(2)
+        for a in self.A:
+            C = rank1_from_form(OneForm((a * t1 ** -1, b * t2 ** -1)))
+            assert cohomology_dims(C).dims == kunneth(dlog_dims(a), dlog_dims(b)), a
+        C = rank1_from_form(OneForm(((t1 ** -1).derive(1), b * t2 ** -1)))
+        assert cohomology_dims(C).dims == kunneth(EXP_DIMS, dlog_dims(b))
+
+    def test_times_exponential_in_t2(self):
+        t1, t2 = F2.gen(1), F2.gen(2)
+        for a in self.A:
+            C = rank1_from_form(OneForm((a * t1 ** -1, (t2 ** -1).derive(2))))
+            assert cohomology_dims(C).dims == kunneth(dlog_dims(a), EXP_DIMS), a
 
 
 def induced_catalog():
