@@ -540,7 +540,7 @@ def _integer_row(raw: dict) -> dict:
     return _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
 
 
-def sparse_echelon(rows) -> dict:
+def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
     """Echelon pivots of a sparse rational matrix; returns {col: row dict}.
 
     Rows are dicts mapping column indices to ints or rationals (zeros are
@@ -553,8 +553,15 @@ def sparse_echelon(rows) -> dict:
     so pivots and ranks are those of the rational matrix, and scaling an
     input row changes neither.  Banded inputs stay banded, so this is much
     faster than dense elimination on window matrices.
+
+    ``echelon``, the result of an earlier call, is continued over ``rows``:
+    it is extended in place and returned, and is then the echelon of the
+    earlier rows and ``rows`` together.  The pivot columns of an echelon
+    form depend only on the row space, so splitting the rows into batches
+    changes no pivot column; and whatever the rows, the number of pivots
+    left of a column ``k`` is the rank of the columns left of ``k``.
     """
-    pivots: dict = {}
+    pivots: dict = {} if echelon is None else echelon
     for raw in rows:
         r = _integer_row(raw)
         while r:
@@ -567,7 +574,7 @@ def sparse_echelon(rows) -> dict:
     return pivots
 
 
-def sparse_kernel(rows, ncols: int) -> List[dict]:
+def sparse_kernel(rows, ncols: int, echelon: Optional[dict] = None) -> List[dict]:
     """Right-kernel basis of a sparse matrix, as primitive integer vectors.
 
     For each free column ``f`` the integer pivot rows of
@@ -581,8 +588,13 @@ def sparse_kernel(rows, ncols: int) -> List[dict]:
     form gives (``-rref[pc][f]`` at each pivot column): primitive, with no
     zero entry, positive at ``f`` and 0 at the other free columns.  A matrix
     of full column rank solves nothing.
+
+    ``echelon``, the :func:`sparse_echelon` of ``rows`` in any row order,
+    is read instead of eliminating ``rows`` again (``rows`` is then not
+    read): the vectors are fixed by the reduced echelon form, which does
+    not depend on the order.
     """
-    pivots = sparse_echelon(rows)
+    pivots = sparse_echelon(rows) if echelon is None else echelon
     ascending = sorted(pivots)
     out = []
     for f in range(ncols):

@@ -246,17 +246,16 @@ class TowerElement:
 
     @classmethod
     def constant(cls, level: int, value) -> "TowerElement":
-        """The rational ``value`` embedded at the given tower level."""
+        """The rational ``value`` embedded at the given tower level.
+
+        0, 1 and -1 are the level's shared instances.
+        """
         q = _as_fraction(value)
         if q == 0:
             return cls.zero(level)
-        c: Coeff = q
-        for lvl in range(1, level + 1):
-            if lvl == 1:
-                c = cls(1, {0: q}, None, True)
-            else:
-                c = cls(lvl, {0: c}, None, True)
-        return c  # type: ignore[return-value]
+        if q == 1 or q == -1:
+            return _unit(level, q.numerator)
+        return _constant(level, q)
 
     @classmethod
     def monomial(cls, level: int, exponents, coefficient=1) -> "TowerElement":
@@ -454,15 +453,17 @@ class TowerElement:
             return NotImplemented
         if n < 0:
             return self.invert() ** (-n)
-        result = TowerElement.constant(self.level, 1)
+        if n == 0:
+            return TowerElement.constant(self.level, 1)
+        result = None
         base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def invert(self, prec: Optional[int] = None) -> "TowerElement":
         """Multiplicative inverse, guaranteed on the provable window.
@@ -600,7 +601,10 @@ class TowerElement:
         for e in sorted(self._terms):
             c = self._terms[e]
             if self.level == 1:
-                cs = str(Fraction(c, self._den))
+                g = gcd(c, self._den)
+                cs = _decimal(c // g)
+                if self._den != g:
+                    cs += "/" + _decimal(self._den // g)
                 atomic = True
             else:
                 cs = c.render(names)
@@ -608,7 +612,7 @@ class TowerElement:
             if e == 0:
                 term = cs
             else:
-                power = name if e == 1 else f"{name}^{e}"
+                power = name if e == 1 else f"{name}^{_decimal(e)}"
                 if cs == "1":
                     term = power
                 elif cs == "-1":
@@ -617,7 +621,7 @@ class TowerElement:
                     term = f"{cs}*{power}" if atomic else f"({cs})*{power}"
             parts.append(term)
         if not self.exact:
-            parts.append(f"O({name}^{self.hi})")
+            parts.append(f"O({name}^{_decimal(self.hi)})")
         if not parts:
             return "0"
         out = parts[0]
@@ -664,6 +668,7 @@ def _element(level: int, terms: dict, den: int, hi: Optional[int]) -> TowerEleme
 
 
 _ZEROS: dict = {}
+_UNITS: dict = {}
 
 
 def _zero(level: int) -> TowerElement:
@@ -672,6 +677,38 @@ def _zero(level: int) -> TowerElement:
     if z is None:
         z = _ZEROS[level] = TowerElement(level, {}, None, True)
     return z
+
+
+def _unit(level: int, sign: int) -> TowerElement:
+    """The exact constant ``sign`` (1 or -1) of ``level``, one shared instance each."""
+    u = _UNITS.get((level, sign))
+    if u is None:
+        u = _UNITS[level, sign] = _constant(level, Fraction(sign))
+    return u
+
+
+def _constant(level: int, q: Fraction) -> TowerElement:
+    """The nonzero rational ``q`` embedded at ``level``."""
+    c: Coeff = q
+    for lvl in range(1, level + 1):
+        c = TowerElement(lvl, {0: c}, None, True)
+    return c  # type: ignore[return-value]
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size.
+
+    Python limits int-to-str conversion to a number of digits (4,300 by
+    default, 640 at the least), process-wide; a longer int is split at a
+    power of ten, recursively, into halves of fewer digits.
+    """
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ class WindowRealization:
                 by_label[i][k] = q
         return order, [by_label[i] for i in _exponent_major(self.tgt_labels)]
 
-    def kernel(self) -> List[dict]:
+    def kernel(self, echelon: Optional[dict] = None) -> List[dict]:
         """Right-kernel basis of a level-1 window, as sparse primitive
         integer vectors over ``src_labels`` positions (:func:`sparse_kernel`
         of the :meth:`banded` rows).
@@ -218,11 +218,14 @@ class WindowRealization:
         changes the kernel subspace; the vectors are mapped back to the
         component-major labels.  In the descending column order each
         vector is 0 at the other free columns and below the exponent of
-        its own.
+        its own.  ``echelon``, the :func:`sparse_echelon` of the banded
+        rows taken in any order, is read instead of eliminating them again;
+        the vectors are the same.
         """
         order, rows = self.banded()
         return [
-            {order[k]: q for k, q in vec.items()} for vec in sparse_kernel(rows, len(order))
+            {order[k]: q for k, q in vec.items()}
+            for vec in sparse_kernel(rows, len(order), echelon)
         ]
 
 
@@ -384,6 +387,53 @@ def _kernel_vectors_to_elements(
     return tuple(out)
 
 
+def _probe_ranks(op: MatrixDiffOp, schedule: Sequence[int], delta: int, cut):
+    """``(w, W, rank M(-w, W), rank M(w, W), probe, echelon)`` per schedule entry.
+
+    The entries run until a probe cannot be filled (``cut(w) <= w``).
+    ``echelon`` is a :func:`sparse_echelon` of the banded rows of the
+    :func:`probe_window` ``probe``, whose columns go in descending exponent
+    order, ``r`` per exponent: ``rank M(x, W)`` is the number of pivots
+    among the leading columns, those of the sources at or above ``x``.
+    When the first entry's probe nests in the second's (``w0 <= w1`` and
+    ``W0 <= W1``), only ``M(-w1, W1)`` is built.  Its rows with target
+    exponent in ``[-w0 + delta, W0)`` are eliminated first: they have no
+    entry from a source at or above ``W0 - delta``, so their columns of
+    sources at or above ``-w0`` are ``M(-w0, W0)`` beside zero columns, and
+    the pivots counted there are the ranks for ``w0``.  The same echelon is
+    then continued over the other rows for ``w1``.  Any other entry
+    eliminates its own probe.
+    """
+    r = op.rank
+
+    def ranks(w, top, echelon):  # the probe's sources lie below top
+        return tuple(sum(1 for c in echelon if c < r * (top - x)) for x in (-w, w))
+
+    rest = list(schedule)
+    if len(rest) >= 2:
+        (w0, W0), (w1, W1) = ((w, cut(w)) for w in rest[:2])
+        if w0 < W0 and w1 < W1 and w0 <= w1 and W0 <= W1:
+            win = probe_window(op, w1, W1, delta)
+            rows = win.banded()[1]
+            # r rows per target exponent, ascending from -w1 + delta
+            lo = r * (w1 - w0)
+            hi = lo + r * max(W0 + w0 - delta, 0)
+            echelon = sparse_echelon(rows[lo:hi])
+            yield (w0, W0, *ranks(w0, W1 - delta, echelon), win, echelon)
+            sparse_echelon(rows[:lo] + rows[hi:], echelon)
+            yield (w1, W1, *ranks(w1, W1 - delta, echelon), win, echelon)
+            rest = rest[2:]
+    for w in rest:
+        W = cut(w)
+        if W <= w:
+            # the coefficients cannot fill this probe; larger ones are
+            # unreachable, work with what was seen so far
+            return
+        win = probe_window(op, w, W, delta)
+        echelon = sparse_echelon(win.banded()[1])
+        yield (w, W, *ranks(w, W - delta, echelon), win, echelon)
+
+
 def operator_index(
     op: MatrixDiffOp,
     schedule: Sequence[int] = DEFAULT_SCHEDULE,
@@ -397,24 +447,29 @@ def operator_index(
     ``r (W - x) - rank M(x, W)`` for any ``W`` with ``t^W L`` inside
     ``op L_x``, where ``M(x, W)`` is ``op`` from exponents [x, W - delta)
     to [x + delta, W).  At each schedule entry ``w`` the probes are
-    ``x = -w`` and ``x = w`` with ``W = 2w``; both ranks come from one
-    :func:`sparse_echelon` of :func:`probe_window`, since ``M(w, W)`` is
-    its leading column block in the descending column order.  Then
-    ``ker = D(-w) - D(w)``, ``index = -sum_i delta_top(i) + D(w)`` and
-    ``coker = ker - index``; the offset is ``r (1 + v(h))`` for
-    ``h^-1 (d/dt + A)`` and 0 for a unit multiplication.  Inexact
-    coefficients lower ``W`` to the highest exponent at which the image of
-    ``t^-w`` is known, and the schedule ends where that is no more than
-    ``w``.  The trace holds ``(w, ker, coker)`` per probe; the report
-    settles at two consecutive equal (ker, coker) pairs, neither negative,
-    and ``stabilized_at`` is the later ``w``.
+    ``x = -w`` and ``x = w`` with ``W = 2w``.  The ranks are counted off a
+    :func:`sparse_echelon` of the rows of a :func:`probe_window`, whose
+    columns go in descending exponent order: ``rank M(x, W)`` is the number
+    of pivots among the columns of sources at or above ``x``.  The first
+    two entries share one echelon of the second's probe, whose rows of
+    targets below ``W0`` are eliminated first (:func:`_probe_ranks`);
+    the first entry cannot settle alone, so its own probe would be
+    eliminated for nothing.  Then ``ker = D(-w) - D(w)``,
+    ``index = -sum_i delta_top(i) + D(w)`` and ``coker = ker - index``; the
+    offset is ``r (1 + v(h))`` for ``h^-1 (d/dt + A)`` and 0 for a unit
+    multiplication.  Inexact coefficients lower ``W`` to the highest
+    exponent at which the image of ``t^-w`` is known, and the schedule ends
+    where that is no more than ``w``.  The trace holds ``(w, ker, coker)``
+    per probe; the report settles at two consecutive equal (ker, coker)
+    pairs, neither negative, and ``stabilized_at`` is the later ``w``.
 
     With ``want_kernel`` the basis is ``ker M(-w, W)`` modulo
-    ``ker M(w, W)``, read below ``t^w``: each vector of
-    :meth:`WindowRealization.kernel` is 0 at the other free columns and
-    below the exponent of its own, so those of the free columns at or above
-    ``w`` span ``ker M(w, W)``, and the ``ker`` others, each nonzero at its
-    own free column below ``t^w``, span a complement of it.
+    ``ker M(w, W)``, read below ``t^w``, from the settled probe's own
+    echelon: each vector of :meth:`WindowRealization.kernel` is 0 at the
+    other free columns and below the exponent of its own, so those of the
+    free columns at or above ``w`` span ``ker M(w, W)``, and the ``ker``
+    others, each nonzero at its own free column below ``t^w``, span a
+    complement of it.
     """
     r = op.rank
     delta = min(op.delta_bottom(i) for i in range(r))
@@ -425,19 +480,14 @@ def operator_index(
         (x.hi - d for i in range(r) for d, x in op._row_entries(i) if not x.exact),
         default=None,
     )
+
+    def cut(w):
+        return 2 * w if known is None else min(2 * w, known - w)
+
     trace: List[Tuple[int, int, int]] = []
-    for w in schedule:
-        W = 2 * w if known is None else min(2 * w, known - w)
-        if W <= w:
-            # the coefficients cannot fill this probe; larger ones are
-            # unreachable, work with what was seen so far
-            break
-        win = probe_window(op, w, W, delta)
-        pivots = sparse_echelon(win.banded()[1])
-        high = r * (W - delta - w)  # the columns of M(w, W) come first
-        d_low = r * (W + w) - len(pivots)
-        d_high = r * (W - w) - sum(1 for c in pivots if c < high)
-        ker = d_low - d_high
+    for w, W, rank_low, rank_high, win, echelon in _probe_ranks(op, schedule, delta, cut):
+        d_high = r * (W - w) - rank_high
+        ker = r * (W + w) - rank_low - d_high
         index = offset + d_high
         coker = ker - index
         trace.append((w, ker, coker))
@@ -445,7 +495,7 @@ def operator_index(
             basis = ()
             if want_kernel and ker > 0:
                 labels = win.src_labels
-                vecs = [v for v in win.kernel() if any(labels[k][1] < w for k in v)]
+                vecs = [v for v in win.kernel(echelon) if any(labels[k][1] < w for k in v)]
                 basis = _kernel_vectors_to_elements(labels, vecs, r, w)
             return IndexReport(ker, coker, index, w, basis, newton_prediction, tuple(trace))
     if not trace:

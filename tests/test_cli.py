@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,8 @@ from higherlocal.errors import (
     SpecSyntaxError,
     UnknownKey,
 )
-from higherlocal.exprparse import ExpressionParser
-from higherlocal.series import TowerField
+from higherlocal.exprparse import MAX_LITERAL_DIGITS, ExpressionParser, tokenize
+from higherlocal.series import TowerElement, TowerField
 from higherlocal.specfile import parse_specfile, render_specfile
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,6 +75,206 @@ class TestExpressionParser:
     def test_unknown_variable(self):
         with pytest.raises(SpecSyntaxError):
             self.p1.parse("x + 1")
+
+
+class SeriesEvaluator:
+    """The expression grammar evaluated token by token in series arithmetic.
+
+    Every literal and variable is a field element and every operation is
+    :class:`TowerElement` arithmetic, as the parser evaluated before
+    Laurent polynomials stayed on exponent maps.
+    """
+
+    def __init__(self, field, prec):
+        self.field = field
+        self.prec = prec
+        self.vars = {name: field.gen(i + 1) for i, name in enumerate(field.names)}
+
+    def parse(self, text):
+        self.tokens = tokenize(text)
+        self.pos = 0
+        value = self.expr()
+        assert self.tokens[self.pos].kind == "end"
+        return value
+
+    def next(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def peek(self):
+        return self.tokens[self.pos].kind
+
+    def expr(self):
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.next().kind
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.unary()
+        while self.peek() in ("*", "/"):
+            op = self.next()
+            rhs = self.unary()
+            if op.kind == "*":
+                value = value * rhs
+            else:
+                try:
+                    value = value * rhs.invert(self.prec)
+                except Exception as exc:
+                    raise SpecSyntaxError(f"division failed: {exc}", op.line, op.column)
+        return value
+
+    def unary(self):
+        if self.peek() == "-":
+            self.next()
+            return -self.unary()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        self.next()
+        sign = 1
+        if self.peek() == "-":
+            self.next()
+            sign = -1
+        exponent = sign * int(self.next().text)
+        if exponent < 0:
+            return base.invert(self.prec) ** (-exponent)
+        return base ** exponent
+
+    def atom(self):
+        tok = self.next()
+        if tok.kind == "int":
+            return self.field.rational(Fraction(int(tok.text)))
+        if tok.kind == "name":
+            return self.vars[tok.text]
+        value = self.expr()
+        assert self.next().kind == ")"
+        return value
+
+
+def evaluated(parser, text):
+    """``(value, hi, exact, hash)`` of ``text``, or the error it raised."""
+    try:
+        x = parser.parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return x, x.hi, x.exact, hash(x)
+
+
+@st.composite
+def laurent_expressions(draw, names):
+    """Expression text over ``names``: sums, products, powers, monomial
+    division, parentheses and unary minus, now and then with a series
+    divisor."""
+    monomial = st.builds(
+        lambda c, e: "*".join([str(c)] + [f"{v}^{k}" for v, k in zip(names, e)]),
+        st.integers(1, 6),
+        st.tuples(*[st.integers(-3, 3)] * len(names)),
+    )
+    polynomial = st.lists(monomial, min_size=2, max_size=4).map(lambda ms: " + ".join(ms))
+    atoms = (
+        st.integers(0, 9).map(str)
+        | st.sampled_from(names)
+        | monomial.map(lambda m: f"({m})")
+        | polynomial.map(lambda p: f"({p})")
+        | st.tuples(polynomial, polynomial).map(lambda x: f"({x[0]})*({x[1]})")
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda x: f"{x[0]} {x[1]} {x[2]}"
+            ),
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda x: f"({x[0]}) {x[1]} ({x[2]})"
+            ),
+            inner.map(lambda x: f"({x})"),
+            inner.map(lambda x: f"-{x}"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda x: f"({x[0]})^{x[1]}"),
+            st.tuples(inner, monomial).map(lambda x: f"({x[0]})/({x[1]})"),
+            st.tuples(monomial, st.integers(-3, 3)).map(lambda x: f"({x[0]})^{x[1]}"),
+            st.tuples(inner, st.sampled_from(names)).map(lambda x: f"{x[0]}/(1 - {x[1]})"),
+        )
+
+    return draw(st.recursive(atoms, extend, max_leaves=8))
+
+
+FIELDS = (TowerField(1, ("t",)), TowerField(2))
+
+
+class TestLaurentParsing:
+    """Laurent polynomials on exponent maps against series arithmetic."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(FIELDS).flatmap(
+        lambda F: st.tuples(st.just(F), laurent_expressions(F.names))
+    ))
+    def test_matches_series_arithmetic(self, case):
+        F, text = case
+        assert evaluated(ExpressionParser(F, 8), text) == evaluated(SeriesEvaluator(F, 8), text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1/(1 - t)",
+            "(1 + t)^-2",
+            "t^2 + 3/(2 - t^-1)",
+            "(1 + t)^0",
+            "0^0",
+            "0^3",
+            "2^-3*t^-1",
+            "1/0",
+            "0^-1",
+            "t/(t - t)",
+        ],
+    )
+    def test_fallbacks_match(self, text):
+        F = FIELDS[0]
+        assert evaluated(ExpressionParser(F, 8), text) == evaluated(SeriesEvaluator(F, 8), text)
+
+    def test_two_variable_fallback(self):
+        F = FIELDS[1]
+        for text in ("1/(t1 + t1^2*t2)", "(t1 + 1)^-1*t2", "t2/(3*t1^-2)"):
+            assert evaluated(ExpressionParser(F, 8), text) == evaluated(
+                SeriesEvaluator(F, 8), text
+            )
+
+    @pytest.mark.parametrize(
+        "F, text",
+        [
+            (FIELDS[0], "(1 + t)^5 - (1 - t)*(2 + t^-1)^3"),
+            (FIELDS[1], "(t1 + t2 - 1)^4*(t1^-1 - t2)"),
+            (FIELDS[1], "(1 + t1*t2)^3 - (t2 + 2*t1^-1)^2/(3*t1*t2^2)"),
+        ],
+    )
+    def test_products_gather_equal_exponents(self, F, text):
+        assert evaluated(ExpressionParser(F, 8), text) == evaluated(SeriesEvaluator(F, 8), text)
+
+    def test_laurent_maps_build_no_series_product(self, monkeypatch):
+        calls = []
+        mul = TowerElement.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(TowerElement, "__mul__", counted)
+        ExpressionParser(FIELDS[1], 8).parse("(1 + t1*t2)^3 - 2*t1^-2*(t2 - 1)/(3*t1*t2^2)")
+        assert calls == []
+
+    def test_literal_digit_limit(self):
+        F = FIELDS[0]
+        parser = ExpressionParser(F, 8)
+        assert parser.parse("9" * MAX_LITERAL_DIGITS) == F.rational(10 ** MAX_LITERAL_DIGITS - 1)
+        for text in ("9" * (MAX_LITERAL_DIGITS + 1), "t^1" + "0" * MAX_LITERAL_DIGITS):
+            with pytest.raises(SpecSyntaxError) as ei:
+                parser.parse("2 + " + text)
+            assert (ei.value.line, ei.value.column) == (1, 5 if text[0] == "9" else 7)
 
 
 class TestSpecFile:
@@ -193,6 +394,13 @@ command = dance
             parse_specfile(text)
 
 
+def rank1_spec(entry, command, precision=32):
+    return (
+        f"[field]\nn = 1\nvars = t\nprecision = {precision}\n\n[connection]\nrank = 1\n"
+        f'A1 = [["{entry}"]]\n\n[task]\ncommand = {command}\n'
+    )
+
+
 class TestGolden:
     @pytest.mark.parametrize(
         "name",
@@ -214,6 +422,19 @@ class TestGolden:
         assert proc.returncode == 0, proc.stderr
         expected = (GOLDEN / f"{name}.out").read_text()
         assert proc.stdout == expected
+
+    def test_coefficients_past_the_str_limit_print_exactly(self, tmp_path):
+        # 1/(10^50 - t) has the coefficient 1/10^(50 (k + 1)) at t^k, 5,001
+        # digits at k = 99, past Python's 4,300-digit int-to-str limit
+        path = tmp_path / "long.hl"
+        path.write_text(rank1_spec("1/(10^50 - t)", "irregularity", precision=100))
+        proc = run_cli(path)
+        assert proc.returncode == 0, proc.stderr
+        report = dict(line.split(" = ", 1) for line in proc.stdout.splitlines())
+        powers = ["", "*t"] + [f"*t^{k}" for k in range(2, 100)]
+        terms = [f"1/1{'0' * 50 * (k + 1)}{p}" for k, p in enumerate(powers)]
+        assert report["operator"] == "D + (" + " + ".join(terms) + " + O(t^100))"
+        assert report["irregularity"] == "0"
 
     def test_cohomology_irregularity_computed_once(self, monkeypatch, capsys):
         calls = []
@@ -466,6 +687,21 @@ command = cohomology
         assert "SpecSyntaxError" in proc.stderr
         assert "pairwise distinct" in proc.stderr
         assert "line 3, column 8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "entry, column",
+        [("9" * 5000, 9), ("t^" + "9" * 5000, 11), ("1 + 10^" + "9" * 4301, 16)],
+        ids=["literal", "exponent", "power"],
+    )
+    def test_literal_past_the_digit_limit_exit_code(self, tmp_path, entry, column):
+        # Python converts at most 4,300 digits from str to int by default
+        bad = tmp_path / "bad.hl"
+        bad.write_text(rank1_spec(entry, "irregularity"))
+        proc = run_cli(bad)
+        assert proc.returncode == 3
+        assert "SpecSyntaxError" in proc.stderr
+        assert f"line 8, column {column}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_precision_flag_below_one_exit_code(self):

@@ -740,6 +740,55 @@ class TestExactEquality:
             assert hash(x) == hash(y)
 
 
+class TestSharedConstants:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_units_are_shared_equal_and_hash_equal(self, level):
+        F = TowerField(level)
+        for value in (1, -1):
+            x = TowerElement.constant(level, value)
+            assert x is TowerElement.constant(level, Fraction(value))
+            fresh = TowerElement(1, {0: Fraction(value)}, None, True).lift(level)
+            assert x == fresh and hash(x) == hash(fresh)
+        assert F.one() is TowerElement.constant(level, 1) is F.rational(1)
+        assert TowerElement.constant(level, 0) is F.zero()
+        assert TowerElement.constant(level, 2) == 2 * F.one()
+
+    def test_shared_units_stay_immutable(self):
+        one, minus_one = F2.one(), TowerElement.constant(2, -1)
+        before = [(repr(x), x.hi, x.exact, hash(x)) for x in (one, minus_one)]
+        with pytest.raises(AttributeError):
+            one.hi = 5
+        with pytest.raises(TypeError):
+            one.coeffs[1] = F1.one()
+        t = F2.gen(2)
+        for x in (one + t, one * t, one - 1, minus_one * minus_one, one ** 3, -one):
+            assert x.level == 2
+        assert minus_one * minus_one == one and -one == minus_one
+        assert [(repr(x), x.hi, x.exact, hash(x)) for x in (one, minus_one)] == before
+
+    def test_powers_start_from_the_base(self, monkeypatch):
+        t = F1.gen(1)
+        x = (1 + t).truncate(3)  # 1 + t + O(t^3)
+        calls = []
+        mul = TowerElement.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(TowerElement, "__mul__", counted)
+        powers = [x ** n for n in range(5)]
+        n_calls = len(calls)
+        monkeypatch.undo()
+        assert powers[0] is F1.one() and powers[1] is x
+        expected = F1.one()
+        for n, p in enumerate(powers):
+            assert p == expected and (p.hi, p.exact) == (expected.hi, expected.exact)
+            expected = expected * x
+        # x^2: one squaring; x^3: a squaring and a product; x^4: two squarings
+        assert n_calls == 0 + 0 + 1 + 2 + 2
+
+
 class TestReadOnlyCoefficients:
     def test_level2_coefficients_cannot_be_written(self):
         x = F2.gen(1) + F2.gen(2)

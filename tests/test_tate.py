@@ -5,7 +5,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from higherlocal import cli, linalg, tate
 from higherlocal.connection import Connection, rank1_from_form
@@ -815,6 +815,63 @@ def ref_probe_report(op, schedule):
     return IndexReport(ker, coker, ker - coker, None, (), None, tuple(trace))
 
 
+def own_probe_index(op, schedule, want_kernel=True):
+    """:func:`operator_index` with every probe eliminated on its own.
+
+    Each schedule entry ``w`` builds ``M(-w, W)`` and ranks it and its
+    leading block ``M(w, W)`` from one :func:`sparse_echelon`; the kernel
+    basis of the settled probe eliminates it once more.
+    """
+    r = op.rank
+    delta = min(op.delta_bottom(i) for i in range(r))
+    offset = -sum(op.delta_top(i) for i in range(r))
+    known = min(
+        (x.hi - d for i in range(r) for d, x in op._row_entries(i) if not x.exact),
+        default=None,
+    )
+    trace = []
+    for w in schedule:
+        W = 2 * w if known is None else min(2 * w, known - w)
+        if W <= w:
+            break
+        win = tate.probe_window(op, w, W, delta)
+        pivots = sparse_echelon(win.banded()[1])
+        high = r * (W - delta - w)
+        d_low = r * (W + w) - len(pivots)
+        d_high = r * (W - w) - sum(1 for c in pivots if c < high)
+        ker = d_low - d_high
+        index = offset + d_high
+        trace.append((w, ker, ker - index))
+        if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:] and min(trace[-1][1:]) >= 0:
+            basis = []
+            if want_kernel and ker > 0:
+                labels = win.src_labels
+                for vec in win.kernel():
+                    if not any(labels[k][1] < w for k in vec):
+                        continue
+                    comps = [{} for _ in range(r)]
+                    for k, q in vec.items():
+                        c, e = labels[k]
+                        comps[c][e] = q
+                    basis.append(tuple(TowerElement(1, cs, w, False) for cs in comps))
+            return IndexReport(ker, ker - index, index, w, tuple(basis), None, tuple(trace))
+    if not trace:
+        raise InsufficientPrecision("too short")
+    _, ker, coker = trace[-1]
+    return IndexReport(ker, coker, ker - coker, None, (), None, tuple(trace))
+
+
+def known_below(hi):
+    """d/dt + (t^-2 + 1 + O(t^hi)): the probe at w cuts at min(2w, hi - w)."""
+    a = TowerElement(1, {-2: 1, 0: 1}, hi, False)
+    return MatrixDiffOp(1, {1: SeriesMatrix([[F1.one()]]), 0: SeriesMatrix([[a]])})
+
+
+def banded_rows(rows):
+    """Rows as hashable tuples, for comparing collections of rows."""
+    return sorted(tuple(sorted(row.items())) for row in rows)
+
+
 class TestLatticeProbes:
     """The index from one echelon per probe against dense ranks over Q."""
 
@@ -870,13 +927,83 @@ class TestLatticeProbes:
         calls = []
         echelon = tate.sparse_echelon
 
-        def counted(rows):
+        def counted(rows, *continued):
             calls.append(len(rows))
-            return echelon(rows)
+            return echelon(rows, *continued)
 
         monkeypatch.setattr(tate, "sparse_echelon", counted)
         rep = operator_index(MatrixDiffOp.from_connection(exp_connection(2)), want_kernel=False)
         assert len(calls) == len(rep.trace) == 2
+
+    def test_first_probe_is_read_off_the_second(self, monkeypatch):
+        # the trace (8, ...), (12, ...) builds M(-12, 24) alone, and its
+        # rows are eliminated once, split over the two calls
+        op = MatrixDiffOp.from_connection(exp_connection(2))
+        delta = min(op.delta_bottom(i) for i in range(op.rank))
+        built, handed = [], []
+        probe, echelon = tate.probe_window, tate.sparse_echelon
+
+        def counted_probe(*args):
+            built.append(args[1:3])
+            return probe(*args)
+
+        def recorded(rows, *continued):
+            handed.extend(rows)
+            return echelon(rows, *continued)
+
+        monkeypatch.setattr(tate, "probe_window", counted_probe)
+        monkeypatch.setattr(tate, "sparse_echelon", recorded)
+        rep = operator_index(op)
+        monkeypatch.undo()
+        assert [w for w, _, _ in rep.trace] == [8, 12] and rep.stabilized_at == 12
+        assert built == [(12, 24)]
+        rows = probe(op, 12, 24, delta).banded()[1]
+        assert banded_rows(handed) == banded_rows(rows)
+        assert rep == own_probe_index(op, DEFAULT_SCHEDULE)
+
+    def test_unnested_first_probe_keeps_its_own(self, monkeypatch):
+        # W0 = min(16, 26 - 8) = 16 and W1 = min(24, 26 - 12) = 14
+        op = known_below(26)
+        built = []
+        probe = tate.probe_window
+
+        def counted_probe(*args):
+            built.append(args[1:3])
+            return probe(*args)
+
+        monkeypatch.setattr(tate, "probe_window", counted_probe)
+        rep = operator_index(op)
+        assert built == [(8, 16), (12, 14)]
+        assert rep == own_probe_index(op, DEFAULT_SCHEDULE)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        exact_first_order_operators() | level1_operators(),
+        st.lists(st.integers(1, 10), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    # the second cut falls below the first, so the first entry keeps its
+    # own probe
+    @example(known_below(26), list(DEFAULT_SCHEDULE), True)
+    # W0 = W1 = 8, but the first probe reaches down to t^-6, below the second
+    @example(known_below(14), [6, 4], True)
+    def test_index_matches_one_echelon_per_probe(self, op, schedule, want_kernel):
+        assert realized(operator_index, op, schedule, want_kernel=want_kernel) == realized(
+            own_probe_index, op, schedule, want_kernel
+        )
+
+    @settings(deadline=None, max_examples=40)
+    @given(exact_first_order_operators() | level1_operators(), st.integers(1, 8), st.randoms())
+    def test_kernel_reads_an_echelon_in_any_row_order(self, op, w, rng):
+        delta = min(op.delta_bottom(i) for i in range(op.rank))
+        win = realized(tate.probe_window, op, w, 2 * w, delta)
+        if win == "too short":
+            return
+        rows = win.banded()[1]
+        rng.shuffle(rows)
+        k = rng.randrange(len(rows) + 1)
+        echelon = sparse_echelon(rows[:k])
+        assert win.kernel(sparse_echelon(rows[k:], echelon)) == win.kernel()
 
 
 def run_spec(text, tmp_path, capsys):
