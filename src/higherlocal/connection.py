@@ -66,6 +66,13 @@ class Connection:
         Av = A.apply(vec)
         return tuple(v.derive(i) + w for v, w in zip(vec, Av))
 
+    def along(self, cvec: Sequence[TowerElement]) -> SeriesMatrix:
+        """``sum_k c_k A_k``, the matrix part of nabla along ``sum_k c_k d/dt_k``."""
+        terms = [M.scale(c) for M, c in zip(self.matrices, cvec) if not c.is_exactly_zero()]
+        if not terms:
+            return SeriesMatrix.zeros(self.field, self.rank, self.rank)
+        return sum(terms[1:], terms[0])
+
     # -- checks -----------------------------------------------------------------
 
     def curvature_component(self, i: int, j: int) -> SeriesMatrix:

@@ -7,14 +7,15 @@ tuple, each edge carries two maps, the directional covariant derivative
 along the dual frame field (top differential) and the identity scaled by the
 wedge sign (bottom differential).  Closedness of the tuple makes the dual
 frame fields commute, so all squares anticommute; the checker verifies this
-on explicit test sections and certifies per-direction boundedness of
-kernel/cokernel windows.
+on explicit test sections and reads each direction's kernel/cokernel windows
+through the directional reduction :func:`~higherlocal.tate.edge_profile`.
 
 Cohomology dimensions over two variables are computed along the outer
 variable first: the windowed kernel and cokernel of the outer derivative are
 finite-dimensional inner-field spaces carrying an induced inner connection,
-whose windowed dimensions fill in the second page.  That filtration is the
-only one: every two-variable answer is computed over ``k((t1))((t2))``.
+whose dimensions, read by the one-variable branch of :func:`cohomology_dims`,
+fill in the second page.  That filtration is the only one: every
+two-variable answer is computed over ``k((t1))((t2))``.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from .tate import (
     OuterMatrixDiffOp,
     OuterReduction,
     OuterStabilization,
-    inner_operator,
+    edge_profile,
     operator_index,
-    pure_direction,
     stabilize_outer_windows,
 )
 
@@ -168,15 +168,7 @@ class BinaryMultiComplex:
                         continue
                     sign = _wedge_sign(M, i)
                     cvec = fields[i]
-                    pmat = None
-                    for k, c in enumerate(cvec, start=1):
-                        if c.is_exactly_zero():
-                            continue
-                        term = self.connection.matrices[k - 1].scale(c)
-                        pmat = term if pmat is None else pmat + term
-                    if pmat is None:
-                        pmat = SeriesMatrix.zeros(self.field, self.rank, self.rank)
-                    nabla_edges[(M, i)] = EdgeOperator(sign, tuple(cvec), pmat)
+                    nabla_edges[(M, i)] = EdgeOperator(sign, tuple(cvec), connection.along(cvec))
                     nu_edges[(M, i)] = sign
         self.nabla_edges = nabla_edges
         self.nu_edges = nu_edges
@@ -292,26 +284,15 @@ def _test_sections(field: TowerField, rank: int, count: int = 2):
     import random as _random
 
     rng = _random.Random(12345)
+
+    def dense(level):
+        # exponents -1, 0, 1 with coefficients at level - 1, drawn in order
+        if level == 0:
+            return Fraction(rng.randint(-2, 2))
+        return TowerElement(level, {e: dense(level - 1) for e in range(-1, 2)}, None, True)
+
     for _ in range(count):
-        vec = []
-        for _ in range(rank):
-            if n == 1:
-                coeffs = {
-                    e: Fraction(rng.randint(-2, 2)) for e in range(-1, 2)
-                }
-                vec.append(TowerElement(1, coeffs, None, True))
-            else:
-                coeffs = {}
-                for e in range(-1, 2):
-                    inner = TowerElement(
-                        1,
-                        {j: Fraction(rng.randint(-2, 2)) for j in range(-1, 2)},
-                        None,
-                        True,
-                    )
-                    coeffs[e] = inner
-                vec.append(TowerElement(n, coeffs, None, True))
-        sections.append(tuple(vec))
+        sections.append(tuple(dense(n) for _ in range(rank)))
     return sections
 
 
@@ -399,7 +380,7 @@ def check_multicomplex(
     empty = frozenset()
     for i in range(1, n + 1):
         edge = B.nabla_edges[(empty, i)]
-        directions.append(_direction_acyclicity(B, i, edge, schedule))
+        directions.append(_direction_acyclicity(i, edge, schedule))
         s = B.nu_edges[(empty, i)]
         directions.append(
             DirectionResult(
@@ -412,63 +393,23 @@ def check_multicomplex(
     return MultiComplexReport(not failures, failures, directions)
 
 
-def _direction_acyclicity(
-    B: BinaryMultiComplex, i: int, edge: EdgeOperator, schedule
-) -> DirectionResult:
-    n = B.n
+def _direction_acyclicity(i: int, edge: EdgeOperator, schedule) -> DirectionResult:
+    """The acyclicity of covariant edge ``i``, read off its own data.
+
+    A vanishing edge fails: its window kernels grow.  Any other edge goes to
+    :func:`~higherlocal.tate.edge_profile` on ``edge.cvec`` and
+    ``edge.pmat``, so a tampered edge is what gets checked; the data that
+    routine rejects leave the direction unsupported.
+    """
     if all(c.is_exactly_zero() for c in edge.cvec):
-        return DirectionResult(
-            i, "nabla", False, "covariant edge vanishes; window kernels grow"
-        )
-    pure = pure_direction(edge.cvec)
-    if pure is None:
-        return DirectionResult(
-            i,
-            "nabla",
-            False,
-            "frame field mixes directions; bounded-profile check unsupported",
-            unsupported=True,
-        )
-    if n == 1:
-        rep = operator_index(
-            MatrixDiffOp.first_order(edge.cvec[0], edge.pmat),
-            DEFAULT_SCHEDULE,
-            want_kernel=False,
-        )
-        return DirectionResult(
-            1,
-            "nabla",
-            rep.stabilized,
-            "windowed kernel/cokernel stabilized finite"
-            if rep.stabilized
-            else "window dimensions kept growing",
-            rep.trace,
-        )
-    if pure == n:
-        op = OuterMatrixDiffOp.first_order(edge.cvec[n - 1], edge.pmat)
-        red, at, trace = stabilize_outer_windows(op, schedule)
-        outer = OuterStabilization(op, tuple(schedule), red, at, trace)
-        if at is not None:
-            return DirectionResult(
-                n, "nabla", True, "bounded outer window certified", trace, outer=outer
-            )
-        return DirectionResult(
-            n, "nabla", False, "outer window dimensions kept growing", trace, outer=outer
-        )
-    # inner pure direction: fiberwise, when the data is outer-free
+        return DirectionResult(i, "nabla", False, "covariant edge vanishes; window kernels grow")
     try:
-        op1 = inner_operator(edge.cvec[0], edge.pmat)
+        prof = edge_profile(edge.cvec, edge.pmat, schedule)
     except UnsupportedFrame as exc:
-        return DirectionResult(pure, "nabla", False, str(exc), unsupported=True)
-    rep = operator_index(op1, DEFAULT_SCHEDULE, want_kernel=False)
+        return DirectionResult(i, "nabla", False, str(exc), unsupported=True)
+    detail = "window dimensions " + ("stabilized" if prof.stabilized else "kept growing")
     return DirectionResult(
-        pure,
-        "nabla",
-        rep.stabilized,
-        "fiberwise windowed dimensions stabilized"
-        if rep.stabilized
-        else "fiberwise window dimensions kept growing",
-        rep.trace,
+        prof.direction, "nabla", prof.stabilized, detail, prof.trace, outer=prof.outer
     )
 
 
@@ -501,10 +442,9 @@ def induced_inner_connections(
     is reduced again.
     """
     op = OuterMatrixDiffOp.from_connection(C, normalizer)
-    if outer is not None and outer.serves(op, schedule):
-        red, stabilized = outer.reduction, outer.stabilized_at
-    else:
-        red, stabilized, _ = stabilize_outer_windows(op, schedule)
+    if outer is None or not outer.serves(op, schedule):
+        outer = stabilize_outer_windows(op, schedule)
+    red = outer.reduction
     w = red.window
 
     def section(labels, values) -> Tuple[TowerElement, ...]:
@@ -545,7 +485,7 @@ def induced_inner_connections(
             images, span, red.coker_dim, "induced action leaves the windowed target span"
         )
         h1 = InducedLevel(red.coker_dim, M1, w)
-    return h0, h1, red, stabilized
+    return h0, h1, red, outer.stabilized_at
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +504,6 @@ class CohomologyReport:
     window_agrees: Optional[bool] = None
 
 
-def _inner_connection_dims(level_data: InducedLevel) -> Tuple[int, int, bool]:
-    if level_data.dim == 0:
-        return (0, 0, True)
-    C1 = Connection(TowerField(1), [level_data.matrix])
-    rep = operator_index(MatrixDiffOp.from_connection(C1), want_kernel=False)
-    from .dmodule import connection_irregularity
-
-    irr = connection_irregularity(C1)
-    return (rep.ker_dim, rep.ker_dim + irr, rep.stabilized)
-
-
 def cohomology_dims(
     C: Connection,
     schedule: Sequence[int] = OUTER_SCHEDULE,
@@ -588,23 +517,19 @@ def cohomology_dims(
     irregularity (the windowed Euler characteristic equals minus the
     irregularity); the windowed cokernel is computed alongside and compared.
 
-    Over two variables the outer direction goes first
+    Over two variables the outer direction goes first, on ``schedule``
     (:func:`induced_inner_connections`).  The induced inner connection on
     the outer ``H^q`` fills column ``q`` of the second page ``e2``: its
-    one-variable dimensions at inner degrees ``p = 0, 1``.  ``h^n`` sums the
-    entries with ``p + q = n``.
+    one-variable dimensions at inner degrees ``p = 0, 1``, read by this
+    function's own one-variable branch on ``index_schedule``.  ``h^n`` sums
+    the entries with ``p + q = n``.
     """
     n = C.field.level
     if n == 1:
         from .dmodule import connection_irregularity
 
         irr = connection_irregularity(C)
-        rep = operator_index(
-            MatrixDiffOp.from_connection(C),
-            index_schedule,
-            newton_prediction=-irr,
-            want_kernel=False,
-        )
+        rep = operator_index(MatrixDiffOp.from_connection(C), index_schedule, want_kernel=False)
         h0 = rep.ker_dim
         dims = (h0, h0 + irr)
         window_dims = (rep.ker_dim, rep.coker_dim) if rep.stabilized else None
@@ -620,15 +545,14 @@ def cohomology_dims(
     if n != 2:
         raise UnsupportedFrame("cohomology dimensions are implemented for n <= 2")
     h0, h1, _, stabilized = induced_inner_connections(C, schedule=schedule)
-    k0, c0, s0 = _inner_connection_dims(h0)
-    k1, c1, s1 = _inner_connection_dims(h1)
-    e2 = {(0, 0): k0, (1, 0): c0, (0, 1): k1, (1, 1): c1}
+    e2 = {}
+    settled = stabilized is not None
+    for q, level in enumerate((h0, h1)):
+        e2[(0, q)] = e2[(1, q)] = 0
+        if level.dim:
+            C1 = Connection(TowerField(1), [level.matrix])
+            rep = cohomology_dims(C1, index_schedule=index_schedule)
+            e2[(0, q)], e2[(1, q)] = rep.dims
+            settled = settled and rep.stabilized
     dims = (e2[(0, 0)], e2[(1, 0)] + e2[(0, 1)], e2[(1, 1)])
-    euler = dims[0] - dims[1] + dims[2]
-    return CohomologyReport(
-        2,
-        dims,
-        euler,
-        stabilized is not None and s0 and s1,
-        e2=e2,
-    )
+    return CohomologyReport(2, dims, dims[0] - dims[1] + dims[2], settled, e2=e2)

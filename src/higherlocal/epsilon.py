@@ -12,8 +12,9 @@ to the certified value with an agreement flag.  On the catalog the two
 routes agree; the certified value is the one returned.
 
 Degrees over two variables are iterated: the outer direction is reduced to
-its windowed kernel and cokernel with their induced inner connections, and
-the degree is the alternating sum of the inner degrees.
+its windowed kernel and cokernel with their induced inner connections, each
+of which is read by the one-variable route, and the degree is the
+alternating sum of the inner degrees.
 
 The determinant component of the line is experimental: it is a ratio of
 pseudo-determinants of matched symmetric windows against a reference
@@ -96,6 +97,21 @@ def _exact_presentation(C: Connection) -> bool:
     )
 
 
+def _one_variable_degree(
+    C: Connection, h: TowerElement, schedule: Sequence[int], seed: int
+) -> Tuple[int, Optional[IndexReport]]:
+    """The certified degree of a one-variable ``C`` for ``h dt``, and the windowed report.
+
+    The windowed route runs only when the presentation and ``h`` are exact
+    (Laurent polynomials); the report is None otherwise.
+    """
+    cert = -connection_irregularity(C, seed=seed)
+    if not (_exact_presentation(C) and h.is_fully_exact()):
+        return cert, None
+    op = MatrixDiffOp.from_connection(C, normalizer=h)
+    return cert, operator_index(op, schedule, want_kernel=False)
+
+
 def epsilon_degree(
     C: Connection,
     nu: FormTuple,
@@ -110,77 +126,59 @@ def epsilon_degree(
     alongside when the presentation is exact (a Laurent-polynomial matrix);
     window values of truncated presentations are dominated by their
     truncation hulls and are skipped rather than reported as if meaningful.
-    Over two variables, ``outer`` is a stabilization of the outer operator
+    Over one variable :func:`_one_variable_degree` reads ``C`` itself.
+    Over two it reads the induced inner connections on the outer ``H^0``
+    and ``H^1`` for the inner frame component, and the degree is their
+    alternating sum.  ``outer`` is a stabilization of the outer operator
     made earlier (``MultiComplexReport.outer``); it is handed to
     :func:`induced_inner_connections`, which uses it only for that same
     operator.
     """
     n = C.field.level
     if n == 1:
-        h = _single_form_normalizer(nu)
-        cert = -connection_irregularity(C, seed=seed)
-        if _exact_presentation(C) and h.is_fully_exact():
-            rep = operator_index(
-                MatrixDiffOp.from_connection(C, normalizer=h),
-                schedule,
-                newton_prediction=cert,
-                want_kernel=False,
-            )
-            window_degree = rep.index if rep.stabilized else None
-            agree = (window_degree == cert) if window_degree is not None else None
-            return EpsilonReport(cert, (rep,), window_degree, cert, agree)
-        return EpsilonReport(cert, (), None, cert, None)
-    if n != 2:
-        raise UnsupportedFrame("degrees are implemented for n <= 2")
-    if not nu.is_diagonal():
-        raise UnsupportedFrame("two-variable degrees need a diagonal frame tuple")
-    h2 = nu.frame[1, 1]
-    if any(
-        isinstance(c, TowerElement) and set(c.coeffs) - {0}
-        for c in h2.coeffs.values()
-    ):
-        # the outer normalizer must commute with the inner derivative for
-        # the iterated reduction to be well-formed
-        raise UnsupportedFrame("the outer frame component must not involve t1")
-    h1 = strip_outer(nu.frame[0, 0])
-    h0_level, h1_level, red, stabilized = induced_inner_connections(
-        C, normalizer=h2, schedule=OUTER_SCHEDULE, outer=outer
-    )
-    level_degrees = []
-    window_reports = []
-    window_parts = []
-    for lvl in (h0_level, h1_level):
-        if lvl.dim == 0:
-            level_degrees.append(0)
-            window_parts.append(0)
-            continue
-        C_ind = Connection(TowerField(1), [lvl.matrix])
-        cert = -connection_irregularity(C_ind, seed=seed)
-        level_degrees.append(cert)
-        if _exact_presentation(C_ind) and h1.is_fully_exact():
-            rep = operator_index(
-                MatrixDiffOp.from_connection(C_ind, normalizer=h1),
-                schedule,
-                newton_prediction=cert,
-                want_kernel=False,
-            )
-            window_reports.append(rep)
-            window_parts.append(rep.index if rep.stabilized else None)
-        else:
-            window_parts.append(None)
-    degree = level_degrees[0] - level_degrees[1]
-    if all(p is not None for p in window_parts):
-        window_degree = window_parts[0] - window_parts[1]
+        h, levels = _single_form_normalizer(nu), (C,)
+    elif n == 2:
+        if not nu.is_diagonal():
+            raise UnsupportedFrame("two-variable degrees need a diagonal frame tuple")
+        h2 = nu.frame[1, 1]
+        if any(
+            isinstance(c, TowerElement) and set(c.coeffs) - {0}
+            for c in h2.coeffs.values()
+        ):
+            # the outer normalizer must commute with the inner derivative for
+            # the iterated reduction to be well-formed
+            raise UnsupportedFrame("the outer frame component must not involve t1")
+        h = strip_outer(nu.frame[0, 0])
+        h0_level, h1_level, _, _ = induced_inner_connections(
+            C, normalizer=h2, schedule=OUTER_SCHEDULE, outer=outer
+        )
+        levels = tuple(
+            Connection(TowerField(1), [lvl.matrix]) if lvl.dim else None
+            for lvl in (h0_level, h1_level)
+        )
     else:
-        window_degree = None
-    agree = (window_degree == degree) if window_degree is not None else None
+        raise UnsupportedFrame("degrees are implemented for n <= 2")
+    degrees, window_reports, windows = [], [], []
+    for C1 in levels:
+        if C1 is None:  # an empty level: degree 0 on both routes
+            degrees.append(0)
+            windows.append(0)
+            continue
+        cert, rep = _one_variable_degree(C1, h, schedule, seed)
+        degrees.append(cert)
+        if rep is not None:
+            window_reports.append(rep)
+        windows.append(rep.index if rep is not None and rep.stabilized else None)
+    signs = (1, -1)
+    degree = sum(s * d for s, d in zip(signs, degrees))
+    window_degree = None if None in windows else sum(s * w for s, w in zip(signs, windows))
     return EpsilonReport(
         degree,
         tuple(window_reports),
         window_degree,
         degree,
-        agree,
-        tuple(level_degrees),
+        None if window_degree is None else window_degree == degree,
+        tuple(degrees) if n == 2 else (),
     )
 
 

@@ -12,17 +12,20 @@ kernel is ``D(-w) - D(w)``, the solutions with valuations in [-w, w), and
 the index is ``-sum_i delta_top(i) + D(w)``, which is the lattice-invariant
 degree once ``w`` lies above every solution valuation; the cokernel is
 kernel minus index.  A report settles at two consecutive equal
-(kernel, cokernel) pairs, neither negative.  The probes cannot prove that
-they reach past every solution valuation and cokernel position, so reports
-carry the Newton-polygon prediction whenever one is available.
+(kernel, cokernel) pairs, neither negative (:func:`_settle`).  The probes
+cannot prove that they reach past every solution valuation and cokernel
+position; callers compare the index with the certified Newton-polygon
+degree where they have one.
 
 The same windows run one level up: an operator in the outermost variable of
 a two-variable field is realized as a finite matrix *over* the inner field,
 with the target cut at the hull displacement for the kernel and at the
 derivative term's displacement for the cokernel, and its kernel/cokernel
 are then finite-dimensional inner-field spaces with explicit bounded outer
-windows.  That is the computational meaning used for the directional
-kernel/cokernel boundedness judgments.
+windows.  Outer windows settle by the same loop.  One routine,
+:func:`edge_profile`, reads the directional kernel/cokernel of a covariant
+derivative along a coordinate direction; the multicomplex check and
+:func:`directional_kernel_profile` both call it.
 """
 
 from __future__ import annotations
@@ -61,17 +64,11 @@ class IndexReport:
     index: int
     stabilized_at: Optional[int]
     ker_basis: Tuple[Tuple[TowerElement, ...], ...] = ()
-    newton_prediction: Optional[int] = None
     trace: Tuple[Tuple[int, int, int], ...] = ()  # (window, ker, coker)
 
     @property
     def stabilized(self) -> bool:
         return self.stabilized_at is not None
-
-    def agrees_with_newton(self) -> Optional[bool]:
-        if self.newton_prediction is None:
-            return None
-        return self.index == self.newton_prediction
 
 
 class MatrixDiffOp:
@@ -368,9 +365,21 @@ def probe_window(op: MatrixDiffOp, w: int, W: int, delta: int) -> WindowRealizat
     return window_columns(op, (-w, W - delta), [(-w + delta, W)] * op.rank)
 
 
-def _settled(trace: Sequence[Tuple[int, int, int]]) -> bool:
-    """Two consecutive equal (ker, coker) pairs, neither of them negative."""
-    return len(trace) >= 2 and trace[-2][1:] == trace[-1][1:] and min(trace[-1][1:]) >= 0
+def _settle(probes):
+    """Consume ``(w, ker, coker, payload)`` probes until they settle.
+
+    A probe settles at two consecutive equal (ker, coker) pairs, neither of
+    them negative; no probe after it is drawn.  Returns the settling
+    probe's payload and ``w``, or the last payload and None when the probes
+    run out, with the ``(w, ker, coker)`` trace.
+    """
+    trace: List[Tuple[int, int, int]] = []
+    payload = None
+    for w, ker, coker, payload in probes:
+        trace.append((w, ker, coker))
+        if len(trace) >= 2 and trace[-2][1:] == trace[-1][1:] and min(ker, coker) >= 0:
+            return payload, w, tuple(trace)
+    return payload, None, tuple(trace)
 
 
 def _kernel_vectors_to_elements(
@@ -437,7 +446,6 @@ def _probe_ranks(op: MatrixDiffOp, schedule: Sequence[int], delta: int, cut):
 def operator_index(
     op: MatrixDiffOp,
     schedule: Sequence[int] = DEFAULT_SCHEDULE,
-    newton_prediction: Optional[int] = None,
     want_kernel: bool = True,
 ) -> IndexReport:
     """Kernel, cokernel and index of a one-variable operator, from lattice probes.
@@ -461,7 +469,8 @@ def operator_index(
     exponent at which the image of ``t^-w`` is known, and the schedule ends
     where that is no more than ``w``.  The trace holds ``(w, ker, coker)``
     per probe; the report settles at two consecutive equal (ker, coker)
-    pairs, neither negative, and ``stabilized_at`` is the later ``w``.
+    pairs, neither negative (:func:`_settle`), and ``stabilized_at`` is the
+    later ``w``.
 
     With ``want_kernel`` the basis is ``ker M(-w, W)`` modulo
     ``ker M(w, W)``, read below ``t^w``, from the settled probe's own
@@ -484,26 +493,25 @@ def operator_index(
     def cut(w):
         return 2 * w if known is None else min(2 * w, known - w)
 
-    trace: List[Tuple[int, int, int]] = []
-    for w, W, rank_low, rank_high, win, echelon in _probe_ranks(op, schedule, delta, cut):
-        d_high = r * (W - w) - rank_high
-        ker = r * (W + w) - rank_low - d_high
-        index = offset + d_high
-        coker = ker - index
-        trace.append((w, ker, coker))
-        if _settled(trace):
-            basis = ()
-            if want_kernel and ker > 0:
-                labels = win.src_labels
-                vecs = [v for v in win.kernel(echelon) if any(labels[k][1] < w for k in v)]
-                basis = _kernel_vectors_to_elements(labels, vecs, r, w)
-            return IndexReport(ker, coker, index, w, basis, newton_prediction, tuple(trace))
+    def probes():
+        for w, W, rank_low, rank_high, win, echelon in _probe_ranks(op, schedule, delta, cut):
+            d_high = r * (W - w) - rank_high
+            ker = r * (W + w) - rank_low - d_high
+            yield w, ker, ker - offset - d_high, (win, echelon)
+
+    probe, w, trace = _settle(probes())
     if not trace:
         raise InsufficientPrecision(
             "operator coefficients cannot fill even the smallest window"
         )
     _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), newton_prediction, tuple(trace))
+    basis = ()
+    if w is not None and want_kernel and ker > 0:
+        win, echelon = probe
+        labels = win.src_labels
+        vecs = [v for v in win.kernel(echelon) if any(labels[k][1] < w for k in v)]
+        basis = _kernel_vectors_to_elements(labels, vecs, r, w)
+    return IndexReport(ker, coker, ker - coker, w, basis, trace)
 
 
 def calkin_iso_check(
@@ -599,22 +607,16 @@ class OuterStabilization:
         return tuple(schedule) == self.schedule and op.coeffs == self.op.coeffs
 
 
-def stabilize_outer_windows(
-    op: OuterMatrixDiffOp, schedule: Sequence[int]
-) -> Tuple[OuterReduction, Optional[int], Tuple[Tuple[int, int, int], ...]]:
-    """Reduce outer windows until the (ker, coker) trace settles (:func:`_settled`).
+def stabilize_outer_windows(op: OuterMatrixDiffOp, schedule: Sequence[int]) -> OuterStabilization:
+    """Reduce outer windows until the (ker, coker) trace settles (:func:`_settle`).
 
-    Returns the last reduction, the window at which the pairs agreed (None
-    when they never did) and the (window, ker, coker) trace.
+    The record holds the settling reduction (the last one when the pairs
+    never agreed), the window at which they agreed (None when they never
+    did) and the (window, ker, coker) trace.
     """
-    trace: List[Tuple[int, int, int]] = []
-    red = None
-    for w in schedule:
-        red = reduce_outer_window(op, w)
-        trace.append((w, red.ker_dim, red.coker_dim))
-        if _settled(trace):
-            return red, w, tuple(trace)
-    return red, None, tuple(trace)
+    reductions = (reduce_outer_window(op, w) for w in schedule)
+    red, at, trace = _settle((r.window, r.ker_dim, r.coker_dim, r) for r in reductions)
+    return OuterStabilization(op, tuple(schedule), red, at, trace)
 
 
 def strip_outer(x: TowerElement) -> TowerElement:
@@ -649,14 +651,12 @@ class DirectionalProfile:
     stabilized_at: Optional[int]
     unconstrained: Tuple[int, ...]
     trace: Tuple[Tuple[int, int, int], ...]
+    # the outer direction's stabilization, to hand along
+    outer: Optional[OuterStabilization] = None
 
     @property
     def stabilized(self) -> bool:
         return self.stabilized_at is not None
-
-    @property
-    def bounded(self) -> bool:
-        return self.stabilized
 
     def bounding_lattice(self, rank: int = 1) -> Optional[Lattice]:
         """A shifted standard lattice containing the kernel representatives.
@@ -685,22 +685,69 @@ def pure_direction(vector_field: Sequence[TowerElement]) -> Optional[int]:
     return None
 
 
-def _kernel_window(labels, kernel) -> Optional[Tuple[int, int]]:
-    exps = []
-    for vec in kernel:
-        for k, (comp, e) in enumerate(labels):
-            if vec[k].is_certainly_nonzero():
-                exps.append(e)
-    if not exps:
-        return None
-    return (min(exps), max(exps) + 1)
+def _exponent_window(exps) -> Optional[Tuple[int, int]]:
+    """``[min, max + 1)`` of the exponents, or None when there are none."""
+    exps = list(exps)
+    return (min(exps), max(exps) + 1) if exps else None
 
 
-def _coker_window(slots) -> Optional[Tuple[int, int]]:
-    if not slots:
-        return None
-    exps = [e for _, e in slots]
-    return (min(exps), max(exps) + 1)
+def edge_profile(
+    cvec: Sequence[TowerElement], P: SeriesMatrix, schedule: Sequence[int] = OUTER_SCHEDULE
+) -> DirectionalProfile:
+    """Windowed kernel/cokernel of ``sum_k c_k d/dt_k + P`` along one direction.
+
+    The vector field ``cvec`` must point along a single coordinate direction
+    ``i`` (:func:`pure_direction`) of at most two variables.  Over one
+    variable, and along the inner variable of two when the data are free of
+    the outer one (:func:`inner_operator`, the same in every outer fiber),
+    the lattice probes of :func:`operator_index` run on the default
+    schedule.  Along the outer variable the outer windows of ``schedule``
+    are reduced over the inner field (:func:`stabilize_outer_windows`), and
+    the profile keeps that stabilization in ``outer``.  Raises
+    :class:`UnsupportedFrame` for any other field or data.
+    """
+    n = len(cvec)
+    i = pure_direction(cvec)
+    if i is None:
+        raise UnsupportedFrame(
+            "the vector field does not point along a single coordinate direction"
+        )
+    if n > 2:
+        raise UnsupportedFrame("directional profiles are implemented for n <= 2")
+    c = cvec[i - 1]
+    unconstrained = tuple(k for k in range(1, n + 1) if k != i)
+    if i == 2:
+        outer = stabilize_outer_windows(OuterMatrixDiffOp.first_order(c, P), schedule)
+        red, at = outer.reduction, outer.stabilized_at
+        kernel_exps = (
+            e
+            for vec in red.kernel
+            for (_, e), x in zip(red.src_labels, vec)
+            if x.is_certainly_nonzero()
+        )
+        return DirectionalProfile(
+            2,
+            red.ker_dim,
+            None if at is None else _exponent_window(kernel_exps),
+            red.coker_dim,
+            None if at is None else _exponent_window(e for _, e in red.coker_slots),
+            at,
+            unconstrained,
+            outer.trace,
+            outer,
+        )
+    op = MatrixDiffOp.first_order(c, P) if n == 1 else inner_operator(c, P)
+    rep = operator_index(op, DEFAULT_SCHEDULE)
+    return DirectionalProfile(
+        i,
+        rep.ker_dim,
+        _exponent_window(e for vec in rep.ker_basis for x in vec for e in x.coeffs),
+        rep.coker_dim,
+        None,
+        rep.stabilized_at,
+        unconstrained,
+        rep.trace,
+    )
 
 
 def directional_kernel_profile(
@@ -711,47 +758,8 @@ def directional_kernel_profile(
     """Bounded windowed kernel/cokernel of the directional derivative.
 
     The vector field must point along a single coordinate direction; the
-    mixed case is not operationalized here.
+    mixed case is not operationalized here (:func:`edge_profile`).
     """
-    n = C.field.level
-    if n != 2:
+    if C.field.level != 2:
         raise UnsupportedFrame("directional profiles are implemented for n = 2")
-    i = pure_direction(vector_field)
-    if i is None:
-        raise UnsupportedFrame(
-            "profiles need a vector field along a single coordinate direction"
-        )
-    a = vector_field[i - 1]
-    if i == 2:
-        op = OuterMatrixDiffOp.first_order(a, C.matrices[1].scale(a))
-        red, stabilized_at, trace = stabilize_outer_windows(op, schedule)
-        stable = stabilized_at is not None
-        return DirectionalProfile(
-            2,
-            red.ker_dim,
-            _kernel_window(red.src_labels, red.kernel) if stable else None,
-            red.coker_dim,
-            _coker_window(red.coker_slots) if stable else None,
-            stabilized_at,
-            (1,),
-            trace,
-        )
-    report = operator_index(inner_operator(a, C.matrices[0].scale(a)), DEFAULT_SCHEDULE)
-    ker_window = None
-    if report.ker_basis:
-        exps = []
-        for vec in report.ker_basis:
-            for x in vec:
-                exps.extend(e for e in x.coeffs)
-        if exps:
-            ker_window = (min(exps), max(exps) + 1)
-    return DirectionalProfile(
-        1,
-        report.ker_dim,
-        ker_window,
-        report.coker_dim,
-        None,
-        report.stabilized_at,
-        (2,),
-        report.trace,
-    )
+    return edge_profile(tuple(vector_field), C.along(vector_field), schedule)

@@ -212,9 +212,7 @@ def test_criterion_3_index_cohomology_catalog():
     pieces, extensions = f1_catalog()
     for C in pieces + extensions:
         irr = connection_irregularity(C)
-        rep = operator_index(
-            MatrixDiffOp.from_connection(C), newton_prediction=-irr
-        )
+        rep = operator_index(MatrixDiffOp.from_connection(C))
         assert rep.stabilized, rep.trace
         assert rep.index == -irr, (rep.trace, irr)
     rep1 = cohomology_dims(Connection.trivial(F1, 1))

@@ -548,6 +548,54 @@ command = verify
         assert lines["result"] == "unsupported"
 
 
+class TestTwoAndThreeVariables:
+    def test_cohomology_induced_levels_honour_max_window(self, tmp_path, capsys):
+        # the induced inner connection on H^0 and H^1 is d - 20 dt1/t1, whose
+        # solution t1^20 lies past the probes of --max-window 12; the outer
+        # schedule is not capped
+        spec = tmp_path / "deep_inner.hl"
+        spec.write_text(
+            """[field]
+n = 2
+
+[connection]
+rank = 1
+A1 = [["-20/t1"]]
+A2 = [["0"]]
+
+[task]
+command = cohomology
+"""
+        )
+        assert cli.main([str(spec), "--max-window", "12"]) == 2
+        capped = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert capped["stabilized"] == "no"
+        assert cli.main([str(spec)]) == 0
+        full = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (full["h0"], full["h1"], full["h2"]) == ("1", "2", "1")
+        assert full["stabilized"] == "yes"
+
+    def test_verify_three_variables_is_unsupported(self, tmp_path, capsys):
+        spec = tmp_path / "trivial_n3.hl"
+        spec.write_text(
+            """[field]
+n = 3
+
+[connection]
+rank = 1
+A1 = [["0"]]
+A2 = [["0"]]
+A3 = [["0"]]
+
+[task]
+command = verify
+"""
+        )
+        assert cli.main([str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: UnsupportedFrame: degrees are implemented for n <= 2\n"
+
+
 class TestRejections:
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.hl"

@@ -8,6 +8,7 @@ from higherlocal import tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.derham import (
+    DirectionResult,
     FormTuple,
     build_multicomplex,
     check_multicomplex,
@@ -15,11 +16,22 @@ from higherlocal.derham import (
     induced_inner_connections,
     standard_forms,
 )
-from higherlocal.errors import NotClosed, NotIndependent
+from higherlocal.errors import NotClosed, NotIndependent, UnsupportedFrame
 from higherlocal.series import OneForm, TowerElement, TowerField
+from higherlocal.tate import (
+    DEFAULT_SCHEDULE,
+    OUTER_SCHEDULE,
+    MatrixDiffOp,
+    OuterMatrixDiffOp,
+    inner_operator,
+    operator_index,
+    pure_direction,
+)
+from test_acceptance import f1_catalog, f2_catalog, f2_form_tuples
 
 F1 = TowerField(1)
 F2 = TowerField(2)
+F3 = TowerField(3)
 
 
 def dlog_forms():
@@ -162,6 +174,18 @@ class TestMulticomplex:
         induced_inner_connections(C, normalizer=h2, schedule=(4, 6, 8), outer=rep.outer)
         assert len(calls) == 4
 
+    def test_three_variables_squares_checked_directions_unsupported(self):
+        # the random test sections carry coefficients one level down
+        B = build_multicomplex(Connection.trivial(F3, 1), standard_forms(F3))
+        rep = check_multicomplex(B)
+        assert rep.squares_ok
+        statuses = {(d.direction, d.family): d.status for d in rep.directions}
+        assert statuses == {
+            **{(i, "nabla"): "unsupported" for i in (1, 2, 3)},
+            **{(i, "wedge"): "pass" for i in (1, 2, 3)},
+        }
+        assert rep.acyclicity == "unsupported" and rep.outer is None
+
     def test_non_closed_rejected_at_build(self):
         t2 = F2.gen(2)
         C = Connection.trivial(F2, 1)
@@ -175,6 +199,95 @@ class TestMulticomplex:
                     )
                 ),
             )
+
+
+def oracle_outer_windows(op, schedule):
+    """The outer settle loop as it was written out by hand: (reduction, at, trace)."""
+    trace, red = [], None
+    for w in schedule:
+        red = tate.reduce_outer_window(op, w)
+        trace.append((w, red.ker_dim, red.coker_dim))
+        if len(trace) >= 2 and trace[-2][1:] == trace[-1][1:] and min(trace[-1][1:]) >= 0:
+            return red, w, tuple(trace)
+    return red, None, tuple(trace)
+
+
+def oracle_direction_acyclicity(n, i, edge, schedule):
+    """The per-direction decision tree as it stood before it moved into
+    ``tate.edge_profile``; the outer case also returns (reduction, at)."""
+    if all(c.is_exactly_zero() for c in edge.cvec):
+        return DirectionResult(i, "nabla", False, "vanishes"), None
+    pure = pure_direction(edge.cvec)
+    if pure is None:
+        return DirectionResult(i, "nabla", False, "mixed", unsupported=True), None
+    if n == 1:
+        op = MatrixDiffOp.first_order(edge.cvec[0], edge.pmat)
+        rep = operator_index(op, DEFAULT_SCHEDULE, want_kernel=False)
+        return DirectionResult(1, "nabla", rep.stabilized, "", rep.trace), None
+    if pure == n:
+        op = OuterMatrixDiffOp.first_order(edge.cvec[n - 1], edge.pmat)
+        red, at, trace = oracle_outer_windows(op, schedule)
+        return DirectionResult(n, "nabla", at is not None, "", trace), (red, at)
+    try:
+        op1 = inner_operator(edge.cvec[0], edge.pmat)
+    except UnsupportedFrame as exc:
+        return DirectionResult(pure, "nabla", False, str(exc), unsupported=True), None
+    rep = operator_index(op1, DEFAULT_SCHEDULE, want_kernel=False)
+    return DirectionResult(pure, "nabla", rep.stabilized, "", rep.trace), None
+
+
+def shared_route_cases():
+    pieces, extensions = f1_catalog()
+    dt1 = standard_forms(F1)
+    cases = [build_multicomplex(C, dt1) for C in pieces + extensions]
+    cases += [build_multicomplex(C, nu) for C in f2_catalog() for nu in f2_form_tuples()]
+    trivial = build_multicomplex(Connection.trivial(F2, 1), standard_forms(F2))
+    mixed = build_multicomplex(
+        Connection.trivial(F2, 1),
+        FormTuple((OneForm((F2.one(), F2.one())), OneForm((F2.zero(), F2.one())))),
+    )
+    t1, t2 = F2.gen(1), F2.gen(2)
+    f = (t1 * t2) ** -1
+    cases += [
+        trivial.with_zero_edge(frozenset(), 2),
+        trivial.with_zero_edge(frozenset(), 1),
+        mixed,
+        mixed.with_zero_edge(frozenset(), 1),
+        build_multicomplex(
+            rank1_from_form(OneForm((f.derive(1), f.derive(2)))), standard_forms(F2)
+        ),
+        build_multicomplex(exp2_connection(), dlog_forms()),
+    ]
+    return cases
+
+
+class TestSharedDirectionalRoute:
+    """``check_multicomplex`` reads each covariant edge through
+    ``tate.edge_profile``; the decision tree it replaced is the oracle."""
+
+    @staticmethod
+    def key(r):
+        return (r.direction, r.family, r.ok, r.status, r.trace)
+
+    def test_matches_the_hand_written_tree(self):
+        seen = set()
+        for B in shared_route_cases():
+            rep = check_multicomplex(B)
+            got = [d for d in rep.directions if d.family == "nabla"]
+            for i, d in enumerate(got, start=1):
+                edge = B.nabla_edges[(frozenset(), i)]
+                want, outer = oracle_direction_acyclicity(B.n, i, edge, OUTER_SCHEDULE)
+                assert self.key(d) == self.key(want)
+                if outer is None:
+                    assert d.outer is None
+                else:
+                    assert (d.outer.reduction, d.outer.stabilized_at) == outer
+                seen.add((B.n, d.status, outer is not None))
+        # every branch of the tree is exercised
+        assert seen >= {
+            (1, "pass", False), (2, "pass", False), (2, "pass", True),
+            (2, "fail", False), (2, "unsupported", False),
+        }
 
 
 class TestCohomology:

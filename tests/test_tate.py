@@ -88,12 +88,10 @@ class TestOperatorIndex:
         for m in (1, 2, 3):
             C = exp_connection(m)
             op = MatrixDiffOp.from_connection(C)
-            rep = operator_index(
-                op, newton_prediction=-connection_irregularity(C)
-            )
+            rep = operator_index(op)
             assert rep.stabilized
             assert rep.index == -m
-            assert rep.agrees_with_newton()
+            assert rep.index == -connection_irregularity(C)
 
     def test_regular_singular_index_zero(self):
         for alpha in (Fraction(1, 2), 1, 2, Fraction(-3, 4)):
@@ -222,7 +220,7 @@ def dense_to_elements(labels, vecs, rank, w):
     return tuple(out)
 
 
-def persistence_index(op, schedule, newton_prediction=None, want_kernel=True):
+def persistence_index(op, schedule, want_kernel=True):
     """The windowed index through bottom kernels, top cokernels and persistence.
 
     The persistent dimension is rank T + |K| - rank(T u K), for ``K`` a
@@ -257,14 +255,14 @@ def persistence_index(op, schedule, newton_prediction=None, want_kernel=True):
                 dense = [[v.get(k, 0) for k in range(len(labels))] for v in T + K]
                 persistent = span_intersection(dense[: len(T)], dense[len(T):])
                 basis = dense_to_elements(labels, persistent, op.rank, wi)
-            return IndexReport(ker, coker, ker - coker, wi, basis, newton_prediction, tuple(trace))
+            return IndexReport(ker, coker, ker - coker, wi, basis, tuple(trace))
     if not windows:
         raise InsufficientPrecision("operator coefficients cannot fill even the smallest window")
     if not trace:
         w, _, K, coker = windows[0]
         trace = [(w, len(K), coker)]
     _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), newton_prediction, tuple(trace))
+    return IndexReport(ker, coker, ker - coker, None, (), tuple(trace))
 
 
 def random_exact_connection(rng, rank):
@@ -604,15 +602,15 @@ def ref_operator_index(op, schedule):
             basis = ()
             if ker:
                 basis = dense_to_elements(labels, persistent, op.rank, wi)
-            return IndexReport(ker, coker, ker - coker, wi, basis, None, tuple(trace))
+            return IndexReport(ker, coker, ker - coker, wi, basis, tuple(trace))
     if not kernels:
         raise InsufficientPrecision("too short")
     if not trace:
         w, _, kvecs = kernels[0]
         ker, coker = len(kvecs), cokers[0]
-        return IndexReport(ker, coker, ker - coker, None, (), None, ((w, ker, coker),))
+        return IndexReport(ker, coker, ker - coker, None, (), ((w, ker, coker),))
     _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), None, tuple(trace))
+    return IndexReport(ker, coker, ker - coker, None, (), tuple(trace))
 
 
 def realized(fn, *args, **kwargs):
@@ -808,11 +806,11 @@ def ref_probe_report(op, schedule):
         ker = D(-w, W) - d_high
         trace.append((w, ker, ker - index))
         if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:] and min(trace[-1][1:]) >= 0:
-            return IndexReport(ker, ker - index, index, w, (), None, tuple(trace))
+            return IndexReport(ker, ker - index, index, w, (), tuple(trace))
     if not trace:
         raise InsufficientPrecision("too short")
     _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), None, tuple(trace))
+    return IndexReport(ker, coker, ker - coker, None, (), tuple(trace))
 
 
 def own_probe_index(op, schedule, want_kernel=True):
@@ -854,11 +852,11 @@ def own_probe_index(op, schedule, want_kernel=True):
                         c, e = labels[k]
                         comps[c][e] = q
                     basis.append(tuple(TowerElement(1, cs, w, False) for cs in comps))
-            return IndexReport(ker, ker - index, index, w, tuple(basis), None, tuple(trace))
+            return IndexReport(ker, ker - index, index, w, tuple(basis), tuple(trace))
     if not trace:
         raise InsufficientPrecision("too short")
     _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), None, tuple(trace))
+    return IndexReport(ker, coker, ker - coker, None, (), tuple(trace))
 
 
 def known_below(hi):
