@@ -79,7 +79,7 @@ def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Repor
     schedule = _capped_schedule(max_window)
     if command == "cohomology":
         _flatness_gate(spec)
-        rep = cohomology_dims(C, index_schedule=schedule)
+        rep = cohomology_dims(C, schedule)
         for i, d in enumerate(rep.dims):
             report.append((f"h{i}", str(d)))
         report.append(("euler", str(rep.euler)))
@@ -167,7 +167,7 @@ def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Repor
         report.append(("check_forms", "pass"))
         # the gate above has certified flatness, which build_multicomplex
         # would check again
-        mrep = check_multicomplex(BinaryMultiComplex(C, nu))
+        mrep = check_multicomplex(BinaryMultiComplex(C, nu), schedule)
         squares = "pass" if mrep.squares_ok else "fail"
         report.append(("check_squares", squares))
         report.append(("check_acyclicity", mrep.acyclicity))
@@ -212,7 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     ap.add_argument("path", help="input description file")
     ap.add_argument("--precision", type=int, default=None, help="terms kept per level")
-    ap.add_argument("--max-window", type=int, default=32, help="largest window size")
+    ap.add_argument("--max-window", type=int, default=32, help="largest one-variable probe window")
     ap.add_argument("--seed", type=int, default=None, help="cyclic vector search seed")
     ap.add_argument(
         "--format", choices=("kv", "json-like"), default="kv", help="report format"

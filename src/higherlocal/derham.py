@@ -37,11 +37,9 @@ from .linalg import SeriesMatrix, inverse, rank_kernel_det, solve_columns
 from .series import OneForm, TowerElement, TowerField, sum_of_products
 from .tate import (
     DEFAULT_SCHEDULE,
-    OUTER_SCHEDULE,
     IndexReport,
     MatrixDiffOp,
     OuterMatrixDiffOp,
-    OuterReduction,
     OuterStabilization,
     edge_profile,
     operator_index,
@@ -270,8 +268,8 @@ class MultiComplexReport:
         return next((d.outer for d in self.directions if d.outer is not None), None)
 
 
-def _test_sections(field: TowerField, rank: int, count: int = 2):
-    """Deterministic monomial and small dense sections."""
+def _test_sections(field: TowerField, rank: int):
+    """Deterministic monomial sections and two small dense ones."""
     n = field.level
     zero = field.zero()
     sections = []
@@ -291,20 +289,21 @@ def _test_sections(field: TowerField, rank: int, count: int = 2):
             return Fraction(rng.randint(-2, 2))
         return TowerElement(level, {e: dense(level - 1) for e in range(-1, 2)}, None, True)
 
-    for _ in range(count):
+    for _ in range(2):
         sections.append(tuple(dense(n) for _ in range(rank)))
     return sections
 
 
 def check_multicomplex(
-    B: BinaryMultiComplex, schedule: Sequence[int] = OUTER_SCHEDULE
+    B: BinaryMultiComplex, schedule: Sequence[int] = DEFAULT_SCHEDULE
 ) -> MultiComplexReport:
     """Check every square on the test sections, then each direction's acyclicity.
 
     Each square ``(M, i, j)`` sums two routes per kind on each section.  The
     first edges out of ``M`` are applied to a section once and their images
     shared by the routes that start with them: the routes name 8 edge
-    applications per section at ``n = 2``, and 6 are made.  The outermost covariant
+    applications per section at ``n = 2``, and 6 are made.  The one-variable
+    and inner directions probe on ``schedule``; the outermost covariant
     edge's stabilized reduction is kept in its :class:`DirectionResult`
     (``MultiComplexReport.outer``).
     """
@@ -417,35 +416,24 @@ def _direction_acyclicity(i: int, edge: EdgeOperator, schedule) -> DirectionResu
 # Induced inner connections on windowed outer cohomology
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InducedLevel:
-    """H^q of the outer direction as an inner-field connection."""
-
-    dim: int
-    matrix: Optional[SeriesMatrix]  # dim x dim over the inner field
-    window: int
-
-
 def induced_inner_connections(
     C: Connection,
     normalizer: Optional[TowerElement] = None,
-    schedule: Sequence[int] = OUTER_SCHEDULE,
     outer: Optional[OuterStabilization] = None,
-) -> Tuple[InducedLevel, InducedLevel, OuterReduction, Optional[int]]:
+) -> Tuple[Optional[Connection], Optional[Connection], OuterStabilization]:
     """Windowed outer H^0 / H^1 of a two-variable connection with inner action.
 
-    Returns (H0 level, H1 level, the stabilized outer reduction, stabilized
-    window).  The outer operator is the covariant derivative along the outer
-    variable, scaled by the inverse of ``normalizer`` when given.  When
-    ``outer`` holds the stabilization of that same operator on ``schedule``
-    (:meth:`OuterStabilization.serves`), its reduction is used and no window
-    is reduced again.
+    Returns (the induced one-variable connection on H^0, the one on H^1,
+    the outer stabilization); a level of dimension 0 is None.  The outer
+    operator is the covariant derivative along the outer variable, scaled by
+    the inverse of ``normalizer`` when given.  When ``outer`` holds the
+    stabilization of that same operator (:meth:`OuterStabilization.serves`),
+    its reduction is used and no window is reduced again.
     """
     op = OuterMatrixDiffOp.from_connection(C, normalizer)
-    if outer is None or not outer.serves(op, schedule):
-        outer = stabilize_outer_windows(op, schedule)
+    if outer is None or not outer.serves(op):
+        outer = stabilize_outer_windows(op)
     red = outer.reduction
-    w = red.window
 
     def section(labels, values) -> Tuple[TowerElement, ...]:
         # the inner coefficient values[k] at each label (component, outer exponent)
@@ -457,7 +445,7 @@ def induced_inner_connections(
     def read(labels, sec) -> List[TowerElement]:
         return [sec[c].coefficient(e) for c, e in labels]
 
-    def action(images, span, tail, failure) -> SeriesMatrix:
+    def action(images, span, tail, failure) -> Connection:
         # column j: the last ``tail`` coordinates of images[j] in ``span``
         cols = []
         for img in images:
@@ -465,27 +453,24 @@ def induced_inner_connections(
             if x is None:
                 raise UnsupportedFrame(failure)
             cols.append(x[-tail:])
-        return SeriesMatrix(cols).transpose()
+        return Connection(TowerField(1), [SeriesMatrix(cols).transpose()])
 
-    h0 = InducedLevel(0, None, w)
+    h0 = h1 = None
     if red.ker_dim:
         images = [read(red.src_labels, C.nabla(1, section(red.src_labels, v))) for v in red.kernel]
-        M0 = action(
+        h0 = action(
             images, red.kernel, red.ker_dim, "induced action does not preserve the windowed kernel"
         )
-        h0 = InducedLevel(red.ker_dim, M0, w)
-    h1 = InducedLevel(0, None, w)
     if red.coker_dim:
         # the unit section at each cokernel slot, modulo the window's image
         units = [section((slot,), (TowerElement.constant(1, 1),)) for slot in red.coker_slots]
         span = [red.matrix.column(j) for j in range(red.matrix.cols)]
         span += [read(red.tgt_labels, u) for u in units]
         images = [read(red.tgt_labels, C.nabla(1, u)) for u in units]
-        M1 = action(
+        h1 = action(
             images, span, red.coker_dim, "induced action leaves the windowed target span"
         )
-        h1 = InducedLevel(red.coker_dim, M1, w)
-    return h0, h1, red, outer.stabilized_at
+    return h0, h1, outer
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +489,7 @@ class CohomologyReport:
     window_agrees: Optional[bool] = None
 
 
-def cohomology_dims(
-    C: Connection,
-    schedule: Sequence[int] = OUTER_SCHEDULE,
-    index_schedule: Sequence[int] = DEFAULT_SCHEDULE,
-) -> CohomologyReport:
+def cohomology_dims(C: Connection, schedule: Sequence[int] = DEFAULT_SCHEDULE) -> CohomologyReport:
     """Windowed cohomology dimensions with a certified degree-one side.
 
     Over one variable the degree-zero dimension is the windowed kernel of the
@@ -517,19 +498,19 @@ def cohomology_dims(
     irregularity (the windowed Euler characteristic equals minus the
     irregularity); the windowed cokernel is computed alongside and compared.
 
-    Over two variables the outer direction goes first, on ``schedule``
-    (:func:`induced_inner_connections`).  The induced inner connection on
-    the outer ``H^q`` fills column ``q`` of the second page ``e2``: its
-    one-variable dimensions at inner degrees ``p = 0, 1``, read by this
-    function's own one-variable branch on ``index_schedule``.  ``h^n`` sums
-    the entries with ``p + q = n``.
+    Over two variables the outer direction goes first, on the fixed outer
+    windows (:func:`induced_inner_connections`).  The induced inner
+    connection on the outer ``H^q`` fills column ``q`` of the second page
+    ``e2``: its one-variable dimensions at inner degrees ``p = 0, 1``, read
+    by this function's own one-variable branch on ``schedule``.  ``h^n``
+    sums the entries with ``p + q = n``.
     """
     n = C.field.level
     if n == 1:
         from .dmodule import connection_irregularity
 
         irr = connection_irregularity(C)
-        rep = operator_index(MatrixDiffOp.from_connection(C), index_schedule, want_kernel=False)
+        rep = operator_index(MatrixDiffOp.from_connection(C), schedule, want_kernel=False)
         h0 = rep.ker_dim
         dims = (h0, h0 + irr)
         window_dims = (rep.ker_dim, rep.coker_dim) if rep.stabilized else None
@@ -544,14 +525,13 @@ def cohomology_dims(
         )
     if n != 2:
         raise UnsupportedFrame("cohomology dimensions are implemented for n <= 2")
-    h0, h1, _, stabilized = induced_inner_connections(C, schedule=schedule)
+    h0, h1, outer = induced_inner_connections(C)
     e2 = {}
-    settled = stabilized is not None
-    for q, level in enumerate((h0, h1)):
+    settled = outer.stabilized_at is not None
+    for q, C1 in enumerate((h0, h1)):
         e2[(0, q)] = e2[(1, q)] = 0
-        if level.dim:
-            C1 = Connection(TowerField(1), [level.matrix])
-            rep = cohomology_dims(C1, index_schedule=index_schedule)
+        if C1 is not None:
+            rep = cohomology_dims(C1, schedule)
             e2[(0, q)], e2[(1, q)] = rep.dims
             settled = settled and rep.stabilized
     dims = (e2[(0, 0)], e2[(1, 0)] + e2[(0, 1)], e2[(1, 1)])

@@ -192,7 +192,11 @@ def _certificate_matrix(C: Connection, s: Sequence[TowerElement]) -> SeriesMatri
     return SeriesMatrix(cols).transpose()
 
 
-def _candidate_vectors(C: Connection, seed: int, random_tries: int):
+# randomized candidates tried after the shifted monomials
+_RANDOM_TRIES = 60
+
+
+def _candidate_vectors(C: Connection, seed: int):
     field = C.field
     r = C.rank
     t = field.gen(1)
@@ -209,7 +213,7 @@ def _candidate_vectors(C: Connection, seed: int, random_tries: int):
     for shifts in base_shifts:
         yield tuple(t ** c for c in shifts)
     rng = random.Random(seed)
-    for _ in range(random_tries):
+    for _ in range(_RANDOM_TRIES):
         vec = []
         for _ in range(r):
             coeffs = {
@@ -224,7 +228,7 @@ def _candidate_vectors(C: Connection, seed: int, random_tries: int):
 
 
 def find_cyclic_vector(
-    C: Connection, seed: int = 0, random_tries: int = 60
+    C: Connection, seed: int = 0
 ) -> Tuple[Tuple[TowerElement, ...], SeriesMatrix, TowerElement]:
     """A vector whose iterated derivatives frame the module, with certificate.
 
@@ -233,7 +237,7 @@ def find_cyclic_vector(
     """
     if C.field.level != 1:
         raise ValueError("cyclic vector search runs over the one-variable field")
-    for cand in _candidate_vectors(C, seed, random_tries):
+    for cand in _candidate_vectors(C, seed):
         M = _certificate_matrix(C, cand)
         try:
             res = rank_kernel_det(M, want_kernel=False)
@@ -246,7 +250,7 @@ def find_cyclic_vector(
         if res.rank == C.rank and res.determinant.is_certainly_nonzero():
             return cand, M, res.determinant
     raise SearchExhausted(
-        f"no cyclic vector certified after {random_tries} randomized candidates"
+        f"no cyclic vector certified after {_RANDOM_TRIES} randomized candidates"
     )
 
 

@@ -39,7 +39,6 @@ from .errors import (
 from .series import OneForm, TowerElement, TowerField
 from .tate import (
     DEFAULT_SCHEDULE,
-    OUTER_SCHEDULE,
     IndexReport,
     MatrixDiffOp,
     OuterStabilization,
@@ -79,7 +78,6 @@ class EpsilonReport:
     degree: int
     window_reports: Tuple[IndexReport, ...]
     window_degree: Optional[int]
-    certified_degree: int
     routes_agree: Optional[bool]
     level_degrees: Tuple[int, ...] = ()  # per outer-cohomology level for n = 2
 
@@ -149,13 +147,7 @@ def epsilon_degree(
             # the iterated reduction to be well-formed
             raise UnsupportedFrame("the outer frame component must not involve t1")
         h = strip_outer(nu.frame[0, 0])
-        h0_level, h1_level, _, _ = induced_inner_connections(
-            C, normalizer=h2, schedule=OUTER_SCHEDULE, outer=outer
-        )
-        levels = tuple(
-            Connection(TowerField(1), [lvl.matrix]) if lvl.dim else None
-            for lvl in (h0_level, h1_level)
-        )
+        levels = induced_inner_connections(C, normalizer=h2, outer=outer)[:2]
     else:
         raise UnsupportedFrame("degrees are implemented for n <= 2")
     degrees, window_reports, windows = [], [], []
@@ -176,7 +168,6 @@ def epsilon_degree(
         degree,
         tuple(window_reports),
         window_degree,
-        degree,
         None if window_degree is None else window_degree == degree,
         tuple(degrees) if n == 2 else (),
     )

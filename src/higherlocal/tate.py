@@ -22,10 +22,11 @@ a two-variable field is realized as a finite matrix *over* the inner field,
 with the target cut at the hull displacement for the kernel and at the
 derivative term's displacement for the cokernel, and its kernel/cokernel
 are then finite-dimensional inner-field spaces with explicit bounded outer
-windows.  Outer windows settle by the same loop.  One routine,
-:func:`edge_profile`, reads the directional kernel/cokernel of a covariant
-derivative along a coordinate direction; the multicomplex check and
-:func:`directional_kernel_profile` both call it.
+windows.  The outer windows are the fixed ``OUTER_SCHEDULE``, settled by
+the same loop; every ``schedule`` parameter here is a one-variable probe
+schedule.  One routine, :func:`edge_profile`, reads the directional
+kernel/cokernel of a covariant derivative along a coordinate direction; the
+multicomplex check and :func:`directional_kernel_profile` both call it.
 """
 
 from __future__ import annotations
@@ -589,34 +590,33 @@ def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
 
 @dataclass(frozen=True)
 class OuterStabilization:
-    """What :func:`stabilize_outer_windows` gave for ``op`` on ``schedule``.
+    """What :func:`stabilize_outer_windows` gave for ``op``.
 
     A caller that has stabilized an operator hands this along, and a later
-    caller that would build the same operator on the same schedule reads
-    the reduction from it instead of reducing the windows again.
+    caller that would build the same operator reads the reduction from it
+    instead of reducing the windows again.
     """
 
     op: OuterMatrixDiffOp
-    schedule: Tuple[int, ...]
     reduction: OuterReduction
     stabilized_at: Optional[int]
     trace: Tuple[Tuple[int, int, int], ...]
 
-    def serves(self, op: OuterMatrixDiffOp, schedule: Sequence[int]) -> bool:
-        """True when ``op`` on ``schedule`` is the stabilization held here."""
-        return tuple(schedule) == self.schedule and op.coeffs == self.op.coeffs
+    def serves(self, op: OuterMatrixDiffOp) -> bool:
+        """True when ``op`` is the operator stabilized here."""
+        return op.coeffs == self.op.coeffs
 
 
-def stabilize_outer_windows(op: OuterMatrixDiffOp, schedule: Sequence[int]) -> OuterStabilization:
-    """Reduce outer windows until the (ker, coker) trace settles (:func:`_settle`).
+def stabilize_outer_windows(op: OuterMatrixDiffOp) -> OuterStabilization:
+    """Reduce the windows of ``OUTER_SCHEDULE`` until (ker, coker) settles (:func:`_settle`).
 
     The record holds the settling reduction (the last one when the pairs
     never agreed), the window at which they agreed (None when they never
     did) and the (window, ker, coker) trace.
     """
-    reductions = (reduce_outer_window(op, w) for w in schedule)
+    reductions = (reduce_outer_window(op, w) for w in OUTER_SCHEDULE)
     red, at, trace = _settle((r.window, r.ker_dim, r.coker_dim, r) for r in reductions)
-    return OuterStabilization(op, tuple(schedule), red, at, trace)
+    return OuterStabilization(op, red, at, trace)
 
 
 def strip_outer(x: TowerElement) -> TowerElement:
@@ -692,7 +692,7 @@ def _exponent_window(exps) -> Optional[Tuple[int, int]]:
 
 
 def edge_profile(
-    cvec: Sequence[TowerElement], P: SeriesMatrix, schedule: Sequence[int] = OUTER_SCHEDULE
+    cvec: Sequence[TowerElement], P: SeriesMatrix, schedule: Sequence[int] = DEFAULT_SCHEDULE
 ) -> DirectionalProfile:
     """Windowed kernel/cokernel of ``sum_k c_k d/dt_k + P`` along one direction.
 
@@ -700,11 +700,11 @@ def edge_profile(
     ``i`` (:func:`pure_direction`) of at most two variables.  Over one
     variable, and along the inner variable of two when the data are free of
     the outer one (:func:`inner_operator`, the same in every outer fiber),
-    the lattice probes of :func:`operator_index` run on the default
-    schedule.  Along the outer variable the outer windows of ``schedule``
-    are reduced over the inner field (:func:`stabilize_outer_windows`), and
-    the profile keeps that stabilization in ``outer``.  Raises
-    :class:`UnsupportedFrame` for any other field or data.
+    the lattice probes of :func:`operator_index` run on ``schedule``.  Along
+    the outer variable the fixed outer windows are reduced over the inner
+    field (:func:`stabilize_outer_windows`), and the profile keeps that
+    stabilization in ``outer``.  Raises :class:`UnsupportedFrame` for any
+    other field or data.
     """
     n = len(cvec)
     i = pure_direction(cvec)
@@ -717,7 +717,7 @@ def edge_profile(
     c = cvec[i - 1]
     unconstrained = tuple(k for k in range(1, n + 1) if k != i)
     if i == 2:
-        outer = stabilize_outer_windows(OuterMatrixDiffOp.first_order(c, P), schedule)
+        outer = stabilize_outer_windows(OuterMatrixDiffOp.first_order(c, P))
         red, at = outer.reduction, outer.stabilized_at
         kernel_exps = (
             e
@@ -737,7 +737,7 @@ def edge_profile(
             outer,
         )
     op = MatrixDiffOp.first_order(c, P) if n == 1 else inner_operator(c, P)
-    rep = operator_index(op, DEFAULT_SCHEDULE)
+    rep = operator_index(op, schedule)
     return DirectionalProfile(
         i,
         rep.ker_dim,
@@ -753,7 +753,7 @@ def edge_profile(
 def directional_kernel_profile(
     C: Connection,
     vector_field: Sequence[TowerElement],
-    schedule: Sequence[int] = OUTER_SCHEDULE,
+    schedule: Sequence[int] = DEFAULT_SCHEDULE,
 ) -> DirectionalProfile:
     """Bounded windowed kernel/cokernel of the directional derivative.
 

@@ -552,7 +552,7 @@ class TestTwoAndThreeVariables:
     def test_cohomology_induced_levels_honour_max_window(self, tmp_path, capsys):
         # the induced inner connection on H^0 and H^1 is d - 20 dt1/t1, whose
         # solution t1^20 lies past the probes of --max-window 12; the outer
-        # schedule is not capped
+        # windows are fixed
         spec = tmp_path / "deep_inner.hl"
         spec.write_text(
             """[field]
@@ -574,6 +574,31 @@ command = cohomology
         full = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
         assert (full["h0"], full["h1"], full["h2"]) == ("1", "2", "1")
         assert full["stabilized"] == "yes"
+
+    @pytest.mark.parametrize("n, rest", [(1, ""), (2, 'A2 = [["0"]]\n')], ids=["n1", "n2"])
+    def test_verify_honours_max_window(self, tmp_path, capsys, n, rest):
+        # d - 20 dt1/t1, alone or as the inner direction: its solution t1^20
+        # lies past the probes of --max-window 12, so that direction fails;
+        # verify exits 0 whatever its result
+        spec = tmp_path / "deep_verify.hl"
+        spec.write_text(
+            f"""[field]
+n = {n}
+
+[connection]
+rank = 1
+A1 = [["-20/t1"]]
+{rest}
+[task]
+command = verify
+"""
+        )
+        assert cli.main([str(spec), "--max-window", "12"]) == 0
+        capped = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (capped["check_acyclicity"], capped["result"]) == ("fail", "fail")
+        assert cli.main([str(spec)]) == 0
+        full = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (full["check_acyclicity"], full["result"]) == ("pass", "pass")
 
     def test_verify_three_variables_is_unsupported(self, tmp_path, capsys):
         spec = tmp_path / "trivial_n3.hl"
