@@ -6,9 +6,11 @@ is a copy of the underlying module identified through the wedge frame of the
 tuple, each edge carries two maps, the directional covariant derivative
 along the dual frame field (top differential) and the identity scaled by the
 wedge sign (bottom differential).  Closedness of the tuple makes the dual
-frame fields commute, so all squares anticommute; the checker verifies this
-on explicit test sections and reads each direction's kernel/cokernel windows
-through the directional reduction :func:`~higherlocal.tate.edge_profile`.
+frame fields commute, so all squares anticommute; the checker composes the
+edges as differential operators, checks that each route sum vanishes
+coefficient by coefficient, and reads each direction's kernel/cokernel
+windows through the directional reduction
+:func:`~higherlocal.tate.edge_profile`.
 
 Cohomology dimensions over two variables are computed along the outer
 variable first: the windowed kernel and cokernel of the outer derivative are
@@ -21,7 +23,6 @@ two-variable answer is computed over ``k((t1))((t2))``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -124,6 +125,17 @@ def _wedge_sign(M: frozenset, i: int) -> int:
     return -1 if sum(1 for m in M if m < i) % 2 else 1
 
 
+# A differential operator on sections: each derivative multi-index (variables
+# in ascending order, () for order zero) maps to its r x r coefficient rows.
+Operator = Dict[Tuple[int, ...], Tuple[Tuple[TowerElement, ...], ...]]
+
+
+def _diagonal(x: TowerElement, r: int) -> Tuple[Tuple[TowerElement, ...], ...]:
+    """The rows of ``x I`` of size ``r``."""
+    zero = TowerElement.zero(x.level)
+    return tuple(tuple(x if a == b else zero for b in range(r)) for a in range(r))
+
+
 @dataclass(frozen=True)
 class EdgeOperator:
     """sign * (directional covariant derivative along a frame field)."""
@@ -132,18 +144,14 @@ class EdgeOperator:
     cvec: Tuple[TowerElement, ...]  # coefficients of d/dt_k
     pmat: SeriesMatrix  # sum c_k A_k
 
-    def apply(self, section: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
-        # component i is sum_k pmat[i, k] v_k + sum_k c_k d_k(v_i), one fused sum
-        derivatives = [
-            (k, c) for k, c in enumerate(self.cvec, start=1) if not c.is_exactly_zero()
-        ]
-        out = []
-        for row, v in zip(self.pmat.entries, section):
-            pairs = list(zip(row, section))
-            pairs += [(c, v.derive(k)) for k, c in derivatives]
-            x = sum_of_products(self.pmat.level, pairs)
-            out.append(x if self.sign == 1 else -x)
-        return tuple(out)
+    def terms(self) -> Operator:
+        """The edge as ``{(): s P, (k,): s c_k I}``, exact-zero ``c_k`` left out."""
+        s, rows = self.sign, self.pmat.entries
+        out = {(): rows if s == 1 else tuple(tuple(-x for x in row) for row in rows)}
+        for k, c in enumerate(self.cvec, start=1):
+            if not c.is_exactly_zero():
+                out[(k,)] = _diagonal(c if s == 1 else -c, len(rows))
+        return out
 
 
 class BinaryMultiComplex:
@@ -268,112 +276,73 @@ class MultiComplexReport:
         return next((d.outer for d in self.directions if d.outer is not None), None)
 
 
-def _test_sections(field: TowerField, rank: int):
-    """Deterministic monomial sections and two small dense ones."""
-    n = field.level
-    zero = field.zero()
-    sections = []
-    exps_list = [[0] * n, [1] * n, [-1] * n]
-    for exps in exps_list:
-        for c in range(rank):
-            vec = [zero] * rank
-            vec[c] = field.monomial(exps)
-            sections.append(tuple(vec))
-    import random as _random
+def _add_composite(acc: Dict, F: Operator, G: Operator) -> None:
+    """Add the product pairs of the coefficients of ``F o G`` to ``acc``.
 
-    rng = _random.Random(12345)
+    ``F`` is first order, so ``F o G = sum F_a G_b d^(a+b) + sum_l F_(l)
+    d_l(G_b) d^b``; ``acc[(c, i, j)]`` collects the pairs whose products sum
+    to entry ``(i, j)`` of the coefficient of ``d^c``.
+    """
 
-    def dense(level):
-        # exponents -1, 0, 1 with coefficients at level - 1, drawn in order
-        if level == 0:
-            return Fraction(rng.randint(-2, 2))
-        return TowerElement(level, {e: dense(level - 1) for e in range(-1, 2)}, None, True)
+    def add(c, X, Y):
+        r = len(X)
+        for i in range(r):
+            for j in range(r):
+                acc.setdefault((c, i, j), []).extend((X[i][m], Y[m][j]) for m in range(r))
 
-    for _ in range(2):
-        sections.append(tuple(dense(n) for _ in range(rank)))
-    return sections
+    for a, Fa in F.items():
+        for b, Gb in G.items():
+            add(tuple(sorted(a + b)), Fa, Gb)
+            if a:
+                (l,) = a
+                add(b, Fa, tuple(tuple(x.derive(l) for x in row) for row in Gb))
 
 
 def check_multicomplex(
     B: BinaryMultiComplex, schedule: Sequence[int] = DEFAULT_SCHEDULE
 ) -> MultiComplexReport:
-    """Check every square on the test sections, then each direction's acyclicity.
+    """Check every square as an operator identity, then each direction's acyclicity.
 
-    Each square ``(M, i, j)`` sums two routes per kind on each section.  The
-    first edges out of ``M`` are applied to a section once and their images
-    shared by the routes that start with them: the routes name 8 edge
-    applications per section at ``n = 2``, and 6 are made.  The one-variable
-    and inner directions probe on ``schedule``; the outermost covariant
-    edge's stabilized reduction is kept in its :class:`DirectionResult`
-    (``MultiComplexReport.outer``).
+    Each square ``(M, i, j)`` sums two composites per kind of route, and the
+    kind fails when a coefficient of that sum is certified nonzero.  The sum
+    is the operator every section sees, so no test section is needed.  The
+    one-variable and inner directions probe on ``schedule``; the outermost
+    covariant edge's stabilized reduction is kept in its
+    :class:`DirectionResult` (``MultiComplexReport.outer``).
     """
     failures: List[SquareFailure] = []
-    sections = _test_sections(B.field, B.rank)
-    n = B.n
-    first: Dict[Tuple[frozenset, int, int], Tuple[TowerElement, ...]] = {}
+    n, level = B.n, B.field.level
+    ops: Dict[Tuple[str, frozenset, int], Operator] = {}
 
-    def nabla(M, i, sec):
-        return B.nabla_edges[(M, i)].apply(sec)
-
-    def nabla_first(M, i, k):
-        # the edge (M, i) applied to section k, once
-        key = (M, i, k)
-        if key not in first:
-            first[key] = nabla(M, i, sections[k])
-        return first[key]
-
-    def nu(M, i, sec):
-        s = B.nu_edges[(M, i)]
-        if s == 1:
-            return tuple(sec)
-        return tuple(x * Fraction(s) for x in sec)
+    def edge(family, M, i) -> Operator:
+        key = (family, M, i)
+        if key not in ops:
+            if family == "nabla":
+                ops[key] = B.nabla_edges[(M, i)].terms()
+            else:
+                ops[key] = {(): _diagonal(B.field.rational(B.nu_edges[(M, i)]), B.rank)}
+        return ops[key]
 
     for size in range(n - 1):
         for M in map(frozenset, combinations(range(1, n + 1), size)):
             rest = [i for i in range(1, n + 1) if i not in M]
             for i, j in combinations(rest, 2):
                 Mi, Mj = M | {i}, M | {j}
-                routes = {
-                    "nabla-nabla": lambda k: tuple(
-                        a + b
-                        for a, b in zip(
-                            nabla(Mi, j, nabla_first(M, i, k)),
-                            nabla(Mj, i, nabla_first(M, j, k)),
-                        )
-                    ),
-                    "wedge-wedge": lambda k: tuple(
-                        a + b
-                        for a, b in zip(
-                            nu(Mi, j, nu(M, i, sections[k])), nu(Mj, i, nu(M, j, sections[k]))
-                        )
-                    ),
-                    "nabla-wedge": lambda k: tuple(
-                        a + b
-                        for a, b in zip(
-                            nu(Mi, j, nabla_first(M, i, k)),
-                            nabla(Mj, i, nu(M, j, sections[k])),
-                        )
-                    ),
-                    "wedge-nabla": lambda k: tuple(
-                        a + b
-                        for a, b in zip(
-                            nabla(Mi, j, nu(M, i, sections[k])),
-                            nu(Mj, i, nabla_first(M, j, k)),
-                        )
-                    ),
-                }
-                for kind, route in routes.items():
-                    for k in range(len(sections)):
-                        out = route(k)
-                        if any(x.is_certainly_nonzero() for x in out):
-                            failures.append(
-                                SquareFailure(
-                                    (tuple(sorted(M)), i, j),
-                                    kind,
-                                    "route sum has a certified nonzero component",
-                                )
+                for kind in ("nabla-nabla", "wedge-wedge", "nabla-wedge", "wedge-nabla"):
+                    # the edges along i are of the first family, those along j
+                    # of the second
+                    x, y = kind.split("-")
+                    acc: Dict = {}
+                    _add_composite(acc, edge(y, Mi, j), edge(x, M, i))
+                    _add_composite(acc, edge(x, Mj, i), edge(y, M, j))
+                    if any(sum_of_products(level, p).is_certainly_nonzero() for p in acc.values()):
+                        failures.append(
+                            SquareFailure(
+                                (tuple(sorted(M)), i, j),
+                                kind,
+                                "route sum has a certified nonzero coefficient",
                             )
-                            break
+                        )
 
     directions = []
     empty = frozenset()

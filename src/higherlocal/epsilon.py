@@ -95,19 +95,44 @@ def _exact_presentation(C: Connection) -> bool:
     )
 
 
-def _one_variable_degree(
-    C: Connection, h: TowerElement, schedule: Sequence[int], seed: int
-) -> Tuple[int, Optional[IndexReport]]:
-    """The certified degree of a one-variable ``C`` for ``h dt``, and the windowed report.
+def _degree_levels(
+    C: Connection, nu: FormTuple, outer: Optional[OuterStabilization]
+) -> Tuple[TowerElement, Tuple[Optional[Connection], ...]]:
+    """The inner normalizer ``h`` and the one-variable levels of the degree.
 
-    The windowed route runs only when the presentation and ``h`` are exact
-    (Laurent polynomials); the report is None otherwise.
+    Over one variable the level is ``C`` itself.  Over two the frame must be
+    diagonal, with an outer component free of ``t1``, and the levels are the
+    induced inner connections on the outer ``H^0`` and ``H^1`` (None when
+    empty); ``outer`` goes to :func:`induced_inner_connections`.  The degree
+    is the alternating sum of the levels' degrees for ``h dt``.
     """
-    cert = -connection_irregularity(C, seed=seed)
-    if not (_exact_presentation(C) and h.is_fully_exact()):
-        return cert, None
-    op = MatrixDiffOp.from_connection(C, normalizer=h)
-    return cert, operator_index(op, schedule, want_kernel=False)
+    n = C.field.level
+    if n == 1:
+        return _single_form_normalizer(nu), (C,)
+    if n != 2:
+        raise UnsupportedFrame("degrees are implemented for n <= 2")
+    if not nu.is_diagonal():
+        raise UnsupportedFrame("two-variable degrees need a diagonal frame tuple")
+    h2 = nu.frame[1, 1]
+    if any(
+        isinstance(c, TowerElement) and set(c.coeffs) - {0}
+        for c in h2.coeffs.values()
+    ):
+        # the outer normalizer must commute with the inner derivative for
+        # the iterated reduction to be well-formed
+        raise UnsupportedFrame("the outer frame component must not involve t1")
+    h = strip_outer(nu.frame[0, 0])
+    return h, induced_inner_connections(C, normalizer=h2, outer=outer)[:2]
+
+
+def _level_degree(C1: Optional[Connection], seed: int) -> int:
+    """The certified degree of one level: minus its irregularity, 0 when empty."""
+    return 0 if C1 is None else -connection_irregularity(C1, seed=seed)
+
+
+def _alternating(values) -> int:
+    """The alternating sum over the levels, outer ``H^0`` first."""
+    return sum(s * v for s, v in zip((1, -1), values))
 
 
 def epsilon_degree(
@@ -124,52 +149,35 @@ def epsilon_degree(
     alongside when the presentation is exact (a Laurent-polynomial matrix);
     window values of truncated presentations are dominated by their
     truncation hulls and are skipped rather than reported as if meaningful.
-    Over one variable :func:`_one_variable_degree` reads ``C`` itself.
-    Over two it reads the induced inner connections on the outer ``H^0``
-    and ``H^1`` for the inner frame component, and the degree is their
-    alternating sum.  ``outer`` is a stabilization of the outer operator
-    made earlier (``MultiComplexReport.outer``); it is handed to
+    Both routes read the levels of :func:`_degree_levels`: ``C`` itself over
+    one variable, the induced inner connections on the outer ``H^0`` and
+    ``H^1`` over two, where the degree is their alternating sum.  ``outer``
+    is a stabilization of the outer operator made earlier
+    (``MultiComplexReport.outer``); it is handed to
     :func:`induced_inner_connections`, which uses it only for that same
     operator.
     """
-    n = C.field.level
-    if n == 1:
-        h, levels = _single_form_normalizer(nu), (C,)
-    elif n == 2:
-        if not nu.is_diagonal():
-            raise UnsupportedFrame("two-variable degrees need a diagonal frame tuple")
-        h2 = nu.frame[1, 1]
-        if any(
-            isinstance(c, TowerElement) and set(c.coeffs) - {0}
-            for c in h2.coeffs.values()
-        ):
-            # the outer normalizer must commute with the inner derivative for
-            # the iterated reduction to be well-formed
-            raise UnsupportedFrame("the outer frame component must not involve t1")
-        h = strip_outer(nu.frame[0, 0])
-        levels = induced_inner_connections(C, normalizer=h2, outer=outer)[:2]
-    else:
-        raise UnsupportedFrame("degrees are implemented for n <= 2")
+    h, levels = _degree_levels(C, nu, outer)
     degrees, window_reports, windows = [], [], []
     for C1 in levels:
+        degrees.append(_level_degree(C1, seed))
         if C1 is None:  # an empty level: degree 0 on both routes
-            degrees.append(0)
             windows.append(0)
             continue
-        cert, rep = _one_variable_degree(C1, h, schedule, seed)
-        degrees.append(cert)
-        if rep is not None:
+        rep = None
+        if _exact_presentation(C1) and h.is_fully_exact():
+            op = MatrixDiffOp.from_connection(C1, normalizer=h)
+            rep = operator_index(op, schedule, want_kernel=False)
             window_reports.append(rep)
         windows.append(rep.index if rep is not None and rep.stabilized else None)
-    signs = (1, -1)
-    degree = sum(s * d for s, d in zip(signs, degrees))
-    window_degree = None if None in windows else sum(s * w for s, w in zip(signs, windows))
+    degree = _alternating(degrees)
+    window_degree = None if None in windows else _alternating(windows)
     return EpsilonReport(
         degree,
         tuple(window_reports),
         window_degree,
         None if window_degree is None else window_degree == degree,
-        tuple(degrees) if n == 2 else (),
+        tuple(degrees) if len(levels) == 2 else (),
     )
 
 
@@ -302,14 +310,21 @@ def verify_duality(
 ) -> Tuple[bool, int, int]:
     """Check degree(dual, -nu) = sigma * degree(C, nu).
 
-    ``outer`` goes to ``epsilon_degree(C, nu)``: ``verify`` hands along the
-    outer reduction that :func:`~higherlocal.derham.check_multicomplex` made
-    for the outermost covariant edge of ``(C, nu)``, which for a diagonal
-    frame is the operator that degree reduces, so its windows are reduced
-    once.  The dual's operator differs and is reduced on its own.
+    Both sides are certified degrees: each sums the levels of
+    :func:`_degree_levels` as :func:`epsilon_degree` does, without the
+    windowed route, whose reports the comparison would discard.  ``outer``
+    goes to the levels of ``(C, nu)``: ``verify`` hands along the outer
+    reduction that :func:`~higherlocal.derham.check_multicomplex` made for
+    the outermost covariant edge of ``(C, nu)``, which for a diagonal frame
+    is the operator that degree reduces, so its windows are reduced once.
+    The dual's operator differs and is reduced on its own.
     """
-    lhs = epsilon_degree(C.dual(), -nu, seed=seed).degree
-    rhs = sigma.sign * epsilon_degree(C, nu, seed=seed, outer=outer).degree
+
+    def degree(C1, nu1, outer1=None) -> int:
+        return _alternating(_level_degree(L, seed) for L in _degree_levels(C1, nu1, outer1)[1])
+
+    lhs = degree(C.dual(), -nu)
+    rhs = sigma.sign * degree(C, nu, outer)
     return lhs == rhs, lhs, rhs
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from higherlocal import cli, derham, dmodule, linalg, tate
+from higherlocal import cli, derham, dmodule, epsilon, linalg, tate
 from higherlocal.connection import Connection
 from higherlocal.errors import (
     DimensionMismatch,
@@ -22,6 +22,7 @@ from higherlocal.errors import (
 from higherlocal.exprparse import MAX_LITERAL_DIGITS, ExpressionParser, tokenize
 from higherlocal.series import TowerElement, TowerField
 from higherlocal.specfile import parse_specfile, render_specfile
+from test_derham import oracle_apply
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -450,10 +451,13 @@ class TestGolden:
         assert len(calls) == 1
 
     def test_verify_does_its_outer_work_once(self, monkeypatch, capsys):
-        # before verify handed its results along, this input took 6 outer
-        # reductions, 2 flatness checks and 8 edge applications per section
-        calls = {"reduce": 0, "flatness": 0, "edges": 0, "determinants in reduce": 0}
-        inside = []
+        # before verify handed its results along, eps_n2_dlog took 6 outer
+        # reductions, 2 flatness checks and 8 edge applications per test
+        # section.  The squares are operator identities, so no edge is applied
+        # to a section, and the duality check reads certified degrees, so each
+        # golden probes its inner direction only (verify_n2_trivial made 5
+        # operator_index calls while duality ran the windowed route)
+        calls = {}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -463,6 +467,7 @@ class TestGolden:
             return wrapper
 
         reduce = tate.reduce_outer_window
+        inside = []
 
         def reducing(*args):
             calls["reduce"] += 1
@@ -484,14 +489,21 @@ class TestGolden:
             Connection, "check_flatness", counted("flatness", Connection.check_flatness)
         )
         monkeypatch.setattr(
-            derham.EdgeOperator, "apply", counted("edges", derham.EdgeOperator.apply)
+            derham.EdgeOperator, "apply", counted("edges", oracle_apply), raising=False
         )
-        assert cli.main([str(GOLDEN / "eps_n2_dlog.hl")]) == 0
-        assert capsys.readouterr().out == (GOLDEN / "eps_n2_dlog.out").read_text()
-        sections = len(derham._test_sections(TowerField(2), 1))
-        assert calls == {
-            "reduce": 4, "flatness": 1, "edges": 6 * sections, "determinants in reduce": 0,
+        index = tate.operator_index
+        for module in (tate, derham, epsilon):
+            if getattr(module, "operator_index", None) is index:
+                monkeypatch.setattr(module, "operator_index", counted("operator_index", index))
+        want = {
+            "reduce": 4, "flatness": 1, "edges": 0, "determinants in reduce": 0,
+            "operator_index": 1,
         }
+        for name in ("eps_n2_dlog", "verify_n2_trivial"):
+            calls.update(dict.fromkeys(want, 0))
+            assert cli.main([str(GOLDEN / f"{name}.hl")]) == 0
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+            assert calls == want, name
 
     def test_determinism(self):
         a = run_cli(GOLDEN / "cyclic_rank2.hl")

@@ -1,6 +1,8 @@
 """Form tuples, cube multicomplexes, cohomology dimensions."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +10,7 @@ from higherlocal import tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.derham import (
+    BinaryMultiComplex,
     DirectionResult,
     FormTuple,
     build_multicomplex,
@@ -17,7 +20,8 @@ from higherlocal.derham import (
     standard_forms,
 )
 from higherlocal.errors import NotClosed, NotIndependent, UnsupportedFrame
-from higherlocal.series import OneForm, TowerElement, TowerField
+from higherlocal.linalg import SeriesMatrix
+from higherlocal.series import OneForm, TowerElement, TowerField, sum_of_products
 from higherlocal.tate import (
     DEFAULT_SCHEDULE,
     OUTER_SCHEDULE,
@@ -200,6 +204,128 @@ class TestMulticomplex:
                     )
                 ),
             )
+
+
+def oracle_apply(edge, section):
+    """An edge applied to one section: component i is sum_k pmat[i, k] v_k +
+    sum_k c_k d_k(v_i), times the sign."""
+    derivatives = [(k, c) for k, c in enumerate(edge.cvec, start=1) if not c.is_exactly_zero()]
+    out = []
+    for row, v in zip(edge.pmat.entries, section):
+        pairs = list(zip(row, section)) + [(c, v.derive(k)) for k, c in derivatives]
+        x = sum_of_products(edge.pmat.level, pairs)
+        out.append(x if edge.sign == 1 else -x)
+    return tuple(out)
+
+
+def oracle_test_sections(field, rank):
+    """Monomial sections at exponents 0, 1 and -1 and two small dense ones."""
+    n = field.level
+    zero = field.zero()
+    sections = []
+    for exps in ([0] * n, [1] * n, [-1] * n):
+        for c in range(rank):
+            vec = [zero] * rank
+            vec[c] = field.monomial(exps)
+            sections.append(tuple(vec))
+    rng = random.Random(12345)
+
+    def dense(level):
+        # exponents -1, 0, 1 with coefficients at level - 1, drawn in order
+        if level == 0:
+            return Fraction(rng.randint(-2, 2))
+        return TowerElement(level, {e: dense(level - 1) for e in range(-1, 2)}, None, True)
+
+    sections += [tuple(dense(n) for _ in range(rank)) for _ in range(2)]
+    return sections
+
+
+def oracle_square_failures(B):
+    """The ``(face, kind)`` pairs whose route sum is certified nonzero on a
+    test section: the squares as they were checked before they became
+    operator identities."""
+    sections = oracle_test_sections(B.field, B.rank)
+
+    def nabla(M, i, sec):
+        return oracle_apply(B.nabla_edges[(M, i)], sec)
+
+    def nu(M, i, sec):
+        return tuple(x * Fraction(B.nu_edges[(M, i)]) for x in sec)
+
+    edges = {"nabla": nabla, "wedge": nu}
+    failures = []
+    n = B.n
+    for size in range(n - 1):
+        for M in map(frozenset, combinations(range(1, n + 1), size)):
+            rest = [i for i in range(1, n + 1) if i not in M]
+            for i, j in combinations(rest, 2):
+                for kind in ("nabla-nabla", "wedge-wedge", "nabla-wedge", "wedge-nabla"):
+                    x, y = (edges[f] for f in kind.split("-"))
+                    for sec in sections:
+                        a = y(M | {i}, j, x(M, i, sec))
+                        b = x(M | {j}, i, y(M, j, sec))
+                        if any((p + q).is_certainly_nonzero() for p, q in zip(a, b)):
+                            failures.append(((tuple(sorted(M)), i, j), kind))
+                            break
+    return failures
+
+
+def square_cases():
+    """Named multicomplexes for the squares: the two-variable catalog, trivial
+    ranks 1-2 at n = 2 and 3, and the mixed-frame, coupled and dlog ones."""
+    cases = [
+        (f"f2_{c}_nu{k}", build_multicomplex(C, nu))
+        for c, C in enumerate(f2_catalog())
+        for k, nu in enumerate(f2_form_tuples())
+    ]
+    for F in (F2, F3):
+        for r in (1, 2):
+            B = build_multicomplex(Connection.trivial(F, r), standard_forms(F))
+            cases.append((f"trivial_n{F.level}_r{r}", B))
+    t1, t2 = F2.gen(1), F2.gen(2)
+    f = (t1 * t2) ** -1
+    mixed = FormTuple((OneForm((F2.one(), F2.one())), OneForm((F2.zero(), F2.one()))))
+    cases += [
+        ("mixed", build_multicomplex(Connection.trivial(F2, 1), mixed)),
+        ("coupled", build_multicomplex(
+            rank1_from_form(OneForm((f.derive(1), f.derive(2)))), standard_forms(F2)
+        )),
+        ("dlog", build_multicomplex(exp2_connection(), dlog_forms())),
+    ]
+    return cases
+
+
+SQUARE_CASES = square_cases()
+
+
+class TestSquaresAsOperatorIdentities:
+    """The squares are checked as identities of differential operators; the
+    test-section check they replaced is the oracle."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in SQUARE_CASES])
+    def test_matches_the_section_oracle(self, name):
+        # the flat multicomplex passes and each of its zero-edge copies fails,
+        # on the same faces and kinds as the oracle's
+        B = dict(SQUARE_CASES)[name]
+        variants = [B] + [B.with_zero_edge(M, i) for M, i in B.nabla_edges]
+        verdicts = []
+        for V in variants:
+            rep = check_multicomplex(V)
+            want = oracle_square_failures(V)
+            assert rep.squares_ok == (not want)
+            assert [(f.face, f.kind) for f in rep.square_failures] == want
+            verdicts.append(rep.squares_ok)
+        assert verdicts == [True] + [False] * (len(variants) - 1)
+
+
+    def test_curvature_fails_the_covariant_square(self):
+        # d + t2 dt1 is not flat; with rank 1 the products of the matrix parts
+        # commute, so only the derivative term d_2(t2) of a composite sees it
+        t2 = F2.gen(2)
+        C = Connection(F2, [SeriesMatrix([[t2]]), SeriesMatrix([[F2.zero()]])])
+        B = BinaryMultiComplex(C, standard_forms(F2))
+        got = [(f.face, f.kind) for f in check_multicomplex(B).square_failures]
+        assert got == oracle_square_failures(B) == [(((), 1, 2), "nabla-nabla")]
 
 
 def oracle_outer_windows(op, schedule):

@@ -25,6 +25,7 @@ from higherlocal.epsilon import (
 from higherlocal.errors import DegreeMismatch, UnsupportedFrame
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
+from test_acceptance import f1_catalog, f2_catalog, f2_form_tuples
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -345,6 +346,20 @@ class TestDuality:
         for C in instances:
             ok, lhs, rhs = verify_duality(C, nu2, sigma)
             assert ok
+
+    def test_compares_the_certified_degrees(self):
+        # the duality check skips the windowed route, and its two sides are
+        # the degrees epsilon_degree certifies for the dual and for C
+        pieces, extensions = f1_catalog()
+        cases = [(C, nu) for C in pieces + extensions for nu in (dt_form(), dlog_form())]
+        cases += [(C, nu) for C in f2_catalog() for nu in f2_form_tuples()]
+        for C, nu in cases:
+            dual = epsilon_degree(C.dual(), -nu).degree
+            degree = epsilon_degree(C, nu).degree
+            for sign in (1, -1):
+                assert verify_duality(C, nu, SignConvention(sign)) == (
+                    dual == sign * degree, dual, sign * degree,
+                )
 
     def test_pullback_scaling(self):
         nu = dt_form()
