@@ -37,13 +37,10 @@ from .dmodule import (
     wronskian,
 )
 from .epsilon import (
-    DetReport,
     EpsilonReport,
-    GradedLine,
     SignConvention,
     consistent_signs,
     epsilon_degree,
-    epsilon_det_rel,
     verify_duality,
     verify_induction,
 )
@@ -66,10 +63,7 @@ from .specfile import SpecFile, parse_specfile, render_specfile
 from .tate import (
     DirectionalProfile,
     IndexReport,
-    Lattice,
     MatrixDiffOp,
-    calkin_iso_check,
-    directional_kernel_profile,
     operator_index,
 )
 
@@ -77,15 +71,12 @@ __all__ = [
     "BinaryMultiComplex",
     "CohomologyReport",
     "Connection",
-    "DetReport",
     "DirectionalProfile",
     "EpsilonReport",
     "FlatnessReport",
     "FormTuple",
-    "GradedLine",
     "IndexReport",
     "KummerCover",
-    "Lattice",
     "MatrixDiffOp",
     "MultiComplexReport",
     "NewtonPolygon",
@@ -97,14 +88,11 @@ __all__ = [
     "TowerElement",
     "TowerField",
     "build_multicomplex",
-    "calkin_iso_check",
     "check_multicomplex",
     "cohomology_dims",
     "connection_irregularity",
     "consistent_signs",
-    "directional_kernel_profile",
     "epsilon_degree",
-    "epsilon_det_rel",
     "exterior_derivative",
     "find_cyclic_vector",
     "induct",

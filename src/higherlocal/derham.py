@@ -90,7 +90,11 @@ class FormTuple:
         return len(self.forms)
 
     def __neg__(self) -> "FormTuple":
-        return FormTuple(tuple(-nu for nu in self.forms))
+        # negation keeps the tuple closed and independent: no check to redo
+        neg = object.__new__(FormTuple)
+        neg.forms = tuple(-nu for nu in self.forms)
+        neg.frame, neg.frame_inverse = -self.frame, -self.frame_inverse
+        return neg
 
     def dual_field(self, i: int) -> Tuple[TowerElement, ...]:
         """The vector field V_i with nu_j(V_i) = delta_ij, as d/dt coefficients."""
@@ -416,12 +420,10 @@ def induced_inner_connections(
 
     def action(images, span, tail, failure) -> Connection:
         # column j: the last ``tail`` coordinates of images[j] in ``span``
-        cols = []
-        for img in images:
-            x = solve_columns(span, img)
-            if x is None:
-                raise UnsupportedFrame(failure)
-            cols.append(x[-tail:])
+        solutions = solve_columns(span, images)
+        if None in solutions:
+            raise UnsupportedFrame(failure)
+        cols = [x[-tail:] for x in solutions]
         return Connection(TowerField(1), [SeriesMatrix(cols).transpose()])
 
     h0 = h1 = None

@@ -1,4 +1,4 @@
-"""Graded epsilon lines: integer degrees, experimental determinants, diagrams.
+"""Graded epsilon lines: integer degrees and diagram checks.
 
 The degree attached to a connection and a frame tuple is computed along two
 routes.  The certified route converts the connection to a scalar operator
@@ -14,28 +14,19 @@ routes agree; the certified value is the one returned.
 Degrees over two variables are iterated: the outer direction is reduced to
 its windowed kernel and cokernel with their induced inner connections, each
 of which is read by the one-variable route, and the degree is the
-alternating sum of the inner degrees.
-
-The determinant component of the line is experimental: it is a ratio of
-pseudo-determinants of matched symmetric windows against a reference
-connection and carries an explicit normalization descriptor plus a
-stabilization status.
+alternating sum of the inner degrees.  The determinant component of the
+line is not computed: only the degree is certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .connection import Connection, KummerCover, induct, kummer_pullback
 from .derham import FormTuple, induced_inner_connections
 from .dmodule import connection_irregularity
-from .errors import (
-    DegreeMismatch,
-    SingularWindow,
-    UnsupportedFrame,
-)
+from .errors import UnsupportedFrame
 from .series import OneForm, TowerElement, TowerField
 from .tate import (
     DEFAULT_SCHEDULE,
@@ -44,7 +35,6 @@ from .tate import (
     OuterStabilization,
     operator_index,
     strip_outer,
-    window_columns,
 )
 
 
@@ -60,29 +50,12 @@ class SignConvention:
 
 
 @dataclass
-class DetReport:
-    value: Optional[Fraction]
-    normalization: str
-    status: str  # "stabilized" | "non-stabilizing" | "undefined"
-    trace: Tuple[Fraction, ...] = ()
-
-
-@dataclass
-class GradedLine:
-    degree: int
-    det: Optional[DetReport] = None
-
-
-@dataclass
 class EpsilonReport:
     degree: int
     window_reports: Tuple[IndexReport, ...]
     window_degree: Optional[int]
     routes_agree: Optional[bool]
     level_degrees: Tuple[int, ...] = ()  # per outer-cohomology level for n = 2
-
-    def line(self) -> GradedLine:
-        return GradedLine(self.degree)
 
 
 def _single_form_normalizer(nu: FormTuple) -> TowerElement:
@@ -179,90 +152,6 @@ def epsilon_degree(
         None if window_degree is None else window_degree == degree,
         tuple(degrees) if len(levels) == 2 else (),
     )
-
-
-# ---------------------------------------------------------------------------
-# Experimental relative determinant
-# ---------------------------------------------------------------------------
-
-def _pseudo_determinant(work) -> Fraction:
-    """Product of the nonzero pivots of the rows ``work``, reduced in place.
-
-    Each column pivots on its first nonzero row at or below the current one;
-    a column with none is skipped, and each row exchange flips the sign.
-    """
-    n = len(work)
-    m = len(work[0]) if n else 0
-    det = Fraction(1)
-    r = 0
-    for c in range(m):
-        pivot_row = None
-        for i in range(r, n):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[pivot_row], work[r] = work[r], work[pivot_row]
-            det = -det
-        det *= work[r][c]
-        inv = Fraction(1) / work[r][c]
-        for i in range(r + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                for j in range(c, m):
-                    work[i][j] -= f * work[r][j]
-        r += 1
-    return det
-
-
-def _symmetric_window_pseudo_det(op: MatrixDiffOp, w: int) -> Fraction:
-    win = window_columns(op, (-w, w), [(-w, w)] * op.rank, clip_below=True)
-    # the pivot product needs the values, not the per-row integer numerators
-    return _pseudo_determinant(
-        [
-            [Fraction(col.get(i, 0), win.dens[c]) for col in win.columns]
-            for i, (c, _) in enumerate(win.tgt_labels)
-        ]
-    )
-
-
-def epsilon_det_rel(
-    C: Connection,
-    C_ref: Connection,
-    nu: FormTuple,
-    schedule: Sequence[int] = DEFAULT_SCHEDULE,
-) -> DetReport:
-    """Ratio of matched-window pseudo-determinants against a reference.
-
-    Experimental: the status field reports whether the ratio settled over
-    two consecutive windows; the full ratio trace is attached either way.
-    """
-    if C.field.level != 1:
-        raise UnsupportedFrame("relative determinants are a one-variable experiment")
-    da = epsilon_degree(C, nu).degree
-    db = epsilon_degree(C_ref, nu).degree
-    if da != db:
-        raise DegreeMismatch(f"degrees differ: {da} vs {db}")
-    h = _single_form_normalizer(nu)
-    op = MatrixDiffOp.from_connection(C, normalizer=h)
-    op_ref = MatrixDiffOp.from_connection(C_ref, normalizer=h)
-    ratios = []
-    for w in schedule:
-        d1 = _symmetric_window_pseudo_det(op, w)
-        d2 = _symmetric_window_pseudo_det(op_ref, w)
-        if d2 == 0 or d1 == 0:
-            raise SingularWindow(f"window {w} produced a zero pseudo-determinant")
-        ratios.append(d1 / d2)
-    normalization = (
-        "pseudo-determinant ratio on symmetric windows [-w, w), "
-        "component-major monomial order, reference rank "
-        f"{C_ref.rank}"
-    )
-    if len(ratios) >= 2 and ratios[-1] == ratios[-2]:
-        return DetReport(ratios[-1], normalization, "stabilized", tuple(ratios))
-    return DetReport(None, normalization, "non-stabilizing", tuple(ratios))
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,6 @@ class SearchExhausted(HigherLocalError):
     """Cyclic vector search ran out of candidates."""
 
 
-class DegreeMismatch(HigherLocalError):
-    """Relative determinant requested for lines of different degrees."""
-
-
-class SingularWindow(HigherLocalError):
-    """A window matrix that must be invertible could not be certified so."""
-
-
 class UnsupportedFrame(HigherLocalError):
     """Requested computation needs a frame shape outside the supported range."""
 

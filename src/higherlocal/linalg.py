@@ -413,27 +413,33 @@ def inverse(M: SeriesMatrix) -> SeriesMatrix:
     )
 
 
-def solve_columns(columns, target) -> Optional[List[TowerElement]]:
-    """One solution x of sum_j x_j columns[j] = target, or None if inconsistent.
+def solve_columns(columns, targets) -> List[Optional[List[TowerElement]]]:
+    """Per target, one solution x of sum_j x_j columns[j] = target, or None.
 
     The system may be rectangular and rank-deficient; free unknowns are set
-    to zero.  It is inconsistent when a row left without a pivot has a
-    certified-nonzero right-hand side.
+    to zero.  A target is inconsistent, and gets None, when a row left
+    without a pivot has a certified-nonzero right-hand side.  The columns
+    are eliminated once: every target sees the same row operations, so each
+    result is the one a system of its own would give.
     """
     if not columns:
-        return None if any(t.is_certainly_nonzero() for t in target) else []
-    ncols = len(columns)
-    fac = _forward([[col[r] for col in columns] for r in range(len(target))])
+        return [None if any(t.is_certainly_nonzero() for t in b) else [] for b in targets]
+    nrows = range(len(columns[0]))
+    fac = _forward([[col[r] for col in columns] for r in nrows])
     rank = len(fac.pivots)
-    work = fac.push([[t] for t in target])
-    if any(row[0].is_certainly_nonzero() for row in work[rank:]):
-        return None
-    tail = work[:rank]
+    work = fac.push([[b[r] for b in targets] for r in nrows])
+    ok = [
+        k for k in range(len(targets))
+        if not any(row[k].is_certainly_nonzero() for row in work[rank:])
+    ]
+    tail = [[row[k] for k in ok] for row in work[:rank]]
     fac.back_substitute(tail)
-    x = [TowerElement.zero(target[0].level)] * ncols
-    for r, c in fac.pivots:
-        x[c] = tail[r][0]
-    return x
+    out: List[Optional[List[TowerElement]]] = [None] * len(targets)
+    for j, k in enumerate(ok):
+        x = out[k] = [TowerElement.zero(columns[0][0].level)] * len(columns)
+        for r, c in fac.pivots:
+            x[c] = tail[r][j]
+    return out
 
 
 # ---------------------------------------------------------------------------

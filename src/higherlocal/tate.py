@@ -25,8 +25,8 @@ are then finite-dimensional inner-field spaces with explicit bounded outer
 windows.  The outer windows are the fixed ``OUTER_SCHEDULE``, settled by
 the same loop; every ``schedule`` parameter here is a one-variable probe
 schedule.  One routine, :func:`edge_profile`, reads the directional
-kernel/cokernel of a covariant derivative along a coordinate direction; the
-multicomplex check and :func:`directional_kernel_profile` both call it.
+kernel/cokernel dimensions of a covariant derivative along a coordinate
+direction for the multicomplex check.
 """
 
 from __future__ import annotations
@@ -47,15 +47,6 @@ from .series import TowerElement, TowerField, weighted_sum
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
 OUTER_SCHEDULE = (4, 6, 8, 12)
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """A shifted standard lattice t1^(a1) ... tn^(an) * (integral model)^r."""
-
-    level: int
-    shifts: Tuple[int, ...]
-    rank: int
 
 
 @dataclass
@@ -231,7 +222,6 @@ def window_columns(
     op: MatrixDiffOp,
     src: Tuple[int, int],
     bounds: Sequence[Tuple[int, int]],
-    clip_below: bool = False,
 ) -> WindowRealization:
     """Matrix of ``op`` from the source exponents ``src = [lo, hi)`` in every component.
 
@@ -249,9 +239,8 @@ def window_columns(
     an entry are gathered and the entry is built once, by
     :func:`~higherlocal.series.weighted_sum`, with the window and
     exactness of the chained sum.  Entries that cancel exactly are dropped
-    at both levels.  Exponents at or above ``hi``
-    are cut (quotient semantics); those below ``lo`` are cut too when
-    ``clip_below``, and are otherwise a broken hull.  An inexact coefficient
+    at both levels.  Exponents at or above ``hi`` are cut (quotient
+    semantics); one below ``lo`` is a broken hull.  An inexact coefficient
     must be known up to ``hi``: its product with the monomial is known below
     ``entry.hi + e - d``, and a sum is known below the least bound of its
     terms.
@@ -310,8 +299,6 @@ def window_columns(
                     if ee >= hi_i:
                         continue
                     if ee < lo_i:
-                        if clip_below:
-                            continue
                         raise AssertionError("image fell below the certified hull")
                     row = offset[i] + ee
                     if integer:
@@ -515,14 +502,6 @@ def operator_index(
     return IndexReport(ker, coker, ker - coker, w, basis, trace)
 
 
-def calkin_iso_check(
-    op: MatrixDiffOp, schedule: Sequence[int] = DEFAULT_SCHEDULE
-) -> Tuple[bool, IndexReport]:
-    """True when both window dimensions stabilize finite."""
-    report = operator_index(op, schedule, want_kernel=False)
-    return report.stabilized, report
-
-
 # ---------------------------------------------------------------------------
 # Outer-variable windows over a two-variable field
 # ---------------------------------------------------------------------------
@@ -645,11 +624,8 @@ def inner_operator(c: TowerElement, P: SeriesMatrix) -> MatrixDiffOp:
 class DirectionalProfile:
     direction: int
     ker_dim: int
-    ker_window: Optional[Tuple[int, int]]
     coker_dim: int
-    coker_window: Optional[Tuple[int, int]]
     stabilized_at: Optional[int]
-    unconstrained: Tuple[int, ...]
     trace: Tuple[Tuple[int, int, int], ...]
     # the outer direction's stabilization, to hand along
     outer: Optional[OuterStabilization] = None
@@ -657,18 +633,6 @@ class DirectionalProfile:
     @property
     def stabilized(self) -> bool:
         return self.stabilized_at is not None
-
-    def bounding_lattice(self, rank: int = 1) -> Optional[Lattice]:
-        """A shifted standard lattice containing the kernel representatives.
-
-        The shift is only meaningful in the profiled direction; the other
-        variables are unconstrained and keep shift zero.
-        """
-        if self.ker_window is None:
-            return None
-        shifts = [0, 0]
-        shifts[self.direction - 1] = self.ker_window[0]
-        return Lattice(2, tuple(shifts), rank)
 
 
 def pure_direction(vector_field: Sequence[TowerElement]) -> Optional[int]:
@@ -685,12 +649,6 @@ def pure_direction(vector_field: Sequence[TowerElement]) -> Optional[int]:
     return None
 
 
-def _exponent_window(exps) -> Optional[Tuple[int, int]]:
-    """``[min, max + 1)`` of the exponents, or None when there are none."""
-    exps = list(exps)
-    return (min(exps), max(exps) + 1) if exps else None
-
-
 def edge_profile(
     cvec: Sequence[TowerElement], P: SeriesMatrix, schedule: Sequence[int] = DEFAULT_SCHEDULE
 ) -> DirectionalProfile:
@@ -700,7 +658,8 @@ def edge_profile(
     ``i`` (:func:`pure_direction`) of at most two variables.  Over one
     variable, and along the inner variable of two when the data are free of
     the outer one (:func:`inner_operator`, the same in every outer fiber),
-    the lattice probes of :func:`operator_index` run on ``schedule``.  Along
+    the lattice probes of :func:`operator_index` run on ``schedule``, with
+    no kernel basis, since the profile keeps only the dimensions.  Along
     the outer variable the fixed outer windows are reduced over the inner
     field (:func:`stabilize_outer_windows`), and the profile keeps that
     stabilization in ``outer``.  Raises :class:`UnsupportedFrame` for any
@@ -715,51 +674,12 @@ def edge_profile(
     if n > 2:
         raise UnsupportedFrame("directional profiles are implemented for n <= 2")
     c = cvec[i - 1]
-    unconstrained = tuple(k for k in range(1, n + 1) if k != i)
     if i == 2:
         outer = stabilize_outer_windows(OuterMatrixDiffOp.first_order(c, P))
-        red, at = outer.reduction, outer.stabilized_at
-        kernel_exps = (
-            e
-            for vec in red.kernel
-            for (_, e), x in zip(red.src_labels, vec)
-            if x.is_certainly_nonzero()
-        )
+        red = outer.reduction
         return DirectionalProfile(
-            2,
-            red.ker_dim,
-            None if at is None else _exponent_window(kernel_exps),
-            red.coker_dim,
-            None if at is None else _exponent_window(e for _, e in red.coker_slots),
-            at,
-            unconstrained,
-            outer.trace,
-            outer,
+            2, red.ker_dim, red.coker_dim, outer.stabilized_at, outer.trace, outer
         )
     op = MatrixDiffOp.first_order(c, P) if n == 1 else inner_operator(c, P)
-    rep = operator_index(op, schedule)
-    return DirectionalProfile(
-        i,
-        rep.ker_dim,
-        _exponent_window(e for vec in rep.ker_basis for x in vec for e in x.coeffs),
-        rep.coker_dim,
-        None,
-        rep.stabilized_at,
-        unconstrained,
-        rep.trace,
-    )
-
-
-def directional_kernel_profile(
-    C: Connection,
-    vector_field: Sequence[TowerElement],
-    schedule: Sequence[int] = DEFAULT_SCHEDULE,
-) -> DirectionalProfile:
-    """Bounded windowed kernel/cokernel of the directional derivative.
-
-    The vector field must point along a single coordinate direction; the
-    mixed case is not operationalized here (:func:`edge_profile`).
-    """
-    if C.field.level != 2:
-        raise UnsupportedFrame("directional profiles are implemented for n = 2")
-    return edge_profile(tuple(vector_field), C.along(vector_field), schedule)
+    rep = operator_index(op, schedule, want_kernel=False)
+    return DirectionalProfile(i, rep.ker_dim, rep.coker_dim, rep.stabilized_at, rep.trace)

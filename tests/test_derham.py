@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from higherlocal import tate
+from higherlocal import derham, linalg, tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.derham import (
@@ -90,6 +90,26 @@ class TestFormTuple:
         nu = standard_forms(F2)
         neg = -nu
         assert neg.level == 2
+
+    def test_negation_negates_the_validated_frame(self, monkeypatch):
+        t, t1, t2 = F1.gen(1), F2.gen(1), F2.gen(2)
+        z, one = F2.zero(), F2.one()
+        # 1/(2 t1) + O(t2), an inexact frame entry
+        inexact = TowerElement(2, {0: TowerElement(1, {-1: Fraction(1, 2)}, None, True)}, 1, False)
+        tuples = f2_form_tuples() + [
+            dlog_forms(),
+            FormTuple((OneForm((one, one)), OneForm((z, t2 ** -1)))),
+            FormTuple((OneForm((inexact, z)), OneForm((z, one)))),
+            FormTuple((OneForm((3 * t ** -1 + t,)),)),
+        ]
+        for nu in tuples:
+            built = FormTuple(tuple(-form for form in nu.forms))
+            monkeypatch.setattr(derham, "inverse", None)  # negation inverts nothing
+            neg = -nu
+            monkeypatch.undo()
+            assert neg.forms == built.forms
+            assert neg.frame.entries == built.frame.entries
+            assert neg.frame_inverse.entries == built.frame_inverse.entries
 
 
 class TestMulticomplex:
@@ -604,6 +624,28 @@ INDUCED_PINS = {
 
 class TestInducedInnerConnections:
     """The outer reduction and the induced inner action, pinned exactly."""
+
+    def test_one_elimination_per_induced_action(self, monkeypatch):
+        # H^0 and H^1 of the outer derivative are 2-dimensional, and each
+        # action solves for both images in one elimination of its span
+        solves, eliminations = [], []
+        solve, forward = linalg.solve_columns, linalg._forward
+
+        def counted_forward(*args):
+            eliminations.append(1)
+            return forward(*args)
+
+        def counted_solve(columns, targets):
+            solves.append(len(targets))
+            monkeypatch.setattr(linalg, "_forward", counted_forward)
+            try:
+                return solve(columns, targets)
+            finally:
+                monkeypatch.setattr(linalg, "_forward", forward)
+
+        monkeypatch.setattr(derham, "solve_columns", counted_solve)
+        assert cohomology_dims(Connection.trivial(F2, 2)).dims == (2, 4, 2)
+        assert solves == [2, 2] and len(eliminations) == 2
 
     @pytest.mark.parametrize("name, power", sorted(INDUCED_PINS, key=str))
     def test_pinned(self, name, power):

@@ -14,15 +14,13 @@ from higherlocal.connection import (
 from higherlocal.derham import FormTuple, standard_forms
 from higherlocal.epsilon import (
     SignConvention,
-    _pseudo_determinant,
     consistent_signs,
     epsilon_degree,
-    epsilon_det_rel,
     pullback_form_tuple,
     verify_duality,
     verify_induction,
 )
-from higherlocal.errors import DegreeMismatch, UnsupportedFrame
+from higherlocal.errors import UnsupportedFrame
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
 from test_acceptance import f1_catalog, f2_catalog, f2_form_tuples
@@ -203,89 +201,6 @@ class TestAdditivity:
             for _ in range(7):
                 g = random_integral_gauge(rng, C.rank)
                 assert epsilon_degree(C.gauge(g), nu).degree == base
-
-
-class TestDeterminant:
-    def test_self_ratio_stabilizes(self):
-        C = reg1(Fraction(1, 2))
-        rep = epsilon_det_rel(C, C, dlog_form())
-        assert rep.status == "stabilized"
-        assert rep.value == 1
-
-    def test_euler_family_ratio_trace(self):
-        C = reg1(Fraction(1, 2))
-        rep = epsilon_det_rel(C, Connection.trivial(F1, 1), dlog_form())
-        assert rep.status == "non-stabilizing"
-        assert len(rep.trace) >= 2
-        # the finite-window ratio at window w is prod (e + 1/2) / prod' e up
-        # to the elimination-order sign fixed by the basis convention
-        w = 8
-        num = Fraction(1)
-        den = Fraction(1)
-        for e in range(-w, w):
-            num *= e + Fraction(1, 2)
-            if e != 0:
-                den *= e
-        assert abs(rep.trace[0]) == abs(num / den)
-        # the exact ratios, sign included, on the default schedule
-        assert rep.value is None
-        assert rep.trace == (
-            Fraction(-41409225, 134217728),
-            Fraction(-1371086188563, 4398046511104),
-            Fraction(-90324408810638025, 288230376151711744),
-            Fraction(-194982739369178378479801875, 618970019642690137449562112),
-            Fraction(
-                -839627810491391983594064608696601289,
-                2658455991569831745807614120560689152,
-            ),
-        )
-
-    def test_non_diagonal_rank2_trace_is_pinned(self):
-        # the t^-1 entry couples the components, so the window is not diagonal
-        t = F1.gen(1)
-        A = SeriesMatrix(
-            [[Fraction(1, 2) * t ** -1, t ** -1], [F1.zero(), Fraction(1, 3) * t ** -1]]
-        )
-        rep = epsilon_det_rel(
-            Connection(F1, [A]), Connection.trivial(F1, 2), dlog_form()
-        )
-        assert (rep.status, rep.value) == ("non-stabilizing", None)
-        assert rep.trace == (
-            Fraction(29870408979125, 361102068154368),
-            Fraction(10742497619405827221030175, 127338577759142414150270976),
-            Fraction(
-                9329429797794006585073035749139125,
-                109506515262207869483735826240110592,
-            ),
-            Fraction(
-                158731734834997515454322231437342712229111193558984375,
-                1844919567442051879000467394376117244829410898829377536,
-            ),
-            Fraction(
-                3482909505110294899126774711603310961396746997644073029389905767041979851445,
-                40282824725322892759452783421368013878043141392511652715397160162643985563648,
-            ),
-        )
-
-    def test_pseudo_determinant_pivots_on_the_first_nonzero_row(self):
-        # a singular window: the pivot product depends on the pivot row,
-        # 1 with the first nonzero row and -2 (a swap, then 2) with the last
-        # one, so an eliminator that picks its own pivot rows would change
-        # the ratios
-        rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        assert _pseudo_determinant(rows) == 1
-
-    def test_scaled_form_ratio_one(self):
-        C = reg1(Fraction(1, 2))
-        t = F1.gen(1)
-        scaled = FormTuple((OneForm((3 * t ** -1,)),))
-        rep = epsilon_det_rel(C, C, scaled)
-        assert rep.status == "stabilized"
-        assert rep.value == 1
-
-    def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatch):
-            epsilon_det_rel(exp1(1), Connection.trivial(F1, 1), dt_form())
 
 
 class TestInduction:
