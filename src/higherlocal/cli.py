@@ -34,6 +34,7 @@ from .errors import (
     Unstabilized,
 )
 from .specfile import SpecFile, parse_specfile
+from .tate import DEFAULT_SCHEDULE
 
 Report = List[Tuple[str, str]]
 
@@ -64,12 +65,9 @@ def _flatness_gate(spec: SpecFile):
 
 
 def _capped_schedule(max_window: Optional[int]):
-    from .tate import DEFAULT_SCHEDULE
-
     if max_window is None:
         return DEFAULT_SCHEDULE
-    capped = tuple(w for w in DEFAULT_SCHEDULE if w <= max_window)
-    return capped if capped else (max_window,)
+    return tuple(w for w in DEFAULT_SCHEDULE if w <= max_window)
 
 
 def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Report:
@@ -212,16 +210,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     ap.add_argument("path", help="input description file")
     ap.add_argument("--precision", type=int, default=None, help="terms kept per level")
-    ap.add_argument("--max-window", type=int, default=32, help="largest one-variable probe window")
+    ap.add_argument(
+        "--max-window",
+        type=int,
+        default=32,
+        help=f"largest one-variable probe window, at least {DEFAULT_SCHEDULE[1]}",
+    )
     ap.add_argument("--seed", type=int, default=None, help="cyclic vector search seed")
     ap.add_argument(
         "--format", choices=("kv", "json-like"), default="kv", help="report format"
     )
     args = ap.parse_args(argv)
-    for flag, value in (("--precision", args.precision), ("--max-window", args.max_window)):
-        if value is not None and value < 1:
-            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
-            return EXIT_INVALID
+    if args.precision is not None and args.precision < 1:
+        print(f"error: --precision must be >= 1, got {args.precision}", file=sys.stderr)
+        return EXIT_INVALID
+    least = DEFAULT_SCHEDULE[1]
+    if args.max_window < least:
+        print(
+            f"error: --max-window must be >= {least}, got {args.max_window}: "
+            f"windows settle at two equal probes, and the second is at {least}",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()

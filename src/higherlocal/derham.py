@@ -481,7 +481,7 @@ def cohomology_dims(C: Connection, schedule: Sequence[int] = DEFAULT_SCHEDULE) -
         from .dmodule import connection_irregularity
 
         irr = connection_irregularity(C)
-        rep = operator_index(MatrixDiffOp.from_connection(C), schedule, want_kernel=False)
+        rep = operator_index(MatrixDiffOp.from_connection(C), schedule)
         h0 = rep.ker_dim
         dims = (h0, h0 + irr)
         window_dims = (rep.ker_dim, rep.coker_dim) if rep.stabilized else None

@@ -140,7 +140,7 @@ def epsilon_degree(
         rep = None
         if _exact_presentation(C1) and h.is_fully_exact():
             op = MatrixDiffOp.from_connection(C1, normalizer=h)
-            rep = operator_index(op, schedule, want_kernel=False)
+            rep = operator_index(op, schedule)
             window_reports.append(rep)
         windows.append(rep.index if rep is not None and rep.stabilized else None)
     degree = _alternating(degrees)

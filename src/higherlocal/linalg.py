@@ -6,16 +6,14 @@ are chosen by minimal valuation so division destroys as little window width
 as possible, and a pivot candidate that is zero up to precision but not
 exactly zero raises :class:`UndeterminedPivot` instead of guessing.
 
-Over the rationals, :func:`sparse_echelon` and :func:`sparse_kernel` are the
-fraction-free eliminators of the sparse window matrices that
-:func:`higherlocal.tate.window_columns` builds; the dense :func:`rref_q`,
-:func:`kernel_q` and :func:`rank_q` are the plain eliminations over Q that
-the test suite checks them against.
+Over the rationals, :func:`sparse_echelon` is the fraction-free eliminator
+of the sparse window matrices that :func:`higherlocal.tate.window_columns`
+builds; the dense :func:`rref_q` and :func:`kernel_q` are the plain
+eliminations over Q that the test suite checks against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -491,13 +489,6 @@ def kernel_q(rows: List[List[Fraction]]) -> List[List[Fraction]]:
     return out
 
 
-def rank_q(rows: List[List[Fraction]]) -> int:
-    if not rows:
-        return 0
-    rank, _, _ = rref_q(rows)
-    return rank
-
-
 # -- sparse variants (dict rows keyed by column index) -------------------------
 
 def _primitive(row: dict) -> dict:
@@ -578,43 +569,3 @@ def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
                 break
             r = _cancel(r, p, c)
     return pivots
-
-
-def sparse_kernel(rows, ncols: int, echelon: Optional[dict] = None) -> List[dict]:
-    """Right-kernel basis of a sparse matrix, as primitive integer vectors.
-
-    For each free column ``f`` the integer pivot rows of
-    :func:`sparse_echelon` are solved from the highest pivot down, from
-    ``x_f = 1`` with the other free unknowns 0.  At pivot ``pc`` with row
-    sum ``s``, pivot entry ``p`` and ``g = gcd(s, p)``, the vector is scaled
-    by ``|p| / g``, the least scaling that keeps it integral, and ``x_pc``
-    is ``-sign(p) s / g``.  A pivot row reaches only columns at or after its
-    pivot, so the pivot unknowns after ``f`` stay 0 and are not solved.  The
-    vector is the least positive multiple of the one the reduced echelon
-    form gives (``-rref[pc][f]`` at each pivot column): primitive, with no
-    zero entry, positive at ``f`` and 0 at the other free columns.  A matrix
-    of full column rank solves nothing.
-
-    ``echelon``, the :func:`sparse_echelon` of ``rows`` in any row order,
-    is read instead of eliminating ``rows`` again (``rows`` is then not
-    read): the vectors are fixed by the reduced echelon form, which does
-    not depend on the order.
-    """
-    pivots = sparse_echelon(rows) if echelon is None else echelon
-    ascending = sorted(pivots)
-    out = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = {f: 1}
-        for pc in reversed(ascending[: bisect(ascending, f)]):
-            prow = pivots[pc]
-            s = sum(v * vec[c] for c, v in prow.items() if c in vec)
-            if s:
-                p = prow[pc]
-                g = gcd(s, p)
-                if abs(p) != g:
-                    vec = {c: v * (abs(p) // g) for c, v in vec.items()}
-                vec[pc] = -s // g if p > 0 else s // g
-        out.append(vec)
-    return out

@@ -41,7 +41,6 @@ from .linalg import (
     SeriesMatrix,
     rank_kernel_det,
     sparse_echelon,
-    sparse_kernel,
 )
 from .series import TowerElement, TowerField, weighted_sum
 
@@ -55,7 +54,6 @@ class IndexReport:
     coker_dim: int
     index: int
     stabilized_at: Optional[int]
-    ker_basis: Tuple[Tuple[TowerElement, ...], ...] = ()
     trace: Tuple[Tuple[int, int, int], ...] = ()  # (window, ker, coker)
 
     @property
@@ -178,8 +176,8 @@ class WindowRealization:
                 rows[i][j] = q
         return rows
 
-    def banded(self) -> Tuple[List[int], List[dict]]:
-        """The rows for the eliminator, and the label position of each column.
+    def banded(self) -> List[dict]:
+        """The rows for the eliminator.
 
         Window matrices are banded in the exponent, so they go to the
         eliminator exponent-major; in the component-major label order the
@@ -187,35 +185,14 @@ class WindowRealization:
         blocks.  The rows go in ascending order and the columns in
         descending order, so each row pivots on its highest source term,
         the row's lattice-sharp ``delta_bottom`` term, almost always still
-        free, so few rows meet an earlier pivot.  Column ``k`` of the rows
-        is the source label at position ``order[k]``.
+        free, so few rows meet an earlier pivot.
         """
         order = _exponent_major(self.src_labels)[::-1]
         by_label: List[dict] = [dict() for _ in self.tgt_labels]
         for k, j in enumerate(order):
             for i, q in self.columns[j].items():
                 by_label[i][k] = q
-        return order, [by_label[i] for i in _exponent_major(self.tgt_labels)]
-
-    def kernel(self, echelon: Optional[dict] = None) -> List[dict]:
-        """Right-kernel basis of a level-1 window, as sparse primitive
-        integer vectors over ``src_labels`` positions (:func:`sparse_kernel`
-        of the :meth:`banded` rows).
-
-        Neither the order, nor the rows being integer numerators (each row
-        over its own denominator), nor the integer scaling of the vectors
-        changes the kernel subspace; the vectors are mapped back to the
-        component-major labels.  In the descending column order each
-        vector is 0 at the other free columns and below the exponent of
-        its own.  ``echelon``, the :func:`sparse_echelon` of the banded
-        rows taken in any order, is read instead of eliminating them again;
-        the vectors are the same.
-        """
-        order, rows = self.banded()
-        return [
-            {order[k]: q for k, q in vec.items()}
-            for vec in sparse_kernel(rows, len(order), echelon)
-        ]
+        return [by_label[i] for i in _exponent_major(self.tgt_labels)]
 
 
 def window_columns(
@@ -370,28 +347,14 @@ def _settle(probes):
     return payload, None, tuple(trace)
 
 
-def _kernel_vectors_to_elements(
-    labels, vecs: List[dict], rank: int, hi: int
-) -> Tuple[Tuple[TowerElement, ...], ...]:
-    """Sparse vectors over label positions as elements known below ``t^hi``."""
-    out = []
-    for v in vecs:
-        comps = [{} for _ in range(rank)]
-        for k, q in v.items():
-            c, e = labels[k]
-            comps[c][e] = q
-        out.append(tuple(TowerElement(1, coeffs, hi, False) for coeffs in comps))
-    return tuple(out)
-
-
 def _probe_ranks(op: MatrixDiffOp, schedule: Sequence[int], delta: int, cut):
-    """``(w, W, rank M(-w, W), rank M(w, W), probe, echelon)`` per schedule entry.
+    """``(w, W, rank M(-w, W), rank M(w, W))`` per schedule entry.
 
-    The entries run until a probe cannot be filled (``cut(w) <= w``).
-    ``echelon`` is a :func:`sparse_echelon` of the banded rows of the
-    :func:`probe_window` ``probe``, whose columns go in descending exponent
-    order, ``r`` per exponent: ``rank M(x, W)`` is the number of pivots
-    among the leading columns, those of the sources at or above ``x``.
+    The entries run until a probe cannot be filled (``cut(w) <= w``).  The
+    ranks are read off a :func:`sparse_echelon` of the banded rows of a
+    :func:`probe_window`, whose columns go in descending exponent order,
+    ``r`` per exponent: ``rank M(x, W)`` is the number of pivots among the
+    leading columns, those of the sources at or above ``x``.
     When the first entry's probe nests in the second's (``w0 <= w1`` and
     ``W0 <= W1``), only ``M(-w1, W1)`` is built.  Its rows with target
     exponent in ``[-w0 + delta, W0)`` are eliminated first: they have no
@@ -410,15 +373,14 @@ def _probe_ranks(op: MatrixDiffOp, schedule: Sequence[int], delta: int, cut):
     if len(rest) >= 2:
         (w0, W0), (w1, W1) = ((w, cut(w)) for w in rest[:2])
         if w0 < W0 and w1 < W1 and w0 <= w1 and W0 <= W1:
-            win = probe_window(op, w1, W1, delta)
-            rows = win.banded()[1]
+            rows = probe_window(op, w1, W1, delta).banded()
             # r rows per target exponent, ascending from -w1 + delta
             lo = r * (w1 - w0)
             hi = lo + r * max(W0 + w0 - delta, 0)
             echelon = sparse_echelon(rows[lo:hi])
-            yield (w0, W0, *ranks(w0, W1 - delta, echelon), win, echelon)
+            yield (w0, W0, *ranks(w0, W1 - delta, echelon))
             sparse_echelon(rows[:lo] + rows[hi:], echelon)
-            yield (w1, W1, *ranks(w1, W1 - delta, echelon), win, echelon)
+            yield (w1, W1, *ranks(w1, W1 - delta, echelon))
             rest = rest[2:]
     for w in rest:
         W = cut(w)
@@ -426,16 +388,11 @@ def _probe_ranks(op: MatrixDiffOp, schedule: Sequence[int], delta: int, cut):
             # the coefficients cannot fill this probe; larger ones are
             # unreachable, work with what was seen so far
             return
-        win = probe_window(op, w, W, delta)
-        echelon = sparse_echelon(win.banded()[1])
-        yield (w, W, *ranks(w, W - delta, echelon), win, echelon)
+        echelon = sparse_echelon(probe_window(op, w, W, delta).banded())
+        yield (w, W, *ranks(w, W - delta, echelon))
 
 
-def operator_index(
-    op: MatrixDiffOp,
-    schedule: Sequence[int] = DEFAULT_SCHEDULE,
-    want_kernel: bool = True,
-) -> IndexReport:
+def operator_index(op: MatrixDiffOp, schedule: Sequence[int] = DEFAULT_SCHEDULE) -> IndexReport:
     """Kernel, cokernel and index of a one-variable operator, from lattice probes.
 
     With ``L = k[[t]]^r``, ``L_x = t^x L`` and ``delta`` the least
@@ -459,14 +416,6 @@ def operator_index(
     per probe; the report settles at two consecutive equal (ker, coker)
     pairs, neither negative (:func:`_settle`), and ``stabilized_at`` is the
     later ``w``.
-
-    With ``want_kernel`` the basis is ``ker M(-w, W)`` modulo
-    ``ker M(w, W)``, read below ``t^w``, from the settled probe's own
-    echelon: each vector of :meth:`WindowRealization.kernel` is 0 at the
-    other free columns and below the exponent of its own, so those of the
-    free columns at or above ``w`` span ``ker M(w, W)``, and the ``ker``
-    others, each nonzero at its own free column below ``t^w``, span a
-    complement of it.
     """
     r = op.rank
     delta = min(op.delta_bottom(i) for i in range(r))
@@ -482,24 +431,18 @@ def operator_index(
         return 2 * w if known is None else min(2 * w, known - w)
 
     def probes():
-        for w, W, rank_low, rank_high, win, echelon in _probe_ranks(op, schedule, delta, cut):
+        for w, W, rank_low, rank_high in _probe_ranks(op, schedule, delta, cut):
             d_high = r * (W - w) - rank_high
             ker = r * (W + w) - rank_low - d_high
-            yield w, ker, ker - offset - d_high, (win, echelon)
+            yield w, ker, ker - offset - d_high, None
 
-    probe, w, trace = _settle(probes())
+    _, w, trace = _settle(probes())
     if not trace:
         raise InsufficientPrecision(
             "operator coefficients cannot fill even the smallest window"
         )
     _, ker, coker = trace[-1]
-    basis = ()
-    if w is not None and want_kernel and ker > 0:
-        win, echelon = probe
-        labels = win.src_labels
-        vecs = [v for v in win.kernel(echelon) if any(labels[k][1] < w for k in v)]
-        basis = _kernel_vectors_to_elements(labels, vecs, r, w)
-    return IndexReport(ker, coker, ker - coker, w, basis, trace)
+    return IndexReport(ker, coker, ker - coker, w, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +476,6 @@ class OuterReduction:
     matrix: SeriesMatrix  # the top window, entries over the inner field
     kernel: Tuple  # tuples of inner-field elements indexed by src_labels
     coker_slots: Tuple  # tgt labels representing the cokernel
-    rank: int
 
     @property
     def ker_dim(self) -> int:
@@ -563,7 +505,7 @@ def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
     covered = {c for _, c in res_t.pivots}
     coker_slots = tuple(lab for k, lab in enumerate(win.tgt_labels) if k not in covered)
     return OuterReduction(
-        w, win.src_labels, win.tgt_labels, SeriesMatrix(rows), res_b.kernel, coker_slots, res_t.rank
+        w, win.src_labels, win.tgt_labels, SeriesMatrix(rows), res_b.kernel, coker_slots
     )
 
 
@@ -658,8 +600,7 @@ def edge_profile(
     ``i`` (:func:`pure_direction`) of at most two variables.  Over one
     variable, and along the inner variable of two when the data are free of
     the outer one (:func:`inner_operator`, the same in every outer fiber),
-    the lattice probes of :func:`operator_index` run on ``schedule``, with
-    no kernel basis, since the profile keeps only the dimensions.  Along
+    the lattice probes of :func:`operator_index` run on ``schedule``.  Along
     the outer variable the fixed outer windows are reduced over the inner
     field (:func:`stabilize_outer_windows`), and the profile keeps that
     stabilization in ``outer``.  Raises :class:`UnsupportedFrame` for any
@@ -681,5 +622,5 @@ def edge_profile(
             2, red.ker_dim, red.coker_dim, outer.stabilized_at, outer.trace, outer
         )
     op = MatrixDiffOp.first_order(c, P) if n == 1 else inner_operator(c, P)
-    rep = operator_index(op, schedule, want_kernel=False)
+    rep = operator_index(op, schedule)
     return DirectionalProfile(i, rep.ker_dim, rep.coker_dim, rep.stabilized_at, rep.trace)

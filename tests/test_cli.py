@@ -797,12 +797,17 @@ command = cohomology
         assert proc.stdout == ""
 
     def test_max_window_flag_below_one_exit_code(self):
-        for value in ("0", "-3"):
-            proc = run_cli(GOLDEN / "eps_exponential.hl", "--max-window", value)
+        # a report settles at two equal probes, and the schedule's second
+        # probe is at 12: below that no run could settle
+        for value in ("0", "-3", "8", "11"):
+            proc = run_cli(GOLDEN / "coh_trivial_n1.hl", "--max-window", value)
             assert proc.returncode == 3
-            assert "--max-window" in proc.stderr
+            assert "--max-window must be >= 12" in proc.stderr
             assert "Traceback" not in proc.stderr
             assert proc.stdout == ""
+        proc = run_cli(GOLDEN / "coh_trivial_n1.hl", "--max-window", "12")
+        assert proc.returncode == 0
+        assert "stabilized = yes" in proc.stdout
 
     def test_malformed_flags_exit_code(self):
         for extra in (("--precision", "abc"), ("--max-window", "x"), ("--no-such-flag",)):

@@ -369,7 +369,7 @@ def oracle_direction_acyclicity(n, i, edge, schedule):
         return DirectionResult(i, "nabla", False, "mixed", unsupported=True), None
     if n == 1:
         op = MatrixDiffOp.first_order(edge.cvec[0], edge.pmat)
-        rep = operator_index(op, DEFAULT_SCHEDULE, want_kernel=False)
+        rep = operator_index(op, DEFAULT_SCHEDULE)
         return DirectionResult(1, "nabla", rep.stabilized, "", rep.trace), None
     if pure == n:
         op = OuterMatrixDiffOp.first_order(edge.cvec[n - 1], edge.pmat)
@@ -379,7 +379,7 @@ def oracle_direction_acyclicity(n, i, edge, schedule):
         op1 = inner_operator(edge.cvec[0], edge.pmat)
     except UnsupportedFrame as exc:
         return DirectionResult(pure, "nabla", False, str(exc), unsupported=True), None
-    rep = operator_index(op1, DEFAULT_SCHEDULE, want_kernel=False)
+    rep = operator_index(op1, DEFAULT_SCHEDULE)
     return DirectionResult(pure, "nabla", rep.stabilized, "", rep.trace), None
 
 

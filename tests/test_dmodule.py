@@ -21,7 +21,7 @@ from higherlocal.dmodule import (
     wronskian,
 )
 from higherlocal.errors import HigherLocalError, UndeterminedLeadingTerm
-from higherlocal.linalg import SeriesMatrix, kernel_q, rank_q
+from higherlocal.linalg import SeriesMatrix, rref_q
 from higherlocal.series import (
     OneForm,
     TowerElement,
@@ -54,7 +54,7 @@ def independent_over_q(ys, lo=-8, hi=12):
     rows = []
     for y in ys:
         rows.append([Fraction(y.coeffs.get(e, 0)) for e in range(lo, hi)])
-    return rank_q(rows) == len(ys)
+    return rref_q(rows)[0] == len(ys)
 
 
 class TestWronskian:

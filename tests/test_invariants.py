@@ -188,10 +188,8 @@ class TestWindowedGaugeInvariance:
     @given(gauged_presentations())
     def test_degree_and_h0_do_not_move(self, case):
         C, h, g, g_inv = case
-        before = operator_index(MatrixDiffOp.from_connection(C, normalizer=h), want_kernel=False)
-        after = operator_index(
-            MatrixDiffOp.from_connection(C.gauge(g, g_inv), normalizer=h), want_kernel=False
-        )
+        before = operator_index(MatrixDiffOp.from_connection(C, normalizer=h))
+        after = operator_index(MatrixDiffOp.from_connection(C.gauge(g, g_inv), normalizer=h))
         assert before.stabilized and after.stabilized
         # h0 is the kernel of d/dt + A, whatever the normalizer
         assert (after.index, after.ker_dim) == (before.index, before.ker_dim)

@@ -11,15 +11,7 @@ from higherlocal import cli, linalg, tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.errors import InsufficientPrecision, UnsupportedFrame
-from higherlocal.linalg import (
-    SeriesMatrix,
-    kernel_q,
-    rank_kernel_det,
-    rank_q,
-    rref_q,
-    sparse_echelon,
-    sparse_kernel,
-)
+from higherlocal.linalg import SeriesMatrix, rank_kernel_det, rref_q, sparse_echelon
 from higherlocal.series import OneForm, TowerElement, TowerField
 from higherlocal.specfile import parse_specfile
 from higherlocal.tate import (
@@ -57,10 +49,6 @@ class TestOperatorIndex:
         assert (rep.ker_dim, rep.coker_dim) == (1, 1)
         assert rep.index == 0
         assert rep.stabilized
-        # kernel is spanned by the constants
-        assert len(rep.ker_basis) == 1
-        v = rep.ker_basis[0][0]
-        assert set(v.coeffs) == {0}
 
     def test_euler_shifted_non_integer(self):
         t = F1.gen(1)
@@ -136,17 +124,6 @@ class TestOperatorIndex:
         assert (rep1.ker_dim, rep1.coker_dim) == (rep2.ker_dim, rep2.coker_dim)
 
 
-# -- the persistence route, kept as an oracle ------------------------------------
-#
-# Each window [-w, w) is realized with the target cut at the derivative
-# term's displacement (top) and, as a subset of its rows, at the hull
-# displacement (bottom).  The kernel is read off the bottom window, the
-# cokernel off the top one through the bottom kernel, and the reported
-# kernel is the part of a window's kernel that persists into the next
-# window's.  operator_index replaced this route with one rank per lattice
-# probe; the tests that pin this route's traces run against this copy.
-
-
 def cut_rows(win, bounds):
     """The same columns cut to target exponents ``bounds[i]`` per component.
 
@@ -158,110 +135,6 @@ def cut_rows(win, bounds):
     new_row = {k: pos[lab] for k, lab in enumerate(win.tgt_labels) if lab in pos}
     columns = [{new_row[k]: q for k, q in col.items() if k in new_row} for col in win.columns]
     return WindowRealization(win.src_labels, tgt_labels, columns, win.dens)
-
-
-def top_cokernel(bottom, top, kernel):
-    """Cokernel dimension of the top window, read off the bottom kernel.
-
-    The bottom matrix is the top one restricted to a subset of its rows, so
-    ker(top) = {v in ker(bottom) : E v = 0} for the extra top rows E; the
-    rank of the integer matrix E K comes from ``sparse_echelon``.
-    """
-    shared = set(bottom.tgt_labels)
-    E = {k: {} for k, lab in enumerate(top.tgt_labels) if lab not in shared}
-    for j, col in enumerate(top.columns):
-        for k, q in col.items():
-            if k in E:
-                E[k][j] = q
-    EK = [
-        {k: sum(q * v[j] for j, q in row.items() if j in v) for k, v in enumerate(kernel)}
-        for row in E.values()
-    ]
-    ker_top = len(kernel) - len(sparse_echelon(EK))
-    return len(top.tgt_labels) - (len(top.src_labels) - ker_top)
-
-
-def span_intersection(a_vecs, b_vecs):
-    """Basis of span(a) intersect span(b), coordinates of the common space."""
-    if not a_vecs or not b_vecs:
-        return []
-    m = len(a_vecs[0])
-    na, nb = len(a_vecs), len(b_vecs)
-    # solve sum x_i a_i = sum y_i b_i: one equation per coordinate
-    rows = [
-        [a_vecs[i][j] for i in range(na)] + [-b_vecs[i][j] for i in range(nb)]
-        for j in range(m)
-    ]
-    out = []
-    for combo in kernel_q(rows):
-        vec = [Fraction(0)] * m
-        for i in range(na):
-            if combo[i] != 0:
-                for j in range(m):
-                    vec[j] += combo[i] * a_vecs[i][j]
-        if any(x != 0 for x in vec):
-            out.append(vec)
-    if not out:
-        return []
-    rank, _, red = rref_q(out)
-    return red[:rank]
-
-
-def dense_to_elements(labels, vecs, rank, w):
-    """Dense kernel vectors over ``labels`` as elements known below ``t^w``."""
-    out = []
-    for v in vecs:
-        comps = []
-        for c in range(rank):
-            coeffs = {e: v[k] for k, (comp, e) in enumerate(labels) if comp == c and v[k] != 0}
-            comps.append(TowerElement(1, coeffs, w, False))
-        out.append(tuple(comps))
-    return tuple(out)
-
-
-def persistence_index(op, schedule, want_kernel=True):
-    """The windowed index through bottom kernels, top cokernels and persistence.
-
-    The persistent dimension is rank T + |K| - rank(T u K), for ``K`` a
-    window's bottom kernel and ``T`` the next window's, restricted to this
-    window's labels; the pair is settled at two consecutive equal
-    (ker, coker) entries and ``stabilized_at`` is the earlier window of the
-    last pair.
-    """
-    windows = []  # (w, labels, K, coker)
-    trace = []
-    for w in schedule:
-        try:
-            top = realize_window(op, w, "top")
-        except InsufficientPrecision:
-            break
-        bottom = realize_window(op, w, "bottom")
-        kernel = bottom.kernel()
-        windows.append((w, bottom.src_labels, kernel, top_cokernel(bottom, top, kernel)))
-        if len(windows) < 2:
-            continue
-        (wi, labels, K, coker), (_, labels2, _, _) = windows[-2:]
-        pos = {lab: k for k, lab in enumerate(labels)}
-        moved = {k2: pos[lab] for k2, lab in enumerate(labels2) if lab in pos}
-        T = [{moved[k]: v for k, v in vec.items() if k in moved} for vec in kernel]
-        ker = 0
-        if K and T:
-            ker = len(sparse_echelon(T)) + len(K) - len(sparse_echelon(T + K))
-        trace.append((wi, ker, coker))
-        if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
-            basis = ()
-            if want_kernel and ker > 0:
-                dense = [[v.get(k, 0) for k in range(len(labels))] for v in T + K]
-                persistent = span_intersection(dense[: len(T)], dense[len(T):])
-                basis = dense_to_elements(labels, persistent, op.rank, wi)
-            return IndexReport(ker, coker, ker - coker, wi, basis, tuple(trace))
-    if not windows:
-        raise InsufficientPrecision("operator coefficients cannot fill even the smallest window")
-    if not trace:
-        w, _, K, coker = windows[0]
-        trace = [(w, len(K), coker)]
-    _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), tuple(trace))
 
 
 def random_exact_connection(rng, rank):
@@ -284,95 +157,12 @@ def _dense(vec, n):
     return [Fraction(vec.get(k, 0)) for k in range(n)]
 
 
-def _restrict(vecs, labels, small_labels):
-    pos = {lab: k for k, lab in enumerate(labels)}
-    return [[v[pos[lab]] for lab in small_labels] for v in vecs]
-
-
 def _span_rank(vecs):
-    return rank_q(vecs) if vecs else 0
+    return rref_q(vecs)[0]
 
 
 class TestWindowCrossCheck:
-    """The persistence route (``persistence_index``, kept as an oracle)
-    against the component-major reference route.
-
-    The reference eliminates the bottom window in label order for the
-    kernel and the whole top window for the rank, as independent of the
-    banded order and of the top-from-bottom cokernel as possible.
-    """
-
-    SCHEDULE = (4, 6, 8)  # small windows keep the reference route fast
-
-    def cases(self):
-        rng = random.Random(20181807)
-        t = F1.gen(1)
-        connections = [random_exact_connection(rng, rank) for rank in (2, 3, 4)]
-        # a trivial summand gives persistent kernels to compare bases on
-        connections += [
-            random_exact_connection(rng, rank).direct_sum(Connection.trivial(F1, 1))
-            for rank in (1, 2)
-        ]
-        # a persistent kernel of the bottom windows that the extra top rows
-        # cut: kernels read off the top windows would miss it
-        connections.append(
-            Connection(
-                F1,
-                [
-                    SeriesMatrix(
-                        [
-                            [-2 * t, F1.zero()],
-                            [-2 * t ** -2 + 2 * t, 2 * t ** -3 + 2 * t ** -2 + 2 + 2 * t],
-                        ]
-                    )
-                ],
-            )
-        )
-        for C in connections:
-            for normalizer in (None, t ** -1):
-                yield MatrixDiffOp.from_connection(C, normalizer=normalizer)
-
-    def reference(self, op):
-        windows = []
-        for w in self.SCHEDULE:
-            bottom = realize_window(op, w, "bottom")
-            top = realize_window(op, w, "top")
-            n = len(bottom.src_labels)
-            kernel = [_dense(v, n) for v in sparse_kernel(bottom.sparse_rows(), n)]
-            coker = len(top.tgt_labels) - len(sparse_echelon(top.sparse_rows()))
-            windows.append((w, bottom.src_labels, kernel, coker))
-        trace = []
-        for (w, labels, kvecs, coker), (_, labels2, kvecs2, _) in zip(
-            windows, windows[1:]
-        ):
-            truncated = _restrict(kvecs2, labels2, labels)
-            a, b = _span_rank(kvecs), _span_rank(truncated)
-            both = _span_rank(kvecs + truncated)
-            trace.append(((w, a + b - both, coker), labels, kvecs, truncated))
-        return trace
-
-    def test_trace_matches_component_major_route(self):
-        checked = 0
-        for op in self.cases():
-            rep = persistence_index(op, self.SCHEDULE)
-            ref = self.reference(op)
-            assert rep.trace == tuple(r[0] for r in ref[: len(rep.trace)])
-            if not rep.ker_basis:
-                continue
-            # the persistent basis is the reduced echelon form of
-            # span(kernel) cap span(truncated next kernel) in label order
-            _, labels, kvecs, truncated = ref[len(rep.trace) - 1]
-            basis = [
-                [vec[c].coeffs.get(e, Fraction(0)) for c, e in labels]
-                for vec in rep.ker_basis
-            ]
-            rank, _, red = rref_q(basis)
-            assert rank == len(basis) == rep.ker_dim
-            assert red[:rank] == basis
-            for span in (kvecs, truncated):
-                assert _span_rank(span + basis) == _span_rank(span)
-            checked += 1
-        assert checked > 0
+    """Level-1 windows against the operator applied to each monomial."""
 
     def test_columns_match_operator_images(self):
         rng = random.Random(7)
@@ -492,7 +282,7 @@ class TestOuterWindowCrossCheck:
                     assert red.coker_slots == tuple(
                         lab for k, lab in enumerate(top.tgt_labels) if k not in covered
                     )
-                    assert (red.rank, red.matrix) == (res_t.rank, top.matrix)
+                    assert red.matrix == top.matrix
                     assert (red.src_labels, red.tgt_labels) == (top.src_labels, top.tgt_labels)
 
     def test_short_coefficients_raise_as_the_bottom_window(self):
@@ -555,61 +345,6 @@ def rational_columns(win):
 
 def rational_window_columns(*args, **kwargs):
     return rational_columns(window_columns(*args, **kwargs))
-
-
-def ascending_kernel(win):
-    """The kernel with the columns handed to the eliminator in ascending
-    exponent-major order, the rows in the same order as the library's."""
-    src_order = sorted(range(len(win.src_labels)), key=lambda k: win.src_labels[k][::-1])
-    tgt_order = sorted(range(len(win.tgt_labels)), key=lambda k: win.tgt_labels[k][::-1])
-    col = {j: k for k, j in enumerate(src_order)}
-    rows = win.sparse_rows()
-    banded = [{col[j]: q for j, q in rows[i].items()} for i in tgt_order]
-    return [
-        {src_order[k]: q for k, q in vec.items()}
-        for vec in sparse_kernel(banded, len(src_order))
-    ]
-
-
-def ref_operator_index(op, schedule):
-    """The persistence route with ``want_kernel`` over Q in ascending order:
-    ``Fraction`` columns, eliminated with the columns in ascending
-    exponent-major order.  The cokernel is the corank of the dense top
-    window over Q, not the library's top-from-bottom ``E K`` route."""
-    kernels, cokers, trace = [], [], []
-    for w in schedule:
-        try:
-            top = ref_window_columns(op, (-w, w), window_bounds(op, w, "top"))
-        except InsufficientPrecision:
-            break
-        bottom = ref_window_columns(op, (-w, w), window_bounds(op, w, "bottom"))
-        kernel = ascending_kernel(bottom)
-        dense = [_dense(vec, len(bottom.src_labels)) for vec in kernel]
-        kernels.append((w, bottom.src_labels, dense))
-        top_rows = [_dense(row, len(top.src_labels)) for row in top.sparse_rows()]
-        cokers.append(len(top.tgt_labels) - _span_rank(top_rows))
-        if len(kernels) < 2:
-            continue
-        (wi, labels, kvecs), (_, labels2, kvecs2) = kernels[-2:]
-        persistent = []
-        if kvecs:
-            truncated = _restrict(kvecs2, labels2, labels)
-            persistent = span_intersection(truncated, kvecs)
-        trace.append((wi, len(persistent), cokers[-2]))
-        if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:]:
-            ker, coker = trace[-1][1:]
-            basis = ()
-            if ker:
-                basis = dense_to_elements(labels, persistent, op.rank, wi)
-            return IndexReport(ker, coker, ker - coker, wi, basis, tuple(trace))
-    if not kernels:
-        raise InsufficientPrecision("too short")
-    if not trace:
-        w, _, kvecs = kernels[0]
-        ker, coker = len(kvecs), cokers[0]
-        return IndexReport(ker, coker, ker - coker, None, (), ((w, ker, coker),))
-    _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), tuple(trace))
 
 
 def realized(fn, *args, **kwargs):
@@ -677,8 +412,8 @@ class TestIntegerWindowColumns:
 @st.composite
 def exact_first_order_operators(draw):
     """h^-1 (d/dt + A) for exact A of rank 1-4, entries t^-4 .. t^1 with
-    coefficients +-1, +-2; a trivial summand now and then gives persistent
-    kernels."""
+    coefficients +-1, +-2; a trivial summand now and then gives a nonzero
+    kernel."""
     rank = draw(st.integers(1, 4))
     pole = draw(st.integers(1, 4))
     t = F1.gen(1)
@@ -698,31 +433,7 @@ def exact_first_order_operators(draw):
 
 
 class TestDescendingOrder:
-    """The persistence route's windows eliminated top exponent down, on
-    integer rows, against the ascending route over Q."""
-
-    SCHEDULE = (4, 6, 8, 12)  # short windows keep the route over Q fast
-
-    @settings(deadline=None, max_examples=60)
-    @given(exact_first_order_operators())
-    def test_index_report_matches_ascending_route(self, op):
-        assert persistence_index(op, self.SCHEDULE) == ref_operator_index(op, self.SCHEDULE)
-
-    @settings(deadline=None, max_examples=40)
-    @given(level1_operators())
-    def test_inexact_and_higher_order_operators(self, op):
-        # windows may stop short, or never be realized at all
-        assert realized(persistence_index, op, (2, 3, 4)) == realized(
-            ref_operator_index, op, (2, 3, 4)
-        )
-
-    def test_persistent_bases_are_compared(self):
-        t = F1.gen(1)
-        C = exp_connection(1).direct_sum(Connection.trivial(F1, 2))
-        op = MatrixDiffOp.from_connection(C, normalizer=t ** -1)
-        rep = persistence_index(op, self.SCHEDULE)
-        assert rep.ker_dim == 2 and len(rep.ker_basis) == 2
-        assert rep == ref_operator_index(op, self.SCHEDULE)
+    """The banded order: rows ascending, columns in descending exponent order."""
 
     def test_descending_order_cancels_less(self, monkeypatch):
         # the highest source column of a bottom-window row is its
@@ -730,6 +441,12 @@ class TestDescendingOrder:
         # an earlier pivot; the ascending order pivots on the deepest term
         op = MatrixDiffOp.from_connection(random_exact_connection(random.Random(5), 5))
         bottom = realize_window(op, 16, "bottom")
+        # the same rows with the columns in ascending exponent-major order
+        src_order = sorted(range(len(bottom.src_labels)), key=lambda k: bottom.src_labels[k][::-1])
+        tgt_order = sorted(range(len(bottom.tgt_labels)), key=lambda k: bottom.tgt_labels[k][::-1])
+        col = {j: k for k, j in enumerate(src_order)}
+        rows = bottom.sparse_rows()
+        ascending = [{col[j]: q for j, q in rows[i].items()} for i in tgt_order]
         calls = []
         cancel = linalg._cancel
 
@@ -738,12 +455,11 @@ class TestDescendingOrder:
             return cancel(r, p, c)
 
         monkeypatch.setattr(linalg, "_cancel", counted)
-        descending = bottom.kernel()
-        n_descending = len(calls)
+        n_descending = len(sparse_echelon(bottom.banded()))
+        descending_calls = len(calls)
         calls.clear()
-        ascending = ascending_kernel(bottom)
-        assert len(descending) == len(ascending)
-        assert n_descending < len(calls) / 2
+        assert n_descending == len(sparse_echelon(ascending))
+        assert descending_calls < len(calls) / 2
 
 
 # a rank-4 presentation whose bottom windows all have a nonzero kernel
@@ -769,7 +485,7 @@ command = epsilon
 
 
 def ref_probe_report(op, schedule):
-    """:func:`operator_index` without ``want_kernel`` from dense ranks over Q.
+    """:func:`operator_index` from dense ranks over Q.
 
     ``M(x, W)`` is built for ``x = -w`` and ``x = w`` separately by the
     loop over Q and ranked by dense elimination.  The cut ``W`` is the
@@ -801,19 +517,18 @@ def ref_probe_report(op, schedule):
         ker = D(-w, W) - d_high
         trace.append((w, ker, ker - index))
         if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:] and min(trace[-1][1:]) >= 0:
-            return IndexReport(ker, ker - index, index, w, (), tuple(trace))
+            return IndexReport(ker, ker - index, index, w, tuple(trace))
     if not trace:
         raise InsufficientPrecision("too short")
     _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), tuple(trace))
+    return IndexReport(ker, coker, ker - coker, None, tuple(trace))
 
 
-def own_probe_index(op, schedule, want_kernel=True):
+def own_probe_index(op, schedule):
     """:func:`operator_index` with every probe eliminated on its own.
 
     Each schedule entry ``w`` builds ``M(-w, W)`` and ranks it and its
-    leading block ``M(w, W)`` from one :func:`sparse_echelon`; the kernel
-    basis of the settled probe eliminates it once more.
+    leading block ``M(w, W)`` from one :func:`sparse_echelon`.
     """
     r = op.rank
     delta = min(op.delta_bottom(i) for i in range(r))
@@ -827,8 +542,7 @@ def own_probe_index(op, schedule, want_kernel=True):
         W = 2 * w if known is None else min(2 * w, known - w)
         if W <= w:
             break
-        win = tate.probe_window(op, w, W, delta)
-        pivots = sparse_echelon(win.banded()[1])
+        pivots = sparse_echelon(tate.probe_window(op, w, W, delta).banded())
         high = r * (W - delta - w)
         d_low = r * (W + w) - len(pivots)
         d_high = r * (W - w) - sum(1 for c in pivots if c < high)
@@ -836,22 +550,11 @@ def own_probe_index(op, schedule, want_kernel=True):
         index = offset + d_high
         trace.append((w, ker, ker - index))
         if len(trace) >= 2 and trace[-1][1:] == trace[-2][1:] and min(trace[-1][1:]) >= 0:
-            basis = []
-            if want_kernel and ker > 0:
-                labels = win.src_labels
-                for vec in win.kernel():
-                    if not any(labels[k][1] < w for k in vec):
-                        continue
-                    comps = [{} for _ in range(r)]
-                    for k, q in vec.items():
-                        c, e = labels[k]
-                        comps[c][e] = q
-                    basis.append(tuple(TowerElement(1, cs, w, False) for cs in comps))
-            return IndexReport(ker, ker - index, index, w, tuple(basis), tuple(trace))
+            return IndexReport(ker, ker - index, index, w, tuple(trace))
     if not trace:
         raise InsufficientPrecision("too short")
     _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, None, (), tuple(trace))
+    return IndexReport(ker, coker, ker - coker, None, tuple(trace))
 
 
 def known_below(hi):
@@ -873,7 +576,7 @@ class TestLatticeProbes:
     @settings(deadline=None, max_examples=40)
     @given(exact_first_order_operators())
     def test_report_matches_dense_ranks(self, op):
-        assert operator_index(op, self.SCHEDULE, want_kernel=False) == ref_probe_report(
+        assert operator_index(op, self.SCHEDULE) == ref_probe_report(
             op, self.SCHEDULE
         )
 
@@ -881,40 +584,17 @@ class TestLatticeProbes:
     @given(level1_operators())
     def test_inexact_and_higher_order_operators(self, op):
         # probes may be cut short, or never fit at all
-        assert realized(operator_index, op, (2, 3, 4), want_kernel=False) == realized(
+        assert realized(operator_index, op, (2, 3, 4)) == realized(
             ref_probe_report, op, (2, 3, 4)
         )
 
-    @settings(deadline=None, max_examples=30)
-    @given(exact_first_order_operators())
-    def test_kernel_basis_spans_the_quotient(self, op):
-        # the basis is ker M(-w, 2w) modulo ker M(w, 2w), read below t^w;
-        # the second kernel is 0 there, so the basis spans the truncations
-        # of the first
-        rep = operator_index(op, self.SCHEDULE)
-        if not rep.stabilized:
-            return
-        assert len(rep.ker_basis) == rep.ker_dim
-        w, r = rep.stabilized_at, op.rank
-        delta = min(op.delta_bottom(i) for i in range(r))
-        win = ref_window_columns(op, (-w, 2 * w - delta), [(-w + delta, 2 * w)] * r)
-        rows = [_dense(row, len(win.src_labels)) for row in win.sparse_rows()]
-        low = [lab for lab in win.src_labels if lab[1] < w]
-        truncated = _restrict(kernel_q(rows), win.src_labels, low)
-        basis = [[vec[c].coeffs.get(e, 0) for c, e in low] for vec in rep.ker_basis]
-        assert all(x.hi == w for vec in rep.ker_basis for x in vec)
-        assert _span_rank(basis) == rep.ker_dim == _span_rank(truncated)
-        assert _span_rank(truncated + basis) == rep.ker_dim
-
     def test_kernel_basis_leaves_out_ker_M_w(self):
         # the solution t^6 of d - 6 dt/t lies in L_6, so at the settled
-        # probe w = 6 it spans ker M(6, 12), with its free column at t^6;
-        # the basis is the constant of the trivial summand alone
+        # probe w = 6 it spans ker M(6, 12) and is not counted; the kernel
+        # is the constant of the trivial summand alone
         C = Connection.trivial(F1, 1).direct_sum(reg_connection(-6))
         rep = operator_index(MatrixDiffOp.from_connection(C), (4, 6))
         assert rep.stabilized_at == 6 and rep.ker_dim == 1
-        ((one, zero),) = rep.ker_basis
-        assert set(one.coeffs) == {0} and not zero.coeffs
 
     def test_one_echelon_per_probe(self, monkeypatch):
         calls = []
@@ -925,7 +605,7 @@ class TestLatticeProbes:
             return echelon(rows, *continued)
 
         monkeypatch.setattr(tate, "sparse_echelon", counted)
-        rep = operator_index(MatrixDiffOp.from_connection(exp_connection(2)), want_kernel=False)
+        rep = operator_index(MatrixDiffOp.from_connection(exp_connection(2)))
         assert len(calls) == len(rep.trace) == 2
 
     def test_first_probe_is_read_off_the_second(self, monkeypatch):
@@ -950,7 +630,7 @@ class TestLatticeProbes:
         monkeypatch.undo()
         assert [w for w, _, _ in rep.trace] == [8, 12] and rep.stabilized_at == 12
         assert built == [(12, 24)]
-        rows = probe(op, 12, 24, delta).banded()[1]
+        rows = probe(op, 12, 24, delta).banded()
         assert banded_rows(handed) == banded_rows(rows)
         assert rep == own_probe_index(op, DEFAULT_SCHEDULE)
 
@@ -973,30 +653,14 @@ class TestLatticeProbes:
     @given(
         exact_first_order_operators() | level1_operators(),
         st.lists(st.integers(1, 10), min_size=1, max_size=4),
-        st.booleans(),
     )
     # the second cut falls below the first, so the first entry keeps its
     # own probe
-    @example(known_below(26), list(DEFAULT_SCHEDULE), True)
+    @example(known_below(26), list(DEFAULT_SCHEDULE))
     # W0 = W1 = 8, but the first probe reaches down to t^-6, below the second
-    @example(known_below(14), [6, 4], True)
-    def test_index_matches_one_echelon_per_probe(self, op, schedule, want_kernel):
-        assert realized(operator_index, op, schedule, want_kernel=want_kernel) == realized(
-            own_probe_index, op, schedule, want_kernel
-        )
-
-    @settings(deadline=None, max_examples=40)
-    @given(exact_first_order_operators() | level1_operators(), st.integers(1, 8), st.randoms())
-    def test_kernel_reads_an_echelon_in_any_row_order(self, op, w, rng):
-        delta = min(op.delta_bottom(i) for i in range(op.rank))
-        win = realized(tate.probe_window, op, w, 2 * w, delta)
-        if win == "too short":
-            return
-        rows = win.banded()[1]
-        rng.shuffle(rows)
-        k = rng.randrange(len(rows) + 1)
-        echelon = sparse_echelon(rows[:k])
-        assert win.kernel(sparse_echelon(rows[k:], echelon)) == win.kernel()
+    @example(known_below(14), [6, 4])
+    def test_index_matches_one_echelon_per_probe(self, op, schedule):
+        assert realized(operator_index, op, schedule) == realized(own_probe_index, op, schedule)
 
 
 def run_spec(text, tmp_path, capsys):
@@ -1061,18 +725,19 @@ class TestProbeRegressions:
         report = run_spec(one_variable_spec(1, A1, "cohomology"), tmp_path, capsys)
         assert (report["h0"], report["h1"], report["window_agrees"]) == ("1", "1", "yes")
         C = parse_specfile(one_variable_spec(1, A1, "cohomology")).connection
-        rep = operator_index(MatrixDiffOp.from_connection(C), want_kernel=False)
+        rep = operator_index(MatrixDiffOp.from_connection(C))
         assert rep.trace == ((8, 0, 0), (12, 0, -1), (16, 0, -1), (24, 1, 1), (32, 1, 1))
         assert rep.stabilized_at == 32
 
 
 class TestIntegerWindowRoute:
-    """Realization, elimination, cokernel and persistence stay on integers."""
+    """Realization and elimination stay on integers."""
 
     def test_index_builds_no_fraction(self, monkeypatch):
         op = MatrixDiffOp.from_connection(parse_specfile(RANK4_SPEC).connection)
         for w in DEFAULT_SCHEDULE:
-            assert realize_window(op, w, "bottom").kernel()
+            win = realize_window(op, w, "bottom")
+            assert len(sparse_echelon(win.banded())) < len(win.src_labels)
         built = []
         new = Fraction.__new__
 
@@ -1090,7 +755,7 @@ class TestIntegerWindowRoute:
                 return coprime(*args)
 
             monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
-        rep = operator_index(op, want_kernel=False)
+        rep = operator_index(op)
         monkeypatch.undo()
         assert rep.stabilized
         assert built == []
@@ -1123,20 +788,6 @@ class TestWindowPrecision:
         for mode in ("bottom", "top"):
             with pytest.raises(InsufficientPrecision):
                 realize_window(op, 8, mode)
-
-    @pytest.mark.parametrize(
-        "hi, trace, stabilized_at",
-        [
-            # the w = 8 top window is too short: stop after w = 6, unsettled
-            (14, ((4, 0, 1),), None),
-            # one more term and w = 8 is realized, so w = 6 settles
-            (15, ((4, 0, 1), (6, 0, 1)), 6),
-        ],
-    )
-    def test_index_stops_where_the_top_window_is_too_short(self, hi, trace, stabilized_at):
-        rep = persistence_index(self.op_with_known_terms(hi), (4, 6, 8, 12))
-        assert rep.trace == trace
-        assert rep.stabilized_at == stabilized_at
 
     @pytest.mark.parametrize(
         "hi, trace, stabilized_at",
