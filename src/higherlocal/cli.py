@@ -64,13 +64,18 @@ def _flatness_gate(spec: SpecFile):
         )
 
 
-def _capped_schedule(max_window: Optional[int]):
-    if max_window is None:
-        return DEFAULT_SCHEDULE
+def _capped_schedule(max_window: int):
+    """The probe schedule up to ``max_window``, which must reach its second probe."""
+    least = DEFAULT_SCHEDULE[1]
+    if max_window < least:
+        raise ValueError(
+            f"--max-window must be >= {least}, got {max_window}: "
+            f"windows settle at two equal probes, and the second is at {least}"
+        )
     return tuple(w for w in DEFAULT_SCHEDULE if w <= max_window)
 
 
-def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Report:
+def run(command: str, spec: SpecFile, max_window: int = 32) -> Report:
     """Execute one command against a parsed input file."""
     report: Report = [("command", command), ("n", str(spec.level)), ("rank", str(spec.rank))]
     C = spec.connection
@@ -128,7 +133,7 @@ def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Repor
     if command == "epsilon":
         _flatness_gate(spec)
         nu = _forms_or_standard(spec)
-        rep = epsilon_degree(C, nu, schedule=schedule, seed=spec.seed)
+        rep = epsilon_degree(C, nu, schedule=schedule)
         report.append(("degree", str(rep.degree)))
         ran_windows = bool(rep.window_reports)
         if rep.window_degree is not None:
@@ -170,7 +175,7 @@ def run(command: str, spec: SpecFile, max_window: Optional[int] = None) -> Repor
         report.append(("check_squares", squares))
         report.append(("check_acyclicity", mrep.acyclicity))
         sigma = SignConvention(spec.sigma)
-        ok, lhs, rhs = verify_duality(C, nu, sigma, seed=spec.seed, outer=mrep.outer)
+        ok, lhs, rhs = verify_duality(C, nu, sigma, outer=mrep.outer)
         duality = "pass" if ok else "fail"
         report.append(("check_duality", duality))
         report.append(("sigma", str(spec.sigma)))
@@ -216,7 +221,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=32,
         help=f"largest one-variable probe window, at least {DEFAULT_SCHEDULE[1]}",
     )
-    ap.add_argument("--seed", type=int, default=None, help="cyclic vector search seed")
+    ap.add_argument(
+        "--seed", type=int, default=None, help="cyclic vector search seed (irregularity, cyclic)"
+    )
     ap.add_argument(
         "--format", choices=("kv", "json-like"), default="kv", help="report format"
     )
@@ -224,13 +231,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.precision is not None and args.precision < 1:
         print(f"error: --precision must be >= 1, got {args.precision}", file=sys.stderr)
         return EXIT_INVALID
-    least = DEFAULT_SCHEDULE[1]
-    if args.max_window < least:
-        print(
-            f"error: --max-window must be >= {least}, got {args.max_window}: "
-            f"windows settle at two equal probes, and the second is at {least}",
-            file=sys.stderr,
-        )
+    try:
+        _capped_schedule(args.max_window)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
         with open(args.path, "r", encoding="utf-8") as fh:

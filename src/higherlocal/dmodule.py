@@ -10,6 +10,7 @@ determinant.
 
 from __future__ import annotations
 
+import itertools
 import random
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .series import (
     TowerElement,
     TowerField,
     set_working_precision,
-    weighted_sum,
+    sum_of_products,
     working_precision,
 )
 
@@ -143,8 +144,9 @@ class ScalarOperator:
         s = _stirling_first(m)
         # t^m a_i d^i = (t^(m-i) a_i) sum_j s(i, j) theta^j
         scaled = [a.shift_outer(m - i) for i, a in enumerate(self.coeffs)]
+        c = TowerElement.constant
         b = [
-            weighted_sum(1, [(s[i][j], scaled[i]) for i in range(j, m + 1)])
+            sum_of_products(1, [(c(1, s[i][j]), scaled[i]) for i in range(j, m + 1)])
             for j in range(m + 1)
         ]
         return ScalarOperator(THETA, tuple(b))
@@ -156,8 +158,9 @@ class ScalarOperator:
         m = self.order
         S = _stirling_second(m)
         # b_j theta^j = b_j sum_i S(j, i) t^i d^i
+        b, c = self.coeffs, TowerElement.constant
         a = [
-            weighted_sum(1, [(S[j][i], self.coeffs[j].shift_outer(i)) for j in range(i, m + 1)])
+            sum_of_products(1, [(c(1, S[j][i]), b[j].shift_outer(i)) for j in range(i, m + 1)])
             for i in range(m + 1)
         ]
         lead_inv = a[m].invert()
@@ -202,15 +205,7 @@ def _candidate_vectors(C: Connection, seed: int):
     t = field.gen(1)
     zero = field.zero()
     # deterministic shifted-monomial candidates first
-    base_shifts = []
-    if r == 1:
-        base_shifts.append((0,))
-    else:
-        import itertools
-
-        for perm in itertools.permutations(range(r)):
-            base_shifts.append(perm)
-    for shifts in base_shifts:
+    for shifts in itertools.permutations(range(r)):
         yield tuple(t ** c for c in shifts)
     rng = random.Random(seed)
     for _ in range(_RANDOM_TRIES):
@@ -370,19 +365,20 @@ _TOO_SHORT = (
 )
 
 
-def _certified_irregularity(C: Connection, seed: int) -> int:
-    s, cert, _ = find_cyclic_vector(C, seed=seed)
+def _certified_irregularity(C: Connection) -> int:
+    s, cert, _ = find_cyclic_vector(C)
     L = to_scalar_operator(C, s, cert)
     return newton_polygon(L).irregularity
 
 
-def connection_irregularity(C: Connection, seed: int = 0) -> int:
+def connection_irregularity(C: Connection) -> int:
     """Irregularity through a certified cyclic vector, an exact invariant.
 
-    The route (cyclic vector, scalar operator, Newton polygon) runs on a
-    doubling ladder of precisions, 8, 16, 32, ... terms, capped at
-    ``working_precision()``: the polygon needs certified leading valuations,
-    not full series.  A rung below the cap ends at its first undetermined
+    Any certified vector gives the same integer, so the search takes seed 0
+    and no seed is asked for.  The route (cyclic vector, scalar operator,
+    Newton polygon) runs on a doubling ladder of precisions, 8, 16, 32, ...
+    terms, capped at ``working_precision()``: the polygon needs certified
+    leading valuations, not full series.  A rung below the cap ends at its first undetermined
     certificate pivot, so it accepts the candidate a full-precision search
     accepts, and it moves up a rung when a pivot, a leading term or a
     coefficient is not certified at its precision, or when no candidate is.
@@ -398,10 +394,10 @@ def connection_irregularity(C: Connection, seed: int = 0) -> int:
         old = set_working_precision(prec)
         below_cap = _BELOW_CAP.set(True)
         try:
-            return _certified_irregularity(C, seed)
+            return _certified_irregularity(C)
         except _TOO_SHORT:
             prec *= 2
         finally:
             _BELOW_CAP.reset(below_cap)
             set_working_precision(old)
-    return _certified_irregularity(C, seed)
+    return _certified_irregularity(C)

@@ -69,7 +69,7 @@ def _exact_presentation(C: Connection) -> bool:
 
 
 def _degree_levels(
-    C: Connection, nu: FormTuple, outer: Optional[OuterStabilization]
+    C: Connection, nu: FormTuple, outer: Optional[OuterStabilization] = None
 ) -> Tuple[TowerElement, Tuple[Optional[Connection], ...]]:
     """The inner normalizer ``h`` and the one-variable levels of the degree.
 
@@ -98,9 +98,9 @@ def _degree_levels(
     return h, induced_inner_connections(C, normalizer=h2, outer=outer)[:2]
 
 
-def _level_degree(C1: Optional[Connection], seed: int) -> int:
+def _level_degree(C1: Optional[Connection]) -> int:
     """The certified degree of one level: minus its irregularity, 0 when empty."""
-    return 0 if C1 is None else -connection_irregularity(C1, seed=seed)
+    return 0 if C1 is None else -connection_irregularity(C1)
 
 
 def _alternating(values) -> int:
@@ -108,12 +108,17 @@ def _alternating(values) -> int:
     return sum(s * v for s, v in zip((1, -1), values))
 
 
+def _certified_degree(
+    C: Connection, nu: FormTuple, outer: Optional[OuterStabilization] = None
+) -> int:
+    """The certified degree over the levels of :func:`_degree_levels`, with no window."""
+    return _alternating(_level_degree(L) for L in _degree_levels(C, nu, outer)[1])
+
+
 def epsilon_degree(
     C: Connection,
     nu: FormTuple,
     schedule: Sequence[int] = DEFAULT_SCHEDULE,
-    seed: int = 0,
-    outer: Optional[OuterStabilization] = None,
 ) -> EpsilonReport:
     """Degree of the graded line comparing the covariant and wedge routes.
 
@@ -124,16 +129,14 @@ def epsilon_degree(
     truncation hulls and are skipped rather than reported as if meaningful.
     Both routes read the levels of :func:`_degree_levels`: ``C`` itself over
     one variable, the induced inner connections on the outer ``H^0`` and
-    ``H^1`` over two, where the degree is their alternating sum.  ``outer``
-    is a stabilization of the outer operator made earlier
-    (``MultiComplexReport.outer``); it is handed to
-    :func:`induced_inner_connections`, which uses it only for that same
-    operator.
+    ``H^1`` over two, where the degree is their alternating sum.  The
+    certified value does not depend on which cyclic vector is found, so no
+    seed is taken.
     """
-    h, levels = _degree_levels(C, nu, outer)
+    h, levels = _degree_levels(C, nu)
     degrees, window_reports, windows = [], [], []
     for C1 in levels:
-        degrees.append(_level_degree(C1, seed))
+        degrees.append(_level_degree(C1))
         if C1 is None:  # an empty level: degree 0 on both routes
             windows.append(0)
             continue
@@ -181,12 +184,15 @@ def pullback_form_tuple(nu: FormTuple, cover: KummerCover) -> FormTuple:
 
 
 def verify_induction(
-    C_up: Connection, cover: KummerCover, nu: FormTuple, seed: int = 0
+    C_up: Connection, cover: KummerCover, nu: FormTuple
 ) -> Tuple[bool, int, int]:
-    """Compare the degree upstairs (pulled-back frame) with the induced degree."""
-    nu_up = pullback_form_tuple(nu, cover)
-    up = epsilon_degree(C_up, nu_up, seed=seed).degree
-    down = epsilon_degree(induct(C_up, cover), nu, seed=seed).degree
+    """Compare the degree upstairs (pulled-back frame) with the induced degree.
+
+    Both are certified degrees (:func:`_certified_degree`); no windowed
+    route is run.
+    """
+    up = _certified_degree(C_up, pullback_form_tuple(nu, cover))
+    down = _certified_degree(induct(C_up, cover), nu)
     return up == down, up, down
 
 
@@ -194,34 +200,28 @@ def verify_duality(
     C: Connection,
     nu: FormTuple,
     sigma: SignConvention = SignConvention(1),
-    seed: int = 0,
     outer: Optional[OuterStabilization] = None,
 ) -> Tuple[bool, int, int]:
     """Check degree(dual, -nu) = sigma * degree(C, nu).
 
-    Both sides are certified degrees: each sums the levels of
-    :func:`_degree_levels` as :func:`epsilon_degree` does, without the
-    windowed route, whose reports the comparison would discard.  ``outer``
-    goes to the levels of ``(C, nu)``: ``verify`` hands along the outer
-    reduction that :func:`~higherlocal.derham.check_multicomplex` made for
-    the outermost covariant edge of ``(C, nu)``, which for a diagonal frame
-    is the operator that degree reduces, so its windows are reduced once.
-    The dual's operator differs and is reduced on its own.
+    Both sides are certified degrees (:func:`_certified_degree`), without
+    the windowed route, whose reports the comparison would discard.
+    ``outer`` goes to the levels of ``(C, nu)``: ``verify`` hands along the
+    outer reduction that :func:`~higherlocal.derham.check_multicomplex` made
+    for the outermost covariant edge of ``(C, nu)``, which for a diagonal
+    frame is the operator that degree reduces, so its windows are reduced
+    once.  The dual's operator differs and is reduced on its own.
     """
-
-    def degree(C1, nu1, outer1=None) -> int:
-        return _alternating(_level_degree(L, seed) for L in _degree_levels(C1, nu1, outer1)[1])
-
-    lhs = degree(C.dual(), -nu)
-    rhs = sigma.sign * degree(C, nu, outer)
+    lhs = _certified_degree(C.dual(), -nu)
+    rhs = sigma.sign * _certified_degree(C, nu, outer)
     return lhs == rhs, lhs, rhs
 
 
-def consistent_signs(instances, seed: int = 0) -> Tuple[int, ...]:
+def consistent_signs(instances) -> Tuple[int, ...]:
     """All global signs validating the duality comparison on every instance."""
     out = []
     for sign in (1, -1):
         sigma = SignConvention(sign)
-        if all(verify_duality(C, nu, sigma, seed=seed)[0] for C, nu in instances):
+        if all(verify_duality(C, nu, sigma)[0] for C, nu in instances):
             out.append(sign)
     return tuple(out)

@@ -162,35 +162,6 @@ def _inverse_numerators(g: dict, dg: int, width: int):
     return f, df
 
 
-class _Rationals(Mapping):
-    """The read-only ``{exponent: Fraction}`` view of level-1 numerators.
-
-    Length, membership and key iteration read the integers; a Fraction is
-    built only when a coefficient is read.
-    """
-
-    __slots__ = ("_terms", "_den")
-
-    def __init__(self, terms: dict, den: int):
-        self._terms = terms
-        self._den = den
-
-    def __getitem__(self, e) -> Fraction:
-        return Fraction(self._terms[e], self._den)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __iter__(self):
-        return iter(self._terms)
-
-    def __contains__(self, e) -> bool:
-        return e in self._terms
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
 class TowerElement:
     """An element of the level-n tower field, truncated in the outer variable.
 
@@ -255,7 +226,7 @@ class TowerElement:
             return cls.zero(level)
         if q == 1 or q == -1:
             return _unit(level, q.numerator)
-        return _constant(level, q)
+        return cls.monomial(level, [0] * level, q)
 
     @classmethod
     def monomial(cls, level: int, exponents, coefficient=1) -> "TowerElement":
@@ -266,11 +237,10 @@ class TowerElement:
         q = _as_fraction(coefficient)
         if q == 0:
             return cls.zero(level)
-        c: Coeff = q
-        for lvl in range(1, level + 1):
-            inner = c if lvl > 1 else q
-            c = cls(lvl, {exps[lvl - 1]: inner}, None, True)
-        return c  # type: ignore[return-value]
+        c = _element(1, {exps[0]: q.numerator}, q.denominator, None)
+        for lvl in range(2, level + 1):
+            c = _element(lvl, {exps[lvl - 1]: c}, 1, None)
+        return c
 
     # -- knowledge bookkeeping ----------------------------------------------
 
@@ -325,13 +295,13 @@ class TowerElement:
 
     @property
     def coeffs(self) -> Mapping:
-        """Outer exponent -> nonzero coefficient.
+        """Outer exponent -> nonzero coefficient, read-only.
 
-        At level 1 a read-only mapping to Fractions, each built when read;
-        above, a read-only view of the inner elements.
+        At level 1 the Fractions are built on each read; above, a view of
+        the inner elements.
         """
         if self.level == 1:
-            return _Rationals(self._terms, self._den)
+            return MappingProxyType({e: Fraction(n, self._den) for e, n in self._terms.items()})
         return MappingProxyType(self._terms)
 
     def numerators(self):
@@ -683,16 +653,8 @@ def _unit(level: int, sign: int) -> TowerElement:
     """The exact constant ``sign`` (1 or -1) of ``level``, one shared instance each."""
     u = _UNITS.get((level, sign))
     if u is None:
-        u = _UNITS[level, sign] = _constant(level, Fraction(sign))
+        u = _UNITS[level, sign] = TowerElement.monomial(level, [0] * level, sign)
     return u
-
-
-def _constant(level: int, q: Fraction) -> TowerElement:
-    """The nonzero rational ``q`` embedded at ``level``."""
-    c: Coeff = q
-    for lvl in range(1, level + 1):
-        c = TowerElement(lvl, {0: c}, None, True)
-    return c  # type: ignore[return-value]
 
 
 def _decimal(n: int) -> str:
@@ -733,47 +695,25 @@ def _products_q(pairs, h: Optional[int]):
     return _reduced(acc, D)
 
 
-def _weighted_q(terms, h: Optional[int]):
-    """``(terms, den)`` of the level-1 sum of ``c*x`` over ``terms``, cut at ``h``."""
-    dens = [x._den * c.denominator for c, x in terms]
-    D = lcm(*dens)
-    acc: dict = {}
-    get = acc.get
-    for (c, x), d in zip(terms, dens):
-        s = c.numerator * (D // d)
-        for e, n in x._terms.items():
-            if h is None or e < h:
-                acc[e] = get(e, 0) + n * s
-    return _reduced(acc, D)
+def _fused(level: int, live: list, h: Optional[int]) -> TowerElement:
+    """The sum of the products of the ``live`` pairs, no factor zero, known below ``h``.
 
-
-def _fused(level: int, live: list, h: Optional[int], weighted: bool) -> TowerElement:
-    """The sum of the ``live`` terms, none of them zero, known below ``h``.
-
-    ``live`` holds element pairs, or ``(weight, element)`` pairs when
-    ``weighted``.  Above level 1 the inner pairs are gathered per outer
-    exponent below ``h`` and each coefficient is fused one level down, once.
+    Above level 1 the inner pairs are gathered per outer exponent below
+    ``h`` and each coefficient is fused one level down, once.
     """
     if level == 1:
-        terms, den = (_weighted_q if weighted else _products_q)(live, h)
-        return _element(1, terms, den, h)
+        return _element(1, *_products_q(live, h), h)
     buckets: dict = {}
     for a, b in live:
-        if weighted:
-            for e, y in b._terms.items():
-                if h is None or e < h:
-                    buckets.setdefault(e, []).append((a, y))
-            continue
         ys = b._terms.items()
         for ea, x in a._terms.items():
             for eb, y in ys:
                 e = ea + eb
                 if h is None or e < h:
                     buckets.setdefault(e, []).append((x, y))
-    fuse = weighted_sum if weighted else sum_of_products
     out = {}
     for e, pairs in buckets.items():
-        c = fuse(level - 1, pairs)
+        c = sum_of_products(level - 1, pairs)
         if not c.is_exactly_zero():
             out[e] = c
     return _element(level, out, 1, h)
@@ -800,31 +740,7 @@ def sum_of_products(level: int, pairs) -> TowerElement:
         h = _min_bound(h, _product_bound(a, b))
     if not live:
         return _zero(level)
-    return _fused(level, live, h, False)
-
-
-def weighted_sum(level: int, terms) -> TowerElement:
-    """``sum_k c_k*x_k`` over ``terms`` ``(c_k, x_k)`` with int or Fraction weights.
-
-    Equal to the chained ``c_1*x_1 + c_2*x_2 + ...`` as
-    :func:`sum_of_products` is to its chain: zero weights and exact-zero
-    elements are skipped, and the sum is known below the least bound of the
-    other elements.
-    """
-    live = []
-    h: Optional[int] = None
-    for c, x in terms:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"cannot interpret {c!r} as a rational")
-        if not c or x.is_exactly_zero():
-            continue
-        if x.level != level:
-            raise LevelMismatch(f"level {x.level} in a level-{level} sum")
-        live.append((c, x))
-        h = _min_bound(h, x.known_hi())
-    if not live:
-        return _zero(level)
-    return _fused(level, live, h, True)
+    return _fused(level, live, h)
 
 
 def sub_mul(a: TowerElement, f: TowerElement, b: TowerElement) -> TowerElement:

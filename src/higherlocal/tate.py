@@ -42,7 +42,7 @@ from .linalg import (
     rank_kernel_det,
     sparse_echelon,
 )
-from .series import TowerElement, TowerField, weighted_sum
+from .series import TowerElement, TowerField, sum_of_products
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
 OUTER_SCHEDULE = (4, 6, 8, 12)
@@ -214,10 +214,11 @@ def window_columns(
     stands for ``n / D_i``, and the realization carries ``D_i`` once per
     component in ``dens``.  At level 2 the ``(falling(e, d), q)`` terms of
     an entry are gathered and the entry is built once, by
-    :func:`~higherlocal.series.weighted_sum`, with the window and
-    exactness of the chained sum.  Entries that cancel exactly are dropped
-    at both levels.  Exponents at or above ``hi`` are cut (quotient
-    semantics); one below ``lo`` is a broken hull.  An inexact coefficient
+    :func:`~higherlocal.series.sum_of_products` with each falling factorial
+    as an exact constant, with the window and exactness of the chained sum.
+    Entries that cancel exactly are dropped at both levels.  Exponents at or
+    above ``hi`` are cut (quotient semantics); one below ``lo`` is a broken
+    hull.  An inexact coefficient
     must be known up to ``hi``: its product with the monomial is known below
     ``entry.hi + e - d``, and a sum is known below the least bound of its
     terms.
@@ -281,11 +282,11 @@ def window_columns(
                     if integer:
                         col[row] = col.get(row, 0) + f * q
                     else:
-                        col.setdefault(row, []).append((f, q))
+                        col.setdefault(row, []).append((TowerElement.constant(1, f), q))
         if integer:
             columns.append({row: q for row, q in col.items() if q})
         else:
-            fused = ((row, weighted_sum(1, terms)) for row, terms in col.items())
+            fused = ((row, sum_of_products(1, pairs)) for row, pairs in col.items())
             columns.append({row: q for row, q in fused if not q.is_exactly_zero()})
     return WindowRealization(
         tuple(src_labels), tuple(tgt_labels), columns, tuple(dens) if integer else None
@@ -495,7 +496,7 @@ def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
     cokernel slots from the pivots of the transposed top rows, so both are
     eliminated.
     """
-    win = window_columns(op, (-w, w), window_bounds(op, w, "top"))
+    win = realize_window(op, w)
     zero = TowerElement.zero(1)
     rows = [[col.get(k, zero) for col in win.columns] for k in range(len(win.tgt_labels))]
     cut = window_bounds(op, w, "bottom")

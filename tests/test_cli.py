@@ -809,6 +809,16 @@ command = cohomology
         assert proc.returncode == 0
         assert "stabilized = yes" in proc.stdout
 
+    def test_run_rejects_max_window_below_the_second_probe(self):
+        # the library entry holds the rule that cli.main enforces: at 5 the
+        # capped schedule was empty, at 8 and 11 the probes could not settle
+        spec = parse_specfile((GOLDEN / "coh_trivial_n1.hl").read_text())
+        for value in (5, 8, 11):
+            with pytest.raises(ValueError, match="--max-window must be >= 12"):
+                cli.run(spec.command, spec, max_window=value)
+        for kwargs in ({"max_window": 12}, {}):
+            assert ("h0", "1") in cli.run(spec.command, spec, **kwargs)
+
     def test_malformed_flags_exit_code(self):
         for extra in (("--precision", "abc"), ("--max-window", "x"), ("--no-such-flag",)):
             proc = run_cli(GOLDEN / "eps_trivial.hl", *extra)

@@ -311,21 +311,21 @@ def counted_candidates():
         dmodule._candidate_vectors = candidates
 
 
-def full_route(C, prec, seed=0):
+def full_route(C, prec):
     """("ok", irregularity, vector) of the route at ``prec`` terms, or the error."""
     with precision(prec):
         try:
-            s, cert, _ = find_cyclic_vector(C, seed=seed)
+            s, cert, _ = find_cyclic_vector(C)
             return ("ok", newton_polygon(to_scalar_operator(C, s, cert)).irregularity, s)
         except HigherLocalError as exc:
             return ("error", type(exc).__name__, str(exc))
 
 
-def ladder_route(C, prec, seed=0):
+def ladder_route(C, prec):
     """The same triple through connection_irregularity, with its rungs."""
     with precision(prec), recorded_rungs() as rungs:
         try:
-            got = ("ok", connection_irregularity(C, seed=seed), None)
+            got = ("ok", connection_irregularity(C), None)
         except HigherLocalError as exc:
             got = ("error", type(exc).__name__, str(exc))
         assert working_precision() == prec

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from higherlocal import epsilon
 from higherlocal.connection import (
     Connection,
     KummerCover,
@@ -222,6 +223,20 @@ class TestInduction:
         ok, up, down = verify_induction(exp1(1), KummerCover(2), dt_form())
         assert ok
         assert up == down == -1
+
+    def test_builds_no_lattice_probe(self, monkeypatch):
+        # both sides are certified degrees: the windowed route, whose
+        # reports the comparison would discard, is not run
+        calls = []
+        probe = epsilon.operator_index
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(epsilon, "operator_index", counted)
+        assert verify_induction(exp1(1), KummerCover(2), dt_form()) == (True, -1, -1)
+        assert calls == []
 
     def test_full_grid(self):
         nu = dt_form()
