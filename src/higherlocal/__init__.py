@@ -59,7 +59,7 @@ from .series import (
     set_working_precision,
     working_precision,
 )
-from .specfile import SpecFile, parse_specfile, render_specfile
+from .specfile import SpecFile, parse_specfile
 from .tate import (
     DirectionalProfile,
     IndexReport,
@@ -104,7 +104,6 @@ __all__ = [
     "rank1_from_form",
     "rank_kernel_det",
     "regular_representation",
-    "render_specfile",
     "residue",
     "set_working_precision",
     "solve",

@@ -76,10 +76,18 @@ def _capped_schedule(max_window: int):
 
 
 def run(command: str, spec: SpecFile, max_window: int = 32) -> Report:
-    """Execute one command against a parsed input file."""
+    """Execute one command against a parsed input file, at ``spec.precision``."""
+    schedule = _capped_schedule(max_window)
+    old_prec = series.set_working_precision(spec.precision)
+    try:
+        return _run(command, spec, schedule)
+    finally:
+        series.set_working_precision(old_prec)
+
+
+def _run(command: str, spec: SpecFile, schedule) -> Report:
     report: Report = [("command", command), ("n", str(spec.level)), ("rank", str(spec.rank))]
     C = spec.connection
-    schedule = _capped_schedule(max_window)
     if command == "cohomology":
         _flatness_gate(spec)
         rep = cohomology_dims(C, schedule)
@@ -242,14 +250,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    old_prec = None
     try:
         spec = parse_specfile(text)
         overrides = {"precision": args.precision, "seed": args.seed}
         overrides = {k: v for k, v in overrides.items() if v is not None}
         if overrides:
             spec = dataclasses.replace(spec, **overrides)
-        old_prec = series.set_working_precision(spec.precision)
         report = run(spec.command, spec, max_window=args.max_window)
     except Unstabilized as exc:
         if isinstance(exc.report, list):
@@ -262,9 +268,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except HigherLocalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if old_prec is not None:
-            series.set_working_precision(old_prec)
     sys.stdout.write(format_report(report, args.format))
     return EXIT_OK
 

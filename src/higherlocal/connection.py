@@ -27,7 +27,6 @@ from .series import OneForm, TowerElement, TowerField
 class FlatnessReport:
     flat: bool
     witness: Optional[Tuple[int, int, int, int]]  # (i, j, row, col), 1-based vars
-    entry: Optional[TowerElement]
 
 
 class Connection:
@@ -88,15 +87,12 @@ class Connection:
                     for c in range(K.cols):
                         x = K[r, c]
                         if x.is_certainly_nonzero():
-                            return FlatnessReport(False, (i, j, r, c), x)
+                            return FlatnessReport(False, (i, j, r, c))
                         if not x.is_exactly_zero() and x.hi <= x.lo and x.hi <= 0:
                             raise InsufficientPrecision(
                                 "no window left to certify curvature vanishing"
                             )
-        return FlatnessReport(True, None, None)
-
-    def is_flat(self) -> bool:
-        return self.check_flatness().flat
+        return FlatnessReport(True, None)
 
     # -- functorial operations ----------------------------------------------------
 

@@ -27,6 +27,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connection import Connection
+from .dmodule import connection_irregularity
 from .errors import (
     NotClosed,
     NotFlat,
@@ -182,30 +183,6 @@ class BinaryMultiComplex:
                     nu_edges[(M, i)] = sign
         self.nabla_edges = nabla_edges
         self.nu_edges = nu_edges
-
-    def vertices(self):
-        n = self.n
-        out = []
-        for size in range(n + 1):
-            out.extend(map(frozenset, combinations(range(1, n + 1), size)))
-        return out
-
-    def with_zero_edge(self, M: frozenset, i: int) -> "BinaryMultiComplex":
-        """A tampered copy with one covariant edge replaced by zero (for tests)."""
-        import copy
-
-        clone = copy.copy(self)
-        edges = dict(self.nabla_edges)
-        old = edges[(M, i)]
-        zero = self.field.zero()
-        edges[(M, i)] = EdgeOperator(
-            old.sign,
-            tuple(zero for _ in old.cvec),
-            SeriesMatrix.zeros(self.field, self.rank, self.rank),
-        )
-        clone.nabla_edges = edges
-        clone.nu_edges = dict(self.nu_edges)
-        return clone
 
 
 def build_multicomplex(C: Connection, forms: FormTuple) -> BinaryMultiComplex:
@@ -478,8 +455,6 @@ def cohomology_dims(C: Connection, schedule: Sequence[int] = DEFAULT_SCHEDULE) -
     """
     n = C.field.level
     if n == 1:
-        from .dmodule import connection_irregularity
-
         irr = connection_irregularity(C)
         rep = operator_index(MatrixDiffOp.from_connection(C), schedule)
         h0 = rep.ker_dim

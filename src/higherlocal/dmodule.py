@@ -89,16 +89,6 @@ def _stirling_first(n: int) -> List[List[int]]:
     return s
 
 
-def _stirling_second(n: int) -> List[List[int]]:
-    """S(j, i): theta^j = sum_i S(j,i) t^i d^i."""
-    S = [[0] * (n + 1) for _ in range(n + 1)]
-    S[0][0] = 1
-    for j in range(1, n + 1):
-        for i in range(0, j + 1):
-            S[j][i] = (S[j - 1][i - 1] if i > 0 else 0) + i * S[j - 1][i]
-    return S
-
-
 PARTIAL = "partial"
 THETA = "theta"
 
@@ -150,21 +140,6 @@ class ScalarOperator:
             for j in range(m + 1)
         ]
         return ScalarOperator(THETA, tuple(b))
-
-    def to_partial(self) -> "ScalarOperator":
-        """Rewrite in powers of d/dt and normalize monic; exact up to windows."""
-        if self.form == PARTIAL:
-            return self
-        m = self.order
-        S = _stirling_second(m)
-        # b_j theta^j = b_j sum_i S(j, i) t^i d^i
-        b, c = self.coeffs, TowerElement.constant
-        a = [
-            sum_of_products(1, [(c(1, S[j][i]), b[j].shift_outer(i)) for j in range(i, m + 1)])
-            for i in range(m + 1)
-        ]
-        lead_inv = a[m].invert()
-        return ScalarOperator(PARTIAL, tuple(x * lead_inv for x in a))
 
     def render(self, field: TowerField) -> str:
         sym = "D" if self.form == PARTIAL else "theta"

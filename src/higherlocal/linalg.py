@@ -8,8 +8,9 @@ exactly zero raises :class:`UndeterminedPivot` instead of guessing.
 
 Over the rationals, :func:`sparse_echelon` is the fraction-free eliminator
 of the sparse window matrices that :func:`higherlocal.tate.window_columns`
-builds; the dense :func:`rref_q` and :func:`kernel_q` are the plain
-eliminations over Q that the test suite checks against.
+builds.  The dense :func:`rref_q` is the plain elimination over Q that the
+test suite uses as an oracle; :func:`kernel_q` has no caller in the package
+and stays only as a layer that ``bench/tracing.py`` wraps.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class SeriesMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def column(self, j):
         return tuple(r[j] for r in self.entries)

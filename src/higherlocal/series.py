@@ -532,13 +532,6 @@ class TowerElement:
             raise LevelMismatch("level-1 elements only admit variable 1")
         return self.map_coefficients(lambda c: c.derive(i))
 
-    def residue_full(self) -> Fraction:
-        """Iterated residue: the coefficient of (t1 ... tn)^(-1), outermost first."""
-        c = self.coefficient(-1)
-        if isinstance(c, Fraction):
-            return c
-        return c.residue_full()
-
     # -- comparison -----------------------------------------------------------
 
     def agrees_with(self, other) -> bool:
@@ -878,11 +871,6 @@ class OneForm:
                 ].derive(j)
         return out
 
-    def is_closed(self) -> bool:
-        return all(
-            not c.is_certainly_nonzero() for c in self.exterior_coefficients().values()
-        )
-
     def closedness_witness(self):
         """None when closed up to precision, else ((i, j), coefficient)."""
         for key, c in sorted(self.exterior_coefficients().items()):
@@ -909,4 +897,5 @@ def residue(f: TowerElement) -> Fraction:
     then recurses inwards, matching the orientation dt_1 ^ ... ^ dt_n with
     indices ascending.
     """
-    return f.residue_full()
+    c = f.coefficient(-1)
+    return c if isinstance(c, Fraction) else residue(c)

@@ -25,7 +25,7 @@ positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .connection import Connection
 from .errors import (
@@ -75,47 +75,6 @@ class SpecFile:
         forms = [tuple(parse(s) for s in comps) for comps in self.raw_forms]
         self.connection = Connection(self.field, [SeriesMatrix(m) for m in mats])
         self.forms = tuple(OneForm(comps) for comps in forms)
-
-    def structural_key(self):
-        return (
-            self.level,
-            self.names,
-            self.precision,
-            self.rank,
-            self.raw_matrices,
-            self.raw_forms,
-            self.command,
-            self.seed,
-            self.sigma,
-        )
-
-
-def render_specfile(spec: SpecFile) -> str:
-    """Canonical text form; reparsing yields an identical structure."""
-    lines = ["[field]", f"n = {spec.level}"]
-    lines.append("vars = " + " ".join(spec.names))
-    lines.append(f"precision = {spec.precision}")
-    lines.append("")
-    lines.append("[connection]")
-    lines.append(f"rank = {spec.rank}")
-    for i, rows in enumerate(spec.raw_matrices, start=1):
-        rendered_rows = ", ".join(
-            "[" + ", ".join(f'"{s}"' for s in row) + "]" for row in rows
-        )
-        lines.append(f"A{i} = [{rendered_rows}]")
-    lines.append("")
-    if spec.raw_forms:
-        lines.append("[forms]")
-        for i, comps in enumerate(spec.raw_forms, start=1):
-            lines.append(
-                f"nu{i} = [" + ", ".join(f'"{s}"' for s in comps) + "]"
-            )
-        lines.append("")
-    lines.append("[task]")
-    lines.append(f"command = {spec.command}")
-    lines.append(f"seed = {spec.seed}")
-    lines.append(f"sigma = {spec.sigma}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +158,7 @@ def _int_value(entry: Tuple[str, int, int], key: str) -> int:
 
 
 def parse_specfile(text: str) -> SpecFile:
-    sections: Dict[str, List[Tuple[str, str, int, int]]] = {}
+    sections: Dict[str, Dict[str, Tuple[str, int, int]]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
@@ -213,23 +172,21 @@ def parse_specfile(text: str) -> SpecFile:
             if section not in _SECTIONS:
                 raise UnknownKey(f"unknown section [{section}] at line {lineno}")
             current = section
-            sections.setdefault(section, [])
+            sections.setdefault(section, {})
             continue
         if current is None:
             raise SpecSyntaxError("content before the first section", lineno, 1)
         if "=" not in stripped:
             raise SpecSyntaxError("expected 'key = value'", lineno, 1)
         key, value = stripped.split("=", 1)
-        col0 = len(key) + 2  # position of the value text, 1-based
-        sections[current].append((key.strip(), value.strip(), lineno, col0 + (len(value) - len(value.lstrip()))))
+        # position of the value text, 1-based
+        colv = len(key) + 2 + len(value) - len(value.lstrip())
+        key = key.strip()
+        if key in sections[current]:
+            raise SpecSyntaxError(f"repeated key {key!r} in [{current}]", lineno, colv)
+        sections[current][key] = (value.strip(), lineno, colv)
 
-    def section(name) -> Dict[str, Tuple[str, int, int]]:
-        out = {}
-        for key, value, lineno, colv in sections.get(name, []):
-            out[key] = (value, lineno, colv)
-        return out
-
-    fld = section("field")
+    fld = sections.get("field", {})
     for key in fld:
         if key not in _FIELD_KEYS:
             raise UnknownKey(f"unknown key {key!r} in [field]")
@@ -256,7 +213,7 @@ def parse_specfile(text: str) -> SpecFile:
             _, lineno, colv = fld["precision"]
             raise SpecSyntaxError("precision must be >= 1", lineno, colv)
 
-    conn = section("connection")
+    conn = sections.get("connection", {})
     for key in conn:
         if key != "rank" and not (key.startswith("A") and _digits(key[1:])):
             raise UnknownKey(f"unknown key {key!r} in [connection]")
@@ -296,7 +253,7 @@ def parse_specfile(text: str) -> SpecFile:
     if extra:
         raise DimensionMismatch(f"matrix {extra[0]} exceeds n = {level}")
 
-    frm = section("forms")
+    frm = sections.get("forms", {})
     raw_forms = []
     for key in frm:
         if not (key.startswith("nu") and _digits(key[2:])):
@@ -318,7 +275,7 @@ def parse_specfile(text: str) -> SpecFile:
         raw_forms.append(tuple(x.text for x in comps))
         positions.extend((x.line, x.column) for x in comps)
 
-    tsk = section("task")
+    tsk = sections.get("task", {})
     for key in tsk:
         if key not in _TASK_KEYS:
             raise UnknownKey(f"unknown key {key!r} in [task]")

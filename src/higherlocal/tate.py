@@ -93,32 +93,6 @@ class MatrixDiffOp:
         I = SeriesMatrix.identity(TowerField(c.level), P.rows)
         return cls(P.rows, {1: I.scale(c), 0: P})
 
-    @classmethod
-    def from_scalar(cls, coeffs: Sequence[TowerElement]) -> "MatrixDiffOp":
-        return cls(1, {d: SeriesMatrix([[a]]) for d, a in enumerate(coeffs)})
-
-    @classmethod
-    def multiplication(cls, M: SeriesMatrix) -> "MatrixDiffOp":
-        return cls(M.rows, {0: M})
-
-    @classmethod
-    def zero(cls, field: TowerField, rank: int) -> "MatrixDiffOp":
-        return cls(rank, {0: SeriesMatrix.zeros(field, rank, rank)})
-
-    def apply(self, vec: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
-        level = vec[0].level
-        out = [TowerElement.zero(level) for _ in range(self.rank)]
-        current = list(vec)
-        for d in range(0, max(self.coeffs) + 1):
-            if d > 0:
-                current = [v.derive(level) for v in current]
-            M = self.coeffs.get(d)
-            if M is None:
-                continue
-            img = M.apply(current)
-            out = [a + b for a, b in zip(out, img)]
-        return tuple(out)
-
     # -- displacement hulls ----------------------------------------------------
 
     def _row_entries(self, i: int):
@@ -168,13 +142,6 @@ class WindowRealization:
     # level 1: an entry of a component-c row is an integer numerator over
     # dens[c]; None: the entries are the values (inner-field elements)
     dens: Optional[Tuple[int, ...]] = None
-
-    def sparse_rows(self) -> List[dict]:
-        rows: List[dict] = [dict() for _ in self.tgt_labels]
-        for j, col in enumerate(self.columns):
-            for i, q in col.items():
-                rows[i][j] = q
-        return rows
 
     def banded(self) -> List[dict]:
         """The rows for the eliminator.

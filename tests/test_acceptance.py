@@ -45,6 +45,7 @@ from higherlocal.series import (
     set_working_precision,
 )
 from higherlocal.tate import MatrixDiffOp, operator_index
+from helpers import from_scalar
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -185,7 +186,7 @@ def test_criterion_2_cyclic_vector_suite():
                 MatrixDiffOp.from_connection(C), schedule=(6, 8, 10, 12, 16)
             )
             ker_scal = operator_index(
-                MatrixDiffOp.from_scalar(L.coeffs), schedule=(6, 8, 10, 12, 16)
+                from_scalar(L.coeffs), schedule=(6, 8, 10, 12, 16)
             )
             if not ker_scal.stabilized:
                 # windowed coefficients ran out: raise precision and retry
@@ -193,7 +194,7 @@ def test_criterion_2_cyclic_vector_suite():
                 try:
                     L = to_scalar_operator(C, s, cert)
                     ker_scal = operator_index(
-                        MatrixDiffOp.from_scalar(L.coeffs), schedule=(6, 8, 10, 12, 16)
+                        from_scalar(L.coeffs), schedule=(6, 8, 10, 12, 16)
                     )
                 finally:
                     set_working_precision(inner_old)

@@ -20,8 +20,8 @@ from higherlocal.errors import (
     UnknownKey,
 )
 from higherlocal.exprparse import MAX_LITERAL_DIGITS, ExpressionParser, tokenize
-from higherlocal.series import TowerElement, TowerField
-from higherlocal.specfile import parse_specfile, render_specfile
+from higherlocal.series import TowerElement, TowerField, working_precision
+from higherlocal.specfile import parse_specfile
 from test_derham import oracle_apply
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -287,13 +287,6 @@ class TestSpecFile:
         assert spec.command == "epsilon"
         assert spec.connection.rank == 1
 
-    def test_round_trip(self):
-        for name in ("eps_trivial.hl", "coh_trivial_n2.hl", "irr_rank2_halfslope.hl"):
-            spec = parse_specfile(GOLDEN.joinpath(name).read_text())
-            again = parse_specfile(render_specfile(spec))
-            assert again.structural_key() == spec.structural_key()
-            assert render_specfile(again) == render_specfile(spec)
-
     def test_expressions_parsed_once(self, monkeypatch):
         calls = []
         parse = ExpressionParser.parse
@@ -449,6 +442,22 @@ class TestGolden:
         assert cli.main([str(GOLDEN / "coh_trivial_n1.hl")]) == 0
         assert capsys.readouterr().out == (GOLDEN / "coh_trivial_n1.out").read_text()
         assert len(calls) == 1
+
+    def test_run_uses_the_spec_precision(self, tmp_path, capsys):
+        # the library entry prints what the CLI prints, at the file's
+        # precision and not at the ambient one, which it leaves as it was
+        path = tmp_path / "prec6.hl"
+        path.write_text(
+            "[field]\nn = 1\nvars = t\nprecision = 6\n\n[connection]\nrank = 2\n"
+            'A1 = [["1+t", "1"], ["t", "t^-2 + t"]]\n\n[task]\ncommand = irregularity\n'
+        )
+        assert cli.main([str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert "O(t^4)" in printed
+        spec = parse_specfile(path.read_text())
+        ambient = working_precision()
+        assert cli.format_report(cli.run(spec.command, spec), "kv") == printed
+        assert working_precision() == ambient
 
     def test_verify_does_its_outer_work_once(self, monkeypatch, capsys):
         # before verify handed its results along, eps_n2_dlog took 6 outer
@@ -773,6 +782,26 @@ command = cohomology
         assert "pairwise distinct" in proc.stderr
         assert "line 3, column 8" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('[field]\nn = 1\n\n[connection]\nrank = 1\nA1 = [["1/t"]]\nA1 = [["0"]]\n'
+             "\n[task]\ncommand = epsilon\n", "repeated key 'A1' in [connection] at line 7, column 6"),
+            ('[field]\nn = 1\n[connection]\nrank = 1\nA1 = [["0"]]\n[task]\ncommand = epsilon\n'
+             "[task]\ncommand   =  cohomology\n", "repeated key 'command' in [task] at line 9, column 14"),
+        ],
+        ids=["same-header", "second-header"],
+    )
+    def test_repeated_key_exit_code(self, tmp_path, text, where):
+        bad = tmp_path / "bad.hl"
+        bad.write_text(text)
+        proc = run_cli(bad)
+        assert proc.returncode == 3
+        assert "SpecSyntaxError" in proc.stderr
+        assert where in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize(
         "entry, column",

@@ -18,6 +18,7 @@ from higherlocal.derham import standard_forms
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
 from higherlocal.tate import MatrixDiffOp, operator_index, window_columns
+from helpers import from_scalar
 
 F1 = TowerField(1)
 
@@ -201,8 +202,8 @@ class TestWindowComposition:
         # middle window [-4, 4) holds every image of t on [-3, 3), and the
         # cut at t^2 drops the same terms on both sides
         t = F1.gen(1)
-        mul_t = MatrixDiffOp.multiplication(SeriesMatrix([[t]]))
-        ddt = MatrixDiffOp.from_scalar([F1.zero(), F1.one()])
+        mul_t = MatrixDiffOp(1, {0: SeriesMatrix([[t]])})
+        ddt = from_scalar([F1.zero(), F1.one()])
         composed = MatrixDiffOp.first_order(t, SeriesMatrix([[F1.one()]]))  # t d/dt + 1
 
         def dense(win):
