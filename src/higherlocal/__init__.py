@@ -60,18 +60,12 @@ from .series import (
     working_precision,
 )
 from .specfile import SpecFile, parse_specfile
-from .tate import (
-    DirectionalProfile,
-    IndexReport,
-    MatrixDiffOp,
-    operator_index,
-)
+from .tate import IndexReport, MatrixDiffOp, operator_index
 
 __all__ = [
     "BinaryMultiComplex",
     "CohomologyReport",
     "Connection",
-    "DirectionalProfile",
     "EpsilonReport",
     "FlatnessReport",
     "FormTuple",

@@ -8,9 +8,11 @@ along the dual frame field (top differential) and the identity scaled by the
 wedge sign (bottom differential).  Closedness of the tuple makes the dual
 frame fields commute, so all squares anticommute; the checker composes the
 edges as differential operators, checks that each route sum vanishes
-coefficient by coefficient, and reads each direction's kernel/cokernel
-windows through the directional reduction
-:func:`~higherlocal.tate.edge_profile`.
+coefficient by coefficient, and reads each covariant edge's kernel/cokernel
+windows off its own data: the lattice probes of
+:func:`~higherlocal.tate.operator_index` over one variable or along the
+inner one, the outer windows of
+:func:`~higherlocal.tate.stabilize_outer_windows` along the outer one.
 
 Cohomology dimensions over two variables are computed along the outer
 variable first: the windowed kernel and cokernel of the outer derivative are
@@ -43,9 +45,9 @@ from .tate import (
     MatrixDiffOp,
     OuterMatrixDiffOp,
     OuterStabilization,
-    edge_profile,
     operator_index,
     stabilize_outer_windows,
+    strip_outer,
 )
 
 
@@ -102,12 +104,11 @@ class FormTuple:
         return self.frame_inverse.column(i - 1)
 
     def is_diagonal(self) -> bool:
+        """Every off-diagonal frame entry is exactly zero; an undetermined one is not."""
         n = self.level
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.frame[i, j].is_certainly_nonzero():
-                    return False
-        return True
+        return all(
+            self.frame[i, j].is_exactly_zero() for i in range(n) for j in range(n) if i != j
+        )
 
 
 def standard_forms(field: TowerField) -> FormTuple:
@@ -214,8 +215,6 @@ class DirectionResult:
     trace: Tuple = ()
     # the check could not run on this input (``ok`` is then False)
     unsupported: bool = False
-    # the outer reduction of the outermost covariant edge, to hand along
-    outer: Optional[OuterStabilization] = None
 
     @property
     def status(self) -> str:
@@ -230,6 +229,11 @@ class MultiComplexReport:
     squares_ok: bool
     square_failures: List[SquareFailure]
     directions: List[DirectionResult]
+    # the stabilized reduction of the covariant edge along the outer
+    # variable, if one ran.  For a diagonal frame that edge is nu_n's
+    # normalized outer derivative, the operator induced_inner_connections
+    # reduces for the degree, so the reduction can be handed along to it
+    outer: Optional[OuterStabilization] = None
 
     @property
     def acyclic(self) -> bool:
@@ -245,16 +249,6 @@ class MultiComplexReport:
     @property
     def ok(self) -> bool:
         return self.squares_ok and self.acyclic
-
-    @property
-    def outer(self) -> Optional[OuterStabilization]:
-        """The stabilized reduction of the outermost covariant edge, if one ran.
-
-        For a diagonal frame that edge is ``nu_n``'s normalized outer
-        derivative, the operator :func:`induced_inner_connections` reduces
-        for the degree, so the reduction can be handed along to it.
-        """
-        return next((d.outer for d in self.directions if d.outer is not None), None)
 
 
 def _add_composite(acc: Dict, F: Operator, G: Operator) -> None:
@@ -288,8 +282,8 @@ def check_multicomplex(
     kind fails when a coefficient of that sum is certified nonzero.  The sum
     is the operator every section sees, so no test section is needed.  The
     one-variable and inner directions probe on ``schedule``; the outermost
-    covariant edge's stabilized reduction is kept in its
-    :class:`DirectionResult` (``MultiComplexReport.outer``).
+    covariant edge's stabilized reduction is kept in
+    ``MultiComplexReport.outer``.
     """
     failures: List[SquareFailure] = []
     n, level = B.n, B.field.level
@@ -325,11 +319,12 @@ def check_multicomplex(
                             )
                         )
 
-    directions = []
+    directions, outer = [], None
     empty = frozenset()
     for i in range(1, n + 1):
-        edge = B.nabla_edges[(empty, i)]
-        directions.append(_direction_acyclicity(i, edge, schedule))
+        d, stab = _direction_acyclicity(i, B.nabla_edges[(empty, i)], schedule)
+        directions.append(d)
+        outer = outer or stab
         s = B.nu_edges[(empty, i)]
         directions.append(
             DirectionResult(
@@ -339,27 +334,53 @@ def check_multicomplex(
                 "scaled identity" if abs(s) == 1 else "wedge edge is not a unit",
             )
         )
-    return MultiComplexReport(not failures, failures, directions)
+    return MultiComplexReport(not failures, failures, directions, outer)
 
 
-def _direction_acyclicity(i: int, edge: EdgeOperator, schedule) -> DirectionResult:
+def _direction_acyclicity(
+    i: int, edge: EdgeOperator, schedule
+) -> Tuple[DirectionResult, Optional[OuterStabilization]]:
     """The acyclicity of covariant edge ``i``, read off its own data.
 
-    A vanishing edge fails: its window kernels grow.  Any other edge goes to
-    :func:`~higherlocal.tate.edge_profile` on ``edge.cvec`` and
-    ``edge.pmat``, so a tampered edge is what gets checked; the data that
-    routine rejects leave the direction unsupported.
+    A vanishing edge fails: its window kernels grow.  Any other edge's field
+    ``cvec`` must point along one coordinate direction ``k`` of at most two
+    variables: ``c_k`` certainly nonzero, every other coefficient exactly
+    zero.  Over one variable, and along the inner variable of two when
+    ``c_k`` and ``P`` are free of the outer one (the same in every outer
+    fiber, :func:`~higherlocal.tate.strip_outer`), the lattice probes of
+    :func:`operator_index` run on ``schedule``.  Along the outer variable
+    the fixed outer windows are reduced over the inner field, and that
+    stabilization is returned beside the result.  The data that these
+    routes reject leave the direction unsupported.  The edge's own ``cvec``
+    and ``pmat`` are read, so a tampered edge is what gets checked.
     """
-    if all(c.is_exactly_zero() for c in edge.cvec):
-        return DirectionResult(i, "nabla", False, "covariant edge vanishes; window kernels grow")
+    cvec, P = edge.cvec, edge.pmat
+    if all(c.is_exactly_zero() for c in cvec):
+        vanishes = "covariant edge vanishes; window kernels grow"
+        return DirectionResult(i, "nabla", False, vanishes), None
+    nonzero = [k for k, c in enumerate(cvec, start=1) if c.is_certainly_nonzero()]
+    outer = None
     try:
-        prof = edge_profile(edge.cvec, edge.pmat, schedule)
+        if len(nonzero) != 1 or sum(not c.is_exactly_zero() for c in cvec) != 1:
+            raise UnsupportedFrame(
+                "the vector field does not point along a single coordinate direction"
+            )
+        if len(cvec) > 2:
+            raise UnsupportedFrame("directional profiles are implemented for n <= 2")
+        (k,) = nonzero
+        c = cvec[k - 1]
+        if k == 2:
+            outer = stabilize_outer_windows(OuterMatrixDiffOp.first_order(c, P))
+            at, trace = outer.stabilized_at, outer.trace
+        else:
+            if len(cvec) == 2:
+                c, P = strip_outer(c), P.map(strip_outer)
+            rep = operator_index(MatrixDiffOp.first_order(c, P), schedule)
+            at, trace = rep.stabilized_at, rep.trace
     except UnsupportedFrame as exc:
-        return DirectionResult(i, "nabla", False, str(exc), unsupported=True)
-    detail = "window dimensions " + ("stabilized" if prof.stabilized else "kept growing")
-    return DirectionResult(
-        prof.direction, "nabla", prof.stabilized, detail, prof.trace, outer=prof.outer
-    )
+        return DirectionResult(i, "nabla", False, str(exc), unsupported=True), None
+    detail = "window dimensions " + ("kept growing" if at is None else "stabilized")
+    return DirectionResult(k, "nabla", at is not None, detail, trace), outer
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,22 @@ def _digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
+def _indexed_keys(keys, prefix: str, what: str, section: str, level: int) -> None:
+    """Reject every key but ``<prefix>1`` ... ``<prefix><level>``.
+
+    An index above ``level`` is a dimension mismatch; any other key,
+    ``<prefix>0`` and ``<prefix>01`` among them, is unknown.
+    """
+    allowed = {f"{prefix}{i}" for i in range(1, level + 1)}
+    for key in keys:
+        index = key[len(prefix):]
+        if key in allowed:
+            continue
+        if key.startswith(prefix) and _digits(index) and index[0] != "0":
+            raise DimensionMismatch(f"{what} {key} exceeds n = {level}")
+        raise UnknownKey(f"unknown key {key!r} in [{section}]")
+
+
 def _int_value(entry: Tuple[str, int, int], key: str) -> int:
     value, lineno, colv = entry
     try:
@@ -214,9 +230,7 @@ def parse_specfile(text: str) -> SpecFile:
             raise SpecSyntaxError("precision must be >= 1", lineno, colv)
 
     conn = sections.get("connection", {})
-    for key in conn:
-        if key != "rank" and not (key.startswith("A") and _digits(key[1:])):
-            raise UnknownKey(f"unknown key {key!r} in [connection]")
+    _indexed_keys((k for k in conn if k != "rank"), "A", "matrix", "connection", level)
     if "rank" not in conn:
         raise UnknownKey("missing key 'rank' in [connection]")
     rank = _int_value(conn["rank"], "rank")
@@ -247,17 +261,10 @@ def parse_specfile(text: str) -> SpecFile:
             mat_rows.append(tuple(x.text for x in row))
             positions.extend((x.line, x.column) for x in row)
         raw_matrices.append(tuple(mat_rows))
-    extra = [
-        k for k in conn if k.startswith("A") and _digits(k[1:]) and int(k[1:]) > level
-    ]
-    if extra:
-        raise DimensionMismatch(f"matrix {extra[0]} exceeds n = {level}")
 
     frm = sections.get("forms", {})
     raw_forms = []
-    for key in frm:
-        if not (key.startswith("nu") and _digits(key[2:])):
-            raise UnknownKey(f"unknown key {key!r} in [forms]")
+    _indexed_keys(frm, "nu", "form", "forms", level)
     # the forms block is optional but must be complete when present
     form_indices = range(1, level + 1) if frm else ()
     for i in form_indices:

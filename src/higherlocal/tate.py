@@ -24,9 +24,10 @@ derivative term's displacement for the cokernel, and its kernel/cokernel
 are then finite-dimensional inner-field spaces with explicit bounded outer
 windows.  The outer windows are the fixed ``OUTER_SCHEDULE``, settled by
 the same loop; every ``schedule`` parameter here is a one-variable probe
-schedule.  One routine, :func:`edge_profile`, reads the directional
-kernel/cokernel dimensions of a covariant derivative along a coordinate
-direction for the multicomplex check.
+schedule.  The multicomplex check (:mod:`higherlocal.derham`) reads each
+covariant edge through these two routes: :func:`operator_index` over one
+variable or along the inner one, :func:`stabilize_outer_windows` along the
+outer one.
 """
 
 from __future__ import annotations
@@ -519,76 +520,3 @@ def strip_outer(x: TowerElement) -> TowerElement:
     if set(x.coeffs) - {0} or not x.knows(1):
         raise UnsupportedFrame("coefficients must not involve the outer variable")
     return x.coefficient(0)
-
-
-def inner_operator(c: TowerElement, P: SeriesMatrix) -> MatrixDiffOp:
-    """c d/dt1 + P for two-variable data free of the outer variable.
-
-    The computation is then the same in every outer fiber, so it runs as a
-    one-variable operator.
-    """
-    return MatrixDiffOp.first_order(strip_outer(c), P.map(strip_outer))
-
-
-@dataclass
-class DirectionalProfile:
-    direction: int
-    ker_dim: int
-    coker_dim: int
-    stabilized_at: Optional[int]
-    trace: Tuple[Tuple[int, int, int], ...]
-    # the outer direction's stabilization, to hand along
-    outer: Optional[OuterStabilization] = None
-
-    @property
-    def stabilized(self) -> bool:
-        return self.stabilized_at is not None
-
-
-def pure_direction(vector_field: Sequence[TowerElement]) -> Optional[int]:
-    """The one coordinate direction ``i`` the field points along, or None.
-
-    Only the coefficient of d/dt_i may be nonzero, certainly so, and every
-    other one must be exactly zero.
-    """
-    nonzero = [i for i, a in enumerate(vector_field, start=1) if a.is_certainly_nonzero()]
-    if len(nonzero) == 1 and all(
-        a.is_exactly_zero() for i, a in enumerate(vector_field, start=1) if i != nonzero[0]
-    ):
-        return nonzero[0]
-    return None
-
-
-def edge_profile(
-    cvec: Sequence[TowerElement], P: SeriesMatrix, schedule: Sequence[int] = DEFAULT_SCHEDULE
-) -> DirectionalProfile:
-    """Windowed kernel/cokernel of ``sum_k c_k d/dt_k + P`` along one direction.
-
-    The vector field ``cvec`` must point along a single coordinate direction
-    ``i`` (:func:`pure_direction`) of at most two variables.  Over one
-    variable, and along the inner variable of two when the data are free of
-    the outer one (:func:`inner_operator`, the same in every outer fiber),
-    the lattice probes of :func:`operator_index` run on ``schedule``.  Along
-    the outer variable the fixed outer windows are reduced over the inner
-    field (:func:`stabilize_outer_windows`), and the profile keeps that
-    stabilization in ``outer``.  Raises :class:`UnsupportedFrame` for any
-    other field or data.
-    """
-    n = len(cvec)
-    i = pure_direction(cvec)
-    if i is None:
-        raise UnsupportedFrame(
-            "the vector field does not point along a single coordinate direction"
-        )
-    if n > 2:
-        raise UnsupportedFrame("directional profiles are implemented for n <= 2")
-    c = cvec[i - 1]
-    if i == 2:
-        outer = stabilize_outer_windows(OuterMatrixDiffOp.first_order(c, P))
-        red = outer.reduction
-        return DirectionalProfile(
-            2, red.ker_dim, red.coker_dim, outer.stabilized_at, outer.trace, outer
-        )
-    op = MatrixDiffOp.first_order(c, P) if n == 1 else inner_operator(c, P)
-    rep = operator_index(op, schedule)
-    return DirectionalProfile(i, rep.ker_dim, rep.coker_dim, rep.stabilized_at, rep.trace)

@@ -641,8 +641,63 @@ command = verify
         err = capsys.readouterr().err
         assert err == "error: UnsupportedFrame: degrees are implemented for n <= 2\n"
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["1/(1 - t2) - " + " - ".join(["1", "t2"] + [f"t2^{k}" for k in range(2, 32)]), "t2^40"],
+        ids=["undetermined", "nonzero"],
+    )
+    def test_epsilon_frame_not_known_diagonal_is_unsupported(self, tmp_path, capsys, entry):
+        # the first entry is t2^32/(1 - t2), known only as O(t2^32) at
+        # precision 32: not certainly nonzero, but not zero either
+        spec = tmp_path / "frame.hl"
+        spec.write_text(
+            f"""[field]
+n = 2
+
+[connection]
+rank = 1
+A1 = [["1/(2*t1)"]]
+A2 = [["0"]]
+
+[forms]
+nu1 = ["1", "{entry}"]
+nu2 = ["0", "1"]
+
+[task]
+command = epsilon
+"""
+        )
+        assert cli.main([str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: UnsupportedFrame: two-variable degrees need a diagonal frame tuple\n"
+        )
+
 
 class TestRejections:
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ('A1 = [["0"]]', 'A1 = [["0"]]\nA0 = [["this is not parsed"]]', "UnknownKey"),
+            ('A1 = [["0"]]', 'A1 = [["0"]]\nA01 = [["nor this"]]', "UnknownKey"),
+            ('nu1 = ["1"]', 'nu1 = ["1"]\nnu0 = ["x"]', "UnknownKey"),
+            ('nu1 = ["1"]', 'nu1 = ["1"]\nnu2 = ["garbage"]', "DimensionMismatch"),
+            ('nu1 = ["1"]', 'nu1 = ["1"]\nnu01 = ["1"]', "UnknownKey"),
+        ],
+        ids=["A0", "A01", "nu0", "nu2", "nu01"],
+    )
+    def test_key_outside_one_to_n_exit_code(self, tmp_path, old, new, error):
+        # only A1 ... An and nu1 ... nun are read; any other index is an error
+        text = '[field]\nn = 1\n[connection]\nrank = 1\nA1 = [["0"]]\n[forms]\nnu1 = ["1"]\n'
+        bad = tmp_path / "bad.hl"
+        bad.write_text(text.replace(old, new) + "[task]\ncommand = epsilon\n")
+        proc = run_cli(bad)
+        assert proc.returncode == 3, proc.stderr
+        assert error in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.hl"
         bad.write_text(

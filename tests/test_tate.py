@@ -1,4 +1,4 @@
-"""Windowed operator indices, Calkin isomorphism checks, directional profiles."""
+"""Windowed operator indices, lattice probes, outer windows and directional profiles."""
 
 import random
 from collections import namedtuple
@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from higherlocal import cli, linalg, tate
+from higherlocal import cli, derham, linalg, tate
 from higherlocal.connection import Connection, rank1_from_form
+from higherlocal.derham import EdgeOperator
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.errors import InsufficientPrecision, UnsupportedFrame
 from higherlocal.linalg import SeriesMatrix, rank_kernel_det, rref_q, sparse_echelon
@@ -19,7 +20,6 @@ from higherlocal.tate import (
     IndexReport,
     MatrixDiffOp,
     OuterMatrixDiffOp,
-    edge_profile,
     operator_index,
     reduce_outer_window,
     WindowRealization,
@@ -843,39 +843,46 @@ class TestCalkinIso:
         assert dims == sorted(dims) and dims[0] < dims[-1]
 
 
+def directional_profile(i, C, V):
+    """Covariant edge ``i`` along ``V`` read by the multicomplex check:
+    (result, settled (ker, coker), outer stabilization)."""
+    res, outer = derham._direction_acyclicity(i, EdgeOperator(1, V, C.along(V)), DEFAULT_SCHEDULE)
+    return res, res.trace[-1][1:] if res.trace else None, outer
+
+
 class TestDirectionalProfile:
     def test_trivial_d2(self):
         C = Connection.trivial(F2, 1)
         V = (F2.zero(), F2.one())
-        prof = edge_profile(V, C.along(V))
-        assert prof.direction == 2
-        assert prof.stabilized
-        assert prof.ker_dim == 1
-        assert prof.coker_dim == 1
+        res, dims, outer = directional_profile(2, C, V)
+        assert res.direction == 2
+        assert res.ok and res.status == "pass"
+        assert dims == (1, 1)
+        assert (outer.reduction.ker_dim, outer.reduction.coker_dim) == dims
 
     def test_trivial_theta2(self):
         C = Connection.trivial(F2, 1)
         V = (F2.zero(), F2.gen(2))
-        prof = edge_profile(V, C.along(V))
-        assert prof.stabilized
-        assert prof.ker_dim == 1
+        res, dims, _ = directional_profile(2, C, V)
+        assert res.ok
+        assert dims[0] == 1
 
     def test_exponential_in_t2(self):
         t2 = F2.gen(2)
         C = rank1_from_form(OneForm((F2.zero(), (t2 ** -1).derive(2))))
         V = (F2.zero(), F2.one())
-        prof = edge_profile(V, C.along(V))
-        assert prof.stabilized
-        assert prof.ker_dim == 0
-        assert prof.coker_dim == 1
+        res, dims, _ = directional_profile(2, C, V)
+        assert res.ok
+        assert dims == (0, 1)
 
     def test_direction1_profile(self):
         t1 = F2.gen(1)
         C = rank1_from_form(OneForm((t1 ** -1, F2.zero())))
         V = (F2.one(), F2.zero())
-        prof = edge_profile(V, C.along(V))
-        assert prof.direction == 1
-        assert prof.stabilized
+        res, _, outer = directional_profile(1, C, V)
+        assert res.direction == 1
+        assert res.ok
+        assert outer is None
 
     def test_direction1_needs_known_outer_constant(self):
         # 1/(2 t1) + O(t2): the t2^1 coefficient is unknown, so the vector
@@ -884,11 +891,13 @@ class TestDirectionalProfile:
         a = TowerElement(2, {0: inner}, 1, False)
         C = Connection.trivial(F2, 1)
         V = (a, F2.zero())
-        with pytest.raises(UnsupportedFrame):
-            edge_profile(V, C.along(V))
+        res, _, _ = directional_profile(1, C, V)
+        assert res.status == "unsupported"
+        assert res.detail == "coefficients must not involve the outer variable"
 
     def test_mixed_field_rejected(self):
         C = Connection.trivial(F2, 1)
         V = (F2.one(), F2.one())
-        with pytest.raises(UnsupportedFrame):
-            edge_profile(V, C.along(V))
+        res, _, _ = directional_profile(1, C, V)
+        assert res.status == "unsupported"
+        assert res.detail == "the vector field does not point along a single coordinate direction"
