@@ -32,6 +32,7 @@ from .errors import (
     NotIndependent,
     SpecFileError,
     Unstabilized,
+    UnsupportedFrame,
 )
 from .specfile import SpecFile, parse_specfile
 from .tate import DEFAULT_SCHEDULE
@@ -183,11 +184,14 @@ def _run(command: str, spec: SpecFile, schedule) -> Report:
         report.append(("check_squares", squares))
         report.append(("check_acyclicity", mrep.acyclicity))
         sigma = SignConvention(spec.sigma)
-        ok, lhs, rhs = verify_duality(C, nu, sigma, outer=mrep.outer)
-        duality = "pass" if ok else "fail"
+        try:
+            ok, lhs, rhs = verify_duality(C, nu, sigma, outer=mrep.outer)
+            duality, degree = "pass" if ok else "fail", str(sigma.sign * rhs)
+        except UnsupportedFrame:
+            duality = degree = "unsupported"
         report.append(("check_duality", duality))
         report.append(("sigma", str(spec.sigma)))
-        report.append(("degree", str(sigma.sign * rhs)))
+        report.append(("degree", degree))
         checks = (squares, mrep.acyclicity, duality)
         result = next((s for s in ("fail", "unsupported") if s in checks), "pass")
         report.append(("result", result))

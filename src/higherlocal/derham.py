@@ -3,9 +3,9 @@
 Given a flat connection and an independent tuple of closed 1-forms, the
 complex of forms splits over the subsets of {1..n}: each vertex of the cube
 is a copy of the underlying module identified through the wedge frame of the
-tuple, each edge carries two maps, the directional covariant derivative
-along the dual frame field (top differential) and the identity scaled by the
-wedge sign (bottom differential).  Closedness of the tuple makes the dual
+tuple, each edge carries two maps under one wedge sign, the directional
+covariant derivative along the dual frame field (top differential) and the
+identity (bottom differential).  Closedness of the tuple makes the dual
 frame fields commute, so all squares anticommute; the checker composes the
 edges as differential operators, checks that each route sum vanishes
 coefficient by coefficient, and reads each covariant edge's kernel/cokernel
@@ -43,7 +43,6 @@ from .tate import (
     DEFAULT_SCHEDULE,
     IndexReport,
     MatrixDiffOp,
-    OuterMatrixDiffOp,
     OuterStabilization,
     operator_index,
     stabilize_outer_windows,
@@ -161,7 +160,11 @@ class EdgeOperator:
 
 
 class BinaryMultiComplex:
-    """Cube-indexed objects with covariant-derivative and wedge differentials."""
+    """Cube-indexed objects with covariant-derivative and wedge differentials.
+
+    The wedge differential of edge ``(M, i)`` is the identity times
+    ``nabla_edges[(M, i)].sign``, the one sign both differentials carry.
+    """
 
     def __init__(self, connection: Connection, forms: FormTuple):
         self.connection = connection
@@ -171,19 +174,17 @@ class BinaryMultiComplex:
         n = self.field.level
         self.n = n
         nabla_edges: Dict[Tuple[frozenset, int], EdgeOperator] = {}
-        nu_edges: Dict[Tuple[frozenset, int], int] = {}
         fields = {i: forms.dual_field(i) for i in range(1, n + 1)}
         for size in range(n):
             for M in map(frozenset, combinations(range(1, n + 1), size)):
                 for i in range(1, n + 1):
                     if i in M:
                         continue
-                    sign = _wedge_sign(M, i)
                     cvec = fields[i]
-                    nabla_edges[(M, i)] = EdgeOperator(sign, tuple(cvec), connection.along(cvec))
-                    nu_edges[(M, i)] = sign
+                    nabla_edges[(M, i)] = EdgeOperator(
+                        _wedge_sign(M, i), tuple(cvec), connection.along(cvec)
+                    )
         self.nabla_edges = nabla_edges
-        self.nu_edges = nu_edges
 
 
 def build_multicomplex(C: Connection, forms: FormTuple) -> BinaryMultiComplex:
@@ -295,7 +296,8 @@ def check_multicomplex(
             if family == "nabla":
                 ops[key] = B.nabla_edges[(M, i)].terms()
             else:
-                ops[key] = {(): _diagonal(B.field.rational(B.nu_edges[(M, i)]), B.rank)}
+                sign = B.nabla_edges[(M, i)].sign
+                ops[key] = {(): _diagonal(B.field.rational(sign), B.rank)}
         return ops[key]
 
     for size in range(n - 1):
@@ -325,15 +327,8 @@ def check_multicomplex(
         d, stab = _direction_acyclicity(i, B.nabla_edges[(empty, i)], schedule)
         directions.append(d)
         outer = outer or stab
-        s = B.nu_edges[(empty, i)]
-        directions.append(
-            DirectionResult(
-                i,
-                "wedge",
-                abs(s) == 1,
-                "scaled identity" if abs(s) == 1 else "wedge edge is not a unit",
-            )
-        )
+        # the wedge edge is +-1 times the identity, a unit
+        directions.append(DirectionResult(i, "wedge", True, "scaled identity"))
     return MultiComplexReport(not failures, failures, directions, outer)
 
 
@@ -370,7 +365,7 @@ def _direction_acyclicity(
         (k,) = nonzero
         c = cvec[k - 1]
         if k == 2:
-            outer = stabilize_outer_windows(OuterMatrixDiffOp.first_order(c, P))
+            outer = stabilize_outer_windows(MatrixDiffOp.first_order(c, P))
             at, trace = outer.stabilized_at, outer.trace
         else:
             if len(cvec) == 2:
@@ -401,7 +396,7 @@ def induced_inner_connections(
     stabilization of that same operator (:meth:`OuterStabilization.serves`),
     its reduction is used and no window is reduced again.
     """
-    op = OuterMatrixDiffOp.from_connection(C, normalizer)
+    op = MatrixDiffOp.from_connection(C, normalizer)
     if outer is None or not outer.serves(op):
         outer = stabilize_outer_windows(op)
     red = outer.reduction

@@ -58,10 +58,6 @@ class EpsilonReport:
     level_degrees: Tuple[int, ...] = ()  # per outer-cohomology level for n = 2
 
 
-def _single_form_normalizer(nu: FormTuple) -> TowerElement:
-    return nu.frame[0, 0]
-
-
 def _exact_presentation(C: Connection) -> bool:
     return all(
         x.is_fully_exact() for M in C.matrices for row in M.entries for x in row
@@ -81,16 +77,13 @@ def _degree_levels(
     """
     n = C.field.level
     if n == 1:
-        return _single_form_normalizer(nu), (C,)
+        return nu.frame[0, 0], (C,)
     if n != 2:
         raise UnsupportedFrame("degrees are implemented for n <= 2")
     if not nu.is_diagonal():
         raise UnsupportedFrame("two-variable degrees need a diagonal frame tuple")
     h2 = nu.frame[1, 1]
-    if any(
-        isinstance(c, TowerElement) and set(c.coeffs) - {0}
-        for c in h2.coeffs.values()
-    ):
+    if any(set(c.coeffs) - {0} for c in h2.coeffs.values()):
         # the outer normalizer must commute with the inner derivative for
         # the iterated reduction to be well-formed
         raise UnsupportedFrame("the outer frame component must not involve t1")

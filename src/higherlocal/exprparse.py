@@ -282,12 +282,7 @@ class ExpressionParser:
             return self.vars[tok.text]
         if tok.kind == "(":
             value = self._expr()
-            closing = self._next()
-            if closing.kind != ")":
-                shown = closing.text if closing.kind != "end" else "end of input"
-                raise SpecSyntaxError(
-                    f"expected ')', found {shown!r}", closing.line, closing.column
-                )
+            self._expect(")")
             return value
         shown = tok.text if tok.kind != "end" else "end of input"
         raise SpecSyntaxError(f"unexpected {shown!r}", tok.line, tok.column)

@@ -151,16 +151,16 @@ def _indexed_keys(keys, prefix: str, what: str, section: str, level: int) -> Non
     """Reject every key but ``<prefix>1`` ... ``<prefix><level>``.
 
     An index above ``level`` is a dimension mismatch; any other key,
-    ``<prefix>0`` and ``<prefix>01`` among them, is unknown.
+    ``<prefix>0`` and ``<prefix>01`` among them, is unknown.  The work is
+    bounded by the keys, not by ``level``, and an index with more digits
+    than ``level`` is compared without ``int``, which refuses long strings.
     """
-    allowed = {f"{prefix}{i}" for i in range(1, level + 1)}
     for key in keys:
         index = key[len(prefix):]
-        if key in allowed:
-            continue
-        if key.startswith(prefix) and _digits(index) and index[0] != "0":
+        if not (key.startswith(prefix) and _digits(index) and index[0] != "0"):
+            raise UnknownKey(f"unknown key {key!r} in [{section}]")
+        if len(index) > len(str(level)) or int(index) > level:
             raise DimensionMismatch(f"{what} {key} exceeds n = {level}")
-        raise UnknownKey(f"unknown key {key!r} in [{section}]")
 
 
 def _int_value(entry: Tuple[str, int, int], key: str) -> int:
@@ -211,17 +211,15 @@ def parse_specfile(text: str) -> SpecFile:
     level = _int_value(fld["n"], "n")
     if level < 1:
         raise DimensionMismatch("n must be >= 1")
+    # the default names wait until A1 ... An are read, which bounds n
+    names = None
     if "vars" in fld:
         names = tuple(fld["vars"][0].split())
-    else:
-        names = tuple(f"t{i+1}" for i in range(level))
-    if len(names) != level:
-        raise DimensionMismatch(
-            f"{len(names)} variable names for n = {level}"
-        )
-    if len(set(names)) != len(names):
-        _, lineno, colv = fld["vars"]
-        raise SpecSyntaxError("variable names must be pairwise distinct", lineno, colv)
+        if len(names) != level:
+            raise DimensionMismatch(f"{len(names)} variable names for n = {level}")
+        if len(set(names)) != len(names):
+            _, lineno, colv = fld["vars"]
+            raise SpecSyntaxError("variable names must be pairwise distinct", lineno, colv)
     precision = 32
     if "precision" in fld:
         precision = _int_value(fld["precision"], "precision")
@@ -298,7 +296,7 @@ def parse_specfile(text: str) -> SpecFile:
 
     return SpecFile(
         level,
-        names,
+        names or tuple(f"t{i+1}" for i in range(level)),
         precision,
         rank,
         tuple(raw_matrices),

@@ -17,7 +17,8 @@ cannot prove that they reach past every solution valuation and cokernel
 position; callers compare the index with the certified Newton-polygon
 degree where they have one.
 
-The same windows run one level up: an operator in the outermost variable of
+The same windows run one level up, on the same :class:`MatrixDiffOp`, whose
+level is that of its coefficients: an operator in the outermost variable of
 a two-variable field is realized as a finite matrix *over* the inner field,
 with the target cut at the hull displacement for the kernel and at the
 derivative term's displacement for the cokernel, and its kernel/cokernel
@@ -63,13 +64,14 @@ class IndexReport:
 
 
 class MatrixDiffOp:
-    """sum_d C_d (d/dt)^d with square matrix coefficients over k((t)).
+    """sum_d C_d (d/dt)^d with square matrix coefficients over a tower field.
 
-    ``t`` is the outermost variable of the coefficients' tower level.
+    ``t`` is the outermost variable of the coefficients' tower level
+    (:attr:`level`).  At level 2 the operator is linear over the inner
+    field, so its window matrices have inner-field entries.
     """
 
     __slots__ = ("rank", "coeffs")
-    level = 1
 
     def __init__(self, rank: int, coeffs: Dict[int, SeriesMatrix]):
         self.rank = rank
@@ -78,13 +80,16 @@ class MatrixDiffOp:
             if M.rows != rank or M.cols != rank:
                 raise ValueError("coefficient matrices must be rank x rank")
 
+    @property
+    def level(self) -> int:
+        """The tower level of the coefficients."""
+        return next(iter(self.coeffs.values())).level
+
     @classmethod
     def from_connection(
         cls, C: Connection, normalizer: Optional[TowerElement] = None
     ) -> "MatrixDiffOp":
-        """The operator h^(-1) (d/dt + A) for the 1-form normalizer h dt."""
-        if C.field.level != cls.level:
-            raise UnsupportedFrame(f"this operator needs a {cls.level}-variable connection")
+        """The operator h^(-1) (d/dt + A) for the 1-form normalizer h dt, t outermost."""
         hinv = C.field.one() if normalizer is None else normalizer.invert()
         return cls.first_order(hinv, C.matrices[-1].scale(hinv))
 
@@ -122,9 +127,6 @@ class MatrixDiffOp:
         if vals:
             return min(vals)
         return self.delta_bottom(i)
-
-    def is_zero_row(self, i: int) -> bool:
-        return next(self._row_entries(i), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +200,7 @@ def window_columns(
     for lo, hi in bounds:
         offset.append(start - lo)
         start += hi - lo
-    integer = next(iter(op.coeffs.values())).level == 1
+    integer = op.level == 1
     if integer:
         dens = [
             lcm(*(x.numerators()[0] for _, x in op._row_entries(i)))
@@ -268,15 +270,13 @@ def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
     image coefficient is lost at the bottom.  The ``top`` mode cuts the
     target at the derivative term's displacement; the ``bottom`` mode cuts
     at the hull displacement itself, the sharp image of a deep lattice, so
-    the bottom rows are a subset of the top ones.  A zero row keeps the
-    source window.  The outer-window reduction (:func:`reduce_outer_window`)
-    reads its kernel off the bottom cut and its cokernel off the top one.
+    the bottom rows are a subset of the top ones.  A zero row has both
+    displacements 0, so it keeps the source window.  The outer-window
+    reduction (:func:`reduce_outer_window`) reads its kernel off the bottom
+    cut and its cokernel off the top one.
     """
     bounds = []
     for i in range(op.rank):
-        if op.is_zero_row(i):
-            bounds.append((-w, w))
-            continue
         lo = op.delta_bottom(i)
         hi = lo if mode == "bottom" else op.delta_top(i)
         bounds.append((-w + lo, w + hi))
@@ -386,6 +386,8 @@ def operator_index(op: MatrixDiffOp, schedule: Sequence[int] = DEFAULT_SCHEDULE)
     pairs, neither negative (:func:`_settle`), and ``stabilized_at`` is the
     later ``w``.
     """
+    if op.level != 1:
+        raise UnsupportedFrame("operator indices are implemented for one variable")
     r = op.rank
     delta = min(op.delta_bottom(i) for i in range(r))
     offset = -sum(op.delta_top(i) for i in range(r))
@@ -418,23 +420,6 @@ def operator_index(op: MatrixDiffOp, schedule: Sequence[int] = DEFAULT_SCHEDULE)
 # Outer-variable windows over a two-variable field
 # ---------------------------------------------------------------------------
 
-class OuterMatrixDiffOp(MatrixDiffOp):
-    """sum_d C_d (d/d t_outer)^d over the two-variable field.
-
-    Coefficients are square matrices of level-2 elements; the operator is
-    linear over the inner field, so its window matrices have inner-field
-    entries.
-    """
-
-    __slots__ = ()
-    level = 2
-
-    def __init__(self, rank: int, coeffs: Dict[int, SeriesMatrix]):
-        if next(iter(coeffs.values())).level != 2:
-            raise UnsupportedFrame("outer windows are implemented for two variables")
-        super().__init__(rank, coeffs)
-
-
 @dataclass
 class OuterReduction:
     """Windowed kernel/cokernel of an outer-variable operator, over the inner field."""
@@ -455,8 +440,8 @@ class OuterReduction:
         return len(self.coker_slots)
 
 
-def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
-    """Kernel and cokernel slots of ``op`` on the outer window [-w, w).
+def reduce_outer_window(op: MatrixDiffOp, w: int) -> OuterReduction:
+    """Kernel and cokernel slots of a two-variable ``op`` on the outer window [-w, w).
 
     The rows of the derivative-cut ("top") window are built once; the
     lattice-sharp ("bottom") window is the subset of them below each
@@ -464,6 +449,8 @@ def reduce_outer_window(op: OuterMatrixDiffOp, w: int) -> OuterReduction:
     cokernel slots from the pivots of the transposed top rows, so both are
     eliminated.
     """
+    if op.level != 2:
+        raise UnsupportedFrame("outer windows are implemented for two variables")
     win = realize_window(op, w)
     zero = TowerElement.zero(1)
     rows = [[col.get(k, zero) for col in win.columns] for k in range(len(win.tgt_labels))]
@@ -487,17 +474,17 @@ class OuterStabilization:
     instead of reducing the windows again.
     """
 
-    op: OuterMatrixDiffOp
+    op: MatrixDiffOp
     reduction: OuterReduction
     stabilized_at: Optional[int]
     trace: Tuple[Tuple[int, int, int], ...]
 
-    def serves(self, op: OuterMatrixDiffOp) -> bool:
+    def serves(self, op: MatrixDiffOp) -> bool:
         """True when ``op`` is the operator stabilized here."""
         return op.coeffs == self.op.coeffs
 
 
-def stabilize_outer_windows(op: OuterMatrixDiffOp) -> OuterStabilization:
+def stabilize_outer_windows(op: MatrixDiffOp) -> OuterStabilization:
     """Reduce the windows of ``OUTER_SCHEDULE`` until (ker, coker) settles (:func:`_settle`).
 
     The record holds the settling reduction (the last one when the pairs

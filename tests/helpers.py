@@ -41,7 +41,6 @@ def with_zero_edge(B, M: frozenset, i: int):
         SeriesMatrix.zeros(B.field, B.rank, B.rank),
     )
     clone.nabla_edges = edges
-    clone.nu_edges = dict(B.nu_edges)
     return clone
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +73,17 @@ class TestExpressionParser:
             self.p1.parse("2 +\n* 3")
         assert ei.value.line == 2
         assert ei.value.column == 1
+
+    @pytest.mark.parametrize(
+        "text, found, column",
+        [("(1 + t", "end of input", 7), ("(1 + t t", "t", 8)],
+        ids=["end", "token"],
+    )
+    def test_unclosed_parenthesis(self, text, found, column):
+        with pytest.raises(SpecSyntaxError) as ei:
+            self.p1.parse(text)
+        assert str(ei.value) == f"expected ')', found {found!r} at line 1, column {column}"
+        assert (ei.value.line, ei.value.column) == (1, column)
 
     def test_unknown_variable(self):
         with pytest.raises(SpecSyntaxError):
@@ -569,6 +581,22 @@ command = verify
         assert lines["result"] == "unsupported"
 
 
+# verify on a trivial connection whose duality check cannot run: the
+# acyclicity check cannot either (n = 3, or a frame field mixing directions)
+UNSUPPORTED_DUALITY_REPORT = """command = verify
+n = {n}
+rank = 1
+check_flatness = pass
+check_forms = pass
+check_squares = pass
+check_acyclicity = unsupported
+check_duality = unsupported
+sigma = 1
+degree = unsupported
+result = unsupported
+"""
+
+
 class TestTwoAndThreeVariables:
     def test_cohomology_induced_levels_honour_max_window(self, tmp_path, capsys):
         # the induced inner connection on H^0 and H^1 is d - 20 dt1/t1, whose
@@ -637,9 +665,38 @@ A3 = [["0"]]
 command = verify
 """
         )
-        assert cli.main([str(spec)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: UnsupportedFrame: degrees are implemented for n <= 2\n"
+        # degrees are implemented for n <= 2, so the duality check is
+        # unsupported; the rest of the report still prints, and verify exits 0
+        assert cli.main([str(spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == UNSUPPORTED_DUALITY_REPORT.format(n=3)
+
+    def test_verify_non_diagonal_frame_reports_unsupported_duality(self, tmp_path, capsys):
+        # two-variable degrees need a diagonal frame tuple; nu1 = dt1 + dt2
+        # is closed and independent of nu2 = dt2 but not diagonal
+        spec = tmp_path / "non_diagonal.hl"
+        spec.write_text(
+            """[field]
+n = 2
+
+[connection]
+rank = 1
+A1 = [["0"]]
+A2 = [["0"]]
+
+[forms]
+nu1 = ["1", "1"]
+nu2 = ["0", "1"]
+
+[task]
+command = verify
+"""
+        )
+        assert cli.main([str(spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == UNSUPPORTED_DUALITY_REPORT.format(n=2)
 
     @pytest.mark.parametrize(
         "entry",
@@ -697,6 +754,31 @@ class TestRejections:
         assert error in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_huge_n_is_bounded_by_the_keys(self, tmp_path):
+        # neither the default variable names nor the key check are built
+        # n long: the missing A2 ends the parse at once
+        bad = tmp_path / "huge_n.hl"
+        bad.write_text(
+            '[field]\nn = 1000000000000\n[connection]\nrank = 1\nA1 = [["0"]]\n'
+            "[task]\ncommand = verify\n"
+        )
+        start = time.perf_counter()
+        proc = run_cli(bad)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "error: UnknownKey: missing matrix A2 in [connection]\n"
+
+    def test_index_past_the_int_digit_limit_is_a_dimension_mismatch(self, tmp_path):
+        key = "A" + "7" * 5000
+        bad = tmp_path / "long_key.hl"
+        bad.write_text(
+            f'[field]\nn = 2\n[connection]\nrank = 1\nA1 = [["0"]]\n{key} = [["0"]]\n'
+            "[task]\ncommand = verify\n"
+        )
+        proc = run_cli(bad)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"error: DimensionMismatch: matrix {key} exceeds n = 2\n"
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.hl"

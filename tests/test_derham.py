@@ -26,7 +26,6 @@ from higherlocal.tate import (
     DEFAULT_SCHEDULE,
     OUTER_SCHEDULE,
     MatrixDiffOp,
-    OuterMatrixDiffOp,
     operator_index,
     strip_outer,
 )
@@ -130,7 +129,7 @@ class TestMulticomplex:
         nu = standard_forms(F1)
         B = build_multicomplex(C, nu)
         assert set(B.nabla_edges) == {(frozenset(), 1)}
-        assert set(B.nu_edges) == {(frozenset(), 1)}
+        assert B.nabla_edges[(frozenset(), 1)].sign == 1
         rep = check_multicomplex(B)
         assert rep.ok
 
@@ -279,7 +278,7 @@ def oracle_square_failures(B):
         return oracle_apply(B.nabla_edges[(M, i)], sec)
 
     def nu(M, i, sec):
-        return tuple(x * Fraction(B.nu_edges[(M, i)]) for x in sec)
+        return tuple(x * Fraction(B.nabla_edges[(M, i)].sign) for x in sec)
 
     edges = {"nabla": nabla, "wedge": nu}
     failures = []
@@ -405,7 +404,7 @@ def oracle_direction_acyclicity(n, i, edge, schedule):
         rep = operator_index(op, DEFAULT_SCHEDULE)
         return DirectionResult(1, "nabla", rep.stabilized, "", rep.trace), None
     if pure == n:
-        op = OuterMatrixDiffOp.first_order(edge.cvec[n - 1], edge.pmat)
+        op = MatrixDiffOp.first_order(edge.cvec[n - 1], edge.pmat)
         red, at, trace = oracle_outer_windows(op, schedule)
         return DirectionResult(n, "nabla", at is not None, "", trace), (red, at)
     try:

@@ -19,7 +19,6 @@ from higherlocal.tate import (
     DEFAULT_SCHEDULE,
     IndexReport,
     MatrixDiffOp,
-    OuterMatrixDiffOp,
     operator_index,
     reduce_outer_window,
     WindowRealization,
@@ -206,7 +205,7 @@ def random_outer_operator(rng, rank, normalized):
             row.append(TowerElement(2, coeffs, None, True))
         rows.append(row)
     c = F2.gen(2) if normalized else F2.one()
-    return OuterMatrixDiffOp.first_order(c, SeriesMatrix(rows))
+    return MatrixDiffOp.first_order(c, SeriesMatrix(rows))
 
 
 OuterWindow = namedtuple("OuterWindow", "src_labels tgt_labels matrix")
@@ -289,7 +288,7 @@ class TestOuterWindowCrossCheck:
     def test_short_coefficients_raise_as_the_bottom_window(self):
         rng = random.Random(31)
         op = random_outer_operator(rng, 2, False)
-        short = OuterMatrixDiffOp(
+        short = MatrixDiffOp(
             2, {d: M.map(lambda x: x.truncate(1)) for d, M in op.coeffs.items()}
         )
         with pytest.raises(InsufficientPrecision) as bottom:
@@ -771,8 +770,7 @@ class TestWindowPrecision:
         # at level 2, t is the outer variable and the coefficients are inner
         one = Fraction(1) if level == 1 else F1.one()
         a = TowerElement(level, {-2: one, 0: one}, hi, False)
-        cls = MatrixDiffOp if level == 1 else OuterMatrixDiffOp
-        return cls(
+        return MatrixDiffOp(
             1, {1: SeriesMatrix([[TowerField(level).one()]]), 0: SeriesMatrix([[a]])}
         )
 
@@ -841,6 +839,43 @@ class TestCalkinIso:
         assert not rep.stabilized
         dims = [k for _, k, _ in rep.trace]
         assert dims == sorted(dims) and dims[0] < dims[-1]
+
+
+class TestOperatorLevel:
+    """One operator class for both levels: the level is that of the coefficients."""
+
+    def test_level_reads_the_coefficients(self):
+        for F in (F1, F2):
+            op = MatrixDiffOp.from_connection(Connection.trivial(F, 1))
+            assert op.level == F.level
+
+    def test_operator_index_rejects_two_variables(self):
+        op = MatrixDiffOp.from_connection(Connection.trivial(F2, 1))
+        with pytest.raises(UnsupportedFrame, match="implemented for one variable"):
+            operator_index(op)
+
+    def test_outer_window_rejects_one_variable(self):
+        op = MatrixDiffOp.from_connection(Connection.trivial(F1, 1))
+        with pytest.raises(UnsupportedFrame) as ei:
+            reduce_outer_window(op, 4)
+        assert str(ei.value) == "outer windows are implemented for two variables"
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("mode", ["bottom", "top"])
+    def test_zero_row_keeps_the_source_window(self, level, mode):
+        # row 0 is d/dt + t^-2 (delta_bottom = -2, delta_top = -1); row 1 is zero
+        F = TowerField(level)
+        t, one, zero = F.gen(level), F.one(), F.zero()
+        op = MatrixDiffOp(
+            2,
+            {
+                1: SeriesMatrix([[one, zero], [zero, zero]]),
+                0: SeriesMatrix([[t ** -2, zero], [zero, zero]]),
+            },
+        )
+        w = 8
+        top = -1 if mode == "top" else -2
+        assert window_bounds(op, w, mode) == [(-w - 2, w + top), (-w, w)]
 
 
 def directional_profile(i, C, V):
