@@ -10,7 +10,6 @@ failures; diagnostics go to the error stream.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -255,11 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        spec = parse_specfile(text)
-        overrides = {"precision": args.precision, "seed": args.seed}
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        if overrides:
-            spec = dataclasses.replace(spec, **overrides)
+        spec = parse_specfile(text, precision=args.precision, seed=args.seed)
         report = run(spec.command, spec, max_window=args.max_window)
     except Unstabilized as exc:
         if isinstance(exc.report, list):

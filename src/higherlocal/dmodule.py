@@ -210,14 +210,15 @@ def find_cyclic_vector(
     for cand in _candidate_vectors(C, seed):
         M = _certificate_matrix(C, cand)
         try:
-            res = rank_kernel_det(M, want_kernel=False)
+            res = rank_kernel_det(M)
         except UndeterminedPivot:
             if _BELOW_CAP.get():
                 # more terms may certify this candidate: skipping it could
                 # accept a later one than the full-precision search does
                 raise
             continue
-        if res.rank == C.rank and res.determinant.is_certainly_nonzero():
+        # the pivots are certified nonzero, so full rank certifies the determinant
+        if res.rank == C.rank:
             return cand, M, res.determinant
     raise SearchExhausted(
         f"no cyclic vector certified after {_RANDOM_TRIES} randomized candidates"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import SpecSyntaxError
+from .errors import HigherLocalError, SpecSyntaxError
 from .series import TowerElement, TowerField
 
 # an integer literal may have at most this many digits: the default of
@@ -236,7 +236,7 @@ class ExpressionParser:
             else:
                 try:
                     value = self._series(value) * self._series(rhs).invert(self.prec)
-                except Exception as exc:
+                except HigherLocalError as exc:
                     raise SpecSyntaxError(
                         f"division failed: {exc}", op.line, op.column
                     )

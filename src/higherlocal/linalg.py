@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -157,44 +157,6 @@ class SeriesMatrix:
         return f"SeriesMatrix({self.rows}x{self.cols}, level {self.level})"
 
 
-class EliminationResult:
-    """Rank, ``(row, col)`` pivots of the reduced matrix, kernel and determinant.
-
-    ``determinant`` is None for non-square input.  It may be passed as a
-    function of no arguments, which builds it when it is first read;
-    equality reads it.
-    """
-
-    __slots__ = ("rank", "pivots", "kernel", "_determinant")
-
-    def __init__(self, rank: int, pivots, kernel, determinant):
-        self.rank = rank
-        self.pivots: Tuple[Tuple[int, int], ...] = pivots
-        self.kernel: Tuple[Tuple[TowerElement, ...], ...] = kernel
-        self._determinant = determinant
-
-    @property
-    def determinant(self) -> Optional[TowerElement]:
-        if callable(self._determinant):
-            self._determinant = self._determinant()
-        return self._determinant
-
-    def _key(self):
-        return (self.rank, self.pivots, self.kernel, self.determinant)
-
-    def __eq__(self, other):
-        if not isinstance(other, EliminationResult):
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None  # compared by value, not hashable
-
-    def __repr__(self):
-        return "EliminationResult(rank={!r}, pivots={!r}, kernel={!r}, determinant={!r})".format(
-            *self._key()
-        )
-
-
 @dataclass(frozen=True)
 class Factorization:
     """The forward pass of one matrix, with the row operations it made.
@@ -203,11 +165,12 @@ class Factorization:
     their elements, ``sign`` the sign of the row permutation.  ``steps[k]``
     is the row exchanged into pivot row ``k`` and the ``(row, factor)``
     updates ``row <- row - factor * (pivot row k)`` made below it.
-    ``inverses[k]`` is the inverse of pivot ``k``, or None until a
-    back-substitution needs it (:meth:`inverse`): the forward pass inverts
-    only the pivots that clear a row below them.  Exact pivots invert to
-    the working precision, so the result holds only at the ``precision`` it
-    was computed at.
+    ``inverses[k]`` is the inverse of pivot ``k``, or None until
+    :meth:`back_substitute` needs it: the forward pass inverts only the
+    pivots that clear a row below them.  Exact pivots invert to the working
+    precision, so the result, and the ``kernel`` and ``determinant`` built
+    from it when first read, hold only at the ``precision`` it was computed
+    at.
     """
 
     precision: int
@@ -218,41 +181,84 @@ class Factorization:
     sign: int
     steps: Tuple[Tuple[int, Tuple[Tuple[int, TowerElement], ...]], ...]
 
-    def inverse(self, k: int) -> TowerElement:
-        """The inverse of pivot ``k``, computed when first needed."""
-        inv = self.inverses[k]
-        if inv is None:
-            inv = self.inverses[k] = self.elements[k].invert()
-        return inv
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
-    def push(self, rhs_rows) -> List[List[TowerElement]]:
-        """The rows of a right-hand side after the same row exchanges and updates."""
-        work = [list(r) for r in rhs_rows]
-        for r, (i, updates) in enumerate(self.steps):
-            if i != r:
-                work[i], work[r] = work[r], work[i]
-            prow = work[r]
-            for i2, factor in updates:
-                work[i2] = [sub_mul(a, factor, b) for a, b in zip(work[i2], prow)]
-        return work
+    @cached_property
+    def kernel(self) -> Tuple[Tuple[TowerElement, ...], ...]:
+        """A basis of the right kernel, one vector per column without a pivot."""
+        m = len(self.rows[0])
+        level = self.rows[0][0].level
+        pivot_rows = {pc: pr for pr, pc in self.pivots}
+        free = [f for f in range(m) if f not in pivot_rows]
+        tail = [[self.rows[pr][f] for f in free] for pr in range(self.rank)]
+        self.back_substitute(tail)
+        vecs = []
+        for k, f in enumerate(free):
+            vec = [TowerElement.zero(level)] * m
+            vec[f] = TowerElement.constant(level, 1)
+            for pc, pr in pivot_rows.items():
+                vec[pc] = -tail[pr][k]
+            vecs.append(tuple(vec))
+        return tuple(vecs)
+
+    @cached_property
+    def determinant(self) -> Optional[TowerElement]:
+        """The determinant of a square matrix (:func:`_determinant`), else None."""
+        return _determinant(self) if len(self.rows) == len(self.rows[0]) else None
 
     def back_substitute(self, tail: List[List[TowerElement]]) -> None:
         """Reduce the columns carried in ``tail`` (one row per pivot), in place.
 
-        Each pivot row is normalized and cleared from the rows above it.
-        Only the carried columns are written: a pivot column above its pivot
-        is read from the echelon form, where the later pivots' updates could
+        Each pivot row is normalized and cleared from the rows above it; a
+        pivot is inverted here, once, when the forward pass did not.  Only
+        the carried columns are written: a pivot column above its pivot is
+        read from the echelon form, where the later pivots' updates could
         only subtract multiples of exact zeros.
         """
         for k in reversed(range(len(self.pivots))):
             pr, pc = self.pivots[k]
-            inv = self.inverse(k)
+            inv = self.inverses[k]
+            if inv is None:
+                inv = self.inverses[k] = self.elements[k].invert()
             prow = tail[pr] = [x * inv for x in tail[pr]]
             for i2 in range(pr):
                 x = self.rows[i2][pc]
                 if x.is_exactly_zero():
                     continue
                 tail[i2] = [sub_mul(a, x, b) for a, b in zip(tail[i2], prow)]
+
+    def solve(self, targets) -> List[Optional[List[TowerElement]]]:
+        """Per target column, one x with (the factored matrix) x = target, or None.
+
+        The targets take the forward pass's row exchanges and updates, then
+        the back-substitution; every target sees the same row operations, so
+        each result is the one a system of its own would give.  Free unknowns
+        are set to zero.  A target is inconsistent, and gets None, when a row
+        left without a pivot has a certified-nonzero right-hand side.
+        """
+        work = [[b[r] for b in targets] for r in range(len(self.rows))]
+        for r, (i, updates) in enumerate(self.steps):
+            if i != r:
+                work[i], work[r] = work[r], work[i]
+            prow = work[r]
+            for i2, factor in updates:
+                work[i2] = [sub_mul(a, factor, b) for a, b in zip(work[i2], prow)]
+        rank = self.rank
+        ok = [
+            k for k in range(len(targets))
+            if not any(row[k].is_certainly_nonzero() for row in work[rank:])
+        ]
+        tail = [[row[k] for k in ok] for row in work[:rank]]
+        self.back_substitute(tail)
+        zero = TowerElement.zero(self.rows[0][0].level)
+        out: List[Optional[List[TowerElement]]] = [None] * len(targets)
+        for j, k in enumerate(ok):
+            x = out[k] = [zero] * len(self.rows[0])
+            for r, c in self.pivots:
+                x[c] = tail[r][j]
+        return out
 
 
 def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
@@ -333,109 +339,64 @@ def _factorization(M: SeriesMatrix) -> Factorization:
     return fac
 
 
-def rank_kernel_det(M: SeriesMatrix, want_kernel: bool = True) -> EliminationResult:
-    """Row-reduce over the field with minimal-valuation pivoting.
+def rank_kernel_det(M: SeriesMatrix) -> Factorization:
+    """``M``'s forward pass, row-reduced over the field with minimal-valuation pivoting.
 
     Raises :class:`UndeterminedPivot` when a column has no certified-nonzero
-    candidate but carries entries that are only zero up to precision.  Rank
-    and determinant come from the forward pass alone; only the kernel needs
-    the back-substitution.  The determinant of a square matrix is built
-    when the result's ``determinant`` is first read, so a caller that reads
-    only the rank, pivots or kernel multiplies no pivots.  ``M`` keeps the
-    forward pass for a later :func:`solve` or :func:`inverse`.
+    candidate but carries entries that are only zero up to precision.  The
+    result is the pass ``M`` keeps (:func:`_factorization`) for a later
+    :func:`solve` or :func:`inverse`: its ``rank`` and ``pivots`` come from
+    the forward pass alone, and its ``kernel`` (a back-substitution) and
+    ``determinant`` (a product of pivots) are built when first read.
     """
-    level = M.level
-    fac = _factorization(M)
-    n, m = M.rows, M.cols
-    rank = len(fac.pivots)
-    determinant = None
-    if n == m:
-        determinant = partial(_determinant, fac, n, level)
-    kernel: Tuple[Tuple[TowerElement, ...], ...] = ()
-    if want_kernel:
-        pivot_rows = {pc: pr for pr, pc in fac.pivots}
-        free = [f for f in range(m) if f not in pivot_rows]
-        tail = [[fac.rows[pr][f] for f in free] for pr in range(rank)]
-        fac.back_substitute(tail)
-        vecs = []
-        for k, f in enumerate(free):
-            vec = [TowerElement.zero(level)] * m
-            vec[f] = TowerElement.constant(level, 1)
-            for pc, pr in pivot_rows.items():
-                vec[pc] = -tail[pr][k]
-            vecs.append(tuple(vec))
-        kernel = tuple(vecs)
-    return EliminationResult(rank, fac.pivots, kernel, determinant)
+    return _factorization(M)
 
 
-def _determinant(fac: Factorization, n: int, level: int) -> TowerElement:
-    """The determinant of the square ``n x n`` matrix factored as ``fac``."""
-    if len(fac.pivots) < n:
-        return TowerElement.zero(level)
+def _determinant(fac: Factorization) -> TowerElement:
+    """The determinant of the square matrix factored as ``fac``."""
+    if fac.rank < len(fac.rows):
+        return TowerElement.zero(fac.rows[0][0].level)
     det = fac.elements[0]
     for p in fac.elements[1:]:
         det = det * p
     return det if fac.sign == 1 else -det
 
 
-def _solve_square(M: SeriesMatrix, rhs_rows) -> List[List[TowerElement]]:
-    """Rows of X with M X = the rows ``rhs_rows``, for M of certified full rank."""
-    n = M.rows
+def _nonsingular(M: SeriesMatrix, what: str) -> Factorization:
+    """The forward pass of the square ``M``, which must have certified full rank."""
+    if M.rows != M.cols:
+        raise ValueError(f"{what} needs a square matrix")
     fac = _factorization(M)
-    if len(fac.pivots) < n:
-        c = min(set(range(n)) - {pc for _, pc in fac.pivots})
+    if fac.rank < M.rows:
+        c = min(set(range(M.rows)) - {pc for _, pc in fac.pivots})
         raise UndeterminedPivot(c, f"matrix is singular at column {c}")
-    work = fac.push(rhs_rows)
-    fac.back_substitute(work)
-    return work
+    return fac
 
 
 def solve(M: SeriesMatrix, rhs: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
     """Solve M x = rhs for square M with certified full rank."""
-    if M.rows != M.cols:
-        raise ValueError("solve needs a square matrix")
-    return tuple(row[0] for row in _solve_square(M, [[b] for b in rhs]))
+    return tuple(_nonsingular(M, "solve").solve([rhs])[0])
 
 
 def inverse(M: SeriesMatrix) -> SeriesMatrix:
     """Matrix inverse over the tower field."""
-    if M.rows != M.cols:
-        raise ValueError("inverse needs a square matrix")
+    fac = _nonsingular(M, "inverse")
     n = M.rows
     one = TowerElement.constant(M.level, 1)
     zero = TowerElement.zero(M.level)
-    return SeriesMatrix(
-        _solve_square(M, [[one if i == j else zero for j in range(n)] for i in range(n)])
-    )
+    columns = fac.solve([[one if i == j else zero for i in range(n)] for j in range(n)])
+    return SeriesMatrix(list(zip(*columns)))
 
 
 def solve_columns(columns, targets) -> List[Optional[List[TowerElement]]]:
     """Per target, one solution x of sum_j x_j columns[j] = target, or None.
 
-    The system may be rectangular and rank-deficient; free unknowns are set
-    to zero.  A target is inconsistent, and gets None, when a row left
-    without a pivot has a certified-nonzero right-hand side.  The columns
-    are eliminated once: every target sees the same row operations, so each
-    result is the one a system of its own would give.
+    The system may be rectangular and rank-deficient; the columns are
+    eliminated once and :meth:`Factorization.solve` serves every target.
     """
     if not columns:
         return [None if any(t.is_certainly_nonzero() for t in b) else [] for b in targets]
-    nrows = range(len(columns[0]))
-    fac = _forward([[col[r] for col in columns] for r in nrows])
-    rank = len(fac.pivots)
-    work = fac.push([[b[r] for b in targets] for r in nrows])
-    ok = [
-        k for k in range(len(targets))
-        if not any(row[k].is_certainly_nonzero() for row in work[rank:])
-    ]
-    tail = [[row[k] for k in ok] for row in work[:rank]]
-    fac.back_substitute(tail)
-    out: List[Optional[List[TowerElement]]] = [None] * len(targets)
-    for j, k in enumerate(ok):
-        x = out[k] = [TowerElement.zero(columns[0][0].level)] * len(columns)
-        for r, c in fac.pivots:
-            x[c] = tail[r][j]
-    return out
+    return _forward([[col[r] for col in columns] for r in range(len(columns[0]))]).solve(targets)
 
 
 # ---------------------------------------------------------------------------

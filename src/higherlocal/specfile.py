@@ -173,7 +173,14 @@ def _int_value(entry: Tuple[str, int, int], key: str) -> int:
         ) from None
 
 
-def parse_specfile(text: str) -> SpecFile:
+def parse_specfile(
+    text: str, precision: Optional[int] = None, seed: Optional[int] = None
+) -> SpecFile:
+    """The :class:`SpecFile` of ``text``; ``precision`` and ``seed``, when given,
+    replace the file's values (still validated) before any expression is parsed.
+    """
+    if precision is not None and precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     sections: Dict[str, Dict[str, Tuple[str, int, int]]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -220,12 +227,11 @@ def parse_specfile(text: str) -> SpecFile:
         if len(set(names)) != len(names):
             _, lineno, colv = fld["vars"]
             raise SpecSyntaxError("variable names must be pairwise distinct", lineno, colv)
-    precision = 32
-    if "precision" in fld:
-        precision = _int_value(fld["precision"], "precision")
-        if precision < 1:
-            _, lineno, colv = fld["precision"]
-            raise SpecSyntaxError("precision must be >= 1", lineno, colv)
+    file_precision = _int_value(fld["precision"], "precision") if "precision" in fld else 32
+    if file_precision < 1:
+        _, lineno, colv = fld["precision"]
+        raise SpecSyntaxError("precision must be >= 1", lineno, colv)
+    precision = file_precision if precision is None else precision
 
     conn = sections.get("connection", {})
     _indexed_keys((k for k in conn if k != "rank"), "A", "matrix", "connection", level)
@@ -289,7 +295,8 @@ def parse_specfile(text: str) -> SpecFile:
     command = tsk["command"][0]
     if command not in _COMMANDS:
         raise UnknownKey(f"unknown command {command!r}")
-    seed = _int_value(tsk["seed"], "seed") if "seed" in tsk else 0
+    file_seed = _int_value(tsk["seed"], "seed") if "seed" in tsk else 0
+    seed = file_seed if seed is None else seed
     sigma = _int_value(tsk["sigma"], "sigma") if "sigma" in tsk else 1
     if sigma not in (1, -1):
         raise DimensionMismatch("sigma must be 1 or -1")

@@ -456,12 +456,11 @@ def reduce_outer_window(op: MatrixDiffOp, w: int) -> OuterReduction:
     rows = [[col.get(k, zero) for col in win.columns] for k in range(len(win.tgt_labels))]
     cut = window_bounds(op, w, "bottom")
     bottom = [row for row, (c, e) in zip(rows, win.tgt_labels) if e < cut[c][1]]
-    res_b = rank_kernel_det(SeriesMatrix(bottom), want_kernel=True)
-    res_t = rank_kernel_det(SeriesMatrix(list(zip(*rows))), want_kernel=False)
-    covered = {c for _, c in res_t.pivots}
+    kernel = rank_kernel_det(SeriesMatrix(bottom)).kernel
+    covered = {c for _, c in rank_kernel_det(SeriesMatrix(list(zip(*rows)))).pivots}
     coker_slots = tuple(lab for k, lab in enumerate(win.tgt_labels) if k not in covered)
     return OuterReduction(
-        w, win.src_labels, win.tgt_labels, SeriesMatrix(rows), res_b.kernel, coker_slots
+        w, win.src_labels, win.tgt_labels, SeriesMatrix(rows), kernel, coker_slots
     )
 
 

@@ -89,6 +89,17 @@ class TestExpressionParser:
         with pytest.raises(SpecSyntaxError):
             self.p1.parse("x + 1")
 
+    def test_only_library_errors_are_division_failures(self, monkeypatch):
+        def exhausted(x, *args):
+            raise MemoryError
+
+        with pytest.raises(SpecSyntaxError) as ei:
+            self.p1.parse("2 +\n 1/0")
+        assert str(ei.value) == "division failed: inverse of exact zero at line 2, column 3"
+        monkeypatch.setattr(TowerElement, "invert", exhausted)
+        with pytest.raises(MemoryError):
+            self.p1.parse("1/(1 - t)")
+
 
 class SeriesEvaluator:
     """The expression grammar evaluated token by token in series arithmetic.
@@ -312,6 +323,45 @@ class TestSpecFile:
         expressions = [s for rows in spec.raw_matrices for row in rows for s in row]
         expressions += [s for comps in spec.raw_forms for s in comps]
         assert calls == expressions
+
+    @pytest.mark.parametrize(
+        "flag", [("--precision", "8"), ("--seed", "3")], ids=["precision", "seed"]
+    )
+    def test_overrides_parse_each_expression_once(self, monkeypatch, capsys, flag):
+        path = GOLDEN / "cyclic_rank2.hl"
+        spec = parse_specfile(path.read_text())
+        expressions = [s for rows in spec.raw_matrices for row in rows for s in row]
+        calls = []
+        parse = ExpressionParser.parse
+
+        def counted(self, text, *args, **kwargs):
+            calls.append((text, self.prec))
+            return parse(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(ExpressionParser, "parse", counted)
+        assert cli.main([str(path), *flag]) == 0
+        capsys.readouterr()
+        precision = 8 if flag[0] == "--precision" else spec.precision
+        assert calls == [(s, precision) for s in expressions]
+
+    def test_overrides_replace_the_file_values(self):
+        text = rank1_spec("1/(1 - t)", "cyclic", precision=3000000).replace(
+            "command = cyclic", "command = cyclic\nseed = 5"
+        )
+        spec = parse_specfile(text, precision=8, seed=3)
+        assert (spec.precision, spec.seed) == (8, 3)
+        assert spec.connection.matrices[0][0, 0].known_hi() == 8
+        assert parse_specfile(text.replace("3000000", "8")).seed == 5
+        # the file's own values are still checked, at their positions
+        for good, bad, line, column in (
+            ("precision = 3000000", "precision = 0", 4, 13),
+            ("seed = 5", "seed = x", 12, 8),
+        ):
+            with pytest.raises(SpecSyntaxError) as ei:
+                parse_specfile(text.replace(good, bad), precision=8, seed=3)
+            assert (ei.value.line, ei.value.column) == (line, column)
+        with pytest.raises(ValueError, match="precision must be >= 1, got 0"):
+            parse_specfile(text, precision=0)
 
     def test_replace_reparses_with_positions(self):
         # the divisor is t^3 + ... at precision 8 but O(t^3) at precision 3,

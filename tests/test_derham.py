@@ -96,6 +96,18 @@ class TestFormTuple:
                 )
             )
 
+    def test_full_rank_certifies_independence_without_a_determinant(self, monkeypatch):
+        # every pivot is certified nonzero, so the rank alone decides
+        calls = []
+        build = linalg._determinant
+        monkeypatch.setattr(linalg, "_determinant", lambda *a: calls.append(1) or build(*a))
+        t1, t2 = F2.gen(1), F2.gen(2)
+        nu = FormTuple((OneForm((t1 ** -1, t2)), OneForm((F2.zero(), 1 + t2))))
+        assert nu.level == 2 and dlog_forms().level == 2
+        with pytest.raises(NotIndependent):
+            FormTuple((OneForm((F2.one(), F2.zero())), OneForm((t2, F2.zero()))))
+        assert not calls
+
     def test_negation_valid(self):
         nu = standard_forms(F2)
         neg = -nu

@@ -72,7 +72,7 @@ def random_integral_gauge(rng, rank):
     from higherlocal.errors import UndeterminedPivot
 
     try:
-        res = rank_kernel_det(g, want_kernel=False)
+        res = rank_kernel_det(g)
         det = res.determinant
         if det.is_certainly_nonzero() and det.valuation() == 0:
             return g

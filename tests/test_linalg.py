@@ -93,9 +93,9 @@ class TestElimination:
             A = SeriesMatrix([[rnd() for _ in range(3)] for _ in range(3)])
             B = SeriesMatrix([[rnd() for _ in range(3)] for _ in range(3)])
             try:
-                da = rank_kernel_det(A, want_kernel=False).determinant
-                db = rank_kernel_det(B, want_kernel=False).determinant
-                dab = rank_kernel_det(A @ B, want_kernel=False).determinant
+                da = rank_kernel_det(A).determinant
+                db = rank_kernel_det(B).determinant
+                dab = rank_kernel_det(A @ B).determinant
             except UndeterminedPivot:
                 continue
             assert dab.agrees_with(da * db)
@@ -127,6 +127,29 @@ class TestDeferredWork:
         assert res.determinant is res.determinant and len(calls) == 1
         assert rank_kernel_det(mat([[1, t]])).determinant is None and len(calls) == 1
 
+    def test_kernel_built_when_read(self, monkeypatch):
+        calls = []
+        back_substitute = linalg.Factorization.back_substitute
+        monkeypatch.setattr(
+            linalg.Factorization,
+            "back_substitute",
+            lambda fac, tail: calls.append(1) or back_substitute(fac, tail),
+        )
+        t = F1.gen(1)
+        M = mat([[1, t], [t, t * t]])
+        res = rank_kernel_det(M)
+        assert res.rank == 1 and res.determinant.is_exactly_zero() and not calls
+        assert res.kernel[0][0].agrees_with(-t) and len(calls) == 1
+        assert res.kernel is res.kernel and len(calls) == 1
+
+    def test_one_forward_pass_per_precision(self, small_precision):
+        M = mat([[1 + F1.gen(1), 2], [3, 4]])
+        res = rank_kernel_det(M)
+        assert rank_kernel_det(M) is res
+        series.set_working_precision(12)
+        at_12 = rank_kernel_det(M)
+        assert at_12 is not res and at_12.precision == 12 and rank_kernel_det(M) is at_12
+
     def test_pivots_inverted_when_needed(self, monkeypatch):
         calls = []
         invert = TowerElement.invert
@@ -134,7 +157,7 @@ class TestDeferredWork:
         t = F1.gen(1)
         # nothing below either pivot: rank and determinant invert nothing
         M = mat([[1 + t, t], [0, 2 + t]])
-        assert rank_kernel_det(M, want_kernel=False).rank == 2
+        assert rank_kernel_det(M).rank == 2
         assert not calls
         # the back-substitution of a solve inverts each pivot once, for good
         x = solve(M, (F1.one(), t))
@@ -143,7 +166,7 @@ class TestDeferredWork:
         assert len(calls) == 2
         # a pivot that clears a row below is inverted in the forward pass
         calls.clear()
-        assert rank_kernel_det(mat([[1 + t, t], [t, 1]]), want_kernel=False).rank == 2
+        assert rank_kernel_det(mat([[1 + t, t], [t, 1]])).rank == 2
         assert calls == [1 + t]
 
 
@@ -243,7 +266,7 @@ def ref_back_substitute(work, pivots, inverses):
             work[i2][pc] = TowerElement.zero(level)
 
 
-def ref_rank_kernel_det(M, want_kernel=True):
+def ref_rank_kernel_det(M):
     level = M.level
     work = [list(r) for r in M.entries]
     n, m = M.rows, M.cols
@@ -258,21 +281,18 @@ def ref_rank_kernel_det(M, want_kernel=True):
             determinant = det if sign == 1 else -det
         else:
             determinant = TowerElement.zero(level)
-    kernel = ()
-    if want_kernel:
-        ref_back_substitute(work, pivots, inverses)
-        pivot_cols = {pc: pr for pr, pc in pivots}
-        vecs = []
-        for f in range(m):
-            if f in pivot_cols:
-                continue
-            vec = [TowerElement.zero(level)] * m
-            vec[f] = TowerElement.constant(level, 1)
-            for pc, pr in pivot_cols.items():
-                vec[pc] = -work[pr][f]
-            vecs.append(tuple(vec))
-        kernel = tuple(vecs)
-    return linalg.EliminationResult(rank, tuple(pivots), kernel, determinant)
+    ref_back_substitute(work, pivots, inverses)
+    pivot_cols = {pc: pr for pr, pc in pivots}
+    vecs = []
+    for f in range(m):
+        if f in pivot_cols:
+            continue
+        vec = [TowerElement.zero(level)] * m
+        vec[f] = TowerElement.constant(level, 1)
+        for pc, pr in pivot_cols.items():
+            vec[pc] = -work[pr][f]
+        vecs.append(tuple(vec))
+    return rank, tuple(pivots), tuple(vecs), determinant
 
 
 def ref_solve_square(M, rhs_rows):
@@ -316,6 +336,12 @@ def ref_solve_columns(columns, target):
     for r, c in pivots:
         x[c] = work[r][ncols]
     return x
+
+
+def eliminated(M):
+    """The rank, pivots, kernel and determinant that ``rank_kernel_det`` gives for ``M``."""
+    res = rank_kernel_det(M)
+    return res.rank, res.pivots, res.kernel, res.determinant
 
 
 def outcome(fn, *args):
@@ -398,11 +424,8 @@ class TestEliminationOracle:
             M = random_system(rng, field, rows, cols, kind)
             rhs = tuple(random_entry(rng, field) for _ in range(rows))
             columns = [list(M.column(j)) for j in range(cols)]
-            for want_kernel in (True, False):
-                fresh = SeriesMatrix(M.entries)
-                assert outcome(rank_kernel_det, fresh, want_kernel) == outcome(
-                    ref_rank_kernel_det, M, want_kernel
-                )
+            fresh = SeriesMatrix(M.entries)
+            assert outcome(eliminated, fresh) == outcome(ref_rank_kernel_det, M)
             assert outcome(solve, SeriesMatrix(M.entries), rhs) == outcome(ref_solve, M, rhs)
             assert outcome(inverse, SeriesMatrix(M.entries)) == outcome(ref_inverse, M)
             # one elimination for both right-hand sides, the second consistent
@@ -414,7 +437,7 @@ class TestEliminationOracle:
             # a raise comes from the elimination, which no target changes
             assert (both[0] == "raised" and each == [both, both]) or both == each
             # one matrix through every entry point: the forward pass is reused
-            assert outcome(rank_kernel_det, M) == outcome(ref_rank_kernel_det, M)
+            assert outcome(eliminated, M) == outcome(ref_rank_kernel_det, M)
             assert outcome(solve, M, rhs) == outcome(ref_solve, M, rhs)
             assert outcome(inverse, M) == outcome(ref_inverse, M)
 
@@ -428,7 +451,7 @@ class TestEliminationOracle:
         monkeypatch.setattr(linalg, "_forward", lambda rows: calls.append(1) or forward(rows))
         M = mat(self.exact_unit_matrix())
         rhs = (F1.one(), F1.gen(1) ** -1, F1.zero())
-        assert rank_kernel_det(M, want_kernel=False).rank == 3
+        assert rank_kernel_det(M).rank == 3
         x = solve(M, rhs)
         Minv = inverse(M)
         assert len(calls) == 1
@@ -444,7 +467,7 @@ class TestEliminationOracle:
         monkeypatch.setattr(linalg, "_forward", lambda rows: calls.append(1) or forward(rows))
         M = mat(self.exact_unit_matrix())
         rhs = (F1.one(), F1.zero(), F1.gen(1))
-        rank_kernel_det(M, want_kernel=False)
+        rank_kernel_det(M)
         at_8 = solve(M, rhs)
         series.set_working_precision(12)
         at_12 = solve(M, rhs)

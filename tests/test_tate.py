@@ -276,7 +276,7 @@ class TestOuterWindowCrossCheck:
                     bottom = outer_window(op, w, "bottom")
                     top = outer_window(op, w, "top")
                     res_b = rank_kernel_det(bottom.matrix)
-                    res_t = rank_kernel_det(top.matrix.transpose(), want_kernel=False)
+                    res_t = rank_kernel_det(top.matrix.transpose())
                     covered = {c for _, c in res_t.pivots}
                     assert red.kernel == res_b.kernel
                     assert red.coker_slots == tuple(
