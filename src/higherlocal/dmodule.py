@@ -134,9 +134,8 @@ class ScalarOperator:
         s = _stirling_first(m)
         # t^m a_i d^i = (t^(m-i) a_i) sum_j s(i, j) theta^j
         scaled = [a.shift_outer(m - i) for i, a in enumerate(self.coeffs)]
-        c = TowerElement.constant
         b = [
-            sum_of_products(1, [(c(1, s[i][j]), scaled[i]) for i in range(j, m + 1)])
+            sum_of_products(1, [(s[i][j], scaled[i]) for i in range(j, m + 1)])
             for j in range(m + 1)
         ]
         return ScalarOperator(THETA, tuple(b))
@@ -347,6 +346,22 @@ def _certified_irregularity(C: Connection) -> int:
     return newton_polygon(L).irregularity
 
 
+def _rank_one_irregularity(C: Connection) -> int:
+    """The irregularity of ``d + a dt`` over one variable, read off ``a``.
+
+    The route's cyclic vector is 1 and its operator ``D + a``, whose theta
+    form ``theta + t a`` has the Newton points ``(1, 0)`` and, unless ``a``
+    is exactly zero, ``(0, v(a) + 1)``: the one edge rises ``-v(a) - 1``
+    where that is positive (Malgrange 1974).  An ``a`` without a certified
+    leading term raises the :class:`UndeterminedLeadingTerm` of the
+    polygon's reading.  No step depends on the precision.
+    """
+    a = C.matrices[0][0, 0]
+    if a.is_exactly_zero():
+        return 0
+    return max(0, -a.valuation() - 1)
+
+
 def connection_irregularity(C: Connection) -> int:
     """Irregularity through a certified cyclic vector, an exact invariant.
 
@@ -362,8 +377,12 @@ def connection_irregularity(C: Connection) -> int:
     polygon reads is certified, so a rung that returns gives the integer of
     the full-precision route.  The last rung is that route, at the working
     precision, and its result or exception is returned as is.  The precision
-    is restored after every rung.
+    is restored after every rung.  A rank-1 connection over one variable
+    runs no rung: its integer, or the route's exception, is read off its
+    entry (:func:`_rank_one_irregularity`).
     """
+    if C.field.level == 1 and C.rank == 1:
+        return _rank_one_irregularity(C)
     cap = working_precision()
     prec = _FIRST_RUNG
     while prec < cap:

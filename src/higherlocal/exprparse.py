@@ -100,24 +100,28 @@ def _by_outer(terms: Laurent) -> Dict[int, Laurent]:
     return out
 
 
+def _by_inner(terms: Laurent) -> Dict[Tuple[int, ...], Dict[int, Union[int, Fraction]]]:
+    """``terms`` grouped by the outer exponents, over the int innermost exponent."""
+    out: Dict[Tuple[int, ...], Dict[int, Union[int, Fraction]]] = {}
+    for e, q in terms.items():
+        out.setdefault(e[1:], {})[e[0]] = q
+    return out
+
+
 def _mul(a: Laurent, b: Laurent) -> Laurent:
-    """The product; above one variable, one inner product per pair of outer exponents."""
-    out: Laurent = {}
-    get = out.get
-    if len(next(iter(a), (0,))) == 1:
-        terms = list(b.items())
-        for (x,), qa in a.items():
-            for (y,), qb in terms:
-                e = (x + y,)
-                out[e] = get(e, 0) + qa * qb
-    else:
-        outer_b = _by_outer(b)
-        for ja, ra in _by_outer(a).items():
-            for jb, rb in outer_b.items():
-                for e, q in _mul(ra, rb).items():
-                    e += (ja + jb,)
-                    out[e] = get(e, 0) + q
-    return {e: q for e, q in out.items() if q}
+    """The product: per pair of outer exponent tuples, one product of the
+    innermost parts, keyed by int exponents."""
+    out: Dict[Tuple[int, ...], Dict[int, Union[int, Fraction]]] = {}
+    inner_b = [(kb, list(rb.items())) for kb, rb in _by_inner(b).items()]
+    for ka, ra in _by_inner(a).items():
+        for kb, rb in inner_b:
+            acc = out.setdefault(tuple(x + y for x, y in zip(ka, kb)), {})
+            get = acc.get
+            for x, qa in ra.items():
+                for y, qb in rb:
+                    e = x + y
+                    acc[e] = get(e, 0) + qa * qb
+    return {(e,) + k: q for k, acc in out.items() for e, q in acc.items() if q}
 
 
 def _pow(a: Laurent, n: int, level: int) -> Laurent:

@@ -22,7 +22,14 @@ from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import LevelMismatch, UndeterminedPivot
-from .series import TowerElement, TowerField, sub_mul, sum_of_products, working_precision
+from .series import (
+    TowerElement,
+    TowerField,
+    set_working_precision,
+    sub_mul,
+    sum_of_products,
+    working_precision,
+)
 
 
 class SeriesMatrix:
@@ -44,13 +51,23 @@ class SeriesMatrix:
             for x in r:
                 if not isinstance(x, TowerElement) or x.level != level:
                     raise LevelMismatch("all entries must share one tower level")
+        self._fill(rows, level)
+
+    def _fill(self, rows: Tuple[Tuple[TowerElement, ...], ...], level: int) -> "SeriesMatrix":
         self.entries = rows
         self.rows = len(rows)
-        self.cols = width
+        self.cols = len(rows[0])
         self.level = level
         self._factored = None
+        return self
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _of_rows(cls, rows: Sequence[Sequence[TowerElement]], level: int) -> "SeriesMatrix":
+        """The matrix of ``rows``, which the caller built nonempty, rectangular
+        and at ``level``: the public constructor's checks are skipped."""
+        return object.__new__(cls)._fill(tuple(map(tuple, rows)), level)
 
     @classmethod
     def zeros(cls, field: TowerField, rows: int, cols: int) -> "SeriesMatrix":
@@ -72,9 +89,7 @@ class SeriesMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "SeriesMatrix":
-        return SeriesMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return SeriesMatrix._of_rows(zip(*self.entries), self.level)
 
     def map(self, fn) -> "SeriesMatrix":
         return SeriesMatrix([[fn(x) for x in r] for r in self.entries])
@@ -168,9 +183,9 @@ class Factorization:
     ``inverses[k]`` is the inverse of pivot ``k``, or None until
     :meth:`back_substitute` needs it: the forward pass inverts only the
     pivots that clear a row below them.  Exact pivots invert to the working
-    precision, so the result, and the ``kernel`` and ``determinant`` built
-    from it when first read, hold only at the ``precision`` it was computed
-    at.
+    precision, so the result holds only at the ``precision`` it was
+    computed at; the ``kernel``, built when first read, is built at that
+    precision whenever it is read.
     """
 
     precision: int
@@ -187,13 +202,21 @@ class Factorization:
 
     @cached_property
     def kernel(self) -> Tuple[Tuple[TowerElement, ...], ...]:
-        """A basis of the right kernel, one vector per column without a pivot."""
+        """A basis of the right kernel, one vector per column without a pivot.
+
+        The pivots are inverted at the pass's ``precision`` whenever the
+        kernel is first read.
+        """
         m = len(self.rows[0])
         level = self.rows[0][0].level
         pivot_rows = {pc: pr for pr, pc in self.pivots}
         free = [f for f in range(m) if f not in pivot_rows]
         tail = [[self.rows[pr][f] for f in free] for pr in range(self.rank)]
-        self.back_substitute(tail)
+        old = set_working_precision(self.precision)
+        try:
+            self.back_substitute(tail)
+        finally:
+            set_working_precision(old)
         vecs = []
         for k, f in enumerate(free):
             vec = [TowerElement.zero(level)] * m

@@ -675,15 +675,15 @@ def _products_q(pairs, h: Optional[int]):
 
     Each product is convolved in integers (:func:`_convolve`) and brought to
     the lcm ``D`` of the denominators ``da*db``, so every sum is an integer
-    over ``D``.
+    over ``D``.  An int ``a`` is the constant ``a/1``.
     """
-    dens = [a._den * b._den for a, b in pairs]
+    dens = [b._den if type(a) is int else a._den * b._den for a, b in pairs]
     D = lcm(*dens)
     acc: dict = {}
     get = acc.get
     for (a, b), d in zip(pairs, dens):
         s = D // d
-        for e, n in _convolve(a._terms, b._terms, h).items():
+        for e, n in _convolve({0: a} if type(a) is int else a._terms, b._terms, h).items():
             acc[e] = get(e, 0) + n * s
     return _reduced(acc, D)
 
@@ -692,14 +692,15 @@ def _fused(level: int, live: list, h: Optional[int]) -> TowerElement:
     """The sum of the products of the ``live`` pairs, no factor zero, known below ``h``.
 
     Above level 1 the inner pairs are gathered per outer exponent below
-    ``h`` and each coefficient is fused one level down, once.
+    ``h`` and each coefficient is fused one level down, once; an int first
+    factor goes down as it is, the constant at outer exponent 0.
     """
     if level == 1:
         return _element(1, *_products_q(live, h), h)
     buckets: dict = {}
     for a, b in live:
         ys = b._terms.items()
-        for ea, x in a._terms.items():
+        for ea, x in ((0, a),) if type(a) is int else a._terms.items():
             for eb, y in ys:
                 e = ea + eb
                 if h is None or e < h:
@@ -720,11 +721,21 @@ def sum_of_products(level: int, pairs) -> TowerElement:
     an exact-zero factor is skipped, the sum is known below the least
     product bound of the others (exact when all are exact), and level-1
     coefficients are summed in integers over one common denominator.  No
-    pair left gives the exact zero.
+    pair left gives the exact zero.  A first factor may be an int, the
+    exact constant of ``level``: its pair is skipped when it is 0 and is
+    otherwise known below ``b.known_hi()``, and no constant is built.
     """
     live = []
     h: Optional[int] = None
     for a, b in pairs:
+        if type(a) is int:
+            if not a or b.is_exactly_zero():
+                continue
+            if b.level != level:
+                raise LevelMismatch(f"level {b.level} in a level-{level} sum")
+            live.append((a, b))
+            h = _min_bound(h, b.known_hi())
+            continue
         if a.is_exactly_zero() or b.is_exactly_zero():
             continue
         if a.level != level or b.level != level:

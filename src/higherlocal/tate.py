@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame
 from .linalg import (
+    Factorization,
     SeriesMatrix,
     rank_kernel_det,
     sparse_echelon,
@@ -185,7 +186,7 @@ def window_columns(
     component in ``dens``.  At level 2 the ``(falling(e, d), q)`` terms of
     an entry are gathered and the entry is built once, by
     :func:`~higherlocal.series.sum_of_products` with each falling factorial
-    as an exact constant, with the window and exactness of the chained sum.
+    as an int weight, with the window and exactness of the chained sum.
     Entries that cancel exactly are dropped at both levels.  Exponents at or
     above ``hi`` are cut (quotient semantics); one below ``lo`` is a broken
     hull.  An inexact coefficient
@@ -252,7 +253,7 @@ def window_columns(
                     if integer:
                         col[row] = col.get(row, 0) + f * q
                     else:
-                        col.setdefault(row, []).append((TowerElement.constant(1, f), q))
+                        col.setdefault(row, []).append((f, q))
         if integer:
             columns.append({row: q for row, q in col.items() if q})
         else:
@@ -420,24 +421,47 @@ def operator_index(op: MatrixDiffOp, schedule: Sequence[int] = DEFAULT_SCHEDULE)
 # Outer-variable windows over a two-variable field
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class OuterReduction:
-    """Windowed kernel/cokernel of an outer-variable operator, over the inner field."""
+    """Windowed kernel/cokernel of an outer-variable operator, over the inner field.
+
+    The kernel is that of the lattice-sharp ("bottom") window, whose forward
+    pass is kept in ``bottom``: :attr:`ker_dim` reads its rank, and the basis
+    is back-substituted when :attr:`kernel` is first read, so a window that
+    the settle rule discards builds none.  Two reductions are equal when
+    their windows, labels, matrices, kernel bases and cokernel slots are.
+    """
 
     window: int
     src_labels: Tuple  # (component, outer exponent)
     tgt_labels: Tuple
     matrix: SeriesMatrix  # the top window, entries over the inner field
-    kernel: Tuple  # tuples of inner-field elements indexed by src_labels
+    bottom: Factorization  # the forward pass of the bottom window
     coker_slots: Tuple  # tgt labels representing the cokernel
 
     @property
+    def kernel(self) -> Tuple:
+        """Tuples of inner-field elements indexed by ``src_labels``."""
+        return self.bottom.kernel
+
+    @property
     def ker_dim(self) -> int:
-        return len(self.kernel)
+        return len(self.src_labels) - self.bottom.rank
 
     @property
     def coker_dim(self) -> int:
         return len(self.coker_slots)
+
+    def _values(self):
+        return (
+            self.window, self.src_labels, self.tgt_labels, self.matrix, self.kernel,
+            self.coker_slots,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, OuterReduction):
+            return NotImplemented
+        return self._values() == other._values()
 
 
 def reduce_outer_window(op: MatrixDiffOp, w: int) -> OuterReduction:
@@ -445,22 +469,24 @@ def reduce_outer_window(op: MatrixDiffOp, w: int) -> OuterReduction:
 
     The rows of the derivative-cut ("top") window are built once; the
     lattice-sharp ("bottom") window is the subset of them below each
-    component's bottom cut.  The kernel comes from the bottom rows, the
-    cokernel slots from the pivots of the transposed top rows, so both are
-    eliminated.
+    component's bottom cut.  The kernel comes from the bottom rows, whose
+    forward pass is kept for it, the cokernel slots from the pivots of the
+    transposed top rows, so both are eliminated.  The three matrices are
+    built from the window's rows without the public constructor's checks.
     """
     if op.level != 2:
         raise UnsupportedFrame("outer windows are implemented for two variables")
     win = realize_window(op, w)
     zero = TowerElement.zero(1)
-    rows = [[col.get(k, zero) for col in win.columns] for k in range(len(win.tgt_labels))]
+    rows = [tuple(col.get(k, zero) for col in win.columns) for k in range(len(win.tgt_labels))]
     cut = window_bounds(op, w, "bottom")
     bottom = [row for row, (c, e) in zip(rows, win.tgt_labels) if e < cut[c][1]]
-    kernel = rank_kernel_det(SeriesMatrix(bottom)).kernel
-    covered = {c for _, c in rank_kernel_det(SeriesMatrix(list(zip(*rows)))).pivots}
+    bottom_pass = rank_kernel_det(SeriesMatrix._of_rows(bottom, 1))
+    covered = {c for _, c in rank_kernel_det(SeriesMatrix._of_rows(zip(*rows), 1)).pivots}
     coker_slots = tuple(lab for k, lab in enumerate(win.tgt_labels) if k not in covered)
     return OuterReduction(
-        w, win.src_labels, win.tgt_labels, SeriesMatrix(rows), kernel, coker_slots
+        w, win.src_labels, win.tgt_labels, SeriesMatrix._of_rows(rows, 1), bottom_pass,
+        coker_slots,
     )
 
 

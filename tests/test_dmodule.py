@@ -315,16 +315,32 @@ def full_route(C, prec):
 
 
 def ladder_route(C, prec):
-    """The same triple through connection_irregularity, with its rungs."""
+    """The same triple through connection_irregularity, with its rungs.
+
+    A rank-1 connection over one variable is read off its entry: no rung
+    runs, and the vector is None."""
     with precision(prec), recorded_rungs() as rungs:
         try:
             got = ("ok", connection_irregularity(C), None)
         except HigherLocalError as exc:
             got = ("error", type(exc).__name__, str(exc))
         assert working_precision() == prec
-    if got[0] == "ok":
+    if got[0] == "ok" and rungs:
         got = got[:2] + (rungs[-1][1],)
     return got, rungs
+
+
+def assert_ladder_matches_full_route(C, prec):
+    """The ladder's triple is the full route's; at rank 1 no rung runs and
+    the integer or the error is compared.  Returns the ladder's triple."""
+    got, rungs = ladder_route(C, prec)
+    want = full_route(C, prec)
+    if C.rank == 1:
+        assert rungs == []
+        if want[0] == "ok":
+            want = want[:2] + (None,)
+    assert got == want
+    return got
 
 
 def spec_connection(rows):
@@ -452,15 +468,13 @@ class TestPrecisionLadder:
     @settings(deadline=None, max_examples=40)
     @given(exact_connections(), st.sampled_from((32, 64)))
     def test_exact_connections_match_full_route(self, C, prec):
-        got, _ = ladder_route(C, prec)
-        assert got == full_route(C, prec)
+        assert_ladder_matches_full_route(C, prec)
 
     @settings(deadline=None, max_examples=25)
     @given(gauged_sums(), st.sampled_from((32, 64)))
     def test_gauged_sums_match_full_route(self, case, prec):
         C, irr = case
-        got, _ = ladder_route(C, prec)
-        assert got == full_route(C, prec)
+        got = assert_ladder_matches_full_route(C, prec)
         assert got[1] == irr
 
     def test_pinned_spec_needs_rung_16(self):
@@ -517,3 +531,50 @@ class TestPrecisionLadder:
         with precision(32):
             s, _, _ = find_cyclic_vector(undetermined_candidates_connection())
         assert s == (F1.gen(1), F1.one())
+
+
+@st.composite
+def rank_one_entries(draw):
+    """Exact Laurent polynomials, truncated series, exact and inexact zeros,
+    with poles down to t^-40."""
+    kind = draw(st.sampled_from(("exact", "truncated", "exact zero", "inexact zero")))
+    if kind == "exact zero":
+        return F1.zero()
+    if kind == "inexact zero":
+        return TowerElement.inexact_zero(1, draw(st.integers(-40, 8)))
+    coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    coeffs = draw(st.dictionaries(st.integers(-40, 8), coeff, min_size=1, max_size=6))
+    if kind == "exact":
+        return TowerElement(1, coeffs, None, True)
+    return TowerElement(1, coeffs, draw(st.integers(-40, 10)), False)
+
+
+class TestRankOneReading:
+    """d + a dt over one variable: the irregularity read off a."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rank_one_entries(), st.sampled_from((8, 32, 64)))
+    def test_matches_full_route(self, a, prec):
+        C = Connection(F1, [SeriesMatrix([[a]])])
+        got = assert_ladder_matches_full_route(C, prec)
+        # no cyclic vector is searched for
+        with counted_candidates() as counts:
+            ladder_route(C, prec)
+        assert not counts
+        if got[0] == "error":
+            why = "window too small to certify the leading term"
+            assert got[1:] == ("UndeterminedLeadingTerm", why)
+        elif not a.is_exactly_zero():
+            assert got[1] == max(0, -a.valuation() - 1)
+
+    def test_pinned_readings(self):
+        t = F1.gen(1)
+        for a, irr in ((F1.zero(), 0), (t ** -1 * 5, 0), (t ** -40 + t, 39), (t ** 3, 0)):
+            assert connection_irregularity(Connection(F1, [SeriesMatrix([[a]])])) == irr
+
+    def test_two_variables_keep_the_search_error(self):
+        C = Connection.trivial(TowerField(2), 1)
+        with precision(32):
+            with pytest.raises(ValueError, match="runs over the one-variable field"):
+                connection_irregularity(C)
+            assert working_precision() == 32

@@ -911,6 +911,20 @@ def constant_weights(level, terms):
     return [(TowerElement.constant(level, c), x) for c, x in terms]
 
 
+@st.composite
+def int_weighted_terms(draw):
+    """(level, pairs): each first factor an int weight, zero among them, or
+    an element; a negated copy of one pair may follow."""
+    level = draw(st.integers(1, 2))
+    ints = st.sampled_from((0, 1, -1, 2, -3)) | st.integers(-(10 ** 20), 10 ** 20)
+    first = ints | fused_elements(level)
+    pairs = draw(st.lists(st.tuples(first, fused_elements(level)), max_size=4))
+    if pairs and draw(st.booleans()):
+        a, b = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.append((-a, b))
+    return level, pairs
+
+
 class TestFusedSums:
     """``sum_of_products`` is the chained ``*`` and ``+``, also with constant weights."""
 
@@ -929,6 +943,16 @@ class TestFusedSums:
         assert_same_element(got, chained(level, terms, oracle_scale))
 
     @settings(deadline=None, max_examples=300)
+    @given(int_weighted_terms())
+    def test_int_weights_match_constant_weights(self, case):
+        level, pairs = case
+        got = series.sum_of_products(level, pairs)
+        constants = [
+            (TowerElement.constant(level, a) if isinstance(a, int) else a, b) for a, b in pairs
+        ]
+        assert_same_element(got, series.sum_of_products(level, constants))
+
+    @settings(deadline=None, max_examples=300)
     @given(fused_elements(2), fused_elements(2))
     def test_level2_product_matches_term_loop(self, a, b):
         assert_same_element(a * b, oracle_mul2(a, b))
@@ -943,6 +967,7 @@ class TestFusedSums:
             assert got is TowerElement.zero(level)
             weighted = constant_weights(level, [(3, x), (Fraction(-3), x)])
             assert series.sum_of_products(level, weighted) is got
+            assert series.sum_of_products(level, [(3, x), (-3, x)]) is got
 
     def test_inexact_zero_survives_cancellation(self):
         # the exact parts cancel, the inexact zero keeps its window
@@ -956,6 +981,9 @@ class TestFusedSums:
         assert series.sum_of_products(2, []) is TowerElement.zero(2)
         weighted = constant_weights(1, [(0, F1.gen(1)), (2, F1.zero())])
         assert series.sum_of_products(1, weighted) is F1.zero()
+        assert series.sum_of_products(1, [(0, F1.gen(1)), (2, F1.zero())]) is F1.zero()
+        with pytest.raises(LevelMismatch):
+            series.sum_of_products(2, [(1, F1.gen(1))])
         with pytest.raises(LevelMismatch):
             series.sum_of_products(2, [(F2.gen(1), F1.gen(1))])
         with pytest.raises(LevelMismatch):

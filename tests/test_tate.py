@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from higherlocal import cli, derham, linalg, tate
+from higherlocal import cli, derham, linalg, series, tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.derham import EdgeOperator
 from higherlocal.dmodule import connection_irregularity
@@ -21,6 +21,7 @@ from higherlocal.tate import (
     MatrixDiffOp,
     operator_index,
     reduce_outer_window,
+    stabilize_outer_windows,
     WindowRealization,
     realize_window,
     window_bounds,
@@ -284,6 +285,54 @@ class TestOuterWindowCrossCheck:
                     )
                     assert red.matrix == top.matrix
                     assert (red.src_labels, red.tgt_labels) == (top.src_labels, top.tgt_labels)
+
+    def test_stabilization_builds_one_kernel_basis(self, monkeypatch):
+        # the windows the settle rule discards build no kernel basis, and
+        # the settling one builds its basis when the kernel is first read
+        calls = []
+        back_substitute = linalg.Factorization.back_substitute
+        monkeypatch.setattr(
+            linalg.Factorization,
+            "back_substitute",
+            lambda fac, tail: calls.append(1) or back_substitute(fac, tail),
+        )
+        rng = random.Random(1807)
+        ops = [MatrixDiffOp.from_connection(Connection.trivial(F2, 2))]
+        ops += [random_outer_operator(rng, rank, n) for rank in (1, 2) for n in (False, True)]
+        settled = 0
+        for op in ops:
+            calls.clear()
+            outer = stabilize_outer_windows(op)
+            red = outer.reduction
+            assert len(outer.trace) >= 2 and not calls
+            assert (red.ker_dim, red.coker_dim) == outer.trace[-1][1:]
+            kernel = red.kernel
+            assert len(kernel) == red.ker_dim and len(calls) == 1
+            assert red.kernel is kernel and len(calls) == 1
+            w = outer.trace[-1][0]
+            assert outer.stabilized_at in (None, w)
+            settled += outer.stabilized_at is not None
+            fresh = reduce_outer_window(op, w)
+            for name in ("window", "src_labels", "tgt_labels", "matrix", "kernel", "coker_slots"):
+                assert getattr(red, name) == getattr(fresh, name)
+            assert (red.ker_dim, red.coker_dim) == (fresh.ker_dim, fresh.coker_dim)
+            assert red == fresh
+        assert settled >= 2
+
+    def test_kernel_read_after_a_precision_change(self):
+        # a kernel read after a precision change is the one of its own
+        # pass: at 16 terms this window's kernel is another basis
+        op = random_outer_operator(random.Random(0), 1, False)
+        old = series.set_working_precision(8)
+        try:
+            eager = reduce_outer_window(op, 4)
+            eager.kernel  # built at 8 terms
+            lazy = reduce_outer_window(op, 4)
+            series.set_working_precision(16)
+            assert lazy.kernel == eager.kernel and lazy == eager
+            assert reduce_outer_window(op, 4).kernel != eager.kernel
+        finally:
+            series.set_working_precision(old)
 
     def test_short_coefficients_raise_as_the_bottom_window(self):
         rng = random.Random(31)
