@@ -3,13 +3,15 @@
 Given a flat connection and an independent tuple of closed 1-forms, the
 complex of forms splits over the subsets of {1..n}: each vertex of the cube
 is a copy of the underlying module identified through the wedge frame of the
-tuple, each edge carries two maps under one wedge sign, the directional
-covariant derivative along the dual frame field (top differential) and the
-identity (bottom differential).  Closedness of the tuple makes the dual
-frame fields commute, so all squares anticommute; the checker composes the
-edges as differential operators, checks that each route sum vanishes
-coefficient by coefficient, and reads each covariant edge's kernel/cokernel
-windows off its own data: the lattice probes of
+tuple, and each edge carries two maps under one wedge sign, the covariant
+derivative along the edge's dual frame field (top differential) and the
+identity (bottom differential).  The signs make the two routes of every face
+opposite, so the cube is stored as its n directions and each face reduces
+to the commutator of its two.  Closed forms have commuting dual fields, so
+flatness makes the directions commute; the checker composes each pair as
+differential operators, checks that the commutator vanishes coefficient by
+coefficient, and reads each direction's kernel/cokernel windows off its
+own data: the lattice probes of
 :func:`~higherlocal.tate.operator_index` over one variable or along the
 inner one, the outer windows of
 :func:`~higherlocal.tate.stabilize_outer_windows` along the outer one.
@@ -29,7 +31,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connection import Connection
-from .dmodule import connection_irregularity
+from .dmodule import connection_irregularity, rank_one_h0
 from .errors import (
     NotClosed,
     NotFlat,
@@ -126,45 +128,41 @@ def standard_forms(field: TowerField) -> FormTuple:
 # The binary multicomplex on the cube
 # ---------------------------------------------------------------------------
 
-def _wedge_sign(M: frozenset, i: int) -> int:
-    """Sign of nu_i ^ nu_M relative to the ascending wedge of M | {i}."""
-    return -1 if sum(1 for m in M if m < i) % 2 else 1
-
-
 # A differential operator on sections: each derivative multi-index (variables
 # in ascending order, () for order zero) maps to its r x r coefficient rows.
 Operator = Dict[Tuple[int, ...], Tuple[Tuple[TowerElement, ...], ...]]
 
 
-def _diagonal(x: TowerElement, r: int) -> Tuple[Tuple[TowerElement, ...], ...]:
-    """The rows of ``x I`` of size ``r``."""
-    zero = TowerElement.zero(x.level)
-    return tuple(tuple(x if a == b else zero for b in range(r)) for a in range(r))
-
-
 @dataclass(frozen=True)
 class EdgeOperator:
-    """sign * (directional covariant derivative along a frame field)."""
+    """The directional covariant derivative along a frame field."""
 
-    sign: int
     cvec: Tuple[TowerElement, ...]  # coefficients of d/dt_k
     pmat: SeriesMatrix  # sum c_k A_k
 
     def terms(self) -> Operator:
-        """The edge as ``{(): s P, (k,): s c_k I}``, exact-zero ``c_k`` left out."""
-        s, rows = self.sign, self.pmat.entries
-        out = {(): rows if s == 1 else tuple(tuple(-x for x in row) for row in rows)}
+        """The edge as ``{(): P, (k,): c_k I}``, exact-zero ``c_k`` left out."""
+        rows = self.pmat.entries
+        r, zero = len(rows), TowerElement.zero(self.pmat.level)
+        out = {(): rows}
         for k, c in enumerate(self.cvec, start=1):
             if not c.is_exactly_zero():
-                out[(k,)] = _diagonal(c if s == 1 else -c, len(rows))
+                out[(k,)] = tuple(tuple(c if a == b else zero for b in range(r)) for a in range(r))
         return out
 
 
 class BinaryMultiComplex:
     """Cube-indexed objects with covariant-derivative and wedge differentials.
 
-    The wedge differential of edge ``(M, i)`` is the identity times
-    ``nabla_edges[(M, i)].sign``, the one sign both differentials carry.
+    Edge ``(M, i)`` carries ``s nabla_i`` (top) and ``s 1`` (bottom), with
+    ``s(M, i) = (-1)^#{m in M : m < i}`` the sign of ``nu_i ^ nu_M`` against
+    the ascending wedge and ``nabla_i`` the covariant derivative along the
+    field dual to ``nu_i``; ``directions[i]`` holds ``nabla_i`` unsigned.
+    On a face ``(M, i, j)``, ``i < j``, the routes through ``M | {i}`` and
+    ``M | {j}`` carry the opposite signs ``-s(M, i) s(M, j)`` and ``s(M, i)
+    s(M, j)``.  So a route kind with a wedge edge, a direction composed with
+    the identity either way, sums to zero, and the covariant kind sums to
+    ``+-(nabla_j nabla_i - nabla_i nabla_j)`` on every face of the pair.
     """
 
     def __init__(self, connection: Connection, forms: FormTuple):
@@ -172,20 +170,9 @@ class BinaryMultiComplex:
         self.forms = forms
         self.field = connection.field
         self.rank = connection.rank
-        n = self.field.level
-        self.n = n
-        nabla_edges: Dict[Tuple[frozenset, int], EdgeOperator] = {}
-        fields = {i: forms.dual_field(i) for i in range(1, n + 1)}
-        for size in range(n):
-            for M in map(frozenset, combinations(range(1, n + 1), size)):
-                for i in range(1, n + 1):
-                    if i in M:
-                        continue
-                    cvec = fields[i]
-                    nabla_edges[(M, i)] = EdgeOperator(
-                        _wedge_sign(M, i), tuple(cvec), connection.along(cvec)
-                    )
-        self.nabla_edges = nabla_edges
+        self.n = self.field.level
+        fields = {i: forms.dual_field(i) for i in range(1, self.n + 1)}
+        self.directions = {i: EdgeOperator(V, connection.along(V)) for i, V in fields.items()}
 
 
 def build_multicomplex(C: Connection, forms: FormTuple) -> BinaryMultiComplex:
@@ -203,15 +190,13 @@ def build_multicomplex(C: Connection, forms: FormTuple) -> BinaryMultiComplex:
 
 @dataclass
 class SquareFailure:
-    face: Tuple
-    kind: str
+    pair: Tuple[int, int]  # the directions (i, j), i < j, of the failing faces
     detail: str
 
 
 @dataclass
 class DirectionResult:
     direction: int
-    family: str  # "nabla" or "wedge"
     ok: bool
     detail: str
     trace: Tuple = ()
@@ -253,8 +238,8 @@ class MultiComplexReport:
         return self.squares_ok and self.acyclic
 
 
-def _add_composite(acc: Dict, F: Operator, G: Operator) -> None:
-    """Add the product pairs of the coefficients of ``F o G`` to ``acc``.
+def _add_composite(acc: Dict, F: Operator, G: Operator, sign: int = 1) -> None:
+    """Add the product pairs of the coefficients of ``sign F o G`` to ``acc``.
 
     ``F`` is first order, so ``F o G = sum F_a G_b d^(a+b) + sum_l F_(l)
     d_l(G_b) d^b``; ``acc[(c, i, j)]`` collects the pairs whose products sum
@@ -263,6 +248,8 @@ def _add_composite(acc: Dict, F: Operator, G: Operator) -> None:
 
     def add(c, X, Y):
         r = len(X)
+        if sign < 0:
+            X = tuple(tuple(-x for x in row) for row in X)
         for i in range(r):
             for j in range(r):
                 acc.setdefault((c, i, j), []).extend((X[i][m], Y[m][j]) for m in range(r))
@@ -278,58 +265,29 @@ def _add_composite(acc: Dict, F: Operator, G: Operator) -> None:
 def check_multicomplex(
     B: BinaryMultiComplex, schedule: Sequence[int] = DEFAULT_SCHEDULE
 ) -> MultiComplexReport:
-    """Check every square as an operator identity, then each direction's acyclicity.
+    """Check the commutator of each pair of directions, then each direction's acyclicity.
 
-    Each square ``(M, i, j)`` sums two composites per kind of route, and the
-    kind fails when a coefficient of that sum is certified nonzero.  The sum
-    is the operator every section sees, so no test section is needed.  The
-    one-variable and inner directions probe on ``schedule``; the outermost
-    covariant edge's stabilized reduction is kept in
+    Every face of the pair ``(i, j)`` sums to ``+-(nabla_j nabla_i -
+    nabla_i nabla_j)`` (:class:`BinaryMultiComplex`), so the pair fails
+    when a coefficient of that commutator is certified nonzero.  The
+    commutator is the operator every section sees, so no test section is
+    needed.  The one-variable and inner directions probe on ``schedule``;
+    the outermost direction's stabilized reduction is kept in
     ``MultiComplexReport.outer``.
     """
+    ops = {i: edge.terms() for i, edge in B.directions.items()}
     failures: List[SquareFailure] = []
-    n, level = B.n, B.field.level
-    ops: Dict[Tuple[str, frozenset, int], Operator] = {}
-
-    def edge(family, M, i) -> Operator:
-        key = (family, M, i)
-        if key not in ops:
-            if family == "nabla":
-                ops[key] = B.nabla_edges[(M, i)].terms()
-            else:
-                sign = B.nabla_edges[(M, i)].sign
-                ops[key] = {(): _diagonal(B.field.rational(sign), B.rank)}
-        return ops[key]
-
-    for size in range(n - 1):
-        for M in map(frozenset, combinations(range(1, n + 1), size)):
-            rest = [i for i in range(1, n + 1) if i not in M]
-            for i, j in combinations(rest, 2):
-                Mi, Mj = M | {i}, M | {j}
-                for kind in ("nabla-nabla", "wedge-wedge", "nabla-wedge", "wedge-nabla"):
-                    # the edges along i are of the first family, those along j
-                    # of the second
-                    x, y = kind.split("-")
-                    acc: Dict = {}
-                    _add_composite(acc, edge(y, Mi, j), edge(x, M, i))
-                    _add_composite(acc, edge(x, Mj, i), edge(y, M, j))
-                    if any(sum_of_products(level, p).is_certainly_nonzero() for p in acc.values()):
-                        failures.append(
-                            SquareFailure(
-                                (tuple(sorted(M)), i, j),
-                                kind,
-                                "route sum has a certified nonzero coefficient",
-                            )
-                        )
-
+    for i, j in combinations(sorted(ops), 2):
+        acc: Dict = {}
+        _add_composite(acc, ops[j], ops[i])
+        _add_composite(acc, ops[i], ops[j], -1)
+        if any(sum_of_products(B.field.level, p).is_certainly_nonzero() for p in acc.values()):
+            failures.append(SquareFailure((i, j), "commutator has a certified nonzero term"))
     directions, outer = [], None
-    empty = frozenset()
-    for i in range(1, n + 1):
-        d, stab = _direction_acyclicity(i, B.nabla_edges[(empty, i)], schedule)
+    for i, edge in B.directions.items():
+        d, stab = _direction_acyclicity(i, edge, schedule)
         directions.append(d)
         outer = outer or stab
-        # the wedge edge is +-1 times the identity, a unit
-        directions.append(DirectionResult(i, "wedge", True, "scaled identity"))
     return MultiComplexReport(not failures, failures, directions, outer)
 
 
@@ -353,7 +311,7 @@ def _direction_acyclicity(
     cvec, P = edge.cvec, edge.pmat
     if all(c.is_exactly_zero() for c in cvec):
         vanishes = "covariant edge vanishes; window kernels grow"
-        return DirectionResult(i, "nabla", False, vanishes), None
+        return DirectionResult(i, False, vanishes), None
     nonzero = [k for k, c in enumerate(cvec, start=1) if c.is_certainly_nonzero()]
     outer = None
     try:
@@ -374,9 +332,9 @@ def _direction_acyclicity(
             rep = operator_index(MatrixDiffOp.first_order(c, P), schedule)
             at, trace = rep.stabilized_at, rep.trace
     except UnsupportedFrame as exc:
-        return DirectionResult(i, "nabla", False, str(exc), unsupported=True), None
+        return DirectionResult(i, False, str(exc), unsupported=True), None
     detail = "window dimensions " + ("kept growing" if at is None else "stabilized")
-    return DirectionResult(k, "nabla", at is not None, detail, trace), outer
+    return DirectionResult(k, at is not None, detail, trace), outer
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +413,14 @@ class CohomologyReport:
 
 
 def cohomology_dims(C: Connection, schedule: Sequence[int] = DEFAULT_SCHEDULE) -> CohomologyReport:
-    """Windowed cohomology dimensions with a certified degree-one side.
+    """Cohomology dimensions, certified in degree one, and in degree zero at rank 1.
 
-    Over one variable the degree-zero dimension is the windowed kernel of the
-    lattice probes (:func:`operator_index`), a presentation-independent
-    quantity.  The degree-one dimension is normalized through the certified
-    irregularity (the windowed Euler characteristic equals minus the
-    irregularity); the windowed cokernel is computed alongside and compared.
+    Over one variable the degree-zero dimension is read off the entry at
+    rank 1 (:func:`~higherlocal.dmodule.rank_one_h0`); at higher rank it is
+    the windowed kernel of the lattice probes (:func:`operator_index`).  The
+    degree-one dimension is normalized through the certified irregularity
+    (the windowed Euler characteristic equals minus the irregularity); the
+    windowed kernel and cokernel are computed alongside and compared.
 
     Over two variables the outer direction goes first, on the fixed outer
     windows (:func:`induced_inner_connections`).  The induced inner
@@ -474,7 +433,7 @@ def cohomology_dims(C: Connection, schedule: Sequence[int] = DEFAULT_SCHEDULE) -
     if n == 1:
         irr = connection_irregularity(C)
         rep = operator_index(MatrixDiffOp.from_connection(C), schedule)
-        h0 = rep.ker_dim
+        h0 = rank_one_h0(C) if C.rank == 1 else rep.ker_dim
         dims = (h0, h0 + irr)
         window_dims = (rep.ker_dim, rep.coker_dim) if rep.stabilized else None
         return CohomologyReport(

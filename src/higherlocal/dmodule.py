@@ -362,6 +362,23 @@ def _rank_one_irregularity(C: Connection) -> int:
     return max(0, -a.valuation() - 1)
 
 
+def rank_one_h0(C: Connection) -> int:
+    """``h0`` of ``d + a dt`` over one variable, read off ``a``.
+
+    A flat section has ``f'/f = -a``, of valuation at least -1 for a Laurent
+    ``f``.  So ``h0`` is 1 for ``a = 0``, 0 for ``v(a) < -1``, and otherwise,
+    with ``a = c/t + b``, 1 exactly when ``c`` is an integer: the section is
+    ``t^(-c) exp(-int b)``.  It raises where :func:`_rank_one_irregularity`
+    does, and no step depends on the precision.
+    """
+    a = C.matrices[0][0, 0]
+    if a.is_exactly_zero():
+        return 1
+    if a.valuation() < -1:
+        return 0
+    return int(a.coefficient(-1).denominator == 1)
+
+
 def connection_irregularity(C: Connection) -> int:
     """Irregularity through a certified cyclic vector, an exact invariant.
 

@@ -59,6 +59,10 @@ class Unstabilized(HigherLocalError):
         super().__init__(message or "window dimensions did not stabilize")
 
 
+class WindowTooLarge(HigherLocalError):
+    """A window has more labels on a side than the limit it is checked against."""
+
+
 class SearchExhausted(HigherLocalError):
     """Cyclic vector search ran out of candidates."""
 

@@ -38,7 +38,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connection import Connection
-from .errors import InsufficientPrecision, UnsupportedFrame
+from .errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
 from .linalg import (
     Factorization,
     SeriesMatrix,
@@ -49,6 +49,9 @@ from .series import TowerElement, TowerField, sum_of_products
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
 OUTER_SCHEDULE = (4, 6, 8, 12)
+# the most labels a window may have on either side; a window spans about
+# its operator's pole order plus the probe depth, and no flag bounds that
+MAX_WINDOW_LABELS = 2 ** 16
 
 
 @dataclass
@@ -192,8 +195,13 @@ def window_columns(
     hull.  An inexact coefficient
     must be known up to ``hi``: its product with the monomial is known below
     ``entry.hi + e - d``, and a sum is known below the least bound of its
-    terms.
+    terms.  A window with more than ``MAX_WINDOW_LABELS`` labels on a side
+    raises :class:`WindowTooLarge` before anything is built.
     """
+    sizes = (op.rank * (src[1] - src[0]), sum(hi - lo for lo, hi in bounds))
+    if max(sizes) > MAX_WINDOW_LABELS:
+        message = "a window of {} source and {} target labels is past the limit of {} per side"
+        raise WindowTooLarge(message.format(*sizes, MAX_WINDOW_LABELS))
     src_labels = [(c, e) for c in range(op.rank) for e in range(*src)]
     tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
     offset = []  # target row of (i, ee) is offset[i] + ee

@@ -29,18 +29,17 @@ def apply_op(op: MatrixDiffOp, vec):
     return tuple(out)
 
 
-def with_zero_edge(B, M: frozenset, i: int):
-    """A tampered copy of the multicomplex ``B`` with one covariant edge replaced by zero."""
+def with_zero_direction(B, i: int):
+    """A tampered copy of the multicomplex ``B`` with direction ``i`` replaced by zero."""
     clone = copy.copy(B)
-    edges = dict(B.nabla_edges)
-    old = edges[(M, i)]
     zero = B.field.zero()
-    edges[(M, i)] = EdgeOperator(
-        old.sign,
-        tuple(zero for _ in old.cvec),
-        SeriesMatrix.zeros(B.field, B.rank, B.rank),
-    )
-    clone.nabla_edges = edges
+    clone.directions = {
+        **B.directions,
+        i: EdgeOperator(
+            tuple(zero for _ in B.directions[i].cvec),
+            SeriesMatrix.zeros(B.field, B.rank, B.rank),
+        ),
+    }
     return clone
 
 

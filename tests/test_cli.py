@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -788,6 +789,72 @@ command = epsilon
         assert captured.err == (
             "error: UnsupportedFrame: two-variable degrees need a diagonal frame tuple\n"
         )
+
+
+def log_twist_spec(k):
+    """d + (k/t) dt over one variable, under cohomology."""
+    return (
+        f'[field]\nn = 1\n[connection]\nrank = 1\nA1 = [["{k}/t1"]]\n'
+        "[task]\ncommand = cohomology\n"
+    )
+
+
+class TestCertifiedH0:
+    def test_rank_one_h0_beside_the_windows(self, tmp_path, capsys):
+        # d - 30 dt/t has the section t^30, past the windows, which settle
+        # on (0, 0): h0 is read off the entry and the windows disagree
+        spec = tmp_path / "twist.hl"
+        spec.write_text(log_twist_spec(-30))
+        assert cli.main([str(spec)]) == 0
+        lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        got = {k: lines[k] for k in ("h0", "h1", "window_h0", "window_h1", "window_agrees")}
+        assert got == {
+            "h0": "1", "h1": "1", "window_h0": "0", "window_h1": "0", "window_agrees": "no",
+        }
+        assert lines["stabilized"] == "yes"
+        # windows that do not settle still exit 2
+        spec.write_text(log_twist_spec(-24))
+        assert cli.main([str(spec)]) == 2
+        lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (lines["h0"], lines["h1"], lines["stabilized"]) == ("1", "1", "no")
+
+
+def run_cli_capped(path):
+    """``run_cli`` with the child's address space capped at 1 GiB, so a window
+    built past the limit fails in the child and not on the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "higherlocal.cli", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+    )
+
+
+class TestWindowLimit:
+    @pytest.mark.parametrize("command", ["cohomology", "epsilon", "verify"])
+    @pytest.mark.parametrize(
+        "n, matrices",
+        [(1, 'A1 = [["t1^-99999999"]]'), (2, 'A1 = [["0"]]\nA2 = [["t2^-99999999"]]')],
+        ids=["n1", "n2_outer"],
+    )
+    def test_oversized_window_is_refused_before_it_is_built(self, tmp_path, command, n, matrices):
+        # a pole of order 10^8 spans about 10^8 window labels
+        spec = tmp_path / "pole.hl"
+        spec.write_text(
+            f"[field]\nn = {n}\n[connection]\nrank = 1\n{matrices}\n[task]\ncommand = {command}\n"
+        )
+        start = time.perf_counter()
+        proc = run_cli_capped(spec)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: WindowTooLarge: a window of ")
+        limit = tate.MAX_WINDOW_LABELS
+        assert proc.stderr.endswith(f"labels is past the limit of {limit} per side\n")
 
 
 class TestRejections:

@@ -5,10 +5,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from higherlocal import derham, linalg, tate
 from higherlocal.connection import Connection, rank1_from_form
-from higherlocal.dmodule import connection_irregularity
+from higherlocal.dmodule import connection_irregularity, rank_one_h0
 from higherlocal.derham import (
     BinaryMultiComplex,
     DirectionResult,
@@ -29,7 +30,7 @@ from higherlocal.tate import (
     operator_index,
     strip_outer,
 )
-from helpers import with_zero_edge
+from helpers import with_zero_direction
 from test_acceptance import f1_catalog, f2_catalog, f2_form_tuples
 
 F1 = TowerField(1)
@@ -136,19 +137,20 @@ class TestFormTuple:
 
 class TestMulticomplex:
     def test_length_two_binary_complex(self):
-        # n = 1: one nabla edge and one wedge edge
+        # n = 1: one direction, so no pair and no square
         C = Connection.trivial(F1, 1)
         nu = standard_forms(F1)
         B = build_multicomplex(C, nu)
-        assert set(B.nabla_edges) == {(frozenset(), 1)}
-        assert B.nabla_edges[(frozenset(), 1)].sign == 1
+        assert set(B.directions) == {1}
+        assert B.directions[1].cvec == nu.dual_field(1)
         rep = check_multicomplex(B)
         assert rep.ok
+        assert [d.direction for d in rep.directions] == [1]
 
     def test_trivial_cube(self):
         C = Connection.trivial(F2, 1)
         B = build_multicomplex(C, standard_forms(F2))
-        assert len(B.nabla_edges) == 4
+        assert len(B.directions) == 2
         rep = check_multicomplex(B)
         assert rep.squares_ok
         assert rep.acyclic
@@ -162,10 +164,10 @@ class TestMulticomplex:
         B = build_multicomplex(C, standard_forms(F2))
         rep = check_multicomplex(B)
         assert rep.squares_ok
-        statuses = {(d.direction, d.family): d.status for d in rep.directions}
+        statuses = {d.direction: d.status for d in rep.directions}
         # direction 1's data involve t2, so no fiberwise check applies to it
-        assert statuses[(1, "nabla")] == "unsupported"
-        assert statuses[(2, "nabla")] == "pass"
+        assert statuses[1] == "unsupported"
+        assert statuses[2] == "pass"
         assert rep.acyclicity == "unsupported"
 
     def test_dlog_frame(self):
@@ -178,11 +180,11 @@ class TestMulticomplex:
     def test_sabotage_detected(self):
         C = Connection.trivial(F2, 1)
         B = build_multicomplex(C, standard_forms(F2))
-        bad = with_zero_edge(B, frozenset(), 2)
+        bad = with_zero_direction(B, 2)
         rep = check_multicomplex(bad)
         assert not rep.ok
-        blamed = [d for d in rep.directions if d.family == "nabla" and not d.ok]
-        assert blamed
+        blamed = [d.direction for d in rep.directions if not d.ok]
+        assert blamed == [2]
 
     def test_unsupported_direction_status(self):
         # nu1 = dt1 + dt2, nu2 = dt2: the frame field dual to nu2 is
@@ -190,14 +192,11 @@ class TestMulticomplex:
         nu = FormTuple((OneForm((F2.one(), F2.one())), OneForm((F2.zero(), F2.one()))))
         B = build_multicomplex(Connection.trivial(F2, 1), nu)
         rep = check_multicomplex(B)
-        statuses = {(d.direction, d.family): d.status for d in rep.directions}
-        assert statuses == {
-            (1, "nabla"): "pass", (1, "wedge"): "pass",
-            (2, "nabla"): "unsupported", (2, "wedge"): "pass",
-        }
+        statuses = {d.direction: d.status for d in rep.directions}
+        assert statuses == {1: "pass", 2: "unsupported"}
         assert rep.acyclicity == "unsupported" and not rep.acyclic
         # a failed direction outranks an unsupported one
-        assert check_multicomplex(with_zero_edge(B, frozenset(), 1)).acyclicity == "fail"
+        assert check_multicomplex(with_zero_direction(B, 1)).acyclicity == "fail"
 
     def test_outer_reduction_handed_along(self, monkeypatch):
         C = exp2_connection()
@@ -220,16 +219,23 @@ class TestMulticomplex:
         assert other[2].reduction.coker_slots != shared[2].reduction.coker_slots
 
     def test_three_variables_squares_checked_directions_unsupported(self):
-        # the random test sections carry coefficients one level down
+        # the three commutators are checked at any n; the directions only
+        # up to n = 2
         B = build_multicomplex(Connection.trivial(F3, 1), standard_forms(F3))
         rep = check_multicomplex(B)
         assert rep.squares_ok
-        statuses = {(d.direction, d.family): d.status for d in rep.directions}
-        assert statuses == {
-            **{(i, "nabla"): "unsupported" for i in (1, 2, 3)},
-            **{(i, "wedge"): "pass" for i in (1, 2, 3)},
-        }
+        statuses = {d.direction: d.status for d in rep.directions}
+        assert statuses == {i: "unsupported" for i in (1, 2, 3)}
         assert rep.acyclicity == "unsupported" and rep.outer is None
+
+    def test_one_along_per_direction(self, monkeypatch):
+        calls = []
+        along = Connection.along
+        monkeypatch.setattr(Connection, "along", lambda C, V: calls.append(1) or along(C, V))
+        for F in (F1, F2, F3):
+            calls.clear()
+            B = BinaryMultiComplex(Connection.trivial(F, 1), standard_forms(F))
+            assert len(calls) == len(B.directions) == F.level
 
     def test_non_closed_rejected_at_build(self):
         t2 = F2.gen(2)
@@ -246,15 +252,29 @@ class TestMulticomplex:
             )
 
 
-def oracle_apply(edge, section):
-    """An edge applied to one section: component i is sum_k pmat[i, k] v_k +
-    sum_k c_k d_k(v_i), times the sign."""
+def wedge_sign(M: frozenset, i: int) -> int:
+    """The sign of edge ``(M, i)``: nu_i ^ nu_M against the ascending wedge of M | {i}."""
+    return -1 if sum(1 for m in M if m < i) % 2 else 1
+
+
+def faces(n):
+    """Every face ``(M, i, j)`` of the n-cube: ``i < j``, neither in ``M``."""
+    for size in range(n - 1):
+        for M in map(frozenset, combinations(range(1, n + 1), size)):
+            rest = [i for i in range(1, n + 1) if i not in M]
+            for i, j in combinations(rest, 2):
+                yield M, i, j
+
+
+def oracle_apply(edge, section, sign=1):
+    """A direction applied to one section: component i is sum_k pmat[i, k] v_k +
+    sum_k c_k d_k(v_i), times ``sign``."""
     derivatives = [(k, c) for k, c in enumerate(edge.cvec, start=1) if not c.is_exactly_zero()]
     out = []
     for row, v in zip(edge.pmat.entries, section):
         pairs = list(zip(row, section)) + [(c, v.derive(k)) for k, c in derivatives]
         x = sum_of_products(edge.pmat.level, pairs)
-        out.append(x if edge.sign == 1 else -x)
+        out.append(x if sign == 1 else -x)
     return tuple(out)
 
 
@@ -282,31 +302,28 @@ def oracle_test_sections(field, rank):
 
 def oracle_square_failures(B):
     """The ``(face, kind)`` pairs whose route sum is certified nonzero on a
-    test section: the squares as they were checked before they became
-    operator identities."""
+    test section, with edge ``(M, i)`` carrying ``s nabla_i`` and ``s 1``
+    for ``s = wedge_sign(M, i)``: the squares as they were checked per face
+    and route kind, before the cube became its directions."""
     sections = oracle_test_sections(B.field, B.rank)
 
     def nabla(M, i, sec):
-        return oracle_apply(B.nabla_edges[(M, i)], sec)
+        return oracle_apply(B.directions[i], sec, wedge_sign(M, i))
 
     def nu(M, i, sec):
-        return tuple(x * Fraction(B.nabla_edges[(M, i)].sign) for x in sec)
+        return tuple(x * Fraction(wedge_sign(M, i)) for x in sec)
 
     edges = {"nabla": nabla, "wedge": nu}
     failures = []
-    n = B.n
-    for size in range(n - 1):
-        for M in map(frozenset, combinations(range(1, n + 1), size)):
-            rest = [i for i in range(1, n + 1) if i not in M]
-            for i, j in combinations(rest, 2):
-                for kind in ("nabla-nabla", "wedge-wedge", "nabla-wedge", "wedge-nabla"):
-                    x, y = (edges[f] for f in kind.split("-"))
-                    for sec in sections:
-                        a = y(M | {i}, j, x(M, i, sec))
-                        b = x(M | {j}, i, y(M, j, sec))
-                        if any((p + q).is_certainly_nonzero() for p, q in zip(a, b)):
-                            failures.append(((tuple(sorted(M)), i, j), kind))
-                            break
+    for M, i, j in faces(B.n):
+        for kind in ("nabla-nabla", "wedge-wedge", "nabla-wedge", "wedge-nabla"):
+            x, y = (edges[f] for f in kind.split("-"))
+            for sec in sections:
+                a = y(M | {i}, j, x(M, i, sec))
+                b = x(M | {j}, i, y(M, j, sec))
+                if any((p + q).is_certainly_nonzero() for p, q in zip(a, b)):
+                    failures.append(((tuple(sorted(M)), i, j), kind))
+                    break
     return failures
 
 
@@ -338,25 +355,82 @@ def square_cases():
 SQUARE_CASES = square_cases()
 
 
+def non_flat_cases():
+    """Cubes over curved connections, built past the flatness gate, with the
+    pairs of directions whose curvature is nonzero."""
+    z2, one, t2 = F2.zero(), F2.one(), F2.gen(2)
+    z3, t3_2, t3_3 = F3.zero(), F3.gen(2), F3.gen(3)
+    return [
+        # d + t2 dt1, as in test_curvature_fails_the_covariant_square, on
+        # the dlog frame
+        ("t2_dt1_dlog", BinaryMultiComplex(
+            Connection(F2, [SeriesMatrix([[t2]]), SeriesMatrix([[z2]])]), dlog_forms()
+        ), [(1, 2)]),
+        # constant rank 2: the curvature is [A1, A2] = diag(1, -1)
+        ("rank2", BinaryMultiComplex(
+            Connection(F2, [SeriesMatrix([[z2, one], [z2, z2]]),
+                            SeriesMatrix([[z2, z2], [one, z2]])]),
+            standard_forms(F2),
+        ), [(1, 2)]),
+        # d + t2 dt1 + t3 dt2: the pairs (1, 2) and (2, 3) are curved, each
+        # on two faces, and (1, 3) is flat
+        ("n3", BinaryMultiComplex(
+            Connection(F3, [SeriesMatrix([[t3_2]]), SeriesMatrix([[t3_3]]),
+                            SeriesMatrix([[z3]])]),
+            standard_forms(F3),
+        ), [(1, 2), (2, 3)]),
+    ]
+
+
+NON_FLAT_CASES = non_flat_cases()
+
+
 class TestSquaresAsOperatorIdentities:
-    """The squares are checked as identities of differential operators; the
-    test-section check they replaced is the oracle."""
+    """Each pair of directions is checked as a commutator; the section check
+    of every face and route kind, on the signed edges, is the oracle."""
+
+    def test_sign_rule(self):
+        # the two routes of every face carry opposite signs, so each route
+        # kind with a wedge edge, a direction composed with the identity in
+        # either order, sums to zero
+        assert wedge_sign(frozenset(), 1) == 1
+        for n in range(1, 6):
+            seen = 0
+            for M, i, j in faces(n):
+                through_i = wedge_sign(M, i) * wedge_sign(M | {i}, j)
+                through_j = wedge_sign(M, j) * wedge_sign(M | {j}, i)
+                assert through_i == -through_j
+                seen += 1
+            # n (n - 1) / 2 pairs, each on 2^(n - 2) faces
+            assert seen == n * (n - 1) * 2 ** n // 8
+
+    @staticmethod
+    def matches_the_oracle(B):
+        rep = check_multicomplex(B)
+        want = oracle_square_failures(B)
+        # the oracle's wedge kinds fail nowhere
+        assert [kind for _, kind in want if kind != "nabla-nabla"] == []
+        failing = {face for face, _ in want}
+        pairs = [f.pair for f in rep.square_failures]
+        # each pair's verdict is the oracle's covariant verdict on every face
+        # of the pair
+        for M, i, j in faces(B.n):
+            assert ((tuple(sorted(M)), i, j) in failing) == ((i, j) in pairs)
+        assert pairs == sorted({(i, j) for _, i, j in failing})
+        assert rep.squares_ok == (not want)
+        return rep
 
     @pytest.mark.parametrize("name", [name for name, _ in SQUARE_CASES])
     def test_matches_the_section_oracle(self, name):
-        # the flat multicomplex passes and each of its zero-edge copies fails,
-        # on the same faces and kinds as the oracle's
+        # the flat multicomplex passes, and so does each zero-direction copy
+        # (a zero direction commutes with every other), which fails its
+        # acyclicity instead
         B = dict(SQUARE_CASES)[name]
-        variants = [B] + [with_zero_edge(B, M, i) for M, i in B.nabla_edges]
-        verdicts = []
-        for V in variants:
-            rep = check_multicomplex(V)
-            want = oracle_square_failures(V)
-            assert rep.squares_ok == (not want)
-            assert [(f.face, f.kind) for f in rep.square_failures] == want
-            verdicts.append(rep.squares_ok)
-        assert verdicts == [True] + [False] * (len(variants) - 1)
-
+        assert self.matches_the_oracle(B).squares_ok
+        for i in B.directions:
+            rep = self.matches_the_oracle(with_zero_direction(B, i))
+            assert rep.squares_ok
+            assert rep.directions[i - 1].status == "fail"
 
     def test_curvature_fails_the_covariant_square(self):
         # d + t2 dt1 is not flat; with rank 1 the products of the matrix parts
@@ -364,8 +438,14 @@ class TestSquaresAsOperatorIdentities:
         t2 = F2.gen(2)
         C = Connection(F2, [SeriesMatrix([[t2]]), SeriesMatrix([[F2.zero()]])])
         B = BinaryMultiComplex(C, standard_forms(F2))
-        got = [(f.face, f.kind) for f in check_multicomplex(B).square_failures]
-        assert got == oracle_square_failures(B) == [(((), 1, 2), "nabla-nabla")]
+        got = [f.pair for f in self.matches_the_oracle(B).square_failures]
+        assert got == [(1, 2)]
+        assert oracle_square_failures(B) == [(((), 1, 2), "nabla-nabla")]
+
+    @pytest.mark.parametrize("name, B, pairs", NON_FLAT_CASES, ids=[c[0] for c in NON_FLAT_CASES])
+    def test_non_flat_cubes_fail_their_curved_pairs(self, name, B, pairs):
+        assert not B.connection.check_flatness().flat
+        assert [f.pair for f in self.matches_the_oracle(B).square_failures] == pairs
 
 
 def oracle_outer_windows(op, schedule):
@@ -407,24 +487,24 @@ def oracle_direction_acyclicity(n, i, edge, schedule):
     direction test and inner operator; the outer case also returns
     (reduction, at)."""
     if all(c.is_exactly_zero() for c in edge.cvec):
-        return DirectionResult(i, "nabla", False, "vanishes"), None
+        return DirectionResult(i, False, "vanishes"), None
     pure = pure_direction(edge.cvec)
     if pure is None:
-        return DirectionResult(i, "nabla", False, "mixed", unsupported=True), None
+        return DirectionResult(i, False, "mixed", unsupported=True), None
     if n == 1:
         op = MatrixDiffOp.first_order(edge.cvec[0], edge.pmat)
         rep = operator_index(op, DEFAULT_SCHEDULE)
-        return DirectionResult(1, "nabla", rep.stabilized, "", rep.trace), None
+        return DirectionResult(1, rep.stabilized, "", rep.trace), None
     if pure == n:
         op = MatrixDiffOp.first_order(edge.cvec[n - 1], edge.pmat)
         red, at, trace = oracle_outer_windows(op, schedule)
-        return DirectionResult(n, "nabla", at is not None, "", trace), (red, at)
+        return DirectionResult(n, at is not None, "", trace), (red, at)
     try:
         op1 = inner_operator(edge.cvec[0], edge.pmat)
     except UnsupportedFrame as exc:
-        return DirectionResult(pure, "nabla", False, str(exc), unsupported=True), None
+        return DirectionResult(pure, False, str(exc), unsupported=True), None
     rep = operator_index(op1, DEFAULT_SCHEDULE)
-    return DirectionResult(pure, "nabla", rep.stabilized, "", rep.trace), None
+    return DirectionResult(pure, rep.stabilized, "", rep.trace), None
 
 
 def shared_route_cases():
@@ -440,10 +520,10 @@ def shared_route_cases():
     t1, t2 = F2.gen(1), F2.gen(2)
     f = (t1 * t2) ** -1
     cases += [
-        with_zero_edge(trivial, frozenset(), 2),
-        with_zero_edge(trivial, frozenset(), 1),
+        with_zero_direction(trivial, 2),
+        with_zero_direction(trivial, 1),
         mixed,
-        with_zero_edge(mixed, frozenset(), 1),
+        with_zero_direction(mixed, 1),
         build_multicomplex(
             rank1_from_form(OneForm((f.derive(1), f.derive(2)))), standard_forms(F2)
         ),
@@ -458,16 +538,17 @@ class TestSharedDirectionalRoute:
 
     @staticmethod
     def key(r):
-        return (r.direction, r.family, r.ok, r.status, r.trace)
+        return (r.direction, r.ok, r.status, r.trace)
 
     def test_matches_the_hand_written_tree(self):
         seen = set()
         for B in shared_route_cases():
             rep = check_multicomplex(B)
-            got = [d for d in rep.directions if d.family == "nabla"]
+            # one result per direction, with no wedge entries
+            assert len(rep.directions) == B.n
             outers = []
-            for i, d in enumerate(got, start=1):
-                edge = B.nabla_edges[(frozenset(), i)]
+            for i, d in enumerate(rep.directions, start=1):
+                edge = B.directions[i]
                 want, outer = oracle_direction_acyclicity(B.n, i, edge, OUTER_SCHEDULE)
                 assert self.key(d) == self.key(want)
                 if outer is not None:
@@ -582,6 +663,50 @@ DEEP = pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="outer window depth, ROADMAP item 1"
 )
 DEEP_B = [pytest.param(b, marks=DEEP) for b in (-8, -7, -6, 7, 8)]
+
+
+def log_twist(k, F=F1):
+    """d + (k/t1) dt1, with A2 = 0 over two variables."""
+    zeros = [SeriesMatrix([[F.zero()]])] * (F.level - 1)
+    return Connection(F, [SeriesMatrix([[k * F.gen(1) ** -1]])] + zeros)
+
+
+class TestRankOneH0:
+    """h0 of d + a dt over one variable, read off a: the flat section
+    t^(-c) exp(-int (a - c/t)) is Laurent exactly when the t^-1 coefficient
+    c is an integer and v(a) >= -1."""
+
+    def test_pinned_readings(self):
+        t = F1.gen(1)
+        cases = [
+            (F1.zero(), 1), (t ** 3, 1), (-30 * t ** -1 + t, 1), (Fraction(5, 2) * t ** -1, 0),
+            (t ** -2 + t ** -1, 0), (t ** -40, 0),
+        ]
+        for a, h0 in cases:
+            assert rank_one_h0(Connection(F1, [SeriesMatrix([[a]])])) == h0
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(-60, 60))
+    def test_integer_residue_gives_one_section(self, k):
+        rep = cohomology_dims(log_twist(k))
+        assert rep.dims == (1, 1) and rep.euler == 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.fractions(-60, 60, max_denominator=12).filter(lambda q: q.denominator > 1))
+    def test_non_integer_residue_gives_none(self, k):
+        assert cohomology_dims(log_twist(k)).dims == (0, 0)
+
+    def test_two_variable_family(self):
+        # each induced level is d + (k/t) dt, read through the n = 1 branch
+        for k in range(-60, 61):
+            assert cohomology_dims(log_twist(k, F2)).dims == (1, 2, 1), k
+
+    def test_windows_stay_the_cross_check(self):
+        # the windows settle before reaching the solution t^30: the certified
+        # h0 is printed, and the windowed dims disagree beside it
+        rep = cohomology_dims(log_twist(-30))
+        assert rep.dims == (1, 1) and rep.stabilized
+        assert rep.window_dims == (0, 0) and rep.window_agrees is False
 
 
 class TestKunneth:

@@ -11,7 +11,7 @@ from higherlocal import cli, derham, linalg, series, tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.derham import EdgeOperator
 from higherlocal.dmodule import connection_irregularity
-from higherlocal.errors import InsufficientPrecision, UnsupportedFrame
+from higherlocal.errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
 from higherlocal.linalg import SeriesMatrix, rank_kernel_det, rref_q, sparse_echelon
 from higherlocal.series import OneForm, TowerElement, TowerField
 from higherlocal.specfile import parse_specfile
@@ -910,6 +910,18 @@ class TestOperatorLevel:
         assert str(ei.value) == "outer windows are implemented for two variables"
 
     @pytest.mark.parametrize("level", [1, 2])
+    def test_window_past_the_label_limit_is_not_built(self, level):
+        # either side past the limit raises before a label is built; a side
+        # at the limit is built
+        op = MatrixDiffOp.from_connection(Connection.trivial(TowerField(level), 2))
+        n = tate.MAX_WINDOW_LABELS
+        with pytest.raises(WindowTooLarge, match=f"{n + 2} source and 2 target labels"):
+            window_columns(op, (0, n // 2 + 1), [(0, 1)] * 2)
+        with pytest.raises(WindowTooLarge, match=f"2 source and {n + 1} target labels"):
+            window_columns(op, (0, 1), [(-n, 1), (0, 0)])
+        assert len(window_columns(op, (0, 1), [(-n + 1, 1), (0, 0)]).tgt_labels) == n
+
+    @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize("mode", ["bottom", "top"])
     def test_zero_row_keeps_the_source_window(self, level, mode):
         # row 0 is d/dt + t^-2 (delta_bottom = -2, delta_top = -1); row 1 is zero
@@ -930,7 +942,7 @@ class TestOperatorLevel:
 def directional_profile(i, C, V):
     """Covariant edge ``i`` along ``V`` read by the multicomplex check:
     (result, settled (ker, coker), outer stabilization)."""
-    res, outer = derham._direction_acyclicity(i, EdgeOperator(1, V, C.along(V)), DEFAULT_SCHEDULE)
+    res, outer = derham._direction_acyclicity(i, EdgeOperator(V, C.along(V)), DEFAULT_SCHEDULE)
     return res, res.trace[-1][1:] if res.trace else None, outer
 
 
