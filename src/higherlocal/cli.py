@@ -32,6 +32,7 @@ from .errors import (
     SpecFileError,
     Unstabilized,
     UnsupportedFrame,
+    WindowTooLarge,
 )
 from .specfile import SpecFile, parse_specfile
 from .tate import DEFAULT_SCHEDULE
@@ -111,7 +112,7 @@ def _run(command: str, spec: SpecFile, schedule) -> Report:
     if command == "irregularity":
         if spec.level != 1:
             raise SpecFileError("irregularity runs over one variable")
-        s, cert, det = find_cyclic_vector(C, seed=spec.seed)
+        s, cert, _ = find_cyclic_vector(C, seed=spec.seed)
         L = to_scalar_operator(C, s, cert)
         np_ = newton_polygon(L)
         report.append(("operator", L.render(spec.field)))
@@ -129,7 +130,8 @@ def _run(command: str, spec: SpecFile, schedule) -> Report:
     if command == "cyclic":
         if spec.level != 1:
             raise SpecFileError("cyclic vector search runs over one variable")
-        s, cert, det = find_cyclic_vector(C, seed=spec.seed)
+        s, cert, certified = find_cyclic_vector(C, seed=spec.seed)
+        det = certified.determinant
         report.append(
             ("vector", "(" + ", ".join(spec.field.render(x) for x in s) + ")")
         )
@@ -186,7 +188,7 @@ def _run(command: str, spec: SpecFile, schedule) -> Report:
         try:
             ok, lhs, rhs = verify_duality(C, nu, sigma, outer=mrep.outer)
             duality, degree = "pass" if ok else "fail", str(sigma.sign * rhs)
-        except UnsupportedFrame:
+        except (UnsupportedFrame, WindowTooLarge):
             duality = degree = "unsupported"
         report.append(("check_duality", duality))
         report.append(("sigma", str(spec.sigma)))

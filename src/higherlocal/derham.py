@@ -38,9 +38,17 @@ from .errors import (
     NotIndependent,
     UndeterminedPivot,
     UnsupportedFrame,
+    WindowTooLarge,
 )
 from .linalg import SeriesMatrix, inverse, rank_kernel_det, solve_columns
-from .series import OneForm, TowerElement, TowerField, sum_of_products
+from .series import (
+    OneForm,
+    TowerElement,
+    TowerField,
+    set_working_precision,
+    sum_of_products,
+    working_precision,
+)
 from .tate import (
     DEFAULT_SCHEDULE,
     IndexReport,
@@ -57,9 +65,15 @@ from .tate import (
 # ---------------------------------------------------------------------------
 
 class FormTuple:
-    """An independent tuple of closed 1-forms (nu_1, ..., nu_n)."""
+    """An independent tuple of closed 1-forms (nu_1, ..., nu_n).
 
-    __slots__ = ("forms", "frame", "frame_inverse")
+    ``frame`` is the component matrix.  Its inverse, whose columns are the
+    dual fields, is built when :attr:`frame_inverse` is first read, at the
+    precision the tuple was made at, so the commands that read only the
+    frame build none.
+    """
+
+    __slots__ = ("forms", "frame", "_precision", "_inverse", "_negated")
 
     def __init__(self, forms: Sequence[OneForm]):
         forms = tuple(forms)
@@ -88,17 +102,31 @@ class FormTuple:
                 )
         self.forms = forms
         self.frame = N
-        self.frame_inverse = inverse(N)
+        self._precision = working_precision()
+        self._inverse = self._negated = None
 
     @property
     def level(self) -> int:
         return len(self.forms)
 
+    @property
+    def frame_inverse(self) -> SeriesMatrix:
+        """The inverse of ``frame``; a negated tuple negates its source's."""
+        if self._inverse is None and self._negated is not None:
+            self._inverse = -self._negated.frame_inverse
+        elif self._inverse is None:
+            old = set_working_precision(self._precision)
+            try:
+                self._inverse = inverse(self.frame)
+            finally:
+                set_working_precision(old)
+        return self._inverse
+
     def __neg__(self) -> "FormTuple":
         # negation keeps the tuple closed and independent: no check to redo
         neg = object.__new__(FormTuple)
         neg.forms = tuple(-nu for nu in self.forms)
-        neg.frame, neg.frame_inverse = -self.frame, -self.frame_inverse
+        neg.frame, neg._inverse, neg._negated = -self.frame, None, self
         return neg
 
     def dual_field(self, i: int) -> Tuple[TowerElement, ...]:
@@ -305,8 +333,9 @@ def _direction_acyclicity(
     :func:`operator_index` run on ``schedule``.  Along the outer variable
     the fixed outer windows are reduced over the inner field, and that
     stabilization is returned beside the result.  The data that these
-    routes reject leave the direction unsupported.  The edge's own ``cvec``
-    and ``pmat`` are read, so a tampered edge is what gets checked.
+    routes reject, and a window past the label limit, leave the direction
+    unsupported.  The edge's own ``cvec`` and ``pmat`` are read, so a
+    tampered edge is what gets checked.
     """
     cvec, P = edge.cvec, edge.pmat
     if all(c.is_exactly_zero() for c in cvec):
@@ -331,7 +360,7 @@ def _direction_acyclicity(
                 c, P = strip_outer(c), P.map(strip_outer)
             rep = operator_index(MatrixDiffOp.first_order(c, P), schedule)
             at, trace = rep.stabilized_at, rep.trace
-    except UnsupportedFrame as exc:
+    except (UnsupportedFrame, WindowTooLarge) as exc:
         return DirectionResult(i, False, str(exc), unsupported=True), None
     detail = "window dimensions " + ("kept growing" if at is None else "stabilized")
     return DirectionResult(k, at is not None, detail, trace), outer

@@ -24,7 +24,7 @@ from .errors import (
     UndeterminedLeadingTerm,
     UndeterminedPivot,
 )
-from .linalg import SeriesMatrix, rank_kernel_det, solve
+from .linalg import Factorization, SeriesMatrix, rank_kernel_det, solve
 from .series import (
     TowerElement,
     TowerField,
@@ -198,11 +198,14 @@ def _candidate_vectors(C: Connection, seed: int):
 
 def find_cyclic_vector(
     C: Connection, seed: int = 0
-) -> Tuple[Tuple[TowerElement, ...], SeriesMatrix, TowerElement]:
+) -> Tuple[Tuple[TowerElement, ...], SeriesMatrix, Factorization]:
     """A vector whose iterated derivatives frame the module, with certificate.
 
-    Returns (vector, certificate matrix, certificate determinant); the
-    determinant is certified nonzero with finite valuation.
+    Returns (vector, certificate matrix, the certificate's forward pass).
+    The pass has full rank over certified-nonzero pivots, so the
+    determinant it builds when ``.determinant`` is first read is certified
+    nonzero with finite valuation; the callers that only need the vector
+    build none.
     """
     if C.field.level != 1:
         raise ValueError("cyclic vector search runs over the one-variable field")
@@ -218,7 +221,7 @@ def find_cyclic_vector(
             continue
         # the pivots are certified nonzero, so full rank certifies the determinant
         if res.rank == C.rank:
-            return cand, M, res.determinant
+            return cand, M, res
     raise SearchExhausted(
         f"no cyclic vector certified after {_RANDOM_TRIES} randomized candidates"
     )

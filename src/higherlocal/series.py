@@ -675,7 +675,8 @@ def _products_q(pairs, h: Optional[int]):
 
     Each product is convolved in integers (:func:`_convolve`) and brought to
     the lcm ``D`` of the denominators ``da*db``, so every sum is an integer
-    over ``D``.  An int ``a`` is the constant ``a/1``.
+    over ``D``.  An int ``a`` is the constant ``a/1``: it scales the
+    numerators of ``b`` below ``h`` with no convolution.
     """
     dens = [b._den if type(a) is int else a._den * b._den for a, b in pairs]
     D = lcm(*dens)
@@ -683,7 +684,12 @@ def _products_q(pairs, h: Optional[int]):
     get = acc.get
     for (a, b), d in zip(pairs, dens):
         s = D // d
-        for e, n in _convolve({0: a} if type(a) is int else a._terms, b._terms, h).items():
+        if type(a) is int:
+            s *= a
+            terms = b._terms if h is None else {e: n for e, n in b._terms.items() if e < h}
+        else:
+            terms = _convolve(a._terms, b._terms, h)
+        for e, n in terms.items():
             acc[e] = get(e, 0) + n * s
     return _reduced(acc, D)
 

@@ -11,28 +11,33 @@ schedule entry ``w`` probes ``x = -w`` and ``x = w`` with ``W = 2w``: the
 kernel is ``D(-w) - D(w)``, the solutions with valuations in [-w, w), and
 the index is ``-sum_i delta_top(i) + D(w)``, which is the lattice-invariant
 degree once ``w`` lies above every solution valuation; the cokernel is
-kernel minus index.  A report settles at two consecutive equal
-(kernel, cokernel) pairs, neither negative (:func:`_settle`).  The probes
-cannot prove that they reach past every solution valuation and cokernel
-position; callers compare the index with the certified Newton-polygon
-degree where they have one.
+kernel minus index.  The operator is read once (:class:`LatticeProbes`),
+and each probe is built from that reading as the integer rows that
+:func:`~higherlocal.linalg.sparse_echelon` takes, in elimination order;
+both ranks of an entry are counted off one sorted list of its pivot
+columns.  A report settles at two consecutive equal (kernel, cokernel)
+pairs, neither negative (:func:`_settle`).  The probes cannot prove that
+they reach past every solution valuation and cokernel position; callers
+compare the index with the certified Newton-polygon degree where they have
+one.
 
-The same windows run one level up, on the same :class:`MatrixDiffOp`, whose
+Windows run one level up too, on the same :class:`MatrixDiffOp`, whose
 level is that of its coefficients: an operator in the outermost variable of
-a two-variable field is realized as a finite matrix *over* the inner field,
-with the target cut at the hull displacement for the kernel and at the
-derivative term's displacement for the cokernel, and its kernel/cokernel
-are then finite-dimensional inner-field spaces with explicit bounded outer
-windows.  The outer windows are the fixed ``OUTER_SCHEDULE``, settled by
-the same loop; every ``schedule`` parameter here is a one-variable probe
-schedule.  The multicomplex check (:mod:`higherlocal.derham`) reads each
-covariant edge through these two routes: :func:`operator_index` over one
-variable or along the inner one, :func:`stabilize_outer_windows` along the
-outer one.
+a two-variable field is realized (:func:`window_columns`) as a finite
+matrix *over* the inner field, with the target cut at the hull
+displacement for the kernel and at the derivative term's displacement for
+the cokernel, and its kernel/cokernel are then finite-dimensional
+inner-field spaces with explicit bounded outer windows.  The outer
+windows are the fixed ``OUTER_SCHEDULE``, settled by the same loop; every
+``schedule`` parameter here is a one-variable probe schedule.  The
+multicomplex check (:mod:`higherlocal.derham`) reads each covariant edge
+through these two routes: :func:`operator_index` over one variable or
+along the inner one, :func:`stabilize_outer_windows` along the outer one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -134,39 +139,230 @@ class MatrixDiffOp:
 
 
 # ---------------------------------------------------------------------------
-# Window realization and the lattice-probe index
+# Lattice probes of a one-variable operator
 # ---------------------------------------------------------------------------
 
-def _exponent_major(labels) -> List[int]:
-    return sorted(range(len(labels)), key=lambda k: (labels[k][1], labels[k][0]))
+def _check_labels(sources: int, targets: int) -> None:
+    """Raise :class:`WindowTooLarge` when either side is past ``MAX_WINDOW_LABELS``."""
+    if max(sources, targets) > MAX_WINDOW_LABELS:
+        message = "a window of {} source and {} target labels is past the limit of {} per side"
+        raise WindowTooLarge(message.format(sources, targets, MAX_WINDOW_LABELS))
 
+
+class LatticeProbes:
+    """A one-variable operator, read once for its lattice probes ``M(-w, W)``.
+
+    ``delta`` is the least ``delta_bottom``, ``offset`` is
+    ``-sum_i delta_top(i)`` and ``known`` the least ``hi - d`` of an inexact
+    entry of ``C_d`` (None when every entry is exact).  ``terms[j]`` holds
+    the ``(d, i, coefficients)`` of each entry ``C_d[i, j]`` with a stored
+    term, read once from its integer numerators: ascending ``(r m, n)``
+    pairs, ``n`` the numerator of the coefficient of ``t^m`` over ``D_i``,
+    the lcm of the entry denominators in row ``i``.  A probe's row ``i``
+    holds ``D_i`` times the rational one, which changes no rank.
+    """
+
+    __slots__ = ("rank", "order", "delta", "offset", "known", "terms")
+
+    def __init__(self, op: MatrixDiffOp):
+        r = self.rank = op.rank
+        self.order = max(op.coeffs)
+        self.delta = min(op.delta_bottom(i) for i in range(r))
+        self.offset = -sum(op.delta_top(i) for i in range(r))
+        self.known = min(
+            (x.hi - d for i in range(r) for d, x in op._row_entries(i) if not x.exact),
+            default=None,
+        )
+        self.terms = [[] for _ in range(r)]
+        for i in range(r):
+            entries = [
+                (d, j, M[i, j])
+                for d, M in op.coeffs.items()
+                for j in range(r)
+                if not M[i, j].is_exactly_zero()
+            ]
+            den = lcm(*(x.numerators()[0] for _, _, x in entries))
+            for d, j, x in entries:
+                xden, items = x.numerators()
+                if items:
+                    coeffs = sorted((r * m, n * (den // xden)) for m, n in items)
+                    self.terms[j].append((d, i, coeffs))
+
+    def cut(self, w: int) -> int:
+        """``2w``, lowered to the highest exponent at which the image of ``t^-w`` is known.
+
+        An inexact entry of ``C_d`` known below ``t^hi`` knows the image of
+        ``t^e`` below ``t^(hi + e - d)``, so the lowest source ``-w`` caps
+        the cut at ``known - w``.
+        """
+        return 2 * w if self.known is None else min(2 * w, self.known - w)
+
+    def rows(self, w: int, W: int) -> List[dict]:
+        """``M(-w, W)``, from exponents [-w, W - delta) to [-w + delta, W), as rows.
+
+        The rows are those :func:`sparse_echelon` takes, zeros dropped.  The
+        sources at or above ``W - delta`` land at or above the cut, and
+        those at or above ``w`` form ``M(w, W)``.  The matrix is banded in
+        the exponent, so it goes exponent-major (component-major, the
+        leftmost-column pivot rule fills in across all rank^2 diagonal
+        blocks): row ``r t + i`` is target ``(i, delta - w + t)`` and column
+        ``r s + r - 1 - j`` is source ``(j, W - delta - 1 - s)``, the sources
+        descending.  Each row then pivots on its highest source term, its
+        lattice-sharp ``delta_bottom`` term, almost always still free.  Past
+        ``MAX_WINDOW_LABELS`` labels a side :class:`WindowTooLarge` is raised
+        before anything is built, and for ``w >= 1`` a source image not
+        known below ``W`` (``W > known - w``) raises
+        :class:`InsufficientPrecision`.
+        """
+        r, delta = self.rank, self.delta
+        top, lo = W - delta, delta - w
+        n = r * (W - lo)  # labels on either side
+        _check_labels(n, n)
+        if self.known is not None and self.known - w < W and -w < top:
+            raise InsufficientPrecision("operator coefficients are too short for this window")
+        rows: List[dict] = [{} for _ in range(n)]
+        falling = [1] * (self.order + 1)  # falling[d] = e (e - 1) ... (e - d + 1)
+        k = 0
+        for e in range(top - 1, -w - 1, -1):
+            for d in range(1, self.order + 1):
+                falling[d] = falling[d - 1] * (e - d + 1)
+            for comp_terms in reversed(self.terms):
+                for d, i, coeffs in comp_terms:
+                    f = falling[d]
+                    if not f:
+                        continue
+                    base = r * (e - d - lo) + i  # t^m goes to row r m + base
+                    if coeffs[0][0] + base < 0:
+                        raise AssertionError("image fell below the certified hull")
+                    for rm, q in coeffs:
+                        if rm + base >= n:
+                            break
+                        row = rows[rm + base]
+                        row[k] = row.get(k, 0) + f * q
+                k += 1
+        return [{c: q for c, q in row.items() if q} if 0 in row.values() else row for row in rows]
+
+
+def _settle(probes):
+    """Consume ``(w, ker, coker, payload)`` probes until they settle.
+
+    A probe settles at two consecutive equal (ker, coker) pairs, neither of
+    them negative; no probe after it is drawn.  Returns the settling
+    probe's payload and ``w``, or the last payload and None when the probes
+    run out, with the ``(w, ker, coker)`` trace.
+    """
+    trace: List[Tuple[int, int, int]] = []
+    payload = None
+    for w, ker, coker, payload in probes:
+        trace.append((w, ker, coker))
+        if len(trace) >= 2 and trace[-2][1:] == trace[-1][1:] and min(ker, coker) >= 0:
+            return payload, w, tuple(trace)
+    return payload, None, tuple(trace)
+
+
+def _probe_ranks(probes: LatticeProbes, schedule: Sequence[int]):
+    """``(w, W, rank M(-w, W), rank M(w, W))`` per schedule entry.
+
+    The entries run until a probe cannot be filled (``probes.cut(w) <=
+    w``).  The ranks are read off a :func:`sparse_echelon` of the rows of a
+    probe, whose columns go in descending exponent order, ``r`` per
+    exponent: ``rank M(x, W)`` is the number of pivots among the leading
+    columns, those of the sources at or above ``x``, and both counts are
+    read off one sorted list of the pivot columns.
+    When the first entry's probe nests in the second's (``w0 <= w1`` and
+    ``W0 <= W1``), only ``M(-w1, W1)`` is built.  Its rows with target
+    exponent in ``[-w0 + delta, W0)`` are eliminated first: they have no
+    entry from a source at or above ``W0 - delta``, so their columns of
+    sources at or above ``-w0`` are ``M(-w0, W0)`` beside zero columns, and
+    the pivots counted there are the ranks for ``w0``.  The same echelon is
+    then continued over the other rows for ``w1``.  Any other entry
+    eliminates its own probe.
+    """
+    r, delta = probes.rank, probes.delta
+
+    def ranks(w, W, echelon):  # M(x, W) has the leading r (W - delta - x) columns
+        cols = sorted(echelon)
+        return tuple(bisect_left(cols, r * (W - delta - x)) for x in (-w, w))
+
+    rest = list(schedule)
+    if len(rest) >= 2:
+        (w0, W0), (w1, W1) = ((w, probes.cut(w)) for w in rest[:2])
+        if w0 < W0 and w1 < W1 and w0 <= w1 and W0 <= W1:
+            rows = probes.rows(w1, W1)
+            # r rows per target exponent, ascending from -w1 + delta
+            lo = r * (w1 - w0)
+            hi = lo + r * max(W0 + w0 - delta, 0)
+            echelon = sparse_echelon(rows[lo:hi])
+            yield (w0, W0, *ranks(w0, W1, echelon))
+            sparse_echelon(rows[:lo] + rows[hi:], echelon)
+            yield (w1, W1, *ranks(w1, W1, echelon))
+            rest = rest[2:]
+    for w in rest:
+        W = probes.cut(w)
+        if W <= w:
+            # the coefficients cannot fill this probe; larger ones are
+            # unreachable, work with what was seen so far
+            return
+        yield (w, W, *ranks(w, W, sparse_echelon(probes.rows(w, W))))
+
+
+def operator_index(op: MatrixDiffOp, schedule: Sequence[int] = DEFAULT_SCHEDULE) -> IndexReport:
+    """Kernel, cokernel and index of a one-variable operator, from lattice probes.
+
+    With ``L = k[[t]]^r``, ``L_x = t^x L`` and ``delta`` the least
+    ``delta_bottom``, the relative dimension ``D(x) = d(L_x, op L_x)`` is
+    ``r (W - x) - rank M(x, W)`` for any ``W`` with ``t^W L`` inside
+    ``op L_x``, where ``M(x, W)`` is ``op`` from exponents [x, W - delta)
+    to [x + delta, W).  At each schedule entry ``w`` the probes are
+    ``x = -w`` and ``x = w`` with ``W = 2w``.  The operator is read once
+    (:class:`LatticeProbes`): ``delta``, the offset, the known cut and the
+    integer numerators of its entries.  Each probe ``M(-w, W)`` is built
+    from that reading as integer rows in elimination order, and
+    ``rank M(x, W)`` is the number of pivots of their :func:`sparse_echelon`
+    among the columns of sources at or above ``x``; both ranks of an entry
+    are counted in one pass over the sorted pivot columns.  The first two
+    entries share one echelon of the second's probe, whose rows of targets
+    below ``W0`` are eliminated first (:func:`_probe_ranks`); the first
+    entry cannot settle alone, so its own probe would be eliminated for
+    nothing.  Then ``ker = D(-w) - D(w)``, ``index = -sum_i delta_top(i) +
+    D(w)`` and ``coker = ker - index``; the offset is ``r (1 + v(h))`` for
+    ``h^-1 (d/dt + A)`` and 0 for a unit multiplication.  Inexact
+    coefficients lower ``W`` to the highest exponent at which the image of
+    ``t^-w`` is known (:meth:`LatticeProbes.cut`), and the schedule ends
+    where that is no more than ``w``.  The trace holds ``(w, ker, coker)``
+    per probe; the report settles at two consecutive equal (ker, coker)
+    pairs, neither negative (:func:`_settle`), and ``stabilized_at`` is the
+    later ``w``.
+    """
+    if op.level != 1:
+        raise UnsupportedFrame("operator indices are implemented for one variable")
+    probes = LatticeProbes(op)
+    r, offset = op.rank, probes.offset
+
+    def readings():
+        for w, W, rank_low, rank_high in _probe_ranks(probes, schedule):
+            d_high = r * (W - w) - rank_high
+            ker = r * (W + w) - rank_low - d_high
+            yield w, ker, ker - offset - d_high, None
+
+    _, w, trace = _settle(readings())
+    if not trace:
+        raise InsufficientPrecision(
+            "operator coefficients cannot fill even the smallest window"
+        )
+    _, ker, coker = trace[-1]
+    return IndexReport(ker, coker, ker - coker, w, trace)
+
+
+# ---------------------------------------------------------------------------
+# Outer-variable windows over a two-variable field
+# ---------------------------------------------------------------------------
 
 @dataclass
 class WindowRealization:
     src_labels: Tuple
     tgt_labels: Tuple
-    columns: List[dict]  # sparse columns: {target row index: entry}
-    # level 1: an entry of a component-c row is an integer numerator over
-    # dens[c]; None: the entries are the values (inner-field elements)
-    dens: Optional[Tuple[int, ...]] = None
-
-    def banded(self) -> List[dict]:
-        """The rows for the eliminator.
-
-        Window matrices are banded in the exponent, so they go to the
-        eliminator exponent-major; in the component-major label order the
-        leftmost-column pivot rule fills in across all rank^2 diagonal
-        blocks.  The rows go in ascending order and the columns in
-        descending order, so each row pivots on its highest source term,
-        the row's lattice-sharp ``delta_bottom`` term, almost always still
-        free, so few rows meet an earlier pivot.
-        """
-        order = _exponent_major(self.src_labels)[::-1]
-        by_label: List[dict] = [dict() for _ in self.tgt_labels]
-        for k, j in enumerate(order):
-            for i, q in self.columns[j].items():
-                by_label[i][k] = q
-        return [by_label[i] for i in _exponent_major(self.tgt_labels)]
+    columns: List[dict]  # sparse columns: {target row index: inner-field entry}
 
 
 def window_columns(
@@ -174,34 +370,28 @@ def window_columns(
     src: Tuple[int, int],
     bounds: Sequence[Tuple[int, int]],
 ) -> WindowRealization:
-    """Matrix of ``op`` from the source exponents ``src = [lo, hi)`` in every component.
+    """Matrix of a two-variable ``op`` from the exponents ``src = [lo, hi)`` in every component.
 
     Target component ``i`` keeps the exponents ``bounds[i] = [lo, hi)``.
     Columns are written straight from the coefficient dicts: a coefficient
     ``q t^m`` of ``C_d[i, comp]`` sends ``t^e`` to ``falling(e, d) q`` at
-    exponent ``e - d + m`` of component ``i``, where ``t`` is the outermost
-    variable and ``q`` is rational (level 1) or an inner-field element
-    (level 2).  At level 1 each entry of row ``i`` is read as integer
-    numerators over its own denominator and rescaled to ``D_i``, the lcm of
-    the entry denominators in that row; the columns are summed in integers
-    and keep the integer sums: an entry ``n`` of a component-``i`` row
-    stands for ``n / D_i``, and the realization carries ``D_i`` once per
-    component in ``dens``.  At level 2 the ``(falling(e, d), q)`` terms of
-    an entry are gathered and the entry is built once, by
+    exponent ``e - d + m`` of component ``i``, where ``t`` is the outer
+    variable and ``q`` an inner-field element.  The ``(falling(e, d), q)``
+    terms of an entry are gathered and the entry is built once, by
     :func:`~higherlocal.series.sum_of_products` with each falling factorial
     as an int weight, with the window and exactness of the chained sum.
-    Entries that cancel exactly are dropped at both levels.  Exponents at or
-    above ``hi`` are cut (quotient semantics); one below ``lo`` is a broken
-    hull.  An inexact coefficient
-    must be known up to ``hi``: its product with the monomial is known below
-    ``entry.hi + e - d``, and a sum is known below the least bound of its
-    terms.  A window with more than ``MAX_WINDOW_LABELS`` labels on a side
-    raises :class:`WindowTooLarge` before anything is built.
+    Entries that cancel exactly are dropped.  Exponents at or above ``hi``
+    are cut (quotient semantics); one below ``lo`` is a broken hull.  An
+    inexact coefficient must be known up to ``hi``: its product with the
+    monomial is known below ``entry.hi + e - d``, and a sum is known below
+    the least bound of its terms.  A one-variable ``op`` raises
+    :class:`UnsupportedFrame`, and a window with more than
+    ``MAX_WINDOW_LABELS`` labels on a side raises :class:`WindowTooLarge`,
+    before anything is built.
     """
-    sizes = (op.rank * (src[1] - src[0]), sum(hi - lo for lo, hi in bounds))
-    if max(sizes) > MAX_WINDOW_LABELS:
-        message = "a window of {} source and {} target labels is past the limit of {} per side"
-        raise WindowTooLarge(message.format(*sizes, MAX_WINDOW_LABELS))
+    if op.level != 2:
+        raise UnsupportedFrame("outer windows are implemented for two variables")
+    _check_labels(op.rank * (src[1] - src[0]), sum(hi - lo for lo, hi in bounds))
     src_labels = [(c, e) for c in range(op.rank) for e in range(*src)]
     tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
     offset = []  # target row of (i, ee) is offset[i] + ee
@@ -209,14 +399,7 @@ def window_columns(
     for lo, hi in bounds:
         offset.append(start - lo)
         start += hi - lo
-    integer = op.level == 1
-    if integer:
-        dens = [
-            lcm(*(x.numerators()[0] for _, x in op._row_entries(i)))
-            for i in range(op.rank)
-        ]
-    # terms[d][comp]: (i, inexact bound or None, [(m, coefficient), ...]),
-    # with integer numerators over dens[i] at level 1
+    # terms[d][comp]: (i, inexact bound or None, [(m, coefficient), ...])
     terms = {}
     for d, M in op.coeffs.items():
         per_comp = []
@@ -226,13 +409,7 @@ def window_columns(
                 entry = M[i, comp]
                 if entry.is_exactly_zero():
                     continue
-                if integer:
-                    den, numerators = entry.numerators()
-                    scale = dens[i] // den
-                    coeffs = [(m, n * scale) for m, n in numerators]
-                else:
-                    coeffs = list(entry.coeffs.items())
-                entries.append((i, None if entry.exact else entry.hi, coeffs))
+                entries.append((i, None if entry.exact else entry.hi, list(entry.coeffs.items())))
             per_comp.append(entries)
         terms[d] = per_comp
     columns = []
@@ -257,19 +434,10 @@ def window_columns(
                         continue
                     if ee < lo_i:
                         raise AssertionError("image fell below the certified hull")
-                    row = offset[i] + ee
-                    if integer:
-                        col[row] = col.get(row, 0) + f * q
-                    else:
-                        col.setdefault(row, []).append((f, q))
-        if integer:
-            columns.append({row: q for row, q in col.items() if q})
-        else:
-            fused = ((row, sum_of_products(1, pairs)) for row, pairs in col.items())
-            columns.append({row: q for row, q in fused if not q.is_exactly_zero()})
-    return WindowRealization(
-        tuple(src_labels), tuple(tgt_labels), columns, tuple(dens) if integer else None
-    )
+                    col.setdefault(offset[i] + ee, []).append((f, q))
+        fused = ((row, sum_of_products(1, pairs)) for row, pairs in col.items())
+        columns.append({row: q for row, q in fused if not q.is_exactly_zero()})
+    return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
 
 
 def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
@@ -293,141 +461,9 @@ def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
 
 
 def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealization:
-    """Matrix of ``op`` on [-w, w) monomial windows, cut by :func:`window_bounds`."""
+    """Matrix of a two-variable ``op`` on [-w, w) outer windows, cut by :func:`window_bounds`."""
     return window_columns(op, (-w, w), window_bounds(op, w, mode))
 
-
-def probe_window(op: MatrixDiffOp, w: int, W: int, delta: int) -> WindowRealization:
-    """``M(-w, W)``: ``op`` from exponents [-w, W - delta) to [-w + delta, W).
-
-    ``delta`` is the least ``delta_bottom`` of the rows, so ``op`` maps the
-    lattice ``t^x L`` into ``t^(x + delta) L`` and the sources at or above
-    ``W - delta`` land at or above the cut.  The columns of exponent at or
-    above ``w`` form ``M(w, W)``: their images below ``w + delta`` are 0.
-    """
-    return window_columns(op, (-w, W - delta), [(-w + delta, W)] * op.rank)
-
-
-def _settle(probes):
-    """Consume ``(w, ker, coker, payload)`` probes until they settle.
-
-    A probe settles at two consecutive equal (ker, coker) pairs, neither of
-    them negative; no probe after it is drawn.  Returns the settling
-    probe's payload and ``w``, or the last payload and None when the probes
-    run out, with the ``(w, ker, coker)`` trace.
-    """
-    trace: List[Tuple[int, int, int]] = []
-    payload = None
-    for w, ker, coker, payload in probes:
-        trace.append((w, ker, coker))
-        if len(trace) >= 2 and trace[-2][1:] == trace[-1][1:] and min(ker, coker) >= 0:
-            return payload, w, tuple(trace)
-    return payload, None, tuple(trace)
-
-
-def _probe_ranks(op: MatrixDiffOp, schedule: Sequence[int], delta: int, cut):
-    """``(w, W, rank M(-w, W), rank M(w, W))`` per schedule entry.
-
-    The entries run until a probe cannot be filled (``cut(w) <= w``).  The
-    ranks are read off a :func:`sparse_echelon` of the banded rows of a
-    :func:`probe_window`, whose columns go in descending exponent order,
-    ``r`` per exponent: ``rank M(x, W)`` is the number of pivots among the
-    leading columns, those of the sources at or above ``x``.
-    When the first entry's probe nests in the second's (``w0 <= w1`` and
-    ``W0 <= W1``), only ``M(-w1, W1)`` is built.  Its rows with target
-    exponent in ``[-w0 + delta, W0)`` are eliminated first: they have no
-    entry from a source at or above ``W0 - delta``, so their columns of
-    sources at or above ``-w0`` are ``M(-w0, W0)`` beside zero columns, and
-    the pivots counted there are the ranks for ``w0``.  The same echelon is
-    then continued over the other rows for ``w1``.  Any other entry
-    eliminates its own probe.
-    """
-    r = op.rank
-
-    def ranks(w, top, echelon):  # the probe's sources lie below top
-        return tuple(sum(1 for c in echelon if c < r * (top - x)) for x in (-w, w))
-
-    rest = list(schedule)
-    if len(rest) >= 2:
-        (w0, W0), (w1, W1) = ((w, cut(w)) for w in rest[:2])
-        if w0 < W0 and w1 < W1 and w0 <= w1 and W0 <= W1:
-            rows = probe_window(op, w1, W1, delta).banded()
-            # r rows per target exponent, ascending from -w1 + delta
-            lo = r * (w1 - w0)
-            hi = lo + r * max(W0 + w0 - delta, 0)
-            echelon = sparse_echelon(rows[lo:hi])
-            yield (w0, W0, *ranks(w0, W1 - delta, echelon))
-            sparse_echelon(rows[:lo] + rows[hi:], echelon)
-            yield (w1, W1, *ranks(w1, W1 - delta, echelon))
-            rest = rest[2:]
-    for w in rest:
-        W = cut(w)
-        if W <= w:
-            # the coefficients cannot fill this probe; larger ones are
-            # unreachable, work with what was seen so far
-            return
-        echelon = sparse_echelon(probe_window(op, w, W, delta).banded())
-        yield (w, W, *ranks(w, W - delta, echelon))
-
-
-def operator_index(op: MatrixDiffOp, schedule: Sequence[int] = DEFAULT_SCHEDULE) -> IndexReport:
-    """Kernel, cokernel and index of a one-variable operator, from lattice probes.
-
-    With ``L = k[[t]]^r``, ``L_x = t^x L`` and ``delta`` the least
-    ``delta_bottom``, the relative dimension ``D(x) = d(L_x, op L_x)`` is
-    ``r (W - x) - rank M(x, W)`` for any ``W`` with ``t^W L`` inside
-    ``op L_x``, where ``M(x, W)`` is ``op`` from exponents [x, W - delta)
-    to [x + delta, W).  At each schedule entry ``w`` the probes are
-    ``x = -w`` and ``x = w`` with ``W = 2w``.  The ranks are counted off a
-    :func:`sparse_echelon` of the rows of a :func:`probe_window`, whose
-    columns go in descending exponent order: ``rank M(x, W)`` is the number
-    of pivots among the columns of sources at or above ``x``.  The first
-    two entries share one echelon of the second's probe, whose rows of
-    targets below ``W0`` are eliminated first (:func:`_probe_ranks`);
-    the first entry cannot settle alone, so its own probe would be
-    eliminated for nothing.  Then ``ker = D(-w) - D(w)``,
-    ``index = -sum_i delta_top(i) + D(w)`` and ``coker = ker - index``; the
-    offset is ``r (1 + v(h))`` for ``h^-1 (d/dt + A)`` and 0 for a unit
-    multiplication.  Inexact coefficients lower ``W`` to the highest
-    exponent at which the image of ``t^-w`` is known, and the schedule ends
-    where that is no more than ``w``.  The trace holds ``(w, ker, coker)``
-    per probe; the report settles at two consecutive equal (ker, coker)
-    pairs, neither negative (:func:`_settle`), and ``stabilized_at`` is the
-    later ``w``.
-    """
-    if op.level != 1:
-        raise UnsupportedFrame("operator indices are implemented for one variable")
-    r = op.rank
-    delta = min(op.delta_bottom(i) for i in range(r))
-    offset = -sum(op.delta_top(i) for i in range(r))
-    # an inexact entry of C_d known below t^hi knows the image of t^e below
-    # t^(hi + e - d), so the lowest source -w caps the cut at known - w
-    known = min(
-        (x.hi - d for i in range(r) for d, x in op._row_entries(i) if not x.exact),
-        default=None,
-    )
-
-    def cut(w):
-        return 2 * w if known is None else min(2 * w, known - w)
-
-    def probes():
-        for w, W, rank_low, rank_high in _probe_ranks(op, schedule, delta, cut):
-            d_high = r * (W - w) - rank_high
-            ker = r * (W + w) - rank_low - d_high
-            yield w, ker, ker - offset - d_high, None
-
-    _, w, trace = _settle(probes())
-    if not trace:
-        raise InsufficientPrecision(
-            "operator coefficients cannot fill even the smallest window"
-        )
-    _, ker, coker = trace[-1]
-    return IndexReport(ker, coker, ker - coker, w, trace)
-
-
-# ---------------------------------------------------------------------------
-# Outer-variable windows over a two-variable field
-# ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
 class OuterReduction:
@@ -482,8 +518,6 @@ def reduce_outer_window(op: MatrixDiffOp, w: int) -> OuterReduction:
     transposed top rows, so both are eliminated.  The three matrices are
     built from the window's rows without the public constructor's checks.
     """
-    if op.level != 2:
-        raise UnsupportedFrame("outer windows are implemented for two variables")
     win = realize_window(op, w)
     zero = TowerElement.zero(1)
     rows = [tuple(col.get(k, zero) for col in win.columns) for k in range(len(win.tgt_labels))]

@@ -177,7 +177,8 @@ def test_criterion_2_cyclic_vector_suite():
                     row.append(TowerElement(1, coeffs, None, True))
                 rows.append(row)
             C = Connection(F1, [SeriesMatrix(rows)])
-            s, cert, det = find_cyclic_vector(C, seed=11)
+            s, cert, certified = find_cyclic_vector(C, seed=11)
+            det = certified.determinant
             assert det.is_certainly_nonzero()
             assert det.valuation() is not None
             L = to_scalar_operator(C, s, cert)

@@ -585,6 +585,28 @@ class TestGolden:
             assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
             assert calls == want, name
 
+    def test_goldens_build_only_what_they_print(self, monkeypatch, capsys):
+        # epsilon and cohomology read the frame alone, so no frame is
+        # inverted; irregularity discards the certificate's determinant, and
+        # cyclic, which prints it, builds one
+        inverses, determinants = [], []
+        invert, determinant = derham.inverse, linalg._determinant
+        monkeypatch.setattr(derham, "inverse", lambda M: inverses.append(1) or invert(M))
+        monkeypatch.setattr(
+            linalg, "_determinant", lambda fac: determinants.append(1) or determinant(fac)
+        )
+        want = dict.fromkeys(
+            ("eps_trivial", "eps_exponential", "coh_alpha_half", "coh_trivial_n1"), (0, 0)
+        )
+        want.update(coh_trivial_n2=(0, 0), irr_exponential=(0, 0), irr_rank2_halfslope=(0, 0))
+        want.update(cyclic_rank2=(0, 1), verify_n2_trivial=(1, 0))
+        for name, counts in want.items():
+            inverses.clear()
+            determinants.clear()
+            assert cli.main([str(GOLDEN / f"{name}.hl")]) == 0
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+            assert (len(inverses), len(determinants)) == counts, name
+
     def test_determinism(self):
         a = run_cli(GOLDEN / "cyclic_rank2.hl")
         b = run_cli(GOLDEN / "cyclic_rank2.hl")
@@ -834,27 +856,51 @@ def run_cli_capped(path):
     )
 
 
-class TestWindowLimit:
-    @pytest.mark.parametrize("command", ["cohomology", "epsilon", "verify"])
-    @pytest.mark.parametrize(
-        "n, matrices",
-        [(1, 'A1 = [["t1^-99999999"]]'), (2, 'A1 = [["0"]]\nA2 = [["t2^-99999999"]]')],
-        ids=["n1", "n2_outer"],
+POLES = pytest.mark.parametrize(
+    "n, matrices",
+    [(1, 'A1 = [["t1^-99999999"]]'), (2, 'A1 = [["0"]]\nA2 = [["t2^-99999999"]]')],
+    ids=["n1", "n2_outer"],
+)
+
+
+def run_pole(tmp_path, n, matrices, command):
+    """``cli.main`` under a memory cap on a pole of order 10^8, which spans
+    about 10^8 window labels; it must end within a second."""
+    spec = tmp_path / "pole.hl"
+    spec.write_text(
+        f"[field]\nn = {n}\n[connection]\nrank = 1\n{matrices}\n[task]\ncommand = {command}\n"
     )
+    start = time.perf_counter()
+    proc = run_cli_capped(spec)
+    assert time.perf_counter() - start < 1.0
+    return proc
+
+
+class TestWindowLimit:
+    @pytest.mark.parametrize("command", ["cohomology", "epsilon"])
+    @POLES
     def test_oversized_window_is_refused_before_it_is_built(self, tmp_path, command, n, matrices):
-        # a pole of order 10^8 spans about 10^8 window labels
-        spec = tmp_path / "pole.hl"
-        spec.write_text(
-            f"[field]\nn = {n}\n[connection]\nrank = 1\n{matrices}\n[task]\ncommand = {command}\n"
-        )
-        start = time.perf_counter()
-        proc = run_cli_capped(spec)
-        assert time.perf_counter() - start < 1.0
+        proc = run_pole(tmp_path, n, matrices, command)
         assert proc.returncode == 1, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: WindowTooLarge: a window of ")
         limit = tate.MAX_WINDOW_LABELS
         assert proc.stderr.endswith(f"labels is past the limit of {limit} per side\n")
+
+    @POLES
+    def test_verify_reports_the_oversized_window_as_unsupported(self, tmp_path, n, matrices):
+        # flatness, forms and squares are checked before any window; the
+        # direction past the limit is unsupported, and the one-variable
+        # degree is read off the entry, with no window
+        proc = run_pole(tmp_path, n, matrices, "verify")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        report = dict(line.split(" = ", 1) for line in proc.stdout.splitlines())
+        checks = ("check_flatness", "check_forms", "check_squares", "check_acyclicity")
+        assert [report[k] for k in checks] == ["pass", "pass", "pass", "unsupported"]
+        expected = ("pass", "-99999998") if n == 1 else ("unsupported", "unsupported")
+        assert (report["check_duality"], report["degree"]) == expected
+        assert report["result"] == "unsupported"
 
 
 class TestRejections:

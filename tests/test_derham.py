@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from higherlocal import derham, linalg, tate
+from higherlocal import derham, linalg, series, tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity, rank_one_h0
 from higherlocal.derham import (
@@ -108,6 +108,37 @@ class TestFormTuple:
         with pytest.raises(NotIndependent):
             FormTuple((OneForm((F2.one(), F2.zero())), OneForm((t2, F2.zero()))))
         assert not calls
+
+    def test_frame_inverse_is_built_on_first_read(self, monkeypatch):
+        # verify's dual fields are the columns of the inverse; the negated
+        # tuple's inverse is the negated inverse, built once for both
+        calls = []
+        build = derham.inverse
+        monkeypatch.setattr(derham, "inverse", lambda M: calls.append(1) or build(M))
+        t1, t2 = F2.gen(1), F2.gen(2)
+        nu = FormTuple((OneForm((t1 ** -1, t2)), OneForm((F2.zero(), 1 + t2))))
+        neg = -nu
+        assert not calls
+        expected = linalg.inverse(nu.frame)
+        assert neg.frame_inverse.entries == (-expected).entries and len(calls) == 1
+        assert nu.frame_inverse is nu.frame_inverse and len(calls) == 1
+        assert nu.frame_inverse.entries == expected.entries
+        assert [nu.dual_field(i) for i in (1, 2)] == [expected.column(j) for j in (0, 1)]
+        B = BinaryMultiComplex(Connection.trivial(F2, 1), nu)
+        assert [B.directions[i].cvec for i in (1, 2)] == [expected.column(j) for j in (0, 1)]
+
+    def test_frame_inverse_keeps_the_precision_of_the_tuple(self):
+        t = F1.gen(1)
+        old = series.set_working_precision(8)
+        try:
+            nu = FormTuple((OneForm((1 + t,)),))
+            at_8 = linalg.inverse(nu.frame)
+            series.set_working_precision(16)
+            assert linalg.inverse(nu.frame).entries != at_8.entries
+            assert nu.frame_inverse.entries == at_8.entries
+            assert (-nu).frame_inverse.entries == (-at_8).entries
+        finally:
+            series.set_working_precision(old)
 
     def test_negation_valid(self):
         nu = standard_forms(F2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from higherlocal import dmodule
+from higherlocal import dmodule, linalg
 from higherlocal.connection import Connection, KummerCover, induct, rank1_from_form
 from higherlocal.dmodule import (
     NewtonPolygon,
@@ -21,7 +21,7 @@ from higherlocal.dmodule import (
     wronskian,
 )
 from higherlocal.errors import HigherLocalError, UndeterminedLeadingTerm
-from higherlocal.linalg import SeriesMatrix, rref_q
+from higherlocal.linalg import SeriesMatrix, rank_kernel_det, rref_q
 from higherlocal.series import (
     OneForm,
     TowerElement,
@@ -121,17 +121,29 @@ class TestCyclicVector:
     def test_rank1_first_candidate(self):
         t = F1.gen(1)
         C = rank1_from_form(OneForm((t ** -1,)))
-        s, cert, det = find_cyclic_vector(C)
+        s, cert, certified = find_cyclic_vector(C)
         assert s == (F1.one(),)
-        assert det.is_certainly_nonzero()
+        assert certified.determinant.is_certainly_nonzero()
+
+    def test_search_builds_no_determinant(self, monkeypatch):
+        # the search hands back the certificate's forward pass, whose
+        # determinant is built when first read
+        calls = []
+        build = linalg._determinant
+        monkeypatch.setattr(linalg, "_determinant", lambda fac: calls.append(1) or build(fac))
+        s, cert, certified = find_cyclic_vector(Connection.trivial(F1, 2))
+        assert not calls
+        assert certified is rank_kernel_det(cert) and certified.rank == 2
+        det = certified.determinant
+        assert len(calls) == 1 and certified.determinant is det and det.agrees_with(1)
 
     def test_trivial_rank2_certificate(self):
         C = Connection.trivial(F1, 2)
-        s, cert, det = find_cyclic_vector(C)
+        s, cert, certified = find_cyclic_vector(C)
         t = F1.gen(1)
         assert s == (F1.one(), t)
         # certificate [[1, 0], [t, 1]] has determinant 1
-        assert det.agrees_with(1)
+        assert certified.determinant.agrees_with(1)
 
     def test_e1_not_cyclic_for_trivial(self):
         C = Connection.trivial(F1, 2)
@@ -249,8 +261,8 @@ class TestSolutionBound:
             for _ in range(r):
                 rows.append([laurent(rng, -2, 2, density=0.5) for _ in range(r)])
             C = Connection(F1, [SeriesMatrix(rows)])
-            s, cert, det = find_cyclic_vector(C, seed=7)
-            assert det.is_certainly_nonzero()
+            s, cert, certified = find_cyclic_vector(C, seed=7)
+            assert certified.determinant.is_certainly_nonzero()
             L = to_scalar_operator(C, s, cert)
             assert L.order == r
 

@@ -17,8 +17,8 @@ from higherlocal.epsilon import epsilon_degree
 from higherlocal.derham import standard_forms
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
-from higherlocal.tate import MatrixDiffOp, operator_index, window_columns
-from helpers import from_scalar
+from higherlocal.tate import MatrixDiffOp, operator_index
+from helpers import from_scalar, probe_entries
 
 F1 = TowerField(1)
 
@@ -198,28 +198,20 @@ class TestWindowedGaugeInvariance:
 
 class TestWindowComposition:
     def test_window_matrix_of_composition(self):
-        # multiplication by t followed by d/dt, on compatible windows: the
-        # middle window [-4, 4) holds every image of t on [-3, 3), and the
-        # cut at t^2 drops the same terms on both sides
+        # multiplication by t followed by d/dt, on compatible probes: t
+        # maps [-3, 3) into [-2, 4), the sources of the d/dt probe, whose
+        # targets [-3, 3) are those of t d/dt + 1 on [-3, 3)
         t = F1.gen(1)
         mul_t = MatrixDiffOp(1, {0: SeriesMatrix([[t]])})
         ddt = from_scalar([F1.zero(), F1.one()])
         composed = MatrixDiffOp.first_order(t, SeriesMatrix([[F1.one()]]))  # t d/dt + 1
 
-        def dense(win):
-            return [
-                [Fraction(col.get(i, 0), win.dens[c]) for col in win.columns]
-                for i, (c, _) in enumerate(win.tgt_labels)
-            ]
-
-        b = dense(window_columns(mul_t, (-3, 3), [(-4, 4)]))
-        a = dense(window_columns(ddt, (-4, 4), [(-5, 2)]))
-        W = dense(window_columns(composed, (-3, 3), [(-5, 2)]))
-        prod = [
-            [
-                sum(a[i][k] * b[k][j] for k in range(len(b)))
-                for j in range(len(b[0]))
-            ]
-            for i in range(len(a))
-        ]
-        assert W == prod
+        b = probe_entries(mul_t, 3, 4)  # delta = 1: [-3, 3) to [-2, 4)
+        a = probe_entries(ddt, 2, 3)  # delta = -1: [-2, 4) to [-3, 3)
+        W = probe_entries(composed, 3, 3)  # delta = 0: [-3, 3) to [-3, 3)
+        prod = {}
+        for (k, j), y in b.items():
+            for (i, k2), x in a.items():
+                if k2 == k:
+                    prod[i, j] = prod.get((i, j), 0) + x * y
+        assert W == {key: q for key, q in prod.items() if q}

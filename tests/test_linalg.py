@@ -18,8 +18,8 @@ from higherlocal.linalg import (
     sparse_echelon,
 )
 from higherlocal.series import TowerElement, TowerField
-from higherlocal.tate import MatrixDiffOp, realize_window, window_columns
-from helpers import from_scalar, sparse_rows
+from higherlocal.tate import LatticeProbes, MatrixDiffOp
+from helpers import from_scalar, probe_entries
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -479,58 +479,46 @@ class TestEliminationOracle:
         assert len(calls) == 4
 
 
-def window_entries(win):
-    """The dense rational rows of a level-1 window realization."""
-    return [
-        [Fraction(col.get(i, 0), win.dens[c]) for col in win.columns]
-        for i, (c, _) in enumerate(win.tgt_labels)
-    ]
-
-
 class TestWindowMatrix:
-    """Windows of monomial operators, built by ``tate.window_columns``."""
+    """Lattice probes of monomial operators, built by ``tate.LatticeProbes``."""
 
     def test_euler_operator_diagonal(self):
         theta = from_scalar([F1.zero(), F1.gen(1)])
-        W = window_entries(window_columns(theta, (-2, 2), [(-2, 2)]))
-        assert (len(W), len(W[0])) == (4, 4)
-        diag = [W[i][i] for i in range(4)]
-        assert diag == [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1)]
-        assert all(W[i][j] == 0 for i in range(4) for j in range(4) if i != j)
+        # delta = 0: M(-2, 2) is theta from [-2, 2) to [-2, 2)
+        rows = LatticeProbes(theta).rows(2, 2)
+        assert len(rows) == 4
+        assert probe_entries(theta, 2, 2) == {((0, e), (0, e)): e for e in (-2, -1, 1)}
 
     def test_multiplication_shift(self):
         mul_t = MatrixDiffOp(1, {0: SeriesMatrix([[F1.gen(1)]])})
-        win = window_columns(mul_t, (-2, 2), [(-2, 2)])
-        W = window_entries(win)
-        # subdiagonal: image of t^e is t^(e+1); the top one leaves the window
-        assert all(W[i + 1][i] == 1 for i in range(3))
-        assert all(W[0][j] == 0 for j in range(4))
-        assert win.columns[3] == {}
-        assert len(sparse_echelon(sparse_rows(win))) == 3
+        # delta = 1: M(-2, 2) is t from [-2, 1) to [-1, 2), and the image
+        # of t^e is t^(e+1)
+        rows = LatticeProbes(mul_t).rows(2, 2)
+        assert probe_entries(mul_t, 2, 2) == {((0, e + 1), (0, e)): 1 for e in range(-2, 1)}
+        assert len(sparse_echelon(rows)) == 3
 
     def test_derivative_image_window(self):
         ddt = from_scalar([F1.zero(), F1.one()])
-        win = realize_window(ddt, 3)
-        # the target is the displacement hull of the images of t^-3 .. t^2
-        assert [e for _, e in win.tgt_labels] == list(range(-4, 2))
-        # entries m at (m-1 <- m); no image reaches t^-1
-        W = window_entries(win)
-        for j, (_, m) in enumerate(win.src_labels):
-            for i, (_, e) in enumerate(win.tgt_labels):
-                assert W[i][j] == (m if e == m - 1 else 0)
+        # delta = -1: M(-3, 3) is d/dt from [-3, 4) to [-4, 3), one row per
+        # target exponent; entries m at (m-1 <- m), and no image reaches t^-1
+        assert len(LatticeProbes(ddt).rows(3, 3)) == len(range(-4, 3))
+        assert probe_entries(ddt, 3, 3) == {((0, m - 1), (0, m)): m for m in range(-3, 4) if m}
 
     def test_overflow_on_unknown_image(self):
         fuzz = F1.one().truncate(1)  # 1 + O(t)
         op = MatrixDiffOp(1, {0: SeriesMatrix([[fuzz]])})
+        # the image of t^-1 is known below t^0
+        LatticeProbes(op).rows(1, 0)
         with pytest.raises(InsufficientPrecision):
-            window_columns(op, (-1, 1), [(-1, 3)])
+            LatticeProbes(op).rows(1, 2)
 
     def test_kernel_and_cokernel_dims(self):
         ddt = from_scalar([F1.zero(), F1.one()])
-        win = window_columns(ddt, (-3, 3), [(-4, 2)])
-        rank = len(sparse_echelon(sparse_rows(win)))
-        assert len(win.src_labels) - rank == 1  # constants
-        assert len(win.tgt_labels) - rank == 1  # class of t^-1
+        # M(-3, 2) is d/dt from [-3, 3) to [-4, 2)
+        rows = LatticeProbes(ddt).rows(3, 2)
+        rank = len(sparse_echelon(rows))
+        assert len(range(-3, 3)) - rank == 1  # constants
+        assert len(rows) - rank == 1  # class of t^-1
 
 
 # -- the rational sparse eliminator, kept as the reference --------------------

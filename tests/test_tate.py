@@ -18,6 +18,7 @@ from higherlocal.specfile import parse_specfile
 from higherlocal.tate import (
     DEFAULT_SCHEDULE,
     IndexReport,
+    LatticeProbes,
     MatrixDiffOp,
     operator_index,
     reduce_outer_window,
@@ -27,7 +28,7 @@ from higherlocal.tate import (
     window_bounds,
     window_columns,
 )
-from helpers import apply_op, sparse_rows
+from helpers import apply_op, labelled_entries, probe_entries, sparse_rows
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -135,7 +136,7 @@ def cut_rows(win, bounds):
     pos = {lab: k for k, lab in enumerate(tgt_labels)}
     new_row = {k: pos[lab] for k, lab in enumerate(win.tgt_labels) if lab in pos}
     columns = [{new_row[k]: q for k, q in col.items() if k in new_row} for col in win.columns]
-    return WindowRealization(win.src_labels, tgt_labels, columns, win.dens)
+    return WindowRealization(win.src_labels, tgt_labels, columns)
 
 
 def random_exact_connection(rng, rank):
@@ -163,7 +164,7 @@ def _span_rank(vecs):
 
 
 class TestWindowCrossCheck:
-    """Level-1 windows against the operator applied to each monomial."""
+    """Level-1 lattice probes against the operator applied to each monomial."""
 
     def test_columns_match_operator_images(self):
         rng = random.Random(7)
@@ -172,24 +173,21 @@ class TestWindowCrossCheck:
             op = MatrixDiffOp.from_connection(
                 random_exact_connection(rng, rank), normalizer=normalizer
             )
-            for mode in ("bottom", "top"):
-                win = rational_columns(realize_window(op, 8, mode))
-                index = {lab: k for k, lab in enumerate(win.tgt_labels)}
-                lowest = {}
-                for c, e in win.tgt_labels:
-                    lowest.setdefault(c, e)
-                for (c, e), col in zip(win.src_labels, win.columns):
-                    vec = [
-                        TowerElement.monomial(1, [e]) if i == c else F1.zero()
-                        for i in range(rank)
-                    ]
-                    expected = {}
-                    for i, el in enumerate(apply_op(op, vec)):
-                        for ee, q in el.coeffs.items():
-                            assert ee >= lowest[i]
-                            if (i, ee) in index:
-                                expected[index[(i, ee)]] = q
-                    assert col == expected
+            delta = LatticeProbes(op).delta
+            for w, W in ((8, 16), (8, 11)):
+                expected = {}
+                for c in range(rank):
+                    for e in range(-w, W - delta):
+                        vec = [
+                            TowerElement.monomial(1, [e]) if i == c else F1.zero()
+                            for i in range(rank)
+                        ]
+                        for i, el in enumerate(apply_op(op, vec)):
+                            for ee, q in el.coeffs.items():
+                                assert ee >= delta - w
+                                if ee < W:
+                                    expected[(i, ee), (c, e)] = q
+                assert probe_entries(op, w, W) == expected
 
 
 def random_outer_operator(rng, rank, normalized):
@@ -384,18 +382,6 @@ def ref_window_columns(op, src, bounds):
     return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
 
 
-def rational_columns(win):
-    """A level-1 realization with each integer entry read as its value ``n / D_c``."""
-    assert all(type(n) is int and n for col in win.columns for n in col.values())
-    dens = [win.dens[c] for c, _ in win.tgt_labels]
-    columns = [{k: Fraction(n, dens[k]) for k, n in col.items()} for col in win.columns]
-    return WindowRealization(win.src_labels, win.tgt_labels, columns)
-
-
-def rational_window_columns(*args, **kwargs):
-    return rational_columns(window_columns(*args, **kwargs))
-
-
 def realized(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -436,26 +422,47 @@ def level1_operators(draw):
     return MatrixDiffOp(rank, coeffs)
 
 
+# (w, W) with 1 <= w <= 6 and w < W <= 2w + 4
+PROBE_CUTS = st.integers(1, 6).flatmap(
+    lambda w: st.tuples(st.just(w), st.integers(w + 1, 2 * w + 4))
+)
+
+
 class TestIntegerWindowColumns:
-    """Level-1 columns summed over the integers against the loop over Q."""
+    """Level-1 probe rows summed over the integers against the loop over Q."""
 
     @settings(deadline=None, max_examples=100)
-    @given(level1_operators(), st.integers(1, 6))
-    def test_columns_match_rational_loop(self, op, w):
-        for mode in ("bottom", "top"):
-            bounds = window_bounds(op, w, mode)
-            assert realized(rational_window_columns, op, (-w, w), bounds) == realized(
-                ref_window_columns, op, (-w, w), bounds
-            )
+    @given(level1_operators(), PROBE_CUTS)
+    def test_columns_match_rational_loop(self, op, cut):
+        w, W = cut
+        delta = LatticeProbes(op).delta
+        bounds = [(-w + delta, W)] * op.rank
+        reference = realized(ref_window_columns, op, (-w, W - delta), bounds)
+        if reference != "too short":
+            reference = labelled_entries(reference)
+        assert realized(probe_entries, op, w, W) == reference
 
     @settings(deadline=None, max_examples=100)
-    @given(level1_operators(), st.integers(1, 6))
-    def test_bottom_is_the_top_window_cut(self, op, w):
-        top = realized(realize_window, op, w, "top")
-        if top == "too short":
+    @given(level1_operators(), PROBE_CUTS, PROBE_CUTS)
+    def test_first_probe_is_a_cut_of_the_second(self, op, first, second):
+        # the rows of M(-w1, W1) with target exponent in [-w0 + delta, W0)
+        # have no entry from a source at or above W0 - delta, and their
+        # entries from sources at or above -w0 are those of M(-w0, W0): the
+        # first schedule entry's ranks are read off them
+        (w0, W0), (w1, W1) = sorted((first, second))
+        if W0 > W1:
             return
-        bottom = cut_rows(top, window_bounds(op, w, "bottom"))
-        assert bottom == realize_window(op, w, "bottom")
+        outer = realized(probe_entries, op, w1, W1)
+        if outer == "too short":
+            return
+        delta = LatticeProbes(op).delta
+        cut = {
+            (tgt, src): q
+            for (tgt, src), q in outer.items()
+            if -w0 + delta <= tgt[1] < W0 and src[1] >= -w0
+        }
+        assert all(src[1] < W0 - delta for (tgt, src) in cut)
+        assert cut == probe_entries(op, w0, W0)
 
 
 @st.composite
@@ -482,20 +489,19 @@ def exact_first_order_operators(draw):
 
 
 class TestDescendingOrder:
-    """The banded order: rows ascending, columns in descending exponent order."""
+    """The probe order: rows ascending, columns in descending exponent order."""
 
     def test_descending_order_cancels_less(self, monkeypatch):
-        # the highest source column of a bottom-window row is its
-        # lattice-sharp term, almost always still free, so few rows meet
-        # an earlier pivot; the ascending order pivots on the deepest term
+        # the highest source column of a probe row is its lattice-sharp
+        # term, almost always still free, so few rows meet an earlier
+        # pivot; the ascending order pivots on the deepest term
         op = MatrixDiffOp.from_connection(random_exact_connection(random.Random(5), 5))
-        bottom = realize_window(op, 16, "bottom")
-        # the same rows with the columns in ascending exponent-major order
-        src_order = sorted(range(len(bottom.src_labels)), key=lambda k: bottom.src_labels[k][::-1])
-        tgt_order = sorted(range(len(bottom.tgt_labels)), key=lambda k: bottom.tgt_labels[k][::-1])
-        col = {j: k for k, j in enumerate(src_order)}
-        rows = sparse_rows(bottom)
-        ascending = [{col[j]: q for j, q in rows[i].items()} for i in tgt_order]
+        probes = LatticeProbes(op)
+        rows = probes.rows(16, 32)
+        # the same rows with the columns in ascending exponent-major order:
+        # the columns are r per exponent, so this reverses them
+        n = op.rank * (32 - probes.delta + 16)
+        ascending = [{n - 1 - k: q for k, q in row.items()} for row in rows]
         calls = []
         cancel = linalg._cancel
 
@@ -504,7 +510,7 @@ class TestDescendingOrder:
             return cancel(r, p, c)
 
         monkeypatch.setattr(linalg, "_cancel", counted)
-        n_descending = len(sparse_echelon(bottom.banded()))
+        n_descending = len(sparse_echelon(rows))
         descending_calls = len(calls)
         calls.clear()
         assert n_descending == len(sparse_echelon(ascending))
@@ -591,7 +597,7 @@ def own_probe_index(op, schedule):
         W = 2 * w if known is None else min(2 * w, known - w)
         if W <= w:
             break
-        pivots = sparse_echelon(tate.probe_window(op, w, W, delta).banded())
+        pivots = sparse_echelon(LatticeProbes(op).rows(w, W))
         high = r * (W - delta - w)
         d_low = r * (W + w) - len(pivots)
         d_high = r * (W - w) - sum(1 for c in pivots if c < high)
@@ -661,25 +667,24 @@ class TestLatticeProbes:
         # the trace (8, ...), (12, ...) builds M(-12, 24) alone, and its
         # rows are eliminated once, split over the two calls
         op = MatrixDiffOp.from_connection(exp_connection(2))
-        delta = min(op.delta_bottom(i) for i in range(op.rank))
         built, handed = [], []
-        probe, echelon = tate.probe_window, tate.sparse_echelon
+        probe, echelon = LatticeProbes.rows, tate.sparse_echelon
 
-        def counted_probe(*args):
-            built.append(args[1:3])
-            return probe(*args)
+        def counted_probe(probes, w, W):
+            built.append((w, W))
+            return probe(probes, w, W)
 
         def recorded(rows, *continued):
             handed.extend(rows)
             return echelon(rows, *continued)
 
-        monkeypatch.setattr(tate, "probe_window", counted_probe)
+        monkeypatch.setattr(LatticeProbes, "rows", counted_probe)
         monkeypatch.setattr(tate, "sparse_echelon", recorded)
         rep = operator_index(op)
         monkeypatch.undo()
         assert [w for w, _, _ in rep.trace] == [8, 12] and rep.stabilized_at == 12
         assert built == [(12, 24)]
-        rows = probe(op, 12, 24, delta).banded()
+        rows = LatticeProbes(op).rows(12, 24)
         assert banded_rows(handed) == banded_rows(rows)
         assert rep == own_probe_index(op, DEFAULT_SCHEDULE)
 
@@ -687,13 +692,13 @@ class TestLatticeProbes:
         # W0 = min(16, 26 - 8) = 16 and W1 = min(24, 26 - 12) = 14
         op = known_below(26)
         built = []
-        probe = tate.probe_window
+        probe = LatticeProbes.rows
 
-        def counted_probe(*args):
-            built.append(args[1:3])
-            return probe(*args)
+        def counted_probe(probes, w, W):
+            built.append((w, W))
+            return probe(probes, w, W)
 
-        monkeypatch.setattr(tate, "probe_window", counted_probe)
+        monkeypatch.setattr(LatticeProbes, "rows", counted_probe)
         rep = operator_index(op)
         assert built == [(8, 16), (12, 14)]
         assert rep == own_probe_index(op, DEFAULT_SCHEDULE)
@@ -784,9 +789,11 @@ class TestIntegerWindowRoute:
 
     def test_index_builds_no_fraction(self, monkeypatch):
         op = MatrixDiffOp.from_connection(parse_specfile(RANK4_SPEC).connection)
+        probes = LatticeProbes(op)
         for w in DEFAULT_SCHEDULE:
-            win = realize_window(op, w, "bottom")
-            assert len(sparse_echelon(win.banded())) < len(win.src_labels)
+            rows = probes.rows(w, 2 * w)
+            assert all(type(q) is int for row in rows for q in row.values())
+            assert len(sparse_echelon(rows)) < op.rank * (3 * w - probes.delta)
         built = []
         new = Fraction.__new__
 
@@ -823,19 +830,21 @@ class TestWindowPrecision:
             1, {1: SeriesMatrix([[TowerField(level).one()]]), 0: SeriesMatrix([[a]])}
         )
 
+    SHORT = "^operator coefficients are too short for this window$"
+
     def test_top_window_needs_one_more_term(self):
-        # w = 8: the image of t^-8 is known below hi - 8; the bottom target
-        # ends at 8 - 2 and the top target at 8 - 1
-        op = self.op_with_known_terms(14)
-        realize_window(op, 8, "bottom")
-        with pytest.raises(InsufficientPrecision):
-            realize_window(op, 8, "top")
+        # w = 8: the image of t^-8 is known below hi - 8, so the probe cut
+        # at 8 - 2 is built and the one at 8 - 1 needs one more term
+        probes = LatticeProbes(self.op_with_known_terms(14))
+        probes.rows(8, 6)
+        with pytest.raises(InsufficientPrecision, match=self.SHORT):
+            probes.rows(8, 7)
 
     def test_bottom_window_too_short(self):
-        op = self.op_with_known_terms(13)
-        for mode in ("bottom", "top"):
-            with pytest.raises(InsufficientPrecision):
-                realize_window(op, 8, mode)
+        probes = LatticeProbes(self.op_with_known_terms(13))
+        for W in (6, 7):
+            with pytest.raises(InsufficientPrecision, match=self.SHORT):
+                probes.rows(8, W)
 
     @pytest.mark.parametrize(
         "hi, trace, stabilized_at",
@@ -905,9 +914,14 @@ class TestOperatorLevel:
 
     def test_outer_window_rejects_one_variable(self):
         op = MatrixDiffOp.from_connection(Connection.trivial(F1, 1))
-        with pytest.raises(UnsupportedFrame) as ei:
-            reduce_outer_window(op, 4)
-        assert str(ei.value) == "outer windows are implemented for two variables"
+        for reduce in (
+            lambda: reduce_outer_window(op, 4),
+            lambda: realize_window(op, 4),
+            lambda: window_columns(op, (-4, 4), [(-5, 4)]),
+        ):
+            with pytest.raises(UnsupportedFrame) as ei:
+                reduce()
+            assert str(ei.value) == "outer windows are implemented for two variables"
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_window_past_the_label_limit_is_not_built(self, level):
@@ -915,6 +929,16 @@ class TestOperatorLevel:
         # at the limit is built
         op = MatrixDiffOp.from_connection(Connection.trivial(TowerField(level), 2))
         n = tate.MAX_WINDOW_LABELS
+        if level == 1:
+            # a probe of d/dt (delta = -1) has 2 (W + w + 1) labels per side;
+            # one of 10^12 would not fit in memory
+            probes = LatticeProbes(op)
+            with pytest.raises(WindowTooLarge, match=f"{n + 2} source and {n + 2} target labels"):
+                probes.rows(1, n // 2 - 1)
+            with pytest.raises(WindowTooLarge):
+                probes.rows(1, 10 ** 12)
+            assert len(probes.rows(1, n // 2 - 2)) == n
+            return
         with pytest.raises(WindowTooLarge, match=f"{n + 2} source and 2 target labels"):
             window_columns(op, (0, n // 2 + 1), [(0, 1)] * 2)
         with pytest.raises(WindowTooLarge, match=f"2 source and {n + 1} target labels"):
