@@ -3,7 +3,8 @@
 A connection of rank r is the data of r x r matrices A_1 .. A_n over the
 level-n tower field, acting on column vectors: the covariant derivative
 along the i-th variable is  v -> d_i(v) + A_i v.  Flatness is the vanishing
-of every curvature component
+of every curvature component, the commutator of two covariant derivatives
+(:meth:`EdgeOperator.commutator`),
 
     d_i A_j - d_j A_i + A_i A_j - A_j A_i        (i < j)
 
@@ -16,17 +17,54 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, InsufficientPrecision, LevelMismatch, NotFlat
 from .linalg import SeriesMatrix, inverse
-from .series import OneForm, TowerElement, TowerField
+from .series import OneForm, TowerElement, TowerField, sum_of_products
 
 
 @dataclass(frozen=True)
 class FlatnessReport:
     flat: bool
     witness: Optional[Tuple[int, int, int, int]]  # (i, j, row, col), 1-based vars
+
+
+@dataclass(frozen=True)
+class EdgeOperator:
+    """The first-order operator ``sum_k c_k d/dt_k + P`` on column vectors."""
+
+    cvec: Tuple[TowerElement, ...]  # the field: coefficients c_k of d/dt_k
+    pmat: SeriesMatrix  # P
+
+    def commutator(self, other: "EdgeOperator") -> "EdgeOperator":
+        """``[F, G] = FG - GF`` for ``F = self`` and ``G = other = sum_k d_k d/dt_k + Q``.
+
+        The second-order and cross terms cancel identically, so the field is
+        ``F(d_k) - G(c_k)`` and the matrix ``F(Q) - G(P) + PQ - QP``, where
+        ``F(x) = sum_k c_k d_k(x)``.  Each entry is one
+        :func:`~higherlocal.series.sum_of_products`, and exact zeros, field
+        coefficients or entries, take no derivative.
+        """
+        level, P, Q = self.pmat.level, self.pmat.entries, other.pmat.entries
+        # the fields of F and -G as (k, coefficient of d_k)
+        F = [(k, c) for k, c in enumerate(self.cvec, start=1) if not c.is_exactly_zero()]
+        G = [(k, -d) for k, d in enumerate(other.cvec, start=1) if not d.is_exactly_zero()]
+
+        def entry(x, y, *products):
+            # F(y) - G(x), plus the sums of the pairs in ``products``
+            fields = [(c, y.derive(k)) for k, c in F if not y.is_exactly_zero()]
+            fields += [(d, x.derive(k)) for k, d in G if not x.is_exactly_zero()]
+            return sum_of_products(level, chain(fields, *products))
+
+        Pt, Qt = tuple(zip(*P)), tuple(zip(*Q))
+        negQ, r = [[-x for x in row] for row in Q], range(len(P))
+        pmat = [
+            [entry(P[a][b], Q[a][b], zip(P[a], Qt[b]), zip(negQ[a], Pt[b])) for b in r] for a in r
+        ]
+        cvec = tuple(entry(c, d) for c, d in zip(self.cvec, other.cvec))
+        return EdgeOperator(cvec, SeriesMatrix._of_rows(pmat, level))
 
 
 class Connection:
@@ -74,24 +112,19 @@ class Connection:
 
     # -- checks -----------------------------------------------------------------
 
-    def curvature_component(self, i: int, j: int) -> SeriesMatrix:
-        Ai, Aj = self.matrices[i - 1], self.matrices[j - 1]
-        return Aj.derive(i) - Ai.derive(j) + Ai @ Aj - Aj @ Ai
-
     def check_flatness(self) -> FlatnessReport:
         n = self.field.level
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                K = self.curvature_component(i, j)
-                for r in range(K.rows):
-                    for c in range(K.cols):
-                        x = K[r, c]
-                        if x.is_certainly_nonzero():
-                            return FlatnessReport(False, (i, j, r, c))
-                        if not x.is_exactly_zero() and x.hi <= x.lo and x.hi <= 0:
-                            raise InsufficientPrecision(
-                                "no window left to certify curvature vanishing"
-                            )
+        # the coordinate edges d/dt_i + A_i; one variable has no pair to read
+        unit = SeriesMatrix.identity(self.field, n).entries if n > 1 else ()
+        edges = [EdgeOperator(e, A) for e, A in zip(unit, self.matrices)]
+        for i, j in combinations(range(n), 2):
+            K = edges[i].commutator(edges[j]).pmat
+            for r, row in enumerate(K.entries):
+                for c, x in enumerate(row):
+                    if x.is_certainly_nonzero():
+                        return FlatnessReport(False, (i + 1, j + 1, r, c))
+                    if not x.is_exactly_zero() and x.hi <= x.lo and x.hi <= 0:
+                        raise InsufficientPrecision("no window left to certify curvature vanishing")
         return FlatnessReport(True, None)
 
     # -- functorial operations ----------------------------------------------------

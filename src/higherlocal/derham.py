@@ -8,10 +8,11 @@ derivative along the edge's dual frame field (top differential) and the
 identity (bottom differential).  The signs make the two routes of every face
 opposite, so the cube is stored as its n directions and each face reduces
 to the commutator of its two.  Closed forms have commuting dual fields, so
-flatness makes the directions commute; the checker composes each pair as
-differential operators, checks that the commutator vanishes coefficient by
-coefficient, and reads each direction's kernel/cokernel windows off its
-own data: the lattice probes of
+flatness makes the directions commute; the checker reads each pair's
+commutator in closed form, a first-order operator again
+(:meth:`~higherlocal.connection.EdgeOperator.commutator`), checks that it
+vanishes coefficient by coefficient, and reads each direction's
+kernel/cokernel windows off its own data: the lattice probes of
 :func:`~higherlocal.tate.operator_index` over one variable or along the
 inner one, the outer windows of
 :func:`~higherlocal.tate.stabilize_outer_windows` along the outer one.
@@ -27,10 +28,10 @@ two-variable answer is computed over ``k((t1))((t2))``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .connection import Connection
+from .connection import Connection, EdgeOperator
 from .dmodule import connection_irregularity, rank_one_h0
 from .errors import (
     NotClosed,
@@ -46,7 +47,6 @@ from .series import (
     TowerElement,
     TowerField,
     set_working_precision,
-    sum_of_products,
     working_precision,
 )
 from .tate import (
@@ -156,29 +156,6 @@ def standard_forms(field: TowerField) -> FormTuple:
 # The binary multicomplex on the cube
 # ---------------------------------------------------------------------------
 
-# A differential operator on sections: each derivative multi-index (variables
-# in ascending order, () for order zero) maps to its r x r coefficient rows.
-Operator = Dict[Tuple[int, ...], Tuple[Tuple[TowerElement, ...], ...]]
-
-
-@dataclass(frozen=True)
-class EdgeOperator:
-    """The directional covariant derivative along a frame field."""
-
-    cvec: Tuple[TowerElement, ...]  # coefficients of d/dt_k
-    pmat: SeriesMatrix  # sum c_k A_k
-
-    def terms(self) -> Operator:
-        """The edge as ``{(): P, (k,): c_k I}``, exact-zero ``c_k`` left out."""
-        rows = self.pmat.entries
-        r, zero = len(rows), TowerElement.zero(self.pmat.level)
-        out = {(): rows}
-        for k, c in enumerate(self.cvec, start=1):
-            if not c.is_exactly_zero():
-                out[(k,)] = tuple(tuple(c if a == b else zero for b in range(r)) for a in range(r))
-        return out
-
-
 class BinaryMultiComplex:
     """Cube-indexed objects with covariant-derivative and wedge differentials.
 
@@ -191,6 +168,8 @@ class BinaryMultiComplex:
     s(M, j)``.  So a route kind with a wedge edge, a direction composed with
     the identity either way, sums to zero, and the covariant kind sums to
     ``+-(nabla_j nabla_i - nabla_i nabla_j)`` on every face of the pair.
+    Each direction is the :class:`~higherlocal.connection.EdgeOperator`
+    ``sum_k V_k d/dt_k + sum_k V_k A_k`` of its dual field ``V``.
     """
 
     def __init__(self, connection: Connection, forms: FormTuple):
@@ -266,30 +245,6 @@ class MultiComplexReport:
         return self.squares_ok and self.acyclic
 
 
-def _add_composite(acc: Dict, F: Operator, G: Operator, sign: int = 1) -> None:
-    """Add the product pairs of the coefficients of ``sign F o G`` to ``acc``.
-
-    ``F`` is first order, so ``F o G = sum F_a G_b d^(a+b) + sum_l F_(l)
-    d_l(G_b) d^b``; ``acc[(c, i, j)]`` collects the pairs whose products sum
-    to entry ``(i, j)`` of the coefficient of ``d^c``.
-    """
-
-    def add(c, X, Y):
-        r = len(X)
-        if sign < 0:
-            X = tuple(tuple(-x for x in row) for row in X)
-        for i in range(r):
-            for j in range(r):
-                acc.setdefault((c, i, j), []).extend((X[i][m], Y[m][j]) for m in range(r))
-
-    for a, Fa in F.items():
-        for b, Gb in G.items():
-            add(tuple(sorted(a + b)), Fa, Gb)
-            if a:
-                (l,) = a
-                add(b, Fa, tuple(tuple(x.derive(l) for x in row) for row in Gb))
-
-
 def check_multicomplex(
     B: BinaryMultiComplex, schedule: Sequence[int] = DEFAULT_SCHEDULE
 ) -> MultiComplexReport:
@@ -297,19 +252,17 @@ def check_multicomplex(
 
     Every face of the pair ``(i, j)`` sums to ``+-(nabla_j nabla_i -
     nabla_i nabla_j)`` (:class:`BinaryMultiComplex`), so the pair fails
-    when a coefficient of that commutator is certified nonzero.  The
-    commutator is the operator every section sees, so no test section is
-    needed.  The one-variable and inner directions probe on ``schedule``;
-    the outermost direction's stabilized reduction is kept in
+    when an entry of that commutator, a field and a matrix
+    (:meth:`~higherlocal.connection.EdgeOperator.commutator`), is certified
+    nonzero.  The commutator is the operator every section sees, so no test
+    section is needed.  The one-variable and inner directions probe on
+    ``schedule``; the outermost direction's stabilized reduction is kept in
     ``MultiComplexReport.outer``.
     """
-    ops = {i: edge.terms() for i, edge in B.directions.items()}
     failures: List[SquareFailure] = []
-    for i, j in combinations(sorted(ops), 2):
-        acc: Dict = {}
-        _add_composite(acc, ops[j], ops[i])
-        _add_composite(acc, ops[i], ops[j], -1)
-        if any(sum_of_products(B.field.level, p).is_certainly_nonzero() for p in acc.values()):
+    for i, j in combinations(sorted(B.directions), 2):
+        K = B.directions[i].commutator(B.directions[j])
+        if any(x.is_certainly_nonzero() for x in chain(K.cvec, *K.pmat.entries)):
             failures.append(SquareFailure((i, j), "commutator has a certified nonzero term"))
     directions, outer = [], None
     for i, edge in B.directions.items():

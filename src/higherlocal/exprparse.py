@@ -258,7 +258,7 @@ class ExpressionParser:
     def _power(self):
         base = self._atom()
         if self._peek().kind == "^":
-            self._next()
+            caret = self._next()
             sign = 1
             if self._peek().kind == "-":
                 self._next()
@@ -269,7 +269,13 @@ class ExpressionParser:
                 return _pow(base, exponent, self.field.level)
             base = self._series(base)
             if exponent < 0:
-                return base.invert(self.prec) ** (-exponent)
+                try:
+                    base = base.invert(self.prec)
+                except HigherLocalError as exc:
+                    raise SpecSyntaxError(
+                        f"negative power failed: {exc}", caret.line, caret.column
+                    )
+                return base ** (-exponent)
             return base ** exponent
         return base
 

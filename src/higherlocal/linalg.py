@@ -7,10 +7,13 @@ as possible, and a pivot candidate that is zero up to precision but not
 exactly zero raises :class:`UndeterminedPivot` instead of guessing.
 
 Over the rationals, :func:`sparse_echelon` is the fraction-free eliminator
-of the sparse window matrices that :func:`higherlocal.tate.window_columns`
-builds.  The dense :func:`rref_q` is the plain elimination over Q that the
-test suite uses as an oracle; :func:`kernel_q` has no caller in the package
-and stays only as a layer that ``bench/tracing.py`` wraps.
+of the one-variable lattice probes, the integer rows that
+:meth:`higherlocal.tate.LatticeProbes.rows` builds.  The outer windows of
+:func:`higherlocal.tate.window_columns` have inner-field entries, and
+:func:`rank_kernel_det` eliminates them.  The dense :func:`rref_q` is the
+plain elimination over Q that the test suite uses as an oracle;
+:func:`kernel_q` has no caller in the package and stays only as a layer
+that ``bench/tracing.py`` wraps.
 """
 
 from __future__ import annotations

@@ -101,6 +101,17 @@ class TestExpressionParser:
         with pytest.raises(MemoryError):
             self.p1.parse("1/(1 - t)")
 
+    def test_negative_power_of_a_non_unit_points_at_the_caret(self, monkeypatch):
+        def exhausted(x, *args):
+            raise MemoryError
+
+        with pytest.raises(SpecSyntaxError) as ei:
+            self.p1.parse("2 +\n (t - t)^-2")
+        assert str(ei.value) == "negative power failed: inverse of exact zero at line 2, column 9"
+        monkeypatch.setattr(TowerElement, "invert", exhausted)
+        with pytest.raises(MemoryError):
+            self.p1.parse("(1 - t)^-1")
+
 
 class SeriesEvaluator:
     """The expression grammar evaluated token by token in series arithmetic.
@@ -161,14 +172,18 @@ class SeriesEvaluator:
         base = self.atom()
         if self.peek() != "^":
             return base
-        self.next()
+        caret = self.next()
         sign = 1
         if self.peek() == "-":
             self.next()
             sign = -1
         exponent = sign * int(self.next().text)
         if exponent < 0:
-            return base.invert(self.prec) ** (-exponent)
+            try:
+                base = base.invert(self.prec)
+            except Exception as exc:
+                raise SpecSyntaxError(f"negative power failed: {exc}", caret.line, caret.column)
+            return base ** (-exponent)
         return base ** exponent
 
     def atom(self):
@@ -841,6 +856,47 @@ class TestCertifiedH0:
         assert (lines["h0"], lines["h1"], lines["stabilized"]) == ("1", "1", "no")
 
 
+# ROADMAP item 13: a rank-3 gauged sum of rank-1 and Kummer pieces, drawn by
+# tests/test_dmodule.py::gauged_sums, with irregularity 2 by construction.
+# Its certificate determinant has valuation -21, so at the default 32 terms
+# the theta-form's constant coefficient has no certified term, and 64 terms
+# certify it
+GAUGED_SUM_SPEC = """[field]
+n = 1
+vars = t
+
+[connection]
+rank = 3
+A1 = [["t^-16 + 9/2*t^-11 - t^-7 + t^-6", "t^-21 + 9/2*t^-16 - t^-12 + 2*t^-11 - 11/2*t^-6 + t^-1", "0"], ["-t^-11 - 9/2*t^-6 + t^-2", "-t^-16 - 9/2*t^-11 + t^-7 - t^-6 + 1/2*t^-1", "0"], ["0", "0", "2*t^-2"]]
+
+[task]
+command = cohomology
+"""
+
+
+class TestExactInputsNeedTerms:
+    @staticmethod
+    def cohomology(tmp_path, capsys, *flags):
+        spec = tmp_path / "gauged.hl"
+        spec.write_text(GAUGED_SUM_SPEC)
+        code = cli.main([str(spec), *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        lines = dict(line.split(" = ", 1) for line in captured.out.splitlines())
+        assert (lines["h0"], lines["h1"], lines["window_agrees"]) == ("0", "2", "yes")
+
+    def test_gauged_sum_at_64_terms(self, tmp_path, capsys):
+        self.cohomology(tmp_path, capsys, "--precision", "64")
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="exits 1 with UndeterminedLeadingTerm at 32 terms, ROADMAP item 13",
+    )
+    def test_gauged_sum_at_the_default_flags(self, tmp_path, capsys):
+        self.cohomology(tmp_path, capsys)
+
+
 def run_cli_capped(path):
     """``run_cli`` with the child's address space capped at 1 GiB, so a window
     built past the limit fails in the child and not on the machine."""
@@ -950,6 +1006,27 @@ class TestRejections:
         proc = run_cli(bad)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == f"error: DimensionMismatch: matrix {key} exceeds n = 2\n"
+
+    @pytest.mark.parametrize(
+        "entry, column, reason",
+        [
+            ("0^-1", 10, "inverse of exact zero"),
+            ("(t - t)^-2", 16, "inverse of exact zero"),
+            ("(1/(1+t) - 1/(1+t))^-1", 28, "cannot certify a nonzero leading term for inversion"),
+        ],
+        ids=["zero", "cancelled", "undetermined"],
+    )
+    def test_negative_power_of_a_non_unit_exit_code(self, tmp_path, entry, column, reason):
+        # as a division by zero does, the failed inverse exits 3 at its
+        # operator, the ^
+        bad = tmp_path / "bad.hl"
+        bad.write_text(rank1_spec(entry, "epsilon"))
+        proc = run_cli(bad)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            f"error: SpecSyntaxError: negative power failed: {reason} at line 8, column {column}\n"
+        )
+        assert proc.stdout == ""
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.hl"

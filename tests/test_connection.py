@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from higherlocal.connection import (
     Connection,
+    EdgeOperator,
     KummerCover,
     induct,
     kummer_pullback,
     rank1_from_form,
     regular_representation,
 )
-from higherlocal.errors import NotFlat
+from higherlocal.errors import InsufficientPrecision, NotFlat
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
 
@@ -82,6 +84,117 @@ class TestFlatness:
         C = rank1_from_form(OneForm((t ** -1,)))
         assert C.rank == 1
         assert C.matrices[0][0, 0] == t ** -1
+
+
+@st.composite
+def level2_entries(draw, exact):
+    """A Laurent polynomial in t1, t2 with exponents in -2..2, often exactly
+    zero; with ``exact`` False, its t2 window and its coefficients' t1
+    windows are cut at drawn bounds."""
+    inner = st.dictionaries(
+        st.integers(-2, 2), st.sampled_from((Fraction(1), Fraction(-2), Fraction(1, 3))), max_size=2
+    )
+    coeffs = {}
+    for e, c in draw(st.dictionaries(st.integers(-2, 2), inner, max_size=3)).items():
+        cut = exact or draw(st.booleans())
+        coeffs[e] = TowerElement(1, c, None if cut else draw(st.integers(-1, 3)), cut)
+    if exact:
+        return TowerElement(2, coeffs, None, True)
+    return TowerElement(2, coeffs, draw(st.integers(-1, 3)), False)
+
+
+@st.composite
+def level2_connections(draw):
+    """Exact or truncated rank 1-3 connections over two variables: gauges of
+    the trivial one by unipotent matrices, which are flat, and drawn ones."""
+    exact, r = draw(st.booleans()), draw(st.integers(1, 3))
+    entry = level2_entries(exact)
+    if draw(st.booleans()):
+        g = [[F2.one() if a == b else draw(entry) if a < b else F2.zero() for b in range(r)]
+             for a in range(r)]
+        return Connection.trivial(F2, r).gauge(SeriesMatrix(g))
+    return Connection(F2, [SeriesMatrix([[draw(entry) for _ in range(r)] for _ in range(r)])
+                           for _ in range(2)])
+
+
+def chained_flatness(C):
+    """The flatness gate on ``d_i A_j - d_j A_i + A_i A_j - A_j A_i``, each
+    term a matrix operation, as it was checked before the commutator."""
+    n = C.field.level
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            Ai, Aj = C.matrices[i - 1], C.matrices[j - 1]
+            K = Aj.derive(i) - Ai.derive(j) + Ai @ Aj - Aj @ Ai
+            for r, row in enumerate(K.entries):
+                for c, x in enumerate(row):
+                    if x.is_certainly_nonzero():
+                        return False, (i, j, r, c)
+                    if not x.is_exactly_zero() and x.hi <= x.lo and x.hi <= 0:
+                        raise InsufficientPrecision(
+                            "no window left to certify curvature vanishing"
+                        )
+    return True, None
+
+
+def outcome(f):
+    try:
+        return f()
+    except InsufficientPrecision as exc:
+        return type(exc), str(exc)
+
+
+class TestCommutator:
+    """``[F, G]`` in closed form against composing the two operators."""
+
+    def test_field_of_a_commutator(self):
+        # [d_1, t1 d_2] = d_2, and [t1 d_1, t2 d_2] = 0
+        one, zero, t1, t2 = F2.one(), F2.zero(), F2.gen(1), F2.gen(2)
+        Z = m2([[0]])
+        K = EdgeOperator((one, zero), Z).commutator(EdgeOperator((zero, t1), Z))
+        assert K.cvec == (zero, one) and K.pmat == Z
+        K = EdgeOperator((t1, zero), Z).commutator(EdgeOperator((zero, t2), Z))
+        assert K.cvec == (zero, zero) and K.pmat == Z
+
+    def test_matches_the_composite_on_sections(self):
+        # F(G v) - G(F v) for exact rank-2 edges with non-commuting fields
+        # and matrices, on random sections
+        t1, t2 = F2.gen(1), F2.gen(2)
+        F = EdgeOperator((t1 * t2, t2 ** -1), m2([[t1, 1], [t2 ** 2, 0]]))
+        G = EdgeOperator((1 + t2, t1 ** 2), m2([[0, t1 * t2], [3, t2 ** -1]]))
+
+        def apply(E, v):
+            Pv = E.pmat.apply(v)
+            return tuple(
+                p + sum((c * x.derive(k) for k, c in enumerate(E.cvec, start=1)), F2.zero())
+                for p, x in zip(Pv, v)
+            )
+
+        K = F.commutator(G)
+        for v in random_sections(random.Random(5), F2, 2, 4):
+            want = tuple(a - b for a, b in zip(apply(F, apply(G, v)), apply(G, apply(F, v))))
+            assert apply(K, v) == want
+
+    @settings(deadline=None, max_examples=150)
+    @given(level2_connections())
+    def test_flatness_reads_the_chained_curvature(self, C):
+        # the commutator of the coordinate edges is the curvature entry by
+        # entry, in value, window and exactness, and the gate's verdict,
+        # witness or error is the chained formula's
+        one, zero = F2.one(), F2.zero()
+        A1, A2 = C.matrices
+        K = EdgeOperator((one, zero), A1).commutator(EdgeOperator((zero, one), A2))
+        chained = A2.derive(1) - A1.derive(2) + A1 @ A2 - A2 @ A1
+        for got, want in zip(K.pmat.entries, chained.entries):
+            assert [(x, x.hi, x.exact, hash(x)) for x in got] == [
+                (x, x.hi, x.exact, hash(x)) for x in want
+            ]
+        assert all(c.is_exactly_zero() for c in K.cvec)
+
+        def gate():
+            rep = C.check_flatness()
+            return rep.flat, rep.witness
+
+        assert outcome(gate) == outcome(lambda: chained_flatness(C))
 
 
 class TestFunctoriality:

@@ -1,8 +1,10 @@
 """Form tuples, cube multicomplexes, cohomology dimensions."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from higherlocal.dmodule import connection_irregularity, rank_one_h0
 from higherlocal.derham import (
     BinaryMultiComplex,
     DirectionResult,
+    EdgeOperator,
     FormTuple,
     build_multicomplex,
     check_multicomplex,
@@ -416,6 +419,28 @@ def non_flat_cases():
 NON_FLAT_CASES = non_flat_cases()
 
 
+@st.composite
+def exact_edge_pairs(draw):
+    """Two exact rank 1-2 edges over two variables: Laurent-polynomial field
+    coefficients and matrix entries with exponents in -2..2, each often
+    exactly zero, so the fields range from zero through one coordinate
+    direction to non-commuting pairs."""
+    r = draw(st.integers(1, 2))
+    inner = st.dictionaries(st.integers(-2, 2), st.sampled_from((1, -1, 2)), max_size=2)
+
+    def entry():
+        coeffs = draw(st.dictionaries(st.integers(-2, 2), inner, max_size=2))
+        return TowerElement(
+            2, {e: TowerElement(1, c, None, True) for e, c in coeffs.items()}, None, True
+        )
+
+    def edge():
+        cvec = (entry(), entry())
+        return EdgeOperator(cvec, SeriesMatrix([[entry() for _ in range(r)] for _ in range(r)]))
+
+    return edge(), edge()
+
+
 class TestSquaresAsOperatorIdentities:
     """Each pair of directions is checked as a commutator; the section check
     of every face and route kind, on the signed edges, is the oracle."""
@@ -477,6 +502,34 @@ class TestSquaresAsOperatorIdentities:
     def test_non_flat_cubes_fail_their_curved_pairs(self, name, B, pairs):
         assert not B.connection.check_flatness().flat
         assert [f.pair for f in self.matches_the_oracle(B).square_failures] == pairs
+
+    @settings(deadline=None, max_examples=200)
+    @given(exact_edge_pairs())
+    def test_drawn_edges_match_the_section_oracle(self, edges):
+        # exact two-variable edges beyond SQUARE_CASES, in place of the
+        # directions of a trivial cube of their rank.  Only the squares are
+        # under test: the drawn directions' windows are not reduced
+        B = copy.copy(dict(SQUARE_CASES)[f"trivial_n2_r{edges[0].pmat.rows}"])
+        B.directions = dict(enumerate(edges, start=1))
+        unchecked = lambda i, edge, schedule: (DirectionResult(i, True, "not checked"), None)
+        with mock.patch.object(derham, "_direction_acyclicity", unchecked):
+            self.matches_the_oracle(B)
+
+    def test_commutator_sees_a_field_that_composing_cut(self):
+        # [d_1 + p, t1 d_2] = d_2 - t1 d_2(p) for p = O(t2^0).  Composing the
+        # two operators paired p t1 against t1 p in the d_2 coefficient,
+        # which cut its window at t2^0, below the exact 1 of d_1(t1)
+        t1, p = F2.gen(1), TowerElement(2, {}, 0, False)
+        B = copy.copy(dict(SQUARE_CASES)["trivial_n2_r1"])
+        B.directions = {
+            1: EdgeOperator((F2.one(), F2.zero()), SeriesMatrix([[p]])),
+            2: EdgeOperator((F2.zero(), t1), SeriesMatrix([[F2.zero()]])),
+        }
+        rep = check_multicomplex(B)
+        assert [f.pair for f in rep.square_failures] == [(1, 2)]
+        assert not rep.squares_ok
+        K = B.directions[1].commutator(B.directions[2])
+        assert K.cvec == (F2.zero(), F2.one())
 
 
 def oracle_outer_windows(op, schedule):
