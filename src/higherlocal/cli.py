@@ -30,6 +30,7 @@ from .errors import (
     NotFlat,
     NotIndependent,
     SpecFileError,
+    UndeterminedPivot,
     Unstabilized,
     UnsupportedFrame,
     WindowTooLarge,
@@ -188,7 +189,7 @@ def _run(command: str, spec: SpecFile, schedule) -> Report:
         try:
             ok, lhs, rhs = verify_duality(C, nu, sigma, outer=mrep.outer)
             duality, degree = "pass" if ok else "fail", str(sigma.sign * rhs)
-        except (UnsupportedFrame, WindowTooLarge):
+        except (UnsupportedFrame, WindowTooLarge, UndeterminedPivot):
             duality = degree = "unsupported"
         report.append(("check_duality", duality))
         report.append(("sigma", str(spec.sigma)))

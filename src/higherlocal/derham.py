@@ -286,7 +286,8 @@ def _direction_acyclicity(
     :func:`operator_index` run on ``schedule``.  Along the outer variable
     the fixed outer windows are reduced over the inner field, and that
     stabilization is returned beside the result.  The data that these
-    routes reject, and a window past the label limit, leave the direction
+    routes reject, a window past the label limit and a window column that
+    no precision certifies (:class:`UndeterminedPivot`) leave the direction
     unsupported.  The edge's own ``cvec`` and ``pmat`` are read, so a
     tampered edge is what gets checked.
     """
@@ -313,7 +314,7 @@ def _direction_acyclicity(
                 c, P = strip_outer(c), P.map(strip_outer)
             rep = operator_index(MatrixDiffOp.first_order(c, P), schedule)
             at, trace = rep.stabilized_at, rep.trace
-    except (UnsupportedFrame, WindowTooLarge) as exc:
+    except (UnsupportedFrame, WindowTooLarge, UndeterminedPivot) as exc:
         return DirectionResult(i, False, str(exc), unsupported=True), None
     detail = "window dimensions " + ("kept growing" if at is None else "stabilized")
     return DirectionResult(k, at is not None, detail, trace), outer

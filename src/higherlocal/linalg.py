@@ -8,8 +8,10 @@ exactly zero raises :class:`UndeterminedPivot` instead of guessing.
 
 Over the rationals, :func:`sparse_echelon` is the fraction-free eliminator
 of the one-variable lattice probes, the integer rows that
-:meth:`higherlocal.tate.LatticeProbes.rows` builds.  The outer windows of
-:func:`higherlocal.tate.window_columns` have inner-field entries, and
+:meth:`higherlocal.tate.LatticeProbes.rows` builds, and of the outer
+windows whose entries are rational constants; :func:`echelon_kernel`
+back-substitutes its kernel basis.  Other outer windows, those of
+:func:`higherlocal.tate.window_columns`, have inner-field entries, and
 :func:`rank_kernel_det` eliminates them.  The dense :func:`rref_q` is the
 plain elimination over Q that the test suite uses as an oracle;
 :func:`kernel_q` has no caller in the package and stays only as a layer
@@ -522,7 +524,9 @@ def _integer_row(raw: dict) -> dict:
     return _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
 
 
-def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
+def sparse_echelon(
+    rows, echelon: Optional[dict] = None, dependent: Optional[list] = None
+) -> dict:
     """Echelon pivots of a sparse rational matrix; returns {col: row dict}.
 
     Rows are dicts mapping column indices to ints or rationals (zeros are
@@ -542,9 +546,12 @@ def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
     form depend only on the row space, so splitting the rows into batches
     changes no pivot column; and whatever the rows, the number of pivots
     left of a column ``k`` is the rank of the columns left of ``k``.
+
+    ``dependent``, when given, gets the index in ``rows`` of each row that
+    reduces to zero: the rows left out of the greedy row basis, in order.
     """
     pivots: dict = {} if echelon is None else echelon
-    for raw in rows:
+    for k, raw in enumerate(rows):
         r = _integer_row(raw)
         while r:
             c = min(r)
@@ -553,4 +560,27 @@ def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
                 pivots[c] = r
                 break
             r = _cancel(r, p, c)
+        else:
+            if dependent is not None:
+                dependent.append(k)
     return pivots
+
+
+def echelon_kernel(echelon: dict, m: int) -> List[List[Fraction]]:
+    """The basis of the right kernel of a :func:`sparse_echelon` result on ``m`` columns.
+
+    One vector per column without a pivot, 1 there and 0 at the other free
+    columns: the rref basis of :func:`kernel_q`, back-substituted over Q.
+    """
+    pivots = sorted(echelon, reverse=True)
+    basis = []
+    for f in range(m):
+        if f in echelon:
+            continue
+        x = [Fraction(0)] * m
+        x[f] = Fraction(1)
+        for c in pivots:
+            row = echelon[c]
+            x[c] = Fraction(-sum(v * x[k] for k, v in row.items() if k != c), row[c])
+        basis.append(x)
+    return basis

@@ -23,11 +23,16 @@ one.
 
 Windows run one level up too, on the same :class:`MatrixDiffOp`, whose
 level is that of its coefficients: an operator in the outermost variable of
-a two-variable field is realized (:func:`window_columns`) as a finite
-matrix *over* the inner field, with the target cut at the hull
-displacement for the kernel and at the derivative term's displacement for
-the cokernel, and its kernel/cokernel are then finite-dimensional
-inner-field spaces with explicit bounded outer windows.  The outer
+a two-variable field is realized as a finite matrix *over* the inner
+field, with the target cut at the hull displacement for the kernel and at
+the derivative term's displacement for the cokernel, and its
+kernel/cokernel are then finite-dimensional inner-field spaces with
+explicit bounded outer windows.  An operator whose coefficients are exact
+with rational constant inner coefficients is read once, stripped to the
+outer variable, by :class:`LatticeProbes`, and its windows are built from
+that reading as integer rows and eliminated by
+:func:`~higherlocal.linalg.sparse_echelon`; any other is realized by
+:func:`window_columns` and eliminated over the inner field.  The outer
 windows are the fixed ``OUTER_SCHEDULE``, settled by the same loop; every
 ``schedule`` parameter here is a one-variable probe schedule.  The
 multicomplex check (:mod:`higherlocal.derham`) reads each covariant edge
@@ -38,18 +43,15 @@ along the inner one, :func:`stabilize_outer_windows` along the outer one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
-from .linalg import (
-    Factorization,
-    SeriesMatrix,
-    rank_kernel_det,
-    sparse_echelon,
-)
+from .linalg import SeriesMatrix, echelon_kernel, rank_kernel_det, sparse_echelon
 from .series import TowerElement, TowerField, sum_of_products
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
@@ -158,11 +160,12 @@ class LatticeProbes:
     the ``(d, i, coefficients)`` of each entry ``C_d[i, j]`` with a stored
     term, read once from its integer numerators: ascending ``(r m, n)``
     pairs, ``n`` the numerator of the coefficient of ``t^m`` over ``D_i``,
-    the lcm of the entry denominators in row ``i``.  A probe's row ``i``
-    holds ``D_i`` times the rational one, which changes no rank.
+    the lcm of the entry denominators in row ``i``, kept as ``dens[i]``.
+    A probe's row ``i`` holds ``D_i`` times the rational one, which changes
+    no rank.
     """
 
-    __slots__ = ("rank", "order", "delta", "offset", "known", "terms")
+    __slots__ = ("rank", "order", "delta", "offset", "known", "terms", "dens")
 
     def __init__(self, op: MatrixDiffOp):
         r = self.rank = op.rank
@@ -174,6 +177,7 @@ class LatticeProbes:
             default=None,
         )
         self.terms = [[] for _ in range(r)]
+        self.dens = []
         for i in range(r):
             entries = [
                 (d, j, M[i, j])
@@ -182,6 +186,7 @@ class LatticeProbes:
                 if not M[i, j].is_exactly_zero()
             ]
             den = lcm(*(x.numerators()[0] for _, _, x in entries))
+            self.dens.append(den)
             for d, j, x in entries:
                 xden, items = x.numerators()
                 if items:
@@ -389,16 +394,8 @@ def window_columns(
     ``MAX_WINDOW_LABELS`` labels on a side raises :class:`WindowTooLarge`,
     before anything is built.
     """
-    if op.level != 2:
-        raise UnsupportedFrame("outer windows are implemented for two variables")
-    _check_labels(op.rank * (src[1] - src[0]), sum(hi - lo for lo, hi in bounds))
-    src_labels = [(c, e) for c in range(op.rank) for e in range(*src)]
-    tgt_labels = [(c, e) for c in range(op.rank) for e in range(*bounds[c])]
-    offset = []  # target row of (i, ee) is offset[i] + ee
-    start = 0
-    for lo, hi in bounds:
-        offset.append(start - lo)
-        start += hi - lo
+    _check_outer(op, src, bounds)
+    src_labels, tgt_labels, offset = _window_layout(op.rank, src, bounds)
     # terms[d][comp]: (i, inexact bound or None, [(m, coefficient), ...])
     terms = {}
     for d, M in op.coeffs.items():
@@ -437,7 +434,29 @@ def window_columns(
                     col.setdefault(offset[i] + ee, []).append((f, q))
         fused = ((row, sum_of_products(1, pairs)) for row, pairs in col.items())
         columns.append({row: q for row, q in fused if not q.is_exactly_zero()})
-    return WindowRealization(tuple(src_labels), tuple(tgt_labels), columns)
+    return WindowRealization(src_labels, tgt_labels, columns)
+
+
+def _check_outer(op: MatrixDiffOp, src: Tuple[int, int], bounds) -> None:
+    """Raise for a one-variable ``op`` or a window past the label limit, before any building."""
+    if op.level != 2:
+        raise UnsupportedFrame("outer windows are implemented for two variables")
+    _check_labels(op.rank * (src[1] - src[0]), sum(hi - lo for lo, hi in bounds))
+
+
+def _window_layout(rank: int, src: Tuple[int, int], bounds):
+    """Source and target labels, component-major, and the row offsets of an outer window.
+
+    The target row of ``(i, e)`` is ``offset[i] + e``.
+    """
+    src_labels = tuple((c, e) for c in range(rank) for e in range(*src))
+    tgt_labels = tuple((c, e) for c in range(rank) for e in range(*bounds[c]))
+    offset = []
+    start = 0
+    for lo, hi in bounds:
+        offset.append(start - lo)
+        start += hi - lo
+    return src_labels, tgt_labels, offset
 
 
 def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
@@ -469,28 +488,33 @@ def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealiza
 class OuterReduction:
     """Windowed kernel/cokernel of an outer-variable operator, over the inner field.
 
-    The kernel is that of the lattice-sharp ("bottom") window, whose forward
-    pass is kept in ``bottom``: :attr:`ker_dim` reads its rank, and the basis
-    is back-substituted when :attr:`kernel` is first read, so a window that
-    the settle rule discards builds none.  Two reductions are equal when
-    their windows, labels, matrices, kernel bases and cokernel slots are.
+    The kernel is that of the lattice-sharp ("bottom") window, and the
+    cokernel slots are the target labels of the top window's rows left out
+    of its greedy row basis in label order.  ``ker_dim`` and the slots are
+    read off the eliminations; the top window's :attr:`matrix` and the
+    :attr:`kernel` basis are built by ``build_matrix`` and ``build_kernel``
+    when first read, so a window that the settle rule discards builds no
+    kernel basis.  Two reductions are equal when their windows, labels,
+    matrices, kernel bases and cokernel slots are.
     """
 
     window: int
     src_labels: Tuple  # (component, outer exponent)
     tgt_labels: Tuple
-    matrix: SeriesMatrix  # the top window, entries over the inner field
-    bottom: Factorization  # the forward pass of the bottom window
+    ker_dim: int
     coker_slots: Tuple  # tgt labels representing the cokernel
+    build_matrix: Callable[[], SeriesMatrix] = field(repr=False)
+    build_kernel: Callable[[], Tuple] = field(repr=False)
 
-    @property
+    @cached_property
+    def matrix(self) -> SeriesMatrix:
+        """The top window, entries over the inner field."""
+        return self.build_matrix()
+
+    @cached_property
     def kernel(self) -> Tuple:
         """Tuples of inner-field elements indexed by ``src_labels``."""
-        return self.bottom.kernel
-
-    @property
-    def ker_dim(self) -> int:
-        return len(self.src_labels) - self.bottom.rank
+        return self.build_kernel()
 
     @property
     def coker_dim(self) -> int:
@@ -508,8 +532,109 @@ class OuterReduction:
         return self._values() == other._values()
 
 
-def reduce_outer_window(op: MatrixDiffOp, w: int) -> OuterReduction:
+def reduce_outer_window(
+    op: MatrixDiffOp, w: int, probes: Optional[LatticeProbes] = None
+) -> OuterReduction:
     """Kernel and cokernel slots of a two-variable ``op`` on the outer window [-w, w).
+
+    A one-variable ``op`` raises :class:`UnsupportedFrame`, and a window
+    past the label limit :class:`WindowTooLarge`, before either route
+    builds anything.  An ``op`` whose coefficients are exact with rational
+    constant inner coefficients is read as integers (:func:`_outer_probes`;
+    ``probes`` is that reading, made once by a caller that reduces several
+    windows) and eliminated by :func:`sparse_echelon`
+    (:func:`_reduce_outer_integer`); any other ``op`` takes the series
+    route (:func:`_reduce_outer_series`).  Both give equal reductions.
+    """
+    bounds = window_bounds(op, w, "top")
+    _check_outer(op, (-w, w), bounds)
+    if probes is None:
+        probes = _outer_probes(op)
+    if probes is None:
+        return _reduce_outer_series(op, w)
+    return _reduce_outer_integer(probes, w, bounds)
+
+
+def _outer_probes(op: MatrixDiffOp) -> Optional[LatticeProbes]:
+    """Two-variable ``op`` read by :class:`LatticeProbes` in the outer variable, or None.
+
+    The reading exists when every coefficient is exact with exact rational
+    constant inner coefficients (inner support {0}).
+    """
+    entries = (x for M in op.coeffs.values() for row in M.entries for x in row)
+    if not all(x.exact and all(q.exact and (q.lo, q.hi) == (0, 1) for q in x.coeffs.values())
+               for x in entries):
+        return None
+
+    def strip(x):
+        return TowerElement(1, {m: q.coefficient(0) for m, q in x.coeffs.items()}, None, True)
+
+    return LatticeProbes(MatrixDiffOp(op.rank, {d: M.map(strip) for d, M in op.coeffs.items()}))
+
+
+def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReduction:
+    """:func:`reduce_outer_window` on the integer reading of ``op``.
+
+    The top window is built from ``probes.terms`` as integer rows in label
+    order: ``n t^m`` (over ``D_i``) in ``C_d[i, j]`` sends ``t^e`` to
+    ``falling(e, d) n`` at exponent ``e - d + m`` of component ``i``, so
+    row ``(i, e)`` is ``D_i`` times the rational one.  The bottom rows,
+    below ``lo_i + 2w``, give ``ker_dim``; the top rows that reduce to zero
+    in label order are the cokernel slots, the greedy row basis that the
+    series route's transposed pass picks.  When the two cuts coincide this
+    is one :func:`sparse_echelon`.  The kernel basis and the matrix over
+    the inner field are built when first read.
+    """
+    r = probes.rank
+    src_labels, tgt_labels, offset = _window_layout(r, (-w, w), bounds)
+    rows: List[dict] = [{} for _ in tgt_labels]
+    falling = [1] * (probes.order + 1)  # falling[d] = e (e - 1) ... (e - d + 1)
+    for e in range(-w, w):
+        for d in range(1, probes.order + 1):
+            falling[d] = falling[d - 1] * (e - d + 1)
+        for j, comp_terms in enumerate(probes.terms):
+            k = 2 * w * j + e + w  # the column of source (j, e)
+            for d, i, coeffs in comp_terms:
+                f = falling[d]
+                if not f:
+                    continue
+                lo, hi = bounds[i]
+                if coeffs[0][0] // r + e - d < lo:
+                    raise AssertionError("image fell below the certified hull")
+                for rm, n in coeffs:
+                    ee = rm // r + e - d
+                    if ee >= hi:
+                        break
+                    row = rows[offset[i] + ee]
+                    row[k] = row.get(k, 0) + f * n
+    rows = [{k: n for k, n in row.items() if n} for row in rows]
+    bottom = [row for row, (c, e) in zip(rows, tgt_labels) if e < bounds[c][0] + 2 * w]
+    dependent: List[int] = []
+    echelon = sparse_echelon(bottom, dependent=dependent)
+    if len(bottom) < len(rows):  # the top cut is higher: a pass of its own
+        dependent.clear()
+        sparse_echelon(rows, dependent=dependent)
+    m = len(src_labels)
+
+    def build_matrix() -> SeriesMatrix:
+        entries = [[TowerElement.zero(1)] * m for _ in rows]
+        for out, (c, _), row in zip(entries, tgt_labels, rows):
+            for k, n in row.items():
+                out[k] = TowerElement.constant(1, Fraction(n, probes.dens[c]))
+        return SeriesMatrix._of_rows(entries, 1)
+
+    def build_kernel() -> Tuple:
+        basis = echelon_kernel(echelon, m)
+        return tuple(tuple(TowerElement.constant(1, q) for q in x) for x in basis)
+
+    slots = tuple(tgt_labels[k] for k in dependent)
+    return OuterReduction(
+        w, src_labels, tgt_labels, m - len(echelon), slots, build_matrix, build_kernel
+    )
+
+
+def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
+    """:func:`reduce_outer_window` over the inner field, for any two-variable ``op``.
 
     The rows of the derivative-cut ("top") window are built once; the
     lattice-sharp ("bottom") window is the subset of them below each
@@ -526,9 +651,10 @@ def reduce_outer_window(op: MatrixDiffOp, w: int) -> OuterReduction:
     bottom_pass = rank_kernel_det(SeriesMatrix._of_rows(bottom, 1))
     covered = {c for _, c in rank_kernel_det(SeriesMatrix._of_rows(zip(*rows), 1)).pivots}
     coker_slots = tuple(lab for k, lab in enumerate(win.tgt_labels) if k not in covered)
+    matrix = SeriesMatrix._of_rows(rows, 1)
     return OuterReduction(
-        w, win.src_labels, win.tgt_labels, SeriesMatrix._of_rows(rows, 1), bottom_pass,
-        coker_slots,
+        w, win.src_labels, win.tgt_labels, len(win.src_labels) - bottom_pass.rank, coker_slots,
+        lambda: matrix, lambda: bottom_pass.kernel,
     )
 
 
@@ -558,7 +684,8 @@ def stabilize_outer_windows(op: MatrixDiffOp) -> OuterStabilization:
     never agreed), the window at which they agreed (None when they never
     did) and the (window, ker, coker) trace.
     """
-    reductions = (reduce_outer_window(op, w) for w in OUTER_SCHEDULE)
+    probes = _outer_probes(op) if op.level == 2 else None
+    reductions = (reduce_outer_window(op, w, probes) for w in OUTER_SCHEDULE)
     red, at, trace = _settle((r.window, r.ker_dim, r.coker_dim, r) for r in reductions)
     return OuterStabilization(op, red, at, trace)
 

@@ -676,6 +676,38 @@ command = verify
         assert lines["check_duality"] == "pass"
         assert lines["result"] == "unsupported"
 
+    def test_undetermined_pivot_leaves_the_report_unsupported(self, tmp_path, capsys):
+        # the regular singular [[0, 0], [1/t2, 1/t2]] gauged by [[1, t1], [0, 1]]:
+        # a column of its outer windows over the inner field reduces to
+        # O(t1^h), which no precision certifies, so the outer direction and
+        # the degree are unsupported; cohomology and epsilon still exit 1
+        spec = tmp_path / "gauged.hl"
+        text = """[field]
+n = 2
+
+[connection]
+rank = 2
+A1 = [["0", "1"], ["0", "0"]]
+A2 = [["-t1/t2", "-(t1^2 + t1)/t2"], ["1/t2", "(t1 + 1)/t2"]]
+
+[task]
+command = {}
+"""
+        spec.write_text(text.format("verify"))
+        assert cli.main([str(spec)]) == 0
+        assert capsys.readouterr().out == (
+            "command = verify\nn = 2\nrank = 2\ncheck_flatness = pass\ncheck_forms = pass\n"
+            "check_squares = pass\ncheck_acyclicity = unsupported\n"
+            "check_duality = unsupported\nsigma = 1\ndegree = unsupported\n"
+            "result = unsupported\n"
+        )
+        for command in ("cohomology", "epsilon"):
+            spec.write_text(text.format(command))
+            assert cli.main([str(spec)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: UndeterminedPivot: no certified pivot in column 11\n"
+
 
 # verify on a trivial connection whose duality check cannot run: the
 # acyclicity check cannot either (n = 3, or a frame field mixing directions)

@@ -3,6 +3,7 @@
 import random
 from collections import namedtuple
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from higherlocal.series import OneForm, TowerElement, TowerField
 from higherlocal.specfile import parse_specfile
 from higherlocal.tate import (
     DEFAULT_SCHEDULE,
+    OUTER_SCHEDULE,
     IndexReport,
     LatticeProbes,
     MatrixDiffOp,
@@ -286,13 +288,20 @@ class TestOuterWindowCrossCheck:
 
     def test_stabilization_builds_one_kernel_basis(self, monkeypatch):
         # the windows the settle rule discards build no kernel basis, and
-        # the settling one builds its basis when the kernel is first read
+        # the settling one builds its basis when the kernel is first read,
+        # on either route: the trivial operator is free of t1, so its
+        # windows are integer rows back-substituted by echelon_kernel; the
+        # random ones are series windows
         calls = []
         back_substitute = linalg.Factorization.back_substitute
         monkeypatch.setattr(
             linalg.Factorization,
             "back_substitute",
             lambda fac, tail: calls.append(1) or back_substitute(fac, tail),
+        )
+        echelon_kernel = tate.echelon_kernel
+        monkeypatch.setattr(
+            tate, "echelon_kernel", lambda *a: calls.append(1) or echelon_kernel(*a)
         )
         rng = random.Random(1807)
         ops = [MatrixDiffOp.from_connection(Connection.trivial(F2, 2))]
@@ -343,6 +352,65 @@ class TestOuterWindowCrossCheck:
         with pytest.raises(InsufficientPrecision) as reduced:
             reduce_outer_window(short, 4)
         assert str(reduced.value) == str(bottom.value)
+
+
+@st.composite
+def t1_free_outer_operators(draw):
+    """Exact outer operators ``c d/dt2 + P`` free of t1: rank 1-3, ``c`` in
+    {1, t2, t2^-1}, and entries of ``P`` that are Laurent polynomials in t2
+    with rational constant coefficients, often exactly zero."""
+    r = draw(st.integers(1, 3))
+    rationals = st.fractions(-3, 3, max_denominator=3)
+
+    def entry():
+        coeffs = draw(st.dictionaries(st.integers(-3, 2), rationals, max_size=3))
+        inner = {m: TowerElement.constant(1, q) for m, q in coeffs.items()}
+        return TowerElement(2, inner, None, True)
+
+    c = TowerElement.monomial(2, [0, draw(st.sampled_from((0, 1, -1)))])
+    return MatrixDiffOp.first_order(c, SeriesMatrix([[entry() for _ in range(r)] for _ in range(r)]))
+
+
+class TestOuterRoutes:
+    """The integer route of ``reduce_outer_window`` against the series route."""
+
+    @staticmethod
+    def counting_realizations(calls):
+        return mock.patch.object(
+            tate, "realize_window", lambda *a: calls.append(1) or realize_window(*a)
+        )
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(t1_free_outer_operators())
+    def test_integer_route_equals_the_series_route(self, op):
+        calls = []
+        with self.counting_realizations(calls):
+            for w in OUTER_SCHEDULE:
+                fast = reduce_outer_window(op, w)
+                assert not calls  # no series window was built
+                slow = tate._reduce_outer_series(op, w)
+                calls.clear()
+                assert fast == slow
+                assert (fast.ker_dim, fast.coker_dim) == (slow.ker_dim, slow.coker_dim)
+        # a pole past the label limit raises the same message on both routes
+        pole = TowerElement.monomial(2, [0, -tate.MAX_WINDOW_LABELS])
+        P = op.coeffs[0] + SeriesMatrix.identity(F2, op.rank).scale(pole)
+        far = MatrixDiffOp(op.rank, {**op.coeffs, 0: P})
+        with pytest.raises(WindowTooLarge) as fast:
+            reduce_outer_window(far, OUTER_SCHEDULE[0])
+        with pytest.raises(WindowTooLarge) as slow:
+            tate._reduce_outer_series(far, OUTER_SCHEDULE[0])
+        assert str(fast.value) == str(slow.value)
+
+    def test_t1_dependent_operators_take_the_series_route(self):
+        rng = random.Random(1807)
+        for rank in (1, 2):
+            for normalized in (False, True):
+                op = random_outer_operator(rng, rank, normalized)
+                calls = []
+                with self.counting_realizations(calls):
+                    stabilize_outer_windows(op)
+                assert calls and len(calls) == len(stabilize_outer_windows(op).trace)
 
 
 def ref_window_columns(op, src, bounds):
