@@ -20,7 +20,8 @@ inner one, the outer windows of
 Cohomology dimensions over two variables are computed along the outer
 variable first: the windowed kernel and cokernel of the outer derivative are
 finite-dimensional inner-field spaces carrying an induced inner connection,
-whose dimensions, read by the one-variable branch of :func:`cohomology_dims`,
+whose matrix is read by the outer reduction's coordinate maps and whose
+dimensions, read by the one-variable branch of :func:`cohomology_dims`,
 fill in the second page.  That filtration is the only one: every
 two-variable answer is computed over ``k((t1))((t2))``.
 """
@@ -41,7 +42,7 @@ from .errors import (
     UnsupportedFrame,
     WindowTooLarge,
 )
-from .linalg import SeriesMatrix, inverse, rank_kernel_det, solve_columns
+from .linalg import SeriesMatrix, inverse, rank_kernel_det
 from .series import (
     OneForm,
     TowerElement,
@@ -336,7 +337,12 @@ def induced_inner_connections(
     operator is the covariant derivative along the outer variable, scaled by
     the inverse of ``normalizer`` when given.  When ``outer`` holds the
     stabilization of that same operator (:meth:`OuterStabilization.serves`),
-    its reduction is used and no window is reduced again.
+    its reduction is used and no window is reduced again.  The action on
+    ``H^0`` is the kernel coordinates of the ``nabla_1`` images of the
+    kernel basis, on ``H^1`` the cokernel coordinates of the images of the
+    slot units; the reduction's own maps solve for them
+    (:meth:`~higherlocal.tate.OuterReduction.kernel_coordinates`,
+    :meth:`~higherlocal.tate.OuterReduction.cokernel_coordinates`).
     """
     op = MatrixDiffOp.from_connection(C, normalizer)
     if outer is None or not outer.serves(op):
@@ -353,29 +359,24 @@ def induced_inner_connections(
     def read(labels, sec) -> List[TowerElement]:
         return [sec[c].coefficient(e) for c, e in labels]
 
-    def action(images, span, tail, failure) -> Connection:
-        # column j: the last ``tail`` coordinates of images[j] in ``span``
-        solutions = solve_columns(span, images)
+    def action(solutions, failure) -> Connection:
+        # column j: the coordinates of the image of basis vector j
         if None in solutions:
             raise UnsupportedFrame(failure)
-        cols = [x[-tail:] for x in solutions]
-        return Connection(TowerField(1), [SeriesMatrix(cols).transpose()])
+        return Connection(TowerField(1), [SeriesMatrix(solutions).transpose()])
 
     h0 = h1 = None
     if red.ker_dim:
         images = [read(red.src_labels, C.nabla(1, section(red.src_labels, v))) for v in red.kernel]
-        h0 = action(
-            images, red.kernel, red.ker_dim, "induced action does not preserve the windowed kernel"
-        )
+        failure = "induced action does not preserve the windowed kernel"
+        h0 = action(red.kernel_coordinates(images), failure)
     if red.coker_dim:
         # the unit section at each cokernel slot, modulo the window's image
-        units = [section((slot,), (TowerElement.constant(1, 1),)) for slot in red.coker_slots]
-        span = [red.matrix.column(j) for j in range(red.matrix.cols)]
-        span += [read(red.tgt_labels, u) for u in units]
+        one = TowerElement.constant(1, 1)
+        units = [section((slot,), (one,)) for slot in red.coker_slots]
         images = [read(red.tgt_labels, C.nabla(1, u)) for u in units]
-        h1 = action(
-            images, span, red.coker_dim, "induced action leaves the windowed target span"
-        )
+        failure = "induced action leaves the windowed target span"
+        h1 = action(red.cokernel_coordinates(images), failure)
     return h0, h1, outer
 
 

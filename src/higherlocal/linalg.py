@@ -10,7 +10,8 @@ Over the rationals, :func:`sparse_echelon` is the fraction-free eliminator
 of the one-variable lattice probes, the integer rows that
 :meth:`higherlocal.tate.LatticeProbes.rows` builds, and of the outer
 windows whose entries are rational constants; :func:`echelon_kernel`
-back-substitutes its kernel basis.  Other outer windows, those of
+back-substitutes its kernel basis and :func:`echelon_relations` records the
+dependency relation of each row it drops.  Other outer windows, those of
 :func:`higherlocal.tate.window_columns`, have inner-field entries, and
 :func:`rank_kernel_det` eliminates them.  The dense :func:`rref_q` is the
 plain elimination over Q that the test suite uses as an oracle;
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import LevelMismatch, UndeterminedPivot
 from .series import (
@@ -566,6 +567,33 @@ def sparse_echelon(
     return pivots
 
 
+def echelon_relations(rows) -> Dict[int, Dict[int, Fraction]]:
+    """The dependency relation of each row that reduces to zero in a :func:`sparse_echelon` pass.
+
+    ``{k: {j: q_j}}`` per such row ``k``: ``sum_j q_j rows[j] = 0`` with
+    ``q_k = 1``, and every other ``j`` a row before ``k`` that the pass
+    kept.  Each row carries its own unit at a tag column past every column
+    of ``rows``, so the tags of a reduced row record the combination made;
+    a row whose columns all cancel is left with its relation.
+    """
+    m = 1 + max((c for row in rows for c in row), default=-1)
+    pivots: dict = {}
+    relations = {}
+    for k, raw in enumerate(rows):
+        r = _integer_row({**raw, m + k: 1})
+        while True:
+            c = min(r)
+            if c >= m:
+                relations[k] = {j - m: Fraction(v, r[m + k]) for j, v in r.items()}
+                break
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                break
+            r = _cancel(r, p, c)
+    return relations
+
+
 def echelon_kernel(echelon: dict, m: int) -> List[List[Fraction]]:
     """The basis of the right kernel of a :func:`sparse_echelon` result on ``m`` columns.
 
@@ -577,10 +605,11 @@ def echelon_kernel(echelon: dict, m: int) -> List[List[Fraction]]:
     for f in range(m):
         if f in echelon:
             continue
-        x = [Fraction(0)] * m
-        x[f] = Fraction(1)
+        x = {f: Fraction(1)}  # the nonzero entries
         for c in pivots:
             row = echelon[c]
-            x[c] = Fraction(-sum(v * x[k] for k, v in row.items() if k != c), row[c])
-        basis.append(x)
+            s = sum(v * x[k] for k, v in row.items() if k in x)
+            if s:
+                x[c] = Fraction(-s, row[c])
+        basis.append([x.get(k, Fraction(0)) for k in range(m)])
     return basis

@@ -32,7 +32,10 @@ with rational constant inner coefficients is read once, stripped to the
 outer variable, by :class:`LatticeProbes`, and its windows are built from
 that reading as integer rows and eliminated by
 :func:`~higherlocal.linalg.sparse_echelon`; any other is realized by
-:func:`window_columns` and eliminated over the inner field.  The outer
+:func:`window_columns` and eliminated over the inner field.  A reduction
+(:class:`OuterReduction`) maps a vector to its coordinates in the kernel
+basis and on the cokernel slots; the integer route reads those off its own
+elimination over Q for exact vectors.  The outer
 windows are the fixed ``OUTER_SCHEDULE``, settled by the same loop; every
 ``schedule`` parameter here is a one-variable probe schedule.  The
 multicomplex check (:mod:`higherlocal.derham`) reads each covariant edge
@@ -43,15 +46,16 @@ along the inner one, :func:`stabilize_outer_windows` along the outer one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
-from .linalg import SeriesMatrix, echelon_kernel, rank_kernel_det, sparse_echelon
+from .linalg import Factorization, SeriesMatrix, echelon_kernel, echelon_relations
+from .linalg import rank_kernel_det, solve_columns, sparse_echelon
 from .series import TowerElement, TowerField, sum_of_products
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
@@ -491,11 +495,16 @@ class OuterReduction:
     The kernel is that of the lattice-sharp ("bottom") window, and the
     cokernel slots are the target labels of the top window's rows left out
     of its greedy row basis in label order.  ``ker_dim`` and the slots are
-    read off the eliminations; the top window's :attr:`matrix` and the
-    :attr:`kernel` basis are built by ``build_matrix`` and ``build_kernel``
-    when first read, so a window that the settle rule discards builds no
-    kernel basis.  Two reductions are equal when their windows, labels,
-    matrices, kernel bases and cokernel slots are.
+    read off the eliminations.  Each route is a subclass that gives the top
+    window's ``matrix``, entries over the inner field, and the ``kernel``
+    basis, tuples of inner-field elements indexed by ``src_labels``; the
+    kernel is built when first read, so a window that the settle rule
+    discards builds no kernel basis.  Two reductions are equal when their
+    windows, labels, matrices, kernel bases and cokernel slots are.
+
+    The two coordinate maps solve over the inner field
+    (:func:`~higherlocal.linalg.solve_columns`) here; the integer route
+    reads exact vectors off its own elimination instead.
     """
 
     window: int
@@ -503,18 +512,25 @@ class OuterReduction:
     tgt_labels: Tuple
     ker_dim: int
     coker_slots: Tuple  # tgt labels representing the cokernel
-    build_matrix: Callable[[], SeriesMatrix] = field(repr=False)
-    build_kernel: Callable[[], Tuple] = field(repr=False)
 
-    @cached_property
-    def matrix(self) -> SeriesMatrix:
-        """The top window, entries over the inner field."""
-        return self.build_matrix()
+    def kernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
+        """Per vector indexed by ``src_labels``, its coordinates in the kernel
+        basis, or None when it is certainly outside the span."""
+        return solve_columns(self.kernel, vectors)
 
-    @cached_property
-    def kernel(self) -> Tuple:
-        """Tuples of inner-field elements indexed by ``src_labels``."""
-        return self.build_kernel()
+    def cokernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
+        """Per vector indexed by ``tgt_labels``, its coordinates on the slot units.
+
+        The slot units span a complement of the window's image, so each
+        vector is an image plus one combination of them, whose coefficients
+        these are (None when no solution is certified).  Here the window's
+        columns and the units are eliminated together.
+        """
+        one, zero = TowerElement.constant(1, 1), TowerElement.zero(1)
+        units = [[one if lab == s else zero for lab in self.tgt_labels] for s in self.coker_slots]
+        span = [self.matrix.column(j) for j in range(self.matrix.cols)] + units
+        m = len(self.src_labels)
+        return [x and x[m:] for x in solve_columns(span, vectors)]
 
     @property
     def coker_dim(self) -> int:
@@ -544,14 +560,16 @@ def reduce_outer_window(
     ``probes`` is that reading, made once by a caller that reduces several
     windows) and eliminated by :func:`sparse_echelon`
     (:func:`_reduce_outer_integer`); any other ``op`` takes the series
-    route (:func:`_reduce_outer_series`).  Both give equal reductions.
+    route (:func:`_reduce_outer_series`), whose :func:`realize_window`
+    computes the window's bounds and runs both checks.  Both give equal
+    reductions.
     """
-    bounds = window_bounds(op, w, "top")
-    _check_outer(op, (-w, w), bounds)
-    if probes is None:
+    if probes is None and op.level == 2:
         probes = _outer_probes(op)
     if probes is None:
         return _reduce_outer_series(op, w)
+    bounds = window_bounds(op, w, "top")
+    _check_outer(op, (-w, w), bounds)
     return _reduce_outer_integer(probes, w, bounds)
 
 
@@ -582,8 +600,7 @@ def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReducti
     below ``lo_i + 2w``, give ``ker_dim``; the top rows that reduce to zero
     in label order are the cokernel slots, the greedy row basis that the
     series route's transposed pass picks.  When the two cuts coincide this
-    is one :func:`sparse_echelon`.  The kernel basis and the matrix over
-    the inner field are built when first read.
+    is one :func:`sparse_echelon`.
     """
     r = probes.rank
     src_labels, tgt_labels, offset = _window_layout(r, (-w, w), bounds)
@@ -614,31 +631,108 @@ def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReducti
     if len(bottom) < len(rows):  # the top cut is higher: a pass of its own
         dependent.clear()
         sparse_echelon(rows, dependent=dependent)
-    m = len(src_labels)
+    slots = tuple(tgt_labels[k] for k in dependent)
+    return _IntegerReduction(
+        w, src_labels, tgt_labels, len(src_labels) - len(echelon), slots,
+        rows=rows, dens=probes.dens, echelon=echelon, dependent=dependent,
+    )
 
-    def build_matrix() -> SeriesMatrix:
-        entries = [[TowerElement.zero(1)] * m for _ in rows]
-        for out, (c, _), row in zip(entries, tgt_labels, rows):
+
+class _IntegerReduction(OuterReduction):
+    """An outer reduction read over Q from its window's own integer elimination.
+
+    The kernel basis is the rref basis of the bottom rows' ``echelon`` (1
+    at each free column), so an exact vector's kernel coordinates are its
+    entries at the free columns, and it lies in the span when its residual
+    at every pivot column vanishes.  Its coordinate on the slot unit at
+    ``s`` is ``psi_s(y)``, ``psi_s`` the dependency relation of row ``s`` on
+    the rows before it in the label-order pass, which vanishes on the image
+    and is 1 at ``s`` and 0 at the other slots.  Both solutions are unique,
+    so they are the elimination's.  A vector with an inexact entry is solved
+    by the elimination: read off other rows, it would be known to other
+    bounds.  The kernel, the relations and the matrix are built when first
+    read.
+    """
+
+    def __init__(self, *base, rows, dens, echelon, dependent):
+        super().__init__(*base)
+        self.rows = rows  # the top window in label order
+        self.dens = dens  # D_i per component
+        self.echelon = echelon  # sparse_echelon of the bottom rows
+        self.dependent = dependent  # the slots' row indices
+
+    @cached_property
+    def matrix(self) -> SeriesMatrix:
+        entries = [[TowerElement.zero(1)] * len(self.src_labels) for _ in self.rows]
+        for out, (c, _), row in zip(entries, self.tgt_labels, self.rows):
             for k, n in row.items():
-                out[k] = TowerElement.constant(1, Fraction(n, probes.dens[c]))
+                out[k] = TowerElement.constant(1, Fraction(n, self.dens[c]))
         return SeriesMatrix._of_rows(entries, 1)
 
-    def build_kernel() -> Tuple:
-        basis = echelon_kernel(echelon, m)
+    @cached_property
+    def kernel(self) -> Tuple:
+        basis = echelon_kernel(self.echelon, len(self.src_labels))
         return tuple(tuple(TowerElement.constant(1, q) for q in x) for x in basis)
 
-    slots = tuple(tgt_labels[k] for k in dependent)
-    return OuterReduction(
-        w, src_labels, tgt_labels, m - len(echelon), slots, build_matrix, build_kernel
-    )
+    def kernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
+        if not _all_exact(vectors):
+            return super().kernel_coordinates(vectors)
+        free = [f for f in range(len(self.src_labels)) if f not in self.echelon]
+        # per pivot column c, the residual y[c] - sum_k x_k kernel[k][c] must vanish
+        checks = [
+            (c, [(-vec[c], k) for k, vec in enumerate(self.kernel) if not vec[c].is_exactly_zero()])
+            for c in self.echelon
+        ]
+        out: List[Optional[List[TowerElement]]] = []
+        for y in vectors:
+            x = [y[f] for f in free]
+            live = {k for k, v in enumerate(x) if not v.is_exactly_zero()}
+            for c, terms in checks:
+                pairs = [(q, x[k]) for q, k in terms if k in live]
+                residual = sum_of_products(1, [(1, y[c])] + pairs) if pairs else y[c]
+                if residual.is_certainly_nonzero():
+                    x = None
+                    break
+            out.append(x)
+        return out
+
+    @cached_property
+    def _relations(self):
+        # row (i, e) is D_i times the rational one, so a relation q of the
+        # integer rows is q_j D_i(j) / D_i(s) on the rational ones
+        found = echelon_relations(self.rows[: self.dependent[-1] + 1])
+        dens = [self.dens[c] for c, _ in self.tgt_labels]
+        relations = []
+        for s in self.dependent:
+            psi = ((q * dens[j] / dens[s], j) for j, q in found[s].items())
+            relations.append([
+                (q.numerator if q.denominator == 1 else TowerElement.constant(1, q), j)
+                for q, j in psi
+            ])
+        return relations
+
+    def cokernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
+        if not _all_exact(vectors):
+            return super().cokernel_coordinates(vectors)
+        relations = self._relations if self.dependent else []
+        return [
+            [sum_of_products(1, [(q, y[j]) for q, j in psi]) for psi in relations]
+            for y in vectors
+        ]
+
+
+def _all_exact(vectors) -> bool:
+    return all(x.exact for y in vectors for x in y)
 
 
 def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
     """:func:`reduce_outer_window` over the inner field, for any two-variable ``op``.
 
-    The rows of the derivative-cut ("top") window are built once; the
-    lattice-sharp ("bottom") window is the subset of them below each
-    component's bottom cut.  The kernel comes from the bottom rows, whose
+    The rows of the derivative-cut ("top") window are built once, by
+    :func:`realize_window`, which computes the window's bounds and runs the
+    level and label checks; the lattice-sharp ("bottom") window is the
+    subset of them below each component's bottom cut, ``2w`` above the
+    bottom of its top cut.  The kernel comes from the bottom rows, whose
     forward pass is kept for it, the cokernel slots from the pivots of the
     transposed top rows, so both are eliminated.  The three matrices are
     built from the window's rows without the public constructor's checks.
@@ -646,16 +740,30 @@ def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
     win = realize_window(op, w)
     zero = TowerElement.zero(1)
     rows = [tuple(col.get(k, zero) for col in win.columns) for k in range(len(win.tgt_labels))]
-    cut = window_bounds(op, w, "bottom")
-    bottom = [row for row, (c, e) in zip(rows, win.tgt_labels) if e < cut[c][1]]
+    low: dict = {}
+    for c, e in win.tgt_labels:  # ascending per component: the first is the bottom
+        low.setdefault(c, e)
+    bottom = [row for row, (c, e) in zip(rows, win.tgt_labels) if e < low[c] + 2 * w]
     bottom_pass = rank_kernel_det(SeriesMatrix._of_rows(bottom, 1))
     covered = {c for _, c in rank_kernel_det(SeriesMatrix._of_rows(zip(*rows), 1)).pivots}
     coker_slots = tuple(lab for k, lab in enumerate(win.tgt_labels) if k not in covered)
-    matrix = SeriesMatrix._of_rows(rows, 1)
-    return OuterReduction(
+    return _SeriesReduction(
         w, win.src_labels, win.tgt_labels, len(win.src_labels) - bottom_pass.rank, coker_slots,
-        lambda: matrix, lambda: bottom_pass.kernel,
+        matrix=SeriesMatrix._of_rows(rows, 1), bottom=bottom_pass,
     )
+
+
+class _SeriesReduction(OuterReduction):
+    """An outer reduction eliminated over the inner field."""
+
+    def __init__(self, *base, matrix: SeriesMatrix, bottom: Factorization):
+        super().__init__(*base)
+        self.matrix = matrix
+        self.bottom = bottom  # the bottom rows' forward pass
+
+    @property
+    def kernel(self) -> Tuple:
+        return self.bottom.kernel
 
 
 @dataclass(frozen=True)

@@ -622,6 +622,35 @@ class TestGolden:
             assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
             assert (len(inverses), len(determinants)) == counts, name
 
+    def test_n2_goldens_read_the_induced_action_without_elimination(self, monkeypatch, capsys):
+        # their outer operators are free of t1: the induced inner actions are
+        # read off the windows' integer eliminations, and no forward pass
+        # over the inner field runs inside induced_inner_connections
+        actions, forwards = [], []
+        forward, induced = linalg._forward, derham.induced_inner_connections
+
+        def counted_forward(rows):
+            if actions and actions[-1] is None:
+                forwards.append(1)
+            return forward(rows)
+
+        def counted_induced(*args, **kwargs):
+            actions.append(None)
+            try:
+                return induced(*args, **kwargs)
+            finally:
+                actions[-1] = 1
+
+        monkeypatch.setattr(linalg, "_forward", counted_forward)
+        for module in (derham, epsilon):
+            monkeypatch.setattr(module, "induced_inner_connections", counted_induced)
+        for name in ("verify_n2_trivial", "eps_n2_dlog", "coh_trivial_n2"):
+            actions.clear()
+            forwards.clear()
+            assert cli.main([str(GOLDEN / f"{name}.hl")]) == 0
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+            assert actions and not forwards, name
+
     def test_determinism(self):
         a = run_cli(GOLDEN / "cyclic_rank2.hl")
         b = run_cli(GOLDEN / "cyclic_rank2.hl")

@@ -879,12 +879,119 @@ INDUCED_PINS = {
 }
 
 
+@st.composite
+def t1_free_outer_connections(draw):
+    """Flat connections over two variables whose outer operator is free of t1.
+
+    The external product of a piece ``M`` over t1 and a piece ``N`` over t2,
+    each of rank 1 or 2 with Laurent-polynomial entries and rational
+    coefficients, is gauged by a constant unimodular matrix: ``A1 = g (M (x)
+    I) g^-1`` and ``A2 = g (I (x) N) g^-1``.  Drawn with a bound in t1 for
+    :func:`truncated_a1`.
+    """
+    rationals = st.fractions(-2, 2, max_denominator=2)
+
+    def piece(rank, outer):
+        def entry():
+            coeffs = draw(st.dictionaries(st.integers(-2, 1), rationals, max_size=2))
+            if outer:
+                inner = {m: TowerElement.constant(1, q) for m, q in coeffs.items()}
+            else:
+                inner = {0: TowerElement(1, coeffs, None, True)}
+            return TowerElement(2, inner, None, True)
+
+        return SeriesMatrix([[entry() for _ in range(rank)] for _ in range(rank)])
+
+    a, b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    M, N = piece(a, False), piece(b, True)
+    C = Connection(
+        F2,
+        [M.kron(SeriesMatrix.identity(F2, b)), SeriesMatrix.identity(F2, a).kron(N)],
+    )
+    r = a * b
+    g = g_inv = SeriesMatrix.identity(F2, r)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(r)))[:2] if r > 1 else (0, 0)
+        if i == j:
+            continue
+        k = draw(st.sampled_from((-1, 1, 2)))
+        E = [[F2.one() if p == q else F2.zero() for q in range(r)] for p in range(r)]
+        E_inv = [list(row) for row in E]
+        E[i][j], E_inv[i][j] = F2.rational(k), F2.rational(-k)
+        g, g_inv = SeriesMatrix(E) @ g, g_inv @ SeriesMatrix(E_inv)
+    return C.gauge(g, g_inv), draw(st.integers(-1, 2))
+
+
+def truncated_a1(C, hi):
+    """``C`` with every inner coefficient of ``A1`` known below ``t1^hi`` only."""
+
+    def truncated(x):
+        return TowerElement(2, {e: c.truncate(hi) for e, c in x.coeffs.items()}, None, True)
+
+    return Connection(F2, [C.matrices[0].map(truncated), C.matrices[1]])
+
+
+def oracle_induced_action(C, red):
+    """The induced actions by elimination over the inner field, the reference
+    for the integer route's reads: ``solve_columns`` on ``red.kernel`` for
+    H^0, and on the columns of ``red.matrix`` beside the slot units for H^1,
+    keeping the units' part.  Per level, the coordinate columns, None for
+    dimension 0, or the ``UnsupportedFrame`` message."""
+
+    def section(labels, values):
+        comps = [dict() for _ in range(C.rank)]
+        for (c, e), x in zip(labels, values):
+            comps[c][e] = x
+        return tuple(TowerElement(2, comp, None, True) for comp in comps)
+
+    def read(labels, sec):
+        return [sec[c].coefficient(e) for c, e in labels]
+
+    def solved(span, images, tail, failure):
+        solutions = linalg.solve_columns(span, images)
+        return failure if None in solutions else [x[-tail:] for x in solutions]
+
+    levels = [None, None]
+    if red.ker_dim:
+        images = [read(red.src_labels, C.nabla(1, section(red.src_labels, v))) for v in red.kernel]
+        failure = "induced action does not preserve the windowed kernel"
+        levels[0] = solved(red.kernel, images, red.ker_dim, failure)
+    if red.coker_dim:
+        one = TowerElement.constant(1, 1)
+        units = [section((slot,), (one,)) for slot in red.coker_slots]
+        span = [red.matrix.column(j) for j in range(red.matrix.cols)]
+        span += [read(red.tgt_labels, u) for u in units]
+        images = [read(red.tgt_labels, C.nabla(1, u)) for u in units]
+        failure = "induced action leaves the windowed target span"
+        levels[1] = solved(span, images, red.coker_dim, failure)
+    return levels
+
+
+def assert_action_matches_the_oracle(C, normalizer, outer):
+    """``induced_inner_connections`` against :func:`oracle_induced_action`:
+    the same failure, or per level the same coordinates."""
+    levels = oracle_induced_action(C, outer.reduction)
+    try:
+        h0, h1, _ = induced_inner_connections(C, normalizer, outer)
+    except UnsupportedFrame as exc:
+        assert str(exc) in levels
+        return
+    for level, want in zip((h0, h1), levels):
+        assert not isinstance(want, str)
+        if want is None:
+            assert level is None
+            continue
+        # equal entries: the same value, exactness and bound
+        assert [list(col) for col in level.matrices[0].transpose().entries] == want
+
+
 class TestInducedInnerConnections:
     """The outer reduction and the induced inner action, pinned exactly."""
 
     def test_one_elimination_per_induced_action(self, monkeypatch):
-        # H^0 and H^1 of the outer derivative are 2-dimensional, and each
-        # action solves for both images in one elimination of its span
+        # the outer operator t1^-1 d/dt2 involves t1, so it takes the series
+        # route: H^0 and H^1 of it are 2-dimensional, and each action solves
+        # for both images in one elimination of its span
         solves, eliminations = [], []
         solve, forward = linalg.solve_columns, linalg._forward
 
@@ -892,17 +999,63 @@ class TestInducedInnerConnections:
             eliminations.append(1)
             return forward(*args)
 
+        def counted(call):
+            def run(*args, **kwargs):
+                monkeypatch.setattr(linalg, "_forward", counted_forward)
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    monkeypatch.setattr(linalg, "_forward", forward)
+
+            return run
+
         def counted_solve(columns, targets):
             solves.append(len(targets))
-            monkeypatch.setattr(linalg, "_forward", counted_forward)
-            try:
-                return solve(columns, targets)
-            finally:
-                monkeypatch.setattr(linalg, "_forward", forward)
+            return counted(solve)(columns, targets)
 
-        monkeypatch.setattr(derham, "solve_columns", counted_solve)
-        assert cohomology_dims(Connection.trivial(F2, 2)).dims == (2, 4, 2)
+        monkeypatch.setattr(tate, "solve_columns", counted_solve)
+        t1 = F2.gen(1)
+        h0, h1, outer = induced_inner_connections(Connection.trivial(F2, 2), t1)
+        assert (h0.rank, h1.rank) == (2, 2) and not tate._outer_probes(outer.op)
         assert solves == [2, 2] and len(eliminations) == 2
+        # d/dt2 is free of t1: its action is read off the window's integer
+        # elimination, with no solve and no elimination over the inner field
+        solves.clear()
+        eliminations.clear()
+        induced = counted(derham.induced_inner_connections)
+        monkeypatch.setattr(derham, "induced_inner_connections", induced)
+        assert cohomology_dims(Connection.trivial(F2, 2)).dims == (2, 4, 2)
+        assert not solves and not eliminations
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(t1_free_outer_connections(), st.booleans())
+    def test_integer_route_action_equals_the_series_oracle(self, drawn, normalized):
+        # the coordinates read off the window's integer elimination against
+        # elimination over the inner field, on the same reduction; each draw
+        # is checked with A1 exact and with A1 truncated
+        exact, hi = drawn
+        normalizer = F2.gen(2) ** -1 if normalized else None
+        op = MatrixDiffOp.from_connection(exact, normalizer)
+        assert tate._outer_probes(op) is not None
+        outer = tate.stabilize_outer_windows(op)
+        for C in (exact, truncated_a1(exact, hi)):
+            assert_action_matches_the_oracle(C, normalizer, outer)
+
+    def test_integer_route_raises_where_the_oracle_does(self):
+        # A1 with t2 in it is not flat: the action leaves the windowed kernel
+        t2 = F2.gen(2)
+        cases = [
+            Connection(F2, [SeriesMatrix([[t2]]), SeriesMatrix([[F2.zero()]])]),
+            Connection(F2, [SeriesMatrix([[F2.zero(), t2], [t2 ** -1, F2.zero()]]),
+                            SeriesMatrix.zeros(F2, 2, 2)]),
+        ]
+        for C in cases:
+            outer = tate.stabilize_outer_windows(MatrixDiffOp.from_connection(C))
+            assert "induced action does not preserve the windowed kernel" in (
+                oracle_induced_action(C, outer.reduction)
+            )
+            for A1 in (C, truncated_a1(C, 2)):
+                assert_action_matches_the_oracle(A1, None, outer)
 
     @pytest.mark.parametrize("name, power", sorted(INDUCED_PINS, key=str))
     def test_pinned(self, name, power):
