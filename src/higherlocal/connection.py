@@ -15,24 +15,21 @@ module over the base via the regular representation of the extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, InsufficientPrecision, LevelMismatch, NotFlat
 from .linalg import SeriesMatrix, inverse
 from .series import OneForm, TowerElement, TowerField, sum_of_products
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     flat: bool
     witness: Optional[Tuple[int, int, int, int]]  # (i, j, row, col), 1-based vars
 
 
-@dataclass(frozen=True)
-class EdgeOperator:
+class EdgeOperator(NamedTuple):
     """The first-order operator ``sum_k c_k d/dt_k + P`` on column vectors."""
 
     cvec: Tuple[TowerElement, ...]  # the field: coefficients c_k of d/dt_k
@@ -196,15 +193,29 @@ def rank1_from_form(omega: OneForm) -> Connection:
 # Kummer covers and induction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class KummerCover:
     """The cover obtained by extracting an e-th root of the outermost variable."""
 
-    e: int
+    __slots__ = ("e",)
 
-    def __post_init__(self):
-        if self.e < 1:
+    def __init__(self, e: int):
+        if e < 1:
             raise ValueError("ramification index must be >= 1")
+        object.__setattr__(self, "e", e)
+
+    def __setattr__(self, *a):
+        raise AttributeError("KummerCover is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.e == other.e if isinstance(other, KummerCover) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.e)
+
+    def __repr__(self):
+        return f"KummerCover(e={self.e!r})"
 
 
 def regular_representation(f: TowerElement, e: int) -> list:

@@ -28,9 +28,8 @@ two-variable answer is computed over ``k((t1))((t2))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .connection import Connection, EdgeOperator
 from .dmodule import connection_irregularity, rank_one_h0
@@ -196,14 +195,12 @@ def build_multicomplex(C: Connection, forms: FormTuple) -> BinaryMultiComplex:
 # Multicomplex verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SquareFailure:
+class SquareFailure(NamedTuple):
     pair: Tuple[int, int]  # the directions (i, j), i < j, of the failing faces
     detail: str
 
 
-@dataclass
-class DirectionResult:
+class DirectionResult(NamedTuple):
     direction: int
     ok: bool
     detail: str
@@ -219,8 +216,7 @@ class DirectionResult:
         return "unsupported" if self.unsupported else "fail"
 
 
-@dataclass
-class MultiComplexReport:
+class MultiComplexReport(NamedTuple):
     squares_ok: bool
     square_failures: List[SquareFailure]
     directions: List[DirectionResult]
@@ -384,8 +380,7 @@ def induced_inner_connections(
 # Cohomology reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     level: int
     dims: Tuple[int, ...]
     euler: int

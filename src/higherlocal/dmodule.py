@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .connection import Connection
 from .errors import (
@@ -93,20 +92,39 @@ PARTIAL = "partial"
 THETA = "theta"
 
 
-@dataclass(frozen=True)
 class ScalarOperator:
-    """A monic scalar operator sum(a_i X^i) with X = d/dt or X = t d/dt."""
+    """A monic scalar operator sum(a_i X^i) with X = d/dt or X = t d/dt.
 
-    form: str
-    coeffs: Tuple[TowerElement, ...]  # a_0 .. a_m, a_m == 1
+    ``coeffs`` are a_0 .. a_m, with a_m == 1.
+    """
 
-    def __post_init__(self):
-        if self.form not in (PARTIAL, THETA):
+    __slots__ = ("form", "coeffs")
+
+    def __init__(self, form: str, coeffs: Tuple[TowerElement, ...]):
+        if form not in (PARTIAL, THETA):
             raise ValueError("form must be 'partial' or 'theta'")
-        if len(self.coeffs) < 2:
+        if len(coeffs) < 2:
             raise ValueError("order must be >= 1")
-        if (self.coeffs[-1] - 1).is_certainly_nonzero():
+        if (coeffs[-1] - 1).is_certainly_nonzero():
             raise ValueError("operator must be monic")
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ScalarOperator is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, ScalarOperator):
+            return NotImplemented
+        return (self.form, self.coeffs) == (other.form, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.form, self.coeffs))
+
+    def __repr__(self):
+        return f"ScalarOperator(form={self.form!r}, coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
@@ -276,8 +294,7 @@ def to_scalar_operator(
 # Newton polygons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower hull of the theta-form coefficient valuations.
 
     ``points`` are the finite lattice points (j, v(b_j)); ``vertices`` the

@@ -20,8 +20,7 @@ line is not computed: only the degree is certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .connection import Connection, KummerCover, induct, kummer_pullback
 from .derham import FormTuple, induced_inner_connections
@@ -38,19 +37,32 @@ from .tate import (
 )
 
 
-@dataclass(frozen=True)
 class SignConvention:
     """Global sign for the duality comparison; one value per verification run."""
 
-    sign: int = 1
+    __slots__ = ("sign",)
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int = 1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "sign", sign)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SignConvention is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.sign == other.sign if isinstance(other, SignConvention) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.sign)
+
+    def __repr__(self):
+        return f"SignConvention(sign={self.sign!r})"
 
 
-@dataclass
-class EpsilonReport:
+class EpsilonReport(NamedTuple):
     degree: int
     window_reports: Tuple[IndexReport, ...]
     window_degree: Optional[int]

@@ -21,7 +21,6 @@ that ``bench/tracing.py`` wraps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -178,7 +177,6 @@ class SeriesMatrix:
         return f"SeriesMatrix({self.rows}x{self.cols}, level {self.level})"
 
 
-@dataclass(frozen=True)
 class Factorization:
     """The forward pass of one matrix, with the row operations it made.
 
@@ -194,13 +192,22 @@ class Factorization:
     precision whenever it is read.
     """
 
-    precision: int
-    rows: Tuple[Tuple[TowerElement, ...], ...]
-    pivots: Tuple[Tuple[int, int], ...]
-    elements: Tuple[TowerElement, ...]
-    inverses: List[Optional[TowerElement]]
-    sign: int
-    steps: Tuple[Tuple[int, Tuple[Tuple[int, TowerElement], ...]], ...]
+    def __init__(
+        self, precision: int, rows: Tuple[Tuple[TowerElement, ...], ...],
+        pivots: Tuple[Tuple[int, int], ...], elements: Tuple[TowerElement, ...],
+        inverses: List[Optional[TowerElement]], sign: int,
+        steps: Tuple[Tuple[int, Tuple[Tuple[int, TowerElement], ...]], ...],
+    ):
+        # into the instance dict past __setattr__, as the cached kernel and determinant
+        vars(self).update(
+            precision=precision, rows=rows, pivots=pivots, elements=elements,
+            inverses=inverses, sign=sign, steps=steps,
+        )
+
+    def __setattr__(self, *a):
+        raise AttributeError("Factorization is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def rank(self) -> int:

@@ -24,8 +24,7 @@ positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .connection import Connection
 from .errors import (
@@ -43,36 +42,39 @@ _TASK_KEYS = {"command", "seed", "sigma"}
 _COMMANDS = ("cohomology", "irregularity", "cyclic", "epsilon", "verify")
 
 
-@dataclass
 class SpecFile:
-    level: int
-    names: Tuple[str, ...]
-    precision: int
-    rank: int
-    raw_matrices: Tuple[Tuple[Tuple[str, ...], ...], ...]  # per variable
-    raw_forms: Tuple[Tuple[str, ...], ...]  # component strings per form
-    command: str
-    seed: int
-    sigma: int
-    # (line, column) of each expression, matrix entries row by row and then
-    # form components, for diagnostics; None puts them all at line 1, column 1
-    positions: Optional[Tuple[Tuple[int, int], ...]] = dc_field(
-        default=None, repr=False, compare=False
-    )
-    field: TowerField = dc_field(init=False)
-    connection: Connection = dc_field(init=False)
-    forms: Tuple[OneForm, ...] = dc_field(init=False)
+    """A parsed input file: its raw fields, and the field, connection and
+    forms parsed from them at ``precision`` when it is built.
 
-    def __post_init__(self):
-        self.field = TowerField(self.level, self.names)
-        parser = ExpressionParser(self.field, self.precision)
-        where = iter(self.positions or ())
+    ``raw_matrices`` holds the rows of expression strings per variable,
+    ``raw_forms`` the component strings per form, and ``positions`` the
+    (line, column) of each expression, matrix entries row by row and then
+    form components, for diagnostics; None puts them all at line 1, column 1.
+    """
+
+    __slots__ = (
+        "level", "names", "precision", "rank", "raw_matrices", "raw_forms", "command", "seed",
+        "sigma", "positions", "field", "connection", "forms",
+    )
+
+    def __init__(
+        self, level: int, names: Tuple[str, ...], precision: int, rank: int,
+        raw_matrices: Tuple[Tuple[Tuple[str, ...], ...], ...],
+        raw_forms: Tuple[Tuple[str, ...], ...], command: str, seed: int, sigma: int,
+        positions: Optional[Tuple[Tuple[int, int], ...]] = None,
+    ):
+        self.level, self.names, self.precision, self.rank = level, names, precision, rank
+        self.raw_matrices, self.raw_forms = raw_matrices, raw_forms
+        self.command, self.seed, self.sigma, self.positions = command, seed, sigma, positions
+        self.field = TowerField(level, names)
+        parser = ExpressionParser(self.field, precision)
+        where = iter(positions or ())
 
         def parse(text):
             return parser.parse(text, *next(where, (1, 1)))
 
-        mats = [[[parse(s) for s in row] for row in rows] for rows in self.raw_matrices]
-        forms = [tuple(parse(s) for s in comps) for comps in self.raw_forms]
+        mats = [[[parse(s) for s in row] for row in rows] for rows in raw_matrices]
+        forms = [tuple(parse(s) for s in comps) for comps in raw_forms]
         self.connection = Connection(self.field, [SeriesMatrix(m) for m in mats])
         self.forms = tuple(OneForm(comps) for comps in forms)
 
@@ -81,8 +83,7 @@ class SpecFile:
 # Bracketed value parsing with positions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _QuotedString:
+class _QuotedString(NamedTuple):
     text: str
     line: int
     column: int

@@ -46,17 +46,16 @@ along the inner one, :func:`stabilize_outer_windows` along the outer one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
 from .linalg import Factorization, SeriesMatrix, echelon_kernel, echelon_relations
 from .linalg import rank_kernel_det, solve_columns, sparse_echelon
-from .series import TowerElement, TowerField, sum_of_products
+from .series import TowerElement, TowerField, _element, sum_of_products
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
 OUTER_SCHEDULE = (4, 6, 8, 12)
@@ -65,8 +64,7 @@ OUTER_SCHEDULE = (4, 6, 8, 12)
 MAX_WINDOW_LABELS = 2 ** 16
 
 
-@dataclass
-class IndexReport:
+class IndexReport(NamedTuple):
     ker_dim: int
     coker_dim: int
     index: int
@@ -367,8 +365,7 @@ def operator_index(op: MatrixDiffOp, schedule: Sequence[int] = DEFAULT_SCHEDULE)
 # Outer-variable windows over a two-variable field
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WindowRealization:
+class WindowRealization(NamedTuple):
     src_labels: Tuple
     tgt_labels: Tuple
     columns: List[dict]  # sparse columns: {target row index: inner-field entry}
@@ -488,7 +485,6 @@ def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealiza
     return window_columns(op, (-w, w), window_bounds(op, w, mode))
 
 
-@dataclass(eq=False)
 class OuterReduction:
     """Windowed kernel/cokernel of an outer-variable operator, over the inner field.
 
@@ -507,11 +503,15 @@ class OuterReduction:
     reads exact vectors off its own elimination instead.
     """
 
-    window: int
-    src_labels: Tuple  # (component, outer exponent)
-    tgt_labels: Tuple
-    ker_dim: int
-    coker_slots: Tuple  # tgt labels representing the cokernel
+    __slots__ = ("window", "src_labels", "tgt_labels", "ker_dim", "coker_slots")
+
+    def __init__(
+        self, window: int, src_labels: Tuple, tgt_labels: Tuple, ker_dim: int, coker_slots: Tuple
+    ):
+        # labels are (component, outer exponent); coker_slots are the tgt
+        # labels representing the cokernel
+        self.window, self.src_labels, self.tgt_labels = window, src_labels, tgt_labels
+        self.ker_dim, self.coker_slots = ker_dim, coker_slots
 
     def kernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
         """Per vector indexed by ``src_labels``, its coordinates in the kernel
@@ -585,9 +585,15 @@ def _outer_probes(op: MatrixDiffOp) -> Optional[LatticeProbes]:
         return None
 
     def strip(x):
-        return TowerElement(1, {m: q.coefficient(0) for m, q in x.coeffs.items()}, None, True)
+        # the constants n/d over the lcm of their d: canonical, as each n/d is
+        parts = [(m, *q.numerators()) for m, q in x.coeffs.items()]
+        den = lcm(*(d for _, d, _ in parts))
+        return _element(1, {m: n * (den // d) for m, d, ((_, n),) in parts}, den, None)
 
-    return LatticeProbes(MatrixDiffOp(op.rank, {d: M.map(strip) for d, M in op.coeffs.items()}))
+    coeffs = {d: [[strip(x) for x in row] for row in M.entries] for d, M in op.coeffs.items()}
+    return LatticeProbes(
+        MatrixDiffOp(op.rank, {d: SeriesMatrix._of_rows(M, 1) for d, M in coeffs.items()})
+    )
 
 
 def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReduction:
@@ -756,6 +762,8 @@ def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
 class _SeriesReduction(OuterReduction):
     """An outer reduction eliminated over the inner field."""
 
+    __slots__ = ("matrix", "bottom")
+
     def __init__(self, *base, matrix: SeriesMatrix, bottom: Factorization):
         super().__init__(*base)
         self.matrix = matrix
@@ -766,8 +774,7 @@ class _SeriesReduction(OuterReduction):
         return self.bottom.kernel
 
 
-@dataclass(frozen=True)
-class OuterStabilization:
+class OuterStabilization(NamedTuple):
     """What :func:`stabilize_outer_windows` gave for ``op``.
 
     A caller that has stabilized an operator hands this along, and a later

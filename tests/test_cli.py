@@ -1,6 +1,5 @@
 """Input file parsing, golden reports, rejection diagnostics, round-trips."""
 
-import dataclasses
 import io
 import json
 import resource
@@ -23,7 +22,7 @@ from higherlocal.errors import (
 )
 from higherlocal.exprparse import MAX_LITERAL_DIGITS, ExpressionParser, tokenize
 from higherlocal.series import TowerElement, TowerField, working_precision
-from higherlocal.specfile import parse_specfile
+from higherlocal.specfile import SpecFile, parse_specfile
 from test_derham import oracle_apply
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -403,7 +402,10 @@ command = epsilon
         with pytest.raises(SpecSyntaxError) as direct:
             parse_specfile(text.replace("precision = 8", "precision = 3"))
         with pytest.raises(SpecSyntaxError) as replaced:
-            dataclasses.replace(spec, precision=3)
+            SpecFile(
+                spec.level, spec.names, 3, spec.rank, spec.raw_matrices, spec.raw_forms,
+                spec.command, spec.seed, spec.sigma, spec.positions,
+            )
         assert direct.value.line == 8
         assert (replaced.value.line, replaced.value.column) == (
             direct.value.line,
