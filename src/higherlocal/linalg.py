@@ -6,17 +6,17 @@ are chosen by minimal valuation so division destroys as little window width
 as possible, and a pivot candidate that is zero up to precision but not
 exactly zero raises :class:`UndeterminedPivot` instead of guessing.
 
-Over the rationals, :func:`sparse_echelon` is the fraction-free eliminator
-of the one-variable lattice probes, the integer rows that
-:meth:`higherlocal.tate.LatticeProbes.rows` builds, and of the outer
-windows whose entries are rational constants; :func:`echelon_kernel`
-back-substitutes its kernel basis and :func:`echelon_relations` records the
-dependency relation of each row it drops.  Other outer windows, those of
+Over the rationals there is one eliminator, fraction-free:
+:func:`sparse_echelon`, for the one-variable lattice probes, the integer
+rows that :meth:`higherlocal.tate.LatticeProbes.rows` builds, and
+:func:`echelon_relations`, the same pass with the dependency relation of
+each row it drops, for the outer windows whose entries are rational
+constants; :func:`echelon_kernel` back-substitutes the kernel basis of
+either.  Other outer windows, those of
 :func:`higherlocal.tate.window_columns`, have inner-field entries, and
-:func:`rank_kernel_det` eliminates them.  The dense :func:`rref_q` is the
-plain elimination over Q that the test suite uses as an oracle;
-:func:`kernel_q` has no caller in the package and stays only as a layer
-that ``bench/tracing.py`` wraps.
+:func:`rank_kernel_det` eliminates them.  :func:`kernel_q`, the kernel of
+dense rational rows, has no caller in the package and stays only as a
+layer that ``bench/tracing.py`` wraps.
 """
 
 from __future__ import annotations
@@ -436,55 +436,8 @@ def solve_columns(columns, targets) -> List[Optional[List[TowerElement]]]:
 
 
 # ---------------------------------------------------------------------------
-# Rational (window) matrices
+# Rational (window) matrices: dict rows keyed by column index
 # ---------------------------------------------------------------------------
-
-def rref_q(rows: List[List[Fraction]]) -> Tuple[int, List[int], List[List[Fraction]]]:
-    """Reduced row echelon form over Q; returns (rank, pivot columns, rref)."""
-    work = [list(r) for r in rows]
-    n = len(work)
-    m = len(work[0]) if n else 0
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(m):
-        pivot_row = None
-        for i in range(r, n):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[pivot_row], work[r] = work[r], work[pivot_row]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        piv_cols.append(c)
-        r += 1
-    return r, piv_cols, work
-
-
-def kernel_q(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right kernel over Q."""
-    if not rows:
-        return []
-    m = len(rows[0])
-    rank, piv_cols, red = rref_q(rows)
-    piv_set = dict(zip(piv_cols, range(rank)))
-    free = [c for c in range(m) if c not in piv_set]
-    out = []
-    for f in free:
-        vec = [Fraction(0)] * m
-        vec[f] = Fraction(1)
-        for pc, pr in piv_set.items():
-            vec[pc] = -red[pr][f]
-        out.append(vec)
-    return out
-
-
-# -- sparse variants (dict rows keyed by column index) -------------------------
 
 def _primitive(row: dict) -> dict:
     """``row`` divided by the gcd of its integer entries (``{}`` stays ``{}``)."""
@@ -532,9 +485,7 @@ def _integer_row(raw: dict) -> dict:
     return _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
 
 
-def sparse_echelon(
-    rows, echelon: Optional[dict] = None, dependent: Optional[list] = None
-) -> dict:
+def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
     """Echelon pivots of a sparse rational matrix; returns {col: row dict}.
 
     Rows are dicts mapping column indices to ints or rationals (zeros are
@@ -554,12 +505,9 @@ def sparse_echelon(
     form depend only on the row space, so splitting the rows into batches
     changes no pivot column; and whatever the rows, the number of pivots
     left of a column ``k`` is the rank of the columns left of ``k``.
-
-    ``dependent``, when given, gets the index in ``rows`` of each row that
-    reduces to zero: the rows left out of the greedy row basis, in order.
     """
     pivots: dict = {} if echelon is None else echelon
-    for k, raw in enumerate(rows):
+    for raw in rows:
         r = _integer_row(raw)
         while r:
             c = min(r)
@@ -568,22 +516,21 @@ def sparse_echelon(
                 pivots[c] = r
                 break
             r = _cancel(r, p, c)
-        else:
-            if dependent is not None:
-                dependent.append(k)
     return pivots
 
 
-def echelon_relations(rows) -> Dict[int, Dict[int, Fraction]]:
-    """The dependency relation of each row that reduces to zero in a :func:`sparse_echelon` pass.
+def echelon_relations(rows, m: int) -> Tuple[dict, Dict[int, Dict[int, Fraction]]]:
+    """A :func:`sparse_echelon` of ``rows`` on ``m`` columns that keeps the dependency relations.
 
-    ``{k: {j: q_j}}`` per such row ``k``: ``sum_j q_j rows[j] = 0`` with
-    ``q_k = 1``, and every other ``j`` a row before ``k`` that the pass
-    kept.  Each row carries its own unit at a tag column past every column
-    of ``rows``, so the tags of a reduced row record the combination made;
-    a row whose columns all cancel is left with its relation.
+    Returns ``(pivots, relations)``.  Row ``k`` carries its own unit at the
+    tag column ``m + k``, so a row whose columns all cancel is left with its
+    relation: ``relations[k] = {j: q_j}`` with ``sum_j q_j rows[j] = 0``,
+    ``q_k = 1`` and every other ``j`` a kept row before ``k``.  ``pivots``
+    has :func:`sparse_echelon`'s pivot columns and, below column ``m``,
+    multiples of its rows, so :func:`echelon_kernel` reads the same kernel.
+    The tags start at ``m``, not past the last column used, so that an
+    empty trailing column stays free.
     """
-    m = 1 + max((c for row in rows for c in row), default=-1)
     pivots: dict = {}
     relations = {}
     for k, raw in enumerate(rows):
@@ -598,14 +545,16 @@ def echelon_relations(rows) -> Dict[int, Dict[int, Fraction]]:
                 pivots[c] = r
                 break
             r = _cancel(r, p, c)
-    return relations
+    return pivots, relations
 
 
 def echelon_kernel(echelon: dict, m: int) -> List[List[Fraction]]:
     """The basis of the right kernel of a :func:`sparse_echelon` result on ``m`` columns.
 
     One vector per column without a pivot, 1 there and 0 at the other free
-    columns: the rref basis of :func:`kernel_q`, back-substituted over Q.
+    columns: the rref basis, back-substituted over Q.  Entries of the pivot
+    rows at columns ``m`` and past (:func:`echelon_relations`' tags) are
+    not read.
     """
     pivots = sorted(echelon, reverse=True)
     basis = []
@@ -620,3 +569,10 @@ def echelon_kernel(echelon: dict, m: int) -> List[List[Fraction]]:
                 x[c] = Fraction(-s, row[c])
         basis.append([x.get(k, Fraction(0)) for k in range(m)])
     return basis
+
+
+def kernel_q(rows: List[List[Fraction]]) -> List[List[Fraction]]:
+    """Basis of the right kernel over Q of the dense ``rows``: the rref basis."""
+    if not rows:
+        return []
+    return echelon_kernel(sparse_echelon([dict(enumerate(r)) for r in rows]), len(rows[0]))

@@ -30,8 +30,8 @@ kernel/cokernel are then finite-dimensional inner-field spaces with
 explicit bounded outer windows.  An operator whose coefficients are exact
 with rational constant inner coefficients is read once, stripped to the
 outer variable, by :class:`LatticeProbes`, and its windows are built from
-that reading as integer rows and eliminated by
-:func:`~higherlocal.linalg.sparse_echelon`; any other is realized by
+that reading as integer rows and eliminated by one label-order pass,
+:func:`~higherlocal.linalg.echelon_relations`; any other is realized by
 :func:`window_columns` and eliminated over the inner field.  A reduction
 (:class:`OuterReduction`) maps a vector to its coordinates in the kernel
 basis and on the cokernel slots; the integer route reads those off its own
@@ -558,7 +558,7 @@ def reduce_outer_window(
     builds anything.  An ``op`` whose coefficients are exact with rational
     constant inner coefficients is read as integers (:func:`_outer_probes`;
     ``probes`` is that reading, made once by a caller that reduces several
-    windows) and eliminated by :func:`sparse_echelon`
+    windows) and eliminated fraction-free over Q
     (:func:`_reduce_outer_integer`); any other ``op`` takes the series
     route (:func:`_reduce_outer_series`), whose :func:`realize_window`
     computes the window's bounds and runs both checks.  Both give equal
@@ -602,11 +602,11 @@ def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReducti
     The top window is built from ``probes.terms`` as integer rows in label
     order: ``n t^m`` (over ``D_i``) in ``C_d[i, j]`` sends ``t^e`` to
     ``falling(e, d) n`` at exponent ``e - d + m`` of component ``i``, so
-    row ``(i, e)`` is ``D_i`` times the rational one.  The bottom rows,
-    below ``lo_i + 2w``, give ``ker_dim``; the top rows that reduce to zero
-    in label order are the cokernel slots, the greedy row basis that the
-    series route's transposed pass picks.  When the two cuts coincide this
-    is one :func:`sparse_echelon`.
+    row ``(i, e)`` is ``D_i`` times the rational one.  One label-order pass
+    over them (:func:`echelon_relations`) gives the cokernel slots, the rows
+    that reduce to zero (the series route's greedy row basis), with their
+    relations.  The kernel is that of the bottom rows, below ``lo_i + 2w``:
+    the same pass's when the two cuts coincide, else a :func:`sparse_echelon`.
     """
     r = probes.rank
     src_labels, tgt_labels, offset = _window_layout(r, (-w, w), bounds)
@@ -631,16 +631,15 @@ def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReducti
                     row = rows[offset[i] + ee]
                     row[k] = row.get(k, 0) + f * n
     rows = [{k: n for k, n in row.items() if n} for row in rows]
+    m = len(src_labels)
+    echelon, relations = echelon_relations(rows, m)
     bottom = [row for row, (c, e) in zip(rows, tgt_labels) if e < bounds[c][0] + 2 * w]
-    dependent: List[int] = []
-    echelon = sparse_echelon(bottom, dependent=dependent)
-    if len(bottom) < len(rows):  # the top cut is higher: a pass of its own
-        dependent.clear()
-        sparse_echelon(rows, dependent=dependent)
-    slots = tuple(tgt_labels[k] for k in dependent)
+    if len(bottom) < len(rows):  # the top cut is higher: the kernel is the bottom rows'
+        echelon = sparse_echelon(bottom)
+    slots = tuple(tgt_labels[k] for k in relations)
     return _IntegerReduction(
-        w, src_labels, tgt_labels, len(src_labels) - len(echelon), slots,
-        rows=rows, dens=probes.dens, echelon=echelon, dependent=dependent,
+        w, src_labels, tgt_labels, m - len(echelon), slots,
+        rows=rows, dens=probes.dens, echelon=echelon, relations=relations,
     )
 
 
@@ -656,16 +655,16 @@ class _IntegerReduction(OuterReduction):
     and is 1 at ``s`` and 0 at the other slots.  Both solutions are unique,
     so they are the elimination's.  A vector with an inexact entry is solved
     by the elimination: read off other rows, it would be known to other
-    bounds.  The kernel, the relations and the matrix are built when first
-    read.
+    bounds.  The kernel, the relations scaled to the rational rows and the
+    matrix are built when first read; nothing is eliminated again.
     """
 
-    def __init__(self, *base, rows, dens, echelon, dependent):
+    def __init__(self, *base, rows, dens, echelon, relations):
         super().__init__(*base)
         self.rows = rows  # the top window in label order
         self.dens = dens  # D_i per component
-        self.echelon = echelon  # sparse_echelon of the bottom rows
-        self.dependent = dependent  # the slots' row indices
+        self.echelon = echelon  # the bottom rows' echelon pivots
+        self.relations = relations  # per slot row, its relation on the integer rows
 
     @cached_property
     def matrix(self) -> SeriesMatrix:
@@ -706,11 +705,10 @@ class _IntegerReduction(OuterReduction):
     def _relations(self):
         # row (i, e) is D_i times the rational one, so a relation q of the
         # integer rows is q_j D_i(j) / D_i(s) on the rational ones
-        found = echelon_relations(self.rows[: self.dependent[-1] + 1])
         dens = [self.dens[c] for c, _ in self.tgt_labels]
         relations = []
-        for s in self.dependent:
-            psi = ((q * dens[j] / dens[s], j) for j, q in found[s].items())
+        for s, found in self.relations.items():
+            psi = ((q * dens[j] / dens[s], j) for j, q in found.items())
             relations.append([
                 (q.numerator if q.denominator == 1 else TowerElement.constant(1, q), j)
                 for q, j in psi
@@ -720,9 +718,8 @@ class _IntegerReduction(OuterReduction):
     def cokernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
         if not _all_exact(vectors):
             return super().cokernel_coordinates(vectors)
-        relations = self._relations if self.dependent else []
         return [
-            [sum_of_products(1, [(q, y[j]) for q, j in psi]) for psi in relations]
+            [sum_of_products(1, [(q, y[j]) for q, j in psi]) for psi in self._relations]
             for y in vectors
         ]
 

@@ -45,6 +45,37 @@ def with_zero_direction(B, i: int):
     return clone
 
 
+def rref_q(rows):
+    """Reduced row echelon form over Q; returns (rank, pivot columns, rref).
+
+    The plain dense Gauss-Jordan elimination, the oracle that the library's
+    fraction-free eliminators are checked against.
+    """
+    work = [list(r) for r in rows]
+    n = len(work)
+    m = len(work[0]) if n else 0
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        pivot_row = None
+        for i in range(r, n):
+            if work[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[pivot_row], work[r] = work[r], work[pivot_row]
+        inv = Fraction(1) / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(n):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        piv_cols.append(c)
+        r += 1
+    return r, piv_cols, work
+
+
 def sparse_rows(win):
     """The rows of a window realization, as ``{source column: entry}`` dicts."""
     rows = [dict() for _ in win.tgt_labels]

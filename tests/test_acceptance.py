@@ -36,7 +36,7 @@ from higherlocal.epsilon import (
     verify_induction,
 )
 from higherlocal.errors import NotClosed, NotIndependent
-from higherlocal.linalg import SeriesMatrix, rref_q
+from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import (
     OneForm,
     TowerElement,
@@ -45,7 +45,7 @@ from higherlocal.series import (
     set_working_precision,
 )
 from higherlocal.tate import MatrixDiffOp, operator_index
-from helpers import from_scalar
+from helpers import from_scalar, rref_q
 
 F1 = TowerField(1)
 F2 = TowerField(2)

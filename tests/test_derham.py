@@ -1,6 +1,7 @@
 """Form tuples, cube multicomplexes, cohomology dimensions."""
 
 import copy
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from higherlocal import derham, linalg, series, tate
+from higherlocal import cli, derham, linalg, series, tate
 from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.dmodule import connection_irregularity, rank_one_h0
 from higherlocal.derham import (
@@ -741,10 +742,10 @@ def kunneth(c1, c2):
     return tuple(sum(c1[p] * c2[n - p] for p in (0, 1) if n - p in (0, 1)) for n in range(3))
 
 
-# ROADMAP item 1: the outer windows settle before they reach t2^-b for these
-# b, and the route prints (0, 0, 0)
+# ROADMAP items 2 and 16: the outer windows settle before they reach t2^-b
+# for these b, and the route prints (0, 0, 0)
 DEEP = pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="outer window depth, ROADMAP item 1"
+    strict=True, raises=AssertionError, reason="outer window depth, ROADMAP items 2 and 16"
 )
 DEEP_B = [pytest.param(b, marks=DEEP) for b in (-8, -7, -6, 7, 8)]
 
@@ -812,6 +813,79 @@ class TestKunneth:
         for a in self.A:
             C = rank1_from_form(OneForm((a * t1 ** -1, (t2 ** -1).derive(2))))
             assert cohomology_dims(C).dims == kunneth(dlog_dims(a), EXP_DIMS), a
+
+
+def run_n2(tmp_path, capsys, A1, A2, command, *flags) -> dict:
+    """``cli.main`` on the n = 2 spec of ``A1`` and ``A2`` (lists of rows of
+    expression strings); asserts exit 0 and returns the report's keys."""
+    spec = tmp_path / "n2.hl"
+    spec.write_text(
+        f"[field]\nn = 2\n\n[connection]\nrank = {len(A1)}\n"
+        f"A1 = {json.dumps(A1)}\nA2 = {json.dumps(A2)}\n\n[task]\ncommand = {command}\n"
+    )
+    code = cli.main([str(spec), *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    return dict(line.split(" = ", 1) for line in captured.out.splitlines())
+
+
+def outer_pin(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+ZERO2 = [["0", "0"], ["0", "0"]]
+
+
+class TestOuterRouteTruth:
+    """Known-wrong n = 2 answers, pinned against the Kunneth truth.
+
+    Each connection is, up to a gauge, an external product of a piece in t1
+    and a piece in t2, so its dims are ``kunneth`` of the pieces' n = 1
+    dims, which the n = 1 route prints.  For ``cohomology`` the t1 piece is
+    the trivial one, with dims (1, 1).  When the outer route is mended, the
+    strict marks make these go.
+    """
+
+    @pytest.mark.parametrize("A1, A2, dims_t2", [
+        pytest.param(
+            ZERO2, [["0", "1/2*t2^-2"], ["0", "-1/t2"]], (1, 1),
+            id="nilpotent-pole", marks=outer_pin("prints (2, 4, 2), ROADMAP items 2 and 16"),
+        ),
+        pytest.param(
+            ZERO2, [["0", "1/(2*t2) - t2"], ["t2", "1/(2*t2^2)"]], (1, 2),
+            id="coupled", marks=outer_pin("prints (1, 2, 1), ROADMAP items 2 and 16"),
+        ),
+        # diag(0, t2^-2) sheared by [[1, t2^-3], [0, 1]]
+        pytest.param(
+            ZERO2, [["0", "-t2^-5 - 3*t2^-4"], ["0", "t2^-2"]], (1, 2),
+            id="shear", marks=outer_pin("prints (5, 11, 6), ROADMAP items 2 and 16"),
+        ),
+        # [[0, 0], [1/t2, 1/t2]] gauged by [[1, t1], [0, 1]]
+        pytest.param(
+            [["0", "1"], ["0", "0"]], [["-t1/t2", "-(t1^2 + t1)/t2"], ["1/t2", "(t1 + 1)/t2"]],
+            (2, 2), id="t1-gauged",
+            marks=outer_pin("exits 1 with UndeterminedPivot, ROADMAP item 17"),
+        ),
+    ])
+    def test_cohomology(self, tmp_path, capsys, A1, A2, dims_t2):
+        lines = run_n2(tmp_path, capsys, A1, A2, "cohomology")
+        assert tuple(int(lines[f"h{n}"]) for n in range(3)) == kunneth((1, 1), dims_t2)
+
+    @outer_pin("check_duality = fail, ROADMAP item 16")
+    def test_verify_external_product(self, tmp_path, capsys):
+        # P1 (x) P2, P1 and P2 rank-2 pieces of irregularity 1 in t1 and t2:
+        # the degree is irr(P1) irr(P2) = 1, and every check passes
+        A1 = [
+            ["t1", "0", "1 - 2*t1", "0"], ["0", "t1", "0", "1 - 2*t1"],
+            ["0", "0", "-3/2*t1^-2", "0"], ["0", "0", "0", "-3/2*t1^-2"],
+        ]
+        A2 = [
+            ["0", "1/2", "0", "0"], ["0", "3/2*t2^-2 - 2", "0", "0"],
+            ["0", "0", "0", "1/2"], ["0", "0", "0", "3/2*t2^-2 - 2"],
+        ]
+        lines = run_n2(tmp_path, capsys, A1, A2, "verify", "--precision", "16")
+        assert lines["degree"] == "1"
+        assert (lines["check_duality"], lines["result"]) == ("pass", "pass")
 
 
 def induced_catalog():

@@ -21,7 +21,7 @@ from higherlocal.dmodule import (
     wronskian,
 )
 from higherlocal.errors import HigherLocalError, UndeterminedLeadingTerm
-from higherlocal.linalg import SeriesMatrix, rank_kernel_det, rref_q
+from higherlocal.linalg import SeriesMatrix, rank_kernel_det
 from higherlocal.series import (
     OneForm,
     TowerElement,
@@ -30,6 +30,7 @@ from higherlocal.series import (
     working_precision,
 )
 from higherlocal.specfile import parse_specfile
+from helpers import rref_q
 
 F1 = TowerField(1)
 

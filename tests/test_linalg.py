@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from higherlocal import linalg, series
 from higherlocal.errors import HigherLocalError, InsufficientPrecision, UndeterminedPivot
 from higherlocal.linalg import (
     SeriesMatrix,
+    echelon_kernel,
+    echelon_relations,
     inverse,
+    kernel_q,
     rank_kernel_det,
     solve,
     solve_columns,
@@ -19,7 +22,7 @@ from higherlocal.linalg import (
 )
 from higherlocal.series import TowerElement, TowerField
 from higherlocal.tate import LatticeProbes, MatrixDiffOp
-from helpers import from_scalar, probe_entries
+from helpers import from_scalar, probe_entries, rref_q
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -606,3 +609,54 @@ class TestSparseEliminationOracle:
             assert pivots == expected
             assert all(type(v) is int for row in pivots.values() for v in row.values())
             assert list(pivots) == list(ref_sparse_echelon(rows))
+
+
+def dense(rows, m):
+    """The sparse ``rows`` as dense lists on ``m`` columns."""
+    return [[row.get(c, Fraction(0)) for c in range(m)] for row in rows]
+
+
+def rref_kernel(rows, m):
+    """The rref basis of the right kernel of the dense ``rows`` on ``m`` columns:
+    one vector per column without a pivot, 1 there and 0 at the other free
+    columns, read off ``helpers.rref_q``."""
+    _, piv_cols, red = rref_q(rows)
+    basis = []
+    for f in range(m):
+        if f in piv_cols:
+            continue
+        vec = [Fraction(0)] * m
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(piv_cols):
+            vec[pc] = -red[r][f]
+        basis.append(vec)
+    return basis
+
+
+class TestEchelonRelations:
+    """The label-order pass that keeps its relations, against sparse_echelon and rref."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(sparse_matrices(), st.integers(0, 2))
+    @example(([{0: Fraction(1)}], 1), 1)  # a tag past the last used column would be column 1
+    def test_pivots_kernel_and_relations(self, case, empty):
+        rows, ncols = case
+        m = ncols + empty  # columns past ncols are in no row
+        pivots, relations = echelon_relations(rows, m)
+        assert list(pivots) == list(sparse_echelon(rows))
+        assert echelon_kernel(pivots, m) == rref_kernel(dense(rows, m), m)
+        # the rows dropped are those that add no rank, in order
+        ranks = [rref_q(dense(rows[:k], m))[0] for k in range(len(rows) + 1)]
+        assert list(relations) == [k for k in range(len(rows)) if ranks[k + 1] == ranks[k]]
+        for k, q in relations.items():
+            assert q[k] == 1
+            assert all(j < k and j not in relations for j in q if j != k)
+            for c in range(m):
+                assert sum(v * rows[j].get(c, 0) for j, v in q.items()) == 0
+
+    @settings(deadline=None, max_examples=100)
+    @given(sparse_matrices(), st.integers(0, 3))
+    def test_kernel_q_is_the_rref_kernel(self, case, duplicates):
+        rows, ncols = case
+        rows = dense(rows + rows[:duplicates], ncols)
+        assert kernel_q(rows) == (rref_kernel(rows, ncols) if rows else [])

@@ -13,7 +13,7 @@ from higherlocal.connection import Connection, rank1_from_form
 from higherlocal.derham import EdgeOperator
 from higherlocal.dmodule import connection_irregularity
 from higherlocal.errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
-from higherlocal.linalg import SeriesMatrix, rank_kernel_det, rref_q, sparse_echelon
+from higherlocal.linalg import SeriesMatrix, rank_kernel_det, sparse_echelon
 from higherlocal.series import OneForm, TowerElement, TowerField
 from higherlocal.specfile import parse_specfile
 from higherlocal.tate import (
@@ -30,7 +30,7 @@ from higherlocal.tate import (
     window_bounds,
     window_columns,
 )
-from helpers import apply_op, labelled_entries, probe_entries, sparse_rows
+from helpers import apply_op, labelled_entries, probe_entries, rref_q, sparse_rows
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -401,6 +401,31 @@ class TestOuterRoutes:
         with pytest.raises(WindowTooLarge) as slow:
             tate._reduce_outer_series(far, OUTER_SCHEDULE[0])
         assert str(fast.value) == str(slow.value)
+
+    @pytest.mark.parametrize("a, bottom_passes", [
+        pytest.param(F2.zero(), 0, id="d/dt2"),
+        pytest.param(Fraction(1, 3) * F2.gen(2) ** -1, 0, id="d/dt2 + 1/(3 t2)"),
+        pytest.param(F2.gen(2) ** -3, 1, id="d/dt2 + t2^-3"),
+    ])
+    def test_one_label_order_pass_per_window(self, monkeypatch, a, bottom_passes):
+        # the label-order pass gives the slots with their relations and, when
+        # the two cuts coincide, the kernel; a higher top cut (t2^-3, below
+        # the derivative term's t2^-1) adds one pass over the bottom rows.
+        # The induced action reads both and eliminates nothing
+        calls = []
+        for name in ("echelon_relations", "sparse_echelon"):
+            fn = getattr(tate, name)
+            monkeypatch.setattr(
+                tate, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+            )
+        C = Connection(F2, [SeriesMatrix([[F2.zero()]]), SeriesMatrix([[a]])])
+        outer = stabilize_outer_windows(MatrixDiffOp.from_connection(C))
+        windows = len(outer.trace)
+        assert calls.count("echelon_relations") == windows
+        assert calls.count("sparse_echelon") == bottom_passes * windows
+        calls.clear()
+        derham.induced_inner_connections(C, outer=outer)
+        assert calls == []
 
     def test_t1_dependent_operators_take_the_series_route(self):
         rng = random.Random(1807)
