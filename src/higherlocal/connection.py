@@ -17,11 +17,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, InsufficientPrecision, LevelMismatch, NotFlat
 from .linalg import SeriesMatrix, inverse
-from .series import OneForm, TowerElement, TowerField, sum_of_products
+from .series import (
+    OneForm,
+    TowerElement,
+    TowerField,
+    _add_bound,
+    _add_convolution,
+    _element,
+    _min_bound,
+    _reduced,
+    sum_of_products,
+)
 
 
 class FlatnessReport(NamedTuple):
@@ -67,7 +78,9 @@ class EdgeOperator(NamedTuple):
 class Connection:
     """A connection d + sum(A_i dt_i) on the trivial rank-r module."""
 
-    __slots__ = ("field", "rank", "matrices")
+    # _reading: the level-1 matrix as integer rows, built by ``nabla`` on
+    # first use (the matrices never change after construction)
+    __slots__ = ("field", "rank", "matrices", "_reading")
 
     def __init__(self, field: TowerField, matrices: Sequence[SeriesMatrix]):
         mats = tuple(matrices)
@@ -84,6 +97,7 @@ class Connection:
         self.field = field
         self.rank = r
         self.matrices = mats
+        self._reading = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -95,10 +109,64 @@ class Connection:
     # -- covariant derivatives --------------------------------------------------
 
     def nabla(self, i: int, vec: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
-        """Covariant derivative along variable i of a column vector."""
-        A = self.matrices[i - 1]
-        Av = A.apply(vec)
-        return tuple(v.derive(i) + w for v, w in zip(vec, Av))
+        """Covariant derivative along variable i of a column vector.
+
+        Above level 1 each entry is ``v_a.derive(i) + sum_of_products(A[a],
+        vec)``.  At level 1 the whole vector is one integer pass over the
+        reading of ``A`` kept on the connection (:meth:`_read`): entry ``a``
+        is ``v_a' + sum_b A[a][b] v_b`` summed in integers over one common
+        denominator, cut at the bound that expression has (``v_a'`` is known
+        below ``hi - 1``, a pair with an exact-zero factor is skipped, each
+        other pair is known below its product bound), and built once.  Value,
+        window and exactness are those of the expression.
+        """
+        if self.field.level != 1:
+            Av = self.matrices[i - 1].apply(vec)
+            return tuple(v.derive(i) + w for v, w in zip(vec, Av))
+        if i != 1:
+            raise LevelMismatch(f"variable index {i} out of range for level 1")
+        if len(vec) != self.rank:
+            raise ValueError("vector length mismatch")
+        D, rows = self._read()
+        dv = lcm(*(v.numerators()[0] for v in vec))
+        # lo is the valuation lower bound of an element not exactly zero
+        parts = [(_scaled(v, dv), v.lo, v.known_hi()) for v in vec]
+        out = []
+        for (terms, _, vhi), row in zip(parts, rows):
+            h = None if vhi is None else vhi - 1
+            pairs = []
+            for b, a, alo, ahi in row:
+                ys, blo, bhi = parts[b]
+                if not ys and bhi is None:
+                    continue  # an exact zero
+                h = _min_bound(h, _min_bound(_add_bound(alo, bhi), _add_bound(ahi, blo)))
+                if a and ys:
+                    pairs.append((a, ys))
+            # v_a' and the products, over D * dv
+            acc = {e - 1: n * e * D for e, n in terms if e and (h is None or e <= h)}
+            for a, ys in pairs:
+                _add_convolution(acc, a, ys, h)
+            out.append(_element(1, *_reduced(acc, D * dv), h))
+        return tuple(out)
+
+    def _read(self):
+        """``(D, rows)``, the level-1 matrix over the lcm ``D`` of its denominators.
+
+        Row ``a`` lists ``(b, numerators, lo, known_hi)`` for each entry
+        ``A[a][b]`` not exactly zero.  Built on first use and kept.
+        """
+        if self._reading is None:
+            A = self.matrices[0].entries
+            D = lcm(*(x.numerators()[0] for row in A for x in row))
+            self._reading = D, tuple(
+                tuple(
+                    (b, _scaled(x, D), x.lo, x.known_hi())
+                    for b, x in enumerate(row)
+                    if not x.is_exactly_zero()
+                )
+                for row in A
+            )
+        return self._reading
 
     def along(self, cvec: Sequence[TowerElement]) -> SeriesMatrix:
         """``sum_k c_k A_k``, the matrix part of nabla along ``sum_k c_k d/dt_k``."""
@@ -172,6 +240,13 @@ class Connection:
         """<nabla_i s, t> + <s, nabla^v_i t> - d_i<s, t>; zero when duality holds."""
         lhs = self.pair(self.nabla(i, s), t) + self.pair(s, self.dual().nabla(i, t))
         return lhs - self.pair(s, t).derive(i)
+
+
+def _scaled(x: TowerElement, D: int) -> list:
+    """The ``(exponent, numerator)`` pairs of level-1 ``x`` over ``D``, in exponent order."""
+    den, items = x.numerators()
+    s = D // den
+    return sorted((e, n * s) for e, n in items)
 
 
 def rank1_from_form(omega: OneForm) -> Connection:

@@ -14,6 +14,7 @@ import itertools
 import random
 from contextvars import ContextVar
 from fractions import Fraction
+from math import comb
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .connection import Connection
@@ -250,44 +251,39 @@ def to_scalar_operator(
 ) -> ScalarOperator:
     """The monic operator annihilating the flat-section functional at s.
 
-    With b_i = nabla^i s and the relation nabla^r s = sum x_i b_i, a flat
-    section sum f_i b_i forces the single coordinate g = f_{r-1} to satisfy a
-    monic order-r equation; this routine unrolls that recursion exactly.
+    With b_k = nabla^k s and the relation nabla^r s = sum x_k b_k, a flat
+    section sum f_k b_k forces the single coordinate g = f_{r-1} to satisfy a
+    monic order-r equation: f_{k-1} = -x_k g - f_k' and f_0' = -x_0 g.
+    Unrolled, that is D^r g + sum_k (-1)^(r+k) D^k(-x_k g) = 0, and the
+    Leibniz rule D^k(x g) = sum_j C(k, j) x^(k-j) g^(j) gives the operator
+    in closed form: L_r = 1 and, for j < r,
+
+        L_j = (-1)^(r-1) sum_{k=j}^{r-1} (-1)^k C(k, j) x_k^(k-j),
+
+    each one :func:`~higherlocal.series.sum_of_products` with int weights,
+    with the window and exactness of the unrolled recursion.
     """
     r = C.rank
     if certificate is None:
         certificate = _certificate_matrix(C, s)
     top = C.nabla(1, certificate.column(r - 1))
-    x = solve(certificate, top)
-    a = [-xi for xi in x]  # nabla^r s + sum a_i nabla^i s = 0
-    one = TowerElement.constant(1, 1)
-    zero = TowerElement.zero(1)
+    return _operator_of_relation(solve(certificate, top))
 
-    # operators on the coordinate g are coefficient lists: P(g) = sum c_j g^(j)
-    def op_sub(p, q):
-        n = max(len(p), len(q))
-        return [
-            (p[i] if i < len(p) else zero) - (q[i] if i < len(q) else zero)
-            for i in range(n)
-        ]
 
-    def op_d(p):
-        # (d o P)(g) = sum (c_j' g^(j) + c_j g^(j+1))
-        out = [zero] * (len(p) + 1)
-        for j, c in enumerate(p):
-            out[j] = out[j] + c.derive(1)
-            out[j + 1] = out[j + 1] + c
-        return out
-
-    # a flat section sum f_i nabla^i s satisfies f_{i-1} = a_i g - f_i' with
-    # g = f_{r-1}; the i = 0 relation gives the scalar equation for g
-    P = [one]  # f_{r-1} = g
-    for i in range(r - 1, 0, -1):
-        P = op_sub([a[i]], op_d(P))
-    L = op_sub(op_d(P), [a[0]])
-    if (r - 1) % 2:
-        L = [-c for c in L]
-    return ScalarOperator(PARTIAL, tuple(L))
+def _operator_of_relation(x: Sequence[TowerElement]) -> ScalarOperator:
+    """The closed form of :func:`to_scalar_operator` for the relation ``x``."""
+    r = len(x)
+    derivs = [[xk] for xk in x]  # derivs[k][m] is the m-th derivative of x_k
+    for k, ds in enumerate(derivs):
+        for _ in range(k):
+            ds.append(ds[-1].derive(1))
+    L = [
+        sum_of_products(
+            1, [((-1) ** (r - 1 + k) * comb(k, j), derivs[k][k - j]) for k in range(j, r)]
+        )
+        for j in range(r)
+    ]
+    return ScalarOperator(PARTIAL, (*L, TowerElement.constant(1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -124,11 +124,16 @@ def _convolve(a: dict, b: dict, h: Optional[int]) -> dict:
     if len(a) == 1:
         ((ea, x),) = a.items()
         return {ea + eb: x * y for eb, y in b.items() if h is None or ea + eb < h}
-    xs = sorted(a.items())
-    ys = sorted(b.items())
+    acc: dict = {}
+    _add_convolution(acc, sorted(a.items()), sorted(b.items()), h)
+    return acc
+
+
+def _add_convolution(acc: dict, xs: list, ys: list, h: Optional[int]) -> None:
+    """Add the product of two nonempty ``(exponent, numerator)`` lists in
+    exponent order into ``acc``, pairs at exponent ``>= h`` skipped."""
     if h is None:
         h = xs[-1][0] + ys[-1][0] + 1
-    acc: dict = {}
     get = acc.get
     for ea, x in xs:
         lim = h - ea
@@ -137,7 +142,6 @@ def _convolve(a: dict, b: dict, h: Optional[int]) -> dict:
                 break
             e = ea + eb
             acc[e] = get(e, 0) + x * y
-    return acc
 
 
 def _inverse_numerators(g: dict, dg: int, width: int):

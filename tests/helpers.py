@@ -31,6 +31,53 @@ def apply_op(op: MatrixDiffOp, vec):
     return tuple(out)
 
 
+def nabla_by_products(C, i: int, vec):
+    """``v_a.derive(i) + sum_of_products(A_i[a], vec)`` for each entry ``a``.
+
+    The covariant derivative expression by expression, the oracle of
+    ``Connection.nabla``'s level-1 integer pass.
+    """
+    Av = C.matrices[i - 1].apply(vec)
+    return tuple(v.derive(i) + w for v, w in zip(vec, Av))
+
+
+def operator_by_recursion(x):
+    """The coefficients of the monic operator of ``nabla^r s = sum_k x_k nabla^k s``.
+
+    The recursion ``f_{i-1} = a_i g - f_i'`` (``a_i = -x_i``, ``g =
+    f_{r-1}``) unrolled one operator step at a time, then ``L = f_0' - a_0
+    g``, signed to be monic: the oracle of ``dmodule._operator_of_relation``.
+    """
+    r = len(x)
+    a = [-xi for xi in x]
+    one = TowerElement.constant(1, 1)
+    zero = TowerElement.zero(1)
+
+    # operators on the coordinate g are coefficient lists: P(g) = sum c_j g^(j)
+    def op_sub(p, q):
+        n = max(len(p), len(q))
+        return [
+            (p[i] if i < len(p) else zero) - (q[i] if i < len(q) else zero)
+            for i in range(n)
+        ]
+
+    def op_d(p):
+        # (d o P)(g) = sum (c_j' g^(j) + c_j g^(j+1))
+        out = [zero] * (len(p) + 1)
+        for j, c in enumerate(p):
+            out[j] = out[j] + c.derive(1)
+            out[j + 1] = out[j + 1] + c
+        return out
+
+    P = [one]  # f_{r-1} = g
+    for i in range(r - 1, 0, -1):
+        P = op_sub([a[i]], op_d(P))
+    L = op_sub(op_d(P), [a[0]])
+    if (r - 1) % 2:
+        L = [-c for c in L]
+    return tuple(L)
+
+
 def with_zero_direction(B, i: int):
     """A tampered copy of the multicomplex ``B`` with direction ``i`` replaced by zero."""
     clone = copy.copy(B)

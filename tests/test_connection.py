@@ -15,9 +15,10 @@ from higherlocal.connection import (
     rank1_from_form,
     regular_representation,
 )
-from higherlocal.errors import InsufficientPrecision, NotFlat
+from higherlocal.errors import InsufficientPrecision, LevelMismatch, NotFlat
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
+from helpers import nabla_by_products
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -249,6 +250,81 @@ class TestFunctoriality:
         # A' = -(dg) g^{-1} = -1/(1+t)
         expected = -(F1.one() + t).invert(prec=8)
         assert Cg.matrices[0][0, 0].agrees_with(expected)
+
+
+# denominators up to 3^40, so that common denominators outgrow a machine word
+level1_coefficients = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 6, 3 ** 20, 3 ** 40))
+)
+
+
+@st.composite
+def level1_entries(draw):
+    """An exact, inexact, exact-zero or inexact-zero element, exponents -5..6."""
+    kind = draw(st.sampled_from(("exact", "inexact", "exact zero", "inexact zero")))
+    if kind == "exact zero":
+        return F1.zero()
+    if kind == "inexact zero":
+        return TowerElement.inexact_zero(1, draw(st.integers(-5, 6)))
+    coeffs = draw(st.dictionaries(st.integers(-5, 6), level1_coefficients, min_size=1, max_size=6))
+    if kind == "exact":
+        return TowerElement(1, coeffs, None, True)
+    # the window may cut some of the drawn terms
+    return TowerElement(1, coeffs, draw(st.integers(min(coeffs) - 2, max(coeffs) + 3)), False)
+
+
+@st.composite
+def level1_covariant_cases(draw):
+    """A rank 1-4 connection over one variable and a vector to derive."""
+    r = draw(st.integers(1, 4))
+    A = SeriesMatrix([[draw(level1_entries()) for _ in range(r)] for _ in range(r)])
+    return Connection(F1, [A]), tuple(draw(level1_entries()) for _ in range(r))
+
+
+def same_vector(xs, ys):
+    return [(x, x.hi, x.exact, x.lo) for x in xs] == [(y, y.hi, y.exact, y.lo) for y in ys]
+
+
+class TestCovariantDerivative:
+    """``nabla`` at level 1, one integer pass, against ``v' + A v`` expression by expression."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(level1_covariant_cases())
+    def test_level1_pass_matches_expression(self, case):
+        C, vec = case
+        want = nabla_by_products(C, 1, vec)
+        assert same_vector(C.nabla(1, vec), want)
+        # the second pass reads the kept reading
+        reading = C._reading
+        assert same_vector(C.nabla(1, vec), want) and C._reading is reading
+
+    def test_entry_known_below_the_vector(self):
+        t = F1.gen(1)
+        a = (t ** -1 + 2 * t).truncate(1)  # t^-1 + O(t)
+        vec = ((1 + t + t ** 2).truncate(6), t ** 3)
+        C = Connection(F1, [m1([[a, 0], [1, Fraction(1, 3 ** 40)]])])
+        got = C.nabla(1, vec)
+        assert same_vector(got, nabla_by_products(C, 1, vec))
+        # a*v_0 is known below 1 + v(v_0) = 1, short of v_0' (below 5)
+        assert [x.hi for x in got] == [1, 6] and not got[0].exact
+
+    def test_each_connection_reads_its_own_matrix(self):
+        t = F1.gen(1)
+        M = m1([[t ** -2, 1], [0, t]])
+        N = m1([[t ** -1, 0], [3, t ** 2]])
+        vec = (t ** 2 + 1, Fraction(1, 3) * t)
+        C1, C3, C2 = Connection(F1, [M]), Connection(F1, [N]), Connection(F1, [M])
+        for C in (C1, C3, C2, C1.dual(), C1.gauge(m1([[1, t], [0, 1]]))):
+            assert same_vector(C.nabla(1, vec), nabla_by_products(C, 1, vec))
+        assert C1._reading is not C2._reading and C1._reading is not C3._reading
+        assert C1.nabla(1, vec) != C3.nabla(1, vec)
+
+    def test_level1_arguments(self):
+        C = Connection.trivial(F1, 2)
+        with pytest.raises(LevelMismatch):
+            C.nabla(2, (F1.one(), F1.one()))
+        with pytest.raises(ValueError, match="length"):
+            C.nabla(1, (F1.one(),))
 
 
 class TestPairing:

@@ -30,7 +30,7 @@ from higherlocal.series import (
     working_precision,
 )
 from higherlocal.specfile import parse_specfile
-from helpers import rref_q
+from helpers import operator_by_recursion, rref_q
 
 F1 = TowerField(1)
 
@@ -591,3 +591,54 @@ class TestRankOneReading:
             with pytest.raises(ValueError, match="runs over the one-variable field"):
                 connection_irregularity(C)
             assert working_precision() == 32
+
+
+# -- the monic operator read off the solved relation ------------------------------
+
+
+@st.composite
+def solved_relations(draw):
+    """``(x, prec)``: a relation ``nabla^r s = sum_k x_k nabla^k s``, r = 1..6.
+
+    Each ``x_k`` is exact, inexact, an exact zero or an inexact zero, with
+    exponents from -6 to just below ``prec`` (8, 32 or 64), so valuations
+    may be negative; an inexact window may cut the drawn terms or reach
+    past ``prec``, so the entries are known below one another's bounds.
+    """
+    r = draw(st.integers(1, 6))
+    prec = draw(st.sampled_from((8, 32, 64)))
+    small = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+    x = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(("exact", "inexact", "exact zero", "inexact zero")))
+        if kind == "exact zero":
+            x.append(F1.zero())
+        elif kind == "inexact zero":
+            x.append(TowerElement.inexact_zero(1, draw(st.integers(-6, prec))))
+        else:
+            coeffs = draw(st.dictionaries(st.integers(-6, prec - 1), small, min_size=1, max_size=8))
+            hi = None if kind == "exact" else draw(st.integers(min(coeffs) - 2, prec + 2))
+            x.append(TowerElement(1, coeffs, hi, kind == "exact"))
+    return tuple(x), prec
+
+
+class TestOperatorOfRelation:
+    """The closed form of ``to_scalar_operator`` against the unrolled recursion."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(solved_relations())
+    def test_closed_form_matches_recursion(self, case):
+        x, prec = case
+        with precision(prec):
+            L = dmodule._operator_of_relation(x)
+            want = operator_by_recursion(x)
+        assert L.form == PARTIAL and L.coeffs == want
+        assert [(c.hi, c.exact) for c in L.coeffs] == [(c.hi, c.exact) for c in want]
+        assert hash(L) == hash(ScalarOperator(PARTIAL, want))
+
+    def test_order_two(self):
+        # nabla^2 s = x0 s + x1 nabla s gives D^2 + x1 D + (x1' - x0)
+        t = F1.gen(1)
+        x0, x1 = 3 * t ** -2, t ** -1 + t
+        L = dmodule._operator_of_relation((x0, x1))
+        assert L.coeffs == (x1.derive(1) - x0, x1, F1.one())
