@@ -46,7 +46,6 @@ from .series import (
     OneForm,
     TowerElement,
     TowerField,
-    set_working_precision,
     working_precision,
 )
 from .tate import (
@@ -115,11 +114,7 @@ class FormTuple:
         if self._inverse is None and self._negated is not None:
             self._inverse = -self._negated.frame_inverse
         elif self._inverse is None:
-            old = set_working_precision(self._precision)
-            try:
-                self._inverse = inverse(self.frame)
-            finally:
-                set_working_precision(old)
+            self._inverse = inverse(self.frame, self._precision)
         return self._inverse
 
     def __neg__(self) -> "FormTuple":

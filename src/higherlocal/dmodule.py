@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from contextvars import ContextVar
 from fractions import Fraction
 from math import comb
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -28,7 +27,6 @@ from .linalg import Factorization, SeriesMatrix, rank_kernel_det, solve
 from .series import (
     TowerElement,
     TowerField,
-    set_working_precision,
     sum_of_products,
     working_precision,
 )
@@ -216,24 +214,25 @@ def _candidate_vectors(C: Connection, seed: int):
 
 
 def find_cyclic_vector(
-    C: Connection, seed: int = 0
+    C: Connection, seed: int = 0, prec: Optional[int] = None
 ) -> Tuple[Tuple[TowerElement, ...], SeriesMatrix, Factorization]:
     """A vector whose iterated derivatives frame the module, with certificate.
 
-    Returns (vector, certificate matrix, the certificate's forward pass).
-    The pass has full rank over certified-nonzero pivots, so the
-    determinant it builds when ``.determinant`` is first read is certified
-    nonzero with finite valuation; the callers that only need the vector
-    build none.
+    Returns (vector, certificate matrix, the certificate's forward pass at
+    ``prec`` terms).  The pass has full rank over certified-nonzero pivots,
+    so the determinant it builds when ``.determinant`` is first read is
+    certified nonzero with finite valuation; the callers that only need the
+    vector build none.  A search below the working precision is a ladder
+    rung, and raises at its first undetermined pivot instead of skipping.
     """
     if C.field.level != 1:
         raise ValueError("cyclic vector search runs over the one-variable field")
     for cand in _candidate_vectors(C, seed):
         M = _certificate_matrix(C, cand)
         try:
-            res = rank_kernel_det(M)
+            res = rank_kernel_det(M, prec)
         except UndeterminedPivot:
-            if _BELOW_CAP.get():
+            if prec is not None and prec < working_precision():
                 # more terms may certify this candidate: skipping it could
                 # accept a later one than the full-precision search does
                 raise
@@ -247,7 +246,8 @@ def find_cyclic_vector(
 
 
 def to_scalar_operator(
-    C: Connection, s: Sequence[TowerElement], certificate: Optional[SeriesMatrix] = None
+    C: Connection, s: Sequence[TowerElement], certificate: Optional[SeriesMatrix] = None,
+    prec: Optional[int] = None,
 ) -> ScalarOperator:
     """The monic operator annihilating the flat-section functional at s.
 
@@ -261,13 +261,14 @@ def to_scalar_operator(
         L_j = (-1)^(r-1) sum_{k=j}^{r-1} (-1)^k C(k, j) x_k^(k-j),
 
     each one :func:`~higherlocal.series.sum_of_products` with int weights,
-    with the window and exactness of the unrolled recursion.
+    with the window and exactness of the unrolled recursion.  The relation
+    is solved at ``prec`` terms, reusing a certificate's pass at ``prec``.
     """
     r = C.rank
     if certificate is None:
         certificate = _certificate_matrix(C, s)
     top = C.nabla(1, certificate.column(r - 1))
-    return _operator_of_relation(solve(certificate, top))
+    return _operator_of_relation(solve(certificate, top, prec))
 
 
 def _operator_of_relation(x: Sequence[TowerElement]) -> ScalarOperator:
@@ -344,9 +345,6 @@ def newton_polygon(L: ScalarOperator) -> NewtonPolygon:
 # the precision ladder of connection_irregularity starts at this many terms
 _FIRST_RUNG = 8
 
-# True while a ladder rung below the working precision runs
-_BELOW_CAP: ContextVar[bool] = ContextVar("cyclic_search_below_cap", default=False)
-
 # what a rung raises when its precision is too short to certify the integer
 _TOO_SHORT = (
     UndeterminedPivot,
@@ -356,9 +354,9 @@ _TOO_SHORT = (
 )
 
 
-def _certified_irregularity(C: Connection) -> int:
-    s, cert, _ = find_cyclic_vector(C)
-    L = to_scalar_operator(C, s, cert)
+def _certified_irregularity(C: Connection, prec: int) -> int:
+    s, cert, _ = find_cyclic_vector(C, prec=prec)
+    L = to_scalar_operator(C, s, cert, prec)
     return newton_polygon(L).irregularity
 
 
@@ -402,30 +400,26 @@ def connection_irregularity(C: Connection) -> int:
     and no seed is asked for.  The route (cyclic vector, scalar operator,
     Newton polygon) runs on a doubling ladder of precisions, 8, 16, 32, ...
     terms, capped at ``working_precision()``: the polygon needs certified
-    leading valuations, not full series.  A rung below the cap ends at its first undetermined
+    leading valuations, not full series.  Each rung hands its precision to
+    the search and to the certificate's solve, and writes no ambient
+    precision.  A rung below the cap ends at its first undetermined
     certificate pivot, so it accepts the candidate a full-precision search
     accepts, and it moves up a rung when a pivot, a leading term or a
     coefficient is not certified at its precision, or when no candidate is.
     Exactness does not depend on the precision, and every valuation the
     polygon reads is certified, so a rung that returns gives the integer of
     the full-precision route.  The last rung is that route, at the working
-    precision, and its result or exception is returned as is.  The precision
-    is restored after every rung.  A rank-1 connection over one variable
-    runs no rung: its integer, or the route's exception, is read off its
-    entry (:func:`_rank_one_irregularity`).
+    precision, and its result or exception is returned as is.  A rank-1
+    connection over one variable runs no rung: its integer, or the route's
+    exception, is read off its entry (:func:`_rank_one_irregularity`).
     """
     if C.field.level == 1 and C.rank == 1:
         return _rank_one_irregularity(C)
     cap = working_precision()
     prec = _FIRST_RUNG
     while prec < cap:
-        old = set_working_precision(prec)
-        below_cap = _BELOW_CAP.set(True)
         try:
-            return _certified_irregularity(C)
+            return _certified_irregularity(C, prec)
         except _TOO_SHORT:
             prec *= 2
-        finally:
-            _BELOW_CAP.reset(below_cap)
-            set_working_precision(old)
-    return _certified_irregularity(C)
+    return _certified_irregularity(C, cap)

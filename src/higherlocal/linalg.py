@@ -30,7 +30,6 @@ from .errors import LevelMismatch, UndeterminedPivot
 from .series import (
     TowerElement,
     TowerField,
-    set_working_precision,
     sub_mul,
     sum_of_products,
     working_precision,
@@ -186,10 +185,9 @@ class Factorization:
     updates ``row <- row - factor * (pivot row k)`` made below it.
     ``inverses[k]`` is the inverse of pivot ``k``, or None until
     :meth:`back_substitute` needs it: the forward pass inverts only the
-    pivots that clear a row below them.  Exact pivots invert to the working
-    precision, so the result holds only at the ``precision`` it was
-    computed at; the ``kernel``, built when first read, is built at that
-    precision whenever it is read.
+    pivots that clear a row below them.  Exact pivots expand to
+    ``precision`` terms, so the result holds only at that precision, and
+    every later inverse of a pivot is taken at it too.
     """
 
     def __init__(
@@ -215,21 +213,14 @@ class Factorization:
 
     @cached_property
     def kernel(self) -> Tuple[Tuple[TowerElement, ...], ...]:
-        """A basis of the right kernel, one vector per column without a pivot.
-
-        The pivots are inverted at the pass's ``precision`` whenever the
-        kernel is first read.
-        """
+        """A basis of the right kernel, one vector per column without a pivot,
+        back-substituted at the pass's ``precision`` when first read."""
         m = len(self.rows[0])
         level = self.rows[0][0].level
         pivot_rows = {pc: pr for pr, pc in self.pivots}
         free = [f for f in range(m) if f not in pivot_rows]
         tail = [[self.rows[pr][f] for f in free] for pr in range(self.rank)]
-        old = set_working_precision(self.precision)
-        try:
-            self.back_substitute(tail)
-        finally:
-            set_working_precision(old)
+        self.back_substitute(tail)
         vecs = []
         for k, f in enumerate(free):
             vec = [TowerElement.zero(level)] * m
@@ -248,16 +239,16 @@ class Factorization:
         """Reduce the columns carried in ``tail`` (one row per pivot), in place.
 
         Each pivot row is normalized and cleared from the rows above it; a
-        pivot is inverted here, once, when the forward pass did not.  Only
-        the carried columns are written: a pivot column above its pivot is
-        read from the echelon form, where the later pivots' updates could
-        only subtract multiples of exact zeros.
+        pivot is inverted here, once, at ``precision``, when the forward pass
+        did not.  Only the carried columns are written: a pivot column above
+        its pivot is read from the echelon form, where the later pivots'
+        updates could only subtract multiples of exact zeros.
         """
         for k in reversed(range(len(self.pivots))):
             pr, pc = self.pivots[k]
             inv = self.inverses[k]
             if inv is None:
-                inv = self.inverses[k] = self.elements[k].invert()
+                inv = self.inverses[k] = self.elements[k].invert(None, self.precision)
             prow = tail[pr] = [x * inv for x in tail[pr]]
             for i2 in range(pr):
                 x = self.rows[i2][pc]
@@ -297,15 +288,15 @@ class Factorization:
         return out
 
 
-def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
+def _forward(entries: Sequence[Sequence[TowerElement]], precision: int) -> Factorization:
     """Forward elimination of the rows ``entries`` with minimal-valuation pivots.
 
     Each column takes the candidate of minimal certified valuation as its
     pivot and is cleared below it; the pivot is inverted only when a row
-    below needs clearing.  A column whose only candidates are undetermined
-    raises :class:`UndeterminedPivot`; a column of exact zeros is skipped.
+    below needs clearing, an exact one to ``precision`` terms.  A column
+    whose only candidates are undetermined raises
+    :class:`UndeterminedPivot`; a column of exact zeros is skipped.
     """
-    precision = working_precision()
     work: List[List[TowerElement]] = [list(r) for r in entries]
     n, m = len(work), len(work[0])
     zero = TowerElement.zero(work[0][0].level)
@@ -345,7 +336,7 @@ def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
             if x.is_exactly_zero():
                 continue
             if piv_inv is None:
-                piv_inv = piv.invert()
+                piv_inv = piv.invert(None, precision)
             factor = x * piv_inv
             for j in range(c + 1, m):
                 row[j] = sub_mul(row[j], factor, prow[j])
@@ -367,15 +358,16 @@ def _forward(entries: Sequence[Sequence[TowerElement]]) -> Factorization:
     )
 
 
-def _factorization(M: SeriesMatrix) -> Factorization:
-    """``M``'s forward pass, reused while the working precision is unchanged."""
+def _factorization(M: SeriesMatrix, prec: Optional[int]) -> Factorization:
+    """``M``'s kept forward pass at ``prec`` terms, the working precision when None."""
+    prec = working_precision() if prec is None else prec
     fac = M._factored
-    if fac is None or fac.precision != working_precision():
-        fac = M._factored = _forward(M.entries)
+    if fac is None or fac.precision != prec:
+        fac = M._factored = _forward(M.entries, prec)
     return fac
 
 
-def rank_kernel_det(M: SeriesMatrix) -> Factorization:
+def rank_kernel_det(M: SeriesMatrix, prec: Optional[int] = None) -> Factorization:
     """``M``'s forward pass, row-reduced over the field with minimal-valuation pivoting.
 
     Raises :class:`UndeterminedPivot` when a column has no certified-nonzero
@@ -383,9 +375,10 @@ def rank_kernel_det(M: SeriesMatrix) -> Factorization:
     result is the pass ``M`` keeps (:func:`_factorization`) for a later
     :func:`solve` or :func:`inverse`: its ``rank`` and ``pivots`` come from
     the forward pass alone, and its ``kernel`` (a back-substitution) and
-    ``determinant`` (a product of pivots) are built when first read.
+    ``determinant`` (a product of pivots) are built when first read.  It is
+    made at ``prec`` terms, as :func:`solve` and :func:`inverse` make theirs.
     """
-    return _factorization(M)
+    return _factorization(M, prec)
 
 
 def _determinant(fac: Factorization) -> TowerElement:
@@ -398,25 +391,27 @@ def _determinant(fac: Factorization) -> TowerElement:
     return det if fac.sign == 1 else -det
 
 
-def _nonsingular(M: SeriesMatrix, what: str) -> Factorization:
+def _nonsingular(M: SeriesMatrix, what: str, prec: Optional[int]) -> Factorization:
     """The forward pass of the square ``M``, which must have certified full rank."""
     if M.rows != M.cols:
         raise ValueError(f"{what} needs a square matrix")
-    fac = _factorization(M)
+    fac = _factorization(M, prec)
     if fac.rank < M.rows:
         c = min(set(range(M.rows)) - {pc for _, pc in fac.pivots})
         raise UndeterminedPivot(c, f"matrix is singular at column {c}")
     return fac
 
 
-def solve(M: SeriesMatrix, rhs: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
+def solve(
+    M: SeriesMatrix, rhs: Sequence[TowerElement], prec: Optional[int] = None
+) -> Tuple[TowerElement, ...]:
     """Solve M x = rhs for square M with certified full rank."""
-    return tuple(_nonsingular(M, "solve").solve([rhs])[0])
+    return tuple(_nonsingular(M, "solve", prec).solve([rhs])[0])
 
 
-def inverse(M: SeriesMatrix) -> SeriesMatrix:
+def inverse(M: SeriesMatrix, prec: Optional[int] = None) -> SeriesMatrix:
     """Matrix inverse over the tower field."""
-    fac = _nonsingular(M, "inverse")
+    fac = _nonsingular(M, "inverse", prec)
     n = M.rows
     one = TowerElement.constant(M.level, 1)
     zero = TowerElement.zero(M.level)
@@ -432,7 +427,8 @@ def solve_columns(columns, targets) -> List[Optional[List[TowerElement]]]:
     """
     if not columns:
         return [None if any(t.is_certainly_nonzero() for t in b) else [] for b in targets]
-    return _forward([[col[r] for col in columns] for r in range(len(columns[0]))]).solve(targets)
+    rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
+    return _forward(rows, working_precision()).solve(targets)
 
 
 # ---------------------------------------------------------------------------

@@ -439,12 +439,14 @@ class TowerElement:
                 return result
             base = base * base
 
-    def invert(self, prec: Optional[int] = None) -> "TowerElement":
+    def invert(self, prec: Optional[int] = None, terms: Optional[int] = None) -> "TowerElement":
         """Multiplicative inverse, guaranteed on the provable window.
 
-        For an exact input the expansion is cut at ``prec`` terms (the working
-        precision by default); for an inexact input the full guaranteed window
-        is produced, capped by ``prec`` when given.
+        For an exact input the expansion is cut at ``prec`` terms, else at
+        ``terms``, else at the working precision; for an inexact input the
+        full guaranteed window is produced, capped by ``prec`` when given.
+        ``terms`` sets the width of exact expansions only, at every level,
+        and caps nothing.
         """
         cls, v = self.classify_leading()
         if cls == "zero":
@@ -458,20 +460,20 @@ class TowerElement:
             if self.level == 1:
                 # lead/den is in lowest terms, so den/lead is too
                 return _element(1, {-v: self._den if lead > 0 else -self._den}, abs(lead), None)
-            return TowerElement(self.level, {-v: lead.invert(prec)}, None, True)
+            return TowerElement(self.level, {-v: lead.invert(prec, terms)}, None, True)
         # shift so the unit part starts at exponent 0
         g = self.shift_outer(-v)
         width = g.known_hi()  # None if exact
         if width is None:
-            width = prec if prec is not None else working_precision()
+            width = prec if prec is not None else terms or working_precision()
         elif prec is not None:
             width = min(width, prec)
         if width < 1:
             raise InsufficientPrecision("no terms survive inversion at this window")
         if self.level == 1:
-            terms, den = _inverse_numerators(g._terms, g._den, width)
-            return _element(1, terms, den, width).shift_outer(-v)
-        c0inv = lead.invert(prec)
+            nums, den = _inverse_numerators(g._terms, g._den, width)
+            return _element(1, nums, den, width).shift_outer(-v)
+        c0inv = lead.invert(prec, terms)
         inv: dict = {0: c0inv}
         for e in range(1, width):
             pairs = [

@@ -1,9 +1,11 @@
 """Fixtures and oracles the tests share, which the library itself never calls."""
 
 import copy
+import sys
 from fractions import Fraction
 from math import lcm
 
+from higherlocal import series
 from higherlocal.derham import EdgeOperator
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import TowerElement
@@ -161,3 +163,23 @@ def probe_entries(op: MatrixDiffOp, w: int, W: int) -> dict:
             s, j = divmod(k, r)
             entries[(i, lo + t), (r - 1 - j, top - 1 - s)] = Fraction(n, dens[i])
     return entries
+
+
+def record_precision_writes(monkeypatch) -> list:
+    """The values of the ``set_working_precision`` calls made from now on.
+
+    Every name in the package bound to the function is patched, so a module
+    that imported it by name is counted too; ``monkeypatch`` undoes it.
+    """
+    writes = []
+    original = series.set_working_precision
+
+    def recorded(n):
+        writes.append(n)
+        return original(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "higherlocal":
+            if getattr(module, "set_working_precision", None) is original:
+                monkeypatch.setattr(module, "set_working_precision", recorded)
+    return writes

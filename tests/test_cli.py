@@ -23,6 +23,7 @@ from higherlocal.errors import (
 from higherlocal.exprparse import MAX_LITERAL_DIGITS, ExpressionParser, tokenize
 from higherlocal.series import TowerElement, TowerField, working_precision
 from higherlocal.specfile import SpecFile, parse_specfile
+from helpers import record_precision_writes
 from test_derham import oracle_apply
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -547,6 +548,18 @@ class TestGolden:
         assert cli.format_report(cli.run(spec.command, spec), "kv") == printed
         assert working_precision() == ambient
 
+    def test_run_sets_and_restores_the_precision_once(self, monkeypatch):
+        # cli.run is the boundary that decides the precision: on each golden
+        # it makes one set and one restore, and nothing below it writes one
+        ambient = working_precision()
+        writes = record_precision_writes(monkeypatch)
+        for path in sorted(GOLDEN.glob("*.hl")):
+            spec = parse_specfile(path.read_text())
+            writes.clear()
+            report = cli.format_report(cli.run(spec.command, spec), "kv")
+            assert report == path.with_suffix(".out").read_text(), path.name
+            assert writes == [spec.precision, ambient], path.name
+
     def test_verify_does_its_outer_work_once(self, monkeypatch, capsys):
         # before verify handed its results along, eps_n2_dlog took 6 outer
         # reductions, 2 flatness checks and 8 edge applications per test
@@ -608,7 +621,7 @@ class TestGolden:
         # cyclic, which prints it, builds one
         inverses, determinants = [], []
         invert, determinant = derham.inverse, linalg._determinant
-        monkeypatch.setattr(derham, "inverse", lambda M: inverses.append(1) or invert(M))
+        monkeypatch.setattr(derham, "inverse", lambda *a: inverses.append(1) or invert(*a))
         monkeypatch.setattr(
             linalg, "_determinant", lambda fac: determinants.append(1) or determinant(fac)
         )
@@ -631,10 +644,10 @@ class TestGolden:
         actions, forwards = [], []
         forward, induced = linalg._forward, derham.induced_inner_connections
 
-        def counted_forward(rows):
+        def counted_forward(*args):
             if actions and actions[-1] is None:
                 forwards.append(1)
-            return forward(rows)
+            return forward(*args)
 
         def counted_induced(*args, **kwargs):
             actions.append(None)
@@ -937,16 +950,30 @@ command = cohomology
 """
 
 
+# a rank-3 gauged sum drawn by test_dmodule's gauged_sums strategy, with
+# constructed irregularity 1: the second exact input of ROADMAP item 13
+SECOND_DRAW_SPEC = """[field]
+n = 1
+
+[connection]
+rank = 3
+A1 = [["-2/3*t1^-8", "2/3*t1^-19 + 17/3*t1^-13 + 2/3*t1^-1", "-2/3*t1^-14 + 2/3*t1^-13 - 20/3*t1^-7"], ["0", "2/3*t1^-7 + 1/3*t1^-1", "2/3*t1^-1"], ["2/3*t1^-2", "-2/3*t1^-13 - 17/3*t1^-7", "2/3*t1^-8 - 2/3*t1^-7 + 2/3*t1^-1"]]
+
+[task]
+command = cohomology
+"""
+
+
 class TestExactInputsNeedTerms:
     @staticmethod
-    def cohomology(tmp_path, capsys, *flags):
+    def cohomology(tmp_path, capsys, *flags, text=GAUGED_SUM_SPEC, h1="2"):
         spec = tmp_path / "gauged.hl"
-        spec.write_text(GAUGED_SUM_SPEC)
+        spec.write_text(text)
         code = cli.main([str(spec), *flags])
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         lines = dict(line.split(" = ", 1) for line in captured.out.splitlines())
-        assert (lines["h0"], lines["h1"], lines["window_agrees"]) == ("0", "2", "yes")
+        assert (lines["h0"], lines["h1"], lines["window_agrees"]) == ("0", h1, "yes")
 
     def test_gauged_sum_at_64_terms(self, tmp_path, capsys):
         self.cohomology(tmp_path, capsys, "--precision", "64")
@@ -958,6 +985,17 @@ class TestExactInputsNeedTerms:
     )
     def test_gauged_sum_at_the_default_flags(self, tmp_path, capsys):
         self.cohomology(tmp_path, capsys)
+
+    def test_second_draw_at_64_terms(self, tmp_path, capsys):
+        self.cohomology(tmp_path, capsys, "--precision", "64", text=SECOND_DRAW_SPEC, h1="1")
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="exits 1 with UndeterminedLeadingTerm at 32 terms, ROADMAP item 13",
+    )
+    def test_second_draw_at_the_default_flags(self, tmp_path, capsys):
+        self.cohomology(tmp_path, capsys, text=SECOND_DRAW_SPEC, h1="1")
 
 
 def run_cli_capped(path):

@@ -1,5 +1,6 @@
 """Wronskians, cyclic vectors, scalar operators and Newton polygons."""
 
+import inspect
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -30,7 +31,7 @@ from higherlocal.series import (
     working_precision,
 )
 from higherlocal.specfile import parse_specfile
-from helpers import operator_by_recursion, rref_q
+from helpers import operator_by_recursion, record_precision_writes, rref_q
 
 F1 = TowerField(1)
 
@@ -282,12 +283,14 @@ def precision(n):
 
 @contextmanager
 def recorded_rungs():
-    """Record [precision, accepted vector or None] for each cyclic-vector search."""
+    """Record [precision, accepted vector or None] for each cyclic-vector search.
+
+    The precision is the one the search is handed, None when it is given none."""
     rungs = []
     find = dmodule.find_cyclic_vector
 
     def recorded(*args, **kwargs):
-        rung = [working_precision(), None]
+        rung = [inspect.signature(find).bind(*args, **kwargs).arguments.get("prec"), None]
         rungs.append(rung)
         found = find(*args, **kwargs)
         rung[1] = found[0]
@@ -497,6 +500,22 @@ class TestPrecisionLadder:
         assert got == ("ok", 3, (F1.one(), t)) == full_route(C, 32)
         # rung 8 accepts the same vector, then cannot certify the polygon
         assert rungs == [[8, (F1.one(), t)], [16, (F1.one(), t)]]
+
+    def test_the_ladder_writes_no_ambient_precision(self, monkeypatch):
+        # each rung hands its precision down: nothing is set and restored,
+        # every forward pass is made at a rung's precision, and each rung's
+        # solve reuses the pass its search certified, so there is one pass
+        # per candidate drawn and none at the cap
+        C = spec_connection(NEEDS_RUNG_16)
+        passes = []
+        forward = linalg._forward
+        monkeypatch.setattr(linalg, "_forward", lambda *a: passes.append(a[1]) or forward(*a))
+        with precision(32):
+            writes = record_precision_writes(monkeypatch)
+            with counted_candidates() as counts:
+                assert connection_irregularity(C) == 3
+            assert writes == []
+        assert passes == [8, 16] and len(counts) == 2
 
     def test_last_rung_is_the_working_precision(self):
         C = spec_connection(NEEDS_MORE_THAN_16)

@@ -1,5 +1,7 @@
-"""The package's export list and records, its import, and the names the bench tracer wraps."""
+"""The package's export list and records, its import, the names the bench
+tracer wraps, and where the working precision is held and written."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -48,6 +50,24 @@ def test_every_traced_layer_resolves(module, attr):
     # a renamed or deleted function would leave the tracer nothing to wrap
     importlib.import_module(f"{tracing.PACKAGE}.{module}")
     assert callable(tracing.resolve(module, attr))
+
+
+@pytest.mark.parametrize(
+    "name, home", [("ContextVar", "series.py"), ("set_working_precision", "cli.py")]
+)
+def test_precision_is_held_and_written_in_one_module(name, home):
+    # the working precision is the default cli.run decides at the boundary:
+    # its one context variable is built in series and written only by cli;
+    # below that, rungs, kept passes and frames carry their own precision
+    src = Path(higherlocal.__file__).resolve().parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                    found.add(path.name)
+    assert found == {home}
 
 
 def test_import_leaves_out_dataclasses_and_inspect():

@@ -451,7 +451,7 @@ class TestEliminationOracle:
     def test_solve_reuses_the_certified_forward_pass(self, small_precision, monkeypatch):
         calls = []
         forward = linalg._forward
-        monkeypatch.setattr(linalg, "_forward", lambda rows: calls.append(1) or forward(rows))
+        monkeypatch.setattr(linalg, "_forward", lambda *a: calls.append(1) or forward(*a))
         M = mat(self.exact_unit_matrix())
         rhs = (F1.one(), F1.gen(1) ** -1, F1.zero())
         assert rank_kernel_det(M).rank == 3
@@ -467,7 +467,7 @@ class TestEliminationOracle:
     def test_new_precision_recomputes_the_forward_pass(self, small_precision, monkeypatch):
         calls = []
         forward = linalg._forward
-        monkeypatch.setattr(linalg, "_forward", lambda rows: calls.append(1) or forward(rows))
+        monkeypatch.setattr(linalg, "_forward", lambda *a: calls.append(1) or forward(*a))
         M = mat(self.exact_unit_matrix())
         rhs = (F1.one(), F1.zero(), F1.gen(1))
         rank_kernel_det(M)
