@@ -331,9 +331,11 @@ def induced_inner_connections(
     its reduction is used and no window is reduced again.  The action on
     ``H^0`` is the kernel coordinates of the ``nabla_1`` images of the
     kernel basis, on ``H^1`` the cokernel coordinates of the images of the
-    slot units; the reduction's own maps solve for them
+    slot units; the reduction reads them off its own eliminations
     (:meth:`~higherlocal.tate.OuterReduction.kernel_coordinates`,
-    :meth:`~higherlocal.tate.OuterReduction.cokernel_coordinates`).
+    :meth:`~higherlocal.tate.OuterReduction.cokernel_coordinates`).  An
+    image certainly outside the windowed kernel raises
+    :class:`UnsupportedFrame`; cokernel coordinates always exist.
     """
     op = MatrixDiffOp.from_connection(C, normalizer)
     if outer is None or not outer.serves(op):
@@ -350,24 +352,23 @@ def induced_inner_connections(
     def read(labels, sec) -> List[TowerElement]:
         return [sec[c].coefficient(e) for c, e in labels]
 
-    def action(solutions, failure) -> Connection:
+    def action(coordinates) -> Connection:
         # column j: the coordinates of the image of basis vector j
-        if None in solutions:
-            raise UnsupportedFrame(failure)
-        return Connection(TowerField(1), [SeriesMatrix(solutions).transpose()])
+        return Connection(TowerField(1), [SeriesMatrix(coordinates).transpose()])
 
     h0 = h1 = None
     if red.ker_dim:
         images = [read(red.src_labels, C.nabla(1, section(red.src_labels, v))) for v in red.kernel]
-        failure = "induced action does not preserve the windowed kernel"
-        h0 = action(red.kernel_coordinates(images), failure)
+        coordinates = red.kernel_coordinates(images)
+        if None in coordinates:
+            raise UnsupportedFrame("induced action does not preserve the windowed kernel")
+        h0 = action(coordinates)
     if red.coker_dim:
         # the unit section at each cokernel slot, modulo the window's image
         one = TowerElement.constant(1, 1)
         units = [section((slot,), (one,)) for slot in red.coker_slots]
         images = [read(red.tgt_labels, C.nabla(1, u)) for u in units]
-        failure = "induced action leaves the windowed target span"
-        h1 = action(red.cokernel_coordinates(images), failure)
+        h1 = action(red.cokernel_coordinates(images))
     return h0, h1, outer
 
 

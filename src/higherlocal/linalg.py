@@ -419,18 +419,6 @@ def inverse(M: SeriesMatrix, prec: Optional[int] = None) -> SeriesMatrix:
     return SeriesMatrix(list(zip(*columns)))
 
 
-def solve_columns(columns, targets) -> List[Optional[List[TowerElement]]]:
-    """Per target, one solution x of sum_j x_j columns[j] = target, or None.
-
-    The system may be rectangular and rank-deficient; the columns are
-    eliminated once and :meth:`Factorization.solve` serves every target.
-    """
-    if not columns:
-        return [None if any(t.is_certainly_nonzero() for t in b) else [] for b in targets]
-    rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
-    return _forward(rows, working_precision()).solve(targets)
-
-
 # ---------------------------------------------------------------------------
 # Rational (window) matrices: dict rows keyed by column index
 # ---------------------------------------------------------------------------

@@ -341,25 +341,7 @@ class TowerElement:
     def _combine(self, other: "TowerElement", sign: int) -> "TowerElement":
         """``self + sign*other`` for ``sign`` = +-1, known below both bounds."""
         self._check_level(other)
-        h = _min_bound(self.known_hi(), other.known_hi())
-        if self.level == 1:
-            da, db = self._den, other._den
-            g = gcd(da, db)
-            sa, sb = db // g, sign * (da // g)
-            out = {e: n * sa for e, n in self._terms.items() if h is None or e < h}
-            get = out.get
-            for e, n in other._terms.items():
-                if h is None or e < h:
-                    out[e] = get(e, 0) + n * sb
-            return _element(1, *_reduced(out, da // g * db), h)
-        if sign < 0:
-            other = -other
-        out = {e: c for e, c in self._terms.items() if h is None or e < h}
-        for e, c in other._terms.items():
-            if h is None or e < h:
-                out[e] = out[e] + c if e in out else c
-        out = {e: c for e, c in out.items() if not c.is_exactly_zero()}
-        return _element(self.level, out, 1, h)
+        return sum_of_products(self.level, ((1, self), (sign, other)))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -34,13 +34,13 @@ that reading as integer rows and eliminated by one label-order pass,
 :func:`~higherlocal.linalg.echelon_relations`; any other is realized by
 :func:`window_columns` and eliminated over the inner field.  A reduction
 (:class:`OuterReduction`) maps a vector to its coordinates in the kernel
-basis and on the cokernel slots; the integer route reads those off its own
-elimination over Q for exact vectors.  The outer
-windows are the fixed ``OUTER_SCHEDULE``, settled by the same loop; every
-``schedule`` parameter here is a one-variable probe schedule.  The
-multicomplex check (:mod:`higherlocal.derham`) reads each covariant edge
-through these two routes: :func:`operator_index` over one variable or
-along the inner one, :func:`stabilize_outer_windows` along the outer one.
+basis and on the cokernel slots, read off the route's own eliminations,
+with nothing eliminated again.  The outer windows are the fixed
+``OUTER_SCHEDULE``, settled by the same loop; every ``schedule``
+parameter here is a one-variable probe schedule.  The multicomplex check
+(:mod:`higherlocal.derham`) reads each covariant edge through these two
+routes: :func:`operator_index` over one variable or along the inner one,
+:func:`stabilize_outer_windows` along the outer one.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
 from .linalg import Factorization, SeriesMatrix, echelon_kernel, echelon_relations
-from .linalg import rank_kernel_det, solve_columns, sparse_echelon
+from .linalg import rank_kernel_det, sparse_echelon
 from .series import TowerElement, TowerField, _element, sum_of_products
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
@@ -460,29 +460,23 @@ def _window_layout(rank: int, src: Tuple[int, int], bounds):
     return src_labels, tgt_labels, offset
 
 
-def window_bounds(op: MatrixDiffOp, w: int, mode: str) -> List[Tuple[int, int]]:
-    """Target exponents ``[lo, hi)`` per component for the window [-w, w).
+def window_bounds(op: MatrixDiffOp, w: int) -> List[Tuple[int, int]]:
+    """Target exponents ``[lo, hi)`` per component for the window [-w, w): the top cut.
 
-    Both modes extend the target down to the full displacement hull, so no
-    image coefficient is lost at the bottom.  The ``top`` mode cuts the
-    target at the derivative term's displacement; the ``bottom`` mode cuts
-    at the hull displacement itself, the sharp image of a deep lattice, so
-    the bottom rows are a subset of the top ones.  A zero row has both
-    displacements 0, so it keeps the source window.  The outer-window
-    reduction (:func:`reduce_outer_window`) reads its kernel off the bottom
-    cut and its cokernel off the top one.
+    The target reaches down to the full displacement hull, so no image
+    coefficient is lost at the bottom, and is cut at the derivative term's
+    displacement.  A zero row has both displacements 0, so it keeps the
+    source window.  The bottom cut, the sharp image of a deep lattice, is
+    ``[lo, lo + 2w)``, a subset of these rows; the outer-window reduction
+    (:func:`reduce_outer_window`) reads its kernel off the bottom cut and
+    its cokernel off the top one.
     """
-    bounds = []
-    for i in range(op.rank):
-        lo = op.delta_bottom(i)
-        hi = lo if mode == "bottom" else op.delta_top(i)
-        bounds.append((-w + lo, w + hi))
-    return bounds
+    return [(-w + op.delta_bottom(i), w + op.delta_top(i)) for i in range(op.rank)]
 
 
-def realize_window(op: MatrixDiffOp, w: int, mode: str = "top") -> WindowRealization:
+def realize_window(op: MatrixDiffOp, w: int) -> WindowRealization:
     """Matrix of a two-variable ``op`` on [-w, w) outer windows, cut by :func:`window_bounds`."""
-    return window_columns(op, (-w, w), window_bounds(op, w, mode))
+    return window_columns(op, (-w, w), window_bounds(op, w))
 
 
 class OuterReduction:
@@ -491,16 +485,20 @@ class OuterReduction:
     The kernel is that of the lattice-sharp ("bottom") window, and the
     cokernel slots are the target labels of the top window's rows left out
     of its greedy row basis in label order.  ``ker_dim`` and the slots are
-    read off the eliminations.  Each route is a subclass that gives the top
-    window's ``matrix``, entries over the inner field, and the ``kernel``
-    basis, tuples of inner-field elements indexed by ``src_labels``; the
-    kernel is built when first read, so a window that the settle rule
-    discards builds no kernel basis.  Two reductions are equal when their
-    windows, labels, matrices, kernel bases and cokernel slots are.
+    read off the eliminations.  Each route is a subclass that gives what
+    its eliminations hold: the top window's ``matrix``, entries over the
+    inner field; the ``kernel`` basis, tuples of inner-field elements
+    indexed by ``src_labels``, each 1 at its own free column and 0 at the
+    other free columns; the bottom elimination's ``pivot_columns``; and,
+    per slot, its ``relations``, ``(weight, row)`` pairs of a functional on
+    the target rows that is 1 at the slot, 0 at the other slots and
+    vanishes on the window's image.  Those are built when first read, so a
+    window that the settle rule discards builds no kernel basis.  Two
+    reductions are equal when their windows, labels, matrices, kernel bases
+    and cokernel slots are.
 
-    The two coordinate maps solve over the inner field
-    (:func:`~higherlocal.linalg.solve_columns`) here; the integer route
-    reads exact vectors off its own elimination instead.
+    The two coordinate maps read every vector off those, on both routes;
+    nothing is eliminated again.
     """
 
     __slots__ = ("window", "src_labels", "tgt_labels", "ker_dim", "coker_slots")
@@ -515,22 +513,44 @@ class OuterReduction:
 
     def kernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
         """Per vector indexed by ``src_labels``, its coordinates in the kernel
-        basis, or None when it is certainly outside the span."""
-        return solve_columns(self.kernel, vectors)
+        basis, or None when it is certainly outside the span.
 
-    def cokernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
+        The coordinates are the vector's entries at the free columns; the
+        vector is outside the span when its residual at a pivot column is
+        certainly nonzero.
+        """
+        pivots = self.pivot_columns
+        free = [f for f in range(len(self.src_labels)) if f not in pivots]
+        # per pivot column c, the residual y[c] - sum_k x_k kernel[k][c] must vanish
+        checks = [
+            (c, [(-vec[c], k) for k, vec in enumerate(self.kernel) if not vec[c].is_exactly_zero()])
+            for c in pivots
+        ]
+        out: List[Optional[List[TowerElement]]] = []
+        for y in vectors:
+            x = [y[f] for f in free]
+            live = {k for k, v in enumerate(x) if not v.is_exactly_zero()}
+            for c, terms in checks:
+                pairs = [(q, x[k]) for q, k in terms if k in live]
+                residual = sum_of_products(1, [(1, y[c])] + pairs) if pairs else y[c]
+                if residual.is_certainly_nonzero():
+                    x = None
+                    break
+            out.append(x)
+        return out
+
+    def cokernel_coordinates(self, vectors) -> List[List[TowerElement]]:
         """Per vector indexed by ``tgt_labels``, its coordinates on the slot units.
 
         The slot units span a complement of the window's image, so each
-        vector is an image plus one combination of them, whose coefficients
-        these are (None when no solution is certified).  Here the window's
-        columns and the units are eliminated together.
+        vector is an image plus one combination of them; its coefficient on
+        the unit at slot ``s`` is ``psi_s(y)``, ``psi_s`` the slot's
+        relation.
         """
-        one, zero = TowerElement.constant(1, 1), TowerElement.zero(1)
-        units = [[one if lab == s else zero for lab in self.tgt_labels] for s in self.coker_slots]
-        span = [self.matrix.column(j) for j in range(self.matrix.cols)] + units
-        m = len(self.src_labels)
-        return [x and x[m:] for x in solve_columns(span, vectors)]
+        return [
+            [sum_of_products(1, [(q, y[j]) for q, j in psi]) for psi in self.relations]
+            for y in vectors
+        ]
 
     @property
     def coker_dim(self) -> int:
@@ -568,7 +588,7 @@ def reduce_outer_window(
         probes = _outer_probes(op)
     if probes is None:
         return _reduce_outer_series(op, w)
-    bounds = window_bounds(op, w, "top")
+    bounds = window_bounds(op, w)
     _check_outer(op, (-w, w), bounds)
     return _reduce_outer_integer(probes, w, bounds)
 
@@ -646,25 +666,19 @@ def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReducti
 class _IntegerReduction(OuterReduction):
     """An outer reduction read over Q from its window's own integer elimination.
 
-    The kernel basis is the rref basis of the bottom rows' ``echelon`` (1
-    at each free column), so an exact vector's kernel coordinates are its
-    entries at the free columns, and it lies in the span when its residual
-    at every pivot column vanishes.  Its coordinate on the slot unit at
-    ``s`` is ``psi_s(y)``, ``psi_s`` the dependency relation of row ``s`` on
-    the rows before it in the label-order pass, which vanishes on the image
-    and is 1 at ``s`` and 0 at the other slots.  Both solutions are unique,
-    so they are the elimination's.  A vector with an inexact entry is solved
-    by the elimination: read off other rows, it would be known to other
-    bounds.  The kernel, the relations scaled to the rational rows and the
-    matrix are built when first read; nothing is eliminated again.
+    The kernel basis is the rref basis of the bottom rows' echelon
+    (:func:`echelon_kernel`), and ``pivot_columns`` is that echelon.  The
+    relation of slot ``s`` is the dependency relation of row ``s`` on the
+    rows before it in the label-order pass, scaled to the rational rows.
+    The kernel, the relations and the matrix are built when first read.
     """
 
     def __init__(self, *base, rows, dens, echelon, relations):
         super().__init__(*base)
         self.rows = rows  # the top window in label order
         self.dens = dens  # D_i per component
-        self.echelon = echelon  # the bottom rows' echelon pivots
-        self.relations = relations  # per slot row, its relation on the integer rows
+        self.pivot_columns = echelon  # the bottom rows' echelon
+        self.row_relations = relations  # per slot row, its relation on the integer rows
 
     @cached_property
     def matrix(self) -> SeriesMatrix:
@@ -676,56 +690,22 @@ class _IntegerReduction(OuterReduction):
 
     @cached_property
     def kernel(self) -> Tuple:
-        basis = echelon_kernel(self.echelon, len(self.src_labels))
+        basis = echelon_kernel(self.pivot_columns, len(self.src_labels))
         return tuple(tuple(TowerElement.constant(1, q) for q in x) for x in basis)
 
-    def kernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
-        if not _all_exact(vectors):
-            return super().kernel_coordinates(vectors)
-        free = [f for f in range(len(self.src_labels)) if f not in self.echelon]
-        # per pivot column c, the residual y[c] - sum_k x_k kernel[k][c] must vanish
-        checks = [
-            (c, [(-vec[c], k) for k, vec in enumerate(self.kernel) if not vec[c].is_exactly_zero()])
-            for c in self.echelon
-        ]
-        out: List[Optional[List[TowerElement]]] = []
-        for y in vectors:
-            x = [y[f] for f in free]
-            live = {k for k, v in enumerate(x) if not v.is_exactly_zero()}
-            for c, terms in checks:
-                pairs = [(q, x[k]) for q, k in terms if k in live]
-                residual = sum_of_products(1, [(1, y[c])] + pairs) if pairs else y[c]
-                if residual.is_certainly_nonzero():
-                    x = None
-                    break
-            out.append(x)
-        return out
-
     @cached_property
-    def _relations(self):
+    def relations(self):
         # row (i, e) is D_i times the rational one, so a relation q of the
         # integer rows is q_j D_i(j) / D_i(s) on the rational ones
         dens = [self.dens[c] for c, _ in self.tgt_labels]
         relations = []
-        for s, found in self.relations.items():
+        for s, found in self.row_relations.items():
             psi = ((q * dens[j] / dens[s], j) for j, q in found.items())
             relations.append([
                 (q.numerator if q.denominator == 1 else TowerElement.constant(1, q), j)
                 for q, j in psi
             ])
         return relations
-
-    def cokernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
-        if not _all_exact(vectors):
-            return super().cokernel_coordinates(vectors)
-        return [
-            [sum_of_products(1, [(q, y[j]) for q, j in psi]) for psi in self._relations]
-            for y in vectors
-        ]
-
-
-def _all_exact(vectors) -> bool:
-    return all(x.exact for y in vectors for x in y)
 
 
 def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
@@ -735,10 +715,11 @@ def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
     :func:`realize_window`, which computes the window's bounds and runs the
     level and label checks; the lattice-sharp ("bottom") window is the
     subset of them below each component's bottom cut, ``2w`` above the
-    bottom of its top cut.  The kernel comes from the bottom rows, whose
-    forward pass is kept for it, the cokernel slots from the pivots of the
-    transposed top rows, so both are eliminated.  The three matrices are
-    built from the window's rows without the public constructor's checks.
+    bottom of its top cut.  The kernel comes from the bottom rows' forward
+    pass, the cokernel slots from the columns without a pivot in the
+    transposed top rows' pass; both passes are kept for the coordinate
+    reads.  The three matrices are built from the window's rows without the
+    public constructor's checks.
     """
     win = realize_window(op, w)
     zero = TowerElement.zero(1)
@@ -748,27 +729,46 @@ def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
         low.setdefault(c, e)
     bottom = [row for row, (c, e) in zip(rows, win.tgt_labels) if e < low[c] + 2 * w]
     bottom_pass = rank_kernel_det(SeriesMatrix._of_rows(bottom, 1))
-    covered = {c for _, c in rank_kernel_det(SeriesMatrix._of_rows(zip(*rows), 1)).pivots}
+    top_pass = rank_kernel_det(SeriesMatrix._of_rows(zip(*rows), 1))
+    covered = {c for _, c in top_pass.pivots}
     coker_slots = tuple(lab for k, lab in enumerate(win.tgt_labels) if k not in covered)
     return _SeriesReduction(
         w, win.src_labels, win.tgt_labels, len(win.src_labels) - bottom_pass.rank, coker_slots,
-        matrix=SeriesMatrix._of_rows(rows, 1), bottom=bottom_pass,
+        matrix=SeriesMatrix._of_rows(rows, 1), bottom=bottom_pass, top=top_pass,
     )
 
 
 class _SeriesReduction(OuterReduction):
-    """An outer reduction eliminated over the inner field."""
+    """An outer reduction eliminated over the inner field.
 
-    __slots__ = ("matrix", "bottom")
+    The kernel basis is the bottom pass's :attr:`Factorization.kernel`.  The
+    relations are the kernel of the transposed top pass, one vector per
+    column without a pivot, which is a slot: 1 there, 0 at the other slots,
+    and zero on every column of the window.
+    """
 
-    def __init__(self, *base, matrix: SeriesMatrix, bottom: Factorization):
+    __slots__ = ("matrix", "bottom", "top")
+
+    def __init__(self, *base, matrix: SeriesMatrix, bottom: Factorization, top: Factorization):
         super().__init__(*base)
         self.matrix = matrix
         self.bottom = bottom  # the bottom rows' forward pass
+        self.top = top  # the transposed top rows' forward pass
 
     @property
     def kernel(self) -> Tuple:
         return self.bottom.kernel
+
+    @property
+    def pivot_columns(self) -> frozenset:
+        return frozenset(c for _, c in self.bottom.pivots)
+
+    @property
+    def relations(self):
+        return [
+            [(q, j) for j, q in enumerate(psi) if not q.is_exactly_zero()]
+            for psi in self.top.kernel
+        ]
 
 
 class OuterStabilization(NamedTuple):

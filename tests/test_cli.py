@@ -964,15 +964,34 @@ command = cohomology
 """
 
 
+# a rank-3 gauged sum drawn by the same strategy, with constructed
+# irregularity 4: the third exact input of ROADMAP item 13
+THIRD_DRAW_SPEC = """[field]
+n = 1
+
+[connection]
+rank = 3
+A1 = [["-4*t1^-12 + 2*t1^-11 + 3*t1^-10 + 2*t1^-2", "-4*t1^-18 + 2*t1^-17 + 3*t1^-16 - 4*t1^-9 + 2*t1^-8 - 6*t1^-7", "0"], ["4*t1^-6 - 2*t1^-5 - 3*t1^-4", "4*t1^-12 - 2*t1^-11 - 3*t1^-10 + 4*t1^-3", "0"], ["0", "0", "2*t1^-2"]]
+
+[task]
+command = cohomology
+"""
+
+
+def main_report(tmp_path, capsys, text, *flags):
+    """``cli.main`` on the spec ``text``: the exit code, stderr and the report's lines."""
+    spec = tmp_path / "spec.hl"
+    spec.write_text(text)
+    code = cli.main([str(spec), *flags])
+    captured = capsys.readouterr()
+    return code, captured.err, dict(line.split(" = ", 1) for line in captured.out.splitlines())
+
+
 class TestExactInputsNeedTerms:
     @staticmethod
     def cohomology(tmp_path, capsys, *flags, text=GAUGED_SUM_SPEC, h1="2"):
-        spec = tmp_path / "gauged.hl"
-        spec.write_text(text)
-        code = cli.main([str(spec), *flags])
-        captured = capsys.readouterr()
-        assert (code, captured.err) == (0, "")
-        lines = dict(line.split(" = ", 1) for line in captured.out.splitlines())
+        code, err, lines = main_report(tmp_path, capsys, text, *flags)
+        assert (code, err) == (0, "")
         assert (lines["h0"], lines["h1"], lines["window_agrees"]) == ("0", h1, "yes")
 
     def test_gauged_sum_at_64_terms(self, tmp_path, capsys):
@@ -996,6 +1015,82 @@ class TestExactInputsNeedTerms:
     )
     def test_second_draw_at_the_default_flags(self, tmp_path, capsys):
         self.cohomology(tmp_path, capsys, text=SECOND_DRAW_SPEC, h1="1")
+
+    def test_third_draw_at_64_terms(self, tmp_path, capsys):
+        self.cohomology(tmp_path, capsys, "--precision", "64", text=THIRD_DRAW_SPEC, h1="4")
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="exits 1 with UndeterminedLeadingTerm at 32 terms, ROADMAP item 13",
+    )
+    def test_third_draw_at_the_default_flags(self, tmp_path, capsys):
+        self.cohomology(tmp_path, capsys, text=THIRD_DRAW_SPEC, h1="4")
+
+
+# d + diag(-1/(1 - t1), 0) dt1, whose sections are 1/(1 - t1) and 1: h0 = 2
+# and h1 = 2.  The cyclic vector (1, t1) has nabla^2 v = 0 exactly, so both
+# lower coefficients of the scalar operator are zero but inexact, and the
+# Newton polygon cannot read their valuation at any precision
+INEXACT_ZERO_SPEC = """[field]
+n = 1
+
+[connection]
+rank = 2
+A1 = [["-1/(1-t1)", "0"], ["0", "0"]]
+
+[task]
+command = cohomology
+"""
+
+# the same cause at n = 2, through the dual's certified degree
+INEXACT_ZERO_N2_SPEC = """[field]
+n = 2
+
+[connection]
+rank = 2
+A1 = [["1/(1-t1)", "0"], ["0", "0"]]
+A2 = [["1/t2", "0"], ["0", "2/t2"]]
+
+[task]
+command = verify
+"""
+
+ZERO_BUT_INEXACT = "exits 1 with UndeterminedLeadingTerm: operator coefficients are inexact zeros"
+
+
+class TestInexactZeroCoefficients:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ZERO_BUT_INEXACT)
+    @pytest.mark.parametrize("precision", ["16", "32", "64", "128"])
+    def test_cohomology_at_any_precision(self, tmp_path, capsys, precision):
+        code, err, lines = main_report(
+            tmp_path, capsys, INEXACT_ZERO_SPEC, "--precision", precision
+        )
+        assert (code, err) == (0, "")
+        assert (lines["h0"], lines["h1"]) == ("2", "2")
+
+    def test_sign_flip_is_read(self, tmp_path, capsys):
+        # diag(1/(1 - t1), 0) has the sections 1 - t1 and 1
+        text = INEXACT_ZERO_SPEC.replace("-1/(1-t1)", "1/(1-t1)")
+        code, err, lines = main_report(tmp_path, capsys, text)
+        assert (code, err) == (0, "")
+        assert (lines["h0"], lines["h1"]) == ("2", "2")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ZERO_BUT_INEXACT)
+    def test_verify_at_n2(self, tmp_path, capsys):
+        code, err, lines = main_report(tmp_path, capsys, INEXACT_ZERO_N2_SPEC)
+        assert (code, err) == (0, "")
+        assert (lines["check_duality"], lines["degree"]) == ("pass", "0")
+
+    def test_cohomology_and_epsilon_at_n2(self, tmp_path, capsys):
+        # only verify's certified degree of the dual fails
+        for command, keys, want in (
+            ("cohomology", ("h0", "h1", "h2"), ["2", "4", "2"]),
+            ("epsilon", ("degree",), ["0"]),
+        ):
+            text = INEXACT_ZERO_N2_SPEC.replace("verify", command)
+            code, err, lines = main_report(tmp_path, capsys, text)
+            assert (code, err, [lines[k] for k in keys]) == (0, "", want)
 
 
 def run_cli_capped(path):

@@ -928,6 +928,14 @@ def int_weighted_terms(draw):
 class TestFusedSums:
     """``sum_of_products`` is the chained ``*`` and ``+``, also with constant weights."""
 
+    @settings(deadline=None, max_examples=200)
+    @given(fused_elements(2), fused_elements(2))
+    def test_level2_sum_and_difference_match_the_oracle(self, a, b):
+        # + and - are two-term sums of products with int weights; level 1 is
+        # TestCanonicalNumerators.test_sum_difference_product
+        assert_same_element(a + b, oracle_add(a, b))
+        assert_same_element(a - b, oracle_add(a, -b))
+
     @settings(deadline=None, max_examples=400)
     @given(fused_terms(weighted=False))
     def test_sum_of_products_matches_chain(self, case):

@@ -212,10 +212,17 @@ def random_outer_operator(rng, rank, normalized):
 OuterWindow = namedtuple("OuterWindow", "src_labels tgt_labels matrix")
 
 
+def bottom_bounds(op, w):
+    """The bottom cut of the outer window [-w, w): ``[lo, lo + 2w)`` per
+    component, ``lo`` the bottom of its top cut (:func:`window_bounds`)."""
+    return [(lo, lo + 2 * w) for lo, _ in window_bounds(op, w)]
+
+
 def outer_window(op, w, mode):
-    """The outer window [-w, w) cut by ``window_bounds``, as a dense matrix
-    over the inner field."""
-    win = window_columns(op, (-w, w), window_bounds(op, w, mode))
+    """The outer window [-w, w) at its ``"top"`` or ``"bottom"`` cut, as a
+    dense matrix over the inner field."""
+    bounds = window_bounds(op, w) if mode == "top" else bottom_bounds(op, w)
+    win = window_columns(op, (-w, w), bounds)
     rows = [[col.get(k, F1.zero()) for col in win.columns] for k in range(len(win.tgt_labels))]
     return OuterWindow(win.src_labels, win.tgt_labels, SeriesMatrix(rows))
 
@@ -257,8 +264,8 @@ class TestOuterWindowCrossCheck:
             for normalized in (False, True):
                 op = random_outer_operator(rng, rank, normalized)
                 for w in (2, 4, 6):
-                    top = window_columns(op, (-w, w), window_bounds(op, w, "top"))
-                    cut = cut_rows(top, window_bounds(op, w, "bottom"))
+                    top = window_columns(op, (-w, w), window_bounds(op, w))
+                    cut = cut_rows(top, bottom_bounds(op, w))
                     bottom = outer_window(op, w, "bottom")
                     assert cut.src_labels == bottom.src_labels
                     assert cut.tgt_labels == bottom.tgt_labels
@@ -1053,7 +1060,8 @@ class TestOperatorLevel:
         )
         w = 8
         top = -1 if mode == "top" else -2
-        assert window_bounds(op, w, mode) == [(-w - 2, w + top), (-w, w)]
+        bounds = window_bounds(op, w) if mode == "top" else bottom_bounds(op, w)
+        assert bounds == [(-w - 2, w + top), (-w, w)]
 
 
 def directional_profile(i, C, V):
