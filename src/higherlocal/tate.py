@@ -547,9 +547,9 @@ class OuterReduction:
         the unit at slot ``s`` is ``psi_s(y)``, ``psi_s`` the slot's
         relation.
         """
+        relations = self.relations
         return [
-            [sum_of_products(1, [(q, y[j]) for q, j in psi]) for psi in self.relations]
-            for y in vectors
+            [sum_of_products(1, [(q, y[j]) for q, j in psi]) for psi in relations] for y in vectors
         ]
 
     @property

@@ -1051,7 +1051,9 @@ def oracle_induced_action(C, red):
 def read_action(C, red):
     """The induced actions read off the reduction, per level: the images'
     entries at the free columns of the kernel basis, and ``psi_s(y)`` per
-    slot relation ``psi_s``."""
+    slot relation ``psi_s``.  This copies the formula of
+    ``OuterReduction``'s coordinate reads, so it pins their windows and
+    exactness, not their values; the oracle's ``agrees_with`` checks those."""
     kernel_images, slot_images, _, _ = induced_images(C, red)
     free = [f for f in range(len(red.src_labels)) if f not in red.pivot_columns]
     return (
@@ -1065,7 +1067,8 @@ def assert_action_matches_the_oracle(C, normalizer, outer, exact):
     """``induced_inner_connections`` against :func:`oracle_induced_action`:
     the same failure, or per level coordinates that agree with the oracle's.
     With ``A1`` ``exact`` the entries are the oracle's, in value, exactness
-    and bound; otherwise each is :func:`read_action`'s exactly."""
+    and bound; otherwise each is :func:`read_action`'s exactly, and
+    ``agrees_with`` the oracle's, the one check independent of the code."""
     red = outer.reduction
     levels = oracle_induced_action(C, red)
     try:
