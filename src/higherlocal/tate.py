@@ -46,14 +46,13 @@ routes: :func:`operator_index` over one variable or along the inner one,
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
-from .linalg import Factorization, SeriesMatrix, echelon_kernel, echelon_relations
+from .linalg import SeriesMatrix, echelon_kernel, echelon_relations
 from .linalg import rank_kernel_det, sparse_echelon
 from .series import TowerElement, TowerField, _element, sum_of_products
 
@@ -484,32 +483,39 @@ class OuterReduction:
 
     The kernel is that of the lattice-sharp ("bottom") window, and the
     cokernel slots are the target labels of the top window's rows left out
-    of its greedy row basis in label order.  ``ker_dim`` and the slots are
-    read off the eliminations.  Each route is a subclass that gives what
-    its eliminations hold: the top window's ``matrix``, entries over the
-    inner field; the ``kernel`` basis, tuples of inner-field elements
-    indexed by ``src_labels``, each 1 at its own free column and 0 at the
-    other free columns; the bottom elimination's ``pivot_columns``; and,
-    per slot, its ``relations``, ``(weight, row)`` pairs of a functional on
-    the target rows that is 1 at the slot, 0 at the other slots and
-    vanishes on the window's image.  Those are built when first read, so a
-    window that the settle rule discards builds no kernel basis.  Two
-    reductions are equal when their windows, labels, matrices, kernel bases
-    and cokernel slots are.
+    of its greedy row basis in label order.  Both routes return this
+    record, with the bottom elimination's ``pivot_columns`` (so ``ker_dim``
+    is the number of source labels without a pivot) and two callables that
+    build, from the route's own eliminations, the ``kernel`` basis, tuples
+    of inner-field elements indexed by ``src_labels``, each 1 at its own
+    free column and 0 at the other free columns; and, per slot, its
+    ``relations``, ``(weight, row)`` pairs of a functional on the target
+    rows that is 1 at the slot, 0 at the other slots and vanishes on the
+    window's image.  Each is built once, when first read, so a window that
+    the settle rule discards builds neither.  Reductions compare by
+    identity.
 
     The two coordinate maps read every vector off those, on both routes;
     nothing is eliminated again.
     """
 
-    __slots__ = ("window", "src_labels", "tgt_labels", "ker_dim", "coker_slots")
-
     def __init__(
-        self, window: int, src_labels: Tuple, tgt_labels: Tuple, ker_dim: int, coker_slots: Tuple
+        self, window: int, src_labels: Tuple, tgt_labels: Tuple, coker_slots: Tuple,
+        pivot_columns, kernel: Callable[[], Tuple], relations: Callable[[], List],
     ):
         # labels are (component, outer exponent); coker_slots are the tgt
         # labels representing the cokernel
         self.window, self.src_labels, self.tgt_labels = window, src_labels, tgt_labels
-        self.ker_dim, self.coker_slots = ker_dim, coker_slots
+        self.coker_slots, self.pivot_columns = coker_slots, pivot_columns
+        self._kernel, self._relations = kernel, relations
+
+    @cached_property
+    def kernel(self) -> Tuple:
+        return self._kernel()
+
+    @cached_property
+    def relations(self) -> List:
+        return self._relations()
 
     def kernel_coordinates(self, vectors) -> List[Optional[List[TowerElement]]]:
         """Per vector indexed by ``src_labels``, its coordinates in the kernel
@@ -553,19 +559,12 @@ class OuterReduction:
         ]
 
     @property
+    def ker_dim(self) -> int:
+        return len(self.src_labels) - len(self.pivot_columns)
+
+    @property
     def coker_dim(self) -> int:
         return len(self.coker_slots)
-
-    def _values(self):
-        return (
-            self.window, self.src_labels, self.tgt_labels, self.matrix, self.kernel,
-            self.coker_slots,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, OuterReduction):
-            return NotImplemented
-        return self._values() == other._values()
 
 
 def reduce_outer_window(
@@ -581,8 +580,9 @@ def reduce_outer_window(
     windows) and eliminated fraction-free over Q
     (:func:`_reduce_outer_integer`); any other ``op`` takes the series
     route (:func:`_reduce_outer_series`), whose :func:`realize_window`
-    computes the window's bounds and runs both checks.  Both give equal
-    reductions.
+    computes the window's bounds and runs both checks.  Both give the same
+    labels, slots, pivot columns, kernel basis and relations, an int weight
+    of the integer route being the inner-field constant of the series one.
     """
     if probes is None and op.level == 2:
         probes = _outer_probes(op)
@@ -652,60 +652,30 @@ def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReducti
                     row[k] = row.get(k, 0) + f * n
     rows = [{k: n for k, n in row.items() if n} for row in rows]
     m = len(src_labels)
-    echelon, relations = echelon_relations(rows, m)
+    echelon, row_relations = echelon_relations(rows, m)
     bottom = [row for row, (c, e) in zip(rows, tgt_labels) if e < bounds[c][0] + 2 * w]
     if len(bottom) < len(rows):  # the top cut is higher: the kernel is the bottom rows'
         echelon = sparse_echelon(bottom)
-    slots = tuple(tgt_labels[k] for k in relations)
-    return _IntegerReduction(
-        w, src_labels, tgt_labels, m - len(echelon), slots,
-        rows=rows, dens=probes.dens, echelon=echelon, relations=relations,
-    )
 
-
-class _IntegerReduction(OuterReduction):
-    """An outer reduction read over Q from its window's own integer elimination.
-
-    The kernel basis is the rref basis of the bottom rows' echelon
-    (:func:`echelon_kernel`), and ``pivot_columns`` is that echelon.  The
-    relation of slot ``s`` is the dependency relation of row ``s`` on the
-    rows before it in the label-order pass, scaled to the rational rows.
-    The kernel, the relations and the matrix are built when first read.
-    """
-
-    def __init__(self, *base, rows, dens, echelon, relations):
-        super().__init__(*base)
-        self.rows = rows  # the top window in label order
-        self.dens = dens  # D_i per component
-        self.pivot_columns = echelon  # the bottom rows' echelon
-        self.row_relations = relations  # per slot row, its relation on the integer rows
-
-    @cached_property
-    def matrix(self) -> SeriesMatrix:
-        entries = [[TowerElement.zero(1)] * len(self.src_labels) for _ in self.rows]
-        for out, (c, _), row in zip(entries, self.tgt_labels, self.rows):
-            for k, n in row.items():
-                out[k] = TowerElement.constant(1, Fraction(n, self.dens[c]))
-        return SeriesMatrix._of_rows(entries, 1)
-
-    @cached_property
-    def kernel(self) -> Tuple:
-        basis = echelon_kernel(self.pivot_columns, len(self.src_labels))
+    def kernel():
+        basis = echelon_kernel(echelon, m)
         return tuple(tuple(TowerElement.constant(1, q) for q in x) for x in basis)
 
-    @cached_property
-    def relations(self):
+    def relations():
         # row (i, e) is D_i times the rational one, so a relation q of the
         # integer rows is q_j D_i(j) / D_i(s) on the rational ones
-        dens = [self.dens[c] for c, _ in self.tgt_labels]
-        relations = []
-        for s, found in self.row_relations.items():
+        dens = [probes.dens[c] for c, _ in tgt_labels]
+        out = []
+        for s, found in row_relations.items():
             psi = ((q * dens[j] / dens[s], j) for j, q in found.items())
-            relations.append([
+            out.append([
                 (q.numerator if q.denominator == 1 else TowerElement.constant(1, q), j)
                 for q, j in psi
             ])
-        return relations
+        return out
+
+    slots = tuple(tgt_labels[k] for k in row_relations)
+    return OuterReduction(w, src_labels, tgt_labels, slots, echelon, kernel, relations)
 
 
 def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
@@ -718,7 +688,7 @@ def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
     bottom of its top cut.  The kernel comes from the bottom rows' forward
     pass, the cokernel slots from the columns without a pivot in the
     transposed top rows' pass; both passes are kept for the coordinate
-    reads.  The three matrices are built from the window's rows without the
+    reads.  The two matrices are built from the window's rows without the
     public constructor's checks.
     """
     win = realize_window(op, w)
@@ -732,43 +702,20 @@ def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
     top_pass = rank_kernel_det(SeriesMatrix._of_rows(zip(*rows), 1))
     covered = {c for _, c in top_pass.pivots}
     coker_slots = tuple(lab for k, lab in enumerate(win.tgt_labels) if k not in covered)
-    return _SeriesReduction(
-        w, win.src_labels, win.tgt_labels, len(win.src_labels) - bottom_pass.rank, coker_slots,
-        matrix=SeriesMatrix._of_rows(rows, 1), bottom=bottom_pass, top=top_pass,
-    )
 
-
-class _SeriesReduction(OuterReduction):
-    """An outer reduction eliminated over the inner field.
-
-    The kernel basis is the bottom pass's :attr:`Factorization.kernel`.  The
-    relations are the kernel of the transposed top pass, one vector per
-    column without a pivot, which is a slot: 1 there, 0 at the other slots,
-    and zero on every column of the window.
-    """
-
-    __slots__ = ("matrix", "bottom", "top")
-
-    def __init__(self, *base, matrix: SeriesMatrix, bottom: Factorization, top: Factorization):
-        super().__init__(*base)
-        self.matrix = matrix
-        self.bottom = bottom  # the bottom rows' forward pass
-        self.top = top  # the transposed top rows' forward pass
-
-    @property
-    def kernel(self) -> Tuple:
-        return self.bottom.kernel
-
-    @property
-    def pivot_columns(self) -> frozenset:
-        return frozenset(c for _, c in self.bottom.pivots)
-
-    @property
-    def relations(self):
+    def relations():
+        # the transposed top pass's kernel: one vector per slot, 1 there, 0
+        # at the other slots and zero on every column of the window
         return [
             [(q, j) for j, q in enumerate(psi) if not q.is_exactly_zero()]
-            for psi in self.top.kernel
+            for psi in top_pass.kernel
         ]
+
+    pivots = frozenset(c for _, c in bottom_pass.pivots)
+    return OuterReduction(
+        w, win.src_labels, win.tgt_labels, coker_slots, pivots, lambda: bottom_pass.kernel,
+        relations,
+    )
 
 
 class OuterStabilization(NamedTuple):

@@ -143,6 +143,21 @@ def labelled_entries(win):
     }
 
 
+def reduction_fields(red) -> tuple:
+    """What an outer reduction gives, for comparing two of them: window,
+    labels, kernel basis, slots, the set of pivot columns and the relations
+    as ``{row: weight}`` dicts, an int weight read as the inner-field
+    constant.  Reading it builds the kernel basis and the relations."""
+    relations = [
+        {j: TowerElement.constant(1, q) if isinstance(q, int) else q for q, j in psi}
+        for psi in red.relations
+    ]
+    return (
+        red.window, red.src_labels, red.tgt_labels, red.kernel, red.coker_slots,
+        set(red.pivot_columns), relations,
+    )
+
+
 def probe_entries(op: MatrixDiffOp, w: int, W: int) -> dict:
     """The rows of ``LatticeProbes(op).rows(w, W)`` as ``{(target label, source label): value}``.
 

@@ -978,6 +978,20 @@ command = cohomology
 """
 
 
+# a rank-5 gauged sum drawn by the same strategy, with constructed
+# irregularity 4: the fourth exact input of ROADMAP item 13
+FOURTH_DRAW_SPEC = """[field]
+n = 1
+
+[connection]
+rank = 5
+A1 = [["-4*t1^-10 + 2*t1^-9 + t1^-8 + 2*t1^-2", "-4*t1^-16 + 2*t1^-15 + t1^-14 - 4*t1^-9 + 2*t1^-8 - 6*t1^-7", "0", "0", "0"], ["4*t1^-4 - 2*t1^-3 - t1^-2", "4*t1^-10 - 2*t1^-9 - t1^-8 + 4*t1^-3", "0", "0", "0"], ["0", "0", "0", "2/3*t1^-1", "0"], ["0", "0", "0", "1/3*t1^-1", "2/3*t1^-1"], ["0", "0", "2/3*t1^-2", "0", "2/3*t1^-1"]]
+
+[task]
+command = cohomology
+"""
+
+
 def main_report(tmp_path, capsys, text, *flags):
     """``cli.main`` on the spec ``text``: the exit code, stderr and the report's lines."""
     spec = tmp_path / "spec.hl"
@@ -1026,6 +1040,17 @@ class TestExactInputsNeedTerms:
     )
     def test_third_draw_at_the_default_flags(self, tmp_path, capsys):
         self.cohomology(tmp_path, capsys, text=THIRD_DRAW_SPEC, h1="4")
+
+    def test_fourth_draw_at_64_terms(self, tmp_path, capsys):
+        self.cohomology(tmp_path, capsys, "--precision", "64", text=FOURTH_DRAW_SPEC, h1="4")
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="exits 1 with UndeterminedLeadingTerm at 32 terms, ROADMAP item 13",
+    )
+    def test_fourth_draw_at_the_default_flags(self, tmp_path, capsys):
+        self.cohomology(tmp_path, capsys, text=FOURTH_DRAW_SPEC, h1="4")
 
 
 # d + diag(-1/(1 - t1), 0) dt1, whose sections are 1/(1 - t1) and 1: h0 = 2
