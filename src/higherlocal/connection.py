@@ -111,22 +111,27 @@ class Connection:
     def nabla(self, i: int, vec: Sequence[TowerElement]) -> Tuple[TowerElement, ...]:
         """Covariant derivative along variable i of a column vector.
 
-        Above level 1 each entry is ``v_a.derive(i) + sum_of_products(A[a],
-        vec)``.  At level 1 the whole vector is one integer pass over the
-        reading of ``A`` kept on the connection (:meth:`_read`): entry ``a``
-        is ``v_a' + sum_b A[a][b] v_b`` summed in integers over one common
+        Entry ``a`` is ``v_a.derive(i) + sum_b A[a][b] v_b``.  Above level 1
+        it is one :func:`~higherlocal.series.sum_of_products`, the derivative
+        its pair with the int weight 1.  At level 1 the whole vector is one
+        integer pass over the reading of ``A`` kept on the connection
+        (:meth:`_read`): each entry is summed in integers over one common
         denominator, cut at the bound that expression has (``v_a'`` is known
         below ``hi - 1``, a pair with an exact-zero factor is skipped, each
         other pair is known below its product bound), and built once.  Value,
         window and exactness are those of the expression.
         """
-        if self.field.level != 1:
-            Av = self.matrices[i - 1].apply(vec)
-            return tuple(v.derive(i) + w for v, w in zip(vec, Av))
-        if i != 1:
-            raise LevelMismatch(f"variable index {i} out of range for level 1")
         if len(vec) != self.rank:
             raise ValueError("vector length mismatch")
+        level = self.field.level
+        if level != 1:
+            A = self.matrices[i - 1].entries
+            return tuple(
+                sum_of_products(level, chain(((1, v.derive(i)),), zip(row, vec)))
+                for v, row in zip(vec, A)
+            )
+        if i != 1:
+            raise LevelMismatch(f"variable index {i} out of range for level 1")
         D, rows = self._read()
         dv = lcm(*(v.numerators()[0] for v in vec))
         # lo is the valuation lower bound of an element not exactly zero
@@ -169,11 +174,15 @@ class Connection:
         return self._reading
 
     def along(self, cvec: Sequence[TowerElement]) -> SeriesMatrix:
-        """``sum_k c_k A_k``, the matrix part of nabla along ``sum_k c_k d/dt_k``."""
-        terms = [M.scale(c) for M, c in zip(self.matrices, cvec) if not c.is_exactly_zero()]
-        if not terms:
-            return SeriesMatrix.zeros(self.field, self.rank, self.rank)
-        return sum(terms[1:], terms[0])
+        """``sum_k c_k A_k``, the matrix part of nabla along ``sum_k c_k d/dt_k``.
+
+        Each entry is one :func:`~higherlocal.series.sum_of_products` of the
+        pairs ``(c_k, A_k[a][b])``.
+        """
+        level, r = self.field.level, range(self.rank)
+        mats = [(c, M.entries) for c, M in zip(cvec, self.matrices)]
+        rows = [[sum_of_products(level, ((c, A[a][b]) for c, A in mats)) for b in r] for a in r]
+        return SeriesMatrix._of_rows(rows, level)
 
     # -- checks -----------------------------------------------------------------
 
@@ -229,12 +238,8 @@ class Connection:
     # -- pairings ------------------------------------------------------------------
 
     def pair(self, s: Sequence[TowerElement], t: Sequence[TowerElement]) -> TowerElement:
-        acc = None
-        for a, b in zip(s, t):
-            term = a * b
-            acc = term if acc is None else acc + term
-        assert acc is not None
-        return acc
+        """``sum_a s_a t_a``, one :func:`~higherlocal.series.sum_of_products`."""
+        return sum_of_products(self.field.level, zip(s, t))
 
     def adjunction_defect(self, i: int, s, t) -> TowerElement:
         """<nabla_i s, t> + <s, nabla^v_i t> - d_i<s, t>; zero when duality holds."""

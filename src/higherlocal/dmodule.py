@@ -51,26 +51,22 @@ def wronskian(ys: Sequence[TowerElement]) -> TowerElement:
 
 
 def _det_exact(M: SeriesMatrix) -> TowerElement:
-    """Cofactor determinant; fine for the small sizes used here."""
+    """Cofactor determinant; fine for the small sizes used here.
+
+    The expansion along the first row is one
+    :func:`~higherlocal.series.sum_of_products` of the signed entries and
+    their minors' determinants; an exact-zero entry's minor is not expanded.
+    """
     n = M.rows
     if n == 1:
         return M[0, 0]
-    acc = None
-    for j in range(n):
-        x = M[0, j]
-        if x.is_exactly_zero():
-            continue
-        minor = SeriesMatrix(
-            [
-                [M[i, jj] for jj in range(n) if jj != j]
-                for i in range(1, n)
-            ]
-        )
-        term = x * _det_exact(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else TowerElement.zero(M.level)
+    rest = M.entries[1:]
+    cofactors = (
+        (-x if j % 2 else x, _det_exact(SeriesMatrix([row[:j] + row[j + 1:] for row in rest])))
+        for j, x in enumerate(M.entries[0])
+        if not x.is_exactly_zero()
+    )
+    return sum_of_products(M.level, cofactors)
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +126,13 @@ class ScalarOperator:
         return len(self.coeffs) - 1
 
     def apply(self, f: TowerElement) -> TowerElement:
-        acc = None
-        d = f
+        """``sum_i a_i X^i f``, one :func:`~higherlocal.series.sum_of_products`."""
         t = TowerElement.monomial(1, [1])
-        for i, a in enumerate(self.coeffs):
-            if i > 0:
-                d = d.derive(1) if self.form == PARTIAL else t * d.derive(1)
-            if a.is_exactly_zero():
-                continue
-            term = a * d
-            acc = term if acc is None else acc + term
-        assert acc is not None
-        return acc
+        powers = [f]
+        for _ in self.coeffs[1:]:
+            d = powers[-1].derive(1)
+            powers.append(d if self.form == PARTIAL else t * d)
+        return sum_of_products(1, zip(self.coeffs, powers))
 
     def to_theta(self) -> "ScalarOperator":
         """Rewrite t^m * (this operator) in powers of theta; exact."""

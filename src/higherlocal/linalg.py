@@ -358,27 +358,23 @@ def _forward(entries: Sequence[Sequence[TowerElement]], precision: int) -> Facto
     )
 
 
-def _factorization(M: SeriesMatrix, prec: Optional[int]) -> Factorization:
-    """``M``'s kept forward pass at ``prec`` terms, the working precision when None."""
-    prec = working_precision() if prec is None else prec
-    fac = M._factored
-    if fac is None or fac.precision != prec:
-        fac = M._factored = _forward(M.entries, prec)
-    return fac
-
-
 def rank_kernel_det(M: SeriesMatrix, prec: Optional[int] = None) -> Factorization:
     """``M``'s forward pass, row-reduced over the field with minimal-valuation pivoting.
 
     Raises :class:`UndeterminedPivot` when a column has no certified-nonzero
     candidate but carries entries that are only zero up to precision.  The
-    result is the pass ``M`` keeps (:func:`_factorization`) for a later
-    :func:`solve` or :func:`inverse`: its ``rank`` and ``pivots`` come from
-    the forward pass alone, and its ``kernel`` (a back-substitution) and
-    ``determinant`` (a product of pivots) are built when first read.  It is
-    made at ``prec`` terms, as :func:`solve` and :func:`inverse` make theirs.
+    pass is made at ``prec`` terms (the working precision when None) and
+    kept on ``M``, so a later call at the same precision, and :func:`solve`
+    and :func:`inverse`, which read theirs here, reuse it: its ``rank`` and
+    ``pivots`` come from the forward pass alone, and its ``kernel`` (a
+    back-substitution) and ``determinant`` (a product of pivots) are built
+    when first read.
     """
-    return _factorization(M, prec)
+    prec = working_precision() if prec is None else prec
+    fac = M._factored
+    if fac is None or fac.precision != prec:
+        fac = M._factored = _forward(M.entries, prec)
+    return fac
 
 
 def _determinant(fac: Factorization) -> TowerElement:
@@ -395,7 +391,7 @@ def _nonsingular(M: SeriesMatrix, what: str, prec: Optional[int]) -> Factorizati
     """The forward pass of the square ``M``, which must have certified full rank."""
     if M.rows != M.cols:
         raise ValueError(f"{what} needs a square matrix")
-    fac = _factorization(M, prec)
+    fac = rank_kernel_det(M, prec)
     if fac.rank < M.rows:
         c = min(set(range(M.rows)) - {pc for _, pc in fac.pivots})
         raise UndeterminedPivot(c, f"matrix is singular at column {c}")

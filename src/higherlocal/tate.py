@@ -54,7 +54,7 @@ from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
 from .linalg import SeriesMatrix, echelon_kernel, echelon_relations
 from .linalg import rank_kernel_det, sparse_echelon
-from .series import TowerElement, TowerField, _element, sum_of_products
+from .series import TowerElement, TowerField, sum_of_products
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
 OUTER_SCHEDULE = (4, 6, 8, 12)
@@ -86,6 +86,8 @@ class MatrixDiffOp:
     __slots__ = ("rank", "coeffs")
 
     def __init__(self, rank: int, coeffs: Dict[int, SeriesMatrix]):
+        if not coeffs:
+            raise ValueError("an operator needs at least one coefficient matrix")
         self.rank = rank
         self.coeffs = dict(coeffs)
         for M in coeffs.values():
@@ -120,25 +122,23 @@ class MatrixDiffOp:
                 if not x.is_exactly_zero():
                     yield d, x
 
+    def _deltas(self, i: int) -> Tuple[int, int]:
+        """``(delta_bottom(i), delta_top(i))``, read off row ``i`` at once.
+
+        Each entry of row ``i`` of ``C_d`` not exactly zero gives the shift
+        ``v - d``, ``v`` its valuation lower bound.  The bottom is the least
+        shift (0 for a zero row), the top the least of the ``d >= 1`` ones
+        (the bottom when there are none).
+        """
+        shifts = [(d, x.valuation_lower_bound() - d) for d, x in self._row_entries(i)]
+        bottom = min((s for _, s in shifts), default=0)
+        return bottom, min((s for d, s in shifts if d >= 1), default=bottom)
+
     def delta_bottom(self, i: int) -> int:
-        vals = []
-        for d, x in self._row_entries(i):
-            v = x.valuation_lower_bound()
-            if v is not None:
-                vals.append(v - d)
-        return min(vals) if vals else 0
+        return self._deltas(i)[0]
 
     def delta_top(self, i: int) -> int:
-        vals = []
-        for d, x in self._row_entries(i):
-            if d < 1:
-                continue
-            v = x.valuation_lower_bound()
-            if v is not None:
-                vals.append(v - d)
-        if vals:
-            return min(vals)
-        return self.delta_bottom(i)
+        return self._deltas(i)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +605,8 @@ def _outer_probes(op: MatrixDiffOp) -> Optional[LatticeProbes]:
         return None
 
     def strip(x):
-        # the constants n/d over the lcm of their d: canonical, as each n/d is
-        parts = [(m, *q.numerators()) for m, q in x.coeffs.items()]
-        den = lcm(*(d for _, d, _ in parts))
-        return _element(1, {m: n * (den // d) for m, d, ((_, n),) in parts}, den, None)
+        # the inner constants as the coefficients of a level-1 element
+        return TowerElement(1, {m: q.coefficient(0) for m, q in x.coeffs.items()}, None, True)
 
     coeffs = {d: [[strip(x) for x in row] for row in M.entries] for d, M in op.coeffs.items()}
     return LatticeProbes(

@@ -37,10 +37,23 @@ def nabla_by_products(C, i: int, vec):
     """``v_a.derive(i) + sum_of_products(A_i[a], vec)`` for each entry ``a``.
 
     The covariant derivative expression by expression, the oracle of
-    ``Connection.nabla``'s level-1 integer pass.
+    ``Connection.nabla`` at every level: of the level-1 integer pass, and of
+    the one fused sum per entry above level 1.
     """
     Av = C.matrices[i - 1].apply(vec)
     return tuple(v.derive(i) + w for v, w in zip(vec, Av))
+
+
+def along_by_scaling(C, cvec):
+    """``sum_k c_k A_k`` as the chained sum of the matrices ``A_k.scale(c_k)``.
+
+    An exact-zero ``c_k`` is skipped, and none left gives the zero matrix:
+    the oracle of ``Connection.along``'s one fused sum per entry.
+    """
+    terms = [M.scale(c) for M, c in zip(C.matrices, cvec) if not c.is_exactly_zero()]
+    if not terms:
+        return SeriesMatrix.zeros(C.field, C.rank, C.rank)
+    return sum(terms[1:], terms[0])
 
 
 def operator_by_recursion(x):

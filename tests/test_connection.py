@@ -18,7 +18,7 @@ from higherlocal.connection import (
 from higherlocal.errors import InsufficientPrecision, LevelMismatch, NotFlat
 from higherlocal.linalg import SeriesMatrix
 from higherlocal.series import OneForm, TowerElement, TowerField
-from helpers import nabla_by_products
+from helpers import along_by_scaling, nabla_by_products
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -281,12 +281,20 @@ def level1_covariant_cases(draw):
     return Connection(F1, [A]), tuple(draw(level1_entries()) for _ in range(r))
 
 
+@st.composite
+def level2_covariant_cases(draw):
+    """A connection of ``level2_connections``, a vector and a frame, exact or truncated."""
+    C = draw(level2_connections())
+    entry = level2_entries(draw(st.booleans()))
+    return C, tuple(draw(entry) for _ in range(C.rank)), (draw(entry), draw(entry))
+
+
 def same_vector(xs, ys):
     return [(x, x.hi, x.exact, x.lo) for x in xs] == [(y, y.hi, y.exact, y.lo) for y in ys]
 
 
 class TestCovariantDerivative:
-    """``nabla`` at level 1, one integer pass, against ``v' + A v`` expression by expression."""
+    """``nabla`` and ``along`` against ``v' + A v`` and ``sum_k c_k A_k`` expression by expression."""
 
     @settings(deadline=None, max_examples=300)
     @given(level1_covariant_cases())
@@ -325,6 +333,36 @@ class TestCovariantDerivative:
             C.nabla(2, (F1.one(), F1.one()))
         with pytest.raises(ValueError, match="length"):
             C.nabla(1, (F1.one(),))
+
+    @settings(deadline=None, max_examples=150)
+    @given(level2_covariant_cases())
+    def test_level2_sums_match_expression(self, case):
+        C, vec, _ = case
+        for i in (1, 2):
+            assert same_vector(C.nabla(i, vec), nabla_by_products(C, i, vec))
+
+    def test_level2_truncated_entry(self):
+        t1, t2 = F2.gen(1), F2.gen(2)
+        a = (t2 ** -1 + t1 * t2).truncate(1)  # t2^-1 + O(t2)
+        vec = ((1 + t1 ** -1 * t2 + t2 ** 3).truncate(5), t1 * t2 ** 2)
+        C = Connection(F2, [m2([[t1 ** -1, 0], [1, t2]]), m2([[a, 0], [Fraction(1, 3), t1]])])
+        for i in (1, 2):
+            assert same_vector(C.nabla(i, vec), nabla_by_products(C, i, vec))
+        # a*v_0 is known below 1 + v(v_0) = 1, short of d_2 v_0 (below 4)
+        got = C.nabla(2, vec)
+        assert [x.hi for x in got] == [1, 5] and not got[0].exact
+
+    @settings(deadline=None, max_examples=100)
+    @given(level2_covariant_cases())
+    def test_along_matches_scaled_sum(self, case):
+        C, _, cvec = case
+        got, want = C.along(cvec).entries, along_by_scaling(C, cvec).entries
+        assert [same_vector(x, y) for x, y in zip(got, want)] == [True] * C.rank
+
+    def test_along_zero_frame(self):
+        C = Connection(F2, [m2([[1, 0], [0, 1]]), m2([[0, F2.gen(1)], [1, 0]])])
+        zero = F2.zero()
+        assert C.along((zero, zero)) == along_by_scaling(C, (zero, zero))
 
 
 class TestPairing:

@@ -868,6 +868,11 @@ class TestOuterRouteTruth:
             (2, 2), id="t1-gauged",
             marks=outer_pin("exits 1 with UndeterminedPivot, ROADMAP item 17"),
         ),
+        # free of t1 but truncated: the series outer route (ROADMAP M7)
+        pytest.param(
+            ZERO2, [["0", "1/(2*t2^2*(1 - t2))"], ["0", "-1/t2"]], (1, 1),
+            id="truncated", marks=outer_pin("prints (2, 4, 2), ROADMAP items 2 and 16"),
+        ),
     ])
     def test_cohomology(self, tmp_path, capsys, A1, A2, dims_t2):
         lines = run_n2(tmp_path, capsys, A1, A2, "cohomology")

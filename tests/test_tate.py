@@ -1028,6 +1028,26 @@ class TestOperatorLevel:
             op = MatrixDiffOp.from_connection(Connection.trivial(F, 1))
             assert op.level == F.level
 
+    def test_operator_needs_a_coefficient(self):
+        # the level is read off the coefficients, so there must be one
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            MatrixDiffOp(1, {})
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_displacements_of_each_row(self, level):
+        # row 0 is d/dt + t^-2, row 1 is t^3 with no d >= 1 entry, row 2 is zero
+        F = TowerField(level)
+        t, one, zero = F.gen(level), F.one(), F.zero()
+        op = MatrixDiffOp(
+            3,
+            {
+                1: SeriesMatrix([[one, zero, zero], [zero] * 3, [zero] * 3]),
+                0: SeriesMatrix([[t ** -2, zero, zero], [zero, t ** 3, zero], [zero] * 3]),
+            },
+        )
+        got = [(op.delta_bottom(i), op.delta_top(i)) for i in range(3)]
+        assert got == [(-2, -1), (3, 3), (0, 0)]
+
     def test_operator_index_rejects_two_variables(self):
         op = MatrixDiffOp.from_connection(Connection.trivial(F2, 1))
         with pytest.raises(UnsupportedFrame, match="implemented for one variable"):
