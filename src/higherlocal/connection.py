@@ -124,14 +124,14 @@ class Connection:
         if len(vec) != self.rank:
             raise ValueError("vector length mismatch")
         level = self.field.level
+        if not 1 <= i <= level:
+            raise LevelMismatch(f"variable index {i} out of range for level {level}")
         if level != 1:
             A = self.matrices[i - 1].entries
             return tuple(
                 sum_of_products(level, chain(((1, v.derive(i)),), zip(row, vec)))
                 for v, row in zip(vec, A)
             )
-        if i != 1:
-            raise LevelMismatch(f"variable index {i} out of range for level 1")
         D, rows = self._read()
         dv = lcm(*(v.numerators()[0] for v in vec))
         # lo is the valuation lower bound of an element not exactly zero

@@ -29,8 +29,8 @@ the derivative term's displacement for the cokernel, and its
 kernel/cokernel are then finite-dimensional inner-field spaces with
 explicit bounded outer windows.  An operator whose coefficients are exact
 with rational constant inner coefficients is read once, stripped to the
-outer variable, by :class:`LatticeProbes`, and its windows are built from
-that reading as integer rows and eliminated by one label-order pass,
+outer variable, by :class:`LatticeProbes`; its windows are read off the
+probes ``M(-w, W)`` as integer rows and eliminated by one label-order pass,
 :func:`~higherlocal.linalg.echelon_relations`; any other is realized by
 :func:`window_columns` and eliminated over the inner field.  A reduction
 (:class:`OuterReduction`) maps a vector to its coordinates in the kernel
@@ -220,16 +220,25 @@ class LatticeProbes:
         known below ``W`` (``W > known - w``) raises
         :class:`InsufficientPrecision`.
         """
-        r, delta = self.rank, self.delta
-        top, lo = W - delta, delta - w
-        n = r * (W - lo)  # labels on either side
+        top = W - self.delta
+        n = self.rank * (top + w)  # labels on either side
         _check_labels(n, n)
         if self.known is not None and self.known - w < W and -w < top:
             raise InsufficientPrecision("operator coefficients are too short for this window")
+        return self._build(w, W, top)
+
+    def _build(self, w: int, W: int, stop: int) -> List[dict]:
+        """The rows of ``M(-w, W)`` on the sources below ``stop``, without :meth:`rows`' checks.
+
+        Column ``r s + r - 1 - j`` is source ``(j, stop - 1 - s)``, so with
+        ``stop = W - delta`` these are :meth:`rows`.
+        """
+        r, lo = self.rank, self.delta - w
+        n = r * (W - lo)
         rows: List[dict] = [{} for _ in range(n)]
         falling = [1] * (self.order + 1)  # falling[d] = e (e - 1) ... (e - d + 1)
         k = 0
-        for e in range(top - 1, -w - 1, -1):
+        for e in range(stop - 1, -w - 1, -1):
             for d in range(1, self.order + 1):
                 falling[d] = falling[d - 1] * (e - d + 1)
             for comp_terms in reversed(self.terms):
@@ -606,6 +615,8 @@ def _outer_probes(op: MatrixDiffOp) -> Optional[LatticeProbes]:
 
     def strip(x):
         # the inner constants as the coefficients of a level-1 element
+        if x.is_exactly_zero():
+            return TowerElement.zero(1)
         return TowerElement(1, {m: q.coefficient(0) for m, q in x.coeffs.items()}, None, True)
 
     coeffs = {d: [[strip(x) for x in row] for row in M.entries] for d, M in op.coeffs.items()}
@@ -617,38 +628,24 @@ def _outer_probes(op: MatrixDiffOp) -> Optional[LatticeProbes]:
 def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReduction:
     """:func:`reduce_outer_window` on the integer reading of ``op``.
 
-    The top window is built from ``probes.terms`` as integer rows in label
-    order: ``n t^m`` (over ``D_i``) in ``C_d[i, j]`` sends ``t^e`` to
-    ``falling(e, d) n`` at exponent ``e - d + m`` of component ``i``, so
-    row ``(i, e)`` is ``D_i`` times the rational one.  One label-order pass
-    over them (:func:`echelon_relations`) gives the cokernel slots, the rows
-    that reduce to zero (the series route's greedy row basis), with their
+    The top window is read off the lattice probe ``M(-w, W)``, ``W`` the
+    highest top cut, built on the sources below ``w``: row ``(i, e)``,
+    ``D_i`` times the rational one, is the probe's row of target ``(i, e)``
+    with its columns in label order, and a probe row of component ``i``
+    below ``lo_i`` with an entry is a broken hull.  One label-order pass
+    (:func:`echelon_relations`) gives the cokernel slots, the rows that
+    reduce to zero (the series route's greedy row basis), with their
     relations.  The kernel is that of the bottom rows, below ``lo_i + 2w``:
     the same pass's when the two cuts coincide, else a :func:`sparse_echelon`.
     """
-    r = probes.rank
-    src_labels, tgt_labels, offset = _window_layout(r, (-w, w), bounds)
-    rows: List[dict] = [{} for _ in tgt_labels]
-    falling = [1] * (probes.order + 1)  # falling[d] = e (e - 1) ... (e - d + 1)
-    for e in range(-w, w):
-        for d in range(1, probes.order + 1):
-            falling[d] = falling[d - 1] * (e - d + 1)
-        for j, comp_terms in enumerate(probes.terms):
-            k = 2 * w * j + e + w  # the column of source (j, e)
-            for d, i, coeffs in comp_terms:
-                f = falling[d]
-                if not f:
-                    continue
-                lo, hi = bounds[i]
-                if coeffs[0][0] // r + e - d < lo:
-                    raise AssertionError("image fell below the certified hull")
-                for rm, n in coeffs:
-                    ee = rm // r + e - d
-                    if ee >= hi:
-                        break
-                    row = rows[offset[i] + ee]
-                    row[k] = row.get(k, 0) + f * n
-    rows = [{k: n for k, n in row.items() if n} for row in rows]
+    r, lo = probes.rank, probes.delta - w
+    probe = probes._build(w, max(hi for _, hi in bounds), w)
+    if any(probe[r * (e - lo) + i] for i, (lo_i, _) in enumerate(bounds) for e in range(lo, lo_i)):
+        raise AssertionError("image fell below the certified hull")
+    src_labels, tgt_labels, _ = _window_layout(r, (-w, w), bounds)
+    # probe column r s + r - 1 - j, source (j, w - 1 - s), is label column 2w j + 2w - 1 - s
+    label = [2 * w * j + 2 * w - 1 - s for s in range(2 * w) for j in reversed(range(r))]
+    rows = [{label[k]: n for k, n in probe[r * (e - lo) + i].items()} for i, e in tgt_labels]
     m = len(src_labels)
     echelon, row_relations = echelon_relations(rows, m)
     bottom = [row for row, (c, e) in zip(rows, tgt_labels) if e < bounds[c][0] + 2 * w]

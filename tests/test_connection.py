@@ -334,6 +334,14 @@ class TestCovariantDerivative:
         with pytest.raises(ValueError, match="length"):
             C.nabla(1, (F1.one(),))
 
+    def test_level2_variable_index(self):
+        # above level 1 too, an index outside 1..level is a LevelMismatch,
+        # not a bare IndexError from the matrix list
+        C = Connection.trivial(F2, 1)
+        for i in (0, 3):
+            with pytest.raises(LevelMismatch, match=f"variable index {i} out of range for level 2"):
+                C.nabla(i, (F2.one(),))
+
     @settings(deadline=None, max_examples=150)
     @given(level2_covariant_cases())
     def test_level2_sums_match_expression(self, case):

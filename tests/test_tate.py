@@ -455,6 +455,34 @@ class TestOuterRoutes:
         derham.induced_inner_connections(C, outer=outer)
         assert calls == []
 
+    def test_label_limit_is_the_windows_own(self):
+        # the probe M(-4, 3) behind this window has 5 * 14,007 = 70,035
+        # labels a side, past the limit; the window itself has 40 source and
+        # 14,039 target labels, and reduces on the integer route
+        pole = F2.gen(2) ** -14000
+        P = SeriesMatrix([[pole if i == j == 0 else F2.zero() for j in range(5)] for i in range(5)])
+        calls = []
+        with self.counting_realizations(calls):
+            red = reduce_outer_window(MatrixDiffOp.first_order(F2.one(), P), 4)
+        assert not calls
+        assert (red.ker_dim, red.coker_dim) == (4, 14003)
+
+    def test_broken_hull_is_caught(self, monkeypatch):
+        # with component 0's bottom raised by one, t2^-3 sends t2^-4 below
+        # the window on both routes
+        t2, zero = F2.gen(2), F2.zero()
+        op = MatrixDiffOp.first_order(F2.one(), SeriesMatrix([[t2 ** -3, zero], [F2.one(), zero]]))
+        bounds = tate.window_bounds
+
+        def raised(op, w):
+            (lo, hi), *rest = bounds(op, w)
+            return [(lo + 1, hi), *rest]
+
+        monkeypatch.setattr(tate, "window_bounds", raised)
+        for route in (reduce_outer_window, tate._reduce_outer_series):
+            with pytest.raises(AssertionError, match="image fell below the certified hull"):
+                route(op, 4)
+
     def test_t1_dependent_operators_take_the_series_route(self):
         rng = random.Random(1807)
         for rank in (1, 2):
