@@ -10,10 +10,11 @@ positions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import HigherLocalError, SpecSyntaxError
-from .series import TowerElement, TowerField
+from .series import TowerElement, TowerField, _element
 
 # an integer literal may have at most this many digits: the default of
 # Python's limit on str-to-int conversion, which is process-wide
@@ -144,15 +145,14 @@ def _pow(a: Laurent, n: int, level: int) -> Laurent:
 
 
 def _laurent_element(level: int, terms: Laurent) -> TowerElement:
-    """The exact element with the monomials ``terms``, from the public constructor."""
+    """The exact element with the nonzero monomials ``terms``, built from its canonical
+    parts: at level 1 the numerators over the lcm of the denominators."""
     if level == 1:
-        return TowerElement(1, {e: q for (e,), q in terms.items()}, None, True)
-    return TowerElement(
-        level,
-        {e: _laurent_element(level - 1, t) for e, t in _by_outer(terms).items()},
-        None,
-        True,
-    )
+        den = lcm(*(q.denominator for q in terms.values()))
+        nums = {e: q.numerator * (den // q.denominator) for (e,), q in terms.items()}
+        return _element(1, nums, den, None)
+    inner = {e: _laurent_element(level - 1, t) for e, t in _by_outer(terms).items()}
+    return _element(level, inner, 1, None)
 
 
 class ExpressionParser:

@@ -449,35 +449,19 @@ def _cancel(r: dict, p: dict, c: int) -> dict:
     return _primitive(out)
 
 
-def _integer_row(raw: dict) -> dict:
-    """The primitive integer row with the span of ``raw``, zeros dropped.
-
-    A row of nonzero ints, as level-1 windows hand over, is only divided by
-    its content; any other row is first scaled by the lcm of its
-    denominators.
-    """
-    if 0 not in raw.values():
-        try:
-            return _primitive(raw)
-        except TypeError:  # a Fraction entry
-            pass
-    den = lcm(*(v.denominator for v in raw.values()))
-    return _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
-
-
 def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
-    """Echelon pivots of a sparse rational matrix; returns {col: row dict}.
+    """Echelon pivots of a sparse integer matrix; returns {col: row dict}.
 
-    Rows are dicts mapping column indices to ints or rationals (zeros are
-    dropped).  The elimination is fraction-free: each row is made a
-    primitive integer row (:func:`_integer_row`; a row of nonzero ints is
-    taken as it is, up to its content), and a row is cleared at a pivot
-    column ``c`` by :func:`_cancel`.  Each pivot row returned is primitive
-    with integer entries and its leading entry at ``c``; it is a nonzero
-    multiple of the row that elimination over Q with unit pivots would give,
-    so pivots and ranks are those of the rational matrix, and scaling an
-    input row changes neither.  Banded inputs stay banded, so this is much
-    faster than dense elimination on window matrices.
+    Rows are dicts mapping column indices to nonzero ints, taken as given:
+    a caller with rational rows clears their denominators first (as
+    :func:`kernel_q` does).  The elimination is fraction-free: a row is
+    cleared at a pivot column ``c`` by :func:`_cancel`, which returns it
+    primitive.  Each pivot row returned has integer entries and its leading
+    entry at ``c``; it is a nonzero multiple of the row that elimination
+    over Q with unit pivots would give (primitive unless it is an input row
+    kept as given), so pivots and ranks are those of the rational matrix,
+    and scaling an input row changes neither.  Banded inputs stay banded,
+    so this is much faster than dense elimination on window matrices.
 
     ``echelon``, the result of an earlier call, is continued over ``rows``:
     it is extended in place and returned, and is then the echelon of the
@@ -487,8 +471,7 @@ def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
     left of a column ``k`` is the rank of the columns left of ``k``.
     """
     pivots: dict = {} if echelon is None else echelon
-    for raw in rows:
-        r = _integer_row(raw)
+    for r in rows:
         while r:
             c = min(r)
             p = pivots.get(c)
@@ -502,8 +485,9 @@ def sparse_echelon(rows, echelon: Optional[dict] = None) -> dict:
 def echelon_relations(rows, m: int) -> Tuple[dict, Dict[int, Dict[int, Fraction]]]:
     """A :func:`sparse_echelon` of ``rows`` on ``m`` columns that keeps the dependency relations.
 
-    Returns ``(pivots, relations)``.  Row ``k`` carries its own unit at the
-    tag column ``m + k``, so a row whose columns all cancel is left with its
+    The rows are :func:`sparse_echelon`'s, taken as given.  Returns
+    ``(pivots, relations)``.  Row ``k`` carries its own unit at the tag
+    column ``m + k``, so a row whose columns all cancel is left with its
     relation: ``relations[k] = {j: q_j}`` with ``sum_j q_j rows[j] = 0``,
     ``q_k = 1`` and every other ``j`` a kept row before ``k``.  ``pivots``
     has :func:`sparse_echelon`'s pivot columns and, below column ``m``,
@@ -514,7 +498,7 @@ def echelon_relations(rows, m: int) -> Tuple[dict, Dict[int, Dict[int, Fraction]
     pivots: dict = {}
     relations = {}
     for k, raw in enumerate(rows):
-        r = _integer_row({**raw, m + k: 1})
+        r = {**raw, m + k: 1}
         while True:
             c = min(r)
             if c >= m:
@@ -552,7 +536,13 @@ def echelon_kernel(echelon: dict, m: int) -> List[List[Fraction]]:
 
 
 def kernel_q(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right kernel over Q of the dense ``rows``: the rref basis."""
+    """Basis of the right kernel over Q of the dense ``rows``: the rref basis.
+
+    Each row is cleared of its denominators, zeros dropped, into the integer
+    row that :func:`sparse_echelon` takes.
+    """
     if not rows:
         return []
-    return echelon_kernel(sparse_echelon([dict(enumerate(r)) for r in rows]), len(rows[0]))
+    dens = [lcm(*(v.denominator for v in row)) for row in rows]
+    cleared = [{c: int(v * d) for c, v in enumerate(row) if v} for row, d in zip(rows, dens)]
+    return echelon_kernel(sparse_echelon(cleared), len(rows[0]))

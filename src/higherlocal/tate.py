@@ -54,7 +54,7 @@ from .connection import Connection
 from .errors import InsufficientPrecision, UnsupportedFrame, WindowTooLarge
 from .linalg import SeriesMatrix, echelon_kernel, echelon_relations
 from .linalg import rank_kernel_det, sparse_echelon
-from .series import TowerElement, TowerField, sum_of_products
+from .series import TowerElement, sum_of_products
 
 DEFAULT_SCHEDULE = (8, 12, 16, 24, 32)
 OUTER_SCHEDULE = (4, 6, 8, 12)
@@ -103,34 +103,41 @@ class MatrixDiffOp:
     def from_connection(
         cls, C: Connection, normalizer: Optional[TowerElement] = None
     ) -> "MatrixDiffOp":
-        """The operator h^(-1) (d/dt + A) for the 1-form normalizer h dt, t outermost."""
-        hinv = C.field.one() if normalizer is None else normalizer.invert()
+        """The operator h^(-1) (d/dt + A) for the 1-form normalizer h dt, t outermost.
+
+        With no normalizer or the exact 1 it is d/dt + A, with ``A`` itself.
+        """
+        one = C.field.one()
+        if normalizer is None or normalizer == one:
+            return cls.first_order(one, C.matrices[-1])
+        hinv = normalizer.invert()
         return cls.first_order(hinv, C.matrices[-1].scale(hinv))
 
     @classmethod
     def first_order(cls, c: TowerElement, P: SeriesMatrix) -> "MatrixDiffOp":
-        """The operator c d/dt + P."""
-        I = SeriesMatrix.identity(TowerField(c.level), P.rows)
-        return cls(P.rows, {1: I.scale(c), 0: P})
+        """The operator c d/dt + P, whose derivative coefficient is ``diag(c)``."""
+        zero = TowerElement.zero(c.level)
+        diag = [[c if i == j else zero for j in range(P.rows)] for i in range(P.rows)]
+        return cls(P.rows, {1: SeriesMatrix._of_rows(diag, c.level), 0: P})
 
     # -- displacement hulls ----------------------------------------------------
 
-    def _row_entries(self, i: int):
-        for d, M in self.coeffs.items():
-            for j in range(self.rank):
-                x = M[i, j]
-                if not x.is_exactly_zero():
-                    yield d, x
+    def _row_entries(self, i: int) -> List[Tuple[int, int, TowerElement]]:
+        """``(d, j, C_d[i, j])`` for each entry of row ``i`` not exactly zero."""
+        return [(d, j, x) for d, M in self.coeffs.items() for j, x in enumerate(M.entries[i])
+                if not x.is_exactly_zero()]
 
-    def _deltas(self, i: int) -> Tuple[int, int]:
+    def _deltas(self, i: int, entries=None) -> Tuple[int, int]:
         """``(delta_bottom(i), delta_top(i))``, read off row ``i`` at once.
 
         Each entry of row ``i`` of ``C_d`` not exactly zero gives the shift
         ``v - d``, ``v`` its valuation lower bound.  The bottom is the least
         shift (0 for a zero row), the top the least of the ``d >= 1`` ones
-        (the bottom when there are none).
+        (the bottom when there are none).  ``entries``: the row's
+        :meth:`_row_entries`, when the caller has read them.
         """
-        shifts = [(d, x.valuation_lower_bound() - d) for d, x in self._row_entries(i)]
+        entries = self._row_entries(i) if entries is None else entries
+        shifts = [(d, x.valuation_lower_bound() - d) for d, _, x in entries]
         bottom = min((s for _, s in shifts), default=0)
         return bottom, min((s for d, s in shifts if d >= 1), default=bottom)
 
@@ -171,28 +178,23 @@ class LatticeProbes:
     def __init__(self, op: MatrixDiffOp):
         r = self.rank = op.rank
         self.order = max(op.coeffs)
-        self.delta = min(op.delta_bottom(i) for i in range(r))
-        self.offset = -sum(op.delta_top(i) for i in range(r))
-        self.known = min(
-            (x.hi - d for i in range(r) for d, x in op._row_entries(i) if not x.exact),
-            default=None,
-        )
         self.terms = [[] for _ in range(r)]
         self.dens = []
-        for i in range(r):
-            entries = [
-                (d, j, M[i, j])
-                for d, M in op.coeffs.items()
-                for j in range(r)
-                if not M[i, j].is_exactly_zero()
-            ]
-            den = lcm(*(x.numerators()[0] for _, _, x in entries))
+        hulls, cuts = [], []
+        for i in range(r):  # each row read once
+            entries = op._row_entries(i)
+            hulls.append(op._deltas(i, entries))
+            cuts += [x.hi - d for d, _, x in entries if not x.exact]
+            read = [(d, j, *x.numerators()) for d, j, x in entries]
+            den = lcm(*(xden for _, _, xden, _ in read))
             self.dens.append(den)
-            for d, j, x in entries:
-                xden, items = x.numerators()
+            for d, j, xden, items in read:
                 if items:
                     coeffs = sorted((r * m, n * (den // xden)) for m, n in items)
                     self.terms[j].append((d, i, coeffs))
+        self.delta = min(bottom for bottom, _ in hulls)
+        self.offset = -sum(top for _, top in hulls)
+        self.known = min(cuts, default=None)
 
     def cut(self, w: int) -> int:
         """``2w``, lowered to the highest exponent at which the image of ``t^-w`` is known.
@@ -237,16 +239,19 @@ class LatticeProbes:
         n = r * (W - lo)
         rows: List[dict] = [{} for _ in range(n)]
         falling = [1] * (self.order + 1)  # falling[d] = e (e - 1) ... (e - d + 1)
+        # per component, descending: (d, base less r e, coefficients) per term
+        placed = [[(d, i - r * (d + lo), q) for d, i, q in comp] for comp in reversed(self.terms)]
         k = 0
         for e in range(stop - 1, -w - 1, -1):
             for d in range(1, self.order + 1):
                 falling[d] = falling[d - 1] * (e - d + 1)
-            for comp_terms in reversed(self.terms):
-                for d, i, coeffs in comp_terms:
+            re = r * e
+            for comp_terms in placed:
+                for d, offset, coeffs in comp_terms:
                     f = falling[d]
                     if not f:
                         continue
-                    base = r * (e - d - lo) + i  # t^m goes to row r m + base
+                    base = re + offset  # t^m goes to row r m + base
                     if coeffs[0][0] + base < 0:
                         raise AssertionError("image fell below the certified hull")
                     for rm, q in coeffs:
@@ -479,7 +484,7 @@ def window_bounds(op: MatrixDiffOp, w: int) -> List[Tuple[int, int]]:
     (:func:`reduce_outer_window`) reads its kernel off the bottom cut and
     its cokernel off the top one.
     """
-    return [(-w + op.delta_bottom(i), w + op.delta_top(i)) for i in range(op.rank)]
+    return [(-w + bottom, w + top) for bottom, top in map(op._deltas, range(op.rank))]
 
 
 def realize_window(op: MatrixDiffOp, w: int) -> WindowRealization:

@@ -3,7 +3,7 @@
 import copy
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from higherlocal import series
 from higherlocal.derham import EdgeOperator
@@ -107,6 +107,22 @@ def with_zero_direction(B, i: int):
     return clone
 
 
+def integer_rows(rows):
+    """The rational sparse ``rows`` as the integer rows ``sparse_echelon`` takes.
+
+    Each row is scaled by the lcm of its denominators and divided by its
+    content, zeros dropped: a primitive row of nonzero ints with the span of
+    the rational one (an empty row for a zero one).
+    """
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row.values()))
+        ints = {c: int(v * den) for c, v in row.items() if v}
+        g = gcd(*ints.values())
+        out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
+    return out
+
+
 def rref_q(rows):
     """Reduced row echelon form over Q; returns (rank, pivot columns, rref).
 
@@ -182,7 +198,7 @@ def probe_entries(op: MatrixDiffOp, w: int, W: int) -> dict:
     """
     probes = LatticeProbes(op)
     r, top, lo = op.rank, W - probes.delta, probes.delta - w
-    dens = [lcm(*(x.numerators()[0] for _, x in op._row_entries(i))) for i in range(r)]
+    dens = [lcm(*(x.numerators()[0] for _, _, x in op._row_entries(i))) for i in range(r)]
     entries = {}
     for at, row in enumerate(probes.rows(w, W)):
         t, i = divmod(at, r)

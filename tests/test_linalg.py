@@ -21,7 +21,7 @@ from higherlocal.linalg import (
 )
 from higherlocal.series import TowerElement, TowerField
 from higherlocal.tate import LatticeProbes, MatrixDiffOp
-from helpers import from_scalar, probe_entries, rref_q
+from helpers import from_scalar, integer_rows, probe_entries, rref_q
 
 F1 = TowerField(1)
 F2 = TowerField(2)
@@ -555,7 +555,8 @@ def ref_sparse_echelon(rows) -> dict:
 
 
 # small and large numerators of both signs over small, coprime and large
-# denominators; zeros are stored entries the eliminators must drop
+# denominators; zeros are stored entries, which integer_rows drops before
+# the eliminators take the rows
 sparse_values = st.builds(
     Fraction,
     st.integers(-3, 3) | st.integers(-2**70, 2**70),
@@ -587,12 +588,13 @@ def sparse_matrices(draw):
 
 
 class TestSparseEliminationOracle:
-    """The fraction-free sparse eliminator against elimination over Q."""
+    """The fraction-free sparse eliminator against elimination over Q, on
+    rational draws cleared to integer rows (``integer_rows``)."""
 
     @settings(deadline=None, max_examples=100)
     @given(sparse_matrices())
     def test_pivot_rows_are_scaled_rational_rows(self, case):
-        rows, _ = case
+        rows = integer_rows(case[0])
         pivots = sparse_echelon(rows)
         ref = ref_sparse_echelon(rows)
         assert list(pivots) == list(ref)
@@ -602,11 +604,13 @@ class TestSparseEliminationOracle:
             assert {cc: Fraction(v, row[c]) for cc, v in row.items()} == ref[c]
 
     def test_integer_and_empty_inputs(self):
-        # empty rows, explicit zeros, and Fraction and int rows of one span
+        # empty rows add nothing; an int row is taken as given, not divided
+        # by its content, while a row reduced at a pivot is made primitive
         cases = [
             ([], {}),
-            ([{}, {0: 0, 1: Fraction(0)}], {}),
-            ([{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}], {0: {0: 1, 1: 2}}),
+            ([{}, {}], {}),
+            ([{0: 2, 1: 4}, {0: 1, 1: 2}], {0: {0: 2, 1: 4}}),
+            ([{0: 2, 1: 4}, {0: 2, 1: 6}], {0: {0: 2, 1: 4}, 1: {1: 1}}),
         ]
         for rows, expected in cases:
             pivots = sparse_echelon(rows)
@@ -644,7 +648,7 @@ class TestEchelonRelations:
     @given(sparse_matrices(), st.integers(0, 2))
     @example(([{0: Fraction(1)}], 1), 1)  # a tag past the last used column would be column 1
     def test_pivots_kernel_and_relations(self, case, empty):
-        rows, ncols = case
+        rows, ncols = integer_rows(case[0]), case[1]
         m = ncols + empty  # columns past ncols are in no row
         pivots, relations = echelon_relations(rows, m)
         assert list(pivots) == list(sparse_echelon(rows))

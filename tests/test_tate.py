@@ -1,6 +1,8 @@
 """Windowed operator indices, lattice probes, outer windows and directional profiles."""
 
+import math
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from unittest import mock
@@ -192,6 +194,63 @@ class TestWindowCrossCheck:
                                 if ee < W:
                                     expected[(i, ee), (c, e)] = q
                 assert probe_entries(op, w, W) == expected
+
+
+def random_element(rng, level, exact):
+    """An element of ``level`` with outer exponents -2 .. 1, exact or known
+    below 0 .. 2 (an inexact zero now and then), its inner coefficients
+    likewise."""
+    coeffs = {}
+    for k in range(-2, 2):
+        if rng.random() < 0.5:
+            if level == 1:
+                coeffs[k] = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3)))
+            else:
+                coeffs[k] = random_element(rng, 1, exact or rng.random() < 0.5)
+    if exact:
+        return TowerElement(level, coeffs, None, True)
+    return TowerElement(level, coeffs, rng.randint(0, 2), False)
+
+
+class TestUnitFreeOperators:
+    """``c d/dt + P`` holds ``diag(c)``, and the unit normalizer scales nothing."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_unit_normalizer_multiplies_nothing(self, level, monkeypatch):
+        rng = random.Random(level)
+        F = TowerField(level)
+        one = F.one()
+        mul, calls = TowerElement.__mul__, []
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        for exact in (True, False):
+            for rank in (1, 2, 3):
+                A = SeriesMatrix(
+                    [[random_element(rng, level, exact) for _ in range(rank)] for _ in range(rank)]
+                )
+                C = Connection(F, [A] * level)
+                monkeypatch.setattr(TowerElement, "__mul__", counted)
+                monkeypatch.setattr(TowerElement, "__rmul__", counted)
+                ops = [
+                    MatrixDiffOp.from_connection(C),
+                    MatrixDiffOp.from_connection(C, normalizer=TowerElement.constant(level, 1)),
+                ]
+                monkeypatch.undo()
+                assert calls == []
+                identity = SeriesMatrix.identity(F, rank)
+                for op in ops:
+                    assert op.coeffs == {1: identity.scale(one), 0: A.scale(one)}
+                # diag(c) is identity.scale(c) in value, window and exactness
+                c = random_element(rng, level, exact)
+                assert MatrixDiffOp.first_order(c, A).coeffs[1] == identity.scale(c)
+                # a normalizer other than the unit still scales
+                h = F.gen(level) ** -1
+                hinv = h.invert()
+                op = MatrixDiffOp.from_connection(C, normalizer=h)
+                assert op.coeffs == {1: identity.scale(hinv), 0: A.scale(hinv)}
 
 
 def random_outer_operator(rng, rank, normalized):
@@ -738,7 +797,7 @@ def own_probe_index(op, schedule):
     delta = min(op.delta_bottom(i) for i in range(r))
     offset = -sum(op.delta_top(i) for i in range(r))
     known = min(
-        (x.hi - d for i in range(r) for d, x in op._row_entries(i) if not x.exact),
+        (x.hi - d for i in range(r) for d, _, x in op._row_entries(i) if not x.exact),
         default=None,
     )
     trace = []
@@ -964,6 +1023,39 @@ class TestIntegerWindowRoute:
         monkeypatch.undo()
         assert rep.stabilized
         assert built == []
+
+
+    def test_fresh_rows_are_not_divided_by_their_content(self, monkeypatch):
+        # only a row reduced at a pivot is made primitive; the probe rows go
+        # into the eliminator as built, and their pivot columns are those of
+        # the same rows divided by their content first.  Both rows of the
+        # second-order operator pivot on a t^-3 term of component 0, so its
+        # probes cancel too
+        t, zero = F1.gen(1), F1.zero()
+        second_order = MatrixDiffOp(2, {
+            2: SeriesMatrix([[2 * F1.one(), zero], [zero, 2 * F1.one()]]),
+            0: SeriesMatrix([[2 * t ** -3, 2 * t ** -1], [2 * t ** -3, 4 * t ** -2]]),
+        })
+        rank4 = MatrixDiffOp.from_connection(parse_specfile(RANK4_SPEC).connection)
+        for op in (rank4, second_order):
+            probes = LatticeProbes(op)
+            for w in DEFAULT_SCHEDULE:
+                rows = probes.rows(w, probes.cut(w))
+                primitive = [
+                    {c: v // math.gcd(*row.values()) for c, v in row.items()} for row in rows
+                ]
+                assert primitive != rows
+                assert sorted(sparse_echelon(rows)) == sorted(sparse_echelon(primitive))
+            primitive_of, callers = linalg._primitive, []
+
+            def recorded(row):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return primitive_of(row)
+
+            monkeypatch.setattr(linalg, "_primitive", recorded)
+            operator_index(op)
+            monkeypatch.undo()
+            assert callers and set(callers) == {"_cancel"}
 
 
 class TestWindowPrecision:
