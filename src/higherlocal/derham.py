@@ -309,7 +309,7 @@ def _direction_acyclicity(
     except (UnsupportedFrame, WindowTooLarge, UndeterminedPivot) as exc:
         return DirectionResult(i, False, str(exc), unsupported=True), None
     detail = "window dimensions " + ("kept growing" if at is None else "stabilized")
-    return DirectionResult(k, at is not None, detail, trace), outer
+    return DirectionResult(i, at is not None, detail, trace), outer
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ rows that :meth:`higherlocal.tate.LatticeProbes.rows` builds, and
 each row it drops, for the outer windows whose entries are rational
 constants; :func:`echelon_kernel` back-substitutes the kernel basis of
 either.  Other outer windows, those of
-:func:`higherlocal.tate.window_columns`, have inner-field entries, and
+:func:`higherlocal.tate.realize_window`, have inner-field entries, and
 :func:`rank_kernel_det` eliminates them.  :func:`kernel_q`, the kernel of
 dense rational rows, has no caller in the package and stays only as a
 layer that ``bench/tracing.py`` wraps.

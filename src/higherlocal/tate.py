@@ -32,7 +32,9 @@ with rational constant inner coefficients is read once, stripped to the
 outer variable, by :class:`LatticeProbes`; its windows are read off the
 probes ``M(-w, W)`` as integer rows and eliminated by one label-order pass,
 :func:`~higherlocal.linalg.echelon_relations`; any other is realized by
-:func:`window_columns` and eliminated over the inner field.  A reduction
+:func:`realize_window`, the one series-window builder, and eliminated over
+the inner field.  Both routes take the window's bounds and labels from
+:func:`_outer_layout`, where an outer window is checked.  A reduction
 (:class:`OuterReduction`) maps a vector to its coordinates in the kernel
 basis and on the cokernel slots, read off the route's own eliminations,
 with nothing eliminated again.  The outer windows are the fixed
@@ -384,14 +386,47 @@ class WindowRealization(NamedTuple):
     columns: List[dict]  # sparse columns: {target row index: inner-field entry}
 
 
-def window_columns(
-    op: MatrixDiffOp,
-    src: Tuple[int, int],
-    bounds: Sequence[Tuple[int, int]],
-) -> WindowRealization:
-    """Matrix of a two-variable ``op`` from the exponents ``src = [lo, hi)`` in every component.
+def window_bounds(op: MatrixDiffOp, w: int) -> List[Tuple[int, int]]:
+    """Target exponents ``[lo, hi)`` per component for the window [-w, w): the top cut.
 
-    Target component ``i`` keeps the exponents ``bounds[i] = [lo, hi)``.
+    The target reaches down to the full displacement hull, so no image
+    coefficient is lost at the bottom, and is cut at the derivative term's
+    displacement.  A zero row has both displacements 0, so it keeps the
+    source window.  The bottom cut, the sharp image of a deep lattice, is
+    ``[lo, lo + 2w)``, a subset of these rows; the outer-window reduction
+    (:func:`reduce_outer_window`) reads its kernel off the bottom cut and
+    its cokernel off the top one.
+    """
+    return [(-w + bottom, w + top) for bottom, top in map(op._deltas, range(op.rank))]
+
+
+def _outer_layout(op: MatrixDiffOp, w: int):
+    """``(bounds, src_labels, tgt_labels, offset)`` of the outer window [-w, w), checked.
+
+    A one-variable ``op`` raises :class:`UnsupportedFrame`, and a window
+    with more than ``MAX_WINDOW_LABELS`` labels on a side
+    :class:`WindowTooLarge`, before any label is built.  The bounds are
+    :func:`window_bounds`, the labels ``(component, outer exponent)``
+    component-major, and the target row of ``(i, e)`` is ``offset[i] + e``.
+    """
+    if op.level != 2:
+        raise UnsupportedFrame("outer windows are implemented for two variables")
+    bounds = window_bounds(op, w)
+    _check_labels(2 * w * op.rank, sum(hi - lo for lo, hi in bounds))
+    src_labels = tuple((c, e) for c in range(op.rank) for e in range(-w, w))
+    tgt_labels = tuple((c, e) for c, b in enumerate(bounds) for e in range(*b))
+    offset, start = [], 0
+    for lo, hi in bounds:
+        offset.append(start - lo)
+        start += hi - lo
+    return bounds, src_labels, tgt_labels, offset
+
+
+def realize_window(op: MatrixDiffOp, w: int) -> WindowRealization:
+    """Matrix of a two-variable ``op`` on the outer window [-w, w), cut at :func:`window_bounds`.
+
+    Target component ``i`` keeps the exponents ``bounds[i] = [lo, hi)``
+    (:func:`_outer_layout`, which runs the level and label checks first).
     Columns are written straight from the coefficient dicts: a coefficient
     ``q t^m`` of ``C_d[i, comp]`` sends ``t^e`` to ``falling(e, d) q`` at
     exponent ``e - d + m`` of component ``i``, where ``t`` is the outer
@@ -403,13 +438,9 @@ def window_columns(
     are cut (quotient semantics); one below ``lo`` is a broken hull.  An
     inexact coefficient must be known up to ``hi``: its product with the
     monomial is known below ``entry.hi + e - d``, and a sum is known below
-    the least bound of its terms.  A one-variable ``op`` raises
-    :class:`UnsupportedFrame`, and a window with more than
-    ``MAX_WINDOW_LABELS`` labels on a side raises :class:`WindowTooLarge`,
-    before anything is built.
+    the least bound of its terms.
     """
-    _check_outer(op, src, bounds)
-    src_labels, tgt_labels, offset = _window_layout(op.rank, src, bounds)
+    bounds, src_labels, tgt_labels, offset = _outer_layout(op, w)
     # terms[d][comp]: (i, inexact bound or None, [(m, coefficient), ...])
     terms = {}
     for d, M in op.coeffs.items():
@@ -449,47 +480,6 @@ def window_columns(
         fused = ((row, sum_of_products(1, pairs)) for row, pairs in col.items())
         columns.append({row: q for row, q in fused if not q.is_exactly_zero()})
     return WindowRealization(src_labels, tgt_labels, columns)
-
-
-def _check_outer(op: MatrixDiffOp, src: Tuple[int, int], bounds) -> None:
-    """Raise for a one-variable ``op`` or a window past the label limit, before any building."""
-    if op.level != 2:
-        raise UnsupportedFrame("outer windows are implemented for two variables")
-    _check_labels(op.rank * (src[1] - src[0]), sum(hi - lo for lo, hi in bounds))
-
-
-def _window_layout(rank: int, src: Tuple[int, int], bounds):
-    """Source and target labels, component-major, and the row offsets of an outer window.
-
-    The target row of ``(i, e)`` is ``offset[i] + e``.
-    """
-    src_labels = tuple((c, e) for c in range(rank) for e in range(*src))
-    tgt_labels = tuple((c, e) for c in range(rank) for e in range(*bounds[c]))
-    offset = []
-    start = 0
-    for lo, hi in bounds:
-        offset.append(start - lo)
-        start += hi - lo
-    return src_labels, tgt_labels, offset
-
-
-def window_bounds(op: MatrixDiffOp, w: int) -> List[Tuple[int, int]]:
-    """Target exponents ``[lo, hi)`` per component for the window [-w, w): the top cut.
-
-    The target reaches down to the full displacement hull, so no image
-    coefficient is lost at the bottom, and is cut at the derivative term's
-    displacement.  A zero row has both displacements 0, so it keeps the
-    source window.  The bottom cut, the sharp image of a deep lattice, is
-    ``[lo, lo + 2w)``, a subset of these rows; the outer-window reduction
-    (:func:`reduce_outer_window`) reads its kernel off the bottom cut and
-    its cokernel off the top one.
-    """
-    return [(-w + bottom, w + top) for bottom, top in map(op._deltas, range(op.rank))]
-
-
-def realize_window(op: MatrixDiffOp, w: int) -> WindowRealization:
-    """Matrix of a two-variable ``op`` on [-w, w) outer windows, cut by :func:`window_bounds`."""
-    return window_columns(op, (-w, w), window_bounds(op, w))
 
 
 class OuterReduction:
@@ -586,36 +576,35 @@ def reduce_outer_window(
 ) -> OuterReduction:
     """Kernel and cokernel slots of a two-variable ``op`` on the outer window [-w, w).
 
-    A one-variable ``op`` raises :class:`UnsupportedFrame`, and a window
-    past the label limit :class:`WindowTooLarge`, before either route
+    Both routes take the window's bounds and labels from
+    :func:`_outer_layout`, whose level and label checks run before either
     builds anything.  An ``op`` whose coefficients are exact with rational
     constant inner coefficients is read as integers (:func:`_outer_probes`;
     ``probes`` is that reading, made once by a caller that reduces several
     windows) and eliminated fraction-free over Q
     (:func:`_reduce_outer_integer`); any other ``op`` takes the series
-    route (:func:`_reduce_outer_series`), whose :func:`realize_window`
-    computes the window's bounds and runs both checks.  Both give the same
+    route (:func:`_reduce_outer_series`).  Both give the same
     labels, slots, pivot columns, kernel basis and relations, an int weight
     of the integer route being the inner-field constant of the series one.
     """
-    if probes is None and op.level == 2:
+    if probes is None:
         probes = _outer_probes(op)
     if probes is None:
         return _reduce_outer_series(op, w)
-    bounds = window_bounds(op, w)
-    _check_outer(op, (-w, w), bounds)
-    return _reduce_outer_integer(probes, w, bounds)
+    return _reduce_outer_integer(probes, w, _outer_layout(op, w))
 
 
 def _outer_probes(op: MatrixDiffOp) -> Optional[LatticeProbes]:
     """Two-variable ``op`` read by :class:`LatticeProbes` in the outer variable, or None.
 
-    The reading exists when every coefficient is exact with exact rational
-    constant inner coefficients (inner support {0}).
+    The reading exists when ``op`` is two-variable and every coefficient is
+    exact with exact rational constant inner coefficients (inner support {0}).
     """
     entries = (x for M in op.coeffs.values() for row in M.entries for x in row)
-    if not all(x.exact and all(q.exact and (q.lo, q.hi) == (0, 1) for q in x.coeffs.values())
-               for x in entries):
+    if op.level != 2 or not all(
+        x.exact and all(q.exact and (q.lo, q.hi) == (0, 1) for q in x.coeffs.values())
+        for x in entries
+    ):
         return None
 
     def strip(x):
@@ -630,7 +619,7 @@ def _outer_probes(op: MatrixDiffOp) -> Optional[LatticeProbes]:
     )
 
 
-def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReduction:
+def _reduce_outer_integer(probes: LatticeProbes, w: int, layout) -> OuterReduction:
     """:func:`reduce_outer_window` on the integer reading of ``op``.
 
     The top window is read off the lattice probe ``M(-w, W)``, ``W`` the
@@ -643,11 +632,11 @@ def _reduce_outer_integer(probes: LatticeProbes, w: int, bounds) -> OuterReducti
     relations.  The kernel is that of the bottom rows, below ``lo_i + 2w``:
     the same pass's when the two cuts coincide, else a :func:`sparse_echelon`.
     """
+    bounds, src_labels, tgt_labels, _ = layout
     r, lo = probes.rank, probes.delta - w
     probe = probes._build(w, max(hi for _, hi in bounds), w)
     if any(probe[r * (e - lo) + i] for i, (lo_i, _) in enumerate(bounds) for e in range(lo, lo_i)):
         raise AssertionError("image fell below the certified hull")
-    src_labels, tgt_labels, _ = _window_layout(r, (-w, w), bounds)
     # probe column r s + r - 1 - j, source (j, w - 1 - s), is label column 2w j + 2w - 1 - s
     label = [2 * w * j + 2 * w - 1 - s for s in range(2 * w) for j in reversed(range(r))]
     rows = [{label[k]: n for k, n in probe[r * (e - lo) + i].items()} for i, e in tgt_labels]
@@ -682,8 +671,7 @@ def _reduce_outer_series(op: MatrixDiffOp, w: int) -> OuterReduction:
     """:func:`reduce_outer_window` over the inner field, for any two-variable ``op``.
 
     The rows of the derivative-cut ("top") window are built once, by
-    :func:`realize_window`, which computes the window's bounds and runs the
-    level and label checks; the lattice-sharp ("bottom") window is the
+    :func:`realize_window`; the lattice-sharp ("bottom") window is the
     subset of them below each component's bottom cut, ``2w`` above the
     bottom of its top cut.  The kernel comes from the bottom rows' forward
     pass, the cokernel slots from the columns without a pivot in the
@@ -743,7 +731,7 @@ def stabilize_outer_windows(op: MatrixDiffOp) -> OuterStabilization:
     never agreed), the window at which they agreed (None when they never
     did) and the (window, ker, coker) trace.
     """
-    probes = _outer_probes(op) if op.level == 2 else None
+    probes = _outer_probes(op)
     reductions = (reduce_outer_window(op, w, probes) for w in OUTER_SCHEDULE)
     red, at, trace = _settle((r.window, r.ker_dim, r.coker_dim, r) for r in reductions)
     return OuterStabilization(op, red, at, trace)

@@ -1118,6 +1118,33 @@ class TestInexactZeroCoefficients:
             assert (code, err, [lines[k] for k in keys]) == (0, "", want)
 
 
+# ROADMAP item 1: at rank 2 h0 is the windowed kernel, which settles before
+# the windows reach a section, and h1 = h0 + irregularity
+WINDOWED_H0 = "prints the settled window kernel as h0, ROADMAP item 1"
+
+
+class TestCertifiedH0AtRankTwo:
+    """Diagonal rank-2 log twists over one variable, each with h0 = h1 = 2."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=WINDOWED_H0)
+    @pytest.mark.parametrize("diagonal", [
+        # prints (1, 1) with window_agrees = no: the summand d - 12 dt/t
+        # hides the negative-count rule of the other one
+        pytest.param(("0", "-12/t1"), id="0_-12"),
+        pytest.param(("0", "-30/t1"), id="0_-30"),  # prints (1, 1)
+        pytest.param(("60/t1", "-60/t1"), id="60_-60"),  # prints (0, 0)
+    ])
+    def test_cohomology(self, tmp_path, capsys, diagonal):
+        a, b = diagonal
+        text = (
+            f'[field]\nn = 1\n[connection]\nrank = 2\nA1 = [["{a}", "0"], ["0", "{b}"]]\n'
+            "[task]\ncommand = cohomology\n"
+        )
+        code, err, lines = main_report(tmp_path, capsys, text)
+        assert (code, err) == (0, "")
+        assert (lines["h0"], lines["h1"]) == ("2", "2")
+
+
 def run_cli_capped(path):
     """``run_cli`` with the child's address space capped at 1 GiB, so a window
     built past the limit fails in the child and not on the machine."""

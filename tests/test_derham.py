@@ -233,6 +233,14 @@ class TestMulticomplex:
         # a failed direction outranks an unsupported one
         assert check_multicomplex(with_zero_direction(B, 1)).acyclicity == "fail"
 
+    def test_directions_are_labelled_by_their_edge(self):
+        # nu1 = dt2, nu2 = dt1: edge 1 points along t2 and edge 2 along t1,
+        # and each result carries its edge, as failed and unsupported ones do
+        nu = FormTuple((OneForm((F2.zero(), F2.one())), OneForm((F2.one(), F2.zero()))))
+        rep = check_multicomplex(build_multicomplex(Connection.trivial(F2, 1), nu))
+        assert [d.direction for d in rep.directions] == [1, 2]
+        assert rep.ok and rep.outer is not None
+
     def test_outer_reduction_handed_along(self, monkeypatch):
         C = exp2_connection()
         nu = dlog_forms()
@@ -1072,7 +1080,7 @@ def oracle_induced_action(C, outer):
         levels[0] = solved(red.kernel, kernel_images, red.ker_dim, failure)
     if red.coker_dim:
         w = red.window
-        top = tate.window_columns(outer.op, (-w, w), tate.window_bounds(outer.op, w))
+        top = tate.realize_window(outer.op, w)
         assert (top.src_labels, top.tgt_labels) == (red.src_labels, red.tgt_labels)
         zero = TowerElement.zero(1)
         span = [[col.get(k, zero) for k in range(len(top.tgt_labels))] for col in top.columns]

@@ -30,7 +30,6 @@ from higherlocal.tate import (
     WindowRealization,
     realize_window,
     window_bounds,
-    window_columns,
 )
 from helpers import (
     apply_op, labelled_entries, probe_entries, reduction_fields, rref_q, sparse_rows,
@@ -136,7 +135,8 @@ def cut_rows(win, bounds):
     """The same columns cut to target exponents ``bounds[i]`` per component.
 
     The kept labels must all be target labels of ``win``, as the bottom
-    window's are of the top window's.
+    window's are of the top window's: both outer routes read the bottom
+    window as the top one cut this way.
     """
     tgt_labels = tuple((c, e) for c, b in enumerate(bounds) for e in range(*b))
     pos = {lab: k for k, lab in enumerate(tgt_labels)}
@@ -281,9 +281,10 @@ def bottom_bounds(op, w):
 
 def outer_window(op, w, mode):
     """The outer window [-w, w) at its ``"top"`` or ``"bottom"`` cut, as a
-    dense matrix over the inner field."""
-    bounds = window_bounds(op, w) if mode == "top" else bottom_bounds(op, w)
-    win = window_columns(op, (-w, w), bounds)
+    dense matrix over the inner field: the bottom one is the top one cut."""
+    win = realize_window(op, w)
+    if mode == "bottom":
+        win = cut_rows(win, bottom_bounds(op, w))
     rows = [[col.get(k, F1.zero()) for col in win.columns] for k in range(len(win.tgt_labels))]
     return OuterWindow(win.src_labels, win.tgt_labels, SeriesMatrix(rows))
 
@@ -318,22 +319,6 @@ class TestOuterWindowCrossCheck:
                             assert x == expected.get(k, F1.zero())
                         checked += 1
         assert checked > 0
-
-    def test_level2_bottom_is_the_top_window_cut(self):
-        rng = random.Random(1807)
-        for rank in (1, 2):
-            for normalized in (False, True):
-                op = random_outer_operator(rng, rank, normalized)
-                for w in (2, 4, 6):
-                    top = window_columns(op, (-w, w), window_bounds(op, w))
-                    cut = cut_rows(top, bottom_bounds(op, w))
-                    bottom = outer_window(op, w, "bottom")
-                    assert cut.src_labels == bottom.src_labels
-                    assert cut.tgt_labels == bottom.tgt_labels
-                    for j, col in enumerate(cut.columns):
-                        assert tuple(
-                            col.get(k, F1.zero()) for k in range(len(cut.tgt_labels))
-                        ) == bottom.matrix.column(j)
 
     def test_reduction_matches_two_realizations(self):
         rng = random.Random(2718)
@@ -1109,14 +1094,13 @@ class TestWindowPrecision:
             operator_index(self.op_with_known_terms(8), (4, 6, 8, 12))
 
     def test_outer_top_window_needs_one_more_term(self):
-        op = self.op_with_known_terms(14, level=2)
-        outer_window(op, 8, "bottom")
-        with pytest.raises(InsufficientPrecision):
-            outer_window(op, 8, "top")
-        op = self.op_with_known_terms(13, level=2)
+        # w = 8: the top cut at 8 - 1 needs the image of t^-8 below 7, so
+        # hi = 15; the bottom window is the top one cut at 8 - 2, so it
+        # needs the same term
+        outer_window(self.op_with_known_terms(15, level=2), 8, "top")
         for mode in ("bottom", "top"):
-            with pytest.raises(InsufficientPrecision):
-                outer_window(op, 8, mode)
+            with pytest.raises(InsufficientPrecision, match=self.SHORT):
+                outer_window(self.op_with_known_terms(14, level=2), 8, mode)
 
 
 class TestCalkinIso:
@@ -1178,7 +1162,6 @@ class TestOperatorLevel:
         for reduce in (
             lambda: reduce_outer_window(op, 4),
             lambda: realize_window(op, 4),
-            lambda: window_columns(op, (-4, 4), [(-5, 4)]),
         ):
             with pytest.raises(UnsupportedFrame) as ei:
                 reduce()
@@ -1200,11 +1183,17 @@ class TestOperatorLevel:
                 probes.rows(1, 10 ** 12)
             assert len(probes.rows(1, n // 2 - 2)) == n
             return
-        with pytest.raises(WindowTooLarge, match=f"{n + 2} source and 2 target labels"):
-            window_columns(op, (0, n // 2 + 1), [(0, 1)] * 2)
+        # d/dt on rank 2 has 4w labels a side; d/dt + t^-k on rank 1 has 2
+        # source and k + 1 target labels at w = 1
+        with pytest.raises(WindowTooLarge, match=f"{n + 4} source and {n + 4} target labels"):
+            realize_window(op, n // 4 + 1)
+
+        def pole(k):
+            return MatrixDiffOp.first_order(F2.one(), SeriesMatrix([[F2.gen(2) ** -k]]))
+
         with pytest.raises(WindowTooLarge, match=f"2 source and {n + 1} target labels"):
-            window_columns(op, (0, 1), [(-n, 1), (0, 0)])
-        assert len(window_columns(op, (0, 1), [(-n + 1, 1), (0, 0)]).tgt_labels) == n
+            realize_window(pole(n), 1)
+        assert len(realize_window(pole(n - 1), 1).tgt_labels) == n
 
     @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize("mode", ["bottom", "top"])
