@@ -1,20 +1,19 @@
 """Recursive-descent parser for the input expression grammar.
 
 Expressions are built from integer literals, the tower variables, the four
-arithmetic operations, integer powers and parentheses.  Evaluation is exact:
-rationals stay rationals and division by a series produces a truncated
-inverse at the working precision.  Syntax errors carry 1-based line/column
-positions.
+arithmetic operations, integer powers and parentheses.  Each one is
+evaluated in the exact series arithmetic of :mod:`series`: rationals stay
+rationals, Laurent polynomials stay exact, and division by a series produces
+a truncated inverse at the parser's precision.  Syntax errors carry 1-based
+line/column positions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional
 
 from .errors import HigherLocalError, SpecSyntaxError
-from .series import TowerElement, TowerField, _element
+from .series import TowerElement, TowerField, sum_of_products
 
 # an integer literal may have at most this many digits: the default of
 # Python's limit on str-to-int conversion, which is process-wide
@@ -78,104 +77,22 @@ def tokenize(text: str, line: int = 1, column: int = 1) -> List[Token]:
     return tokens
 
 
-# A Laurent polynomial: {exponents, innermost first: nonzero int or Fraction}.
-Laurent = Dict[Tuple[int, ...], Union[int, Fraction]]
-
-
-def _add(a: Laurent, b: Laurent, sign: int) -> Laurent:
-    out = dict(a)
-    for e, q in b.items():
-        v = out.get(e, 0) + sign * q
-        if v:
-            out[e] = v
-        else:
-            del out[e]
-    return out
-
-
-def _by_outer(terms: Laurent) -> Dict[int, Laurent]:
-    """``terms`` grouped by the outermost exponent, over the inner exponents."""
-    out: Dict[int, Laurent] = {}
-    for e, q in terms.items():
-        out.setdefault(e[-1], {})[e[:-1]] = q
-    return out
-
-
-def _by_inner(terms: Laurent) -> Dict[Tuple[int, ...], Dict[int, Union[int, Fraction]]]:
-    """``terms`` grouped by the outer exponents, over the int innermost exponent."""
-    out: Dict[Tuple[int, ...], Dict[int, Union[int, Fraction]]] = {}
-    for e, q in terms.items():
-        out.setdefault(e[1:], {})[e[0]] = q
-    return out
-
-
-def _mul(a: Laurent, b: Laurent) -> Laurent:
-    """The product: per pair of outer exponent tuples, one product of the
-    innermost parts, keyed by int exponents."""
-    out: Dict[Tuple[int, ...], Dict[int, Union[int, Fraction]]] = {}
-    inner_b = [(kb, list(rb.items())) for kb, rb in _by_inner(b).items()]
-    for ka, ra in _by_inner(a).items():
-        for kb, rb in inner_b:
-            acc = out.setdefault(tuple(x + y for x, y in zip(ka, kb)), {})
-            get = acc.get
-            for x, qa in ra.items():
-                for y, qb in rb:
-                    e = x + y
-                    acc[e] = get(e, 0) + qa * qb
-    return {(e,) + k: q for k, acc in out.items() for e, q in acc.items() if q}
-
-
-def _pow(a: Laurent, n: int, level: int) -> Laurent:
-    """``a^n``, for ``n >= 0`` or a single monomial ``a``."""
-    if len(a) == 1:
-        ((e, q),) = a.items()
-        if n < 0 and abs(q) != 1:
-            q = 1 / Fraction(q)
-        return {tuple(x * n for x in e): q ** abs(n)}
-    if n == 0:
-        return {(0,) * level: 1}
-    result = None
-    while True:
-        if n & 1:
-            result = a if result is None else _mul(result, a)
-        n >>= 1
-        if not n:
-            return result
-        a = _mul(a, a)
-
-
-def _laurent_element(level: int, terms: Laurent) -> TowerElement:
-    """The exact element with the nonzero monomials ``terms``, built from its canonical
-    parts: at level 1 the numerators over the lcm of the denominators."""
-    if level == 1:
-        den = lcm(*(q.denominator for q in terms.values()))
-        nums = {e: q.numerator * (den // q.denominator) for (e,), q in terms.items()}
-        return _element(1, nums, den, None)
-    inner = {e: _laurent_element(level - 1, t) for e, t in _by_outer(terms).items()}
-    return _element(level, inner, 1, None)
-
-
 class ExpressionParser:
     """Parses and evaluates one expression over a tower field.
 
-    Laurent polynomials are evaluated as maps from exponent tuples to
-    rationals: sums, products, unary minus, nonnegative powers, and
-    division by or negative powers of a single monomial stay on the map,
-    and each parsed expression builds one :class:`TowerElement`.  Division
-    by anything else, or a negative power of it, turns the partial value
-    into an element and goes on in series arithmetic.  Exact arithmetic on
-    exact elements gives the map's value again, with the same window and
-    exactness, so every result is equal (and hash-equal) to evaluating the
-    whole expression in series arithmetic.
+    Every literal and variable is a field element and every operation is
+    exact :class:`TowerElement` arithmetic, so a Laurent polynomial is
+    evaluated exactly.  A ``+``/``-`` chain is summed once, by
+    :func:`series.sum_of_products`, which equals the chained sum in value,
+    window and exactness.  Division by an element, or a negative power of
+    it, inverts it at the parser's precision: exactly for a monomial, as a
+    truncated series otherwise.
     """
 
     def __init__(self, field: TowerField, prec: Optional[int] = None):
         self.field = field
         self.prec = prec
-        n = field.level
-        self.vars = {
-            name: {tuple(int(k == i) for k in range(n)): 1} for i, name in enumerate(field.names)
-        }
+        self.vars = {name: field.gen(i + 1) for i, name in enumerate(field.names)}
 
     def parse(self, text: str, line: int = 1, column: int = 1) -> TowerElement:
         self._tokens = tokenize(text, line, column)
@@ -186,12 +103,7 @@ class ExpressionParser:
             raise SpecSyntaxError(
                 f"unexpected token {tok.text!r}", tok.line, tok.column
             )
-        return self._series(value)
-
-    def _series(self, value) -> TowerElement:
-        if isinstance(value, TowerElement):
-            return value
-        return _laurent_element(self.field.level, value)
+        return value
 
     # -- token plumbing ------------------------------------------------------
 
@@ -213,86 +125,59 @@ class ExpressionParser:
         return tok
 
     # -- grammar ---------------------------------------------------------------
-    # each rule returns a Laurent map, or a TowerElement once a series is involved
 
-    def _expr(self):
-        value = self._term()
+    def _expr(self) -> TowerElement:
+        pairs = [(1, self._term())]
         while self._peek().kind in ("+", "-"):
-            op = self._next().kind
-            rhs = self._term()
-            if isinstance(value, dict) and isinstance(rhs, dict):
-                value = _add(value, rhs, 1 if op == "+" else -1)
-            else:
-                a, b = self._series(value), self._series(rhs)
-                value = a + b if op == "+" else a - b
-        return value
+            pairs.append((1 if self._next().kind == "+" else -1, self._term()))
+        return pairs[0][1] if len(pairs) == 1 else sum_of_products(self.field.level, pairs)
 
-    def _term(self):
-        value = self._unary()
+    def _term(self) -> TowerElement:
+        value = self._factor()
         while self._peek().kind in ("*", "/"):
             op = self._next()
-            rhs = self._unary()
-            laurent = isinstance(value, dict) and isinstance(rhs, dict)
+            rhs = self._factor()
             if op.kind == "*":
-                value = _mul(value, rhs) if laurent else self._series(value) * self._series(rhs)
-            elif laurent and len(rhs) == 1:
-                value = _mul(value, _pow(rhs, -1, self.field.level))
-            else:
-                try:
-                    value = self._series(value) * self._series(rhs).invert(self.prec)
-                except HigherLocalError as exc:
-                    raise SpecSyntaxError(
-                        f"division failed: {exc}", op.line, op.column
-                    )
+                value = value * rhs
+                continue
+            try:
+                value = value * rhs.invert(self.prec)
+            except HigherLocalError as exc:
+                raise SpecSyntaxError(f"division failed: {exc}", op.line, op.column)
         return value
 
-    def _unary(self):
-        if self._peek().kind == "-":
-            self._next()
-            value = self._unary()
-            if isinstance(value, dict):
-                return {e: -q for e, q in value.items()}
-            return -value
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self._peek().kind == "^":
-            caret = self._next()
-            sign = 1
-            if self._peek().kind == "-":
-                self._next()
-                sign = -1
-            tok = self._expect("int")
-            exponent = sign * int(tok.text)
-            if isinstance(base, dict) and (exponent >= 0 or len(base) == 1):
-                return _pow(base, exponent, self.field.level)
-            base = self._series(base)
-            if exponent < 0:
-                try:
-                    base = base.invert(self.prec)
-                except HigherLocalError as exc:
-                    raise SpecSyntaxError(
-                        f"negative power failed: {exc}", caret.line, caret.column
-                    )
-                return base ** (-exponent)
-            return base ** exponent
-        return base
-
-    def _atom(self):
+    def _factor(self) -> TowerElement:
+        """``-factor``, or an atom with an optional integer power."""
         tok = self._next()
+        if tok.kind == "-":
+            return -self._factor()
         if tok.kind == "int":
-            q = int(tok.text)
-            return {(0,) * self.field.level: q} if q else {}
-        if tok.kind == "name":
-            if tok.text not in self.vars:
+            value = TowerElement.constant(self.field.level, int(tok.text))
+        elif tok.kind == "name":
+            value = self.vars.get(tok.text)
+            if value is None:
                 raise SpecSyntaxError(
                     f"unknown variable {tok.text!r}", tok.line, tok.column
                 )
-            return self.vars[tok.text]
-        if tok.kind == "(":
+        elif tok.kind == "(":
             value = self._expr()
             self._expect(")")
+        else:
+            shown = tok.text if tok.kind != "end" else "end of input"
+            raise SpecSyntaxError(f"unexpected {shown!r}", tok.line, tok.column)
+        if self._peek().kind != "^":
             return value
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise SpecSyntaxError(f"unexpected {shown!r}", tok.line, tok.column)
+        caret = self._next()
+        sign = 1
+        if self._peek().kind == "-":
+            self._next()
+            sign = -1
+        exponent = sign * int(self._expect("int").text)
+        if exponent < 0:
+            try:
+                value = value.invert(self.prec)
+            except HigherLocalError as exc:
+                raise SpecSyntaxError(
+                    f"negative power failed: {exc}", caret.line, caret.column
+                )
+        return value ** abs(exponent)

@@ -90,6 +90,8 @@ def _add_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
 
 def _product_bound(a: "TowerElement", b: "TowerElement") -> Optional[int]:
     """The knowledge bound of ``a*b`` for ``a``, ``b`` not exactly zero."""
+    if a.exact and b.exact:
+        return None
     return _min_bound(
         _add_bound(a.valuation_lower_bound(), b.known_hi()),
         _add_bound(a.known_hi(), b.valuation_lower_bound()),
@@ -225,11 +227,13 @@ class TowerElement:
 
         0, 1 and -1 are the level's shared instances.
         """
-        q = _as_fraction(value)
+        q = value if type(value) is int else _as_fraction(value)
         if q == 0:
             return cls.zero(level)
         if q == 1 or q == -1:
             return _unit(level, q.numerator)
+        if level == 1 and type(q) is int:
+            return _element(1, {0: q}, 1, None)
         return cls.monomial(level, [0] * level, q)
 
     @classmethod
@@ -411,6 +415,10 @@ class TowerElement:
             return self.invert() ** (-n)
         if n == 0:
             return TowerElement.constant(self.level, 1)
+        if self.exact and len(self._terms) == 1:
+            # (c*x^e)^n is c^n*x^(e*n), exact; c^n/den^n stays in lowest terms
+            ((e, c),) = self._terms.items()
+            return _element(self.level, {e * n: c ** n}, self._den ** n, None)
         result = None
         base = self
         while True:

@@ -165,13 +165,14 @@ def _indexed_keys(keys, prefix: str, what: str, section: str, level: int) -> Non
 
 
 def _int_value(entry: Tuple[str, int, int], key: str) -> int:
+    """An optional sign and ASCII digits (``int`` also takes ``١``, ``１`` and ``1_6``)."""
     value, lineno, colv = entry
     try:
-        return int(value)
-    except ValueError:
-        raise SpecSyntaxError(
-            f"{key} must be an integer, found {value!r}", lineno, colv
-        ) from None
+        if _digits(value[1:] if value[:1] in ("+", "-") else value):
+            return int(value)
+    except ValueError:  # more digits than Python's str-to-int limit
+        pass
+    raise SpecSyntaxError(f"{key} must be an integer, found {value!r}", lineno, colv)
 
 
 def parse_specfile(

@@ -117,8 +117,9 @@ class SeriesEvaluator:
     """The expression grammar evaluated token by token in series arithmetic.
 
     Every literal and variable is a field element and every operation is
-    :class:`TowerElement` arithmetic, as the parser evaluated before
-    Laurent polynomials stayed on exponent maps.
+    one :class:`TowerElement` operation: each ``+``/``-`` is a binary sum,
+    each power is a power of the element.  The reference for the parser's
+    grammar and for its fused sums.
     """
 
     def __init__(self, field, prec):
@@ -248,7 +249,8 @@ FIELDS = (TowerField(1, ("t",)), TowerField(2), TowerField(3))
 
 
 class TestLaurentParsing:
-    """Laurent polynomials on exponent maps against series arithmetic."""
+    """The parser against term-by-term series arithmetic: the grammar, and
+    ``+``/``-`` chains summed at once."""
 
     @settings(deadline=None, max_examples=200)
     @given(st.sampled_from(FIELDS).flatmap(
@@ -290,7 +292,7 @@ class TestLaurentParsing:
             (FIELDS[0], "(1 + t)^5 - (1 - t)*(2 + t^-1)^3"),
             (FIELDS[1], "(t1 + t2 - 1)^4*(t1^-1 - t2)"),
             (FIELDS[1], "(1 + t1*t2)^3 - (t2 + 2*t1^-1)^2/(3*t1*t2^2)"),
-            # dense products, whose innermost exponents are gathered as ints
+            # dense products
             (FIELDS[0], "(1 + 2*t - t^-1)^12*(3 - t^2)"),
             (FIELDS[1], "(1 + t1 + t2)^10*(t1^-1 - 2*t2 + t1*t2^-1)"),
             (FIELDS[2], "(1 + t1 + t2 - t3)^6*(t1*t3^-1 + 2*t2^2 - 1)"),
@@ -299,18 +301,6 @@ class TestLaurentParsing:
     )
     def test_products_gather_equal_exponents(self, F, text):
         assert evaluated(ExpressionParser(F, 8), text) == evaluated(SeriesEvaluator(F, 8), text)
-
-    def test_laurent_maps_build_no_series_product(self, monkeypatch):
-        calls = []
-        mul = TowerElement.__mul__
-
-        def counted(a, b):
-            calls.append(1)
-            return mul(a, b)
-
-        monkeypatch.setattr(TowerElement, "__mul__", counted)
-        ExpressionParser(FIELDS[1], 8).parse("(1 + t1*t2)^3 - 2*t1^-2*(t2 - 1)/(3*t1*t2^2)")
-        assert calls == []
 
     def test_literal_digit_limit(self):
         F = FIELDS[0]
@@ -1368,6 +1358,50 @@ command = cohomology
         proc = run_cli(bad)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    INTEGER_KEYS = """[field]
+n = {n}
+vars = t
+precision = {precision}
+
+[connection]
+rank = {rank}
+A1 = [["-1/t^2"]]
+
+[forms]
+nu1 = ["1"]
+
+[task]
+command = epsilon
+seed = {seed}
+sigma = {sigma}
+"""
+    INTEGER_DEFAULTS = {"n": "1", "precision": "16", "rank": "1", "seed": "+3", "sigma": "-1"}
+
+    def test_signed_ascii_integer_values(self):
+        spec = parse_specfile(self.INTEGER_KEYS.format(**self.INTEGER_DEFAULTS))
+        assert (spec.level, spec.precision, spec.rank, spec.seed, spec.sigma) == (1, 16, 1, 3, -1)
+
+    @pytest.mark.parametrize(
+        "key, value, line, column",
+        [
+            ("n", "\u0661", 2, 5),  # ARABIC-INDIC DIGIT ONE
+            ("precision", "1_6", 4, 13),
+            ("rank", "\uff11", 7, 8),  # FULLWIDTH DIGIT ONE
+            ("seed", "+\u0663", 15, 8),
+            ("sigma", "-\uff11", 16, 9),
+        ],
+    )
+    def test_non_ascii_integer_value_exit_code(self, tmp_path, key, value, line, column):
+        # int() accepts each of these values
+        bad = tmp_path / "bad.hl"
+        fields = dict(self.INTEGER_DEFAULTS, **{key: value})
+        bad.write_text(self.INTEGER_KEYS.format(**fields), encoding="utf-8")
+        proc = run_cli(bad)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{key} must be an integer" in proc.stderr
+        assert f"line {line}, column {column}" in proc.stderr
 
     def test_missing_file(self):
         proc = run_cli("/nonexistent/path.hl")

@@ -793,6 +793,49 @@ class TestSharedConstants:
         # x^2: one squaring; x^3: a squaring and a product; x^4: two squarings
         assert n_calls == 0 + 0 + 1 + 2 + 2
 
+    @pytest.mark.parametrize("value", [2, -2, 7, -12, 10 ** 30])
+    def test_int_constants_match_monomials(self, value):
+        assert_same_element(TowerElement.constant(1, value), TowerElement.monomial(1, [0], value))
+
+    def test_int_units_are_shared(self):
+        assert TowerElement.constant(1, 0) is F1.zero()
+        assert TowerElement.constant(1, 1) is F1.one()
+        assert TowerElement.constant(1, -1) is TowerElement.constant(1, Fraction(-1))
+
+    @pytest.mark.parametrize(
+        "level, exps, q",
+        [
+            (1, [3], Fraction(-2, 3)),
+            (1, [-2], Fraction(5, 4)),
+            (1, [0], Fraction(-7)),
+            (2, [1, -2], Fraction(-3, 2)),
+            (2, [-1, 3], Fraction(4, 9)),
+            (2, [2, 0], Fraction(-1, 6)),
+        ],
+    )
+    def test_single_term_powers_in_closed_form(self, monkeypatch, level, exps, q):
+        x = TowerElement.monomial(level, exps, q)
+        products = {}
+        for n in range(1, 6):
+            for base in (x, x.invert()):
+                p = base
+                for _ in range(n - 1):
+                    p = p * base
+                products[n if base is x else -n] = p
+        calls = []
+        mul = TowerElement.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(TowerElement, "__mul__", counted)
+        powers = {n: x ** n for n in products}
+        monkeypatch.undo()
+        assert calls == []
+        for n, p in powers.items():
+            assert_same_element(p, products[n])
+
 
 class TestReadOnlyCoefficients:
     def test_level2_coefficients_cannot_be_written(self):
