@@ -273,29 +273,17 @@ def rank1_from_form(omega: OneForm) -> Connection:
 # Kummer covers and induction
 # ---------------------------------------------------------------------------
 
-class KummerCover:
+class KummerCover(NamedTuple("KummerCover", [("e", int)])):
     """The cover obtained by extracting an e-th root of the outermost variable."""
 
-    __slots__ = ("e",)
+    __slots__ = ()
 
-    def __init__(self, e: int):
+    def __new__(cls, e: int):
         if e < 1:
             raise ValueError("ramification index must be >= 1")
-        object.__setattr__(self, "e", e)
+        return super().__new__(cls, e)
 
-    def __setattr__(self, *a):
-        raise AttributeError("KummerCover is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.e == other.e if isinstance(other, KummerCover) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.e)
-
-    def __repr__(self):
-        return f"KummerCover(e={self.e!r})"
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def regular_representation(f: TowerElement, e: int) -> list:

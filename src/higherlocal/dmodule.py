@@ -87,39 +87,26 @@ PARTIAL = "partial"
 THETA = "theta"
 
 
-class ScalarOperator:
+class ScalarOperator(
+    NamedTuple("ScalarOperator", [("form", str), ("coeffs", Tuple[TowerElement, ...])])
+):
     """A monic scalar operator sum(a_i X^i) with X = d/dt or X = t d/dt.
 
     ``coeffs`` are a_0 .. a_m, with a_m == 1.
     """
 
-    __slots__ = ("form", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, form: str, coeffs: Tuple[TowerElement, ...]):
+    def __new__(cls, form: str, coeffs: Tuple[TowerElement, ...]):
         if form not in (PARTIAL, THETA):
             raise ValueError("form must be 'partial' or 'theta'")
         if len(coeffs) < 2:
             raise ValueError("order must be >= 1")
         if (coeffs[-1] - 1).is_certainly_nonzero():
             raise ValueError("operator must be monic")
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, form, coeffs)
 
-    def __setattr__(self, *a):
-        raise AttributeError("ScalarOperator is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarOperator):
-            return NotImplemented
-        return (self.form, self.coeffs) == (other.form, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.form, self.coeffs))
-
-    def __repr__(self):
-        return f"ScalarOperator(form={self.form!r}, coeffs={self.coeffs!r})"
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def order(self) -> int:

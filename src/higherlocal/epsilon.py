@@ -37,29 +37,17 @@ from .tate import (
 )
 
 
-class SignConvention:
+class SignConvention(NamedTuple("SignConvention", [("sign", int)])):
     """Global sign for the duality comparison; one value per verification run."""
 
-    __slots__ = ("sign",)
+    __slots__ = ()
 
-    def __init__(self, sign: int = 1):
+    def __new__(cls, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "sign", sign)
+        return super().__new__(cls, sign)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SignConvention is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.sign == other.sign if isinstance(other, SignConvention) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.sign)
-
-    def __repr__(self):
-        return f"SignConvention(sign={self.sign!r})"
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class EpsilonReport(NamedTuple):

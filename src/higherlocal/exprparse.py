@@ -5,7 +5,8 @@ arithmetic operations, integer powers and parentheses.  Each one is
 evaluated in the exact series arithmetic of :mod:`series`: rationals stay
 rationals, Laurent polynomials stay exact, and division by a series produces
 a truncated inverse at the parser's precision.  Syntax errors carry 1-based
-line/column positions.
+line/column positions, and so does nesting too deep for Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -97,7 +98,12 @@ class ExpressionParser:
     def parse(self, text: str, line: int = 1, column: int = 1) -> TowerElement:
         self._tokens = tokenize(text, line, column)
         self._pos = 0
-        value = self._expr()
+        try:
+            value = self._expr()
+        except RecursionError:
+            # the token where the nesting ran past Python's recursion limit
+            tok = self._tokens[self._pos - 1]
+            raise SpecSyntaxError("expression nested too deeply", tok.line, tok.column) from None
         tok = self._peek()
         if tok.kind != "end":
             raise SpecSyntaxError(

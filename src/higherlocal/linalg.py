@@ -486,29 +486,22 @@ def echelon_relations(rows, m: int) -> Tuple[dict, Dict[int, Dict[int, Fraction]
     """A :func:`sparse_echelon` of ``rows`` on ``m`` columns that keeps the dependency relations.
 
     The rows are :func:`sparse_echelon`'s, taken as given.  Returns
-    ``(pivots, relations)``.  Row ``k`` carries its own unit at the tag
-    column ``m + k``, so a row whose columns all cancel is left with its
-    relation: ``relations[k] = {j: q_j}`` with ``sum_j q_j rows[j] = 0``,
-    ``q_k = 1`` and every other ``j`` a kept row before ``k``.  ``pivots``
-    has :func:`sparse_echelon`'s pivot columns and, below column ``m``,
+    ``(pivots, relations)``.  Row ``k`` of ``n`` carries its own unit at the
+    tag column ``m + n - 1 - k``, so it meets only rows with larger tags and
+    a row whose columns all cancel lands at its own tag with its relation:
+    ``relations[k] = {j: q_j}`` with ``sum_j q_j rows[j] = 0``, ``q_k = 1``
+    and every other ``j`` a kept row before ``k``.  ``pivots`` has
+    :func:`sparse_echelon`'s pivot columns and, below column ``m``,
     multiples of its rows, so :func:`echelon_kernel` reads the same kernel.
     The tags start at ``m``, not past the last column used, so that an
     empty trailing column stays free.
     """
-    pivots: dict = {}
+    top = m + len(rows) - 1
+    pivots = sparse_echelon([{**raw, top - k: 1} for k, raw in enumerate(rows)])
     relations = {}
-    for k, raw in enumerate(rows):
-        r = {**raw, m + k: 1}
-        while True:
-            c = min(r)
-            if c >= m:
-                relations[k] = {j - m: Fraction(v, r[m + k]) for j, v in r.items()}
-                break
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r
-                break
-            r = _cancel(r, p, c)
+    for c in [c for c in pivots if c >= m]:
+        r = pivots.pop(c)
+        relations[top - c] = {top - j: Fraction(v, r[c]) for j, v in r.items()}
     return pivots, relations
 
 

@@ -33,7 +33,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     InsufficientPrecision,
@@ -775,34 +775,22 @@ def sub_mul(a: TowerElement, f: TowerElement, b: TowerElement) -> TowerElement:
     return _element(1, *_reduced(out, da // g * dp), h)
 
 
-class TowerField:
+class TowerField(NamedTuple("TowerField", [("level", int), ("names", Tuple[str, ...])])):
     """The tower field k((t1))...((tn)) together with its variable names."""
 
-    __slots__ = ("level", "names")
+    __slots__ = ()
 
-    def __init__(self, level: int, names: Optional[Iterable[str]] = None):
+    def __new__(cls, level: int, names: Optional[Iterable[str]] = None):
         if level < 0:
             raise ValueError("level must be >= 0")
-        if names is None:
-            names = tuple(f"t{i+1}" for i in range(level))
-        else:
-            names = tuple(names)
+        names = tuple(f"t{i+1}" for i in range(level)) if names is None else tuple(names)
         if len(names) != level:
             raise ValueError("need one variable name per level")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be pairwise distinct")
-        self.level = level
-        self.names = names
+        return super().__new__(cls, level, names)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TowerField)
-            and self.level == other.level
-            and self.names == other.names
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.names))
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __repr__(self):
         inner = "Q"

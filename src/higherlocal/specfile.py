@@ -91,8 +91,8 @@ class _QuotedString(NamedTuple):
 
 def _parse_bracketed(value: str, line: int, col0: int):
     """Parse nested brackets of quoted strings; returns the nested lists."""
-    i = 0
     n = len(value)
+    deepest = 0  # the last '[' entered
 
     def err(msg, at):
         raise SpecSyntaxError(msg, line, col0 + at)
@@ -116,7 +116,9 @@ def _parse_bracketed(value: str, line: int, col0: int):
         err(f"expected '[' or quoted string, found {value[j]!r}", j)
 
     def parse_list(j):
+        nonlocal deepest
         assert value[j] == "["
+        deepest = j
         j += 1
         items = []
         j = skip_ws(j)
@@ -136,7 +138,10 @@ def _parse_bracketed(value: str, line: int, col0: int):
     j = skip_ws(0)
     if j >= n or value[j] != "[":
         raise SpecSyntaxError("expected a bracketed value", line, col0 + j)
-    items, j = parse_list(j)
+    try:
+        items, j = parse_list(j)
+    except RecursionError:
+        raise SpecSyntaxError("brackets nested too deeply", line, col0 + deepest) from None
     j = skip_ws(j)
     if j != n:
         raise SpecSyntaxError(f"trailing input {value[j:]!r}", line, col0 + j)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -1219,6 +1220,40 @@ class TestRejections:
         assert error in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "text, lineno, opener, message",
+        [
+            (rank1_spec("(" * 400 + "t" + ")" * 400, "irregularity"), 8, "(",
+             "expression nested too deeply"),
+            (rank1_spec("-" * 2000 + "t", "irregularity"), 8, "-", "expression nested too deeply"),
+            ("[field]\nn = 1\n[connection]\nrank = 1\nA1 = " + "[" * 3000 + '"0"' + "]" * 3000
+             + "\n[task]\ncommand = epsilon\n", 5, "[", "brackets nested too deeply"),
+            ('[field]\nn = 1\n[connection]\nrank = 1\nA1 = [["0"]]\n[forms]\nnu1 = '
+             + "[" * 3000 + '"1"' + "]" * 3000 + "\n[task]\ncommand = epsilon\n", 7, "[",
+             "brackets nested too deeply"),
+        ],
+        ids=["parentheses", "unary-minus", "A1-brackets", "nu1-brackets"],
+    )
+    def test_deep_nesting_exit_code(self, tmp_path, text, lineno, opener, message):
+        # the parsers recurse once per level: past Python's recursion limit
+        # the diagnostic points at the opener where the nesting gave out
+        bad = tmp_path / "bad.hl"
+        bad.write_text(text)
+        proc = run_cli(bad)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        found = re.search(rf"SpecSyntaxError: {message} at line {lineno}, column (\d+)", proc.stderr)
+        assert found, proc.stderr
+        assert text.splitlines()[lineno - 1][int(found.group(1)) - 1] == opener
+        assert proc.stdout == ""
+
+    def test_nesting_250_deep_parses(self, tmp_path):
+        good = tmp_path / "good.hl"
+        good.write_text(rank1_spec("(" * 250 + "-t" + ")" * 250, "irregularity"))
+        proc = run_cli(good)
+        assert proc.returncode == 0, proc.stderr
+        assert "irregularity = 0" in proc.stdout
 
     def test_huge_n_is_bounded_by_the_keys(self, tmp_path):
         # neither the default variable names nor the key check are built

@@ -114,8 +114,9 @@ RECORDS = [
         (-1, (REPORT,), -1, True, (0, -1)),
     ),
     (SignConvention, ("sign",), (-1,)),
+    (TowerField, ("level", "names"), (2, ("x", "y"))),
 ]
-FROZEN = (FlatnessReport, KummerCover, NewtonPolygon, ScalarOperator, SignConvention)
+FROZEN = (FlatnessReport, KummerCover, NewtonPolygon, ScalarOperator, SignConvention, TowerField)
 
 
 @pytest.mark.parametrize("record, names, values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
@@ -146,3 +147,42 @@ def test_exported_records_keep_their_defaults_and_checks():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize(
+    "record, good, field, bad, message",
+    [
+        (SignConvention, (1,), "sign", 0, "sign must be"),
+        (KummerCover, (2,), "e", 0, "ramification index"),
+        (ScalarOperator, (THETA, (F1.gen(1), F1.one())), "form", "d", "form must be"),
+        (ScalarOperator, (THETA, (F1.gen(1), F1.one())), "coeffs", (F1.one(),), "order must be"),
+        (ScalarOperator, (THETA, (F1.gen(1), F1.one())), "coeffs", (F1.one(), F1.gen(1)),
+         "monic"),
+        (TowerField, (2, ("x", "y")), "names", ("x", "x"), "pairwise distinct"),
+        (TowerField, (2, ("x", "y")), "level", -1, "level must be"),
+    ],
+    ids=["SignConvention", "KummerCover", "ScalarOperator-form", "ScalarOperator-order",
+         "ScalarOperator-monic", "TowerField-names", "TowerField-level"],
+)
+def test_validated_records_check_make_and_replace(record, good, field, bad, message):
+    # _make and _replace build the record through its constructor's checks
+    fields = dict(zip(record._fields, good))
+    with pytest.raises(ValueError, match=message):
+        record(**dict(fields, **{field: bad}))
+    with pytest.raises(ValueError, match=message):
+        record._make(dict(fields, **{field: bad}).values())
+    with pytest.raises(ValueError, match=message):
+        record(*good)._replace(**{field: bad})
+    assert record._make(good) == record(*good)._replace() == record(*good)
+
+
+def test_validated_record_reprs_and_hashes():
+    # the operator and the field hash as the tuple of their fields
+    op = ScalarOperator(THETA, (F1.gen(1), F1.one()))
+    assert repr(SignConvention()) == "SignConvention(sign=1)"
+    assert repr(KummerCover(3)) == "KummerCover(e=3)"
+    assert repr(op) == "ScalarOperator(form='theta', coeffs=(<t1>, <1>))"
+    assert repr(TowerField(2, ("x", "y"))) == "TowerField(Q((x))((y)))"
+    assert repr(TowerField(0)) == "TowerField(Q)"
+    assert hash(op) == hash((THETA, op.coeffs))
+    assert hash(TowerField(2, ("x", "y"))) == hash((2, ("x", "y")))
